@@ -24,6 +24,17 @@ from .tangent import (default_neighbor_count as tangent_default_K,
                       second_order_svd)
 
 
+_STUDY_DEFAULTS = {
+    "method": "NRBF", "operator": "LB", "projection": "Analytic",
+    "kernel": {"family": "gaussian", "s": 1.0, "pinv_tol": 1e-8},
+    "density": "Uniform", "modes": 16, "seeds": [0],
+    "sample_mode": "random_intrinsic", "compare_count": 12,
+}
+# sample and tangent draw a cloud without a study config
+_DRAW_DEFAULTS = {"seed": _STUDY_DEFAULTS["seeds"][0],
+                  "mode": _STUDY_DEFAULTS["sample_mode"]}
+
+
 def _manifold_from_args(args):
     kind = args.manifold
     if kind == "ellipse":
@@ -54,30 +65,36 @@ def _add_manifold_args(p):
 
 def _add_sampling_args(p):
     p.add_argument("--N", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--mode", default="random_intrinsic",
+    _add_draw_args(p)
+
+
+def _add_draw_args(p):
+    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--mode", default=None,
                    choices=["random_intrinsic", "random_area", "grid"])
 
 
 def _add_study_args(p):
-    p.add_argument("--method", default="NRBF",
+    # study flags default to None so that entries of a --config file survive
+    # the merge; _STUDY_DEFAULTS fills whatever neither of them sets
+    p.add_argument("--method", default=None,
                    choices=["NRBF", "SRBF", "DM"])
-    p.add_argument("--operator", default="LB",
+    p.add_argument("--operator", default=None,
                    choices=["LB", "Bochner", "Hodge", "Lich", "Covariant"])
-    p.add_argument("--projection", default="Analytic",
+    p.add_argument("--projection", default=None,
                    choices=["Analytic", "FirstOrder", "SecondOrder"])
-    p.add_argument("--kernel", default="gaussian",
+    p.add_argument("--kernel", default=None,
                    choices=["gaussian", "inverse_quadratic", "matern"])
-    p.add_argument("--s", type=float, default=1.0, help="kernel shape")
-    p.add_argument("--pinv-tol", type=float, default=1e-8)
-    p.add_argument("--density", default="Uniform",
+    p.add_argument("--s", type=float, default=None, help="kernel shape")
+    p.add_argument("--pinv-tol", type=float, default=None)
+    p.add_argument("--density", default=None,
                    choices=["Analytic", "KDE", "Uniform"])
-    p.add_argument("--modes", type=int, default=16)
+    p.add_argument("--modes", type=int, default=None)
     p.add_argument("--Np", type=int, default=None,
                    help="interpolation cloud size (defaults to N)")
     p.add_argument("--K", type=int, default=None,
                    help="neighbors for tangent estimation")
-    p.add_argument("--compare-count", type=int, default=12)
+    p.add_argument("--compare-count", type=int, default=None)
     p.add_argument("--config", default=None,
                    help="JSON file with an experiment configuration; "
                         "command-line flags override its entries")
@@ -85,32 +102,36 @@ def _add_study_args(p):
     p.add_argument("--prefix", default="run")
 
 
+def _given(pairs):
+    return {k: v for k, v in pairs.items() if v is not None}
+
+
 def _config_from_args(args, N_list):
     base = {}
     if args.config:
         with open(args.config) as fh:
             base = json.load(fh)
-    overrides = {
+    flags = _given({
         "manifold": _manifold_from_args(args).to_dict(),
         "N_list": N_list,
         "method": args.method,
         "operator": args.operator,
         "projection": args.projection,
-        "kernel": {"family": args.kernel, "s": args.s,
-                   "pinv_tol": args.pinv_tol},
         "density": args.density,
         "modes": args.modes,
-        "seeds": [args.seed],
+        "seeds": None if args.seed is None else [args.seed],
         "N_p": args.Np,
         "K": args.K,
         "sample_mode": args.mode,
         "compare_count": args.compare_count,
-    }
-    # flags override file entries; file supplies anything not given
-    merged = dict(base)
-    merged.update({k: v for k, v in overrides.items() if v is not None})
-    merged.setdefault("N_p", None)
-    merged.setdefault("K", None)
+    })
+    kernel_flags = _given({"family": args.kernel, "s": args.s,
+                           "pinv_tol": args.pinv_tol})
+    # flags override file entries; file supplies anything not given, and
+    # the defaults whatever neither gives
+    merged = {**_STUDY_DEFAULTS, **base, **flags}
+    merged["kernel"] = {**_STUDY_DEFAULTS["kernel"], **base.get("kernel", {}),
+                        **kernel_flags}
     return ExperimentConfig.from_dict(merged)
 
 
@@ -187,8 +208,8 @@ def cmd_compare_dm(args):
     config.operator = "LB"
     config.method = "SRBF"
     rec_s = run_experiment(config).runs[0]
-    cfg_dm = replace(config, method="DM", dm_K=args.dm_K,
-                     dm_epsilon=args.epsilon)
+    cfg_dm = replace(config, method="DM",
+                     **_given({"dm_K": args.dm_K, "dm_epsilon": args.epsilon}))
     rec_d = run_experiment(cfg_dm).runs[0]
 
     os.makedirs(args.out_dir, exist_ok=True)
@@ -247,7 +268,7 @@ def build_parser():
     _add_manifold_args(p)
     _add_sampling_args(p)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_sample)
+    p.set_defaults(func=cmd_sample, **_DRAW_DEFAULTS)
 
     p = sub.add_parser("tangent", help="estimate tangent projections")
     _add_manifold_args(p)
@@ -256,7 +277,7 @@ def build_parser():
     p.add_argument("--order", type=int, default=2, choices=[1, 2])
     p.add_argument("--Np", type=int, default=None)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_tangent)
+    p.set_defaults(func=cmd_tangent, **_DRAW_DEFAULTS)
 
     p = sub.add_parser("spectrum", help="one operator study at a single N")
     _add_manifold_args(p)
@@ -268,9 +289,7 @@ def build_parser():
     _add_manifold_args(p)
     p.add_argument("--N-list", required=True,
                    help="comma-separated cloud sizes, e.g. 512,1024,2048")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--mode", default="random_intrinsic",
-                   choices=["random_intrinsic", "random_area", "grid"])
+    _add_draw_args(p)
     _add_study_args(p)
     p.set_defaults(func=cmd_converge)
 

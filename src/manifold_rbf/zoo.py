@@ -6,6 +6,7 @@ semi-analytic Laplacian eigen-truth, and the sampling density of
 intrinsic-uniform draws with respect to the Riemannian volume measure.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -577,7 +578,93 @@ def vector_eigen_truth(spec, which):
 
 # -- general torus: Sturm-Liouville reduction ---------------------------------
 
-def sturm_liouville_truth(spec, N_theta=2048, max_fourier_mode=10, count=30):
+# Bisection tolerance of twice the underflow threshold: LAPACK's ?stebz then
+# resolves each eigenvalue to full accuracy instead of eps * ||T||, which for
+# the smallest nonzero modes at N_theta = 2048 is a relative 1e-10.
+_BISECT_TOL = 2.0 * np.finfo(float).tiny
+
+
+def _reflection_split_eigh(diag, off, k, upper=None):
+    """Lowest k eigenpairs of a symmetric periodic tridiagonal matrix whose
+    entries are even under the reflection j -> -j (mod N), N even; with
+    `upper`, only those with eigenvalue <= upper.
+
+    diag[j] is entry (j, j) and off[j] entry (j, j+1 mod N); evenness means
+    diag[j] == diag[N-j] and off[j] == off[N-1-j]. The reflection commutes
+    with the matrix, so it splits into an even block on j = 0..N/2, whose
+    two end couplings gain a factor sqrt(2), and an odd block on
+    j = 1..N/2-1. Each block is an ordinary tridiagonal problem.
+    Eigenvectors come back orthonormal on the full grid, ascending.
+    """
+    N = diag.shape[0]
+    half = N // 2
+    e_even = off[:half].copy()
+    e_even[[0, -1]] *= math.sqrt(2.0)
+    blocks = ((diag[:half + 1], e_even, 1.0),
+              (diag[1:half], off[1:half - 1], -1.0))
+    inner = np.arange(1, half)
+    lams, vecs = [], []
+    for d, e, parity in blocks:
+        if upper is None:
+            select = {"select": "i", "select_range": (0, min(k, len(d)) - 1)}
+        else:
+            select = {"select": "v", "select_range": (-np.inf, upper)}
+        lam, Y = scipy.linalg.eigh_tridiagonal(d, e, tol=_BISECT_TOL, **select)
+        X = np.zeros((N, lam.shape[0]))
+        interior = Y[1:half] if parity > 0 else Y
+        X[inner] = interior / math.sqrt(2.0)
+        X[N - inner] = parity * interior / math.sqrt(2.0)
+        if parity > 0:
+            X[[0, half]] = Y[[0, half]]
+        lams.append(lam)
+        vecs.append(X)
+    lam = np.concatenate(lams)
+    order = np.argsort(lam, kind="stable")[:k]
+    return lam[order], np.hstack(vecs)[:, order]
+
+
+def _sl_modes(spec, N_theta, count):
+    """Grid and the `count` lowest (lambda, m, Theta) of the torus pencil,
+    sorted by (lambda, m); see sturm_liouville_truth."""
+    if spec.kind not in ("torus", "general_torus"):
+        raise ValueError("Sturm-Liouville truth applies to torus kinds")
+    if N_theta < 128:
+        raise ValueError("N_theta must be at least 128")
+    if N_theta % 2:
+        raise ValueError("N_theta must be even so the grid holds theta = pi, "
+                         "the mirror point of the reflection split")
+    b, c = _torus_constants(spec)
+    h = TWO_PI / N_theta
+    th = h * np.arange(N_theta)
+    w = spec.a + np.cos(th)
+    w_half = spec.a + np.cos(th + 0.5 * h)     # w at j+1/2
+    per_mode = min(count + 2, N_theta - 1)
+    # fold the diagonal weight B = b w in: S A S with S = B^{-1/2}
+    scale = 1.0 / np.sqrt(b * w)
+    off = -w_half / h ** 2 * scale * np.roll(scale, -1)
+    stiff = (w_half + np.roll(w_half, 1)) / h ** 2
+
+    entries = []   # (lambda, m, Theta-vector)
+    upper = None   # count-th lowest value collected so far
+    for m in itertools.count():
+        diag = (stiff + (b / c) * m * m / w) * scale ** 2
+        lam, Z = _reflection_split_eigh(diag, off, per_mode, upper)
+        # the potential (b/c) m^2 / w grows with m, and every eigenvalue with
+        # it: a mode with none below the count-th value ends the search
+        if lam.shape[0] == 0:
+            break
+        for j in range(lam.shape[0]):
+            # the closed manifold has an exact kernel; snap the FD zero
+            snapped = 0.0 if abs(lam[j]) < 1e-9 else lam[j]
+            entries.append((snapped, m, scale * Z[:, j]))
+        if len(entries) >= count:
+            upper = sorted(e[0] for e in entries)[count - 1]
+
+    entries.sort(key=lambda e: (e[0], e[1]))
+    return th, entries[:count]
+
+
+def sturm_liouville_truth(spec, N_theta=2048, count=30):
     """Semi-analytic Laplace-Beltrami spectrum of the general torus.
 
     Separation f = Theta(theta) e^{i m phi} reduces the eigenproblem to the
@@ -587,47 +674,25 @@ def sturm_liouville_truth(spec, N_theta=2048, max_fourier_mode=10, count=30):
         w(th) = a + cos th,
 
     discretized with second-order central differences in flux form on an
-    N_theta grid and solved as a symmetric generalized eigenproblem per
-    Fourier mode. Modes with m > 0 carry multiplicity 2 (cos/sin in phi).
+    N_theta grid. Folding the diagonal weight in gives a symmetric periodic
+    tridiagonal matrix per Fourier mode. w is even in theta, so the
+    reflection theta -> -theta splits that matrix into an even and an odd
+    ordinary tridiagonal problem, solved by bisection and inverse
+    iteration. The split needs the mirror point theta = pi on the grid, so
+    N_theta must be even. Fourier modes m = 0, 1, ... are added until the
+    lowest eigenvalue of mode m lies above the count-th value collected so
+    far; no later mode can enter the list, because the potential
+    (b/c) m^2 / w, and with it every eigenvalue, grows with m. Once `count`
+    values are collected, a mode is solved only for eigenvalues at or below
+    the count-th one. Modes with m > 0 carry multiplicity 2 (cos/sin in phi).
+    Returns the `count` lowest (lambda, m) entries, ordered by (lambda, m).
     """
-    if spec.kind not in ("torus", "general_torus"):
-        raise ValueError("Sturm-Liouville truth applies to torus kinds")
-    if N_theta < 128:
-        raise ValueError("N_theta must be at least 128")
-    b, c = _torus_constants(spec)
-    h = TWO_PI / N_theta
-    th = h * np.arange(N_theta)
-    w = spec.a + np.cos(th)
-    w_half = spec.a + np.cos(th + 0.5 * h)     # w at j+1/2
-    per_mode = min(count + 2, N_theta - 1)
-
-    entries = []   # (lambda, m, Theta-vector)
-    for m in range(max_fourier_mode + 1):
-        diag = (w_half + np.roll(w_half, 1)) / h ** 2 + (b / c) * m * m / w
-        A = np.diag(diag)
-        off = -w_half / h ** 2
-        idx = np.arange(N_theta)
-        A[idx, (idx + 1) % N_theta] = off
-        A[(idx + 1) % N_theta, idx] = off
-        Bd = b * w
-        # fold the diagonal weight in and solve a standard symmetric problem
-        scale = 1.0 / np.sqrt(Bd)
-        As = scale[:, None] * A * scale[None, :]
-        As = 0.5 * (As + As.T)
-        lam, Z = scipy.linalg.eigh(As, subset_by_index=[0, per_mode - 1])
-        for j in range(per_mode):
-            # the closed manifold has an exact kernel; snap the FD zero
-            snapped = 0.0 if abs(lam[j]) < 1e-9 else lam[j]
-            entries.append((snapped, m, scale * Z[:, j]))
-
-    entries.sort(key=lambda e: (e[0], e[1]))
+    th, entries = _sl_modes(spec, N_theta, count)
     values = []
     evaluators = []
-    for lam, m, theta_vec in entries[:count]:
+    for lam, m, theta_vec in entries:
         values.append((float(lam), 1 if m == 0 else 2))
         evaluators.extend(_sl_evaluators(spec, th, theta_vec, m))
-        if len(values) == count:
-            break
     return EigenTruth(values=values, evaluators=evaluators, kind="scalar")
 
 

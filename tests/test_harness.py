@@ -261,6 +261,31 @@ def test_cli_spectrum_and_config_file(tmp_path):
     assert report["config"]["kernel"]["family"] == "inverse_quadratic"
 
 
+def test_cli_config_file_entries_survive_flag_defaults(tmp_path):
+    cfg_file = tmp_path / "study.json"
+    cfg_file.write_text(json.dumps({
+        "method": "SRBF", "kernel": {"family": "matern", "s": 2.0},
+        "modes": 6, "compare_count": 3, "seeds": [2],
+        "sample_mode": "random_area"}))
+    run_cli("spectrum", "--manifold", "ellipse", "--a", "1.0", "--N", 100,
+            "--config", cfg_file, "--out-dir", tmp_path / "file")
+    cfg = json.loads((tmp_path / "file" / "run_report.json").read_text())[
+        "config"]
+    assert cfg["method"] == "SRBF"
+    assert cfg["kernel"] == {"family": "matern", "s": 2.0, "pinv_tol": 1e-8}
+    assert (cfg["modes"], cfg["compare_count"]) == (6, 3)
+    assert cfg["seeds"] == [2] and cfg["sample_mode"] == "random_area"
+    assert cfg["operator"] == "LB" and cfg["density"] == "Uniform"
+    # a flag still wins, and a kernel flag overrides only its own entry
+    run_cli("spectrum", "--manifold", "ellipse", "--a", "1.0", "--N", 100,
+            "--config", cfg_file, "--method", "NRBF", "--s", 0.5,
+            "--seed", 0, "--out-dir", tmp_path / "flags")
+    cfg = json.loads((tmp_path / "flags" / "run_report.json").read_text())[
+        "config"]
+    assert cfg["method"] == "NRBF" and cfg["seeds"] == [0]
+    assert cfg["kernel"] == {"family": "matern", "s": 0.5, "pinv_tol": 1e-8}
+
+
 def test_cli_converge(tmp_path):
     stdout = run_cli("converge", "--manifold", "torus", "--a", "2.0",
                      "--N-list", "100,144,196", "--mode", "random_area",

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from manifold_rbf.containers import load_operator, save_operator
 from manifold_rbf.rbf import KernelModel, build_system
 from manifold_rbf.scalar_ops import (ScalarOperatorSet, build_grad_matrices,
                                      laplace_beltrami_nonsymmetric,
@@ -204,26 +203,3 @@ def test_reliable_mode_budget():
     assert reliable_mode_budget(1024) == 32
     assert reliable_mode_budget(2500) == 50
     assert reliable_mode_budget(10) == 3
-
-
-# -- dense operator container -------------------------------------------------
-
-
-def test_operator_container_roundtrip(tmp_path, circle_ops):
-    _, ops, _ = circle_ops
-    L = laplace_beltrami_nonsymmetric(ops)
-    path = tmp_path / "lb.bin"
-    save_operator(path, L, kind="lb_nsym", N=ops.N, n=ops.n)
-    back, meta = load_operator(path)
-    assert np.array_equal(back, L)
-    assert meta == {"kind": "lb_nsym", "rows": 400, "cols": 400,
-                    "N": 400, "n": 2}
-
-
-def test_operator_container_rejects(tmp_path):
-    with pytest.raises(ValueError):
-        save_operator(tmp_path / "x.bin", np.eye(2), kind="mystery", N=2, n=2)
-    bad = tmp_path / "junk.bin"
-    bad.write_bytes(b"not a container" + b" " * 200)
-    with pytest.raises(ValueError):
-        load_operator(bad)

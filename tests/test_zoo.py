@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from manifold_rbf.zoo import (Ellipse, FlatTorus, GeneralTorus, Sphere, Torus,
                               analytic_projection, embed, intrinsic_box,
@@ -9,6 +10,7 @@ from manifold_rbf.zoo import (Ellipse, FlatTorus, GeneralTorus, Sphere, Torus,
                               sampling_density, scalar_eigen_truth,
                               sturm_liouville_truth, vector_eigen_truth,
                               volume, zoo_default_manifolds)
+from manifold_rbf.zoo import _sl_modes, _torus_constants
 
 ALL_SPECS = [Ellipse(2.0), Torus(2.0), GeneralTorus(2.0, 3),
              GeneralTorus(2.0, 21), FlatTorus(2, 1), FlatTorus(3, 1),
@@ -237,6 +239,81 @@ def test_sl_sorted_nonnegative():
     vals = truth.expanded(30)
     assert np.all(vals >= 0.0)
     assert np.all(np.diff(vals) >= -1e-12)
+
+
+def dense_sl_reference(spec, N_theta, max_m, count):
+    """(lambda, m, Theta) from the full periodic matrix of every Fourier mode
+    m <= max_m by dense eigh, sorted by (lambda, m)."""
+    b, c = _torus_constants(spec)
+    h = 2.0 * np.pi / N_theta
+    th = h * np.arange(N_theta)
+    w = spec.a + np.cos(th)
+    w_half = spec.a + np.cos(th + 0.5 * h)
+    idx = np.arange(N_theta)
+    scale = 1.0 / np.sqrt(b * w)
+    entries = []
+    for m in range(max_m + 1):
+        A = np.diag((w_half + np.roll(w_half, 1)) / h ** 2
+                    + (b / c) * m * m / w)
+        A[idx, (idx + 1) % N_theta] = -w_half / h ** 2
+        A[(idx + 1) % N_theta, idx] = -w_half / h ** 2
+        As = scale[:, None] * A * scale[None, :]
+        lam, Z = scipy.linalg.eigh(0.5 * (As + As.T),
+                                   subset_by_index=[0, count + 1])
+        lam[np.abs(lam) < 1e-9] = 0.0
+        entries.extend((lam[j], m, scale * Z[:, j]) for j in range(count + 2))
+    entries.sort(key=lambda e: (e[0], e[1]))
+    return entries[:count]
+
+
+@pytest.mark.parametrize("spec", [Torus(2.0), GeneralTorus(2.0, 21)],
+                         ids=lambda s: s.kind + str(s.n))
+def test_sl_split_matches_dense_periodic_solve(spec):
+    # max_m=40 is far past the last Fourier mode among the first 40 entries
+    ref = dense_sl_reference(spec, 256, max_m=40, count=40)
+    _th, got = _sl_modes(spec, 256, 40)
+    assert max(m for _lam, m, _v in ref) < 40
+    assert [m for _lam, m, _v in got] == [m for _lam, m, _v in ref]
+    lam_ref = np.array([e[0] for e in ref])
+    lam_got = np.array([e[0] for e in got])
+    assert lam_got[0] == lam_ref[0] == 0.0
+    assert np.max(np.abs(lam_got[1:] / lam_ref[1:] - 1.0)) <= 1e-10
+    for (_l, _m, v_got), (_l2, _m2, v_ref) in zip(got, ref):
+        sign = np.sign(v_got @ v_ref)
+        assert np.max(np.abs(v_got - sign * v_ref)) \
+            <= 1e-9 * np.max(np.abs(v_ref))
+
+
+def test_sl_keeps_every_fourier_mode_below_the_cutoff():
+    """On the n=21 torus the potential (b/c) m^2 / w is weak (b/c = 0.155),
+    so Fourier modes m >= 11 enter the first 40 entries; a fixed cap of
+    m <= 10 would drop them and get the values wrong from the 24th on."""
+    spec = GeneralTorus(2.0, 21)
+    ref = dense_sl_reference(spec, 256, max_m=40, count=40)
+    assert max(m for _lam, m, _v in ref) >= 11
+    truth = sturm_liouville_truth(spec, N_theta=256, count=40)
+    assert [mult for _lam, mult in truth.values] \
+        == [1 if m == 0 else 2 for _lam, m, _v in ref]
+    got = np.array([lam for lam, _mult in truth.values])
+    want = np.array([lam for lam, _m, _v in ref])
+    assert np.allclose(got, want, rtol=1e-10, atol=0.0)
+
+
+@pytest.mark.parametrize("spec", [Torus(2.0), GeneralTorus(2.0, 21)],
+                         ids=lambda s: s.kind + str(s.n))
+def test_sl_theta_b_orthonormal_per_mode(spec):
+    b, _c = _torus_constants(spec)
+    th, entries = _sl_modes(spec, 256, 40)
+    weight = b * (spec.a + np.cos(th))
+    for m in {m for _lam, m, _v in entries}:
+        V = np.column_stack([v for _lam, mm, v in entries if mm == m])
+        gram = V.T @ (weight[:, None] * V)
+        assert np.max(np.abs(gram - np.eye(V.shape[1]))) <= 1e-10
+
+
+def test_sl_rejects_odd_grid():
+    with pytest.raises(ValueError, match="even"):
+        sturm_liouville_truth(Torus(2.0), N_theta=257)
 
 
 # -- vector eigen truth ------------------------------------------------------
