@@ -1,12 +1,13 @@
 """Mesh-free estimation of differential operators on embedded manifolds.
 
 Point clouds on a smooth closed submanifold of R^n are turned into dense
-operator matrices by global RBF interpolation followed by tangential
-projection. The package covers the scalar Laplacian, the covariant
-derivative, and the Bochner, Hodge and Lichnerowicz Laplacians on vector
-fields, in both a non-symmetric collocation form and a symmetric
-(generalized eigenproblem) form, plus a graph-Laplacian baseline and a zoo
-of manifolds with analytic spectra for validation.
+operator matrices by global RBF interpolation differentiated along
+per-point orthonormal tangent frames. The package covers the scalar
+Laplacian, the covariant derivative, and the Bochner, Hodge and
+Lichnerowicz Laplacians on vector fields, in both a non-symmetric
+collocation form and a symmetric (generalized eigenproblem) form, plus a
+graph-Laplacian baseline and a zoo of manifolds with analytic spectra for
+validation.
 """
 
 from .density import DensityEstimate, kde_density, silverman_bandwidth
@@ -17,13 +18,13 @@ from .harness import (ExperimentConfig, Report, RunRecord, alignment_gate,
 from .rbf import (InterpolationSystem, KernelModel, build_system,
                   interpolate_eval, kernel_eval)
 from .scalar_ops import (GeneralizedPair, ScalarOperatorSet,
-                         ambient_derivative_matrices, build_grad_matrices,
+                         build_grad_matrices, derivative_matrices,
                          laplace_beltrami_nonsymmetric,
-                         laplace_beltrami_symmetric, reliable_mode_budget)
+                         laplace_beltrami_symmetric)
 from .spectral import (AlignmentReport, SpectralResult,
-                       align_eigenvectors_ols, eigenvalue_errors,
-                       solve_nonsymmetric, solve_symmetric,
-                       write_alignment_csv, write_spectrum_csv)
+                       align_eigenvectors_ols, solve_nonsymmetric,
+                       solve_symmetric, write_alignment_csv,
+                       write_spectrum_csv)
 from .tangent import (ProjectionField, default_neighbor_count,
                       first_order_svd, knn_indices, projection_diagnostics,
                       second_order_svd)

@@ -32,10 +32,6 @@ def default_neighbor_count(N):
     return int(np.ceil(np.sqrt(N)))
 
 
-# neighbor sweep used by the bandwidth-sensitivity comparison runs
-SWEEP_K = (50, 100, 200, 400)
-
-
 def _knn_sq_distances(points, K):
     points = np.asarray(points, dtype=float)
     N = points.shape[0]

@@ -21,7 +21,7 @@ from .rbf import KernelModel, build_system
 from .scalar_ops import (build_grad_matrices, laplace_beltrami_nonsymmetric,
                          laplace_beltrami_symmetric)
 from .spectral import (SpectralResult, align_eigenvectors_ols,
-                       solve_nonsymmetric, solve_symmetric,
+                       solve_nonsymmetric, solve_symmetric, symmetric_result,
                        write_alignment_csv, write_spectrum_csv)
 from .tangent import first_order_svd, second_order_svd, default_neighbor_count \
     as tangent_default_K
@@ -114,14 +114,26 @@ def memory_cap_bytes():
 
 
 def estimate_run_bytes(config, N):
-    """Rough peak for the dense pipeline; used only for the refusal guard."""
-    n = config.manifold.n
+    """Peak bytes of the dense working set of one run at cloud size N.
+
+    Counted in N x N float64 matrices and calibrated against the tracemalloc
+    peak of the operator build plus solve; used only for the refusal guard.
+    The interpolation system and the d frame derivative matrices take up to
+    d + 8 of them; SRBF vector pencils add six (dN)^2 matrices, NRBF vector
+    operators hold seven (nN)^2 ones.
+    """
+    n, d = config.manifold.n, config.manifold.d
     if config.method == "DM":
-        return 5 * 8 * N * N
-    if config.operator in ("LB", "Covariant"):
-        return max(n + 4, 9) * 8 * N * N
-    dim = n * N
-    return 7 * 8 * dim * dim
+        words = 6 * N * N
+    elif config.operator == "LB":
+        words = (d + 8) * N * N
+    elif config.operator == "Covariant":
+        words = (n + d + 8) * N * N
+    elif config.method == "SRBF":
+        words = 6 * (d * N) ** 2 + (d + 8) * N * N
+    else:
+        words = 7 * (n * N) ** 2
+    return 8 * words
 
 
 def check_memory(config, N):
@@ -327,7 +339,7 @@ def _solve_scalar(config, op_cloud, proj, q):
     # request the full spectrum: rank truncation leaves a large trivial
     # cluster at zero, and the usable modes sit above it
     system = build_system(op_cloud, config.kernel)
-    ops = build_grad_matrices(system, proj, keep_ambient=False)
+    ops = build_grad_matrices(system, proj)
     rank_L = system.rank_L
     N = op_cloud.N
     if config.method == "NRBF":
@@ -343,7 +355,7 @@ def _solve_scalar(config, op_cloud, proj, q):
 
 def _solve_vector(config, op_cloud, proj, q):
     system = build_system(op_cloud, config.kernel)
-    ops = build_grad_matrices(system, proj, keep_ambient=False)
+    ops = build_grad_matrices(system, proj)
     rank_L = system.rank_L
     vops = build_vector_ops(ops, proj)
     build = {"Bochner": bochner, "Hodge": hodge, "Lich": lichnerowicz}[
@@ -354,9 +366,8 @@ def _solve_vector(config, op_cloud, proj, q):
                                  pinv_tol=config.kernel.pinv_tol)
     else:
         pair = build("symmetric", vops, q)
-        dim = pair.range_basis.shape[1] if pair.range_basis is not None \
-            else pair.A.shape[0]
-        res = solve_symmetric(pair, dim, pinv_tol=config.kernel.pinv_tol)
+        res = solve_symmetric(pair, pair.A.shape[0],
+                              pinv_tol=config.kernel.pinv_tol)
     return res, rank_L
 
 
@@ -382,7 +393,7 @@ def ellipse_covariant_truth(cloud):
 
 def _run_covariant(config, op_cloud, proj):
     system = build_system(op_cloud, config.kernel)
-    ops = build_grad_matrices(system, proj, keep_ambient=True)
+    ops = build_grad_matrices(system, proj)
     vops = build_vector_ops(ops, proj)
     U, _th, _tau = ellipse_test_field(op_cloud)
     est = covariant_derivative(vops, system, U, U).as_samples()
@@ -412,15 +423,10 @@ def run_experiment(config):
                 dm_cfg = DmConfig(
                     K_neighbors=config.dm_K or default_neighbor_count(N),
                     epsilon=config.dm_epsilon)
-                lam, vec, all_lam = dm_spectrum(op_cloud, dm_cfg,
-                                                min(N, config.modes + 8))
-                cutoff = 10.0 * config.kernel.pinv_tol * float(
-                    np.max(np.abs(all_lam)))
-                rec.result = SpectralResult(
-                    values=lam, vectors=vec, ordering="by_real_ascending",
-                    rank_L=int(np.sum(np.abs(all_lam) >= cutoff)),
-                    all_values=all_lam,
-                    trivial=np.abs(lam) < cutoff, trivial_cutoff=cutoff)
+                _lam, vec, all_lam = dm_spectrum(op_cloud, dm_cfg,
+                                                 min(N, config.modes + 8))
+                rec.result = symmetric_result(all_lam, vec,
+                                              config.kernel.pinv_tol)
                 rec.rank_L = rec.result.rank_L
             else:
                 q = build_density(config, op_cloud)

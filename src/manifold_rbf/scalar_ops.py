@@ -1,14 +1,18 @@
 """Discrete tangential derivatives and Laplace-Beltrami operators.
 
-From an interpolation system and a tangential projection field this module
-assembles the per-coordinate derivative matrices G_i (tangential gradient
-components in ambient coordinates) and the two discrete Laplacians built from
-them: the pointwise non-symmetric estimator -sum_i G_i G_i and the
-density-weighted symmetric pencil sum_i G_i^T Q^{-1} G_i f = lambda Q^{-1} f.
-Both use the positive semi-definite sign convention (-div grad).
+From an interpolation system and a tangent frame field T (N, n, d) this
+module assembles the d frame-direction derivative matrices D_a:
+(D_a f)_j is the derivative of the interpolant of f at x_j along the frame
+vector T(x_j)[:, a]. The ambient components of the tangential gradient are
+G_i = sum_a diag(T[:, i, a]) D_a. Two discrete Laplacians are built from
+them: the pointwise non-symmetric estimator -sum_i G_i G_i (the paper's
+ambient form) and the density-weighted symmetric pencil
+sum_a D_a^T Q^{-1} D_a f = lambda Q^{-1} f, which equals
+sum_i G_i^T Q^{-1} G_i because the frame is orthonormal. Both use the
+positive semi-definite sign convention (-div grad).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -18,76 +22,66 @@ from .rbf import kernel_deriv_over_r, pinv_matrix
 
 @dataclass
 class ScalarOperatorSet:
-    """The n tangential derivative matrices plus provenance references.
+    """The d frame-direction derivative matrices plus provenance references."""
 
-    ambient holds the unprojected ambient derivative matrices of the
-    interpolant (one per coordinate) when keep_ambient was requested; the
-    covariant-derivative path needs them.
-    """
-
-    G: list                       # n matrices, each (N, N)
+    G: list                       # d matrices D_a, each (N, N)
     proj: object
     kernel: object
     system: object
-    ambient: list = field(default=None, repr=False)
 
     @property
     def N(self):
         return self.G[0].shape[0]
 
-    @property
-    def n(self):
-        return len(self.G)
 
+def derivative_matrices(system, directions):
+    """Matrices D_a with (D_a f)_j the derivative of the interpolant of f at
+    x_j along directions[j, :, a]; directions has shape (N, n, k).
 
-def _kernel_jacobian_weights(system):
-    # phi'(r)/r over all pairs; the diagonal takes the analytic r -> 0 limit
-    points = np.asarray(system.cloud.points, dtype=float)
-    r = cdist(points, points)
-    return points, kernel_deriv_over_r(system.model, r)
-
-
-def ambient_derivative_matrices(system):
-    """Matrices D_m with (D_m f)_j = d/dX^m of the interpolant of f at x_j."""
-    points, w = _kernel_jacobian_weights(system)
-    inv = pinv_matrix(system)
-    return [((points[:, m][:, None] - points[None, :, m]) * w) @ inv
-            for m in range(points.shape[1])]
-
-
-def build_grad_matrices(system, proj, keep_ambient=True):
-    """Tangential gradient component matrices G_i = sum_m diag(P[:,i,m]) D_m.
-
-    (G_i f)_j estimates the i-th ambient component of the tangential gradient
-    p_i(x_j) . grad of the interpolant at node x_j. With keep_ambient=False
-    the unprojected D_m are streamed and discarded to halve peak memory.
+    D_a = (sum_m t_m(x_j) (X^m(x_j) - X^m(x_k)) phi'(r_jk)/r_jk) Phi^+ with
+    t = directions[:, :, a]; the diagonal takes the analytic r -> 0 limit.
     """
-    P = proj.mats
-    if P.shape[0] != system.N:
-        raise ValueError("projection field does not match the cloud size")
-    n = P.shape[1]
-    if keep_ambient:
-        D = ambient_derivative_matrices(system)
-        G = [sum(P[:, i, m][:, None] * D[m] for m in range(n))
-             for i in range(n)]
-        return ScalarOperatorSet(G=G, proj=proj, kernel=system.model,
-                                 system=system, ambient=D)
-    points, w = _kernel_jacobian_weights(system)
+    points = np.asarray(system.cloud.points, dtype=float)
+    w = kernel_deriv_over_r(system.model, cdist(points, points))
     inv = pinv_matrix(system)
-    G = [np.zeros((system.N, system.N)) for _ in range(n)]
-    for m in range(n):
-        Dm = ((points[:, m][:, None] - points[None, :, m]) * w) @ inv
-        for i in range(n):
-            G[i] += P[:, i, m][:, None] * Dm
-    return ScalarOperatorSet(G=G, proj=proj, kernel=system.model,
-                             system=system, ambient=None)
+    out = []
+    for a in range(directions.shape[2]):
+        t = directions[:, :, a]
+        along = np.einsum("jm,jm->j", t, points)[:, None] - t @ points.T
+        out.append((along * w) @ inv)
+    return out
+
+
+def build_grad_matrices(system, proj):
+    """The d frame-direction derivative matrices D_a of the interpolant."""
+    if proj.N != system.N:
+        raise ValueError("projection field does not match the cloud size")
+    return ScalarOperatorSet(G=derivative_matrices(system, proj.frames),
+                             proj=proj, kernel=system.model, system=system)
+
+
+def ambient_gradient(ops, i):
+    """G_i = sum_a diag(T[:, i, a]) D_a: (G_i f)_j estimates the i-th ambient
+    component of the tangential gradient of the interpolant at x_j."""
+    T = ops.proj.frames
+    return sum(T[:, i, a][:, None] * Da for a, Da in enumerate(ops.G))
+
+
+def inverse_density(q, N):
+    """1 / q after checking that q holds N finite, strictly positive values."""
+    q = np.asarray(q, dtype=float)
+    if q.shape != (N,) or not np.all(np.isfinite(q)) or np.any(q <= 0):
+        raise ValueError("density must be finite and strictly positive, "
+                         "one value per point")
+    return 1.0 / q
 
 
 def laplace_beltrami_nonsymmetric(ops):
     """Pointwise estimator -sum_i G_i G_i; spectrum may be complex."""
     N = ops.N
     L = np.zeros((N, N))
-    for Gi in ops.G:
+    for i in range(ops.proj.n):
+        Gi = ambient_gradient(ops, i)
         L -= Gi @ Gi
     return L
 
@@ -96,35 +90,29 @@ def laplace_beltrami_nonsymmetric(ops):
 class GeneralizedPair:
     """Symmetric pencil A v = lambda B v.
 
-    B is diagonal (B_diag) for scalar problems and a dense positive
-    semi-definite matrix for block-projected vector problems; range_basis,
-    when present, holds orthonormal columns spanning the subspace on which
-    the pencil is definite and should be solved.
+    Every pencil the package builds has a diagonal B (B_diag); a dense
+    positive definite B is accepted too. Vector pencils live on frame
+    coordinates (d values per point); range_basis, when present, is the
+    sparse map W (nN x dN) that lifts a solution Z to the stacked ambient
+    field V = W Z.
     """
 
     A: np.ndarray
     B_diag: np.ndarray = None
     B: np.ndarray = None
-    range_basis: np.ndarray = None
+    range_basis: object = None     # scipy.sparse (nN, dN) or None
 
 
 def laplace_beltrami_symmetric(ops, q):
-    """Weak-form pencil: A = sum_i G_i^T Q^{-1} G_i, B = Q^{-1}, Q = diag(q).
+    """Weak-form pencil: A = sum_a D_a^T Q^{-1} D_a, B = Q^{-1}, Q = diag(q).
 
     Uniform sampling passes constant q (the constant cancels in the
     generalized spectrum).
     """
-    q = np.asarray(q, dtype=float)
-    if q.shape[0] != ops.N or np.any(q <= 0):
-        raise ValueError("density must be strictly positive, one value per point")
-    qinv = 1.0 / q
+    qinv = inverse_density(q, ops.N)
     A = np.zeros((ops.N, ops.N))
-    for Gi in ops.G:
-        A += Gi.T @ (qinv[:, None] * Gi)
+    for Da in ops.G:
+        A += Da.T @ (qinv[:, None] * Da)
     A = 0.5 * (A + A.T)
     return GeneralizedPair(A=A, B_diag=qinv)
 
-
-def reliable_mode_budget(N):
-    """Heuristic count of trustworthy non-symmetric modes (no guarantee)."""
-    return int(np.floor(np.sqrt(N)))

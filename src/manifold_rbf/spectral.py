@@ -2,10 +2,11 @@
 
 Non-symmetric operators get a full dense complex eigendecomposition with
 modes ordered by ascending magnitude (ties broken by real then imaginary
-part); symmetric pencils are Cholesky-reduced (or deflated to a supplied
-range basis) and solved with the dense symmetric solver. Near-zero modes
-produced by pseudo-inverse rank truncation are reported but flagged trivial
-rather than silently dropped.
+part); symmetric pencils are diagonally scaled (or Cholesky-reduced) and
+solved with the dense symmetric solver, and a pencil on frame coordinates
+has its eigenvectors lifted by its range basis. Near-zero modes produced by
+pseudo-inverse rank truncation are reported but flagged trivial rather than
+silently dropped.
 
 Eigenvector error metric: relative discrete L2 norm after ordinary
 least-squares alignment of the estimated modes onto the truth columns; this
@@ -47,25 +48,12 @@ def _trivial_cutoff(all_values, pinv_tol):
 
 
 def solve_symmetric(pair, k, pinv_tol=1e-8):
-    """k smallest eigenvalues of the symmetric pencil, B-orthonormal vectors."""
-    if pair.range_basis is not None:
-        W = pair.range_basis
-        Ar = W.T @ pair.A @ W
-        if pair.B is not None:
-            Br = W.T @ pair.B @ W
-        elif pair.B_diag is not None:
-            Br = W.T @ (pair.B_diag[:, None] * W)
-        else:
-            Br = np.eye(W.shape[1])
-        Ar = 0.5 * (Ar + Ar.T)
-        Br = 0.5 * (Br + Br.T)
-        try:
-            lam, Z = scipy.linalg.eigh(Ar, Br)
-        except np.linalg.LinAlgError as exc:
-            raise ValueError(f"B is not positive definite on the range "
-                             f"basis: {exc}")
-        V = W @ Z
-    elif pair.B_diag is not None:
+    """k smallest eigenvalues of the symmetric pencil, B-orthonormal vectors.
+
+    With a range basis W the pencil lives on frame coordinates and the
+    returned vectors are lifted to ambient components, V = W Z.
+    """
+    if pair.B_diag is not None:
         if np.any(pair.B_diag <= 0):
             raise ValueError("B must be positive definite (diagonal has "
                              "non-positive entries)")
@@ -81,12 +69,21 @@ def solve_symmetric(pair, k, pinv_tol=1e-8):
             raise ValueError(f"B is not positive definite: {exc}")
     if k > len(lam):
         raise ValueError(f"requested {k} modes from a rank-{len(lam)} pencil")
-    cutoff = _trivial_cutoff(lam, pinv_tol)
-    values = lam[:k]
-    return SpectralResult(values=values, vectors=V[:, :k],
+    V = V[:, :k]
+    if pair.range_basis is not None:
+        V = pair.range_basis @ V
+    return symmetric_result(lam, V, pinv_tol)
+
+
+def symmetric_result(all_values, vectors, pinv_tol):
+    """SpectralResult of a real spectrum in ascending order whose leading
+    vectors.shape[1] modes were kept."""
+    cutoff = _trivial_cutoff(all_values, pinv_tol)
+    values = all_values[:vectors.shape[1]]
+    return SpectralResult(values=values, vectors=vectors,
                           ordering="by_real_ascending",
-                          rank_L=int(np.sum(np.abs(lam) >= cutoff)),
-                          all_values=lam,
+                          rank_L=int(np.sum(np.abs(all_values) >= cutoff)),
+                          all_values=all_values,
                           trivial=np.abs(values) < cutoff,
                           trivial_cutoff=cutoff)
 
@@ -146,28 +143,6 @@ def align_eigenvectors_ols(F, U):
         raise ValueError("truth column with zero norm")
     return AlignmentReport(beta=beta, aligned=aligned,
                            per_mode_error=num / den)
-
-
-def eigenvalue_errors(est, truth, count, skip_trivial=True):
-    """Per-mode relative eigenvalue errors |est_k - true_k| / max(true_k, 1).
-
-    Truth multiplicities are expanded before the positional comparison;
-    complex estimates are compared through their magnitude. By default the
-    trivially-zero modes of the estimate (rank-truncation artifacts) are
-    skipped; the caller is responsible for consistent indexing when the
-    truth itself contains zero eigenvalues.
-    """
-    if hasattr(est, "values"):
-        values = est.nontrivial_values() if skip_trivial else est.values
-    else:
-        values = np.asarray(est)
-    values = np.abs(values[:count])
-    target = truth.expanded(count) if hasattr(truth, "expanded") \
-        else np.asarray(truth, dtype=float)[:count]
-    if len(values) < len(target):
-        raise ValueError(f"estimate provides {len(values)} usable modes, "
-                         f"truth comparison needs {len(target)}")
-    return np.abs(values - target) / np.maximum(target, 1.0)
 
 
 def write_spectrum_csv(path, result, config_echo=None, extra_meta=None):

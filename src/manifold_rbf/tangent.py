@@ -1,9 +1,11 @@
 """Tangent-space estimation from raw point clouds.
 
-Two estimators for the per-point tangential projection matrix: the classical
-first-order local SVD of neighbor differences, and a second-order scheme that
-subtracts a fitted quadratic (Hessian) term from the differences before the
-SVD, removing the curvature bias.
+Two estimators for the per-point orthonormal tangent frame T(x) (n x d):
+the classical first-order local SVD of neighbor differences, and a
+second-order scheme that subtracts a fitted quadratic (Hessian) term from the
+differences before the SVD, removing the curvature bias. The frame is the
+one representation of the tangent space the operators use; the projector
+P = T T^T is derived from it where an ambient form needs it.
 """
 
 import warnings
@@ -16,23 +18,24 @@ _SCHEMA = "projection-v1"
 
 @dataclass
 class ProjectionField:
-    """Per-point n x n tangential projectors.
+    """Per-point orthonormal tangent frames, shape (N, n, d).
 
+    Any orthonormal basis of the tangent space will do: the operators and
+    their spectra are invariant under a per-point rotation of the frame.
     source records how the field was produced; degenerate flags points whose
-    neighborhood did not span d directions (the projector is still the
-    leading-d SVD output, never silently replaced); fallback flags points
-    where the second-order fit was rank-deficient and the first-order result
-    was kept.
+    neighborhood did not span d directions (the frame is still the leading-d
+    SVD output, never silently replaced); fallback flags points where the
+    second-order fit was rank-deficient and the first-order result was kept.
     """
 
-    mats: np.ndarray          # (N, n, n)
+    frames: np.ndarray        # (N, n, d), orthonormal columns
     source: str               # analytic | first_order | second_order
     K_used: int
     degenerate: np.ndarray = field(default=None)
     fallback: np.ndarray = field(default=None)
 
     def __post_init__(self):
-        N = self.mats.shape[0]
+        N = self.frames.shape[0]
         if self.degenerate is None:
             self.degenerate = np.zeros(N, dtype=bool)
         if self.fallback is None:
@@ -40,13 +43,19 @@ class ProjectionField:
 
     @property
     def N(self):
-        return self.mats.shape[0]
+        return self.frames.shape[0]
 
     @property
     def n(self):
-        return self.mats.shape[1]
+        return self.frames.shape[1]
+
+    @property
+    def mats(self):
+        """The tangential projectors P = T T^T, shape (N, n, n)."""
+        return self.frames @ self.frames.transpose(0, 2, 1)
 
     def save(self, path):
+        """Write the projector table (schema projection-v1)."""
         n = self.n
         flat = self.mats.reshape(self.N, n * n)
         rows = np.column_stack([np.arange(self.N), flat])
@@ -55,24 +64,6 @@ class ProjectionField:
                   "index then row-major projector entries")
         fmt = ["%d"] + ["%.17g"] * (n * n)
         np.savetxt(path, rows, fmt=fmt, header=header)
-
-    @staticmethod
-    def load(path):
-        meta = {}
-        with open(path) as fh:
-            first = fh.readline()
-        for tok in first.lstrip("# ").split():
-            if "=" in tok:
-                k, v = tok.split("=", 1)
-                meta[k] = v
-        if meta.get("schema") != _SCHEMA:
-            raise ValueError(f"not a {_SCHEMA} table: {path}")
-        n = int(meta["n"])
-        data = np.loadtxt(path, ndmin=2)
-        order = np.argsort(data[:, 0])
-        mats = data[order, 1:].reshape(-1, n, n)
-        return ProjectionField(mats=mats, source=meta.get("source", "?"),
-                               K_used=int(meta.get("K_used", 0)))
 
 
 def default_neighbor_count(d):
@@ -114,10 +105,10 @@ def _difference_blocks(points, neighbors, query_idx):
 
 
 def first_order_svd(cloud, K, d=None, query_idx=None):
-    """First-order local-SVD projection estimate P~ at every point.
+    """First-order local-SVD tangent frame at every point.
 
     Per point: the n x K matrix of neighbor differences is decomposed and
-    the leading d left singular vectors span the tangent estimate.
+    the leading d left singular vectors are the frame estimate.
     """
     points = np.asarray(cloud.points, dtype=float)
     if d is None:
@@ -128,20 +119,18 @@ def first_order_svd(cloud, K, d=None, query_idx=None):
     full_idx = np.arange(points.shape[0]) if query_idx is None else query_idx
     D = _difference_blocks(points, neighbors, full_idx)
     U, s, _ = np.linalg.svd(D, full_matrices=False)
-    T = U[:, :, :d]
-    P = T @ T.transpose(0, 2, 1)
     degenerate = s[:, d - 1] <= K * np.finfo(float).eps * s[:, 0]
     if np.any(degenerate):
         warnings.warn(
             f"{int(degenerate.sum())} neighborhoods span fewer than d={d} "
-            "directions; their projectors are flagged degenerate",
+            "directions; their frames are flagged degenerate",
             RuntimeWarning)
-    return ProjectionField(mats=P, source="first_order", K_used=K,
-                           degenerate=degenerate)
+    return ProjectionField(frames=U[:, :, :d].copy(), source="first_order",
+                           K_used=K, degenerate=degenerate)
 
 
 def second_order_svd(cloud, K, d=None, query_idx=None):
-    """Curvature-corrected projection estimate P^.
+    """Curvature-corrected tangent frame estimate.
 
     Steps per point: first-order tangent basis; neighbor differences
     projected onto it (rho); least-squares fit of the quadratic form A y = D
@@ -177,26 +166,25 @@ def second_order_svd(cloud, K, d=None, query_idx=None):
     corrected = 2.0 * D - np.einsum("qkp,qpn->qnk", A, Y)
 
     U2, _s2, _ = np.linalg.svd(corrected, full_matrices=False)
-    T2 = U2[:, :, :d]
-    P = T2 @ T2.transpose(0, 2, 1)
+    T2 = U2[:, :, :d].copy()
     if np.any(bad):
         warnings.warn(
             f"quadratic fit rank-deficient at {int(bad.sum())} points; "
-            "first-order projectors kept there", RuntimeWarning)
-        P1 = T @ T.transpose(0, 2, 1)
-        P[bad] = P1[bad]
+            "first-order frames kept there", RuntimeWarning)
+        T2[bad] = T[bad]
     if np.any(degenerate):
         warnings.warn(
             f"{int(degenerate.sum())} neighborhoods span fewer than d={d} "
-            "directions; their projectors are flagged degenerate",
+            "directions; their frames are flagged degenerate",
             RuntimeWarning)
-    return ProjectionField(mats=P, source="second_order", K_used=K,
+    return ProjectionField(frames=T2, source="second_order", K_used=K,
                            degenerate=degenerate, fallback=bad)
 
 
 def projection_diagnostics(est, truth):
-    """Frobenius error of est vs truth per point plus max and mean."""
-    if est.mats.shape != truth.mats.shape:
+    """Frobenius error of the projectors of est vs truth per point plus max
+    and mean; the projectors do not depend on the choice of frame."""
+    if est.frames.shape != truth.frames.shape:
         raise ValueError("projection fields have mismatched shapes")
     per_point = np.linalg.norm(est.mats - truth.mats, axis=(1, 2))
     return {"max_frob": float(per_point.max()),

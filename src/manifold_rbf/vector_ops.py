@@ -1,27 +1,41 @@
-"""Discrete vector-field operators on stacked ambient components.
+"""Discrete vector-field operators.
 
 A vector field sampled at N points is stored as the concatenation
-(U^1; ...; U^n) of its ambient coordinate samples. The block projection
-P_otimes applies the pointwise tangential projector to every sample; H_i
-estimates the projected i-th tangential derivative of the field; S_i is its
-index-swapped companion appearing in the antisymmetric (Hodge) and
-symmetrized (Lichnerowicz) combinations:
+(U^1; ...; U^n) of its ambient coordinate samples. The covariant gradient
+X = nabla U is the ambient derivative of the interpolated field, projected
+onto the tangent space in both indices; the three Laplacians combine it with
+its transpose and, for Hodge, the divergence, as listed in LAPLACIANS:
 
-    Bochner       nonsym  -sum_i H_i H_i
-    Hodge         nonsym  -sum_i H_i (H_i - S_i) - [G_j G_k]
-    Lichnerowicz  nonsym  -sum_i H_i (H_i + S_i)
+                  symmetric form            non-symmetric form
+    Bochner       |X|^2                     -sum_i H_i H_i
+    Hodge         |X - X^T|^2/2 + |div U|^2 -sum_i H_i (H_i - S_i) - [G_j G_k]
+    Lichnerowicz  |X + X^T|^2/2             -sum_i H_i (H_i + S_i)
 
-with density-weighted quadratic-form (symmetric) counterparts solved as
-generalized pencils on the numerical range of P_otimes. All operators are
-materialized one block at a time to keep peak memory near the size of the
-final nN x nN matrix.
+The non-symmetric (NRBF) operators keep the paper's nN x nN ambient form:
+H_i applies the pointwise projector P = T T^T to the i-th tangential
+derivative of every component, and S_i is its index-swapped companion. The
+symmetric (SRBF) quadratic forms only ever see tangent fields, so they are
+assembled on frame coordinates (d values per point, dN in all) from the
+frame covariant derivative and solved as dN x dN pencils with a diagonal
+B; the solution is lifted back to ambient components by the frame.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse
 
-from .scalar_ops import GeneralizedPair, ambient_derivative_matrices
+from .scalar_ops import (GeneralizedPair, ambient_gradient,
+                         derivative_matrices, inverse_density)
+
+# (swap sign, coefficient, divergence term): the operator is built from
+# X + swap X^T, its symmetric form weighs |X + swap X^T|^2 by coefficient,
+# and Hodge adds the squared divergence.
+LAPLACIANS = {
+    "bochner": (0, 1.0, False),
+    "hodge": (-1, 0.5, True),
+    "lichnerowicz": (1, 0.5, False),
+}
 
 
 @dataclass
@@ -47,7 +61,7 @@ class VectorField:
 
 @dataclass
 class VectorOperatorSet:
-    """Scalar derivative matrices plus the projection field they pair with."""
+    """Frame derivative matrices plus the tangent frames they pair with."""
 
     ops: object                 # ScalarOperatorSet
     proj: object                # ProjectionField
@@ -58,11 +72,11 @@ class VectorOperatorSet:
 
     @property
     def n(self):
-        return self.ops.n
+        return self.proj.n
 
 
 def build_vector_ops(ops, proj):
-    if proj.mats.shape[0] != ops.N:
+    if proj.N != ops.N:
         raise ValueError("projection field does not match the operator cloud")
     return VectorOperatorSet(ops=ops, proj=proj)
 
@@ -82,7 +96,7 @@ def potimes_matrix(vops):
 def h_matrix(vops, i):
     """H_i: block (j, k) = diag(p_jk) G_i."""
     P = vops.proj.mats
-    G = vops.ops.G[i]
+    G = ambient_gradient(vops.ops, i)
     N, n = vops.N, vops.n
     out = np.empty((n * N, n * N))
     for j in range(n):
@@ -98,7 +112,7 @@ def s_matrix(vops, i):
     N, n = vops.N, vops.n
     out = np.empty((n * N, n * N))
     for j in range(n):
-        Gj = vops.ops.G[j]
+        Gj = ambient_gradient(vops.ops, j)
         for k in range(n):
             out[j * N:(j + 1) * N, k * N:(k + 1) * N] = \
                 P[:, k, i][:, None] * Gj
@@ -114,117 +128,101 @@ def _subtract_gram_blocks(L, G):
             L[j * N:(j + 1) * N, k * N:(k + 1) * N] -= G[j] @ G[k]
 
 
-def tangent_range_basis(proj, d):
-    """Orthonormal columns spanning the pointwise tangent subspace.
+def tangent_range_basis(proj):
+    """Sparse W (nN x dN) mapping frame coordinates to ambient components.
 
-    Per point the top-d eigenvectors of P(x_k) give an orthonormal tangent
-    frame; frames at different points have disjoint support, so the stacked
-    (nN x dN) matrix has orthonormal columns.
+    Entry ((i, k), (a, k)) is T(x_k)[i, a]; frames at different points have
+    disjoint support, so W has orthonormal columns.
     """
-    P = proj.mats
-    N, n = P.shape[0], P.shape[1]
-    _w, V = np.linalg.eigh(P)
-    frame = V[:, :, n - d:]
-    W = np.zeros((n * N, d * N))
-    rng = np.arange(N)
-    for j in range(d):
-        for i in range(n):
-            W[i * N + rng, j * N + rng] = frame[:, i, j]
-    return W
+    T = proj.frames
+    N, n, d = T.shape
+    i, a, k = np.meshgrid(np.arange(n), np.arange(d), np.arange(N),
+                          indexing="ij")
+    return scipy.sparse.csr_array(
+        (T[k, i, a].ravel(), ((i * N + k).ravel(), (a * N + k).ravel())),
+        shape=(n * N, d * N))
 
 
-def _intrinsic_dim(vops):
-    return int(round(float(np.trace(vops.proj.mats.sum(axis=0)) / vops.N)))
+def _frame_covariant_derivative(vops):
+    """The d matrices K_c (dN x dN) of the covariant derivative along frame
+    vector c, in frame coordinates on both sides:
+
+        K_c[(b, r), (a, k)] = D_c[r, k] * (T(x_r)[:, b] . T(x_k)[:, a]).
+
+    Row (b, r) of K_c u is the component X_cb(x_r) of the covariant gradient
+    of the field with frame coordinates u.
+    """
+    T = vops.proj.frames
+    d = T.shape[2]
+    C = [[T[:, :, b] @ T[:, :, a].T for a in range(d)] for b in range(d)]
+    return [np.block([[Dc * C[b][a] for a in range(d)] for b in range(d)])
+            for Dc in vops.ops.G]
 
 
-def _tile_density(q, n):
-    q = np.asarray(q, dtype=float)
-    if np.any(q <= 0):
-        raise ValueError("density must be strictly positive")
-    return np.tile(1.0 / q, n)
-
-
-def _symmetric_pair(vops, q, term_factories):
-    """A = sum of coeff * (F P)^T Qtilde^{-1} (F P) over factories () -> (F, coeff)."""
-    qtinv = _tile_density(q, vops.n)
-    Pot = potimes_matrix(vops)
-    A = np.zeros((vops.n * vops.N, vops.n * vops.N))
-    for make in term_factories:
-        factor, coeff = make()
-        M = factor @ Pot
-        del factor
-        A += coeff * (M.T @ (qtinv[:, None] * M))
-        del M
+def _symmetric_pair(vops, q, swap, coeff, div):
+    """A = coeff sum_c F_c^T Qt^{-1} F_c (+ Delta^T Q^{-1} Delta) on frame
+    coordinates, B = Qt^{-1}, Qt = diag(q tiled d times). Row block b of
+    F_c is row block b of K_c plus swap times row block c of K_b, so F_c u
+    holds X_cb + swap X_bc; Delta = sum_c (row block c of K_c) is the
+    divergence."""
+    N = vops.N
+    qinv = inverse_density(q, N)
+    cov = _frame_covariant_derivative(vops)
+    d = len(cov)
+    qtinv = np.tile(qinv, d)
+    A = np.zeros((d * N, d * N))
+    for c, Kc in enumerate(cov):
+        F = Kc
+        if swap:
+            F = np.vstack([Kb[c * N:(c + 1) * N] for Kb in cov])
+            F *= swap
+            F += Kc
+        A += coeff * (F.T @ (qtinv[:, None] * F))
+        del F
+    if div:
+        Delta = sum(Kc[c * N:(c + 1) * N] for c, Kc in enumerate(cov))
+        A += Delta.T @ (qinv[:, None] * Delta)
     A = 0.5 * (A + A.T)
-    B = (Pot * qtinv[None, :]) @ Pot
-    B = 0.5 * (B + B.T)
-    W = tangent_range_basis(vops.proj, _intrinsic_dim(vops))
-    return GeneralizedPair(A=A, B=B, range_basis=W), Pot
+    return GeneralizedPair(A=A, B_diag=qtinv,
+                           range_basis=tangent_range_basis(vops.proj))
+
+
+def _laplacian(name, kind, vops, q):
+    swap, coeff, div = LAPLACIANS[name]
+    if kind == "symmetric":
+        return _symmetric_pair(vops, q, swap, coeff, div)
+    if kind != "nonsymmetric":
+        raise ValueError(f"unknown estimator kind {kind!r}")
+    dim = vops.n * vops.N
+    L = np.zeros((dim, dim))
+    for i in range(vops.n):
+        Hi = h_matrix(vops, i)
+        F = Hi
+        if swap:
+            F = s_matrix(vops, i)
+            F *= swap
+            F += Hi
+        L -= Hi @ F
+        del F
+    if div:
+        _subtract_gram_blocks(
+            L, [ambient_gradient(vops.ops, j) for j in range(vops.n)])
+    return L
 
 
 def bochner(kind, vops, q=None):
     """Vector (connection) Laplacian estimator."""
-    if kind == "nonsymmetric":
-        dim = vops.n * vops.N
-        L = np.zeros((dim, dim))
-        for i in range(vops.n):
-            Hi = h_matrix(vops, i)
-            L -= Hi @ Hi
-        return L
-    if kind != "symmetric":
-        raise ValueError(f"unknown estimator kind {kind!r}")
-    pair, _f = _symmetric_pair(
-        vops, q,
-        [lambda i=i: (h_matrix(vops, i), 1.0) for i in range(vops.n)])
-    return pair
+    return _laplacian("bochner", kind, vops, q)
 
 
 def hodge(kind, vops, q=None):
     """1-form Laplacian carried to vector fields."""
-    G = vops.ops.G
-    if kind == "nonsymmetric":
-        dim = vops.n * vops.N
-        L = np.zeros((dim, dim))
-        for i in range(vops.n):
-            Hi = h_matrix(vops, i)
-            L -= Hi @ (Hi - s_matrix(vops, i))
-        _subtract_gram_blocks(L, G)
-        return L
-    if kind != "symmetric":
-        raise ValueError(f"unknown estimator kind {kind!r}")
-    pair, Pot = _symmetric_pair(
-        vops, q,
-        [lambda i=i: (h_matrix(vops, i) - s_matrix(vops, i), 0.5)
-         for i in range(vops.n)])
-    # gradient-gradient coupling block, density-weighted like the rest
-    N, n = vops.N, vops.n
-    qinv = 1.0 / np.asarray(q, dtype=float)
-    K = np.empty((n * N, n * N))
-    for j in range(n):
-        for k in range(n):
-            K[j * N:(j + 1) * N, k * N:(k + 1) * N] = \
-                G[j].T @ (qinv[:, None] * G[k])
-    A = pair.A + Pot @ K @ Pot
-    pair.A = 0.5 * (A + A.T)
-    return pair
+    return _laplacian("hodge", kind, vops, q)
 
 
 def lichnerowicz(kind, vops, q=None):
     """Laplacian of the symmetrized covariant gradient."""
-    if kind == "nonsymmetric":
-        dim = vops.n * vops.N
-        L = np.zeros((dim, dim))
-        for i in range(vops.n):
-            Hi = h_matrix(vops, i)
-            L -= Hi @ (Hi + s_matrix(vops, i))
-        return L
-    if kind != "symmetric":
-        raise ValueError(f"unknown estimator kind {kind!r}")
-    pair, _f = _symmetric_pair(
-        vops, q,
-        [lambda i=i: (h_matrix(vops, i) + s_matrix(vops, i), 0.5)
-         for i in range(vops.n)])
-    return pair
+    return _laplacian("lichnerowicz", kind, vops, q)
 
 
 def covariant_derivative(vops, system, U, Y):
@@ -233,14 +231,12 @@ def covariant_derivative(vops, system, U, Y):
     Each component Y^r is interpolated; its ambient gradient is contracted
     with U at the nodes and the result projected back to the tangent spaces.
     """
-    D = vops.ops.ambient
-    if D is None:
-        D = ambient_derivative_matrices(system)
+    n, N = vops.n, vops.N
+    D = derivative_matrices(system, np.broadcast_to(np.eye(n), (N, n, n)))
     Uc = U.components() if isinstance(U, VectorField) else \
         VectorField.from_samples(U).components()
     Yc = Y.components() if isinstance(Y, VectorField) else \
         VectorField.from_samples(Y).components()
-    n = len(D)
     W = np.zeros_like(Yc)
     for r in range(n):
         for k in range(n):

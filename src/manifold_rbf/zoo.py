@@ -1,7 +1,7 @@
 """Analytic test manifolds embedded in R^n.
 
 Provides samplers (random in intrinsic coordinates, or lattice grids), exact
-tangential projection matrices from the embedding Jacobian, closed-form or
+orthonormal tangent frames from the embedding Jacobian, closed-form or
 semi-analytic Laplacian eigen-truth, and the sampling density of
 intrinsic-uniform draws with respect to the Riemannian volume measure.
 """
@@ -313,21 +313,21 @@ def sample_manifold(spec, N, seed=0, mode="random_intrinsic"):
 
 
 def analytic_projection(cloud):
-    """Exact tangential projectors P = J (J^T J)^{-1} J^T at every point."""
+    """Exact orthonormal tangent frames: the Q factor of the embedding
+    Jacobian J = Q R at every point."""
     if cloud.intrinsic is None:
         raise ValueError("analytic projection needs intrinsic coordinates")
     spec = cloud.spec
     J = embedding_jacobian(spec, cloud.intrinsic)
-    JtJ = np.einsum("kpi,kpj->kij", J, J)
-    det = np.linalg.det(JtJ)
+    T, R = np.linalg.qr(J)
+    # det(J^T J) = prod(diag R)^2
+    det = np.prod(np.diagonal(R, axis1=1, axis2=2) ** 2, axis=1)
     if np.any(det <= 1e-300):
         bad = int(np.argmin(det))
         raise ValueError(
             f"degenerate embedding Jacobian at point {bad} "
-            f"(intrinsic {cloud.intrinsic[bad]}); analytic projector undefined")
-    P = np.einsum("kpi,kij,kqj->kpq", J, np.linalg.inv(JtJ), J)
-    P = 0.5 * (P + np.transpose(P, (0, 2, 1)))
-    return ProjectionField(mats=P, source="analytic", K_used=0)
+            f"(intrinsic {cloud.intrinsic[bad]}); analytic frame undefined")
+    return ProjectionField(frames=T, source="analytic", K_used=0)
 
 
 def sampling_density(spec, cloud):

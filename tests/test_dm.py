@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from manifold_rbf.dm import (SWEEP_K, DmConfig, autotune_epsilon,
+from manifold_rbf.dm import (DmConfig, autotune_epsilon,
                              default_neighbor_count, dm_laplacian,
                              dm_spectrum)
 from manifold_rbf.zoo import (Sphere, Torus, sample_manifold,
@@ -28,7 +28,6 @@ def test_neighbor_count_defaults():
     assert default_neighbor_count(1024) == 32
     assert default_neighbor_count(1000) == 32
     assert default_neighbor_count(4) == 2
-    assert SWEEP_K == (50, 100, 200, 400)
 
 
 def test_autotune_equal_distances():

@@ -3,20 +3,24 @@
 import json
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from manifold_rbf import harness
+from manifold_rbf.dm import DmConfig, dm_spectrum
 from manifold_rbf.harness import (MEMORY_ENV_VAR, ExperimentConfig,
                                   alignment_gate, check_memory,
-                                  fit_convergence_slope, paired_mode_errors,
-                                  run_experiment, truth_basis_matrix)
+                                  estimate_run_bytes, fit_convergence_slope,
+                                  paired_mode_errors, run_experiment,
+                                  truth_basis_matrix)
 from manifold_rbf.rbf import KernelModel
 from manifold_rbf.spectral import SpectralResult
-from manifold_rbf.zoo import (EigenTruth, Ellipse, Sphere, Torus,
-                              sample_manifold, vector_eigen_truth)
+from manifold_rbf.zoo import (EigenTruth, Ellipse, GeneralTorus, Sphere,
+                              Torus, sample_manifold, vector_eigen_truth)
 
 
 def make_config(**kw):
@@ -83,6 +87,41 @@ def test_memory_guard(monkeypatch):
         check_memory(big, 4096)                # vector block matrix blows up
 
 
+@pytest.mark.parametrize("method,operator,spec", [
+    ("SRBF", "LB", Torus(2.0)), ("NRBF", "LB", Torus(2.0)),
+    ("SRBF", "LB", GeneralTorus(2.0, 21)), ("DM", "LB", Torus(2.0)),
+    ("SRBF", "Hodge", Sphere()), ("NRBF", "Hodge", Sphere()),
+    ("SRBF", "Bochner", Ellipse(2.0)), ("NRBF", "Covariant", Ellipse(2.0)),
+], ids=lambda v: getattr(v, "kind", v))
+def test_memory_estimate_bounds_traced_peak(method, operator, spec):
+    # the guard's estimate bounds the traced peak of operator build + solve
+    N = 300
+    cfg = make_config(manifold=spec, N_list=[N], method=method,
+                      operator=operator, sample_mode="random_intrinsic")
+    cloud = sample_manifold(spec, N, seed=0, mode=cfg.sample_mode)
+    op_cloud, proj = harness.build_projection(cfg, cloud, N)
+    q = harness.build_density(cfg, op_cloud)
+    if method == "DM":
+        def stage():
+            dm_spectrum(op_cloud, DmConfig(K_neighbors=18), 24)
+    elif operator == "Covariant":
+        def stage():
+            harness._run_covariant(cfg, op_cloud, proj)
+    elif operator == "LB":
+        def stage():
+            harness._solve_scalar(cfg, op_cloud, proj, q)
+    else:
+        def stage():
+            harness._solve_vector(cfg, op_cloud, proj, q)
+    tracemalloc.start()
+    try:
+        stage()
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= estimate_run_bytes(cfg, N)
+
+
 # -- slope fitting -------------------------------------------------------------
 
 
@@ -129,6 +168,16 @@ def test_pairing_skips_trivial_and_respects_candidates():
                                    candidates=[1, 2])
     assert np.allclose(errs, [0.0, 0.05, 0.1])
     assert list(idx) == [-1, 1, 2]
+
+
+def test_pairing_compares_complex_modes_by_magnitude():
+    values = np.array([1.0 + 0.1j, 2.0 - 0.2j])
+    res = SpectralResult(values=values, vectors=None,
+                         ordering="by_magnitude", rank_L=2,
+                         all_values=values, trivial=np.zeros(2, dtype=bool))
+    errs, _ = paired_mode_errors(res, [1.0, 2.0], count=2)
+    assert np.allclose(errs, [abs(1.0 + 0.1j) - 1.0,
+                              (abs(2.0 - 0.2j) - 2.0) / 2.0])
 
 
 def test_pairing_insufficient_modes():

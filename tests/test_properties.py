@@ -1,0 +1,127 @@
+"""Properties that hold for any cloud: frame-gauge, rigid-motion and
+permutation invariance of the SRBF spectra, symmetry and semi-definiteness
+of the pencils, constants in the Laplace-Beltrami kernel, orthonormality of
+the lifted eigenvectors, and the degenerate-Jacobian check."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from manifold_rbf.rbf import KernelModel, build_system
+from manifold_rbf.scalar_ops import (build_grad_matrices,
+                                     laplace_beltrami_symmetric)
+from manifold_rbf.spectral import solve_symmetric
+from manifold_rbf.tangent import ProjectionField
+from manifold_rbf.vector_ops import (bochner, build_vector_ops, hodge,
+                                     lichnerowicz)
+from manifold_rbf.zoo import (PointCloud, Sphere, analytic_projection,
+                              embed, sample_manifold)
+
+N = 60
+SEEDS = st.integers(0, 2 ** 32 - 1)
+VECTOR_FORMS = (bochner, hodge, lichnerowicz)
+
+
+def sphere_setup(seed, s):
+    """A sphere cloud, its analytic frames, a kernel system and a random
+    positive density, all drawn from one seed."""
+    cloud = sample_manifold(Sphere(), N, seed=seed % 1000,
+                            mode="random_area")
+    proj = analytic_projection(cloud)
+    system = build_system(cloud, KernelModel("inverse_quadratic", s))
+    q = np.random.default_rng(seed).uniform(0.5, 2.0, N)
+    return cloud, proj, system, q
+
+
+def srbf_spectra(system, proj, q):
+    """Full spectra of the SRBF Laplace-Beltrami, Bochner, Hodge and
+    Lichnerowicz pencils."""
+    ops = build_grad_matrices(system, proj)
+    vops = build_vector_ops(ops, proj)
+    pairs = [laplace_beltrami_symmetric(ops, q)]
+    pairs += [form("symmetric", vops, q) for form in VECTOR_FORMS]
+    return [solve_symmetric(pair, pair.A.shape[0]).all_values
+            for pair in pairs]
+
+
+def random_orthogonal(rng, count, d):
+    Q, _R = np.linalg.qr(rng.standard_normal((count, d, d)))
+    return Q * np.sign(rng.standard_normal((count, 1, d)))
+
+
+def assert_same_spectrum(a, b, rel=1e-10):
+    assert a.shape == b.shape
+    assert np.abs(a - b).max() <= rel * np.abs(a).max()
+
+
+@given(SEEDS)
+def test_frame_gauge_leaves_srbf_spectra_unchanged(seed):
+    # T(x_k) -> T(x_k) R_k with R_k in O(d) is another orthonormal frame
+    _cloud, proj, system, q = sphere_setup(seed, 1.0)
+    R = random_orthogonal(np.random.default_rng(seed + 1), N, 2)
+    turned = ProjectionField(frames=proj.frames @ R, source="analytic",
+                             K_used=0)
+    for a, b in zip(srbf_spectra(system, proj, q),
+                    srbf_spectra(system, turned, q)):
+        assert_same_spectrum(a, b)
+
+
+@given(SEEDS)
+def test_rigid_motion_and_permutation_leave_lb_spectrum_unchanged(seed):
+    cloud, proj, system, q = sphere_setup(seed, 1.0)
+    rng = np.random.default_rng(seed + 2)
+    Q = random_orthogonal(rng, 1, 3)[0]
+    shift = rng.uniform(-5.0, 5.0, 3)
+    perm = rng.permutation(N)
+    moved = PointCloud(points=cloud.points[perm] @ Q.T + shift,
+                       intrinsic=None, spec=None)
+    moved_proj = ProjectionField(frames=Q @ proj.frames[perm],
+                                 source="analytic", K_used=0)
+    moved_system = build_system(moved, system.model)
+    base = solve_symmetric(laplace_beltrami_symmetric(
+        build_grad_matrices(system, proj), q), N).all_values
+    other = solve_symmetric(laplace_beltrami_symmetric(
+        build_grad_matrices(moved_system, moved_proj), q[perm]),
+        N).all_values
+    assert_same_spectrum(base, other)
+
+
+@given(SEEDS)
+def test_lb_pencil_symmetric_psd_with_constants_in_kernel(seed):
+    _cloud, proj, system, q = sphere_setup(seed, 0.5)
+    pair = laplace_beltrami_symmetric(build_grad_matrices(system, proj), q)
+    assert np.array_equal(pair.A, pair.A.T)
+    lam = np.linalg.eigvalsh(pair.A)
+    assert lam.min() >= -1e-10 * lam.max()
+    one = np.ones(N)
+    rayleigh = one @ pair.A @ one / np.sum(pair.B_diag)
+    first = solve_symmetric(pair, N).nontrivial_values()[0]
+    assert rayleigh <= 1e-6 * first
+
+
+@given(SEEDS)
+def test_vector_pencils_psd_with_orthonormal_lifted_vectors(seed):
+    _cloud, proj, system, q = sphere_setup(seed, 0.5)
+    vops = build_vector_ops(build_grad_matrices(system, proj), proj)
+    qt = np.tile(1.0 / q, 3)
+    for form in VECTOR_FORMS:
+        pair = form("symmetric", vops, q)
+        assert np.array_equal(pair.A, pair.A.T)
+        res = solve_symmetric(pair, pair.A.shape[0])
+        assert res.all_values.min() >= -1e-10 * res.all_values.max()
+        V = res.vectors
+        assert V.shape == (3 * N, 2 * N)
+        gram = V.T @ (qt[:, None] * V)
+        assert np.abs(gram - np.eye(2 * N)).max() <= 1e-8
+
+
+@given(st.floats(0.0, 2.0 * math.pi), st.integers(0, 2))
+def test_analytic_projection_rejects_exact_sphere_pole(phi, where):
+    cloud = sample_manifold(Sphere(), 3, seed=0)
+    cloud.intrinsic[where] = (0.0, phi)
+    cloud.points[:] = embed(Sphere(), cloud.intrinsic)
+    with pytest.raises(ValueError, match="degenerate embedding Jacobian"):
+        analytic_projection(cloud)

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from manifold_rbf.rbf import KernelModel, build_system
-from manifold_rbf.scalar_ops import (ScalarOperatorSet, build_grad_matrices,
+from manifold_rbf.scalar_ops import (ScalarOperatorSet, ambient_gradient,
+                                     build_grad_matrices, derivative_matrices,
                                      laplace_beltrami_nonsymmetric,
-                                     laplace_beltrami_symmetric,
-                                     reliable_mode_budget)
+                                     laplace_beltrami_symmetric)
 from manifold_rbf.spectral import solve_nonsymmetric, solve_symmetric
 from manifold_rbf.tangent import ProjectionField
 from manifold_rbf.zoo import (Ellipse, PointCloud, Sphere,
@@ -36,8 +36,8 @@ def plane_system(N=150, seed=3, s=0.02):
     coeff = rng.uniform(-1.0, 1.0, size=(N, 2))
     pts = coeff[:, :1] * t1 + coeff[:, 1:] * t2
     cloud = PointCloud(points=pts, intrinsic=None, spec=None)
-    P = np.outer(t1, t1) + np.outer(t2, t2)
-    proj = ProjectionField(mats=np.broadcast_to(P, (N, 3, 3)).copy(),
+    T = np.column_stack([t1, t2])
+    proj = ProjectionField(frames=np.broadcast_to(T, (N, 3, 2)).copy(),
                            source="analytic", K_used=0)
     system = build_system(cloud, KernelModel("gaussian", s, pinv_tol=1e-12))
     return cloud, proj, system, coeff, (t1, t2)
@@ -57,7 +57,7 @@ def test_circle_sine_gradient(circle_ops):
     cloud, ops, _ = circle_ops
     theta = np.arctan2(cloud.points[:, 1], cloud.points[:, 0])
     f = np.sin(theta)
-    got = np.column_stack([ops.G[0] @ f, ops.G[1] @ f])
+    got = np.column_stack([ambient_gradient(ops, i) @ f for i in range(2)])
     want = np.cos(theta)[:, None] * np.column_stack([-np.sin(theta),
                                                      np.cos(theta)])
     assert np.abs(got - want).max() <= 1e-3
@@ -69,26 +69,35 @@ def test_plane_linear_gradient():
     f = a * coeff[:, 0] + b * coeff[:, 1]
     ops = build_grad_matrices(system, proj)
     want = a * t1 + b * t2
-    got = np.column_stack([Gi @ f for Gi in ops.G])
+    got = np.column_stack([ambient_gradient(ops, i) @ f for i in range(3)])
     assert np.abs(got - want[None, :]).max() <= 1e-6
 
 
 def test_grad_requires_matching_cloud(circle_ops):
     cloud, ops, _ = circle_ops
-    short = ProjectionField(mats=ops.proj.mats[:100], source="analytic",
+    short = ProjectionField(frames=ops.proj.frames[:100], source="analytic",
                             K_used=0)
     system = build_system(cloud, KernelModel("inverse_quadratic", 1.5))
     with pytest.raises(ValueError):
         build_grad_matrices(system, short)
 
 
-def test_keep_ambient_toggle(circle_ops):
-    cloud, ops, _ = circle_ops
-    assert ops.ambient is not None and len(ops.ambient) == 2
-    lean = build_grad_matrices(ops.system, ops.proj, keep_ambient=False)
-    assert lean.ambient is None
-    for Ga, Gb in zip(ops.G, lean.G):
-        assert np.allclose(Ga, Gb, atol=1e-13)
+def test_frame_gradient_matches_projected_ambient():
+    # sum_a T_ia D_a equals the projected ambient form sum_m P_im D_m
+    sphere = Sphere()
+    cloud = sample_manifold(sphere, 200, seed=2, mode="random_area")
+    proj = analytic_projection(cloud)
+    system = build_system(cloud, KernelModel("inverse_quadratic", 1.0))
+    ops = build_grad_matrices(system, proj)
+    assert len(ops.G) == 2
+    D = derivative_matrices(system, np.broadcast_to(np.eye(3), (200, 3, 3)))
+    P = proj.mats
+    # the two orders of summation differ by rounding amplified by Phi^+
+    tol = 10 * np.finfo(float).eps * system.sigma[0] / system.sigma[-1]
+    for i in range(3):
+        want = sum(P[:, i, m][:, None] * D[m] for m in range(3))
+        got = ambient_gradient(ops, i)
+        assert np.abs(got - want).max() <= tol * np.abs(want).max()
 
 
 # -- non-symmetric Laplacian --------------------------------------------------
@@ -135,12 +144,17 @@ def test_symmetric_rejects_bad_density(circle_ops):
         laplace_beltrami_symmetric(ops, bad)
     with pytest.raises(ValueError):
         laplace_beltrami_symmetric(ops, q[:-1])
+    bad[7] = np.nan
+    with pytest.raises(ValueError):
+        laplace_beltrami_symmetric(ops, bad)
+    with pytest.raises(ValueError):
+        laplace_beltrami_symmetric(ops, None)
 
 
 def test_constant_density_cancels(circle_ops):
     # q = c: generalized eigenvalues equal plain eigenvalues of sum G_i^T G_i
     _, ops, _ = circle_ops
-    plain = np.linalg.eigvalsh(sum(Gi.T @ Gi for Gi in ops.G))
+    plain = np.linalg.eigvalsh(sum(Da.T @ Da for Da in ops.G))
     for c in (1.0, 0.25):
         pair = laplace_beltrami_symmetric(ops, np.full(ops.N, c))
         res = solve_symmetric(pair, k=ops.N)
@@ -198,8 +212,3 @@ def test_sphere_grid_symmetric_spectrum():
     want = np.array([2, 2, 2, 6, 6, 6, 6, 6], dtype=float)
     assert (np.abs(vals - want) / want).max() <= 0.15
 
-
-def test_reliable_mode_budget():
-    assert reliable_mode_budget(1024) == 32
-    assert reliable_mode_budget(2500) == 50
-    assert reliable_mode_budget(10) == 3

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from manifold_rbf.scalar_ops import GeneralizedPair
-from manifold_rbf.spectral import (align_eigenvectors_ols, eigenvalue_errors,
-                                   solve_nonsymmetric, solve_symmetric,
-                                   write_alignment_csv, write_spectrum_csv)
+from manifold_rbf.spectral import (align_eigenvectors_ols, solve_nonsymmetric,
+                                   solve_symmetric, write_alignment_csv,
+                                   write_spectrum_csv)
 from manifold_rbf.zoo import Sphere, sample_manifold
 
 
@@ -166,39 +166,6 @@ def test_align_rejects_bad_input():
     bad[:, 1] = 0.0
     with pytest.raises(ValueError):
         align_eigenvectors_ols(bad, F)
-
-
-# -- eigenvalue error metric ---------------------------------------------------
-
-
-def test_eigenvalue_errors_exact_match():
-    assert np.allclose(
-        eigenvalue_errors(np.array([0.0, 1.0, 1.0, 4.0]),
-                          np.array([0.0, 1.0, 1.0, 4.0]), count=4), 0.0)
-
-
-def test_eigenvalue_errors_zero_mode_clamped():
-    errs = eigenvalue_errors(np.array([0.25, 2.0]), np.array([0.0, 2.0]),
-                             count=2)
-    assert errs[0] == pytest.approx(0.25)     # |0.25 - 0| / max(0, 1)
-    assert errs[1] == pytest.approx(0.0)
-
-
-def test_eigenvalue_errors_complex_magnitude():
-    errs = eigenvalue_errors(np.array([1.0 + 0.1j]), np.array([1.0]), count=1)
-    assert errs[0] == pytest.approx(abs(np.abs(1 + 0.1j) - 1.0))
-
-
-def test_eigenvalue_errors_skips_trivial():
-    L = np.diag([1e-13, 1.0, 4.0])
-    res = solve_nonsymmetric(L, k=3)
-    errs = eigenvalue_errors(res, np.array([1.0, 4.0]), count=2)
-    assert np.allclose(errs, 0.0, atol=1e-12)
-
-
-def test_eigenvalue_errors_insufficient_modes():
-    with pytest.raises(ValueError):
-        eigenvalue_errors(np.array([1.0]), np.array([1.0, 2.0]), count=2)
 
 
 # -- CSV export ----------------------------------------------------------------

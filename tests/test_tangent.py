@@ -86,6 +86,8 @@ def test_output_matrix_properties():
         assert np.max(np.abs(mats - np.transpose(mats, (0, 2, 1)))) == 0.0
         idem = max(np.linalg.norm(P @ P - P) for P in mats)
         tr = np.max(np.abs(np.trace(mats, axis1=1, axis2=2) - 2.0))
+        gram = est.frames.transpose(0, 2, 1) @ est.frames
+        assert np.abs(gram - np.eye(2)).max() <= 1e-12
         assert idem <= 1e-10
         assert tr <= 1e-8
 
@@ -137,13 +139,18 @@ def test_diagnostics_zero_for_truth():
 
 
 def test_diagnostics_single_perturbation():
+    # tilting one frame vector by eps towards the normal moves the projector
+    # by sqrt(2) sin(eps) in the Frobenius norm
     cloud = sample_manifold(Sphere(), 50, seed=2, mode="random_area")
     truth = analytic_projection(cloud)
-    mats = truth.mats.copy()
-    mats[7, 0, 1] += 1e-3
-    est = ProjectionField(mats=mats, source="analytic", K_used=0)
+    frames = truth.frames.copy()
+    eps = 1e-3
+    normal = cloud.points[7]
+    frames[7, :, 0] = np.cos(eps) * frames[7, :, 0] + np.sin(eps) * normal
+    est = ProjectionField(frames=frames, source="analytic", K_used=0)
     diag = projection_diagnostics(est, truth)
-    assert abs(diag["max_frob"] - 1e-3) <= 1e-12
+    assert abs(diag["max_frob"] - np.sqrt(2.0) * np.sin(eps)) <= 1e-12
+    assert np.count_nonzero(diag["per_point"]) == 1
 
 
 def test_diagnostics_shape_mismatch():
@@ -194,18 +201,15 @@ def test_sphere_below_torus_at_matched_N():
 
 
 def test_projection_roundtrip(tmp_path):
+    # the saved projection-v1 table holds the projectors P = T T^T
     cloud = sample_manifold(Torus(2.0), 60, seed=4)
     est = second_order_svd(cloud, K=40)
     path = tmp_path / "proj.csv"
     est.save(path)
-    back = ProjectionField.load(path)
-    assert back.source == est.source
-    assert back.K_used == est.K_used
-    assert np.max(np.abs(back.mats - est.mats)) <= 1e-15
-
-
-def test_projection_load_rejects_other_tables(tmp_path):
-    path = tmp_path / "bogus.csv"
-    path.write_text("# schema=not-a-projection n=3\n0 1 2 3\n")
-    with pytest.raises(ValueError):
-        ProjectionField.load(path)
+    with open(path) as fh:
+        assert fh.readline().startswith(
+            "# schema=projection-v1 n=3 source=second_order K_used=40")
+    data = np.loadtxt(path, ndmin=2)
+    assert np.array_equal(data[:, 0], np.arange(60))
+    back = data[:, 1:].reshape(-1, 3, 3)
+    assert np.max(np.abs(back - est.mats)) <= 1e-15

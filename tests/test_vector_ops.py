@@ -8,13 +8,14 @@ import numpy as np
 import pytest
 
 from manifold_rbf.rbf import KernelModel, build_system
-from manifold_rbf.scalar_ops import build_grad_matrices
+from manifold_rbf.scalar_ops import ambient_gradient, build_grad_matrices
 from manifold_rbf.spectral import solve_symmetric
 from manifold_rbf.tangent import ProjectionField, second_order_svd
-from manifold_rbf.vector_ops import (VectorField, bochner, build_vector_ops,
-                                     covariant_derivative, h_matrix,
-                                     hodge, lichnerowicz, potimes_matrix,
-                                     s_matrix, tangent_range_basis)
+from manifold_rbf.vector_ops import (LAPLACIANS, VectorField, bochner,
+                                     build_vector_ops, covariant_derivative,
+                                     h_matrix, hodge, lichnerowicz,
+                                     potimes_matrix, s_matrix,
+                                     tangent_range_basis)
 from manifold_rbf.zoo import (Ellipse, Sphere, Torus, analytic_projection,
                               sample_manifold, sampling_density)
 
@@ -49,8 +50,8 @@ def plane_setup(N=150, seed=3):
     pts = coeff[:, :1] * t1 + coeff[:, 1:] * t2
     from manifold_rbf.zoo import PointCloud
     cloud = PointCloud(points=pts, intrinsic=None, spec=None)
-    P = np.outer(t1, t1) + np.outer(t2, t2)
-    proj = ProjectionField(mats=np.broadcast_to(P, (N, 3, 3)).copy(),
+    T = np.column_stack([t1, t2])
+    proj = ProjectionField(frames=np.broadcast_to(T, (N, 3, 2)).copy(),
                            source="analytic", K_used=0)
     system = build_system(cloud, KernelModel("gaussian", 0.02, pinv_tol=1e-12))
     vops = build_vector_ops(build_grad_matrices(system, proj), proj)
@@ -70,7 +71,7 @@ def test_vector_field_roundtrip():
 
 
 def test_build_vector_ops_mismatch(ellipse):
-    short = ProjectionField(mats=ellipse["proj"].mats[:100],
+    short = ProjectionField(frames=ellipse["proj"].frames[:100],
                             source="analytic", K_used=0)
     with pytest.raises(ValueError):
         build_vector_ops(ellipse["vops"].ops, short)
@@ -110,9 +111,10 @@ def test_h_output_stays_tangential(ellipse):
 
 
 def test_tangent_range_basis_orthonormal(ellipse):
-    W = tangent_range_basis(ellipse["proj"], 1)
+    W = tangent_range_basis(ellipse["proj"]).toarray()
     assert W.shape == (800, 400)
     assert np.abs(W.T @ W - np.eye(400)).max() <= 1e-12
+    assert np.abs(W @ W.T - potimes_matrix(ellipse["vops"])).max() <= 1e-15
 
 
 # -- gradient of a vector field -----------------------------------------------
@@ -194,11 +196,13 @@ def ellipse_symmetric(ellipse):
 
 
 def test_symmetric_pairs_structure(ellipse_symmetric):
-    _, pairs = ellipse_symmetric
+    q, pairs = ellipse_symmetric
     for pair in pairs.values():
+        # ellipse: d = 1, so the pencils live on N frame coordinates
+        assert pair.A.shape == (400, 400)
         assert np.array_equal(pair.A, pair.A.T)
-        assert np.array_equal(pair.B, pair.B.T)
-        assert pair.range_basis is not None
+        assert pair.B is None and np.array_equal(pair.B_diag, 1.0 / q)
+        assert pair.range_basis.shape == (800, 400)
 
 
 def test_symmetric_spectra_real_nonnegative(ellipse_symmetric):
@@ -214,28 +218,28 @@ def test_symmetric_eigenvectors_tangential(ellipse_symmetric):
     _, pairs = ellipse_symmetric
     pair = pairs["bochner"]
     res = solve_symmetric(pair, k=30)
-    Pot = None
+    assert res.vectors.shape == (800, 30)
+    W = pair.range_basis
     for j in range(30):
         if res.trivial[j]:
             continue
         v = res.vectors[:, j]
-        if Pot is None:
-            W = pair.range_basis
-            Pot = W @ W.T
-        assert np.linalg.norm(v - Pot @ v) <= 1e-6 * np.linalg.norm(v)
+        assert np.linalg.norm(v - W @ (W.T @ v)) <= 1e-6 * np.linalg.norm(v)
 
 
 def test_symmetric_b_orthogonality(ellipse_symmetric):
-    _, pairs = ellipse_symmetric
+    # the lifted eigenvectors are orthonormal in the ambient Qt^{-1} product
+    q, pairs = ellipse_symmetric
     pair = pairs["lichnerowicz"]
     res = solve_symmetric(pair, k=25)
     V = res.vectors
-    gram = V.T @ pair.B @ V
+    gram = V.T @ (np.tile(1.0 / q, 2)[:, None] * V)
     assert np.abs(gram - np.eye(25)).max() <= 1e-8
 
 
 def test_symmetric_half_factor(ellipse):
-    # the quadratic forms carry the printed 1/2 on the (H -+ S) terms
+    # the quadratic forms carry the printed 1/2 on the (H -+ S) terms; the
+    # frame-basis pencil is the ambient one restricted to the range basis
     vops = ellipse["vops"]
     q = sampling_density(Ellipse(2.0), ellipse["cloud"])
     qt = np.tile(1.0 / q, 2)
@@ -244,9 +248,58 @@ def test_symmetric_half_factor(ellipse):
     for i in range(2):
         M = (h_matrix(vops, i) + s_matrix(vops, i)) @ Pot
         manual += 0.5 * (M.T @ (qt[:, None] * M))
-    manual = 0.5 * (manual + manual.T)
+    W = tangent_range_basis(vops.proj).toarray()
+    manual = W.T @ manual @ W
     pair = lichnerowicz("symmetric", vops, q)
     assert np.abs(pair.A - manual).max() <= 1e-12 * np.abs(manual).max()
+
+
+def ambient_pencil(vops, q, name):
+    # the nN ambient form: sum_i coeff |(H_i + swap S_i) Pot|^2 weighted by
+    # Qt^{-1}, plus Pot [G_j^T Q^{-1} G_k] Pot for Hodge
+    swap, coeff, div = LAPLACIANS[name]
+    n, N = vops.n, vops.N
+    qinv = 1.0 / q
+    qt = np.tile(qinv, n)
+    Pot = potimes_matrix(vops)
+    A = np.zeros_like(Pot)
+    for i in range(n):
+        M = (h_matrix(vops, i) + swap * s_matrix(vops, i)) @ Pot
+        A += coeff * (M.T @ (qt[:, None] * M))
+    if div:
+        G = [ambient_gradient(vops.ops, j) for j in range(n)]
+        K = np.block([[G[j].T @ (qinv[:, None] * G[k]) for k in range(n)]
+                      for j in range(n)])
+        A += Pot @ K @ Pot
+    return A
+
+
+@pytest.mark.parametrize("name", sorted(LAPLACIANS))
+def test_frame_pencil_matches_ambient_reference(name):
+    # the dN frame-basis pencil is W^T A W of the nN ambient form
+    cloud = sample_manifold(Sphere(), 150, seed=1, mode="random_area")
+    proj = analytic_projection(cloud)
+    system = build_system(cloud, KernelModel("inverse_quadratic", 0.5))
+    vops = build_vector_ops(build_grad_matrices(system, proj), proj)
+    q = np.random.default_rng(0).uniform(0.5, 2.0, cloud.N)
+    W = tangent_range_basis(proj).toarray()
+    want = W.T @ ambient_pencil(vops, q, name) @ W
+    pair = {"bochner": bochner, "hodge": hodge,
+            "lichnerowicz": lichnerowicz}[name]("symmetric", vops, q)
+    assert np.linalg.norm(pair.A - want) <= 1e-12 * np.linalg.norm(want)
+    assert np.array_equal(pair.B_diag, np.tile(1.0 / q, 2))
+
+
+@pytest.mark.parametrize("op", [bochner, hodge, lichnerowicz])
+def test_symmetric_vector_forms_reject_bad_density(ellipse, op):
+    q = sampling_density(Ellipse(2.0), ellipse["cloud"])
+    nan = q.copy()
+    nan[3] = np.nan
+    zero = q.copy()
+    zero[3] = 0.0
+    for bad in (None, q[:-1], nan, zero):
+        with pytest.raises(ValueError, match="density"):
+            op("symmetric", ellipse["vops"], bad)
 
 
 # -- covariant derivative -------------------------------------------------------

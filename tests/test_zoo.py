@@ -102,8 +102,11 @@ def test_projection_ellipse_theta0():
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.kind + str(s.n))
 def test_projection_properties(spec):
     cloud = sample_manifold(spec, 300, seed=5)
-    mats = analytic_projection(cloud).mats
+    proj = analytic_projection(cloud)
+    mats = proj.mats
     d = spec.d
+    gram = proj.frames.transpose(0, 2, 1) @ proj.frames
+    assert np.abs(gram - np.eye(d)).max() <= 1e-12
     sym = np.max(np.abs(mats - np.transpose(mats, (0, 2, 1))))
     idem = max(np.linalg.norm(P @ P - P) for P in mats)
     tr = np.max(np.abs(np.trace(mats, axis1=1, axis2=2) - d))
