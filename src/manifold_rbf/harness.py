@@ -118,9 +118,14 @@ def estimate_run_bytes(config, N):
 
     Counted in N x N float64 matrices and calibrated against the tracemalloc
     peak of the operator build plus solve; used only for the refusal guard.
-    The interpolation system and the d frame derivative matrices take up to
-    d + 8 of them; SRBF vector pencils add six (dN)^2 matrices, NRBF vector
-    operators hold seven (nN)^2 ones.
+    Operators are factored through the r = rank_L retained eigenvectors of
+    Phi; r is unknown before the factorization, so the estimate takes the
+    worst case r = N. The interpolation system and the d frame derivative
+    factors take up to d + 8 N x N matrices; SRBF vector pencils add four
+    (nN)^2 ones (the nr x nr form, its update, the dN x nr factor and the
+    solver's copies), NRBF vector operators hold seven (the nN x nr factor,
+    its orthonormal basis and the complex eigenvectors of the reduced
+    matrix, before and after the lift).
     """
     n, d = config.manifold.n, config.manifold.d
     if config.method == "DM":
@@ -130,7 +135,7 @@ def estimate_run_bytes(config, N):
     elif config.operator == "Covariant":
         words = (n + d + 8) * N * N
     elif config.method == "SRBF":
-        words = 6 * (d * N) ** 2 + (d + 8) * N * N
+        words = 4 * (n * N) ** 2 + (d + 8) * N * N
     else:
         words = 7 * (n * N) ** 2
     return 8 * words
@@ -196,11 +201,12 @@ class Report:
         log = os.path.join(out_dir, f"{prefix}_runlog.jsonl")
         with open(log, "w") as fh:
             for rec in self.runs:
-                fh.write(json.dumps({
-                    "N": rec.N, "seed": rec.seed,
-                    "rank_L": rec.rank_L,
-                    "wall_time": rec.wall_time,
-                    "config": echo}, sort_keys=True) + "\n")
+                entry = {"N": rec.N, "seed": rec.seed, "rank_L": rec.rank_L,
+                         "wall_time": rec.wall_time, "config": echo}
+                if rec.result is not None:
+                    entry["structural_zeros"] = rec.result.structural_zeros
+                    entry["solve_dim"] = rec.result.solve_dim
+                fh.write(json.dumps(entry, sort_keys=True) + "\n")
         with open(os.path.join(out_dir, f"{prefix}_report.json"), "w") as fh:
             json.dump({"config": echo, "slope": self.slope,
                        "convergence": self.convergence,
@@ -340,34 +346,39 @@ def _solve_scalar(config, op_cloud, proj, q):
     # cluster at zero, and the usable modes sit above it
     system = build_system(op_cloud, config.kernel)
     ops = build_grad_matrices(system, proj)
-    rank_L = system.rank_L
+    rank_L, U = system.rank_L, system.U
+    del system                  # ops.system goes with ops, Phi with both
     N = op_cloud.N
+    tol = config.kernel.pinv_tol
     if config.method == "NRBF":
         L = laplace_beltrami_nonsymmetric(ops)
-        del ops, system
-        res = solve_nonsymmetric(L, N, pinv_tol=config.kernel.pinv_tol)
+        del ops
+        res = solve_nonsymmetric(L, N, pinv_tol=tol, basis=U)
     else:
         pair = laplace_beltrami_symmetric(ops, q)
-        del ops, system
-        res = solve_symmetric(pair, N, pinv_tol=config.kernel.pinv_tol)
+        del ops
+        res = solve_symmetric(pair, N, pinv_tol=tol)
     return res, rank_L
 
 
 def _solve_vector(config, op_cloud, proj, q):
     system = build_system(op_cloud, config.kernel)
     ops = build_grad_matrices(system, proj)
-    rank_L = system.rank_L
+    rank_L, U = system.rank_L, system.U
+    del system
     vops = build_vector_ops(ops, proj)
+    del ops
     build = {"Bochner": bochner, "Hodge": hodge, "Lich": lichnerowicz}[
         config.operator]
+    tol = config.kernel.pinv_tol
     if config.method == "NRBF":
         L = build("nonsymmetric", vops)
-        res = solve_nonsymmetric(L, L.shape[0],
-                                 pinv_tol=config.kernel.pinv_tol)
+        del vops
+        res = solve_nonsymmetric(L, L.shape[0], pinv_tol=tol, basis=U)
     else:
         pair = build("symmetric", vops, q)
-        res = solve_symmetric(pair, pair.A.shape[0],
-                              pinv_tol=config.kernel.pinv_tol)
+        del vops
+        res = solve_symmetric(pair, len(pair.B_diag), pinv_tol=tol)
     return res, rank_L
 
 

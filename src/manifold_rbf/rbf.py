@@ -3,7 +3,10 @@
 The interpolation matrix Phi of a positive-definite radial kernel on scattered
 manifold samples is routinely near-singular (flat kernels, near-duplicate
 points), so every solve goes through a truncated spectral pseudo-inverse with
-a relative cutoff instead of direct inversion.
+a relative cutoff instead of direct inversion. The pseudo-inverse is kept in
+its factored form Phi^+ = U diag(1/w) U^T with U the N x rank_L retained
+eigenvectors; it is never formed densely, so every operator built on it
+factors through U^T and has rank at most rank_L per field component.
 """
 
 from dataclasses import dataclass, field
@@ -125,9 +128,11 @@ def pinv_apply(system, rhs):
                        else proj / system._w)
 
 
-def pinv_matrix(system):
-    """Dense Phi^+ (symmetric)."""
-    return (system.U / system._w[None, :]) @ system.U.T
+def blockwise(M, X):
+    """(I_m kron M) X: M applied to each of the m row blocks of X."""
+    m, c = X.shape[0] // M.shape[1], X.shape[1]
+    return np.matmul(M, X.reshape(m, M.shape[1], c)).reshape(
+        m * M.shape[0], c)
 
 
 def interpolate_eval(system, coeffs, query):

@@ -3,13 +3,15 @@
 From an interpolation system and a tangent frame field T (N, n, d) this
 module assembles the d frame-direction derivative matrices D_a:
 (D_a f)_j is the derivative of the interpolant of f at x_j along the frame
-vector T(x_j)[:, a]. The ambient components of the tangential gradient are
-G_i = sum_a diag(T[:, i, a]) D_a. Two discrete Laplacians are built from
-them: the pointwise non-symmetric estimator -sum_i G_i G_i (the paper's
-ambient form) and the density-weighted symmetric pencil
-sum_a D_a^T Q^{-1} D_a f = lambda Q^{-1} f, which equals
-sum_i G_i^T Q^{-1} G_i because the frame is orthonormal. Both use the
-positive semi-definite sign convention (-div grad).
+vector T(x_j)[:, a]. D_a ends in the truncated pseudo-inverse
+Phi^+ = U diag(1/w) U^T, so it is kept as the N x rank_L factor G_a of
+D_a = G_a U^T. The ambient components of the tangential gradient are
+G_i U^T with G_i = sum_a diag(T[:, i, a]) G_a. Two discrete Laplacians are
+built from them, both factored through U^T: the pointwise non-symmetric
+estimator -sum_i G_i U^T G_i U^T (the paper's ambient form) and the
+density-weighted symmetric pencil sum_a D_a^T Q^{-1} D_a f = lambda Q^{-1} f,
+that is U (sum_a G_a^T Q^{-1} G_a) U^T. Both use the positive semi-definite
+sign convention (-div grad).
 """
 
 from dataclasses import dataclass
@@ -17,14 +19,17 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .rbf import kernel_deriv_over_r, pinv_matrix
+from .rbf import kernel_deriv_over_r
 
 
 @dataclass
 class ScalarOperatorSet:
-    """The d frame-direction derivative matrices plus provenance references."""
+    """The d frame-direction derivative factors plus provenance references.
 
-    G: list                       # d matrices D_a, each (N, N)
+    D_a = G[a] @ U.T with U = system.U (N x rank_L).
+    """
+
+    G: list                       # d factors G_a, each (N, rank_L)
     proj: object
     kernel: object
     system: object
@@ -33,27 +38,33 @@ class ScalarOperatorSet:
     def N(self):
         return self.G[0].shape[0]
 
+    @property
+    def U(self):
+        return self.system.U
+
 
 def derivative_matrices(system, directions):
-    """Matrices D_a with (D_a f)_j the derivative of the interpolant of f at
-    x_j along directions[j, :, a]; directions has shape (N, n, k).
+    """Factors G_a of the matrices D_a = G_a U^T, where (D_a f)_j is the
+    derivative of the interpolant of f at x_j along directions[j, :, a];
+    directions has shape (N, n, k).
 
     D_a = (sum_m t_m(x_j) (X^m(x_j) - X^m(x_k)) phi'(r_jk)/r_jk) Phi^+ with
     t = directions[:, :, a]; the diagonal takes the analytic r -> 0 limit.
     """
     points = np.asarray(system.cloud.points, dtype=float)
     w = kernel_deriv_over_r(system.model, cdist(points, points))
-    inv = pinv_matrix(system)
+    coef = system.U / system._w[None, :]
     out = []
     for a in range(directions.shape[2]):
         t = directions[:, :, a]
         along = np.einsum("jm,jm->j", t, points)[:, None] - t @ points.T
-        out.append((along * w) @ inv)
+        along *= w
+        out.append(along @ coef)
     return out
 
 
 def build_grad_matrices(system, proj):
-    """The d frame-direction derivative matrices D_a of the interpolant."""
+    """The d frame-direction derivative factors G_a of the interpolant."""
     if proj.N != system.N:
         raise ValueError("projection field does not match the cloud size")
     return ScalarOperatorSet(G=derivative_matrices(system, proj.frames),
@@ -61,10 +72,10 @@ def build_grad_matrices(system, proj):
 
 
 def ambient_gradient(ops, i):
-    """G_i = sum_a diag(T[:, i, a]) D_a: (G_i f)_j estimates the i-th ambient
-    component of the tangential gradient of the interpolant at x_j."""
+    """G_i = sum_a diag(T[:, i, a]) G_a: (G_i U^T f)_j estimates the i-th
+    ambient component of the tangential gradient of the interpolant at x_j."""
     T = ops.proj.frames
-    return sum(T[:, i, a][:, None] * Da for a, Da in enumerate(ops.G))
+    return sum(T[:, i, a][:, None] * Ga for a, Ga in enumerate(ops.G))
 
 
 def inverse_density(q, N):
@@ -77,42 +88,49 @@ def inverse_density(q, N):
 
 
 def laplace_beltrami_nonsymmetric(ops):
-    """Pointwise estimator -sum_i G_i G_i; spectrum may be complex."""
-    N = ops.N
-    L = np.zeros((N, N))
+    """Left factor (N, r) of the pointwise estimator
+    L = -sum_i G_i U^T G_i U^T = (-sum_i G_i (U^T G_i)) U^T; its spectrum
+    may be complex. spectral.solve_nonsymmetric takes it with basis U."""
+    U = ops.U
+    L = np.zeros((ops.N, U.shape[1]))
     for i in range(ops.proj.n):
         Gi = ambient_gradient(ops, i)
-        L -= Gi @ Gi
+        L -= Gi @ (U.T @ Gi)
     return L
 
 
 @dataclass
 class GeneralizedPair:
-    """Symmetric pencil A v = lambda B v.
+    """Symmetric pencil (R A R^T) v = lambda diag(B_diag) v.
 
-    Every pencil the package builds has a diagonal B (B_diag); a dense
-    positive definite B is accepted too. Vector pencils live on frame
-    coordinates (d values per point); range_basis, when present, is the
-    sparse map W (nN x dN) that lifts a solution Z to the stacked ambient
-    field V = W Z.
+    A is the reduced symmetric matrix and R = factor (dim, p) maps it to the
+    pencil's dim coordinates; without a factor A is the pencil itself. B is
+    always diagonal (B_diag). Vector pencils live on frame coordinates (d
+    values per point); range_basis, when present, is the sparse map W
+    (nN x dN) that lifts a solution Z to the stacked ambient field V = W Z.
     """
 
     A: np.ndarray
-    B_diag: np.ndarray = None
-    B: np.ndarray = None
+    B_diag: np.ndarray
+    factor: np.ndarray = None
     range_basis: object = None     # scipy.sparse (nN, dN) or None
+
+    # no dense B is ever formed; code that sizes a pencil by its parts reads
+    # this as an empty part
+    B = None
 
 
 def laplace_beltrami_symmetric(ops, q):
-    """Weak-form pencil: A = sum_a D_a^T Q^{-1} D_a, B = Q^{-1}, Q = diag(q).
+    """Weak-form pencil: sum_a D_a^T Q^{-1} D_a = U M U^T with
+    M = sum_a G_a^T Q^{-1} G_a, B = Q^{-1}, Q = diag(q).
 
     Uniform sampling passes constant q (the constant cancels in the
     generalized spectrum).
     """
     qinv = inverse_density(q, ops.N)
-    A = np.zeros((ops.N, ops.N))
-    for Da in ops.G:
-        A += Da.T @ (qinv[:, None] * Da)
-    A = 0.5 * (A + A.T)
-    return GeneralizedPair(A=A, B_diag=qinv)
-
+    root = np.sqrt(qinv)[:, None]
+    A = 0.0
+    for Ga in ops.G:
+        X = root * Ga
+        A += X.T @ X        # numpy forms X^T X exactly symmetric
+    return GeneralizedPair(A=A, B_diag=qinv, factor=ops.U)

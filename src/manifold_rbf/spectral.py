@@ -1,12 +1,18 @@
 """Eigen-solvers, mode ordering and selection, alignment against truth.
 
-Non-symmetric operators get a full dense complex eigendecomposition with
-modes ordered by ascending magnitude (ties broken by real then imaginary
-part); symmetric pencils are diagonally scaled (or Cholesky-reduced) and
-solved with the dense symmetric solver, and a pencil on frame coordinates
-has its eigenvectors lifted by its range basis. Near-zero modes produced by
-pseudo-inverse rank truncation are reported but flagged trivial rather than
-silently dropped.
+Every operator ends in the truncated pseudo-inverse Phi^+ = U diag(1/w) U^T
+(U is N x r), so it arrives factored and is solved at its reduced size: AB
+and BA share their nonzero spectrum (Horn & Johnson, Matrix Analysis,
+Thm 1.3.22). A non-symmetric operator F (I_m kron U^T) gets a dense complex
+eigendecomposition of the matrix it induces on an orthonormal basis of the
+range of F, modes ordered by ascending magnitude (ties broken by real then
+imaginary part). A symmetric pencil (R A R^T, B) with diagonal B is solved
+with the dense symmetric solver on an orthonormal basis of the range of
+B^{-1/2} R, so the lifted vectors are B-orthonormal; a pencil on frame
+coordinates then has them lifted by its range basis. The full dimension
+minus the reduced one gives exact structural zeros: never computed and
+without eigenvectors, they appear in all_values as 0.0, flagged trivial,
+like the near-zero modes produced by pseudo-inverse rank truncation.
 
 Eigenvector error metric: relative discrete L2 norm after ordinary
 least-squares alignment of the estimated modes onto the truth columns; this
@@ -20,6 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
+from .rbf import blockwise
+
 SPECTRUM_SCHEMA = "spectrum-v1"
 ALIGNMENT_SCHEMA = "alignment-v1"
 VECTOR_ERROR_METRIC = "relative discrete L2 after OLS alignment"
@@ -27,13 +35,19 @@ VECTOR_ERROR_METRIC = "relative discrete L2 after OLS alignment"
 
 @dataclass
 class SpectralResult:
-    values: np.ndarray          # k selected eigenvalues, ascending
+    values: np.ndarray          # k leading computed eigenvalues
     vectors: np.ndarray         # (dim, k)
     ordering: str
     rank_L: int                 # modes above the trivial cutoff, full spectrum
-    all_values: np.ndarray      # complete computed spectrum, same ordering
+    all_values: np.ndarray      # full spectrum, same ordering
     trivial: np.ndarray         # flags for the k selected modes
     trivial_cutoff: float = 0.0
+    structural_zeros: int = 0   # exact zeros of all_values never computed
+
+    @property
+    def solve_dim(self):
+        """Size of the eigenproblem actually solved."""
+        return len(self.all_values) - self.structural_zeros
 
     def nontrivial_values(self):
         return self.values[~self.trivial]
@@ -47,69 +61,98 @@ def _trivial_cutoff(all_values, pinv_tol):
     return 10.0 * pinv_tol * scale
 
 
-def solve_symmetric(pair, k, pinv_tol=1e-8):
-    """k smallest eigenvalues of the symmetric pencil, B-orthonormal vectors.
-
-    With a range basis W the pencil lives on frame coordinates and the
-    returned vectors are lifted to ambient components, V = W Z.
-    """
-    if pair.B_diag is not None:
-        if np.any(pair.B_diag <= 0):
-            raise ValueError("B must be positive definite (diagonal has "
-                             "non-positive entries)")
-        scale = 1.0 / np.sqrt(pair.B_diag)
-        As = scale[:, None] * pair.A * scale[None, :]
-        As = 0.5 * (As + As.T)
-        lam, Z = scipy.linalg.eigh(As)
-        V = scale[:, None] * Z
-    else:
-        try:
-            lam, V = scipy.linalg.eigh(pair.A, 0.5 * (pair.B + pair.B.T))
-        except np.linalg.LinAlgError as exc:
-            raise ValueError(f"B is not positive definite: {exc}")
-    if k > len(lam):
-        raise ValueError(f"requested {k} modes from a rank-{len(lam)} pencil")
-    V = V[:, :k]
-    if pair.range_basis is not None:
-        V = pair.range_basis @ V
-    return symmetric_result(lam, V, pinv_tol)
+def _check_count(k, dim):
+    if k > dim:
+        raise ValueError(f"requested {k} modes of a {dim}-dim operator")
 
 
-def symmetric_result(all_values, vectors, pinv_tol):
-    """SpectralResult of a real spectrum in ascending order whose leading
-    vectors.shape[1] modes were kept."""
+def _result(values, vectors, ordering, all_values, pinv_tol, zeros):
     cutoff = _trivial_cutoff(all_values, pinv_tol)
-    values = all_values[:vectors.shape[1]]
-    return SpectralResult(values=values, vectors=vectors,
-                          ordering="by_real_ascending",
+    return SpectralResult(values=values, vectors=vectors, ordering=ordering,
                           rank_L=int(np.sum(np.abs(all_values) >= cutoff)),
                           all_values=all_values,
                           trivial=np.abs(values) < cutoff,
-                          trivial_cutoff=cutoff)
+                          trivial_cutoff=cutoff, structural_zeros=zeros)
 
 
-def solve_nonsymmetric(L, k, pinv_tol=1e-8):
-    """k smallest-magnitude eigenvalues of a dense real operator.
+def solve_symmetric(pair, k, pinv_tol=1e-8):
+    """k smallest computed eigenvalues of the symmetric pencil, with
+    B-orthonormal vectors.
 
+    With a factor R the pencil (R A R^T, B) is reduced to Rx A Rx^T, where
+    B^{-1/2} R = Y Rx is a thin QR, and an eigenvector z lifts to
+    B^{-1/2} Y z. With a range basis W the pencil lives on frame coordinates
+    and the returned vectors are lifted to ambient components, V = W Z.
+    """
+    b = pair.B_diag
+    if np.any(b <= 0):
+        raise ValueError("B must be positive definite (diagonal has "
+                         "non-positive entries)")
+    _check_count(k, len(b))
+    scale = 1.0 / np.sqrt(b)
+    A, R = pair.A, pair.factor
+    if R is not None and 3 * R.shape[1] > 2 * len(b):
+        # above 2/3 of the full size the smaller eigensolve saves less than
+        # the QR and the lift cost
+        A, R = R @ A @ R.T, None
+    if R is None:
+        As = scale[:, None] * A * scale[None, :]
+    else:
+        Y, Rx = scipy.linalg.qr(np.multiply(R, scale[:, None], order="F"),
+                                mode="economic", overwrite_a=True,
+                                check_finite=False)
+        As = Rx @ A @ Rx.T
+    del A
+    As = 0.5 * (As + As.T)
+    lam, Z = scipy.linalg.eigh(As, overwrite_a=True, driver="evd")
+    V = Z[:, :k] if R is None else Y @ Z[:, :k]
+    V *= scale[:, None]
+    if pair.range_basis is not None:
+        V = pair.range_basis @ V
+    return symmetric_result(lam, V, pinv_tol, len(b) - len(lam))
+
+
+def symmetric_result(values, vectors, pinv_tol, structural_zeros=0):
+    """SpectralResult of computed real values in ascending order whose
+    leading vectors.shape[1] modes were kept; the structural zeros are
+    merged into all_values at their place in the order."""
+    all_values = np.insert(values, np.searchsorted(values, 0.0),
+                           np.zeros(structural_zeros))
+    return _result(values[:vectors.shape[1]], vectors, "by_real_ascending",
+                   all_values, pinv_tol, structural_zeros)
+
+
+def solve_nonsymmetric(L, k, pinv_tol=1e-8, basis=None):
+    """k smallest-magnitude computed eigenvalues of a real operator.
+
+    L is the left factor F (m N, m r) of the operator F (I_m kron U^T) with
+    U = basis (N, r); without a basis L is the square operator itself. For
+    a thin QR F = Y Rf the range of Y is invariant, the operator acts on it
+    as Rf (I_m kron U^T) Y, and an eigenvector y lifts to the unit vector
+    Y y with the residual of the small eigenproblem, as in a dense solve.
     The full complex spectrum is retained on the result so spectral
     pollution can be inspected afterwards.
     """
-    if L.shape[0] != L.shape[1]:
-        raise ValueError("operator must be square")
-    lam, V = np.linalg.eig(L)
+    if basis is None:
+        basis = np.eye(L.shape[1])
+    if L.shape[0] * basis.shape[1] != L.shape[1] * basis.shape[0]:
+        raise ValueError("operator factor does not match the basis")
+    _check_count(k, L.shape[0])
+    Y, Rf = scipy.linalg.qr(L, mode="economic", check_finite=False)
+    lam, V = np.linalg.eig(Rf @ blockwise(basis.T, Y))
+    del Rf
     order = np.lexsort((lam.imag, lam.real, np.abs(lam)))
     lam = lam[order]
-    V = V[:, order]
-    if k > len(lam):
-        raise ValueError(f"requested {k} modes of a {len(lam)}-dim operator")
-    cutoff = _trivial_cutoff(lam, pinv_tol)
-    values = lam[:k]
-    return SpectralResult(values=values, vectors=V[:, :k],
-                          ordering="by_magnitude_ascending",
-                          rank_L=int(np.sum(np.abs(lam) >= cutoff)),
-                          all_values=lam,
-                          trivial=np.abs(values) < cutoff,
-                          trivial_cutoff=cutoff)
+    V = V[:, order[:k]]
+    # real and imaginary parts apart: no complex copy of Y
+    re, im = Y @ V.real, Y @ V.imag
+    del V, Y
+    V = re.astype(complex)
+    V.imag = im
+    zeros = L.shape[0] - len(lam)
+    all_values = np.concatenate([np.zeros(zeros, dtype=lam.dtype), lam])
+    return _result(lam[:k], V, "by_magnitude_ascending", all_values,
+                   pinv_tol, zeros)
 
 
 @dataclass
@@ -156,7 +199,9 @@ def write_spectrum_csv(path, result, config_echo=None, extra_meta=None):
         (np.abs(lam) < result.trivial_cutoff).astype(float),
     ])
     header = [f"schema={SPECTRUM_SCHEMA}",
-              f"ordering={result.ordering} rank_L={result.rank_L}"]
+              f"ordering={result.ordering} rank_L={result.rank_L} "
+              f"structural_zeros={result.structural_zeros} "
+              f"solve_dim={result.solve_dim}"]
     if config_echo is not None:
         header.append("config=" + json.dumps(config_echo, sort_keys=True))
     if extra_meta:

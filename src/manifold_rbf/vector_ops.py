@@ -11,13 +11,17 @@ its transpose and, for Hodge, the divergence, as listed in LAPLACIANS:
     Hodge         |X - X^T|^2/2 + |div U|^2 -sum_i H_i (H_i - S_i) - [G_j G_k]
     Lichnerowicz  |X + X^T|^2/2             -sum_i H_i (H_i + S_i)
 
-The non-symmetric (NRBF) operators keep the paper's nN x nN ambient form:
-H_i applies the pointwise projector P = T T^T to the i-th tangential
-derivative of every component, and S_i is its index-swapped companion. The
-symmetric (SRBF) quadratic forms only ever see tangent fields, so they are
-assembled on frame coordinates (d values per point, dN in all) from the
-frame covariant derivative and solved as dN x dN pencils with a diagonal
-B; the solution is lifted back to ambient components by the frame.
+Every derivative ends in Phi^+ = U diag(1/w) U^T (U is N x r, r = rank_L),
+so every block acts through I_n kron U^T and is built as its nN x nr factor.
+The non-symmetric (NRBF) operators keep the paper's ambient form, stored as
+F with L = F (I_n kron U^T): H_i applies the pointwise projector P = T T^T to
+the i-th tangential derivative of every component, and S_i is its
+index-swapped companion. The symmetric (SRBF) quadratic forms only ever see
+tangent fields, so they are assembled on frame coordinates (d values per
+point) from the frame covariant derivative as a pencil R A R^T with diagonal
+B, R = W^T (I_n kron U) of size dN x nr; the solution is lifted back to
+ambient components by the frame. h_matrix, s_matrix and potimes_matrix give
+the dense nN x nN blocks for reference; no operator forms them.
 """
 
 from dataclasses import dataclass
@@ -25,6 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse
 
+from .rbf import blockwise
 from .scalar_ops import (GeneralizedPair, ambient_gradient,
                          derivative_matrices, inverse_density)
 
@@ -81,6 +86,25 @@ def build_vector_ops(ops, proj):
     return VectorOperatorSet(ops=ops, proj=proj)
 
 
+def _rowwise_kron(t, g):
+    """(N, a b) matrix whose row x is kron(t[x], g[x])."""
+    return (t[:, :, None] * g[:, None, :]).reshape(len(t), -1)
+
+
+def _gradients(vops):
+    return [ambient_gradient(vops.ops, i) for i in range(vops.n)]
+
+
+def _h_factor(P, G, i):
+    # H_i = this (I_n kron U^T); row block j holds diag(p_jk) G_i, all k
+    return np.vstack([_rowwise_kron(P[:, j], G[i]) for j in range(len(G))])
+
+
+def _s_factor(P, G, i):
+    # S_i = this (I_n kron U^T); row block j holds diag(p_ki) G_j, all k
+    return np.vstack([_rowwise_kron(P[:, :, i], Gj) for Gj in G])
+
+
 def potimes_matrix(vops):
     """Dense block projection: block (i, j) is diag of the (i, j) entries."""
     P = vops.proj.mats
@@ -94,38 +118,36 @@ def potimes_matrix(vops):
 
 
 def h_matrix(vops, i):
-    """H_i: block (j, k) = diag(p_jk) G_i."""
-    P = vops.proj.mats
-    G = ambient_gradient(vops.ops, i)
-    N, n = vops.N, vops.n
-    out = np.empty((n * N, n * N))
-    for j in range(n):
-        for k in range(n):
-            out[j * N:(j + 1) * N, k * N:(k + 1) * N] = \
-                P[:, j, k][:, None] * G
-    return out
+    """Dense H_i: block (j, k) = diag(p_jk) G_i U^T."""
+    F = _h_factor(vops.proj.mats, _gradients(vops), i)
+    return blockwise(vops.ops.U, F.T).T
 
 
 def s_matrix(vops, i):
-    """S_i: block (j, k) = diag(p_ki) G_j."""
-    P = vops.proj.mats
-    N, n = vops.N, vops.n
-    out = np.empty((n * N, n * N))
-    for j in range(n):
-        Gj = ambient_gradient(vops.ops, j)
-        for k in range(n):
-            out[j * N:(j + 1) * N, k * N:(k + 1) * N] = \
-                P[:, k, i][:, None] * Gj
-    return out
+    """Dense S_i: block (j, k) = diag(p_ki) G_j U^T."""
+    F = _s_factor(vops.proj.mats, _gradients(vops), i)
+    return blockwise(vops.ops.U, F.T).T
 
 
-def _subtract_gram_blocks(L, G):
-    # L -= [G_j G_k] in place
-    n = len(G)
-    N = G[0].shape[0]
-    for j in range(n):
-        for k in range(n):
-            L[j * N:(j + 1) * N, k * N:(k + 1) * N] -= G[j] @ G[k]
+def _nonsymmetric_factor(vops, swap, div):
+    """F (nN, nr) of the paper's ambient form
+    L = -sum_i H_i (H_i + swap S_i) - div [G_j U^T G_k U^T] = F (I_n kron U^T):
+    with H_i and S_i factored, each product keeps a small nr x nr middle."""
+    U, P, G = vops.ops.U, vops.proj.mats, _gradients(vops)
+    F = np.zeros((vops.n * vops.N, vops.n * U.shape[1]))
+    for i in range(vops.n):
+        Hi = _h_factor(P, G, i)
+        Fi = Hi
+        if swap:
+            Fi = _s_factor(P, G, i)
+            Fi *= swap
+            Fi += Hi
+        middle = blockwise(U.T, Fi)
+        del Fi
+        F -= Hi @ middle
+    if div:
+        F -= np.vstack(G) @ np.hstack([U.T @ Gk for Gk in G])
+    return F
 
 
 def tangent_range_basis(proj):
@@ -143,47 +165,40 @@ def tangent_range_basis(proj):
         shape=(n * N, d * N))
 
 
-def _frame_covariant_derivative(vops):
-    """The d matrices K_c (dN x dN) of the covariant derivative along frame
-    vector c, in frame coordinates on both sides:
-
-        K_c[(b, r), (a, k)] = D_c[r, k] * (T(x_r)[:, b] . T(x_k)[:, a]).
-
-    Row (b, r) of K_c u is the component X_cb(x_r) of the covariant gradient
-    of the field with frame coordinates u.
-    """
-    T = vops.proj.frames
-    d = T.shape[2]
-    C = [[T[:, :, b] @ T[:, :, a].T for a in range(d)] for b in range(d)]
-    return [np.block([[Dc * C[b][a] for a in range(d)] for b in range(d)])
-            for Dc in vops.ops.G]
-
-
 def _symmetric_pair(vops, q, swap, coeff, div):
-    """A = coeff sum_c F_c^T Qt^{-1} F_c (+ Delta^T Q^{-1} Delta) on frame
-    coordinates, B = Qt^{-1}, Qt = diag(q tiled d times). Row block b of
-    F_c is row block b of K_c plus swap times row block c of K_b, so F_c u
-    holds X_cb + swap X_bc; Delta = sum_c (row block c of K_c) is the
-    divergence."""
-    N = vops.N
-    qinv = inverse_density(q, N)
-    cov = _frame_covariant_derivative(vops)
-    d = len(cov)
-    qtinv = np.tile(qinv, d)
-    A = np.zeros((d * N, d * N))
-    for c, Kc in enumerate(cov):
-        F = Kc
-        if swap:
-            F = np.vstack([Kb[c * N:(c + 1) * N] for Kb in cov])
-            F *= swap
-            F += Kc
-        A += coeff * (F.T @ (qtinv[:, None] * F))
-        del F
+    """Frame-coordinate pencil (R A R^T) v = lambda Qt^{-1} v with
+    Qt = diag(q tiled d times) and R = W^T (I_n kron U): row (a, k) of R is
+    kron(T(x_k)[:, a], U[k]).
+
+    The frame covariant derivative along c, K_c[(b, x), (a, k)] =
+    D_c[x, k] (T(x)[:, b] . T(x_k)[:, a]), has row block b equal to
+    C(b, c) R^T with C(b, c) = rows kron(T(x)[:, b], G_c[x]). So
+    X_cb + swap X_bc is F_cb R^T with F_cb = C(b, c) + swap C(c, b), the
+    divergence is (sum_c C(c, c)) R^T, and
+    A = coeff sum_{b,c} F_cb^T Q^{-1} F_cb (+ Delta^T Q^{-1} Delta).
+    """
+    qinv = inverse_density(q, vops.N)
+    T, G = vops.proj.frames, vops.ops.G
+    d = len(G)
+    root = np.sqrt(qinv)[:, None]
+
+    def part(b, c):
+        return _rowwise_kron(T[:, :, b], root * G[c])
+
+    A = 0.0
+    for c in range(d):
+        for b in range(d):
+            F = part(b, c)
+            if swap:
+                F += swap * part(c, b)
+            A += F.T @ F
+    A *= coeff
     if div:
-        Delta = sum(Kc[c * N:(c + 1) * N] for c, Kc in enumerate(cov))
-        A += Delta.T @ (qinv[:, None] * Delta)
-    A = 0.5 * (A + A.T)
-    return GeneralizedPair(A=A, B_diag=qtinv,
+        Delta = sum(part(c, c) for c in range(d))
+        A += Delta.T @ Delta
+    R = np.vstack([_rowwise_kron(T[:, :, a], vops.ops.U) for a in range(d)])
+    # every term is some X^T X, which numpy forms exactly symmetric
+    return GeneralizedPair(A=A, B_diag=np.tile(qinv, d), factor=R,
                            range_basis=tangent_range_basis(vops.proj))
 
 
@@ -193,21 +208,7 @@ def _laplacian(name, kind, vops, q):
         return _symmetric_pair(vops, q, swap, coeff, div)
     if kind != "nonsymmetric":
         raise ValueError(f"unknown estimator kind {kind!r}")
-    dim = vops.n * vops.N
-    L = np.zeros((dim, dim))
-    for i in range(vops.n):
-        Hi = h_matrix(vops, i)
-        F = Hi
-        if swap:
-            F = s_matrix(vops, i)
-            F *= swap
-            F += Hi
-        L -= Hi @ F
-        del F
-    if div:
-        _subtract_gram_blocks(
-            L, [ambient_gradient(vops.ops, j) for j in range(vops.n)])
-    return L
+    return _nonsymmetric_factor(vops, swap, div)
 
 
 def bochner(kind, vops, q=None):
@@ -237,9 +238,10 @@ def covariant_derivative(vops, system, U, Y):
         VectorField.from_samples(U).components()
     Yc = Y.components() if isinstance(Y, VectorField) else \
         VectorField.from_samples(Y).components()
+    coeffs = Yc @ system.U
     W = np.zeros_like(Yc)
     for r in range(n):
         for k in range(n):
-            W[r] += Uc[k] * (D[k] @ Yc[r])
+            W[r] += Uc[k] * (D[k] @ coeffs[r])
     out = np.einsum("kij,jk->ik", vops.proj.mats, W)
     return VectorField(vec=out.reshape(-1).copy(), n=n)

@@ -242,6 +242,22 @@ def test_report_files_deterministic(tmp_path):
     assert report["convergence"][0][0] == 144
 
 
+def test_run_outputs_explain_the_trivial_cluster(tmp_path):
+    # NRBF LB is solved on the rank_L range of Phi^+: the other N - rank_L
+    # modes are exact zeros, counted in the run log and the CSV header
+    rep = run_experiment(make_config(manifold=Sphere()))
+    rep.write(tmp_path, prefix="run")
+    log = json.loads((tmp_path / "run_runlog.jsonl").read_text())
+    assert log["solve_dim"] == log["rank_L"] < 144
+    assert log["structural_zeros"] == 144 - log["rank_L"]
+    path = tmp_path / "run_N144_seed0_spectrum.csv"
+    assert (f"structural_zeros={log['structural_zeros']} "
+            f"solve_dim={log['solve_dim']}") in path.read_text()
+    data = np.loadtxt(path, delimiter=",")
+    assert len(data) == 144
+    assert np.sum(data[:, 4]) >= log["structural_zeros"]
+
+
 def test_larger_interpolation_cloud_improves_modes():
     errs = {}
     with warnings.catch_warnings():

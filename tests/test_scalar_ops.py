@@ -1,5 +1,7 @@
 """Tangential derivative matrices and the two discrete Laplacians."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -48,7 +50,7 @@ def plane_system(N=150, seed=3, s=0.02):
 
 def test_gradient_of_constant_near_zero(circle_ops):
     _, ops, _ = circle_ops
-    one = np.ones(ops.N)
+    one = ops.U.T @ np.ones(ops.N)      # D_a = G_a U^T
     for Gi in ops.G:
         assert np.abs(Gi @ one).max() <= 1e-3
 
@@ -56,7 +58,7 @@ def test_gradient_of_constant_near_zero(circle_ops):
 def test_circle_sine_gradient(circle_ops):
     cloud, ops, _ = circle_ops
     theta = np.arctan2(cloud.points[:, 1], cloud.points[:, 0])
-    f = np.sin(theta)
+    f = ops.U.T @ np.sin(theta)
     got = np.column_stack([ambient_gradient(ops, i) @ f for i in range(2)])
     want = np.cos(theta)[:, None] * np.column_stack([-np.sin(theta),
                                                      np.cos(theta)])
@@ -69,7 +71,8 @@ def test_plane_linear_gradient():
     f = a * coeff[:, 0] + b * coeff[:, 1]
     ops = build_grad_matrices(system, proj)
     want = a * t1 + b * t2
-    got = np.column_stack([ambient_gradient(ops, i) @ f for i in range(3)])
+    got = np.column_stack([ambient_gradient(ops, i) @ (ops.U.T @ f)
+                           for i in range(3)])
     assert np.abs(got - want[None, :]).max() <= 1e-6
 
 
@@ -105,15 +108,15 @@ def test_frame_gradient_matches_projected_ambient():
 
 def test_nonsymmetric_constant_near_harmonic(circle_ops):
     _, ops, _ = circle_ops
-    L = laplace_beltrami_nonsymmetric(ops)
-    assert np.abs(L @ np.ones(ops.N)).max() <= 1e-2
+    L = laplace_beltrami_nonsymmetric(ops)      # L U^T is the operator
+    assert np.abs(L @ (ops.U.T @ np.ones(ops.N))).max() <= 1e-2
 
 
 def test_circle_spectrum_squares(circle_ops):
     # unit circle Laplacian spectrum is k^2 with multiplicity 2
     _, ops, _ = circle_ops
     L = laplace_beltrami_nonsymmetric(ops)
-    res = solve_nonsymmetric(L, k=ops.N)
+    res = solve_nonsymmetric(L, k=ops.N, basis=ops.U)
     vals = res.nontrivial_values()[:6]
     assert np.abs(vals.imag).max() <= 1e-3
     assert np.abs(vals.real - np.array([1, 1, 4, 4, 9, 9])).max() <= 1e-2
@@ -193,7 +196,8 @@ def test_formulation_consistency_grid_circle():
     system = build_system(cloud, KernelModel("inverse_quadratic", 0.5))
     ops = build_grad_matrices(system, proj)
     L = laplace_beltrami_nonsymmetric(ops)
-    nrbf = np.abs(solve_nonsymmetric(L, k=400).nontrivial_values()[:5])
+    nrbf = np.abs(solve_nonsymmetric(L, k=400, basis=ops.U)
+                  .nontrivial_values()[:5])
     pair = laplace_beltrami_symmetric(ops, sampling_density(circle, cloud))
     srbf = solve_symmetric(pair, k=400).nontrivial_values()[:5]
     assert np.abs(nrbf - srbf).max() / srbf.max() <= 5e-2
@@ -212,3 +216,34 @@ def test_sphere_grid_symmetric_spectrum():
     want = np.array([2, 2, 2, 6, 6, 6, 6, 6], dtype=float)
     assert (np.abs(vals - want) / want).max() <= 0.15
 
+
+
+# -- degenerate input -----------------------------------------------------------
+
+
+def test_duplicated_points_give_structural_zeros():
+    # every point of a 90-point sphere cloud appears twice: Phi has rank at
+    # most 90 of 180, and both Laplacians stay finite with N - rank_L exact
+    # structural zeros in their spectra
+    sphere = Sphere()
+    base = sample_manifold(sphere, 90, seed=4, mode="random_area")
+    cloud = PointCloud(points=np.vstack([base.points, base.points]),
+                       intrinsic=np.vstack([base.intrinsic, base.intrinsic]),
+                       spec=sphere)
+    proj = analytic_projection(cloud)
+    system = build_system(cloud, KernelModel("gaussian", 3.0))
+    assert 0 < system.rank_L <= 90
+    ops = build_grad_matrices(system, proj)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        srbf = solve_symmetric(laplace_beltrami_symmetric(ops, np.ones(180)),
+                               180)
+        nrbf = solve_nonsymmetric(laplace_beltrami_nonsymmetric(ops), 180,
+                                  basis=ops.U)
+    for res in (srbf, nrbf):
+        assert len(res.all_values) == 180
+        assert np.all(np.isfinite(res.all_values))
+        assert np.all(np.isfinite(res.vectors))
+        assert res.structural_zeros == 180 - system.rank_L
+        assert res.rank_L <= system.rank_L
+    assert srbf.all_values.min() >= -srbf.trivial_cutoff

@@ -1,5 +1,7 @@
 """Eigensolvers, mode ordering, OLS alignment, error metrics, CSV export."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -42,13 +44,11 @@ def test_symmetric_b_orthonormal_and_residual():
 
 
 def test_symmetric_rejects_indefinite():
+    # B is always diagonal; a zero or negative entry is not definite
     A = np.eye(3)
-    with pytest.raises(ValueError):
-        solve_symmetric(GeneralizedPair(A=A, B_diag=np.array([1.0, -1.0, 1.0])),
-                        k=2)
-    B = np.diag([1.0, 1.0, -1.0])
-    with pytest.raises(ValueError):
-        solve_symmetric(GeneralizedPair(A=A, B=B), k=2)
+    for b in ([1.0, -1.0, 1.0], [1.0, 0.0, 1.0]):
+        with pytest.raises(ValueError, match="positive definite"):
+            solve_symmetric(GeneralizedPair(A=A, B_diag=np.array(b)), k=2)
 
 
 def test_symmetric_k_too_large():
@@ -101,6 +101,62 @@ def test_trivial_flagging():
     assert np.allclose(res.nontrivial_values().real, [1.0, 2.0])
     assert res.rank_L == 2
     assert len(res.all_values) == 4
+
+
+# -- factored operators --------------------------------------------------------
+
+
+def random_factored(dim, p, seed):
+    rng = np.random.default_rng(seed)
+    U, _r = np.linalg.qr(rng.standard_normal((dim, p)))
+    return rng, U
+
+
+def test_factored_symmetric_matches_dense_pencil():
+    # reduced (p <= 2/3 dim) and folded (p > 2/3 dim) pencils R A R^T
+    for p in (12, 35):
+        rng, R = random_factored(40, p, p)
+        G = rng.standard_normal((p, p))
+        A = G @ G.T
+        b = rng.uniform(0.5, 2.0, 40)
+        res = solve_symmetric(GeneralizedPair(A=A, B_diag=b, factor=R), 40)
+        dense = solve_symmetric(GeneralizedPair(A=R @ A @ R.T, B_diag=b), 40)
+        assert res.structural_zeros == (40 - p if p == 12 else 0)
+        assert len(res.all_values) == 40
+        assert np.abs(res.all_values - dense.all_values).max() <= \
+            1e-12 * dense.all_values.max()
+        V = res.vectors
+        assert V.shape == (40, res.solve_dim)
+        assert np.abs(V.T @ (b[:, None] * V) - np.eye(res.solve_dim)).max() \
+            <= 1e-10
+        resid = R @ A @ R.T @ V - b[:, None] * V * res.values[None, :]
+        assert np.linalg.norm(resid) <= 1e-10 * np.linalg.norm(A)
+
+
+def test_factored_nonsymmetric_null_modes_are_finite_unit_vectors():
+    # F has zero columns, so the reduced matrix has exact null vectors y
+    # with F y = 0; their lifts must still be finite unit vectors
+    rng, U = random_factored(30, 10, 4)
+    F = rng.standard_normal((60, 20))
+    F[:, [0, 13]] = 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = solve_nonsymmetric(F, 60, basis=U)
+    assert res.structural_zeros == 40 and res.solve_dim == 20
+    assert np.all(res.all_values[:40] == 0.0)
+    assert res.vectors.shape == (60, 20)
+    assert np.all(np.isfinite(res.vectors))
+    assert np.allclose(np.linalg.norm(res.vectors, axis=0), 1.0, atol=1e-12)
+    assert np.sum(res.trivial) >= 2
+    L = F @ np.kron(np.eye(2), U.T)
+    resid = L @ res.vectors - res.vectors * res.values[None, :]
+    assert np.linalg.norm(resid) <= 1e-12 * np.linalg.norm(L)
+
+
+def test_factored_nonsymmetric_rejects_mismatched_basis():
+    _rng, U = random_factored(30, 10, 5)
+    with pytest.raises(ValueError, match="basis"):
+        solve_nonsymmetric(np.ones((60, 15)), 10, basis=U)
 
 
 # -- OLS alignment -------------------------------------------------------------
@@ -183,6 +239,19 @@ def test_spectrum_csv(tmp_path):
     assert data.shape == (3, 5)
     assert list(data[:, 4]) == [1.0, 0.0, 0.0]      # trivial flags
     assert np.allclose(data[:, 3], [1e-13, 1.0, 2.0])
+
+
+def test_spectrum_csv_reports_structural_zeros(tmp_path):
+    # the header explains the trivial cluster: exact zeros never computed
+    _rng, U = random_factored(20, 4, 6)
+    F = np.random.default_rng(7).standard_normal((20, 4))
+    res = solve_nonsymmetric(F, 20, basis=U)
+    path = tmp_path / "spec.csv"
+    write_spectrum_csv(path, res)
+    assert "rank_L=4 structural_zeros=16 solve_dim=4" in path.read_text()
+    data = np.loadtxt(path, delimiter=",")
+    assert data.shape == (20, 5)
+    assert np.all(data[:16, 4] == 1.0) and np.all(data[:16, 1:4] == 0.0)
 
 
 def test_alignment_csv(tmp_path):

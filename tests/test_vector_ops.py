@@ -2,14 +2,18 @@
 derivative. The ellipse cases check against closed-form 1D tensor calculus:
 for U = sin(theta) d_theta on x(theta) = (cos t, a sin t) the covariant
 gradient coefficient is u1_cov = cos t + sin t g'/(2g) with
-g = sin^2 t + a^2 cos^2 t."""
+g = sin^2 t + a^2 cos^2 t. The factored operators are checked against dense
+nN x nN references built here block by block."""
 
 import numpy as np
 import pytest
 
-from manifold_rbf.rbf import KernelModel, build_system
-from manifold_rbf.scalar_ops import ambient_gradient, build_grad_matrices
-from manifold_rbf.spectral import solve_symmetric
+from manifold_rbf.rbf import KernelModel, blockwise, build_system
+from manifold_rbf.scalar_ops import (GeneralizedPair, ambient_gradient,
+                                     build_grad_matrices,
+                                     laplace_beltrami_nonsymmetric,
+                                     laplace_beltrami_symmetric)
+from manifold_rbf.spectral import solve_nonsymmetric, solve_symmetric
 from manifold_rbf.tangent import ProjectionField, second_order_svd
 from manifold_rbf.vector_ops import (LAPLACIANS, VectorField, bochner,
                                      build_vector_ops, covariant_derivative,
@@ -56,6 +60,60 @@ def plane_setup(N=150, seed=3):
     system = build_system(cloud, KernelModel("gaussian", 0.02, pinv_tol=1e-12))
     vops = build_vector_ops(build_grad_matrices(system, proj), proj)
     return cloud, proj, system, vops, (t1, t2)
+
+
+# -- dense references -----------------------------------------------------------
+# The operators are stored factored through I_n kron U^T; these build the
+# nN x nN blocks of the paper's ambient form one diagonal scaling at a time.
+
+
+def dense_gradients(vops):
+    """The n dense ambient gradient matrices G_i U^T."""
+    U = vops.ops.U
+    return [ambient_gradient(vops.ops, i) @ U.T for i in range(vops.n)]
+
+
+def ref_potimes(vops):
+    P = vops.proj.mats
+    N, n = vops.N, vops.n
+    out = np.zeros((n * N, n * N))
+    rng = np.arange(N)
+    for i in range(n):
+        for j in range(n):
+            out[i * N + rng, j * N + rng] = P[:, i, j]
+    return out
+
+
+def ref_h(vops, i, G):
+    # block (j, k) = diag(p_jk) G_i
+    P = vops.proj.mats
+    return np.block([[P[:, j, k][:, None] * G[i] for k in range(vops.n)]
+                     for j in range(vops.n)])
+
+
+def ref_s(vops, i, G):
+    # block (j, k) = diag(p_ki) G_j
+    P = vops.proj.mats
+    return np.block([[P[:, k, i][:, None] * G[j] for k in range(vops.n)]
+                     for j in range(vops.n)])
+
+
+def ref_nonsymmetric(vops, name):
+    # -sum_i H_i (H_i + swap S_i) - div [G_j G_k]
+    swap, _coeff, div = LAPLACIANS[name]
+    G = dense_gradients(vops)
+    L = np.zeros((vops.n * vops.N,) * 2)
+    for i in range(vops.n):
+        Hi = ref_h(vops, i, G)
+        L -= Hi @ (Hi + swap * ref_s(vops, i, G))
+    if div:
+        L -= np.block([[Gj @ Gk for Gk in G] for Gj in G])
+    return L
+
+
+def apply_factored(F, U, vec):
+    """The operator F (I_n kron U^T) applied to a stacked vector."""
+    return F @ blockwise(U.T, vec[:, None])[:, 0]
 
 
 # -- field container ----------------------------------------------------------
@@ -153,14 +211,16 @@ def analytic_bochner(e):
 
 def test_ellipse_bochner_field_error(ellipse):
     B = bochner("nonsymmetric", ellipse["vops"])
-    got = (B @ ellipse["U"].vec).reshape(2, -1).T
+    got = apply_factored(B, ellipse["system"].U,
+                         ellipse["U"].vec).reshape(2, -1).T
     err = np.abs(got - analytic_bochner(ellipse))
     assert err[:, 0].max() <= 0.05
 
 
 def test_ellipse_lichnerowicz_field_error(ellipse):
     L = lichnerowicz("nonsymmetric", ellipse["vops"])
-    got = (L @ ellipse["U"].vec).reshape(2, -1).T
+    got = apply_factored(L, ellipse["system"].U,
+                         ellipse["U"].vec).reshape(2, -1).T
     err = np.abs(got - 2 * analytic_bochner(ellipse))
     assert err[:, 0].max() <= 0.1
 
@@ -168,13 +228,13 @@ def test_ellipse_lichnerowicz_field_error(ellipse):
 def test_one_dim_identities():
     # wide kernel regime where the discrete grad/div compositions agree
     e = ellipse_setup(N=800, s=4.5)
-    B = bochner("nonsymmetric", e["vops"])
-    H = hodge("nonsymmetric", e["vops"])
-    L = lichnerowicz("nonsymmetric", e["vops"])
-    BU = B @ e["U"].vec
+    U, vec = e["system"].U, e["U"].vec
+    BU = apply_factored(bochner("nonsymmetric", e["vops"]), U, vec)
+    HU = apply_factored(hodge("nonsymmetric", e["vops"]), U, vec)
+    LU = apply_factored(lichnerowicz("nonsymmetric", e["vops"]), U, vec)
     scale = np.linalg.norm(BU)
-    assert np.linalg.norm(H @ e["U"].vec - BU) <= 1e-6 * scale
-    assert np.linalg.norm(L @ e["U"].vec - 2 * BU) <= 1e-4 * scale
+    assert np.linalg.norm(HU - BU) <= 1e-6 * scale
+    assert np.linalg.norm(LU - 2 * BU) <= 1e-4 * scale
 
 
 def test_rejects_unknown_kind(ellipse):
@@ -195,11 +255,14 @@ def ellipse_symmetric(ellipse):
     return q, pairs
 
 
-def test_symmetric_pairs_structure(ellipse_symmetric):
+def test_symmetric_pairs_structure(ellipse, ellipse_symmetric):
     q, pairs = ellipse_symmetric
+    r = ellipse["system"].rank_L
     for pair in pairs.values():
-        # ellipse: d = 1, so the pencils live on N frame coordinates
-        assert pair.A.shape == (400, 400)
+        # ellipse: d = 1, so the pencils live on N frame coordinates and
+        # factor through the n r = 2 r columns of W^T (I_2 kron U)
+        assert pair.A.shape == (2 * r, 2 * r)
+        assert pair.factor.shape == (400, 2 * r)
         assert np.array_equal(pair.A, pair.A.T)
         assert pair.B is None and np.array_equal(pair.B_diag, 1.0 / q)
         assert pair.range_basis.shape == (800, 400)
@@ -243,15 +306,17 @@ def test_symmetric_half_factor(ellipse):
     vops = ellipse["vops"]
     q = sampling_density(Ellipse(2.0), ellipse["cloud"])
     qt = np.tile(1.0 / q, 2)
-    Pot = potimes_matrix(vops)
+    G = dense_gradients(vops)
+    Pot = ref_potimes(vops)
     manual = np.zeros_like(Pot)
     for i in range(2):
-        M = (h_matrix(vops, i) + s_matrix(vops, i)) @ Pot
+        M = (ref_h(vops, i, G) + ref_s(vops, i, G)) @ Pot
         manual += 0.5 * (M.T @ (qt[:, None] * M))
     W = tangent_range_basis(vops.proj).toarray()
     manual = W.T @ manual @ W
     pair = lichnerowicz("symmetric", vops, q)
-    assert np.abs(pair.A - manual).max() <= 1e-12 * np.abs(manual).max()
+    got = pair.factor @ pair.A @ pair.factor.T
+    assert np.abs(got - manual).max() <= 1e-12 * np.abs(manual).max()
 
 
 def ambient_pencil(vops, q, name):
@@ -261,13 +326,13 @@ def ambient_pencil(vops, q, name):
     n, N = vops.n, vops.N
     qinv = 1.0 / q
     qt = np.tile(qinv, n)
-    Pot = potimes_matrix(vops)
+    G = dense_gradients(vops)
+    Pot = ref_potimes(vops)
     A = np.zeros_like(Pot)
     for i in range(n):
-        M = (h_matrix(vops, i) + swap * s_matrix(vops, i)) @ Pot
+        M = (ref_h(vops, i, G) + swap * ref_s(vops, i, G)) @ Pot
         A += coeff * (M.T @ (qt[:, None] * M))
     if div:
-        G = [ambient_gradient(vops.ops, j) for j in range(n)]
         K = np.block([[G[j].T @ (qinv[:, None] * G[k]) for k in range(n)]
                       for j in range(n)])
         A += Pot @ K @ Pot
@@ -276,7 +341,7 @@ def ambient_pencil(vops, q, name):
 
 @pytest.mark.parametrize("name", sorted(LAPLACIANS))
 def test_frame_pencil_matches_ambient_reference(name):
-    # the dN frame-basis pencil is W^T A W of the nN ambient form
+    # the dN frame-basis pencil R A R^T is W^T A W of the nN ambient form
     cloud = sample_manifold(Sphere(), 150, seed=1, mode="random_area")
     proj = analytic_projection(cloud)
     system = build_system(cloud, KernelModel("inverse_quadratic", 0.5))
@@ -286,7 +351,8 @@ def test_frame_pencil_matches_ambient_reference(name):
     want = W.T @ ambient_pencil(vops, q, name) @ W
     pair = {"bochner": bochner, "hodge": hodge,
             "lichnerowicz": lichnerowicz}[name]("symmetric", vops, q)
-    assert np.linalg.norm(pair.A - want) <= 1e-12 * np.linalg.norm(want)
+    got = pair.factor @ pair.A @ pair.factor.T
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
     assert np.array_equal(pair.B_diag, np.tile(1.0 / q, 2))
 
 
@@ -300,6 +366,107 @@ def test_symmetric_vector_forms_reject_bad_density(ellipse, op):
     for bad in (None, q[:-1], nan, zero):
         with pytest.raises(ValueError, match="density"):
             op("symmetric", ellipse["vops"], bad)
+
+
+# -- factored operators against the dense references ---------------------------
+
+FORMS = {"bochner": bochner, "hodge": hodge, "lichnerowicz": lichnerowicz}
+
+
+@pytest.fixture(scope="module")
+def sphere_small():
+    # rank_L = 72: every form is solved at its reduced size (3 r <= 2/3 d N)
+    cloud = sample_manifold(Sphere(), 200, seed=3, mode="random_area")
+    proj = analytic_projection(cloud)
+    system = build_system(cloud, KernelModel("inverse_quadratic", 0.4))
+    vops = build_vector_ops(build_grad_matrices(system, proj), proj)
+    q = np.random.default_rng(5).uniform(0.5, 2.0, cloud.N)
+    return vops, q
+
+
+def test_dense_blocks_match_references(sphere_small):
+    vops, _q = sphere_small
+    G = dense_gradients(vops)
+    assert np.array_equal(potimes_matrix(vops), ref_potimes(vops))
+    for i in range(vops.n):
+        for got, want in ((h_matrix(vops, i), ref_h(vops, i, G)),
+                          (s_matrix(vops, i), ref_s(vops, i, G))):
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("name", sorted(LAPLACIANS))
+def test_nonsymmetric_factor_matches_dense_reference(sphere_small, name):
+    # F (I_n kron U^T) is the paper's nN x nN ambient operator
+    vops, _q = sphere_small
+    F = FORMS[name]("nonsymmetric", vops)
+    r = vops.ops.U.shape[1]
+    assert F.shape == (3 * vops.N, 3 * r)
+    got = blockwise(vops.ops.U, F.T).T
+    want = ref_nonsymmetric(vops, name)
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def nontrivial(values, cutoff):
+    return values[np.abs(values) >= cutoff]
+
+
+def assert_same_values(got, want, scale):
+    # every value of each list lies within 1e-10 scale of one of the other
+    assert len(got) == len(want)
+    gap = np.abs(got[:, None] - want[None, :])
+    assert max(gap.min(axis=0).max(), gap.min(axis=1).max()) <= 1e-10 * scale
+
+
+def dense_form(vops, q, method, name):
+    """The dense operator (NRBF) or dense pencil (SRBF) for one study."""
+    ops = vops.ops
+    if name == "lb" and method == "NRBF":
+        G = [ambient_gradient(ops, i) @ ops.U.T for i in range(vops.n)]
+        return -sum(Gi @ Gi for Gi in G)
+    if name == "lb":
+        D = [Ga @ ops.U.T for Ga in ops.G]
+        return GeneralizedPair(A=sum(Da.T @ (Da / q[:, None]) for Da in D),
+                               B_diag=1.0 / q)
+    if method == "NRBF":
+        return ref_nonsymmetric(vops, name)
+    W = tangent_range_basis(vops.proj).toarray()
+    return GeneralizedPair(A=W.T @ ambient_pencil(vops, q, name) @ W,
+                           B_diag=np.tile(1.0 / q, 2))
+
+
+@pytest.mark.parametrize("method", ["NRBF", "SRBF"])
+@pytest.mark.parametrize("name", ["lb"] + sorted(LAPLACIANS))
+def test_reduced_spectrum_matches_dense_solve(sphere_small, method, name):
+    vops, q = sphere_small
+    ops, U = vops.ops, vops.ops.U
+    dense = dense_form(vops, q, method, name)
+    if method == "NRBF":
+        F = laplace_beltrami_nonsymmetric(ops) if name == "lb" else \
+            FORMS[name]("nonsymmetric", vops)
+        res = solve_nonsymmetric(F, F.shape[0], basis=U)
+        full = np.linalg.eigvals(dense)
+    else:
+        pair = laplace_beltrami_symmetric(ops, q) if name == "lb" else \
+            FORMS[name]("symmetric", vops, q)
+        res = solve_symmetric(pair, len(pair.B_diag))
+        full = solve_symmetric(dense, len(dense.B_diag)).all_values
+    m = 1 if name == "lb" else 3
+    assert res.solve_dim == m * U.shape[1]
+    assert res.structural_zeros == len(full) - res.solve_dim
+    assert np.sum(res.all_values == 0.0) >= res.structural_zeros
+    scale = np.abs(full).max()
+    assert_same_values(nontrivial(res.all_values, res.trivial_cutoff),
+                       nontrivial(full, res.trivial_cutoff), scale)
+    if method == "NRBF":
+        # lifted vectors are unit eigenvectors of the dense operator; near
+        # the trivial cutoff the residual sits at eps |L|, as it does for a
+        # dense eig, so the relative bound carries that floor
+        V = res.nontrivial_vectors()
+        lam = res.nontrivial_values()
+        assert np.allclose(np.linalg.norm(V, axis=0), 1.0, atol=1e-12)
+        resid = np.linalg.norm(dense @ V - V * lam[None, :], axis=0)
+        floor = 1e-13 * np.linalg.norm(dense, 2)
+        assert np.all(resid <= 1e-8 * np.abs(lam) + floor)
 
 
 # -- covariant derivative -------------------------------------------------------
