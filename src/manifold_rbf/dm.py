@@ -3,8 +3,13 @@
 KNN-sparsified Gaussian affinities with the density-cancelling
 normalization: the affinity is divided by the kernel density sums on both
 sides before the row-stochastic normalization, so the limit operator is the
-Laplace-Beltrami operator regardless of the sampling density. The final
-solve goes through the symmetric conjugation of the Markov matrix.
+Laplace-Beltrami operator regardless of the sampling density. The graph has
+at most 2 N K edges, so the affinity and the Laplacian are sparse (CSR) and
+every normalization is a diagonal scaling of the edge weights. The final
+solve goes through the symmetric conjugation of the Markov matrix: ARPACK's
+Lanczos iteration (Lehoucq, Sorensen & Yang, ARPACK Users' Guide, 1998)
+finds the k smallest modes and the largest eigenvalue, which sets the
+trivial-mode cutoff.
 """
 
 import warnings
@@ -12,6 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
+import scipy.sparse.linalg
 from scipy.sparse.csgraph import connected_components
 
 from .scalar_ops import GeneralizedPair
@@ -58,11 +65,20 @@ def autotune_epsilon(cloud, K_neighbors):
     return float(2.0 ** exponents[int(np.argmax(slope))])
 
 
+def _scale_edges(M, s):
+    # M <- diag(s) M diag(s) in place, on the stored entries of a CSR
+    # matrix; s_i * s_j is one product for (i, j) and (j, i), so a
+    # symmetric M stays exactly symmetric
+    rows = np.repeat(np.arange(M.shape[0]), np.diff(M.indptr))
+    M.data *= s[rows] * s[M.indices]
+
+
 def dm_laplacian(cloud, config):
     """Symmetrized graph Laplacian and the similarity back-transform.
 
-    Returns (pair, vec_scale): eigenvectors of the underlying Markov
-    generator are vec_scale * (eigenvectors of the symmetric pair).
+    Returns (pair, vec_scale): pair.A is the sparse symmetric Laplacian
+    (I - S) / eps, and eigenvectors of the underlying Markov generator are
+    vec_scale * (eigenvectors of pair.A).
     """
     points = np.asarray(cloud.points, dtype=float)
     N = points.shape[0]
@@ -72,35 +88,48 @@ def dm_laplacian(cloud, config):
         eps = autotune_epsilon(cloud, config.K_neighbors)
     idx, d2 = _knn_sq_distances(points, config.K_neighbors)
 
-    W = np.zeros((N, N))
-    rows = np.repeat(np.arange(N), idx.shape[1])
-    W[rows, idx.reshape(-1)] = np.exp(-d2.reshape(-1) / (4.0 * eps))
     # no self-loops: at bandwidths near the neighbor spacing a unit
-    # self-weight swamps the off-diagonal mass and biases all
-    # eigenvalues low, so the affinity keeps only true neighbor pairs
-    W[np.arange(N), np.arange(N)] = 0.0
-    W = np.maximum(W, W.T)        # symmetric KNN graph
+    # self-weight swamps the off-diagonal mass and biases all eigenvalues
+    # low, so the affinity keeps only true neighbor pairs (the KNN lists
+    # never hold the query point)
+    K = idx.shape[1]
+    W = scipy.sparse.csr_matrix(
+        (np.exp(-d2.reshape(-1) / (4.0 * eps)), idx.reshape(-1),
+         np.arange(0, N * K + 1, K)), shape=(N, N))
+    # symmetric KNN graph; maximum stores only nonzero results, so a weight
+    # that underflowed to zero is no edge
+    W = W.maximum(W.T)
 
-    n_comp, _labels = connected_components((W > 0).astype(np.int8),
-                                           directed=False)
+    n_comp, _labels = connected_components(W, directed=False)
     if n_comp > 1:
         warnings.warn(f"KNN graph has {n_comp} connected components; "
                       "spectrum computed anyway", RuntimeWarning)
 
-    q = W.sum(axis=1)             # kernel density estimate at the nodes
-    Wt = W / np.outer(q, q)
-    dt = Wt.sum(axis=1)
-    scale = 1.0 / np.sqrt(dt)
-    S = scale[:, None] * Wt * scale[None, :]
-    L = (np.eye(N) - S) / eps
-    L = 0.5 * (L + L.T)
+    q = np.asarray(W.sum(axis=1)).ravel()   # kernel density at the nodes
+    _scale_edges(W, 1.0 / q)                # density-cancelled affinity
+    scale = 1.0 / np.sqrt(np.asarray(W.sum(axis=1)).ravel())
+    _scale_edges(W, scale)                  # S, conjugate of the Markov matrix
+    L = (scipy.sparse.identity(N, format="csr") - W) / eps
     pair = GeneralizedPair(A=L, B_diag=np.ones(N))
     return pair, scale
 
 
 def dm_spectrum(cloud, config, k):
-    """Leading k eigenvalues/eigenvectors of the diffusion Laplacian."""
+    """The k smallest eigenvalues of the diffusion Laplacian, ascending,
+    their Markov eigenvectors (N, k), and the largest eigenvalue."""
     pair, scale = dm_laplacian(cloud, config)
-    lam, Z = scipy.linalg.eigh(pair.A)
-    vec = scale[:, None] * Z[:, :k]
-    return lam[:k], vec, lam
+    L = pair.A
+    N = L.shape[0]
+    if k >= N - 1:
+        # beyond what a Lanczos basis of at most N vectors can resolve
+        lam, Z = scipy.linalg.eigh(L.toarray())
+        return lam[:k], scale[:, None] * Z[:, :k], float(lam[-1])
+    # ARPACK's own start vector is not repeatable from call to call; a
+    # seeded one keeps the spectrum, and the CSVs written from it,
+    # bit-identical
+    v0 = np.random.default_rng(0).uniform(-1.0, 1.0, N)
+    lam, Z = scipy.sparse.linalg.eigsh(L, k, which="SA", v0=v0)
+    order = np.argsort(lam, kind="stable")
+    lam_max = scipy.sparse.linalg.eigsh(L, 1, which="LA", v0=v0,
+                                        return_eigenvectors=False)
+    return lam[order], scale[:, None] * Z[:, order], float(lam_max[0])

@@ -114,22 +114,28 @@ def memory_cap_bytes():
 
 
 def estimate_run_bytes(config, N):
-    """Peak bytes of the dense working set of one run at cloud size N.
+    """Peak bytes of the working set of one run at cloud size N.
 
-    Counted in N x N float64 matrices and calibrated against the tracemalloc
-    peak of the operator build plus solve; used only for the refusal guard.
-    Operators are factored through the r = rank_L retained eigenvectors of
+    Counted in float64 words and calibrated against the tracemalloc peak of
+    the operator build plus solve; used only for the refusal guard. RBF
+    operators are factored through the r = rank_L retained eigenvectors of
     Phi; r is unknown before the factorization, so the estimate takes the
     worst case r = N. The interpolation system and the d frame derivative
     factors take up to d + 8 N x N matrices; SRBF vector pencils add four
     (nN)^2 ones (the nr x nr form, its update, the dN x nr factor and the
     solver's copies), NRBF vector operators hold seven (the nN x nr factor,
     its orthonormal basis and the complex eigenvectors of the reduced
-    matrix, before and after the lift).
+    matrix, before and after the lift). The diffusion-maps baseline is
+    sparse: the KNN search and the CSR graph hold about 10 N K words for K
+    neighbors, and the Lanczos solve four N x ncv blocks (basis, work and
+    the eigenvectors before and after the back-transform) for ARPACK's
+    default ncv = max(2k + 1, 20) at k computed modes.
     """
     n, d = config.manifold.n, config.manifold.d
     if config.method == "DM":
-        words = 6 * N * N
+        K = config.dm_K or default_neighbor_count(N)
+        ncv = max(2 * _dm_mode_count(config, N) + 1, 20)
+        words = N * (10 * K + 4 * ncv)
     elif config.operator == "LB":
         words = (d + 8) * N * N
     elif config.operator == "Covariant":
@@ -141,12 +147,16 @@ def estimate_run_bytes(config, N):
     return 8 * words
 
 
+def _dm_mode_count(config, N):
+    return min(N, config.modes + 8)
+
+
 def check_memory(config, N):
     need = estimate_run_bytes(config, N)
     cap = memory_cap_bytes()
     if need > cap:
         raise RuntimeError(
-            f"refusing run at N={N}: estimated {need / 2**30:.2f} GiB dense "
+            f"refusing run at N={N}: estimated {need / 2**30:.2f} GiB "
             f"working set exceeds the {cap / 2**30:.2f} GiB cap "
             f"(raise {MEMORY_ENV_VAR} to override)")
 
@@ -225,6 +235,8 @@ def subset_cloud(cloud, N):
 
 def build_projection(config, cloud_full, N):
     op_cloud = subset_cloud(cloud_full, N)
+    if config.method == "DM":
+        return op_cloud, None       # the graph Laplacian reads no tangents
     if config.projection == "Analytic":
         return op_cloud, zoo.analytic_projection(op_cloud)
     K = config.K or tangent_default_K(config.manifold.d)
@@ -434,10 +446,11 @@ def run_experiment(config):
                 dm_cfg = DmConfig(
                     K_neighbors=config.dm_K or default_neighbor_count(N),
                     epsilon=config.dm_epsilon)
-                _lam, vec, all_lam = dm_spectrum(op_cloud, dm_cfg,
-                                                 min(N, config.modes + 8))
-                rec.result = symmetric_result(all_lam, vec,
-                                              config.kernel.pinv_tol)
+                lam, vec, lam_max = dm_spectrum(op_cloud, dm_cfg,
+                                                _dm_mode_count(config, N))
+                rec.result = symmetric_result(lam, vec,
+                                              config.kernel.pinv_tol,
+                                              radius=lam_max)
                 rec.rank_L = rec.result.rank_L
             else:
                 q = build_density(config, op_cloud)

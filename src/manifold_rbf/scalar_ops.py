@@ -108,6 +108,7 @@ class GeneralizedPair:
     always diagonal (B_diag). Vector pencils live on frame coordinates (d
     values per point); range_basis, when present, is the sparse map W
     (nN x dN) that lifts a solution Z to the stacked ambient field V = W Z.
+    The diffusion-maps Laplacian is a sparse (CSR) A with unit B.
     """
 
     A: np.ndarray

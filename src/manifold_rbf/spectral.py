@@ -35,11 +35,20 @@ VECTOR_ERROR_METRIC = "relative discrete L2 after OLS alignment"
 
 @dataclass
 class SpectralResult:
+    """Leading modes of one solve plus its spectrum.
+
+    all_values is the full spectrum of an RBF operator, structural zeros
+    included. A sparse solve that computes only the k leading modes (the
+    diffusion-maps baseline) holds just those k in all_values; rank_L and
+    solve_dim then count computed modes, and the trivial cutoff comes from
+    the largest eigenvalue, solved for separately.
+    """
+
     values: np.ndarray          # k leading computed eigenvalues
     vectors: np.ndarray         # (dim, k)
     ordering: str
-    rank_L: int                 # modes above the trivial cutoff, full spectrum
-    all_values: np.ndarray      # full spectrum, same ordering
+    rank_L: int                 # modes of all_values above the trivial cutoff
+    all_values: np.ndarray      # computed modes and structural zeros, ordered
     trivial: np.ndarray         # flags for the k selected modes
     trivial_cutoff: float = 0.0
     structural_zeros: int = 0   # exact zeros of all_values never computed
@@ -56,9 +65,11 @@ class SpectralResult:
         return self.vectors[:, ~self.trivial]
 
 
-def _trivial_cutoff(all_values, pinv_tol):
-    scale = float(np.max(np.abs(all_values))) if len(all_values) else 0.0
-    return 10.0 * pinv_tol * scale
+def _trivial_cutoff(all_values, pinv_tol, radius=None):
+    if radius is None:
+        radius = float(np.max(np.abs(all_values))) if len(all_values) \
+            else 0.0
+    return 10.0 * pinv_tol * radius
 
 
 def _check_count(k, dim):
@@ -66,8 +77,9 @@ def _check_count(k, dim):
         raise ValueError(f"requested {k} modes of a {dim}-dim operator")
 
 
-def _result(values, vectors, ordering, all_values, pinv_tol, zeros):
-    cutoff = _trivial_cutoff(all_values, pinv_tol)
+def _result(values, vectors, ordering, all_values, pinv_tol, zeros,
+            radius=None):
+    cutoff = _trivial_cutoff(all_values, pinv_tol, radius)
     return SpectralResult(values=values, vectors=vectors, ordering=ordering,
                           rank_L=int(np.sum(np.abs(all_values) >= cutoff)),
                           all_values=all_values,
@@ -112,14 +124,16 @@ def solve_symmetric(pair, k, pinv_tol=1e-8):
     return symmetric_result(lam, V, pinv_tol, len(b) - len(lam))
 
 
-def symmetric_result(values, vectors, pinv_tol, structural_zeros=0):
+def symmetric_result(values, vectors, pinv_tol, structural_zeros=0,
+                     radius=None):
     """SpectralResult of computed real values in ascending order whose
     leading vectors.shape[1] modes were kept; the structural zeros are
-    merged into all_values at their place in the order."""
+    merged into all_values at their place in the order. radius is the
+    largest |eigenvalue| when values hold only part of the spectrum."""
     all_values = np.insert(values, np.searchsorted(values, 0.0),
                            np.zeros(structural_zeros))
     return _result(values[:vectors.shape[1]], vectors, "by_real_ascending",
-                   all_values, pinv_tol, structural_zeros)
+                   all_values, pinv_tol, structural_zeros, radius)
 
 
 def solve_nonsymmetric(L, k, pinv_tol=1e-8, basis=None):
@@ -189,7 +203,11 @@ def align_eigenvectors_ols(F, U):
 
 
 def write_spectrum_csv(path, result, config_echo=None, extra_meta=None):
-    """Full spectrum as CSV: mode, re, im, magnitude, trivial flag."""
+    """Spectrum as CSV: mode, re, im, magnitude, trivial flag.
+
+    One row per entry of result.all_values: the full spectrum of an RBF
+    operator, the k computed leading modes of the diffusion-maps baseline.
+    """
     lam = np.asarray(result.all_values)
     rows = np.column_stack([
         np.arange(len(lam), dtype=float),

@@ -12,6 +12,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 _SCHEMA = "projection-v1"
 
@@ -72,30 +73,29 @@ def default_neighbor_count(d):
 
 
 def knn_indices(points, K, query_idx=None):
-    """Exact brute-force K nearest neighbors, excluding the query point.
+    """Exact K nearest neighbors, excluding the query point.
 
-    Returns (Q, K) indices into `points`. query_idx selects a subset of rows
-    to query (neighbors still searched in the full set).
+    Returns (Q, K) indices into `points`, ordered by distance then index.
+    query_idx selects a subset of rows to query (neighbors still searched in
+    the full set). One KD-tree query of K + 1 neighbors; the query point is
+    dropped by its index, since exact duplicates sit at distance 0 too and
+    may come before it.
     """
-    points = np.asarray(points)
+    points = np.asarray(points, dtype=float)
     N = points.shape[0]
     if K >= N:
         raise ValueError(f"K={K} must be smaller than the cloud size N={N}")
     if query_idx is None:
         query_idx = np.arange(N)
-    sq = np.sum(points * points, axis=1)
-    out = np.empty((len(query_idx), K), dtype=np.intp)
-    chunk = max(1, int(2e7) // max(N, 1))
-    for lo in range(0, len(query_idx), chunk):
-        idx = query_idx[lo:lo + chunk]
-        d2 = sq[idx][:, None] - 2.0 * points[idx] @ points.T + sq[None, :]
-        d2[np.arange(len(idx)), idx] = np.inf
-        part = np.argpartition(d2, K - 1, axis=1)[:, :K]
-        # order neighbors by distance for deterministic downstream math
-        rows = np.arange(len(idx))[:, None]
-        order = np.argsort(d2[rows, part], axis=1, kind="stable")
-        out[lo:lo + chunk] = part[rows, order]
-    return out
+    _dist, idx = cKDTree(points).query(points[query_idx], k=K + 1)
+    keep = idx != query_idx[:, None]
+    # a query point crowded out by duplicates: drop the farthest instead
+    keep[keep.all(axis=1), -1] = False
+    idx = idx[keep].reshape(len(query_idx), K)
+    diff = points[idx] - points[query_idx][:, None, :]
+    d2 = np.einsum("qkm,qkm->qk", diff, diff)
+    order = np.lexsort((idx, d2), axis=1)
+    return np.take_along_axis(idx, order, axis=1)
 
 
 def _difference_blocks(points, neighbors, query_idx):

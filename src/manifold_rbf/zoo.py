@@ -6,6 +6,7 @@ semi-analytic Laplacian eigen-truth, and the sampling density of
 intrinsic-uniform draws with respect to the Riemannian volume measure.
 """
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -731,8 +732,13 @@ def _sl_evaluators(spec, grid, theta_vec, m):
     return [ev_cos, ev_sin]
 
 
+@functools.lru_cache(maxsize=8)
 def scalar_eigen_truth(spec, count):
-    """Leading scalar Laplace-Beltrami spectrum with multiplicities."""
+    """Leading scalar Laplace-Beltrami spectrum with multiplicities.
+
+    Memoised per (spec, count), since the studies of one run share their
+    truth: callers get the same object and must not mutate it.
+    """
     if spec.kind == "sphere":
         return _sphere_scalar_truth(count)
     if spec.kind == "flat_torus":

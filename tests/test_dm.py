@@ -5,10 +5,13 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse.linalg
 
 from manifold_rbf.dm import (DmConfig, autotune_epsilon,
                              default_neighbor_count, dm_laplacian,
                              dm_spectrum)
+from manifold_rbf.spectral import symmetric_result
 from manifold_rbf.zoo import (Sphere, Torus, sample_manifold,
                               scalar_eigen_truth)
 
@@ -45,28 +48,35 @@ def test_autotune_scaling_homogeneity():
     assert 0.5 <= ratio <= 2.0
 
 
-def test_disconnected_clusters_zero_multiplicity():
+def test_disconnected_clusters_zero_multiplicity(K=5):
     rng = np.random.default_rng(0)
     blob = rng.standard_normal((20, 3))
     pts = np.vstack([blob, blob + np.array([100.0, 0.0, 0.0])])
     cloud = SimpleNamespace(points=pts)
     with pytest.warns(RuntimeWarning, match="connected components"):
-        vals, _, full = dm_spectrum(cloud, DmConfig(K_neighbors=5), k=3)
-    tiny = 1e-8 * np.abs(full).max()
+        vals, _, lam_max = dm_spectrum(cloud, DmConfig(K_neighbors=K), k=3)
+    tiny = 1e-8 * lam_max
     assert np.abs(vals[0]) <= tiny
     assert np.abs(vals[1]) <= tiny
     assert vals[2] > tiny
 
 
+def test_underflowed_weights_are_no_edges():
+    # with K = 25 the lists cross to the far blob, but those weights
+    # underflow to zero and must not join the components
+    test_disconnected_clusters_zero_multiplicity(K=25)
+
+
 def test_sphere_leading_eigenvalue():
     cloud = sample_manifold(Sphere(), 1024, seed=0, mode="random_area")
-    vals, vecs, full = dm_spectrum(cloud, DmConfig(K_neighbors=60), k=2)
+    vals, vecs, lam_max = dm_spectrum(cloud, DmConfig(K_neighbors=60), k=2)
     assert abs(vals[1] - 2.0) / 2.0 <= 0.10
     assert vals[1] == pytest.approx(1.9696656, abs=1e-4)
-    # real symmetric solve path: no negative modes beyond roundoff
-    assert full.min() >= -1e-8 * np.abs(full).max()
+    # real symmetric solve path: no negative modes beyond roundoff; the
+    # smallest algebraic modes hold the global minimum
+    assert vals.min() >= -1e-8 * lam_max
     # constant back-transformed zero mode
-    assert np.abs(vals[0]) <= 1e-8 * np.abs(full).max()
+    assert np.abs(vals[0]) <= 1e-8 * lam_max
     v0 = vecs[:, 0]
     assert np.std(v0) / np.abs(np.mean(v0)) <= 1e-8
 
@@ -79,9 +89,9 @@ def test_constant_image_and_sparsity():
         pair, _scale = dm_laplacian(cloud, DmConfig(K_neighbors=K))
         one = np.ones(N)
         rel.append(np.linalg.norm(pair.A @ one)
-                   / (np.linalg.norm(pair.A) * np.linalg.norm(one)))
-        off = pair.A - np.diag(np.diag(pair.A))
-        assert np.count_nonzero(off) <= 2 * N * K
+                   / (scipy.sparse.linalg.norm(pair.A) * np.linalg.norm(one)))
+        A = pair.A.tocoo()
+        assert np.count_nonzero(A.data[A.row != A.col]) <= 2 * N * K
     assert rel[0] <= 5e-3
     assert rel[1] < rel[0]
 
@@ -99,3 +109,47 @@ def test_bandwidth_plateau_torus():
         errs.append(abs(vals[1] - truth) / truth)
     assert errs[2] <= 0.05                 # tuned point itself
     assert max(errs) <= 0.15               # flat across the decade
+
+
+def _clusters(values, gap):
+    # index ranges of eigenvalue clusters separated by more than gap
+    cuts = np.flatnonzero(np.diff(values) > gap) + 1
+    return np.split(np.arange(len(values)), cuts)
+
+
+@pytest.mark.parametrize("N,k", [(400, 24), (20, 20)])
+def test_sparse_spectrum_matches_dense_reference(N, k):
+    # k = N is past what ARPACK solves and takes the dense branch
+    cloud = sample_manifold(Torus(2.0), N, seed=1, mode="random_area")
+    cfg = DmConfig(K_neighbors=default_neighbor_count(N))
+    vals, vecs, lam_max = dm_spectrum(cloud, cfg, k)
+    pair, scale = dm_laplacian(cloud, cfg)
+    ref, Z = scipy.linalg.eigh(pair.A.toarray())
+    assert np.max(np.abs(vals - ref[:k])) <= 1e-10 * ref[-1]
+    assert abs(lam_max - ref[-1]) <= 1e-10 * ref[-1]
+    # same trivial cutoff as the dense full spectrum gives
+    tol = 1e-8
+    sparse = symmetric_result(vals, vecs, tol, radius=lam_max)
+    dense = symmetric_result(ref, scale[:, None] * Z[:, :k], tol)
+    assert sparse.trivial_cutoff == pytest.approx(dense.trivial_cutoff,
+                                                  rel=1e-12)
+    assert np.array_equal(sparse.trivial, dense.trivial)
+    # eigenvector subspaces of every cluster the k modes hold in full
+    checked = 0
+    for block in _clusters(ref[:k + 1], 1e-6 * ref[-1]):
+        if block[-1] >= k:
+            break
+        angles = scipy.linalg.subspace_angles(vecs[:, block],
+                                              scale[:, None] * Z[:, block])
+        assert np.max(np.sin(angles)) <= 1e-8
+        checked += len(block)
+    assert checked >= k - 4
+
+
+def test_sparse_spectrum_is_bit_repeatable():
+    cloud = sample_manifold(Sphere(), 400, seed=2, mode="random_area")
+    cfg = DmConfig(K_neighbors=20)
+    first = dm_spectrum(cloud, cfg, 24)
+    second = dm_spectrum(cloud, cfg, 24)
+    for a, b in zip(first, second):
+        assert np.array_equal(a, b)

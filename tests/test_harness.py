@@ -122,6 +122,26 @@ def test_memory_estimate_bounds_traced_peak(method, operator, spec):
     assert peak <= estimate_run_bytes(cfg, N)
 
 
+def test_memory_guard_admits_large_sparse_dm(monkeypatch):
+    monkeypatch.delenv(MEMORY_ENV_VAR, raising=False)
+    N = 20000
+    check_memory(make_config(method="DM", N_list=[N]), N)
+
+
+def test_dm_run_builds_no_tangent_field(monkeypatch):
+    def forbidden(*_args, **_kwargs):
+        raise AssertionError("the DM study read a tangent field")
+
+    for name in ("first_order_svd", "second_order_svd"):
+        monkeypatch.setattr(harness, name, forbidden)
+    monkeypatch.setattr(harness.zoo, "analytic_projection", forbidden)
+    for projection in ("SecondOrder", "Analytic"):
+        cfg = make_config(method="DM", N_list=[300], projection=projection)
+        rec = run_experiment(cfg).runs[0]
+        assert rec.mode_errors is not None
+        assert rec.result.solve_dim == cfg.modes + 8
+
+
 # -- slope fitting -------------------------------------------------------------
 
 

@@ -45,6 +45,62 @@ def test_knn_excludes_base_point():
         assert len(set(idx[i])) == 5
 
 
+def brute_force_knn(points, K, query_idx):
+    """Reference: every distance, query point excluded, ordered by
+    distance then index."""
+    diff = points[query_idx][:, None, :] - points[None, :, :]
+    d2 = np.einsum("qjm,qjm->qj", diff, diff)
+    d2[np.arange(len(query_idx)), query_idx] = np.inf
+    cols = np.broadcast_to(np.arange(len(points)), d2.shape)
+    return np.lexsort((cols, d2), axis=1)[:, :K]
+
+
+def sq_distances(points, idx):
+    diff = points[idx] - points[:, None, :]
+    return np.einsum("qkm,qkm->qk", diff, diff)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_knn_matches_brute_force(seed):
+    rng = np.random.default_rng(seed)
+    points = rng.normal(size=(300, 3 + seed))
+    everyone = np.arange(300)
+    assert np.array_equal(knn_indices(points, 12),
+                          brute_force_knn(points, 12, everyone))
+    subset = rng.choice(300, size=40, replace=False)
+    assert np.array_equal(knn_indices(points, 12, query_idx=subset),
+                          brute_force_knn(points, 12, subset))
+
+
+def test_knn_with_exact_duplicates():
+    rng = np.random.default_rng(5)
+    base = rng.normal(size=(60, 3))
+    # points 0..9 appear twice, point 0 four more times (six copies)
+    points = np.vstack([base, base[:10], np.repeat(base[:1], 4, axis=0)])
+    N, K = len(points), 8
+    idx = knn_indices(points, K)
+    # copies of point 0 tie at the K-th distance, so compare the distances
+    # and the order; which tied copy fills the last slots is not fixed
+    d2 = sq_distances(points, idx)
+    assert np.array_equal(
+        d2, sq_distances(points, brute_force_knn(points, K, np.arange(N))))
+    assert np.array_equal(np.lexsort((idx, d2), axis=1),
+                          np.broadcast_to(np.arange(K), idx.shape))
+    for i in range(N):
+        assert i not in idx[i]
+        twins = np.flatnonzero(np.all(points == points[i], axis=1))
+        twins = twins[twins != i]
+        # the duplicates come first, at distance zero, in index order
+        assert np.array_equal(idx[i, :len(twins)], twins)
+    # more duplicates than neighbors: the row still never holds the query
+    crowd = np.vstack([np.repeat(base[:1], 12, axis=0), base[1:]])
+    idx = knn_indices(crowd, 4)
+    for i in range(12):
+        assert i not in idx[i]
+        assert np.all(crowd[idx[i]] == crowd[i])
+        assert len(set(idx[i])) == 4
+
+
 def test_knn_rejects_K_too_large():
     cloud, _P = plane_cloud(10)
     with pytest.raises(ValueError):

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from manifold_rbf import zoo
+from manifold_rbf.harness import ExperimentConfig, run_experiment
 from manifold_rbf.zoo import (Ellipse, FlatTorus, GeneralTorus, Sphere, Torus,
                               analytic_projection, embed, intrinsic_box,
                               metric_sqrt_det, sample_manifold,
@@ -360,3 +362,31 @@ def test_zoo_defaults_cover_every_kind():
     kinds = {spec.kind for spec in zoo_default_manifolds()}
     assert kinds == {"ellipse", "torus", "general_torus", "flat_torus",
                      "sphere"}
+
+
+def test_scalar_truth_is_memoised(monkeypatch):
+    calls = []
+    solve = zoo.sturm_liouville_truth
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(zoo, "sturm_liouville_truth", counting)
+    zoo.scalar_eigen_truth.cache_clear()
+    try:
+        first = zoo.scalar_eigen_truth(Torus(2.0), 6)
+        values = list(first.values)
+        assert zoo.scalar_eigen_truth(Torus(2.0), 6) is first
+        assert len(calls) == 1
+        # a run reads the shared truth but leaves it as it was
+        cfg = ExperimentConfig(manifold=Torus(2.0), N_list=[200],
+                               method="DM", truth_count=6, compare_count=4,
+                               sample_mode="random_area")
+        run_experiment(cfg)
+        assert len(calls) == 1
+        assert first.values == values
+        assert zoo.scalar_eigen_truth(Torus(2.0), 8) is not first
+        assert len(calls) == 2
+    finally:
+        zoo.scalar_eigen_truth.cache_clear()
