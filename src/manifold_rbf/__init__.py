@@ -28,14 +28,12 @@ from .spectral import (AlignmentReport, SpectralResult,
 from .tangent import (ProjectionField, default_neighbor_count,
                       first_order_svd, knn_indices, projection_diagnostics,
                       second_order_svd)
-from .vector_ops import (VectorField, VectorOperatorSet, bochner,
-                         build_vector_ops, covariant_derivative, hodge,
+from .vector_ops import (VectorField, bochner, covariant_derivative, hodge,
                          lichnerowicz, tangent_range_basis)
 from .zoo import (Ellipse, EigenTruth, FlatTorus, GeneralTorus, ManifoldSpec,
                   PointCloud, Sphere, Torus, analytic_projection,
                   sample_manifold, sampling_density, scalar_eigen_truth,
-                  sturm_liouville_truth, vector_eigen_truth,
-                  zoo_default_manifolds)
+                  sturm_liouville_truth, vector_eigen_truth)
 
 __version__ = "0.1.0"
 

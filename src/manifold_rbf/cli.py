@@ -17,48 +17,31 @@ from dataclasses import replace
 
 import numpy as np
 
-from . import zoo
+from . import harness, zoo
 from .harness import ExperimentConfig, run_experiment
 from .tangent import (default_neighbor_count as tangent_default_K,
                       first_order_svd, projection_diagnostics,
                       second_order_svd)
 
-
-_STUDY_DEFAULTS = {
-    "method": "NRBF", "operator": "LB", "projection": "Analytic",
-    "kernel": {"family": "gaussian", "s": 1.0, "pinv_tol": 1e-8},
-    "density": "Uniform", "modes": 16, "seeds": [0],
-    "sample_mode": "random_intrinsic", "compare_count": 12,
-}
-# sample and tangent draw a cloud without a study config
-_DRAW_DEFAULTS = {"seed": _STUDY_DEFAULTS["seeds"][0],
-                  "mode": _STUDY_DEFAULTS["sample_mode"]}
+# the study defaults; sample and tangent draw a cloud without a study config
+_DEFAULTS = ExperimentConfig(manifold=None, N_list=[])
+_DRAW_DEFAULTS = {"seed": _DEFAULTS.seeds[0], "mode": _DEFAULTS.sample_mode}
 
 
 def _manifold_from_args(args):
-    kind = args.manifold
-    if kind == "ellipse":
-        return zoo.Ellipse(args.a if args.a is not None else 2.0)
-    if kind == "torus":
-        return zoo.Torus(args.a if args.a is not None else 2.0)
-    if kind == "general-torus":
-        return zoo.GeneralTorus(args.a if args.a is not None else 2.0,
-                                args.ambient_n)
-    if kind == "flat-torus":
-        return zoo.FlatTorus(args.flat_d, args.flat_m)
-    if kind == "sphere":
-        return zoo.Sphere()
-    raise SystemExit(f"unknown manifold {kind!r}")
+    return zoo.ManifoldSpec.from_dict(_given({
+        "kind": args.manifold.replace("-", "_"), "a": args.a,
+        "n": args.ambient_n, "d": args.flat_d, "m": args.flat_m}))
 
 
 def _add_manifold_args(p):
     p.add_argument("--manifold", required=True,
-                   choices=["ellipse", "torus", "general-torus",
-                            "flat-torus", "sphere"])
-    p.add_argument("--a", type=float, default=None,
+                   choices=[kind.replace("_", "-") for kind in zoo.KINDS])
+    p.add_argument("--a", type=float, default=2.0,
                    help="radius ratio for ellipse/torus families")
-    p.add_argument("--ambient-n", type=int, default=3,
-                   help="ambient dimension for the general torus (odd)")
+    p.add_argument("--ambient-n", type=int, default=None,
+                   help="ambient dimension for the general torus (odd, "
+                        "21 by default)")
     p.add_argument("--flat-d", type=int, default=2)
     p.add_argument("--flat-m", type=int, default=1)
 
@@ -76,19 +59,16 @@ def _add_draw_args(p):
 
 def _add_study_args(p):
     # study flags default to None so that entries of a --config file survive
-    # the merge; _STUDY_DEFAULTS fills whatever neither of them sets
-    p.add_argument("--method", default=None,
-                   choices=["NRBF", "SRBF", "DM"])
-    p.add_argument("--operator", default=None,
-                   choices=["LB", "Bochner", "Hodge", "Lich", "Covariant"])
+    # the merge; ExperimentConfig's defaults fill whatever neither sets
+    p.add_argument("--method", default=None, choices=harness.METHODS)
+    p.add_argument("--operator", default=None, choices=harness.OPERATORS)
     p.add_argument("--projection", default=None,
-                   choices=["Analytic", "FirstOrder", "SecondOrder"])
+                   choices=harness.PROJECTIONS)
     p.add_argument("--kernel", default=None,
                    choices=["gaussian", "inverse_quadratic", "matern"])
     p.add_argument("--s", type=float, default=None, help="kernel shape")
     p.add_argument("--pinv-tol", type=float, default=None)
-    p.add_argument("--density", default=None,
-                   choices=["Analytic", "KDE", "Uniform"])
+    p.add_argument("--density", default=None, choices=harness.DENSITIES)
     p.add_argument("--modes", type=int, default=None)
     p.add_argument("--Np", type=int, default=None,
                    help="interpolation cloud size (defaults to N)")
@@ -129,9 +109,9 @@ def _config_from_args(args, N_list):
                            "pinv_tol": args.pinv_tol})
     # flags override file entries; file supplies anything not given, and
     # the defaults whatever neither gives
-    merged = {**_STUDY_DEFAULTS, **base, **flags}
-    merged["kernel"] = {**_STUDY_DEFAULTS["kernel"], **base.get("kernel", {}),
-                        **kernel_flags}
+    merged = {**base, **flags}
+    merged["kernel"] = {**_DEFAULTS.kernel.to_dict(),
+                        **base.get("kernel", {}), **kernel_flags}
     return ExperimentConfig.from_dict(merged)
 
 
@@ -160,11 +140,7 @@ def cmd_tangent(args):
     est = first_order_svd(cloud, K, query_idx=query) if args.order == 1 \
         else second_order_svd(cloud, K, query_idx=query)
     est.save(args.out)
-    sub = zoo.PointCloud(cloud.points[:args.N],
-                         None if cloud.intrinsic is None
-                         else cloud.intrinsic[:args.N], spec, args.seed,
-                         mode=cloud.mode)
-    truth = zoo.analytic_projection(sub)
+    truth = zoo.analytic_projection(harness.subset_cloud(cloud, args.N))
     diag = projection_diagnostics(est, truth)
     for key, val in sorted(diag.items()):
         if np.ndim(val) == 0:
@@ -241,9 +217,8 @@ def cmd_truth(args):
     if args.operator == "LB":
         truth = zoo.scalar_eigen_truth(spec, args.count)
     else:
-        name = {"Bochner": "Bochner", "Hodge": "Hodge",
-                "Lich": "Lichnerowicz"}[args.operator]
-        truth = zoo.vector_eigen_truth(spec, name)
+        truth = zoo.vector_eigen_truth(
+            spec, harness.VECTOR_LAPLACIANS[args.operator])
     lines = ["eigenvalue,multiplicity"]
     for lam, mult in truth.values[:args.count]:
         lines.append(f"{lam:.17g},{mult}")
@@ -305,7 +280,7 @@ def build_parser():
     p = sub.add_parser("truth", help="analytic eigenvalue tables")
     _add_manifold_args(p)
     p.add_argument("--operator", default="LB",
-                   choices=["LB", "Bochner", "Hodge", "Lich"])
+                   choices=["LB", *harness.VECTOR_LAPLACIANS])
     p.add_argument("--count", type=int, default=20)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_truth)

@@ -5,11 +5,12 @@ normalization: the affinity is divided by the kernel density sums on both
 sides before the row-stochastic normalization, so the limit operator is the
 Laplace-Beltrami operator regardless of the sampling density. The graph has
 at most 2 N K edges, so the affinity and the Laplacian are sparse (CSR) and
-every normalization is a diagonal scaling of the edge weights. The final
-solve goes through the symmetric conjugation of the Markov matrix: ARPACK's
-Lanczos iteration (Lehoucq, Sorensen & Yang, ARPACK Users' Guide, 1998)
-finds the k smallest modes and the largest eigenvalue, which sets the
-trivial-mode cutoff.
+every normalization is a diagonal scaling of the edge weights. One KNN query
+serves both the bandwidth tuning and the graph. The final solve goes
+through the symmetric conjugation of the Markov matrix: ARPACK's Lanczos
+iteration (Lehoucq, Sorensen & Yang, ARPACK Users' Guide, 1998) finds the k
+smallest modes and the largest eigenvalue, which sets the trivial-mode
+cutoff.
 """
 
 import warnings
@@ -21,7 +22,6 @@ import scipy.sparse
 import scipy.sparse.linalg
 from scipy.sparse.csgraph import connected_components
 
-from .scalar_ops import GeneralizedPair
 from .tangent import knn_indices
 
 
@@ -33,32 +33,26 @@ class DmConfig:
     def validate(self, N):
         if not 1 < self.K_neighbors <= N:
             raise ValueError("K_neighbors must lie in (1, N]")
+        if self.epsilon is not None and not 0 < self.epsilon < np.inf:
+            raise ValueError("epsilon must be finite and positive, or None "
+                             "to auto-tune it")
 
 
 def default_neighbor_count(N):
     return int(np.ceil(np.sqrt(N)))
 
 
-def _knn_sq_distances(points, K):
-    points = np.asarray(points, dtype=float)
-    N = points.shape[0]
-    idx = knn_indices(points, min(K, N - 1))
-    diff = points[:, None, :] - points[idx]
-    return idx, np.einsum("ikm,ikm->ik", diff, diff)
-
-
-def autotune_epsilon(cloud, K_neighbors):
+def autotune_epsilon(d2):
     """Bandwidth at the steepest log-log growth of the kernel sum.
 
-    T(eps) = sum over KNN pairs (self-pairs included) of
+    d2 holds the (N, K) squared distances of every point to its K nearest
+    neighbours. T(eps) = sum over KNN pairs (self-pairs included) of
     exp(-d^2 / (4 eps)) evaluated on the dyadic grid eps = 2^-30 .. 2^10;
     the returned eps maximizes d log T / d log eps.
     """
-    points = np.asarray(cloud.points, dtype=float)
-    _idx, d2 = _knn_sq_distances(points, K_neighbors)
     # self-pairs contribute exp(0) = N, the plateau the criterion needs
     exponents = np.arange(-30, 11)
-    T = np.array([points.shape[0] +
+    T = np.array([d2.shape[0] +
                   np.sum(np.exp(-d2 / (4.0 * 2.0 ** e))) for e in exponents])
     logT = np.log(T)
     slope = np.gradient(logT, np.log(2.0 ** exponents))
@@ -76,17 +70,19 @@ def _scale_edges(M, s):
 def dm_laplacian(cloud, config):
     """Symmetrized graph Laplacian and the similarity back-transform.
 
-    Returns (pair, vec_scale): pair.A is the sparse symmetric Laplacian
+    Returns (L, vec_scale): L is the sparse (CSR) symmetric Laplacian
     (I - S) / eps, and eigenvectors of the underlying Markov generator are
-    vec_scale * (eigenvectors of pair.A).
+    vec_scale * (eigenvectors of L).
     """
     points = np.asarray(cloud.points, dtype=float)
     N = points.shape[0]
     config.validate(N)
+    idx = knn_indices(points, min(config.K_neighbors, N - 1))
+    diff = points[:, None, :] - points[idx]
+    d2 = np.einsum("ikm,ikm->ik", diff, diff)
     eps = config.epsilon
     if eps is None:
-        eps = autotune_epsilon(cloud, config.K_neighbors)
-    idx, d2 = _knn_sq_distances(points, config.K_neighbors)
+        eps = autotune_epsilon(d2)
 
     # no self-loops: at bandwidths near the neighbor spacing a unit
     # self-weight swamps the off-diagonal mass and biases all eigenvalues
@@ -110,15 +106,13 @@ def dm_laplacian(cloud, config):
     scale = 1.0 / np.sqrt(np.asarray(W.sum(axis=1)).ravel())
     _scale_edges(W, scale)                  # S, conjugate of the Markov matrix
     L = (scipy.sparse.identity(N, format="csr") - W) / eps
-    pair = GeneralizedPair(A=L, B_diag=np.ones(N))
-    return pair, scale
+    return L, scale
 
 
 def dm_spectrum(cloud, config, k):
     """The k smallest eigenvalues of the diffusion Laplacian, ascending,
     their Markov eigenvectors (N, k), and the largest eigenvalue."""
-    pair, scale = dm_laplacian(cloud, config)
-    L = pair.A
+    L, scale = dm_laplacian(cloud, config)
     N = L.shape[0]
     if k >= N - 1:
         # beyond what a Lanczos basis of at most N vectors can resolve

@@ -25,14 +25,17 @@ from .spectral import (SpectralResult, align_eigenvectors_ols,
                        write_alignment_csv, write_spectrum_csv)
 from .tangent import first_order_svd, second_order_svd, default_neighbor_count \
     as tangent_default_K
-from .vector_ops import (VectorField, bochner, build_vector_ops,
-                         covariant_derivative, hodge, lichnerowicz)
+from .vector_ops import (VectorField, bochner, covariant_derivative, hodge,
+                         lichnerowicz)
 
 MEMORY_ENV_VAR = "MANIFOLD_RBF_MEM_GIB"
 DEFAULT_MEMORY_GIB = 2.0
 
 METHODS = ("NRBF", "SRBF", "DM")
-OPERATORS = ("LB", "Bochner", "Hodge", "Lich", "Covariant")
+# vector operator -> its Laplacian's name in the truth tables
+VECTOR_LAPLACIANS = {"Bochner": "Bochner", "Hodge": "Hodge",
+                     "Lich": "Lichnerowicz"}
+OPERATORS = ("LB", *VECTOR_LAPLACIANS, "Covariant")
 PROJECTIONS = ("Analytic", "FirstOrder", "SecondOrder")
 DENSITIES = ("Analytic", "KDE", "Uniform")
 
@@ -44,8 +47,7 @@ class ExperimentConfig:
     method: str = "NRBF"
     operator: str = "LB"
     projection: str = "Analytic"
-    kernel: KernelModel = dc_field(
-        default_factory=lambda: KernelModel("gaussian", 1.0))
+    kernel: KernelModel = KernelModel("gaussian", 1.0)
     density: str = "Uniform"
     modes: int = 16
     seeds: list = dc_field(default_factory=lambda: [0])
@@ -72,12 +74,20 @@ class ExperimentConfig:
         if self.operator == "Covariant" and self.manifold.kind != "ellipse":
             raise ValueError("the covariant-derivative check runs on the "
                              "ellipse demo manifold")
-        if self.operator in ("Bochner", "Hodge", "Lich") and \
+        if self.operator in VECTOR_LAPLACIANS and \
                 self.manifold.kind not in ("sphere", "ellipse"):
             raise ValueError("vector operators run where vector truth or the "
                              "1D demo is available (sphere or ellipse)")
         if self.N_p is not None and self.N_p < max(self.N_list):
             raise ValueError("N_p must be at least the operator cloud size")
+        for name in ("modes", "compare_count"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1")
+        if self.method == "DM":
+            for N in self.N_list:
+                K = default_neighbor_count(N) if self.dm_K is None \
+                    else self.dm_K
+                DmConfig(K, self.dm_epsilon).validate(N)
 
     def to_dict(self):
         return {
@@ -345,53 +355,36 @@ def _truth_for(config):
             count = 4 if spec.kind == "sphere" else config.truth_count
             return zoo.scalar_eigen_truth(spec, count)
         return None
-    if config.operator in ("Bochner", "Hodge", "Lich") and \
-            spec.kind == "sphere":
-        name = {"Bochner": "Bochner", "Hodge": "Hodge",
-                "Lich": "Lichnerowicz"}[config.operator]
-        return zoo.vector_eigen_truth(spec, name)
+    if config.operator in VECTOR_LAPLACIANS and spec.kind == "sphere":
+        return zoo.vector_eigen_truth(spec,
+                                      VECTOR_LAPLACIANS[config.operator])
     return None
 
 
-def _solve_scalar(config, op_cloud, proj, q):
-    # request the full spectrum: rank truncation leaves a large trivial
-    # cluster at zero, and the usable modes sit above it
+def _solve_rbf(config, op_cloud, proj, q):
+    """Build the configured RBF operator and solve for its full spectrum:
+    rank truncation leaves a large trivial cluster at zero, and the usable
+    modes sit above it. Every builder is a module name looked up at call
+    time."""
     system = build_system(op_cloud, config.kernel)
     ops = build_grad_matrices(system, proj)
-    rank_L, U = system.rank_L, system.U
-    del system                  # ops.system goes with ops, Phi with both
-    N = op_cloud.N
-    tol = config.kernel.pinv_tol
-    if config.method == "NRBF":
-        L = laplace_beltrami_nonsymmetric(ops)
-        del ops
-        res = solve_nonsymmetric(L, N, pinv_tol=tol, basis=U)
+    rank_L, U = system.rank_L, ops.U
+    del system                  # Phi is not needed for assembly
+    nonsymmetric = config.method == "NRBF"
+    if config.operator == "LB":
+        L = laplace_beltrami_nonsymmetric(ops) if nonsymmetric \
+            else laplace_beltrami_symmetric(ops, q)
     else:
-        pair = laplace_beltrami_symmetric(ops, q)
-        del ops
-        res = solve_symmetric(pair, N, pinv_tol=tol)
-    return res, rank_L
-
-
-def _solve_vector(config, op_cloud, proj, q):
-    system = build_system(op_cloud, config.kernel)
-    ops = build_grad_matrices(system, proj)
-    rank_L, U = system.rank_L, system.U
-    del system
-    vops = build_vector_ops(ops, proj)
+        form = {"Bochner": bochner, "Hodge": hodge,
+                "Lich": lichnerowicz}[config.operator]
+        L = form("nonsymmetric", ops) if nonsymmetric \
+            else form("symmetric", ops, q)
     del ops
-    build = {"Bochner": bochner, "Hodge": hodge, "Lich": lichnerowicz}[
-        config.operator]
     tol = config.kernel.pinv_tol
-    if config.method == "NRBF":
-        L = build("nonsymmetric", vops)
-        del vops
-        res = solve_nonsymmetric(L, L.shape[0], pinv_tol=tol, basis=U)
-    else:
-        pair = build("symmetric", vops, q)
-        del vops
-        res = solve_symmetric(pair, len(pair.B_diag), pinv_tol=tol)
-    return res, rank_L
+    if nonsymmetric:
+        return solve_nonsymmetric(L, L.shape[0], pinv_tol=tol,
+                                  basis=U), rank_L
+    return solve_symmetric(L, len(L.B_diag), pinv_tol=tol), rank_L
 
 
 def ellipse_test_field(cloud):
@@ -416,10 +409,8 @@ def ellipse_covariant_truth(cloud):
 
 def _run_covariant(config, op_cloud, proj):
     system = build_system(op_cloud, config.kernel)
-    ops = build_grad_matrices(system, proj)
-    vops = build_vector_ops(ops, proj)
     U, _th, _tau = ellipse_test_field(op_cloud)
-    est = covariant_derivative(vops, system, U, U).as_samples()
+    est = covariant_derivative(system, proj, U, U).as_samples()
     truth = ellipse_covariant_truth(op_cloud)
     err = float(np.max(np.abs(est[:, 0] - truth[:, 0])))
     return err, system.rank_L
@@ -454,12 +445,8 @@ def run_experiment(config):
                 rec.rank_L = rec.result.rank_L
             else:
                 q = build_density(config, op_cloud)
-                if config.operator == "LB":
-                    rec.result, rec.rank_L = _solve_scalar(
-                        config, op_cloud, proj, q)
-                else:
-                    rec.result, rec.rank_L = _solve_vector(
-                        config, op_cloud, proj, q)
+                rec.result, rec.rank_L = _solve_rbf(config, op_cloud, proj,
+                                                    q)
                 if config.method == "NRBF" and np.any(
                         rec.result.values.real < -rec.result.trivial_cutoff):
                     warnings.warn(

@@ -54,12 +54,6 @@ def kernel_eval(model, r):
     return (1.0 + sr) * np.exp(-sr)
 
 
-def kernel_deriv(model, r):
-    """phi_s'(r)."""
-    r = np.asarray(r, dtype=float)
-    return r * kernel_deriv_over_r(model, r)
-
-
 def kernel_deriv_over_r(model, r):
     """phi_s'(r) / r, continuous through r = 0.
 
@@ -116,16 +110,6 @@ def build_system(cloud, model):
     return InterpolationSystem(Phi=Phi, cloud=cloud, model=model,
                                U=U, sigma=sigma[keep][order],
                                _w=w[keep][order], rank_L=int(keep.sum()))
-
-
-def pinv_apply(system, rhs):
-    """Apply the truncated pseudo-inverse of Phi to a vector or matrix."""
-    rhs = np.asarray(rhs)
-    if rhs.shape[0] != system.N:
-        raise ValueError("rhs row count does not match the system size")
-    proj = system.U.T @ rhs
-    return system.U @ (proj / system._w[:, None] if rhs.ndim > 1
-                       else proj / system._w)
 
 
 def blockwise(M, X):

@@ -24,23 +24,23 @@ from .rbf import kernel_deriv_over_r
 
 @dataclass
 class ScalarOperatorSet:
-    """The d frame-direction derivative factors plus provenance references.
+    """The d frame-direction derivative factors with the frames they follow.
 
-    D_a = G[a] @ U.T with U = system.U (N x rank_L).
+    D_a = G[a] @ U.T with U the N x rank_L retained eigenvectors of Phi.
+    Every scalar and vector operator is assembled from this one container.
     """
 
     G: list                       # d factors G_a, each (N, rank_L)
-    proj: object
-    kernel: object
-    system: object
+    proj: object                  # ProjectionField
+    U: np.ndarray
 
     @property
     def N(self):
         return self.G[0].shape[0]
 
     @property
-    def U(self):
-        return self.system.U
+    def n(self):
+        return self.proj.n
 
 
 def derivative_matrices(system, directions):
@@ -68,7 +68,7 @@ def build_grad_matrices(system, proj):
     if proj.N != system.N:
         raise ValueError("projection field does not match the cloud size")
     return ScalarOperatorSet(G=derivative_matrices(system, proj.frames),
-                             proj=proj, kernel=system.model, system=system)
+                             proj=proj, U=system.U)
 
 
 def ambient_gradient(ops, i):
@@ -93,7 +93,7 @@ def laplace_beltrami_nonsymmetric(ops):
     may be complex. spectral.solve_nonsymmetric takes it with basis U."""
     U = ops.U
     L = np.zeros((ops.N, U.shape[1]))
-    for i in range(ops.proj.n):
+    for i in range(ops.n):
         Gi = ambient_gradient(ops, i)
         L -= Gi @ (U.T @ Gi)
     return L
@@ -108,7 +108,6 @@ class GeneralizedPair:
     always diagonal (B_diag). Vector pencils live on frame coordinates (d
     values per point); range_basis, when present, is the sparse map W
     (nN x dN) that lifts a solution Z to the stacked ambient field V = W Z.
-    The diffusion-maps Laplacian is a sparse (CSR) A with unit B.
     """
 
     A: np.ndarray

@@ -61,9 +61,6 @@ class SpectralResult:
     def nontrivial_values(self):
         return self.values[~self.trivial]
 
-    def nontrivial_vectors(self):
-        return self.vectors[:, ~self.trivial]
-
 
 def _trivial_cutoff(all_values, pinv_tol, radius=None):
     if radius is None:

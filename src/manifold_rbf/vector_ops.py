@@ -11,8 +11,9 @@ its transpose and, for Hodge, the divergence, as listed in LAPLACIANS:
     Hodge         |X - X^T|^2/2 + |div U|^2 -sum_i H_i (H_i - S_i) - [G_j G_k]
     Lichnerowicz  |X + X^T|^2/2             -sum_i H_i (H_i + S_i)
 
-Every derivative ends in Phi^+ = U diag(1/w) U^T (U is N x r, r = rank_L),
-so every block acts through I_n kron U^T and is built as its nN x nr factor.
+Every operator takes the ScalarOperatorSet (G, proj, U) of the cloud. Every
+derivative ends in Phi^+ = U diag(1/w) U^T (U is N x r, r = rank_L), so
+every block acts through I_n kron U^T and is built as its nN x nr factor.
 The non-symmetric (NRBF) operators keep the paper's ambient form, stored as
 F with L = F (I_n kron U^T): H_i applies the pointwise projector P = T T^T to
 the i-th tangential derivative of every component, and S_i is its
@@ -64,35 +65,13 @@ class VectorField:
         return self.components().T
 
 
-@dataclass
-class VectorOperatorSet:
-    """Frame derivative matrices plus the tangent frames they pair with."""
-
-    ops: object                 # ScalarOperatorSet
-    proj: object                # ProjectionField
-
-    @property
-    def N(self):
-        return self.ops.N
-
-    @property
-    def n(self):
-        return self.proj.n
-
-
-def build_vector_ops(ops, proj):
-    if proj.N != ops.N:
-        raise ValueError("projection field does not match the operator cloud")
-    return VectorOperatorSet(ops=ops, proj=proj)
-
-
 def _rowwise_kron(t, g):
     """(N, a b) matrix whose row x is kron(t[x], g[x])."""
     return (t[:, :, None] * g[:, None, :]).reshape(len(t), -1)
 
 
-def _gradients(vops):
-    return [ambient_gradient(vops.ops, i) for i in range(vops.n)]
+def _gradients(ops):
+    return [ambient_gradient(ops, i) for i in range(ops.n)]
 
 
 def _h_factor(P, G, i):
@@ -105,10 +84,10 @@ def _s_factor(P, G, i):
     return np.vstack([_rowwise_kron(P[:, :, i], Gj) for Gj in G])
 
 
-def potimes_matrix(vops):
+def potimes_matrix(ops):
     """Dense block projection: block (i, j) is diag of the (i, j) entries."""
-    P = vops.proj.mats
-    N, n = vops.N, vops.n
+    P = ops.proj.mats
+    N, n = ops.N, ops.n
     out = np.zeros((n * N, n * N))
     rng = np.arange(N)
     for i in range(n):
@@ -117,25 +96,25 @@ def potimes_matrix(vops):
     return out
 
 
-def h_matrix(vops, i):
+def h_matrix(ops, i):
     """Dense H_i: block (j, k) = diag(p_jk) G_i U^T."""
-    F = _h_factor(vops.proj.mats, _gradients(vops), i)
-    return blockwise(vops.ops.U, F.T).T
+    F = _h_factor(ops.proj.mats, _gradients(ops), i)
+    return blockwise(ops.U, F.T).T
 
 
-def s_matrix(vops, i):
+def s_matrix(ops, i):
     """Dense S_i: block (j, k) = diag(p_ki) G_j U^T."""
-    F = _s_factor(vops.proj.mats, _gradients(vops), i)
-    return blockwise(vops.ops.U, F.T).T
+    F = _s_factor(ops.proj.mats, _gradients(ops), i)
+    return blockwise(ops.U, F.T).T
 
 
-def _nonsymmetric_factor(vops, swap, div):
+def _nonsymmetric_factor(ops, swap, div):
     """F (nN, nr) of the paper's ambient form
     L = -sum_i H_i (H_i + swap S_i) - div [G_j U^T G_k U^T] = F (I_n kron U^T):
     with H_i and S_i factored, each product keeps a small nr x nr middle."""
-    U, P, G = vops.ops.U, vops.proj.mats, _gradients(vops)
-    F = np.zeros((vops.n * vops.N, vops.n * U.shape[1]))
-    for i in range(vops.n):
+    U, P, G = ops.U, ops.proj.mats, _gradients(ops)
+    F = np.zeros((ops.n * ops.N, ops.n * U.shape[1]))
+    for i in range(ops.n):
         Hi = _h_factor(P, G, i)
         Fi = Hi
         if swap:
@@ -165,7 +144,7 @@ def tangent_range_basis(proj):
         shape=(n * N, d * N))
 
 
-def _symmetric_pair(vops, q, swap, coeff, div):
+def _symmetric_pair(ops, q, swap, coeff, div):
     """Frame-coordinate pencil (R A R^T) v = lambda Qt^{-1} v with
     Qt = diag(q tiled d times) and R = W^T (I_n kron U): row (a, k) of R is
     kron(T(x_k)[:, a], U[k]).
@@ -177,8 +156,8 @@ def _symmetric_pair(vops, q, swap, coeff, div):
     divergence is (sum_c C(c, c)) R^T, and
     A = coeff sum_{b,c} F_cb^T Q^{-1} F_cb (+ Delta^T Q^{-1} Delta).
     """
-    qinv = inverse_density(q, vops.N)
-    T, G = vops.proj.frames, vops.ops.G
+    qinv = inverse_density(q, ops.N)
+    T, G = ops.proj.frames, ops.G
     d = len(G)
     root = np.sqrt(qinv)[:, None]
 
@@ -196,43 +175,44 @@ def _symmetric_pair(vops, q, swap, coeff, div):
     if div:
         Delta = sum(part(c, c) for c in range(d))
         A += Delta.T @ Delta
-    R = np.vstack([_rowwise_kron(T[:, :, a], vops.ops.U) for a in range(d)])
+    R = np.vstack([_rowwise_kron(T[:, :, a], ops.U) for a in range(d)])
     # every term is some X^T X, which numpy forms exactly symmetric
     return GeneralizedPair(A=A, B_diag=np.tile(qinv, d), factor=R,
-                           range_basis=tangent_range_basis(vops.proj))
+                           range_basis=tangent_range_basis(ops.proj))
 
 
-def _laplacian(name, kind, vops, q):
+def _laplacian(name, kind, ops, q):
     swap, coeff, div = LAPLACIANS[name]
     if kind == "symmetric":
-        return _symmetric_pair(vops, q, swap, coeff, div)
+        return _symmetric_pair(ops, q, swap, coeff, div)
     if kind != "nonsymmetric":
         raise ValueError(f"unknown estimator kind {kind!r}")
-    return _nonsymmetric_factor(vops, swap, div)
+    return _nonsymmetric_factor(ops, swap, div)
 
 
-def bochner(kind, vops, q=None):
+def bochner(kind, ops, q=None):
     """Vector (connection) Laplacian estimator."""
-    return _laplacian("bochner", kind, vops, q)
+    return _laplacian("bochner", kind, ops, q)
 
 
-def hodge(kind, vops, q=None):
+def hodge(kind, ops, q=None):
     """1-form Laplacian carried to vector fields."""
-    return _laplacian("hodge", kind, vops, q)
+    return _laplacian("hodge", kind, ops, q)
 
 
-def lichnerowicz(kind, vops, q=None):
+def lichnerowicz(kind, ops, q=None):
     """Laplacian of the symmetrized covariant gradient."""
-    return _laplacian("lichnerowicz", kind, vops, q)
+    return _laplacian("lichnerowicz", kind, ops, q)
 
 
-def covariant_derivative(vops, system, U, Y):
+def covariant_derivative(system, proj, U, Y):
     """Project the ambient directional derivative of the interpolated field.
 
     Each component Y^r is interpolated; its ambient gradient is contracted
-    with U at the nodes and the result projected back to the tangent spaces.
+    with U at the nodes and the result projected back to the tangent spaces
+    of proj.
     """
-    n, N = vops.n, vops.N
+    n, N = proj.n, system.N
     D = derivative_matrices(system, np.broadcast_to(np.eye(n), (N, n, n)))
     Uc = U.components() if isinstance(U, VectorField) else \
         VectorField.from_samples(U).components()
@@ -243,5 +223,5 @@ def covariant_derivative(vops, system, U, Y):
     for r in range(n):
         for k in range(n):
             W[r] += Uc[k] * (D[k] @ coeffs[r])
-    out = np.einsum("kij,jk->ik", vops.proj.mats, W)
+    out = np.einsum("kij,jk->ik", proj.mats, W)
     return VectorField(vec=out.reshape(-1).copy(), n=n)

@@ -17,6 +17,7 @@ import scipy.linalg
 from .tangent import ProjectionField
 
 TWO_PI = 2.0 * math.pi
+KINDS = ("ellipse", "torus", "general_torus", "flat_torus", "sphere")
 
 
 def counter_rng(seed):
@@ -29,8 +30,7 @@ def counter_rng(seed):
 class ManifoldSpec:
     """One manifold from the built-in zoo.
 
-    kind is one of 'ellipse', 'torus', 'general_torus', 'flat_torus',
-    'sphere'; d and n are the intrinsic and ambient dimensions. `a` is the
+    kind is one of KINDS; d and n are the intrinsic and ambient dimensions. `a` is the
     ellipse semi-axis or the torus radius ratio, `m` the number of harmonics
     per intrinsic dimension of the flat torus.
     """
@@ -42,8 +42,7 @@ class ManifoldSpec:
     m: int = 0
 
     def __post_init__(self):
-        if self.kind not in ("ellipse", "torus", "general_torus",
-                             "flat_torus", "sphere"):
+        if self.kind not in KINDS:
             raise ValueError(f"unknown manifold kind {self.kind!r}")
         if self.d > self.n:
             raise ValueError("intrinsic dimension exceeds ambient dimension")
@@ -104,12 +103,6 @@ def FlatTorus(d, m=1):
 
 def Sphere():
     return ManifoldSpec("sphere", d=2, n=3)
-
-
-def zoo_default_manifolds():
-    """One canonical instance of every kind."""
-    return [Ellipse(2.0), Torus(2.0), GeneralTorus(2.0, 21),
-            FlatTorus(2, 1), Sphere()]
 
 
 # -- torus helpers -----------------------------------------------------------

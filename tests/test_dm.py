@@ -8,10 +8,12 @@ import pytest
 import scipy.linalg
 import scipy.sparse.linalg
 
+from manifold_rbf import dm
 from manifold_rbf.dm import (DmConfig, autotune_epsilon,
                              default_neighbor_count, dm_laplacian,
                              dm_spectrum)
 from manifold_rbf.spectral import symmetric_result
+from manifold_rbf.tangent import knn_indices
 from manifold_rbf.zoo import (Sphere, Torus, sample_manifold,
                               scalar_eigen_truth)
 
@@ -19,12 +21,35 @@ from manifold_rbf.zoo import (Sphere, Torus, sample_manifold,
 TETRA = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]], float)
 
 
+def knn_sq_distances(points, K):
+    """(N, K) squared distances of every point to its K nearest neighbours."""
+    diff = points[:, None, :] - points[knn_indices(points, K)]
+    return np.einsum("ikm,ikm->ik", diff, diff)
+
+
 def test_config_validation():
     DmConfig(K_neighbors=10).validate(10)
+    DmConfig(K_neighbors=10, epsilon=0.5).validate(10)
     with pytest.raises(ValueError):
         DmConfig(K_neighbors=1).validate(10)
     with pytest.raises(ValueError):
         DmConfig(K_neighbors=11).validate(10)
+    for eps in (-0.1, 0.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="epsilon must be finite"):
+            DmConfig(K_neighbors=10, epsilon=eps).validate(10)
+
+
+def test_one_knn_query_serves_bandwidth_and_graph(monkeypatch):
+    calls = []
+
+    def counting(points, K, **kwargs):
+        calls.append(K)
+        return knn_indices(points, K, **kwargs)
+
+    monkeypatch.setattr(dm, "knn_indices", counting)
+    cloud = sample_manifold(Torus(2.0), 300, seed=0, mode="random_area")
+    dm_laplacian(cloud, DmConfig(K_neighbors=18))
+    assert calls == [18]
 
 
 def test_neighbor_count_defaults():
@@ -35,15 +60,15 @@ def test_neighbor_count_defaults():
 
 def test_autotune_equal_distances():
     # single exponential in T(eps): log-derivative peak lands at delta^2/4
-    eps = autotune_epsilon(SimpleNamespace(points=TETRA), 3)
+    eps = autotune_epsilon(knn_sq_distances(TETRA, 3))
     assert eps == pytest.approx(2.0)
 
 
 def test_autotune_scaling_homogeneity():
-    base = autotune_epsilon(SimpleNamespace(points=TETRA), 3)
-    doubled = autotune_epsilon(SimpleNamespace(points=2.0 * TETRA), 3)
+    base = autotune_epsilon(knn_sq_distances(TETRA, 3))
+    doubled = autotune_epsilon(knn_sq_distances(2.0 * TETRA, 3))
     assert doubled == pytest.approx(4.0 * base)       # dyadic factor: exact
-    tripled = autotune_epsilon(SimpleNamespace(points=3.0 * TETRA), 3)
+    tripled = autotune_epsilon(knn_sq_distances(3.0 * TETRA, 3))
     ratio = tripled / (9.0 * base)                    # off-grid: one octave
     assert 0.5 <= ratio <= 2.0
 
@@ -86,11 +111,11 @@ def test_constant_image_and_sparsity():
     for N in (256, 1024):
         cloud = sample_manifold(Sphere(), N, seed=0, mode="random_area")
         K = default_neighbor_count(N)
-        pair, _scale = dm_laplacian(cloud, DmConfig(K_neighbors=K))
+        L, _scale = dm_laplacian(cloud, DmConfig(K_neighbors=K))
         one = np.ones(N)
-        rel.append(np.linalg.norm(pair.A @ one)
-                   / (scipy.sparse.linalg.norm(pair.A) * np.linalg.norm(one)))
-        A = pair.A.tocoo()
+        rel.append(np.linalg.norm(L @ one)
+                   / (scipy.sparse.linalg.norm(L) * np.linalg.norm(one)))
+        A = L.tocoo()
         assert np.count_nonzero(A.data[A.row != A.col]) <= 2 * N * K
     assert rel[0] <= 5e-3
     assert rel[1] < rel[0]
@@ -100,7 +125,7 @@ def test_bandwidth_plateau_torus():
     # tuned bandwidth sits inside the flat region of the error curve
     truth = scalar_eigen_truth(Torus(2.0), 4).values[1][0]
     cloud = sample_manifold(Torus(2.0), 2500, seed=0, mode="random_area")
-    eps = autotune_epsilon(cloud, 100)
+    eps = autotune_epsilon(knn_sq_distances(cloud.points, 100))
     assert 0.015 <= eps <= 0.07
     errs = []
     for f in (0.25, 0.5, 1.0, 2.0):
@@ -123,8 +148,8 @@ def test_sparse_spectrum_matches_dense_reference(N, k):
     cloud = sample_manifold(Torus(2.0), N, seed=1, mode="random_area")
     cfg = DmConfig(K_neighbors=default_neighbor_count(N))
     vals, vecs, lam_max = dm_spectrum(cloud, cfg, k)
-    pair, scale = dm_laplacian(cloud, cfg)
-    ref, Z = scipy.linalg.eigh(pair.A.toarray())
+    L, scale = dm_laplacian(cloud, cfg)
+    ref, Z = scipy.linalg.eigh(L.toarray())
     assert np.max(np.abs(vals - ref[:k])) <= 1e-10 * ref[-1]
     assert abs(lam_max - ref[-1]) <= 1e-10 * ref[-1]
     # same trivial cutoff as the dense full spectrum gives

@@ -10,7 +10,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from manifold_rbf import harness
+from manifold_rbf import cli, harness, zoo
 from manifold_rbf.dm import DmConfig, dm_spectrum
 from manifold_rbf.harness import (MEMORY_ENV_VAR, ExperimentConfig,
                                   alignment_gate, check_memory,
@@ -75,6 +75,22 @@ def test_config_validation():
         make_config(N_list=[400], N_p=200).validate()
 
 
+@pytest.mark.parametrize("kw,match", [
+    (dict(method="DM", dm_epsilon=-0.1), "epsilon must be finite and positive"),
+    (dict(method="DM", dm_epsilon=0.0), "epsilon must be finite and positive"),
+    (dict(method="DM", dm_epsilon=np.nan),
+     "epsilon must be finite and positive"),
+    (dict(method="DM", dm_K=145), r"K_neighbors must lie in \(1, N\]"),
+    (dict(method="DM", dm_K=0), r"K_neighbors must lie in \(1, N\]"),
+    (dict(method="DM", modes=-20), "modes must be at least 1"),
+    (dict(modes=0), "modes must be at least 1"),
+    (dict(compare_count=0), "compare_count must be at least 1"),
+])
+def test_bad_study_inputs_fail_before_any_work(kw, match):
+    with pytest.raises(ValueError, match=match):
+        run_experiment(make_config(**kw))
+
+
 def test_memory_guard(monkeypatch):
     cfg = make_config(N_list=[512], manifold=Sphere())
     check_memory(cfg, 512)                     # desk scale fits the default
@@ -107,12 +123,9 @@ def test_memory_estimate_bounds_traced_peak(method, operator, spec):
     elif operator == "Covariant":
         def stage():
             harness._run_covariant(cfg, op_cloud, proj)
-    elif operator == "LB":
-        def stage():
-            harness._solve_scalar(cfg, op_cloud, proj, q)
     else:
         def stage():
-            harness._solve_vector(cfg, op_cloud, proj, q)
+            harness._solve_rbf(cfg, op_cloud, proj, q)
     tracemalloc.start()
     try:
         stage()
@@ -369,6 +382,21 @@ def test_cli_config_file_entries_survive_flag_defaults(tmp_path):
         "config"]
     assert cfg["method"] == "NRBF" and cfg["seeds"] == [0]
     assert cfg["kernel"] == {"family": "matern", "s": 0.5, "pinv_tol": 1e-8}
+
+
+def test_cli_general_torus_defaults_to_the_zoo_torus(capsys):
+    # --manifold general-torus is the zoo's GeneralTorus(2.0), n = 21, whose
+    # second eigenvalue 0.02812 is not the n = 3 torus's 0.2494; --ambient-n
+    # still picks another dimension
+    for extra, spec in (([], GeneralTorus(2.0, 21)),
+                        (["--ambient-n", "3"], Torus(2.0))):
+        cli.main(["truth", "--manifold", "general-torus", "--count", "4",
+                  *extra])
+        want = zoo.scalar_eigen_truth(spec, 4).values[:4]
+        assert capsys.readouterr().out.splitlines()[1:] == [
+            f"{lam:.17g},{mult}" for lam, mult in want]
+        assert want[1][0] == pytest.approx(
+            0.02812 if spec.n == 21 else 0.2494, abs=1e-4)
 
 
 def test_cli_converge(tmp_path):

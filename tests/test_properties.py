@@ -15,8 +15,7 @@ from manifold_rbf.scalar_ops import (build_grad_matrices,
                                      laplace_beltrami_symmetric)
 from manifold_rbf.spectral import solve_symmetric
 from manifold_rbf.tangent import ProjectionField
-from manifold_rbf.vector_ops import (bochner, build_vector_ops, hodge,
-                                     lichnerowicz)
+from manifold_rbf.vector_ops import bochner, hodge, lichnerowicz
 from manifold_rbf.zoo import (PointCloud, Sphere, analytic_projection,
                               embed, sample_manifold)
 
@@ -40,9 +39,8 @@ def srbf_spectra(system, proj, q):
     """Full spectra of the SRBF Laplace-Beltrami, Bochner, Hodge and
     Lichnerowicz pencils."""
     ops = build_grad_matrices(system, proj)
-    vops = build_vector_ops(ops, proj)
     pairs = [laplace_beltrami_symmetric(ops, q)]
-    pairs += [form("symmetric", vops, q) for form in VECTOR_FORMS]
+    pairs += [form("symmetric", ops, q) for form in VECTOR_FORMS]
     return [solve_symmetric(pair, len(pair.B_diag)).all_values
             for pair in pairs]
 
@@ -106,10 +104,10 @@ def test_lb_pencil_symmetric_psd_with_constants_in_kernel(seed):
 @given(SEEDS)
 def test_vector_pencils_psd_with_orthonormal_lifted_vectors(seed):
     _cloud, proj, system, q = sphere_setup(seed, 0.5)
-    vops = build_vector_ops(build_grad_matrices(system, proj), proj)
+    ops = build_grad_matrices(system, proj)
     qt = np.tile(1.0 / q, 3)
     for form in VECTOR_FORMS:
-        pair = form("symmetric", vops, q)
+        pair = form("symmetric", ops, q)
         assert np.array_equal(pair.A, pair.A.T)
         res = solve_symmetric(pair, 2 * N)
         assert res.all_values.min() >= -1e-10 * res.all_values.max()

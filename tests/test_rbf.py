@@ -3,9 +3,8 @@
 import numpy as np
 import pytest
 
-from manifold_rbf.rbf import (InterpolationSystem, KernelModel, build_system,
-                              interpolate_eval, kernel_deriv,
-                              kernel_deriv_over_r, kernel_eval, pinv_apply)
+from manifold_rbf.rbf import (KernelModel, build_system, interpolate_eval,
+                              kernel_deriv_over_r, kernel_eval)
 from manifold_rbf.zoo import Ellipse, PointCloud, sample_manifold
 
 FAMILIES = ["gaussian", "inverse_quadratic", "matern"]
@@ -14,6 +13,16 @@ FAMILIES = ["gaussian", "inverse_quadratic", "matern"]
 def cloud_from(points):
     return PointCloud(points=np.asarray(points, dtype=float), intrinsic=None,
                       spec=None)
+
+
+def phi_prime(model, r):
+    """phi_s'(r), as the operators use it: r times phi_s'(r) / r."""
+    return r * kernel_deriv_over_r(model, r)
+
+
+def factored_pinv(system, rhs):
+    """The truncated pseudo-inverse U diag(1/w) U^T of Phi applied to rhs."""
+    return (system.U / system._w) @ (system.U.T @ rhs)
 
 
 # -- kernel formulas ---------------------------------------------------------
@@ -32,14 +41,14 @@ def test_gaussian_deriv_formula():
     m = KernelModel("gaussian", 1.5)
     r = np.linspace(0.0, 2.0, 9)
     expected = -2 * 1.5 ** 2 * r * np.exp(-(1.5 * r) ** 2)
-    assert np.allclose(kernel_deriv(m, r), expected, atol=1e-15)
+    assert np.allclose(phi_prime(m, r), expected, atol=1e-15)
 
 
 def test_iq_deriv_formula():
     m = KernelModel("inverse_quadratic", 0.7)
     r = np.linspace(0.0, 2.0, 9)
     expected = -2 * 0.7 ** 2 * r / (1 + (0.7 * r) ** 2) ** 2
-    assert np.allclose(kernel_deriv(m, r), expected, atol=1e-15)
+    assert np.allclose(phi_prime(m, r), expected, atol=1e-15)
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -48,14 +57,14 @@ def test_deriv_matches_finite_difference(family):
     h = 1e-6
     for r in np.arange(0.1, 2.01, 0.1):
         fd = (kernel_eval(m, r + h) - kernel_eval(m, r - h)) / (2 * h)
-        assert abs(kernel_deriv(m, r) - fd) <= 1e-7
+        assert abs(phi_prime(m, r) - fd) <= 1e-7
 
 
 def test_deriv_fd_spot_check():
     m = KernelModel("gaussian", 1.5)
     h = 1e-6
     fd = (kernel_eval(m, 0.3 + h) - kernel_eval(m, 0.3 - h)) / (2 * h)
-    assert abs(kernel_deriv(m, 0.3) - fd) <= 1e-8
+    assert abs(phi_prime(m, 0.3) - fd) <= 1e-8
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -63,7 +72,7 @@ def test_deriv_over_r_limit(family):
     # phi'(r)/r extends continuously to r=0; the matrices rely on the limit
     m = KernelModel(family, 2.0)
     at_zero = kernel_deriv_over_r(m, np.array([0.0]))[0]
-    near_zero = kernel_deriv(m, 1e-8) / 1e-8
+    near_zero = phi_prime(m, 1e-8) / 1e-8
     assert np.isfinite(at_zero)
     assert abs(at_zero - near_zero) <= 1e-6 * abs(at_zero)
 
@@ -132,14 +141,14 @@ def test_rank_monotone_in_pinv_tol():
 def test_pinv_zero_rhs():
     cloud = cloud_from(np.random.default_rng(1).normal(size=(5, 2)))
     system = build_system(cloud, KernelModel("gaussian", 1.0))
-    assert np.allclose(pinv_apply(system, np.zeros(5)), 0.0)
+    assert np.allclose(factored_pinv(system, np.zeros(5)), 0.0)
 
 
 def test_pinv_full_rank_solve():
     cloud = cloud_from([[0.0, 0.0], [1.0, 0.2], [0.3, 1.1]])
     system = build_system(cloud, KernelModel("gaussian", 1.0))
     f = np.array([1.0, -2.0, 0.5])
-    c = pinv_apply(system, f)
+    c = factored_pinv(system, f)
     assert np.max(np.abs(system.Phi @ c - f)) <= 1e-10
     direct = np.linalg.solve(system.Phi, f)
     assert np.allclose(c, direct, atol=1e-9)
@@ -148,7 +157,7 @@ def test_pinv_full_rank_solve():
 def test_pinv_reprojection_identity():
     cloud = sample_manifold(Ellipse(2.0), 120, seed=5)
     system = build_system(cloud, KernelModel("gaussian", 2.0))
-    lhs = system.Phi @ pinv_apply(system, system.Phi)
+    lhs = system.Phi @ factored_pinv(system, system.Phi)
     assert np.max(np.abs(lhs - system.Phi)) <= 1e-8 * np.abs(system.Phi).max()
 
 
@@ -158,11 +167,11 @@ def test_pinv_rank_deficient_least_squares():
     cloud = cloud_from([[0.0, 0.0], [0.0, 0.0]])
     system = build_system(cloud, KernelModel("gaussian", 1.0))
     rhs = np.array([2.0, 2.0])           # in range(Phi) = span(1,1)
-    c = pinv_apply(system, rhs)
+    c = factored_pinv(system, rhs)
     resid = system.Phi @ c - rhs
     assert np.max(np.abs(resid)) <= 1e-12
     rhs2 = np.array([1.0, -1.0])          # orthogonal to the range
-    c2 = pinv_apply(system, rhs2)
+    c2 = factored_pinv(system, rhs2)
     resid2 = system.Phi @ c2 - rhs2
     assert abs(resid2 @ np.ones(2)) <= 1e-12
 
@@ -171,7 +180,7 @@ def test_pinv_matrix_shape_and_symmetry():
     # Phi^+ is only ever applied in factored form; applied to I it is dense
     cloud = sample_manifold(Ellipse(2.0), 60, seed=2)
     system = build_system(cloud, KernelModel("matern", 1.0))
-    Pplus = pinv_apply(system, np.eye(60))
+    Pplus = factored_pinv(system, np.eye(60))
     assert Pplus.shape == (60, 60)
     assert np.max(np.abs(Pplus - Pplus.T)) <= 1e-12 * np.abs(Pplus).max()
 
@@ -195,7 +204,7 @@ def test_interpolation_condition_full_rank():
     assert system.rank_L == 80    # precondition of the exactness claim
     rng = np.random.default_rng(6)
     f = rng.normal(size=80)
-    c = pinv_apply(system, f)
+    c = factored_pinv(system, f)
     vals = np.array([interpolate_eval(system, c, x) for x in cloud.points])
     assert np.max(np.abs(vals - f)) <= 1e-8 * np.abs(f).max()
 
@@ -205,7 +214,7 @@ def test_interpolate_constant_off_node():
     theta = np.linspace(0, 2 * np.pi, 200, endpoint=False)
     cloud = cloud_from(np.column_stack([np.cos(theta), np.sin(theta)]))
     system = build_system(cloud, KernelModel("inverse_quadratic", 0.5))
-    c = pinv_apply(system, np.ones(200))
+    c = factored_pinv(system, np.ones(200))
     rng = np.random.default_rng(8)
     for th in rng.uniform(0, 2 * np.pi, size=50):
         q = np.array([np.cos(th), np.sin(th)])

@@ -179,7 +179,7 @@ def test_scaling_covariance(circle_ops):
     _, ops, q = circle_ops
     c = 3.0
     scaled = ScalarOperatorSet(G=[c * Gi for Gi in ops.G], proj=ops.proj,
-                               kernel=ops.kernel, system=ops.system)
+                               U=ops.U)
     L = laplace_beltrami_nonsymmetric(ops)
     Ls = laplace_beltrami_nonsymmetric(scaled)
     assert np.allclose(Ls, c ** 2 * L, atol=1e-10)

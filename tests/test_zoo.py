@@ -6,12 +6,12 @@ import scipy.linalg
 
 from manifold_rbf import zoo
 from manifold_rbf.harness import ExperimentConfig, run_experiment
-from manifold_rbf.zoo import (Ellipse, FlatTorus, GeneralTorus, Sphere, Torus,
-                              analytic_projection, embed, intrinsic_box,
-                              metric_sqrt_det, sample_manifold,
+from manifold_rbf.zoo import (Ellipse, FlatTorus, GeneralTorus, ManifoldSpec,
+                              Sphere, Torus, analytic_projection, embed,
+                              intrinsic_box, metric_sqrt_det, sample_manifold,
                               sampling_density, scalar_eigen_truth,
                               sturm_liouville_truth, vector_eigen_truth,
-                              volume, zoo_default_manifolds)
+                              volume)
 from manifold_rbf.zoo import _sl_modes, _torus_constants
 
 ALL_SPECS = [Ellipse(2.0), Torus(2.0), GeneralTorus(2.0, 3),
@@ -359,9 +359,15 @@ def test_vector_truth_rejects_torus():
 
 
 def test_zoo_defaults_cover_every_kind():
-    kinds = {spec.kind for spec in zoo_default_manifolds()}
-    assert kinds == {"ellipse", "torus", "general_torus", "flat_torus",
-                     "sphere"}
+    # one constructor per kind, and a bare entry of each kind (as the CLI
+    # and config files give it) builds that constructor's default instance
+    kinds = ("ellipse", "torus", "general_torus", "flat_torus", "sphere")
+    specs = [Ellipse(2.0), Torus(2.0), GeneralTorus(2.0), FlatTorus(2),
+             Sphere()]
+    assert zoo.KINDS == kinds
+    assert tuple(spec.kind for spec in specs) == kinds
+    assert [ManifoldSpec.from_dict({"kind": kind, "a": 2.0, "d": 2})
+            for kind in kinds] == specs
 
 
 def test_scalar_truth_is_memoised(monkeypatch):
