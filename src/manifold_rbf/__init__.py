@@ -14,7 +14,7 @@ from .density import DensityEstimate, kde_density, silverman_bandwidth
 from .dm import DmConfig, autotune_epsilon, dm_laplacian, dm_spectrum
 from .harness import (ExperimentConfig, Report, RunRecord, alignment_gate,
                       fit_convergence_slope, paired_mode_errors,
-                      run_experiment, truth_basis_matrix)
+                      run_experiment)
 from .rbf import (InterpolationSystem, KernelModel, build_system,
                   interpolate_eval, kernel_eval)
 from .scalar_ops import (GeneralizedPair, ScalarOperatorSet,

@@ -19,9 +19,7 @@ import numpy as np
 
 from . import harness, zoo
 from .harness import ExperimentConfig, run_experiment
-from .tangent import (default_neighbor_count as tangent_default_K,
-                      first_order_svd, projection_diagnostics,
-                      second_order_svd)
+from .tangent import first_order_svd, projection_diagnostics, second_order_svd
 
 # the study defaults; sample and tangent draw a cloud without a study config
 _DEFAULTS = ExperimentConfig(manifold=None, N_list=[])
@@ -135,10 +133,9 @@ def cmd_tangent(args):
     spec = _manifold_from_args(args)
     sample_N = args.Np or args.N
     cloud = zoo.sample_manifold(spec, sample_N, args.seed, mode=args.mode)
-    K = args.K or tangent_default_K(spec.d)
     query = np.arange(args.N) if sample_N > args.N else None
-    est = first_order_svd(cloud, K, query_idx=query) if args.order == 1 \
-        else second_order_svd(cloud, K, query_idx=query)
+    est = first_order_svd(cloud, args.K, query_idx=query) if args.order == 1 \
+        else second_order_svd(cloud, args.K, query_idx=query)
     est.save(args.out)
     truth = zoo.analytic_projection(harness.subset_cloud(cloud, args.N))
     diag = projection_diagnostics(est, truth)
@@ -219,6 +216,10 @@ def cmd_truth(args):
     else:
         truth = zoo.vector_eigen_truth(
             spec, harness.VECTOR_LAPLACIANS[args.operator])
+    if len(truth.values) < args.count:
+        raise ValueError(f"the {args.operator} truth holds only "
+                         f"{len(truth.values)} eigenvalues, --count asks "
+                         f"for {args.count}")
     lines = ["eigenvalue,multiplicity"]
     for lam, mult in truth.values[:args.count]:
         lines.append(f"{lam:.17g},{mult}")

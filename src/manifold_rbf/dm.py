@@ -27,11 +27,17 @@ from .tangent import knn_indices
 
 @dataclass
 class DmConfig:
-    K_neighbors: int
+    K_neighbors: int = None     # None means default_neighbor_count(N)
     epsilon: float = None       # None means auto-tune
 
+    def neighbors(self, N):
+        """Neighbour count of the graph on N points."""
+        if self.K_neighbors is None:
+            return default_neighbor_count(N)
+        return self.K_neighbors
+
     def validate(self, N):
-        if not 1 < self.K_neighbors <= N:
+        if not 1 < self.neighbors(N) <= N:
             raise ValueError("K_neighbors must lie in (1, N]")
         if self.epsilon is not None and not 0 < self.epsilon < np.inf:
             raise ValueError("epsilon must be finite and positive, or None "
@@ -77,7 +83,7 @@ def dm_laplacian(cloud, config):
     points = np.asarray(cloud.points, dtype=float)
     N = points.shape[0]
     config.validate(N)
-    idx = knn_indices(points, min(config.K_neighbors, N - 1))
+    idx = knn_indices(points, min(config.neighbors(N), N - 1))
     diff = points[:, None, :] - points[idx]
     d2 = np.einsum("ikm,ikm->ik", diff, diff)
     eps = config.epsilon

@@ -16,15 +16,14 @@ import numpy as np
 
 from . import zoo
 from .density import kde_density
-from .dm import DmConfig, default_neighbor_count, dm_spectrum
+from .dm import DmConfig, dm_spectrum
 from .rbf import KernelModel, build_system
 from .scalar_ops import (build_grad_matrices, laplace_beltrami_nonsymmetric,
                          laplace_beltrami_symmetric)
 from .spectral import (SpectralResult, align_eigenvectors_ols,
                        solve_nonsymmetric, solve_symmetric, symmetric_result,
                        write_alignment_csv, write_spectrum_csv)
-from .tangent import first_order_svd, second_order_svd, default_neighbor_count \
-    as tangent_default_K
+from .tangent import first_order_svd, second_order_svd
 from .vector_ops import (VectorField, bochner, covariant_derivative, hodge,
                          lichnerowicz)
 
@@ -53,7 +52,7 @@ class ExperimentConfig:
     seeds: list = dc_field(default_factory=lambda: [0])
     N_p: int = None
     K: int = None                  # tangent-estimation neighbors
-    dm_K: int = None
+    dm_K: int = None               # DM graph neighbors, sqrt(N) by default
     dm_epsilon: float = None
     sample_mode: str = "random_intrinsic"
     compare_count: int = 12        # modes entering the convergence error
@@ -80,14 +79,18 @@ class ExperimentConfig:
                              "1D demo is available (sphere or ellipse)")
         if self.N_p is not None and self.N_p < max(self.N_list):
             raise ValueError("N_p must be at least the operator cloud size")
-        for name in ("modes", "compare_count"):
-            if getattr(self, name) < 1:
+        for name in ("modes", "compare_count", "K"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
                 raise ValueError(f"{name} must be at least 1")
         if self.method == "DM":
             for N in self.N_list:
-                K = default_neighbor_count(N) if self.dm_K is None \
-                    else self.dm_K
-                DmConfig(K, self.dm_epsilon).validate(N)
+                self.dm.validate(N)
+
+    @property
+    def dm(self):
+        """The diffusion-maps settings; DmConfig resolves the default K."""
+        return DmConfig(self.dm_K, self.dm_epsilon)
 
     def to_dict(self):
         return {
@@ -143,7 +146,7 @@ def estimate_run_bytes(config, N):
     """
     n, d = config.manifold.n, config.manifold.d
     if config.method == "DM":
-        K = config.dm_K or default_neighbor_count(N)
+        K = config.dm.neighbors(N)
         ncv = max(2 * _dm_mode_count(config, N) + 1, 20)
         words = N * (10 * K + 4 * ncv)
     elif config.operator == "LB":
@@ -202,11 +205,10 @@ class Report:
                 write_spectrum_csv(
                     os.path.join(out_dir, f"{tag}_spectrum.csv"),
                     rec.result, config_echo=echo)
-            if rec.vec_errors is not None and rec.mode_errors is not None:
-                truth_vals = rec.truth_vals
+            if rec.vec_errors is not None:
                 write_alignment_csv(
                     os.path.join(out_dir, f"{tag}_alignment.csv"),
-                    truth_vals, rec.aligned_est_vals, rec.vec_errors,
+                    rec.truth_vals, rec.aligned_est_vals, rec.vec_errors,
                     config_echo=echo)
         if self.convergence:
             rows = np.array(self.convergence, dtype=float)
@@ -249,12 +251,11 @@ def build_projection(config, cloud_full, N):
         return op_cloud, None       # the graph Laplacian reads no tangents
     if config.projection == "Analytic":
         return op_cloud, zoo.analytic_projection(op_cloud)
-    K = config.K or tangent_default_K(config.manifold.d)
     query = np.arange(N) if cloud_full.N > N else None
     if config.projection == "FirstOrder":
-        proj = first_order_svd(cloud_full, K, query_idx=query)
+        proj = first_order_svd(cloud_full, config.K, query_idx=query)
     else:
-        proj = second_order_svd(cloud_full, K, query_idx=query)
+        proj = second_order_svd(cloud_full, config.K, query_idx=query)
     return op_cloud, proj
 
 
@@ -270,19 +271,9 @@ def build_density(config, op_cloud):
     return np.ones(op_cloud.N)
 
 
-def truth_basis_matrix(truth, points, count):
-    """Stack the leading truth eigenfunctions as columns (scalar N x count,
-    vector nN x count with coordinate-stacked rows)."""
-    basis = truth.evaluate_basis(points, count)
-    if truth.kind == "vector":
-        return np.stack([VectorField.from_samples(b).vec for b in basis],
-                        axis=1)
-    return basis
-
-
-def alignment_gate(result, truth, points, count, cap=0.5, window=None):
+def alignment_gate(result, F, cap=0.5, window=None):
     """Select the nontrivial modes whose eigenvectors lie in the span of the
-    truth eigenbasis.
+    truth basis F (EigenTruth.basis at the operator's points).
 
     Rank truncation scatters spurious modes through the vector spectra
     (degraded copies of unresolved high-degree blocks land between the
@@ -293,9 +284,8 @@ def alignment_gate(result, truth, points, count, cap=0.5, window=None):
     """
     nontrivial_idx = np.flatnonzero(~result.trivial)
     if window is None:
-        window = max(4 * count, 120)
+        window = max(4 * F.shape[1], 120)
     nontrivial_idx = nontrivial_idx[:window]
-    F = truth_basis_matrix(truth, points, count)
     gram_inv = np.linalg.pinv(F.T @ F)
     resid = np.empty(len(nontrivial_idx))
     for j, i in enumerate(nontrivial_idx):
@@ -308,8 +298,9 @@ def alignment_gate(result, truth, points, count, cap=0.5, window=None):
     return kept, resid
 
 
-def paired_mode_errors(result, truth, count, candidates=None):
-    """Eigenvalue errors with kernel-aware pairing.
+def paired_mode_errors(result, truth_vals, candidates=None):
+    """Eigenvalue errors of the leading modes against truth_vals, with
+    kernel-aware pairing.
 
     Truth zero modes are matched against the estimate's near-zero modes:
     a sub-threshold nontrivial estimate consumes the slot when present
@@ -319,8 +310,7 @@ def paired_mode_errors(result, truth, count, candidates=None):
     (see alignment_gate). Returns (errors, est_indices) where index -1 marks
     a slot satisfied by a truncation zero.
     """
-    truth_vals = truth.expanded(count) if hasattr(truth, "expanded") \
-        else np.asarray(truth, dtype=float)[:count]
+    truth_vals = np.asarray(truth_vals, dtype=float)
     nontrivial_idx = np.flatnonzero(~result.trivial) \
         if candidates is None else np.asarray(candidates, dtype=int)
     est = np.abs(result.values[nontrivial_idx])
@@ -434,10 +424,7 @@ def run_experiment(config):
                 rec.field_error, rec.rank_L = _run_covariant(
                     config, op_cloud, proj)
             elif config.method == "DM":
-                dm_cfg = DmConfig(
-                    K_neighbors=config.dm_K or default_neighbor_count(N),
-                    epsilon=config.dm_epsilon)
-                lam, vec, lam_max = dm_spectrum(op_cloud, dm_cfg,
+                lam, vec, lam_max = dm_spectrum(op_cloud, config.dm,
                                                 _dm_mode_count(config, N))
                 rec.result = symmetric_result(lam, vec,
                                               config.kernel.pinv_tol,
@@ -456,23 +443,20 @@ def run_experiment(config):
             if truth is not None and rec.result is not None:
                 count = min(config.compare_count,
                             sum(m for _v, m in truth.values))
-                candidates = None
-                if truth.kind == "vector" and truth.evaluators is not None \
-                        and rec.result.vectors is not None:
-                    candidates, _resid = alignment_gate(
-                        rec.result, truth, op_cloud.points, count)
-                rec.mode_errors, idx = paired_mode_errors(
-                    rec.result, truth, count, candidates=candidates)
                 rec.truth_vals = truth.expanded(count)
+                F = truth.basis(op_cloud.points, count)
+                candidates = None
+                if truth.kind == "vector":
+                    candidates, _resid = alignment_gate(rec.result, F)
+                rec.mode_errors, idx = paired_mode_errors(
+                    rec.result, rec.truth_vals, candidates=candidates)
                 rec.aligned_est_vals = np.where(
                     idx >= 0, np.abs(rec.result.values[idx]), 0.0)
-                if truth.evaluators is not None:
-                    valid = idx >= 0
-                    F = truth_basis_matrix(truth, op_cloud.points, count)
-                    est_vecs = rec.result.vectors[:, idx[valid]]
-                    rep = align_eigenvectors_ols(F[:, valid], est_vecs)
-                    rec.vec_errors = np.full(count, np.nan)
-                    rec.vec_errors[valid] = rep.per_mode_error
+                valid = idx >= 0
+                rep = align_eigenvectors_ols(
+                    F[:, valid], rec.result.vectors[:, idx[valid]])
+                rec.vec_errors = np.full(count, np.nan)
+                rec.vec_errors[valid] = rep.per_mode_error
             rec.wall_time = time.perf_counter() - t0
             runs.append(rec)
 

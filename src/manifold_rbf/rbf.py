@@ -20,10 +20,9 @@ from scipy.spatial.distance import cdist
 class KernelModel:
     """Radial kernel family with shape parameter and pseudo-inverse cutoff."""
 
-    family: str                 # gaussian | inverse_quadratic | matern
+    family: str        # gaussian | inverse_quadratic | matern (nu = 3/2)
     s: float
     pinv_tol: float = 1e-8
-    order: float = 1.5          # Matern smoothness, nu = 3/2 by default
 
     def __post_init__(self):
         if self.family not in ("gaussian", "inverse_quadratic", "matern"):
@@ -32,8 +31,6 @@ class KernelModel:
             raise ValueError("shape parameter s must be positive")
         if not 1e-12 <= self.pinv_tol <= 1e-2:
             raise ValueError("pinv_tol must lie in [1e-12, 1e-2]")
-        if self.family == "matern" and self.order != 1.5:
-            raise ValueError("only the nu=3/2 Matern kernel is implemented")
 
     def to_dict(self):
         return {"family": self.family, "s": self.s, "pinv_tol": self.pinv_tol}

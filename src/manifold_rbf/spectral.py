@@ -199,7 +199,7 @@ def align_eigenvectors_ols(F, U):
                            per_mode_error=num / den)
 
 
-def write_spectrum_csv(path, result, config_echo=None, extra_meta=None):
+def write_spectrum_csv(path, result, config_echo=None):
     """Spectrum as CSV: mode, re, im, magnitude, trivial flag.
 
     One row per entry of result.all_values: the full spectrum of an RBF
@@ -219,8 +219,6 @@ def write_spectrum_csv(path, result, config_echo=None, extra_meta=None):
               f"solve_dim={result.solve_dim}"]
     if config_echo is not None:
         header.append("config=" + json.dumps(config_echo, sort_keys=True))
-    if extra_meta:
-        header.append(extra_meta)
     header.append("mode,re,im,magnitude,trivial")
     np.savetxt(path, rows, fmt=["%d", "%.17g", "%.17g", "%.17g", "%d"],
                delimiter=",", header="\n".join(header))

@@ -104,17 +104,10 @@ def _difference_blocks(points, neighbors, query_idx):
     return (points[neighbors] - base[:, None, :]).transpose(0, 2, 1)
 
 
-def first_order_svd(cloud, K, d=None, query_idx=None):
-    """First-order local-SVD tangent frame at every point.
-
-    Per point: the n x K matrix of neighbor differences is decomposed and
-    the leading d left singular vectors are the frame estimate.
-    """
+def _first_order(cloud, K, d, query_idx):
+    """The first-order step: neighbour differences D (Q, n, K), the leading
+    d left singular vectors of each block, and the degenerate flags."""
     points = np.asarray(cloud.points, dtype=float)
-    if d is None:
-        d = cloud.spec.d
-    if K < d + 1:
-        raise ValueError("K must be at least d+1")
     neighbors = knn_indices(points, K, query_idx)
     full_idx = np.arange(points.shape[0]) if query_idx is None else query_idx
     D = _difference_blocks(points, neighbors, full_idx)
@@ -125,31 +118,40 @@ def first_order_svd(cloud, K, d=None, query_idx=None):
             f"{int(degenerate.sum())} neighborhoods span fewer than d={d} "
             "directions; their frames are flagged degenerate",
             RuntimeWarning)
-    return ProjectionField(frames=U[:, :, :d].copy(), source="first_order",
+    return D, U[:, :, :d], degenerate
+
+
+def first_order_svd(cloud, K=None, d=None, query_idx=None):
+    """First-order local-SVD tangent frame at every point.
+
+    Per point: the n x K matrix of neighbor differences is decomposed and
+    the leading d left singular vectors are the frame estimate. K defaults
+    to default_neighbor_count(d), d to the manifold's dimension.
+    """
+    d = cloud.spec.d if d is None else d
+    K = default_neighbor_count(d) if K is None else K
+    if K < d + 1:
+        raise ValueError("K must be at least d+1")
+    _D, T, degenerate = _first_order(cloud, K, d, query_idx)
+    return ProjectionField(frames=T.copy(), source="first_order",
                            K_used=K, degenerate=degenerate)
 
 
-def second_order_svd(cloud, K, d=None, query_idx=None):
+def second_order_svd(cloud, K=None, d=None, query_idx=None):
     """Curvature-corrected tangent frame estimate.
 
     Steps per point: first-order tangent basis; neighbor differences
     projected onto it (rho); least-squares fit of the quadratic form A y = D
     with A holding squares and doubled cross-products of rho; SVD of the
-    corrected differences 2D - (A Y)^T.
+    corrected differences 2D - (A Y)^T. K and d default as in
+    first_order_svd.
     """
-    points = np.asarray(cloud.points, dtype=float)
-    if d is None:
-        d = cloud.spec.d
+    d = cloud.spec.d if d is None else d
+    K = default_neighbor_count(d) if K is None else K
     quad = d * (d + 1) // 2
     if K <= quad:
         raise ValueError(f"K must exceed d(d+1)/2 = {quad}")
-    neighbors = knn_indices(points, K, query_idx)
-    full_idx = np.arange(points.shape[0]) if query_idx is None else query_idx
-    D = _difference_blocks(points, neighbors, full_idx)
-
-    U1, s1, _ = np.linalg.svd(D, full_matrices=False)
-    T = U1[:, :, :d]
-    degenerate = s1[:, d - 1] <= K * np.finfo(float).eps * s1[:, 0]
+    D, T, degenerate = _first_order(cloud, K, d, query_idx)
     rho = np.einsum("qnk,qnd->qkd", D, T)
 
     cols = [rho[:, :, i] * rho[:, :, i] for i in range(d)]
@@ -172,11 +174,6 @@ def second_order_svd(cloud, K, d=None, query_idx=None):
             f"quadratic fit rank-deficient at {int(bad.sum())} points; "
             "first-order frames kept there", RuntimeWarning)
         T2[bad] = T[bad]
-    if np.any(degenerate):
-        warnings.warn(
-            f"{int(degenerate.sum())} neighborhoods span fewer than d={d} "
-            "directions; their frames are flagged degenerate",
-            RuntimeWarning)
     return ProjectionField(frames=T2, source="second_order", K_used=K,
                            degenerate=degenerate, fallback=bad)
 

@@ -206,7 +206,8 @@ def lichnerowicz(kind, ops, q=None):
 
 
 def covariant_derivative(system, proj, U, Y):
-    """Project the ambient directional derivative of the interpolated field.
+    """Project the ambient directional derivative of the interpolated field
+    Y along U (both VectorFields).
 
     Each component Y^r is interpolated; its ambient gradient is contracted
     with U at the nodes and the result projected back to the tangent spaces
@@ -214,10 +215,7 @@ def covariant_derivative(system, proj, U, Y):
     """
     n, N = proj.n, system.N
     D = derivative_matrices(system, np.broadcast_to(np.eye(n), (N, n, n)))
-    Uc = U.components() if isinstance(U, VectorField) else \
-        VectorField.from_samples(U).components()
-    Yc = Y.components() if isinstance(Y, VectorField) else \
-        VectorField.from_samples(Y).components()
+    Uc, Yc = U.components(), Y.components()
     coeffs = Yc @ system.U
     W = np.zeros_like(Yc)
     for r in range(n):

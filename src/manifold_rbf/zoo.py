@@ -3,7 +3,9 @@
 Provides samplers (random in intrinsic coordinates, or lattice grids), exact
 orthonormal tangent frames from the embedding Jacobian, closed-form or
 semi-analytic Laplacian eigen-truth, and the sampling density of
-intrinsic-uniform draws with respect to the Riemannian volume measure.
+intrinsic-uniform draws with respect to the Riemannian volume measure. An
+EigenTruth holds the reference eigenvalues and hands its eigenfunctions to
+the scorer as one basis matrix over the sample points (EigenTruth.basis).
 """
 
 import functools
@@ -15,6 +17,7 @@ import numpy as np
 import scipy.linalg
 
 from .tangent import ProjectionField
+from .vector_ops import VectorField
 
 TWO_PI = 2.0 * math.pi
 KINDS = ("ellipse", "torus", "general_torus", "flat_torus", "sphere")
@@ -345,14 +348,15 @@ def sampling_density(spec, cloud):
 @dataclass
 class EigenTruth:
     """Reference spectrum: ascending (eigenvalue, multiplicity) pairs plus
-    eigenfunction evaluators aligned with the expanded mode order.
+    the eigenfunctions in expanded mode order.
 
-    Scalar evaluators map ambient points (Q, n) to (Q,); vector evaluators
-    map to (Q, n).
+    columns(points) takes ambient points (Q, n) and yields one eigenfunction
+    per mode: (Q,) values for scalar truth, (Q, n) ambient vectors for
+    vector truth.
     """
 
     values: list
-    evaluators: list
+    columns: object
     kind: str = "scalar"
 
     def expanded(self, count):
@@ -364,13 +368,17 @@ class EigenTruth:
                     return np.array(out)
         raise ValueError(f"truth holds only {len(out)} modes, need {count}")
 
-    def evaluate_basis(self, points, count):
-        """Stack the first `count` eigenfunction evaluations as columns."""
-        if self.evaluators is None or len(self.evaluators) < count:
-            have = 0 if self.evaluators is None else len(self.evaluators)
-            raise ValueError(f"only {have} evaluators available, need {count}")
-        cols = [np.asarray(f(points)) for f in self.evaluators[:count]]
-        return np.stack(cols, axis=-1) if self.kind == "scalar" else cols
+    def basis(self, points, count):
+        """The first `count` eigenfunctions as columns: (Q, count) for
+        scalar truth, (nQ, count) with coordinate-stacked rows for vector
+        truth."""
+        cols = list(itertools.islice(self.columns(points), count))
+        if len(cols) < count:
+            raise ValueError(f"truth holds only {len(cols)} eigenfunctions, "
+                             f"need {count}")
+        if self.kind == "vector":
+            cols = [VectorField.from_samples(c).vec for c in cols]
+        return np.stack(cols, axis=1)
 
 
 # -- flat torus spectrum ------------------------------------------------------
@@ -404,31 +412,26 @@ def _flat_torus_lattice(d, count):
         R += 1
 
 
-def _flat_torus_angles(spec, points):
-    # invert the embedding through the first harmonic pair of every block
-    t = np.empty((points.shape[0], spec.d))
-    for i in range(spec.d):
-        col = 2 * spec.m * i
-        t[:, i] = np.arctan2(points[:, col + 1], points[:, col])
-    return t
-
-
 def _flat_torus_truth(spec, count):
     values, reps = _flat_torus_lattice(spec.d, count)
-    evaluators = []
-    for lam, _mult in values:
-        if lam == 0.0:
-            evaluators.append(
-                lambda x, s=spec: np.ones(np.atleast_2d(x).shape[0]))
-            continue
-        for k in reps[int(lam)]:
-            kv = np.array(k, dtype=float)
-            def _cos(x, kv=kv, s=spec):
-                return np.cos(_flat_torus_angles(s, np.atleast_2d(x)) @ kv)
-            def _sin(x, kv=kv, s=spec):
-                return np.sin(_flat_torus_angles(s, np.atleast_2d(x)) @ kv)
-            evaluators.extend([_cos, _sin])
-    return EigenTruth(values=values, evaluators=evaluators, kind="scalar")
+
+    def columns(points):
+        # invert the embedding through the first harmonic pair of every block
+        x = np.atleast_2d(points)
+        t = np.empty((x.shape[0], spec.d))
+        for i in range(spec.d):
+            col = 2 * spec.m * i
+            t[:, i] = np.arctan2(x[:, col + 1], x[:, col])
+        for lam, _mult in values:
+            if lam == 0.0:
+                yield np.ones(t.shape[0])
+                continue
+            for k in reps[int(lam)]:
+                kv = np.array(k, dtype=float)
+                yield np.cos(t @ kv)
+                yield np.sin(t @ kv)
+
+    return EigenTruth(values=values, columns=columns, kind="scalar")
 
 
 # -- sphere spectrum ----------------------------------------------------------
@@ -511,63 +514,54 @@ def _sphere_harmonic_families():
 
 def _sphere_scalar_truth(count):
     if count > 4:
-        raise ValueError("sphere eigenfunction evaluators cover l <= 3 "
+        raise ValueError("sphere eigenfunctions cover l <= 3 "
                          "(four distinct eigenvalues)")
     families = _sphere_harmonic_families()
-    values = []
-    evaluators = []
-    for l in range(count):
-        values.append((float(l * (l + 1)), 2 * l + 1))
-        if l == 0:
-            evaluators.append(lambda x: np.ones(np.atleast_2d(x).shape[0]))
-        else:
-            evaluators.extend(psi for psi, _g in families[l])
-    return EigenTruth(values=values, evaluators=evaluators, kind="scalar")
+    values = [(float(l * (l + 1)), 2 * l + 1) for l in range(count)]
 
+    def columns(points):
+        x = np.atleast_2d(points)
+        yield np.ones(x.shape[0])
+        for l in range(1, count):
+            yield from (psi(x) for psi, _g in families[l])
 
-def _curl_field(grad):
-    def U(x):
-        x = np.atleast_2d(x)
-        return np.cross(x, grad(x))
-    return U
-
-
-def _proj_field(grad):
-    def U(x):
-        x = np.atleast_2d(x)
-        g = grad(x)
-        return g - np.sum(x * g, axis=1, keepdims=True) * x
-    return U
+    return EigenTruth(values=values, columns=columns, kind="scalar")
 
 
 def vector_eigen_truth(spec, which):
-    """Sphere vector-Laplacian truth with tangential eigenfield evaluators.
+    """Sphere vector-Laplacian truth with tangential eigenfields.
 
     Eigenfields come in two families per degree l: the rotational form
-    x × grad(psi) and the gradient form P grad(psi), psi ranging over the
-    degree-l harmonics. Bochner eigenvalue l(l+1)-1 and Hodge eigenvalue
-    l(l+1) share both families; the Lichnerowicz operator splits them
-    (rotational l=1 fields generate isometries and sit in the nullspace).
+    x × grad(psi) and the gradient form P grad(psi) = grad(psi) - (x·grad
+    psi) x, psi ranging over the degree-l harmonics. Bochner eigenvalue
+    l(l+1)-1 and Hodge eigenvalue l(l+1) share both families; the
+    Lichnerowicz operator splits them (rotational l=1 fields generate
+    isometries and sit in the nullspace).
     """
     if spec.kind != "sphere":
         raise ValueError("vector eigen-truth is available for the sphere only")
     families = _sphere_harmonic_families()
-    curl = {l: [_curl_field(g) for _p, g in families[l]] for l in families}
-    proj = {l: [_proj_field(g) for _p, g in families[l]] for l in families}
+    # (rotational?, degree) per block of eigenfields, in expanded order
+    both = [(True, 1), (False, 1), (True, 2), (False, 2), (True, 3),
+            (False, 3)]
     if which == "Bochner":
-        values = [(1.0, 6), (5.0, 10), (11.0, 14)]
-        evaluators = (curl[1] + proj[1] + curl[2] + proj[2]
-                      + curl[3] + proj[3])
+        values, blocks = [(1.0, 6), (5.0, 10), (11.0, 14)], both
     elif which == "Hodge":
-        values = [(2.0, 6), (6.0, 10), (12.0, 14)]
-        evaluators = (curl[1] + proj[1] + curl[2] + proj[2]
-                      + curl[3] + proj[3])
+        values, blocks = [(2.0, 6), (6.0, 10), (12.0, 14)], both
     elif which == "Lichnerowicz":
-        values = [(0.0, 3), (2.0, 3), (4.0, 5), (10.0, 12)]
-        evaluators = curl[1] + proj[1] + curl[2] + (proj[2] + curl[3])
+        values, blocks = [(0.0, 3), (2.0, 3), (4.0, 5), (10.0, 12)], both[:5]
     else:
         raise ValueError(f"unknown vector Laplacian {which!r}")
-    return EigenTruth(values=values, evaluators=evaluators, kind="vector")
+
+    def columns(points):
+        x = np.atleast_2d(points)
+        for rotational, l in blocks:
+            for _psi, grad in families[l]:
+                g = grad(x)
+                yield np.cross(x, g) if rotational else \
+                    g - np.sum(x * g, axis=1, keepdims=True) * x
+
+    return EigenTruth(values=values, columns=columns, kind="vector")
 
 
 # -- general torus: Sturm-Liouville reduction ---------------------------------
@@ -682,12 +676,23 @@ def sturm_liouville_truth(spec, N_theta=2048, count=30):
     Returns the `count` lowest (lambda, m) entries, ordered by (lambda, m).
     """
     th, entries = _sl_modes(spec, N_theta, count)
-    values = []
-    evaluators = []
-    for lam, m, theta_vec in entries:
-        values.append((float(lam), 1 if m == 0 else 2))
-        evaluators.extend(_sl_evaluators(spec, th, theta_vec, m))
-    return EigenTruth(values=values, evaluators=evaluators, kind="scalar")
+    values = [(float(lam), 1 if m == 0 else 2) for lam, m, _v in entries]
+    grid = np.concatenate([th, [TWO_PI]])
+
+    def columns(points):
+        th_x, ph_x = _torus_angles(spec, points)
+        th_x = np.mod(th_x, TWO_PI)
+        for _lam, m, theta_vec in entries:
+            # periodic linear interpolation of Theta on the grid
+            val = np.interp(th_x, grid,
+                            np.concatenate([theta_vec, [theta_vec[0]]]))
+            if m == 0:
+                yield val
+            else:
+                yield val * np.cos(m * ph_x)
+                yield val * np.sin(m * ph_x)
+
+    return EigenTruth(values=values, columns=columns, kind="scalar")
 
 
 def _torus_angles(spec, points):
@@ -697,32 +702,6 @@ def _torus_angles(spec, points):
     th = np.arctan2(points[:, -1] / math.sqrt(b), ring - spec.a)
     ph = np.arctan2(points[:, 1], points[:, 0])
     return th, ph
-
-
-def _sl_evaluators(spec, grid, theta_vec, m):
-    # periodic linear interpolation of Theta on the grid
-    gx = np.concatenate([grid, [TWO_PI]])
-    gy = np.concatenate([theta_vec, [theta_vec[0]]])
-
-    def radial(points):
-        th, ph = _torus_angles(spec, points)
-        return np.interp(np.mod(th, TWO_PI), gx, gy), ph
-
-    if m == 0:
-        def ev(points):
-            val, _ph = radial(points)
-            return val
-        return [ev]
-
-    def ev_cos(points, m=m):
-        val, ph = radial(points)
-        return val * np.cos(m * ph)
-
-    def ev_sin(points, m=m):
-        val, ph = radial(points)
-        return val * np.sin(m * ph)
-
-    return [ev_cos, ev_sin]
 
 
 @functools.lru_cache(maxsize=8)

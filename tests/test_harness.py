@@ -15,8 +15,7 @@ from manifold_rbf.dm import DmConfig, dm_spectrum
 from manifold_rbf.harness import (MEMORY_ENV_VAR, ExperimentConfig,
                                   alignment_gate, check_memory,
                                   estimate_run_bytes, fit_convergence_slope,
-                                  paired_mode_errors, run_experiment,
-                                  truth_basis_matrix)
+                                  paired_mode_errors, run_experiment)
 from manifold_rbf.rbf import KernelModel
 from manifold_rbf.spectral import SpectralResult
 from manifold_rbf.zoo import (EigenTruth, Ellipse, GeneralTorus, Sphere,
@@ -85,6 +84,7 @@ def test_config_validation():
     (dict(method="DM", modes=-20), "modes must be at least 1"),
     (dict(modes=0), "modes must be at least 1"),
     (dict(compare_count=0), "compare_count must be at least 1"),
+    (dict(projection="SecondOrder", K=0), "K must be at least 1"),
 ])
 def test_bad_study_inputs_fail_before_any_work(kw, match):
     with pytest.raises(ValueError, match=match):
@@ -175,30 +175,29 @@ def test_fit_convergence_slope():
 
 def test_pairing_subthreshold_mode_takes_zero_slot():
     errs, idx = paired_mode_errors(fake_result([0.3, 1.05, 2.2]),
-                                   [0.0, 1.0, 2.0], count=3)
+                                   [0.0, 1.0, 2.0])
     assert np.allclose(errs, [0.3, 0.05, 0.1])
     assert list(idx) == [0, 1, 2]
 
 
 def test_pairing_truncation_zero_fills_slot():
     errs, idx = paired_mode_errors(fake_result([1.05, 2.2]),
-                                   [0.0, 1.0, 2.0], count=3)
+                                   [0.0, 1.0, 2.0])
     assert np.allclose(errs, [0.0, 0.05, 0.1])
     assert list(idx) == [-1, 0, 1]
 
 
 def test_pairing_relative_denominator_clamped_at_one():
-    errs, _ = paired_mode_errors(fake_result([0.6, 2.2]), [0.5, 2.0], count=2)
+    errs, _ = paired_mode_errors(fake_result([0.6, 2.2]), [0.5, 2.0])
     assert np.allclose(errs, [0.1, 0.1])
 
 
 def test_pairing_skips_trivial_and_respects_candidates():
     errs, idx = paired_mode_errors(
-        fake_result([1e-16, 1.0], trivial=[True, False]), [1.0], count=1)
+        fake_result([1e-16, 1.0], trivial=[True, False]), [1.0])
     assert np.allclose(errs, [0.0]) and list(idx) == [1]
     errs, idx = paired_mode_errors(fake_result([9.9, 1.05, 2.2]),
-                                   [0.0, 1.0, 2.0], count=3,
-                                   candidates=[1, 2])
+                                   [0.0, 1.0, 2.0], candidates=[1, 2])
     assert np.allclose(errs, [0.0, 0.05, 0.1])
     assert list(idx) == [-1, 1, 2]
 
@@ -208,47 +207,77 @@ def test_pairing_compares_complex_modes_by_magnitude():
     res = SpectralResult(values=values, vectors=None,
                          ordering="by_magnitude", rank_L=2,
                          all_values=values, trivial=np.zeros(2, dtype=bool))
-    errs, _ = paired_mode_errors(res, [1.0, 2.0], count=2)
+    errs, _ = paired_mode_errors(res, [1.0, 2.0])
     assert np.allclose(errs, [abs(1.0 + 0.1j) - 1.0,
                               (abs(2.0 - 0.2j) - 2.0) / 2.0])
 
 
 def test_pairing_insufficient_modes():
     with pytest.raises(ValueError):
-        paired_mode_errors(fake_result([1.05]), [0.0, 1.0, 2.0], count=3)
+        paired_mode_errors(fake_result([1.05]), [0.0, 1.0, 2.0])
 
 
 # -- truth basis and mode gating -----------------------------------------------
 
 
-def test_truth_basis_matrix_shapes():
+def z_then_x(points):
+    yield points[:, 2]
+    yield points[:, 0]
+
+
+def test_truth_basis_shapes():
     cloud = sample_manifold(Sphere(), 200, seed=0, mode="random_area")
-    scalar = EigenTruth(values=[(2.0, 2)],
-                        evaluators=[lambda p: p[:, 2], lambda p: p[:, 0]],
-                        kind="scalar")
-    F = truth_basis_matrix(scalar, cloud.points, 2)
+    scalar = EigenTruth(values=[(2.0, 2)], columns=z_then_x, kind="scalar")
+    F = scalar.basis(cloud.points, 2)
     assert F.shape == (200, 2)
     assert np.allclose(F[:, 0], cloud.points[:, 2])
     vec = vector_eigen_truth(Sphere(), "Bochner")
-    B = truth_basis_matrix(vec, cloud.points, 3)
+    B = vec.basis(cloud.points, 3)
     assert B.shape == (600, 3)
     assert np.all(np.linalg.norm(B, axis=0) > 0)
+    # coordinate-stacked rows: column k is (U^1; U^2; U^3) of field k
+    fields = list(vec.columns(cloud.points))[:3]
+    assert np.array_equal(B, np.stack([f.T.reshape(-1) for f in fields],
+                                      axis=1))
 
 
 def test_alignment_gate_keeps_span_members():
     rng = np.random.default_rng(0)
     cloud = sample_manifold(Sphere(), 200, seed=0, mode="random_area")
-    truth = EigenTruth(values=[(2.0, 2)],
-                       evaluators=[lambda p: p[:, 2], lambda p: p[:, 0]],
-                       kind="scalar")
-    F = truth_basis_matrix(truth, cloud.points, 2)
+    truth = EigenTruth(values=[(2.0, 2)], columns=z_then_x, kind="scalar")
+    F = truth.basis(cloud.points, 2)
     vectors = np.column_stack([F[:, 0], rng.standard_normal(200),
                                0.5 * F[:, 0] + F[:, 1]])
     res = fake_result([2.01, 5.0, 2.02], vectors=vectors)
-    kept, resid = alignment_gate(res, truth, cloud.points, 2)
+    kept, resid = alignment_gate(res, F)
     assert list(kept) == [0, 2]
     assert resid[0] <= 1e-10 and resid[2] <= 1e-10
     assert resid[1] > 0.9
+
+
+def test_vector_run_evaluates_the_truth_once(monkeypatch):
+    # the gate and the OLS alignment score from one evaluated basis
+    calls = []
+    real = zoo.vector_eigen_truth
+
+    def counting(spec, which):
+        truth = real(spec, which)
+
+        def columns(points):
+            calls.append(len(points))
+            return truth.columns(points)
+
+        return EigenTruth(truth.values, columns, truth.kind)
+
+    monkeypatch.setattr(zoo, "vector_eigen_truth", counting)
+    cfg = make_config(manifold=Sphere(), operator="Hodge", N_list=[200],
+                      seeds=[0, 1], compare_count=6)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)   # NRBF pollution
+        rep = run_experiment(cfg)
+    assert calls == [200, 200]
+    for rec in rep.runs:
+        assert np.all(np.isfinite(rec.vec_errors))
 
 
 # -- full runs -----------------------------------------------------------------
@@ -334,6 +363,19 @@ def test_cli_truth(tmp_path):
     data = np.loadtxt(out, delimiter=",", skiprows=3)
     assert data.shape == (5, 2)
     assert data[0, 0] == 0.0 and data[0, 1] >= 1
+
+
+def test_cli_rejects_counts_it_cannot_honour(tmp_path):
+    # the sphere Hodge truth holds 3 eigenvalues; a tangent K of 0 is no
+    # request for the default
+    with pytest.raises(ValueError, match="holds only 3 eigenvalues"):
+        cli.main(["truth", "--manifold", "sphere", "--operator", "Hodge",
+                  "--count", "500"])
+    with pytest.raises(ValueError, match="K must be at least 1"):
+        cli.main(["spectrum", "--manifold", "sphere", "--N", "50",
+                  "--projection", "SecondOrder", "--K", "0",
+                  "--out-dir", str(tmp_path)])
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cli_tangent(tmp_path):

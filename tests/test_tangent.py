@@ -37,6 +37,15 @@ def test_default_neighbor_count():
     assert default_neighbor_count(5) == max(40, 3 * 5 * 6)
 
 
+@pytest.mark.parametrize("estimator", [first_order_svd, second_order_svd])
+def test_estimators_default_to_the_default_neighbor_count(estimator):
+    cloud = sample_manifold(Torus(2.0), 300, seed=3)
+    est = estimator(cloud)
+    ref = estimator(cloud, default_neighbor_count(2))
+    assert est.K_used == ref.K_used == 40
+    assert np.array_equal(est.frames, ref.frames)
+
+
 def test_knn_excludes_base_point():
     cloud, _P = plane_cloud(30)
     idx = knn_indices(cloud.points, 5)
@@ -180,6 +189,10 @@ def test_second_order_fallback_flag():
     with pytest.warns(RuntimeWarning):
         est = second_order_svd(cloud, K=8, d=2)
     assert est.fallback.all()
+    # every point keeps the first-order frame, bit for bit
+    with pytest.warns(RuntimeWarning):
+        first = first_order_svd(cloud, K=8, d=2)
+    assert np.array_equal(est.frames, first.frames)
 
 
 # -- diagnostics --------------------------------------------------------------

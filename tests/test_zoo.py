@@ -192,11 +192,11 @@ def test_sphere_scalar_truth():
     assert truth.values[:4] == [(0.0, 1), (2.0, 3), (6.0, 5), (12.0, 7)]
 
 
-def test_sphere_evaluators_are_harmonics():
+def test_sphere_columns_are_harmonics():
     # spot-check: the expanded basis columns are L2-independent on a grid
     truth = scalar_eigen_truth(Sphere(), 4)
     cloud = sample_manifold(Sphere(), 400, seed=9, mode="random_area")
-    F = truth.evaluate_basis(cloud.points, 16)
+    F = truth.basis(cloud.points, 16)
     gram = F.T @ F / cloud.N
     assert np.linalg.matrix_rank(gram, tol=1e-6) == 16
 
@@ -337,20 +337,27 @@ def test_vector_truth_rotation_field_vanishes_at_pole():
     # the z-axis rotation field (y, -x, 0) is the curl field of the z
     # harmonic, third in the x,y,z ordering; it vanishes at the pole
     truth = vector_eigen_truth(Sphere(), "Bochner")
-    rot_z = truth.evaluators[2]
-    generic = np.array([[0.6, 0.48, 0.64]])
-    assert np.allclose(rot_z(generic), [[0.48, -0.6, 0.0]], atol=1e-15)
-    val = rot_z(np.array([[0.0, 0.0, 1.0]]))
-    assert np.allclose(val, 0.0, atol=1e-15)
+    points = np.array([[0.6, 0.48, 0.64], [0.0, 0.0, 1.0]])
+    rot_z = list(truth.columns(points))[2]
+    assert np.allclose(rot_z[0], [0.48, -0.6, 0.0], atol=1e-15)
+    assert np.allclose(rot_z[1], 0.0, atol=1e-15)
 
 
 def test_vector_truth_fields_tangential():
     truth = vector_eigen_truth(Sphere(), "Hodge")
     cloud = sample_manifold(Sphere(), 200, seed=4, mode="random_area")
-    for f in truth.evaluators[:16]:
-        U = f(cloud.points)
+    for U in list(truth.columns(cloud.points))[:16]:
         dot = np.sum(U * cloud.points, axis=1)
         assert np.max(np.abs(dot)) <= 1e-12
+
+
+def test_truth_basis_stops_at_the_last_column():
+    # Lichnerowicz holds 3 + 3 + 5 + 12 = 23 eigenfields
+    truth = vector_eigen_truth(Sphere(), "Lichnerowicz")
+    cloud = sample_manifold(Sphere(), 50, seed=4, mode="random_area")
+    assert truth.basis(cloud.points, 23).shape == (150, 23)
+    with pytest.raises(ValueError, match="only 23 eigenfunctions"):
+        truth.basis(cloud.points, 24)
 
 
 def test_vector_truth_rejects_torus():
