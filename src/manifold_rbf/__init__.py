@@ -16,10 +16,9 @@ from .harness import (ExperimentConfig, Report, RunRecord, alignment_gate,
                       fit_convergence_slope, paired_mode_errors,
                       run_experiment)
 from .rbf import (InterpolationSystem, KernelModel, build_system,
-                  interpolate_eval, kernel_eval)
+                  derivative_matrices, kernel_eval)
 from .scalar_ops import (GeneralizedPair, ScalarOperatorSet,
-                         build_grad_matrices, derivative_matrices,
-                         laplace_beltrami_nonsymmetric,
+                         build_grad_matrices, laplace_beltrami_nonsymmetric,
                          laplace_beltrami_symmetric)
 from .spectral import (AlignmentReport, SpectralResult,
                        align_eigenvectors_ols, solve_nonsymmetric,

@@ -27,13 +27,13 @@ from .tangent import knn_indices
 
 @dataclass
 class DmConfig:
-    K_neighbors: int = None     # None means default_neighbor_count(N)
+    K_neighbors: int = None     # None means ceil(sqrt(N))
     epsilon: float = None       # None means auto-tune
 
     def neighbors(self, N):
         """Neighbour count of the graph on N points."""
         if self.K_neighbors is None:
-            return default_neighbor_count(N)
+            return int(np.ceil(np.sqrt(N)))
         return self.K_neighbors
 
     def validate(self, N):
@@ -42,10 +42,6 @@ class DmConfig:
         if self.epsilon is not None and not 0 < self.epsilon < np.inf:
             raise ValueError("epsilon must be finite and positive, or None "
                              "to auto-tune it")
-
-
-def default_neighbor_count(N):
-    return int(np.ceil(np.sqrt(N)))
 
 
 def autotune_epsilon(d2):

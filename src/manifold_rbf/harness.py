@@ -10,7 +10,7 @@ import json
 import os
 import time
 import warnings
-from dataclasses import dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field
 
 import numpy as np
 
@@ -23,7 +23,7 @@ from .scalar_ops import (build_grad_matrices, laplace_beltrami_nonsymmetric,
 from .spectral import (SpectralResult, align_eigenvectors_ols,
                        solve_nonsymmetric, solve_symmetric, symmetric_result,
                        write_alignment_csv, write_spectrum_csv)
-from .tangent import first_order_svd, second_order_svd
+from .tangent import first_order_svd, neighbor_count, second_order_svd
 from .vector_ops import (VectorField, bochner, covariant_derivative, hodge,
                          lichnerowicz)
 
@@ -86,6 +86,9 @@ class ExperimentConfig:
         if self.method == "DM":
             for N in self.N_list:
                 self.dm.validate(N)
+        elif self.projection != "Analytic":
+            neighbor_count(self.K, self.manifold.d,
+                           second_order=self.projection == "SecondOrder")
 
     @property
     def dm(self):
@@ -93,24 +96,7 @@ class ExperimentConfig:
         return DmConfig(self.dm_K, self.dm_epsilon)
 
     def to_dict(self):
-        return {
-            "manifold": self.manifold.to_dict(),
-            "N_list": list(self.N_list),
-            "method": self.method,
-            "operator": self.operator,
-            "projection": self.projection,
-            "kernel": self.kernel.to_dict(),
-            "density": self.density,
-            "modes": self.modes,
-            "seeds": list(self.seeds),
-            "N_p": self.N_p,
-            "K": self.K,
-            "dm_K": self.dm_K,
-            "dm_epsilon": self.dm_epsilon,
-            "sample_mode": self.sample_mode,
-            "compare_count": self.compare_count,
-            "truth_count": self.truth_count,
-        }
+        return {**asdict(self), "manifold": self.manifold.to_dict()}
 
     @staticmethod
     def from_dict(cfg):
@@ -133,8 +119,9 @@ def estimate_run_bytes(config, N):
     the operator build plus solve; used only for the refusal guard. RBF
     operators are factored through the r = rank_L retained eigenvectors of
     Phi; r is unknown before the factorization, so the estimate takes the
-    worst case r = N. The interpolation system and the d frame derivative
-    factors take up to d + 8 N x N matrices; SRBF vector pencils add four
+    worst case r = N. The interpolation system and the derivative factors
+    (d frame directions, or the one field direction of the covariant
+    derivative) take up to d + 8 N x N matrices; SRBF vector pencils add four
     (nN)^2 ones (the nr x nr form, its update, the dN x nr factor and the
     solver's copies), NRBF vector operators hold seven (the nN x nr factor,
     its orthonormal basis and the complex eigenvectors of the reduced
@@ -149,10 +136,8 @@ def estimate_run_bytes(config, N):
         K = config.dm.neighbors(N)
         ncv = max(2 * _dm_mode_count(config, N) + 1, 20)
         words = N * (10 * K + 4 * ncv)
-    elif config.operator == "LB":
+    elif config.operator in ("LB", "Covariant"):
         words = (d + 8) * N * N
-    elif config.operator == "Covariant":
-        words = (n + d + 8) * N * N
     elif config.method == "SRBF":
         words = 4 * (n * N) ** 2 + (d + 8) * N * N
     else:
@@ -271,7 +256,13 @@ def build_density(config, op_cloud):
     return np.ones(op_cloud.N)
 
 
-def alignment_gate(result, F, cap=0.5, window=None):
+# alignment_gate keeps modes whose truth-span residual is at most GATE_CAP,
+# among the first max(4 * count, GATE_WINDOW) nontrivial modes
+GATE_CAP = 0.5
+GATE_WINDOW = 120
+
+
+def alignment_gate(result, F):
     """Select the nontrivial modes whose eigenvectors lie in the span of the
     truth basis F (EigenTruth.basis at the operator's points).
 
@@ -282,10 +273,8 @@ def alignment_gate(result, F, cap=0.5, window=None):
     while the spurious ones sit near 1; the gap is wide, so the cap is not
     delicate. Returns (kept_indices, residuals_over_window).
     """
-    nontrivial_idx = np.flatnonzero(~result.trivial)
-    if window is None:
-        window = max(4 * F.shape[1], 120)
-    nontrivial_idx = nontrivial_idx[:window]
+    window = max(4 * F.shape[1], GATE_WINDOW)
+    nontrivial_idx = np.flatnonzero(~result.trivial)[:window]
     gram_inv = np.linalg.pinv(F.T @ F)
     resid = np.empty(len(nontrivial_idx))
     for j, i in enumerate(nontrivial_idx):
@@ -294,7 +283,7 @@ def alignment_gate(result, F, cap=0.5, window=None):
             if np.iscomplexobj(vec) else vec[:, None]
         beta = gram_inv @ (F.T @ parts)
         resid[j] = np.linalg.norm(F @ beta - parts) / np.linalg.norm(parts)
-    kept = nontrivial_idx[resid <= cap]
+    kept = nontrivial_idx[resid <= GATE_CAP]
     return kept, resid
 
 
@@ -359,7 +348,6 @@ def _solve_rbf(config, op_cloud, proj, q):
     system = build_system(op_cloud, config.kernel)
     ops = build_grad_matrices(system, proj)
     rank_L, U = system.rank_L, ops.U
-    del system                  # Phi is not needed for assembly
     nonsymmetric = config.method == "NRBF"
     if config.operator == "LB":
         L = laplace_beltrami_nonsymmetric(ops) if nonsymmetric \
@@ -382,7 +370,7 @@ def ellipse_test_field(cloud):
     th = cloud.intrinsic[:, 0]
     a = cloud.spec.a
     tau = np.column_stack([-np.sin(th), a * np.cos(th)])
-    return VectorField.from_samples(np.sin(th)[:, None] * tau), th, tau
+    return VectorField.from_samples(np.sin(th)[:, None] * tau)
 
 
 def ellipse_covariant_truth(cloud):
@@ -399,7 +387,7 @@ def ellipse_covariant_truth(cloud):
 
 def _run_covariant(config, op_cloud, proj):
     system = build_system(op_cloud, config.kernel)
-    U, _th, _tau = ellipse_test_field(op_cloud)
+    U = ellipse_test_field(op_cloud)
     est = covariant_derivative(system, proj, U, U).as_samples()
     truth = ellipse_covariant_truth(op_cloud)
     err = float(np.max(np.abs(est[:, 0] - truth[:, 0])))

@@ -1,12 +1,13 @@
-"""Radial kernels, interpolation-matrix assembly, and pseudo-inverse solves.
+"""Radial kernels and the interpolant they define on a point cloud.
 
-The interpolation matrix Phi of a positive-definite radial kernel on scattered
-manifold samples is routinely near-singular (flat kernels, near-duplicate
-points), so every solve goes through a truncated spectral pseudo-inverse with
-a relative cutoff instead of direct inversion. The pseudo-inverse is kept in
-its factored form Phi^+ = U diag(1/w) U^T with U the N x rank_L retained
-eigenvectors; it is never formed densely, so every operator built on it
-factors through U^T and has rank at most rank_L per field component.
+The interpolation matrix Phi of a positive-definite radial kernel on
+scattered manifold samples is routinely near-singular (flat kernels,
+near-duplicate points), so it is factored as a truncated spectral
+pseudo-inverse Phi^+ = U diag(1/w) U^T with U the N x rank_L retained
+eigenvectors; Phi lives only while build_system factors it.
+derivative_matrices differentiates the interpolant along given directions
+at the nodes, so every operator built on it factors through U^T and has
+rank at most rank_L per field component.
 """
 
 from dataclasses import dataclass, field
@@ -70,25 +71,27 @@ def kernel_deriv_over_r(model, r):
 
 @dataclass
 class InterpolationSystem:
-    """Kernel matrix Phi with its truncated spectral factorization.
+    """The interpolant on points: kernel model and truncated factorization.
 
     Phi is symmetric, so its singular value decomposition coincides with the
     symmetric eigendecomposition up to signs: Phi = V diag(w) V^T with
     sigma = |w|. Components with sigma < pinv_tol * sigma_max are truncated;
-    rank_L counts the retained ones.
+    U and w hold the rank_L retained ones, by decreasing sigma.
     """
 
-    Phi: np.ndarray
-    cloud: object
+    points: np.ndarray
     model: KernelModel
-    U: np.ndarray = field(default=None, repr=False)      # retained vectors
-    sigma: np.ndarray = field(default=None, repr=False)  # retained |w|
-    _w: np.ndarray = field(default=None, repr=False)     # retained signed w
-    rank_L: int = 0
+    U: np.ndarray = field(repr=False)   # retained eigenvectors (N, rank_L)
+    w: np.ndarray = field(repr=False)   # retained signed eigenvalues
+    rank_L: int
 
     @property
     def N(self):
-        return self.Phi.shape[0]
+        return self.points.shape[0]
+
+    @property
+    def sigma(self):
+        return np.abs(self.w)
 
 
 def build_system(cloud, model):
@@ -96,17 +99,33 @@ def build_system(cloud, model):
     points = np.asarray(cloud.points, dtype=float)
     if points.shape[0] < 2:
         raise ValueError("need at least two points")
-    r = cdist(points, points)
-    r = 0.5 * (r + r.T)           # exact symmetry regardless of backend
-    Phi = kernel_eval(model, r)
-    w, V = scipy.linalg.eigh(Phi)
+    w, V = scipy.linalg.eigh(kernel_eval(model, cdist(points, points)))
     sigma = np.abs(w)
     keep = sigma >= model.pinv_tol * sigma.max()
     order = np.argsort(sigma[keep])[::-1]
-    U = V[:, keep][:, order]
-    return InterpolationSystem(Phi=Phi, cloud=cloud, model=model,
-                               U=U, sigma=sigma[keep][order],
-                               _w=w[keep][order], rank_L=int(keep.sum()))
+    return InterpolationSystem(points=points, model=model,
+                               U=V[:, keep][:, order], w=w[keep][order],
+                               rank_L=int(keep.sum()))
+
+
+def derivative_matrices(system, directions):
+    """Factors G_a of the matrices D_a = G_a U^T, where (D_a f)_j is the
+    derivative of the interpolant of f at x_j along directions[j, :, a];
+    directions has shape (N, n, k).
+
+    D_a = (sum_m t_m(x_j) (X^m(x_j) - X^m(x_k)) phi'(r_jk)/r_jk) Phi^+ with
+    t = directions[:, :, a]; the diagonal takes the analytic r -> 0 limit.
+    """
+    points = system.points
+    w = kernel_deriv_over_r(system.model, cdist(points, points))
+    coef = system.U / system.w[None, :]
+    out = []
+    for a in range(directions.shape[2]):
+        t = directions[:, :, a]
+        along = np.einsum("jm,jm->j", t, points)[:, None] - t @ points.T
+        along *= w
+        out.append(along @ coef)
+    return out
 
 
 def blockwise(M, X):
@@ -114,13 +133,3 @@ def blockwise(M, X):
     m, c = X.shape[0] // M.shape[1], X.shape[1]
     return np.matmul(M, X.reshape(m, M.shape[1], c)).reshape(
         m * M.shape[0], c)
-
-
-def interpolate_eval(system, coeffs, query):
-    """Evaluate sum_k c_k phi_s(|query - x_k|) at one or more query points."""
-    coeffs = np.asarray(coeffs, dtype=float)
-    if coeffs.shape[0] != system.N:
-        raise ValueError("coefficient length does not match the system size")
-    q = np.atleast_2d(np.asarray(query, dtype=float))
-    vals = kernel_eval(system.model, cdist(q, system.cloud.points)) @ coeffs
-    return vals[0] if np.ndim(query) == 1 else vals

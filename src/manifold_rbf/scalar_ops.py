@@ -1,25 +1,23 @@
-"""Discrete tangential derivatives and Laplace-Beltrami operators.
+"""Frame derivatives of the interpolant and Laplace-Beltrami operators.
 
 From an interpolation system and a tangent frame field T (N, n, d) this
-module assembles the d frame-direction derivative matrices D_a:
-(D_a f)_j is the derivative of the interpolant of f at x_j along the frame
-vector T(x_j)[:, a]. D_a ends in the truncated pseudo-inverse
-Phi^+ = U diag(1/w) U^T, so it is kept as the N x rank_L factor G_a of
-D_a = G_a U^T. The ambient components of the tangential gradient are
-G_i U^T with G_i = sum_a diag(T[:, i, a]) G_a. Two discrete Laplacians are
-built from them, both factored through U^T: the pointwise non-symmetric
-estimator -sum_i G_i U^T G_i U^T (the paper's ambient form) and the
-density-weighted symmetric pencil sum_a D_a^T Q^{-1} D_a f = lambda Q^{-1} f,
-that is U (sum_a G_a^T Q^{-1} G_a) U^T. Both use the positive semi-definite
-sign convention (-div grad).
+module takes the d frame-direction derivative factors G_a of
+rbf.derivative_matrices: (D_a f)_j = (G_a U^T f)_j is the derivative of the
+interpolant of f at x_j along the frame vector T(x_j)[:, a]. The ambient
+components of the tangential gradient are G_i U^T with
+G_i = sum_a diag(T[:, i, a]) G_a. Two discrete Laplacians are built from
+them, both factored through U^T: the pointwise non-symmetric estimator
+-sum_i G_i U^T G_i U^T (the paper's ambient form) and the density-weighted
+symmetric pencil sum_a D_a^T Q^{-1} D_a f = lambda Q^{-1} f, that is
+U (sum_a G_a^T Q^{-1} G_a) U^T. Both use the positive semi-definite sign
+convention (-div grad).
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
-from .rbf import kernel_deriv_over_r
+from .rbf import derivative_matrices
 
 
 @dataclass
@@ -41,26 +39,6 @@ class ScalarOperatorSet:
     @property
     def n(self):
         return self.proj.n
-
-
-def derivative_matrices(system, directions):
-    """Factors G_a of the matrices D_a = G_a U^T, where (D_a f)_j is the
-    derivative of the interpolant of f at x_j along directions[j, :, a];
-    directions has shape (N, n, k).
-
-    D_a = (sum_m t_m(x_j) (X^m(x_j) - X^m(x_k)) phi'(r_jk)/r_jk) Phi^+ with
-    t = directions[:, :, a]; the diagonal takes the analytic r -> 0 limit.
-    """
-    points = np.asarray(system.cloud.points, dtype=float)
-    w = kernel_deriv_over_r(system.model, cdist(points, points))
-    coef = system.U / system._w[None, :]
-    out = []
-    for a in range(directions.shape[2]):
-        t = directions[:, :, a]
-        along = np.einsum("jm,jm->j", t, points)[:, None] - t @ points.T
-        along *= w
-        out.append(along @ coef)
-    return out
 
 
 def build_grad_matrices(system, proj):

@@ -199,7 +199,7 @@ def align_eigenvectors_ols(F, U):
                            per_mode_error=num / den)
 
 
-def write_spectrum_csv(path, result, config_echo=None):
+def write_spectrum_csv(path, result, config_echo):
     """Spectrum as CSV: mode, re, im, magnitude, trivial flag.
 
     One row per entry of result.all_values: the full spectrum of an RBF
@@ -216,16 +216,15 @@ def write_spectrum_csv(path, result, config_echo=None):
     header = [f"schema={SPECTRUM_SCHEMA}",
               f"ordering={result.ordering} rank_L={result.rank_L} "
               f"structural_zeros={result.structural_zeros} "
-              f"solve_dim={result.solve_dim}"]
-    if config_echo is not None:
-        header.append("config=" + json.dumps(config_echo, sort_keys=True))
-    header.append("mode,re,im,magnitude,trivial")
+              f"solve_dim={result.solve_dim}",
+              "config=" + json.dumps(config_echo, sort_keys=True),
+              "mode,re,im,magnitude,trivial"]
     np.savetxt(path, rows, fmt=["%d", "%.17g", "%.17g", "%.17g", "%d"],
                delimiter=",", header="\n".join(header))
 
 
 def write_alignment_csv(path, truth_values, est_values, vec_errors,
-                        config_echo=None):
+                        config_echo):
     """Aligned-mode table: mode, truth eigenvalue, estimate, vector error."""
     truth_values = np.asarray(truth_values, dtype=float)
     est_values = np.abs(np.asarray(est_values))
@@ -234,9 +233,8 @@ def write_alignment_csv(path, truth_values, est_values, vec_errors,
     rows = np.column_stack([np.arange(m, dtype=float), truth_values,
                             est_values[:m], vec_errors[:m]])
     header = [f"schema={ALIGNMENT_SCHEMA}",
-              f"metric={VECTOR_ERROR_METRIC}"]
-    if config_echo is not None:
-        header.append("config=" + json.dumps(config_echo, sort_keys=True))
-    header.append("mode,truth_value,est_value,vec_error")
+              f"metric={VECTOR_ERROR_METRIC}",
+              "config=" + json.dumps(config_echo, sort_keys=True),
+              "mode,truth_value,est_value,vec_error"]
     np.savetxt(path, rows, fmt=["%d", "%.17g", "%.17g", "%.17g"],
                delimiter=",", header="\n".join(header))

@@ -72,6 +72,19 @@ def default_neighbor_count(d):
     return max(40, 3 * d * (d + 1))
 
 
+def neighbor_count(K, d, second_order):
+    """K, or default_neighbor_count(d) when None, once it is checked to
+    suffice: a first-order frame needs K >= d + 1 neighbours, a second-order
+    one K > d(d+1)/2 to fit the quadratic coefficients."""
+    K = default_neighbor_count(d) if K is None else K
+    quad = d * (d + 1) // 2
+    if second_order and K <= quad:
+        raise ValueError(f"K must exceed d(d+1)/2 = {quad}")
+    if K < d + 1:
+        raise ValueError("K must be at least d+1")
+    return K
+
+
 def knn_indices(points, K, query_idx=None):
     """Exact K nearest neighbors, excluding the query point.
 
@@ -125,13 +138,12 @@ def first_order_svd(cloud, K=None, d=None, query_idx=None):
     """First-order local-SVD tangent frame at every point.
 
     Per point: the n x K matrix of neighbor differences is decomposed and
-    the leading d left singular vectors are the frame estimate. K defaults
-    to default_neighbor_count(d), d to the manifold's dimension.
+    the leading d left singular vectors are the frame estimate. K goes
+    through neighbor_count (None means default_neighbor_count(d)), d
+    defaults to the manifold's dimension.
     """
     d = cloud.spec.d if d is None else d
-    K = default_neighbor_count(d) if K is None else K
-    if K < d + 1:
-        raise ValueError("K must be at least d+1")
+    K = neighbor_count(K, d, second_order=False)
     _D, T, degenerate = _first_order(cloud, K, d, query_idx)
     return ProjectionField(frames=T.copy(), source="first_order",
                            K_used=K, degenerate=degenerate)
@@ -147,17 +159,14 @@ def second_order_svd(cloud, K=None, d=None, query_idx=None):
     first_order_svd.
     """
     d = cloud.spec.d if d is None else d
-    K = default_neighbor_count(d) if K is None else K
-    quad = d * (d + 1) // 2
-    if K <= quad:
-        raise ValueError(f"K must exceed d(d+1)/2 = {quad}")
+    K = neighbor_count(K, d, second_order=True)
     D, T, degenerate = _first_order(cloud, K, d, query_idx)
     rho = np.einsum("qnk,qnd->qkd", D, T)
 
     cols = [rho[:, :, i] * rho[:, :, i] for i in range(d)]
     cols += [2.0 * rho[:, :, i] * rho[:, :, j]
              for i in range(d) for j in range(i + 1, d)]
-    A = np.stack(cols, axis=2)                       # (Q, K, quad)
+    A = np.stack(cols, axis=2)                       # (Q, K, d(d+1)/2)
 
     Ua, sa, Vta = np.linalg.svd(A, full_matrices=False)
     bad = sa[:, -1] <= K * np.finfo(float).eps * sa[:, 0]

@@ -11,9 +11,10 @@ its transpose and, for Hodge, the divergence, as listed in LAPLACIANS:
     Hodge         |X - X^T|^2/2 + |div U|^2 -sum_i H_i (H_i - S_i) - [G_j G_k]
     Lichnerowicz  |X + X^T|^2/2             -sum_i H_i (H_i + S_i)
 
-Every operator takes the ScalarOperatorSet (G, proj, U) of the cloud. Every
-derivative ends in Phi^+ = U diag(1/w) U^T (U is N x r, r = rank_L), so
-every block acts through I_n kron U^T and is built as its nN x nr factor.
+Every Laplacian takes the ScalarOperatorSet (G, proj, U) of the cloud, whose
+derivatives follow the frames. Every derivative ends in
+Phi^+ = U diag(1/w) U^T (U is N x r, r = rank_L), so every block acts
+through I_n kron U^T and is built as its nN x nr factor.
 The non-symmetric (NRBF) operators keep the paper's ambient form, stored as
 F with L = F (I_n kron U^T): H_i applies the pointwise projector P = T T^T to
 the i-th tangential derivative of every component, and S_i is its
@@ -22,7 +23,9 @@ tangent fields, so they are assembled on frame coordinates (d values per
 point) from the frame covariant derivative as a pencil R A R^T with diagonal
 B, R = W^T (I_n kron U) of size dN x nr; the solution is lifted back to
 ambient components by the frame. h_matrix, s_matrix and potimes_matrix give
-the dense nN x nN blocks for reference; no operator forms them.
+the dense nN x nN blocks for reference; no operator forms them. The
+covariant derivative nabla_U Y differentiates the interpolant of Y along U
+itself, one derivative factor, and projects the result.
 """
 
 from dataclasses import dataclass
@@ -30,9 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse
 
-from .rbf import blockwise
-from .scalar_ops import (GeneralizedPair, ambient_gradient,
-                         derivative_matrices, inverse_density)
+from .rbf import blockwise, derivative_matrices
+from .scalar_ops import GeneralizedPair, ambient_gradient, inverse_density
 
 # (swap sign, coefficient, divergence term): the operator is built from
 # X + swap X^T, its symmetric form weighs |X + swap X^T|^2 by coefficient,
@@ -209,17 +211,9 @@ def covariant_derivative(system, proj, U, Y):
     """Project the ambient directional derivative of the interpolated field
     Y along U (both VectorFields).
 
-    Each component Y^r is interpolated; its ambient gradient is contracted
-    with U at the nodes and the result projected back to the tangent spaces
-    of proj.
+    Each component Y^r is interpolated and differentiated along U at the
+    nodes; the result is projected onto the tangent spaces of proj.
     """
-    n, N = proj.n, system.N
-    D = derivative_matrices(system, np.broadcast_to(np.eye(n), (N, n, n)))
-    Uc, Yc = U.components(), Y.components()
-    coeffs = Yc @ system.U
-    W = np.zeros_like(Yc)
-    for r in range(n):
-        for k in range(n):
-            W[r] += Uc[k] * (D[k] @ coeffs[r])
-    out = np.einsum("kij,jk->ik", proj.mats, W)
-    return VectorField(vec=out.reshape(-1).copy(), n=n)
+    (G,) = derivative_matrices(system, U.as_samples()[:, :, None])
+    W = G @ (system.U.T @ Y.as_samples())
+    return VectorField.from_samples(np.einsum("jik,jk->ji", proj.mats, W))

@@ -14,12 +14,6 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "manifold_rbf"
 
-# name -> why it stays public without a caller
-ALLOWED = {
-    "interpolate_eval": "off-node evaluation of the interpolant, kept for "
-                        "the planned truth checks between nodes",
-}
-
 
 def public_definitions(path):
     """(name, line) of every public top-level def/class and public method."""
@@ -52,12 +46,6 @@ def test_every_public_name_has_a_caller():
                 for other, other_lines in sources.items()
                 for k, line in enumerate(other_lines, start=1)
                 if (other, k) != (path, lineno))
-            if not used and name not in ALLOWED:
+            if not used:
                 unused.append(f"{path.name}:{lineno} {name}")
     assert unused == []
-
-
-def test_allow_list_names_exist():
-    defined = {name for path in PACKAGE.glob("*.py")
-               for name, _line in public_definitions(path)}
-    assert set(ALLOWED) <= defined

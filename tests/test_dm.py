@@ -9,8 +9,7 @@ import scipy.linalg
 import scipy.sparse.linalg
 
 from manifold_rbf import dm
-from manifold_rbf.dm import (DmConfig, autotune_epsilon,
-                             default_neighbor_count, dm_laplacian,
+from manifold_rbf.dm import (DmConfig, autotune_epsilon, dm_laplacian,
                              dm_spectrum)
 from manifold_rbf.spectral import symmetric_result
 from manifold_rbf.tangent import knn_indices
@@ -53,9 +52,10 @@ def test_one_knn_query_serves_bandwidth_and_graph(monkeypatch):
 
 
 def test_neighbor_count_defaults():
-    assert default_neighbor_count(1024) == 32
-    assert default_neighbor_count(1000) == 32
-    assert default_neighbor_count(4) == 2
+    assert DmConfig().neighbors(1024) == 32
+    assert DmConfig().neighbors(1000) == 32
+    assert DmConfig().neighbors(4) == 2
+    assert DmConfig(K_neighbors=7).neighbors(1024) == 7
 
 
 def test_autotune_equal_distances():
@@ -110,7 +110,7 @@ def test_constant_image_and_sparsity():
     rel = []
     for N in (256, 1024):
         cloud = sample_manifold(Sphere(), N, seed=0, mode="random_area")
-        K = default_neighbor_count(N)
+        K = DmConfig().neighbors(N)
         L, _scale = dm_laplacian(cloud, DmConfig(K_neighbors=K))
         one = np.ones(N)
         rel.append(np.linalg.norm(L @ one)
@@ -146,7 +146,7 @@ def _clusters(values, gap):
 def test_sparse_spectrum_matches_dense_reference(N, k):
     # k = N is past what ARPACK solves and takes the dense branch
     cloud = sample_manifold(Torus(2.0), N, seed=1, mode="random_area")
-    cfg = DmConfig(K_neighbors=default_neighbor_count(N))
+    cfg = DmConfig()        # ceil(sqrt(N)) neighbours
     vals, vecs, lam_max = dm_spectrum(cloud, cfg, k)
     L, scale = dm_laplacian(cloud, cfg)
     ref, Z = scipy.linalg.eigh(L.toarray())

@@ -85,8 +85,14 @@ def test_config_validation():
     (dict(modes=0), "modes must be at least 1"),
     (dict(compare_count=0), "compare_count must be at least 1"),
     (dict(projection="SecondOrder", K=0), "K must be at least 1"),
+    (dict(projection="SecondOrder", K=3), r"K must exceed d\(d\+1\)/2 = 3"),
+    (dict(projection="FirstOrder", K=2), r"K must be at least d\+1"),
 ])
-def test_bad_study_inputs_fail_before_any_work(kw, match):
+def test_bad_study_inputs_fail_before_any_work(kw, match, monkeypatch):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("the study sampled a cloud before validation")
+
+    monkeypatch.setattr(zoo, "sample_manifold", no_sampling)
     with pytest.raises(ValueError, match=match):
         run_experiment(make_config(**kw))
 
@@ -367,13 +373,18 @@ def test_cli_truth(tmp_path):
 
 def test_cli_rejects_counts_it_cannot_honour(tmp_path):
     # the sphere Hodge truth holds 3 eigenvalues; a tangent K of 0 is no
-    # request for the default
+    # request for the default, and 3 cannot fit the sphere's second-order
+    # frame
     with pytest.raises(ValueError, match="holds only 3 eigenvalues"):
         cli.main(["truth", "--manifold", "sphere", "--operator", "Hodge",
                   "--count", "500"])
     with pytest.raises(ValueError, match="K must be at least 1"):
         cli.main(["spectrum", "--manifold", "sphere", "--N", "50",
                   "--projection", "SecondOrder", "--K", "0",
+                  "--out-dir", str(tmp_path)])
+    with pytest.raises(ValueError, match=r"K must exceed d\(d\+1\)/2 = 3"):
+        cli.main(["spectrum", "--manifold", "sphere", "--N", "50",
+                  "--projection", "SecondOrder", "--K", "3",
                   "--out-dir", str(tmp_path)])
     assert list(tmp_path.iterdir()) == []
 

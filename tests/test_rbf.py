@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
+from scipy.spatial.distance import cdist
 
-from manifold_rbf.rbf import (KernelModel, build_system, interpolate_eval,
-                              kernel_deriv_over_r, kernel_eval)
+from manifold_rbf.rbf import (KernelModel, build_system, kernel_deriv_over_r,
+                              kernel_eval)
 from manifold_rbf.zoo import Ellipse, PointCloud, sample_manifold
 
 FAMILIES = ["gaussian", "inverse_quadratic", "matern"]
@@ -20,9 +22,15 @@ def phi_prime(model, r):
     return r * kernel_deriv_over_r(model, r)
 
 
+def kernel_matrix(system, query=None):
+    """Phi(q, x)_{jk} = phi_s(|q_j - x_k|); the nodes themselves by default."""
+    q = system.points if query is None else np.atleast_2d(query)
+    return kernel_eval(system.model, cdist(q, system.points))
+
+
 def factored_pinv(system, rhs):
     """The truncated pseudo-inverse U diag(1/w) U^T of Phi applied to rhs."""
-    return (system.U / system._w) @ (system.U.T @ rhs)
+    return (system.U / system.w) @ (system.U.T @ rhs)
 
 
 # -- kernel formulas ---------------------------------------------------------
@@ -94,14 +102,14 @@ def test_kernel_model_validation():
 def test_duplicate_points_rank_one():
     cloud = cloud_from([[0.0, 0.0], [0.0, 0.0]])
     system = build_system(cloud, KernelModel("gaussian", 1.0))
-    assert np.allclose(system.Phi, np.ones((2, 2)))
+    assert np.allclose(kernel_matrix(system), np.ones((2, 2)))
     assert system.rank_L == 1
 
 
 def test_three_points_spd():
     cloud = cloud_from([[0.0, 0.0], [1.0, 0.0], [0.0, 1.5]])
     system = build_system(cloud, KernelModel("gaussian", 1.0))
-    w = np.linalg.eigvalsh(system.Phi)
+    w = np.linalg.eigvalsh(kernel_matrix(system))
     assert w.min() > 0
     assert system.rank_L == 3
 
@@ -111,13 +119,35 @@ def test_diagonal_is_phi_zero():
     for family in FAMILIES:
         m = KernelModel(family, 1.3)
         system = build_system(cloud, m)
-        assert np.allclose(np.diag(system.Phi), kernel_eval(m, 0.0))
+        assert np.allclose(np.diag(kernel_matrix(system)),
+                           kernel_eval(m, 0.0))
 
 
 def test_phi_exactly_symmetric():
+    # build_system factors Phi as assembled; it equals its symmetric part
+    # bit for bit, so the factor is the one of 0.5 (Phi + Phi^T)
     cloud = sample_manifold(Ellipse(2.0), 150, seed=3)
-    system = build_system(cloud, KernelModel("inverse_quadratic", 1.0))
-    assert np.array_equal(system.Phi, system.Phi.T)
+    model = KernelModel("inverse_quadratic", 1.0)
+    system = build_system(cloud, model)
+    Phi = kernel_matrix(system)
+    assert np.array_equal(Phi, Phi.T)
+    w, V = scipy.linalg.eigh(0.5 * (Phi + Phi.T))
+    keep = np.abs(w) >= model.pinv_tol * np.abs(w).max()
+    order = np.argsort(np.abs(w[keep]))[::-1]
+    assert system.rank_L == keep.sum()
+    assert np.array_equal(system.w, w[keep][order])
+    assert np.array_equal(system.U, V[:, keep][:, order])
+
+
+def test_system_keeps_no_n_by_n_matrix():
+    # Phi lives only while it is factored; the system keeps the N x rank_L
+    # factor, which is smaller than N x N once the cutoff truncates
+    cloud = sample_manifold(Ellipse(2.0), 120, seed=5)
+    system = build_system(cloud, KernelModel("gaussian", 2.0))
+    N = system.N
+    assert system.rank_L < N
+    sizes = {name: np.size(value) for name, value in vars(system).items()}
+    assert max(sizes.values()) < N * N, sizes
 
 
 def test_single_point_rejected():
@@ -149,16 +179,18 @@ def test_pinv_full_rank_solve():
     system = build_system(cloud, KernelModel("gaussian", 1.0))
     f = np.array([1.0, -2.0, 0.5])
     c = factored_pinv(system, f)
-    assert np.max(np.abs(system.Phi @ c - f)) <= 1e-10
-    direct = np.linalg.solve(system.Phi, f)
+    Phi = kernel_matrix(system)
+    assert np.max(np.abs(Phi @ c - f)) <= 1e-10
+    direct = np.linalg.solve(Phi, f)
     assert np.allclose(c, direct, atol=1e-9)
 
 
 def test_pinv_reprojection_identity():
     cloud = sample_manifold(Ellipse(2.0), 120, seed=5)
     system = build_system(cloud, KernelModel("gaussian", 2.0))
-    lhs = system.Phi @ factored_pinv(system, system.Phi)
-    assert np.max(np.abs(lhs - system.Phi)) <= 1e-8 * np.abs(system.Phi).max()
+    Phi = kernel_matrix(system)
+    lhs = Phi @ factored_pinv(system, Phi)
+    assert np.max(np.abs(lhs - Phi)) <= 1e-8 * np.abs(Phi).max()
 
 
 def test_pinv_rank_deficient_least_squares():
@@ -167,12 +199,13 @@ def test_pinv_rank_deficient_least_squares():
     cloud = cloud_from([[0.0, 0.0], [0.0, 0.0]])
     system = build_system(cloud, KernelModel("gaussian", 1.0))
     rhs = np.array([2.0, 2.0])           # in range(Phi) = span(1,1)
+    Phi = kernel_matrix(system)
     c = factored_pinv(system, rhs)
-    resid = system.Phi @ c - rhs
+    resid = Phi @ c - rhs
     assert np.max(np.abs(resid)) <= 1e-12
     rhs2 = np.array([1.0, -1.0])          # orthogonal to the range
     c2 = factored_pinv(system, rhs2)
-    resid2 = system.Phi @ c2 - rhs2
+    resid2 = Phi @ c2 - rhs2
     assert abs(resid2 @ np.ones(2)) <= 1e-12
 
 
@@ -194,8 +227,8 @@ def test_basis_coefficient_at_node():
     system = build_system(cloud, m)
     e3 = np.zeros(7)
     e3[3] = 1.0
-    val = interpolate_eval(system, e3, cloud.points[3])
-    assert abs(val - kernel_eval(m, 0.0)) <= 1e-14
+    val = kernel_matrix(system, cloud.points[3]) @ e3
+    assert abs(val[0] - kernel_eval(m, 0.0)) <= 1e-14
 
 
 def test_interpolation_condition_full_rank():
@@ -205,7 +238,7 @@ def test_interpolation_condition_full_rank():
     rng = np.random.default_rng(6)
     f = rng.normal(size=80)
     c = factored_pinv(system, f)
-    vals = np.array([interpolate_eval(system, c, x) for x in cloud.points])
+    vals = np.array([kernel_matrix(system, x)[0] @ c for x in cloud.points])
     assert np.max(np.abs(vals - f)) <= 1e-8 * np.abs(f).max()
 
 
@@ -218,4 +251,4 @@ def test_interpolate_constant_off_node():
     rng = np.random.default_rng(8)
     for th in rng.uniform(0, 2 * np.pi, size=50):
         q = np.array([np.cos(th), np.sin(th)])
-        assert abs(interpolate_eval(system, c, q) - 1.0) <= 1e-3
+        assert abs(kernel_matrix(system, q)[0] @ c - 1.0) <= 1e-3

@@ -5,9 +5,9 @@ import warnings
 import numpy as np
 import pytest
 
-from manifold_rbf.rbf import KernelModel, build_system
+from manifold_rbf.rbf import KernelModel, build_system, derivative_matrices
 from manifold_rbf.scalar_ops import (ScalarOperatorSet, ambient_gradient,
-                                     build_grad_matrices, derivative_matrices,
+                                     build_grad_matrices,
                                      laplace_beltrami_nonsymmetric,
                                      laplace_beltrami_symmetric)
 from manifold_rbf.spectral import solve_nonsymmetric, solve_symmetric

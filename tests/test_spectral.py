@@ -247,7 +247,7 @@ def test_spectrum_csv_reports_structural_zeros(tmp_path):
     F = np.random.default_rng(7).standard_normal((20, 4))
     res = solve_nonsymmetric(F, 20, basis=U)
     path = tmp_path / "spec.csv"
-    write_spectrum_csv(path, res)
+    write_spectrum_csv(path, res, config_echo={"N": 20})
     assert "rank_L=4 structural_zeros=16 solve_dim=4" in path.read_text()
     data = np.loadtxt(path, delimiter=",")
     assert data.shape == (20, 5)
@@ -256,7 +256,8 @@ def test_spectrum_csv_reports_structural_zeros(tmp_path):
 
 def test_alignment_csv(tmp_path):
     path = tmp_path / "align.csv"
-    write_alignment_csv(path, [1.0, 1.0], [1.02, 0.97], [0.01, 0.02])
+    write_alignment_csv(path, [1.0, 1.0], [1.02, 0.97], [0.01, 0.02],
+                        config_echo={"N": 2})
     text = path.read_text()
     assert "schema=alignment-v1" in text
     assert "OLS alignment" in text

@@ -8,7 +8,8 @@ nN x nN references built here block by block."""
 import numpy as np
 import pytest
 
-from manifold_rbf.rbf import KernelModel, blockwise, build_system
+from manifold_rbf.rbf import (KernelModel, blockwise, build_system,
+                              derivative_matrices)
 from manifold_rbf.scalar_ops import (GeneralizedPair, ambient_gradient,
                                      build_grad_matrices,
                                      laplace_beltrami_nonsymmetric,
@@ -469,6 +470,26 @@ def test_plane_covariant_constant_field():
     U = VectorField.from_samples(np.tile(0.3 * t1, (ops.N, 1)))
     out = covariant_derivative(system, proj, U, Y)
     assert np.abs(out.vec).max() <= 1e-6
+
+
+def test_covariant_derivative_matches_ambient_reference():
+    # P sum_k U^k D_k Y: the ambient derivative along each coordinate axis,
+    # contracted with U, equals the one derivative along U
+    cloud = sample_manifold(Sphere(), 200, seed=2, mode="random_area")
+    proj = analytic_projection(cloud)
+    system = build_system(cloud, KernelModel("inverse_quadratic", 1.0))
+    x, y, z = cloud.points.T
+    U = VectorField.from_samples(np.column_stack([-y, x, 0.0 * z]))
+    Y = VectorField.from_samples(np.column_stack([z, x * y, 1.0 + x]))
+    D = derivative_matrices(system, np.broadcast_to(np.eye(3), (200, 3, 3)))
+    coeffs = system.U.T @ Y.as_samples()
+    Us = U.as_samples()
+    W = sum(Us[:, k][:, None] * (D[k] @ coeffs) for k in range(3))
+    want = np.matmul(proj.mats, W[:, :, None])[:, :, 0]
+    got = covariant_derivative(system, proj, U, Y).as_samples()
+    # the two orders of summation differ by rounding amplified by Phi^+
+    tol = 10 * np.finfo(float).eps * system.sigma[0] / system.sigma[-1]
+    assert np.abs(got - want).max() <= tol * np.abs(want).max()
 
 
 def test_ellipse_covariant_analytic_projection(ellipse):
