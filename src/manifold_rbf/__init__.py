@@ -10,7 +10,7 @@ graph-Laplacian baseline and a zoo of manifolds with analytic spectra for
 validation.
 """
 
-from .density import DensityEstimate, kde_density, silverman_bandwidth
+from .density import kde_density, silverman_bandwidth
 from .dm import DmConfig, autotune_epsilon, dm_laplacian, dm_spectrum
 from .harness import (ExperimentConfig, Report, RunRecord, alignment_gate,
                       fit_convergence_slope, paired_mode_errors,
@@ -20,15 +20,14 @@ from .rbf import (InterpolationSystem, KernelModel, build_system,
 from .scalar_ops import (GeneralizedPair, ScalarOperatorSet,
                          build_grad_matrices, laplace_beltrami_nonsymmetric,
                          laplace_beltrami_symmetric)
-from .spectral import (AlignmentReport, SpectralResult,
-                       align_eigenvectors_ols, solve_nonsymmetric,
-                       solve_symmetric, write_alignment_csv,
-                       write_spectrum_csv)
+from .spectral import (SpectralResult, align_eigenvectors_ols,
+                       solve_nonsymmetric, solve_symmetric,
+                       write_alignment_csv, write_spectrum_csv)
 from .tangent import (ProjectionField, default_neighbor_count,
                       first_order_svd, knn_indices, projection_diagnostics,
                       second_order_svd)
-from .vector_ops import (VectorField, bochner, covariant_derivative, hodge,
-                         lichnerowicz, tangent_range_basis)
+from .vector_ops import (bochner, covariant_derivative, hodge, lichnerowicz,
+                         stacked, tangent_range_basis)
 from .zoo import (Ellipse, EigenTruth, FlatTorus, GeneralTorus, ManifoldSpec,
                   PointCloud, Sphere, Torus, analytic_projection,
                   sample_manifold, sampling_density, scalar_eigen_truth,

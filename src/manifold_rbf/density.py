@@ -8,16 +8,8 @@ uniform one.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
-
-
-@dataclass
-class DensityEstimate:
-    q: np.ndarray
-    bandwidth: float
-    method: str          # kde_silverman | analytic | uniform
 
 
 def silverman_bandwidth(cloud):
@@ -37,7 +29,8 @@ def silverman_bandwidth(cloud):
 
 
 def kde_density(cloud, h=None):
-    """Gaussian KDE at the sample points themselves (self-pair included)."""
+    """Gaussian KDE q at the sample points themselves (self-pair included),
+    bandwidth h or silverman_bandwidth(cloud)."""
     x = np.asarray(cloud.points, dtype=float)
     N, n = x.shape
     if h is None:
@@ -53,4 +46,4 @@ def kde_density(cloud, h=None):
         d2 = sq[lo:hi, None] - 2.0 * x[lo:hi] @ x.T + sq[None, :]
         np.maximum(d2, 0.0, out=d2)
         q[lo:hi] = norm * np.sum(np.exp(-d2 / (2.0 * h * h)), axis=1)
-    return DensityEstimate(q=q, bandwidth=float(h), method="kde_silverman")
+    return q

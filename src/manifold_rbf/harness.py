@@ -24,8 +24,7 @@ from .spectral import (SpectralResult, align_eigenvectors_ols,
                        solve_nonsymmetric, solve_symmetric, symmetric_result,
                        write_alignment_csv, write_spectrum_csv)
 from .tangent import first_order_svd, neighbor_count, second_order_svd
-from .vector_ops import (VectorField, bochner, covariant_derivative, hodge,
-                         lichnerowicz)
+from .vector_ops import bochner, covariant_derivative, hodge, lichnerowicz
 
 MEMORY_ENV_VAR = "MANIFOLD_RBF_MEM_GIB"
 DEFAULT_MEMORY_GIB = 2.0
@@ -87,8 +86,12 @@ class ExperimentConfig:
             for N in self.N_list:
                 self.dm.validate(N)
         elif self.projection != "Analytic":
-            neighbor_count(self.K, self.manifold.d,
-                           second_order=self.projection == "SecondOrder")
+            K = neighbor_count(self.K, self.manifold.d,
+                               second_order=self.projection == "SecondOrder")
+            searched = self.N_p or min(self.N_list)
+            if K >= searched:
+                raise ValueError(f"K={K} must be smaller than the searched "
+                                 f"cloud size N={searched}")
 
     @property
     def dm(self):
@@ -179,7 +182,6 @@ class Report:
     runs: list
     convergence: list                  # rows (N, mean_error)
     slope: float = None
-    metadata: dict = dc_field(default_factory=dict)
 
     def write(self, out_dir, prefix="run"):
         os.makedirs(out_dir, exist_ok=True)
@@ -216,8 +218,7 @@ class Report:
                 fh.write(json.dumps(entry, sort_keys=True) + "\n")
         with open(os.path.join(out_dir, f"{prefix}_report.json"), "w") as fh:
             json.dump({"config": echo, "slope": self.slope,
-                       "convergence": self.convergence,
-                       "metadata": self.metadata}, fh, sort_keys=True,
+                       "convergence": self.convergence}, fh, sort_keys=True,
                       indent=2)
 
 
@@ -227,7 +228,7 @@ def subset_cloud(cloud, N):
     return zoo.PointCloud(points=cloud.points[:N],
                           intrinsic=None if cloud.intrinsic is None
                           else cloud.intrinsic[:N],
-                          spec=cloud.spec, seed=cloud.seed, mode=cloud.mode)
+                          spec=cloud.spec, mode=cloud.mode)
 
 
 def build_projection(config, cloud_full, N):
@@ -252,7 +253,7 @@ def build_density(config, op_cloud):
                            1.0 / zoo.volume(config.manifold))
         return zoo.sampling_density(config.manifold, op_cloud)
     if config.density == "KDE":
-        return kde_density(op_cloud).q
+        return kde_density(op_cloud)
     return np.ones(op_cloud.N)
 
 
@@ -360,8 +361,7 @@ def _solve_rbf(config, op_cloud, proj, q):
     del ops
     tol = config.kernel.pinv_tol
     if nonsymmetric:
-        return solve_nonsymmetric(L, L.shape[0], pinv_tol=tol,
-                                  basis=U), rank_L
+        return solve_nonsymmetric(L, pinv_tol=tol, basis=U), rank_L
     return solve_symmetric(L, len(L.B_diag), pinv_tol=tol), rank_L
 
 
@@ -370,7 +370,7 @@ def ellipse_test_field(cloud):
     th = cloud.intrinsic[:, 0]
     a = cloud.spec.a
     tau = np.column_stack([-np.sin(th), a * np.cos(th)])
-    return VectorField.from_samples(np.sin(th)[:, None] * tau)
+    return np.sin(th)[:, None] * tau
 
 
 def ellipse_covariant_truth(cloud):
@@ -388,7 +388,7 @@ def ellipse_covariant_truth(cloud):
 def _run_covariant(config, op_cloud, proj):
     system = build_system(op_cloud, config.kernel)
     U = ellipse_test_field(op_cloud)
-    est = covariant_derivative(system, proj, U, U).as_samples()
+    est = covariant_derivative(system, proj, U, U)
     truth = ellipse_covariant_truth(op_cloud)
     err = float(np.max(np.abs(est[:, 0] - truth[:, 0])))
     return err, system.rank_L
@@ -398,6 +398,9 @@ def run_experiment(config):
     """Execute the configured study over every (N, seed) pair."""
     config.validate()
     truth = _truth_for(config)
+    count = config.compare_count
+    # a compare_count the truth cannot fill fails before any sampling
+    truth_vals = None if truth is None else truth.expanded(count)
     runs = []
     for N in config.N_list:
         check_memory(config, N)
@@ -429,9 +432,7 @@ def run_experiment(config):
                         "left half plane; treat them as pollution",
                         RuntimeWarning)
             if truth is not None and rec.result is not None:
-                count = min(config.compare_count,
-                            sum(m for _v, m in truth.values))
-                rec.truth_vals = truth.expanded(count)
+                rec.truth_vals = truth_vals
                 F = truth.basis(op_cloud.points, count)
                 candidates = None
                 if truth.kind == "vector":
@@ -441,10 +442,9 @@ def run_experiment(config):
                 rec.aligned_est_vals = np.where(
                     idx >= 0, np.abs(rec.result.values[idx]), 0.0)
                 valid = idx >= 0
-                rep = align_eigenvectors_ols(
-                    F[:, valid], rec.result.vectors[:, idx[valid]])
                 rec.vec_errors = np.full(count, np.nan)
-                rec.vec_errors[valid] = rep.per_mode_error
+                rec.vec_errors[valid] = align_eigenvectors_ols(
+                    F[:, valid], rec.result.vectors[:, idx[valid]])
             rec.wall_time = time.perf_counter() - t0
             runs.append(rec)
 
@@ -461,11 +461,8 @@ def run_experiment(config):
     slope = None
     if len(convergence) >= 3 and all(e > 0 for _n, e in convergence):
         slope = fit_convergence_slope(convergence)
-    meta = {"vector_error_metric":
-            "relative discrete L2 after OLS alignment",
-            "resolved_config": config.to_dict()}
     return Report(config=config, runs=runs, convergence=convergence,
-                  slope=slope, metadata=meta)
+                  slope=slope)
 
 
 def fit_convergence_slope(table):

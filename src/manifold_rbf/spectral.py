@@ -133,8 +133,8 @@ def symmetric_result(values, vectors, pinv_tol, structural_zeros=0,
                    all_values, pinv_tol, structural_zeros, radius)
 
 
-def solve_nonsymmetric(L, k, pinv_tol=1e-8, basis=None):
-    """k smallest-magnitude computed eigenvalues of a real operator.
+def solve_nonsymmetric(L, pinv_tol=1e-8, basis=None):
+    """Computed eigenvalues of a real operator by ascending magnitude.
 
     L is the left factor F (m N, m r) of the operator F (I_m kron U^T) with
     U = basis (N, r); without a basis L is the square operator itself. For
@@ -148,13 +148,12 @@ def solve_nonsymmetric(L, k, pinv_tol=1e-8, basis=None):
         basis = np.eye(L.shape[1])
     if L.shape[0] * basis.shape[1] != L.shape[1] * basis.shape[0]:
         raise ValueError("operator factor does not match the basis")
-    _check_count(k, L.shape[0])
     Y, Rf = scipy.linalg.qr(L, mode="economic", check_finite=False)
     lam, V = np.linalg.eig(Rf @ blockwise(basis.T, Y))
     del Rf
     order = np.lexsort((lam.imag, lam.real, np.abs(lam)))
     lam = lam[order]
-    V = V[:, order[:k]]
+    V = V[:, order]
     # real and imaginary parts apart: no complex copy of Y
     re, im = Y @ V.real, Y @ V.imag
     del V, Y
@@ -162,24 +161,14 @@ def solve_nonsymmetric(L, k, pinv_tol=1e-8, basis=None):
     V.imag = im
     zeros = L.shape[0] - len(lam)
     all_values = np.concatenate([np.zeros(zeros, dtype=lam.dtype), lam])
-    return _result(lam[:k], V, "by_magnitude_ascending", all_values,
+    return _result(lam, V, "by_magnitude_ascending", all_values,
                    pinv_tol, zeros)
 
 
-@dataclass
-class AlignmentReport:
-    beta: np.ndarray
-    aligned: np.ndarray
-    per_mode_error: np.ndarray
-    metric: str = VECTOR_ERROR_METRIC
-
-
 def align_eigenvectors_ols(F, U):
-    """Regress truth columns F onto estimated columns U: V = U (U^+ F).
-
-    Columns of the aligned output lie in span(U); per-mode errors are
-    ||F_j - V_j|| / ||F_j|| in the discrete L2 norm (uniform weights cancel
-    in the ratio).
+    """Per-mode errors ||F_j - V_j|| / ||F_j|| of the truth columns F
+    regressed onto the estimated columns U, V = U (U^+ F), in the discrete
+    L2 norm (uniform weights cancel in the ratio); V lies in span(U).
     """
     F = np.asarray(F)
     U = np.asarray(U)
@@ -190,13 +179,11 @@ def align_eigenvectors_ols(F, U):
         warnings.warn(
             f"estimated eigenvector block is rank deficient ({rank} < "
             f"{U.shape[1]}); pseudo-inverse alignment used", RuntimeWarning)
-    aligned = U @ beta
-    num = np.linalg.norm(F - aligned, axis=0)
+    num = np.linalg.norm(F - U @ beta, axis=0)
     den = np.linalg.norm(F, axis=0)
     if np.any(den == 0):
         raise ValueError("truth column with zero norm")
-    return AlignmentReport(beta=beta, aligned=aligned,
-                           per_mode_error=num / den)
+    return num / den
 
 
 def write_spectrum_csv(path, result, config_echo):

@@ -1,7 +1,8 @@
 """Discrete vector-field operators.
 
-A vector field sampled at N points is stored as the concatenation
-(U^1; ...; U^n) of its ambient coordinate samples. The covariant gradient
+A vector field sampled at N points is an (N, n) array of ambient
+vectors; the operators act on its concatenation (U^1; ...; U^n) of ambient
+coordinate samples, stacked(samples). The covariant gradient
 X = nabla U is the ambient derivative of the interpolated field, projected
 onto the tangent space in both indices; the three Laplacians combine it with
 its transpose and, for Hodge, the divergence, as listed in LAPLACIANS:
@@ -28,8 +29,6 @@ covariant derivative nabla_U Y differentiates the interpolant of Y along U
 itself, one derivative factor, and projects the result.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 import scipy.sparse
 
@@ -46,25 +45,10 @@ LAPLACIANS = {
 }
 
 
-@dataclass
-class VectorField:
-    """Stacked ambient components (U^1; ...; U^n), each of length N."""
-
-    vec: np.ndarray
-    n: int
-
-    @staticmethod
-    def from_samples(samples):
-        """Build from (N, n) per-point ambient vectors."""
-        samples = np.asarray(samples, dtype=float)
-        return VectorField(vec=samples.T.reshape(-1).copy(),
-                           n=samples.shape[1])
-
-    def components(self):
-        return self.vec.reshape(self.n, -1)
-
-    def as_samples(self):
-        return self.components().T
+def stacked(samples):
+    """The (nN,) coordinate-stacked vector (U^1; ...; U^n) of (N, n)
+    per-point ambient samples: the layout every operator here acts on."""
+    return np.asarray(samples).T.reshape(-1)
 
 
 def _rowwise_kron(t, g):
@@ -209,11 +193,11 @@ def lichnerowicz(kind, ops, q=None):
 
 def covariant_derivative(system, proj, U, Y):
     """Project the ambient directional derivative of the interpolated field
-    Y along U (both VectorFields).
+    Y along U; U, Y and the result are (N, n) ambient samples.
 
     Each component Y^r is interpolated and differentiated along U at the
     nodes; the result is projected onto the tangent spaces of proj.
     """
-    (G,) = derivative_matrices(system, U.as_samples()[:, :, None])
-    W = G @ (system.U.T @ Y.as_samples())
-    return VectorField.from_samples(np.einsum("jik,jk->ji", proj.mats, W))
+    (G,) = derivative_matrices(system, U[:, :, None])
+    W = G @ (system.U.T @ Y)
+    return np.einsum("jik,jk->ji", proj.mats, W)

@@ -17,7 +17,7 @@ import numpy as np
 import scipy.linalg
 
 from .tangent import ProjectionField
-from .vector_ops import VectorField
+from .vector_ops import stacked
 
 TWO_PI = 2.0 * math.pi
 KINDS = ("ellipse", "torus", "general_torus", "flat_torus", "sphere")
@@ -234,7 +234,6 @@ class PointCloud:
     points: np.ndarray            # (N, n)
     intrinsic: np.ndarray | None  # (N, d) or None for raw external clouds
     spec: ManifoldSpec | None
-    seed: int = 0
     mode: str = "random_intrinsic"
 
     @property
@@ -306,7 +305,7 @@ def sample_manifold(spec, N, seed=0, mode="random_intrinsic"):
     else:
         raise ValueError(f"unknown sampling mode {mode!r}")
     return PointCloud(points=embed(spec, theta), intrinsic=theta, spec=spec,
-                      seed=seed, mode=mode)
+                      mode=mode)
 
 
 def analytic_projection(cloud):
@@ -370,14 +369,14 @@ class EigenTruth:
 
     def basis(self, points, count):
         """The first `count` eigenfunctions as columns: (Q, count) for
-        scalar truth, (nQ, count) with coordinate-stacked rows for vector
-        truth."""
+        scalar truth, (nQ, count) for vector truth, each column in the
+        coordinate-stacked layout of vector_ops.stacked."""
         cols = list(itertools.islice(self.columns(points), count))
         if len(cols) < count:
             raise ValueError(f"truth holds only {len(cols)} eigenfunctions, "
                              f"need {count}")
         if self.kind == "vector":
-            cols = [VectorField.from_samples(c).vec for c in cols]
+            cols = [stacked(c) for c in cols]
         return np.stack(cols, axis=1)
 
 

@@ -1,10 +1,18 @@
-"""Every public function, class and method of the package has a caller.
+"""Every public function, class, method and dataclass field of the package
+has a reader.
 
 A public name that only the tests reach is API kept alive for its own
 tests. This scan parses src/manifold_rbf/*.py and requires each public
 top-level function or class, and each public method of a top-level class,
 to appear as a word somewhere in the package sources (outside its own def
-line and __init__.py, which only re-exports) or in the benchmark.
+line and __init__.py, which only re-exports) or in the benchmark. Each
+public field of a public dataclass must be read as `.field` somewhere in
+the package sources or the benchmark, outside its own declaration line.
+
+The field scan matches names, not owners: a field that shares its name
+with a field of another class (PointCloud.seed and RunRecord.seed, say)
+counts as read whenever the other one is, so an unread field with a
+common name is not caught.
 """
 
 import ast
@@ -31,21 +39,63 @@ def public_definitions(path):
     return out
 
 
+def _is_dataclass(node):
+    return any(getattr(deco.func if isinstance(deco, ast.Call) else deco,
+                       "id", None) == "dataclass"
+               for deco in node.decorator_list)
+
+
+def public_fields(path):
+    """(class.field, field, line) of every public field of a public
+    top-level dataclass."""
+    tree = ast.parse(path.read_text())
+    return [(f"{node.name}.{item.target.id}", item.target.id, item.lineno)
+            for node in tree.body
+            if isinstance(node, ast.ClassDef)
+            and not node.name.startswith("_") and _is_dataclass(node)
+            for item in node.body
+            if isinstance(item, ast.AnnAssign)
+            and not item.target.id.startswith("_")]
+
+
+def _sources():
+    return {path: path.read_text().splitlines()
+            for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def _bench():
+    return "\n".join(path.read_text()
+                     for path in sorted((ROOT / "bench").glob("*.py")))
+
+
+def _used(word, bench, sources, path, lineno):
+    return word.search(bench) or any(
+        word.search(line)
+        for other, other_lines in sources.items()
+        for k, line in enumerate(other_lines, start=1)
+        if (other, k) != (path, lineno))
+
+
 def test_every_public_name_has_a_caller():
-    sources = {path: path.read_text().splitlines()
-               for path in sorted(PACKAGE.glob("*.py"))
+    sources = {path: lines for path, lines in _sources().items()
                if path.name != "__init__.py"}
-    bench = "\n".join(path.read_text()
-                      for path in sorted((ROOT / "bench").glob("*.py")))
+    bench = _bench()
     unused = []
     for path, lines in sources.items():
         for name, lineno in public_definitions(path):
             word = re.compile(rf"\b{re.escape(name)}\b")
-            used = word.search(bench) or any(
-                word.search(line)
-                for other, other_lines in sources.items()
-                for k, line in enumerate(other_lines, start=1)
-                if (other, k) != (path, lineno))
-            if not used:
+            if not _used(word, bench, sources, path, lineno):
                 unused.append(f"{path.name}:{lineno} {name}")
     assert unused == []
+
+
+def test_every_public_dataclass_field_is_read():
+    sources = _sources()
+    bench = _bench()
+    unread = []
+    for path in sources:
+        for label, name, lineno in public_fields(path):
+            word = re.compile(rf"\.{re.escape(name)}\b")
+            if not _used(word, bench, sources, path, lineno):
+                unread.append(f"{path.name}:{lineno} {label}")
+    assert unread == []

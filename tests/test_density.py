@@ -49,33 +49,32 @@ def test_silverman_rejects_degenerate():
 
 def test_kde_identical_points_uniform():
     pts = np.tile([0.3, -1.2, 0.5], (40, 1))
-    est = kde_density(cloud_from(pts), h=0.7)
+    q = kde_density(cloud_from(pts), h=0.7)
     norm = 1.0 / ((0.7 * math.sqrt(2 * math.pi)) ** 3)
-    assert np.allclose(est.q, norm, rtol=1e-14)
-    assert est.method == "kde_silverman"
+    assert np.allclose(q, norm, rtol=1e-14)
 
 
 def test_kde_two_separated_clusters_balanced():
     rng = np.random.default_rng(3)
     a = 0.1 * rng.standard_normal((120, 2))
     b = 0.1 * rng.standard_normal((120, 2)) + np.array([50.0, 0.0])
-    est = kde_density(cloud_from(np.vstack([a, b])))
-    qa, qb = est.q[:120].mean(), est.q[120:].mean()
+    q = kde_density(cloud_from(np.vstack([a, b])))
+    qa, qb = q[:120].mean(), q[120:].mean()
     assert abs(qa - qb) / qa <= 0.05
 
 
 def test_kde_positive():
     rng = np.random.default_rng(4)
-    est = kde_density(cloud_from(rng.uniform(-3, 3, size=(200, 3))))
-    assert est.q.min() > 0
+    q = kde_density(cloud_from(rng.uniform(-3, 3, size=(200, 3))))
+    assert q.min() > 0
 
 
 def test_kde_permutation_equivariant():
     rng = np.random.default_rng(5)
     x = rng.standard_normal((150, 3))
-    q = kde_density(cloud_from(x), h=0.4).q
+    q = kde_density(cloud_from(x), h=0.4)
     perm = rng.permutation(150)
-    q_perm = kde_density(cloud_from(x[perm]), h=0.4).q
+    q_perm = kde_density(cloud_from(x[perm]), h=0.4)
     assert np.allclose(q_perm, q[perm], rtol=1e-10)
 
 
@@ -84,8 +83,8 @@ def test_kde_rigid_motion_invariant():
     x = rng.standard_normal((150, 3))
     Q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
     moved = x @ Q.T + np.array([5.0, -2.0, 0.5])
-    q0 = kde_density(cloud_from(x), h=0.5).q
-    q1 = kde_density(cloud_from(moved), h=0.5).q
+    q0 = kde_density(cloud_from(x), h=0.5)
+    q1 = kde_density(cloud_from(moved), h=0.5)
     assert np.allclose(q1, q0, rtol=1e-9)
 
 
@@ -98,16 +97,14 @@ def test_kde_rejects_bad_bandwidth():
 def test_kde_default_bandwidth_is_silverman():
     rng = np.random.default_rng(8)
     cloud = cloud_from(rng.standard_normal((80, 2)))
-    est = kde_density(cloud)
-    assert est.bandwidth == pytest.approx(silverman_bandwidth(cloud))
-    explicit = kde_density(cloud, h=est.bandwidth)
-    assert np.array_equal(est.q, explicit.q)
+    explicit = kde_density(cloud, h=silverman_bandwidth(cloud))
+    assert np.array_equal(kde_density(cloud), explicit)
 
 
 def test_kde_tracks_torus_density():
     # ambient KDE ranks points like the intrinsic-uniform sampling density
     spec = Torus(2.0)
     cloud = sample_manifold(spec, 2500, seed=0)
-    est = kde_density(cloud)
-    rho = spearmanr(est.q, sampling_density(spec, cloud)).statistic
+    q = kde_density(cloud)
+    rho = spearmanr(q, sampling_density(spec, cloud)).statistic
     assert rho >= 0.8

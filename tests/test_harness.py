@@ -87,6 +87,18 @@ def test_config_validation():
     (dict(projection="SecondOrder", K=0), "K must be at least 1"),
     (dict(projection="SecondOrder", K=3), r"K must exceed d\(d\+1\)/2 = 3"),
     (dict(projection="FirstOrder", K=2), r"K must be at least d\+1"),
+    (dict(projection="FirstOrder", K=144),
+     "K=144 must be smaller than the searched cloud size N=144"),
+    (dict(projection="SecondOrder", N_list=[144, 100], K=120),
+     "K=120 must be smaller than the searched cloud size N=100"),
+    (dict(projection="FirstOrder", N_p=400, K=400),
+     "K=400 must be smaller than the searched cloud size N=400"),
+    # the sphere truth holds 16 scalar and 30 Hodge modes: scoring more is
+    # an error, not a silently shorter comparison
+    (dict(manifold=Sphere(), compare_count=17),
+     "truth holds only 16 modes, need 17"),
+    (dict(manifold=Sphere(), operator="Hodge", compare_count=31),
+     "truth holds only 30 modes, need 31"),
 ])
 def test_bad_study_inputs_fail_before_any_work(kw, match, monkeypatch):
     def no_sampling(*args, **kwargs):
@@ -373,8 +385,8 @@ def test_cli_truth(tmp_path):
 
 def test_cli_rejects_counts_it_cannot_honour(tmp_path):
     # the sphere Hodge truth holds 3 eigenvalues; a tangent K of 0 is no
-    # request for the default, and 3 cannot fit the sphere's second-order
-    # frame
+    # request for the default, 3 cannot fit the sphere's second-order frame,
+    # and 60 neighbours cannot be found among 50 points
     with pytest.raises(ValueError, match="holds only 3 eigenvalues"):
         cli.main(["truth", "--manifold", "sphere", "--operator", "Hodge",
                   "--count", "500"])
@@ -385,6 +397,11 @@ def test_cli_rejects_counts_it_cannot_honour(tmp_path):
     with pytest.raises(ValueError, match=r"K must exceed d\(d\+1\)/2 = 3"):
         cli.main(["spectrum", "--manifold", "sphere", "--N", "50",
                   "--projection", "SecondOrder", "--K", "3",
+                  "--out-dir", str(tmp_path)])
+    with pytest.raises(ValueError, match="K=60 must be smaller than the "
+                       "searched cloud size N=50"):
+        cli.main(["spectrum", "--manifold", "sphere", "--N", "50",
+                  "--projection", "FirstOrder", "--K", "60",
                   "--out-dir", str(tmp_path)])
     assert list(tmp_path.iterdir()) == []
 

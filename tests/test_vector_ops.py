@@ -16,10 +16,10 @@ from manifold_rbf.scalar_ops import (GeneralizedPair, ambient_gradient,
                                      laplace_beltrami_symmetric)
 from manifold_rbf.spectral import solve_nonsymmetric, solve_symmetric
 from manifold_rbf.tangent import ProjectionField, second_order_svd
-from manifold_rbf.vector_ops import (LAPLACIANS, VectorField, bochner,
+from manifold_rbf.vector_ops import (LAPLACIANS, bochner,
                                      covariant_derivative, h_matrix, hodge,
                                      lichnerowicz, potimes_matrix, s_matrix,
-                                     tangent_range_basis)
+                                     stacked, tangent_range_basis)
 from manifold_rbf.zoo import (Ellipse, Sphere, Torus, analytic_projection,
                               sample_manifold, sampling_density)
 
@@ -33,7 +33,7 @@ def ellipse_setup(N=400, a=2.0, seed=0, s=1.5):
     tau = xp / np.sqrt(g)[:, None]
     u1 = np.sin(theta)
     cov11 = np.cos(theta) + u1 * gp / (2 * g)
-    U = VectorField.from_samples(u1[:, None] * xp)
+    U = u1[:, None] * xp
     proj = analytic_projection(cloud)
     system = build_system(cloud, KernelModel("gaussian", s))
     ops = build_grad_matrices(system, proj)
@@ -116,16 +116,17 @@ def apply_factored(F, U, vec):
     return F @ blockwise(U.T, vec[:, None])[:, 0]
 
 
-# -- field container ----------------------------------------------------------
+# -- field layout -------------------------------------------------------------
 
 
-def test_vector_field_roundtrip():
+def test_stacked_layout():
+    # (N, n) samples stack coordinate by coordinate: (U^1; ...; U^n)
     samples = np.arange(12.0).reshape(4, 3)
-    U = VectorField.from_samples(samples)
-    assert U.vec.shape == (12,)
-    assert np.array_equal(U.vec[:4], samples[:, 0])
-    assert np.array_equal(U.as_samples(), samples)
-    assert np.array_equal(U.components()[2], samples[:, 2])
+    vec = stacked(samples)
+    assert vec.shape == (12,)
+    assert np.array_equal(vec[:4], samples[:, 0])
+    assert np.array_equal(vec.reshape(3, -1)[2], samples[:, 2])
+    assert np.array_equal(vec.reshape(3, -1).T, samples)
 
 
 # -- block projection ---------------------------------------------------------
@@ -146,9 +147,9 @@ def test_potimes_annihilates_normal_field():
     proj = analytic_projection(cloud)
     system = build_system(cloud, KernelModel("gaussian", 1.0))
     ops = build_grad_matrices(system, proj)
-    U = VectorField.from_samples(cloud.points)   # outward normal on S^2
-    out = potimes_matrix(ops) @ U.vec
-    assert np.linalg.norm(out) <= 1e-8 * np.linalg.norm(U.vec)
+    U = stacked(cloud.points)   # outward normal on S^2
+    out = potimes_matrix(ops) @ U
+    assert np.linalg.norm(out) <= 1e-8 * np.linalg.norm(U)
 
 
 def test_h_output_stays_tangential(ellipse):
@@ -173,9 +174,9 @@ def test_tangent_range_basis_orthonormal(ellipse):
 
 def test_plane_constant_field_annihilated():
     _, _, _, ops, (t1, t2) = plane_setup()
-    U = VectorField.from_samples(np.tile(0.4 * t1 - 0.9 * t2, (ops.N, 1)))
+    U = stacked(np.tile(0.4 * t1 - 0.9 * t2, (ops.N, 1)))
     for i in range(3):
-        out = h_matrix(ops, i) @ U.vec
+        out = h_matrix(ops, i) @ U
         assert np.abs(out).max() <= 1e-6
 
 
@@ -183,7 +184,7 @@ def test_ellipse_grad_tensor(ellipse):
     # (H_i U)^j should match the analytic tensor u1_cov * tau_j tau_i
     ops, U = ellipse["ops"], ellipse["U"]
     for i in range(2):
-        got = (h_matrix(ops, i) @ U.vec).reshape(2, -1)
+        got = (h_matrix(ops, i) @ stacked(U)).reshape(2, -1)
         want = ellipse["cov11"][None, :] * ellipse["tau"].T \
             * ellipse["tau"][:, i][None, :]
         assert np.abs(got - want).max() <= 1e-2
@@ -205,7 +206,7 @@ def analytic_bochner(e):
 def test_ellipse_bochner_field_error(ellipse):
     B = bochner("nonsymmetric", ellipse["ops"])
     got = apply_factored(B, ellipse["system"].U,
-                         ellipse["U"].vec).reshape(2, -1).T
+                         stacked(ellipse["U"])).reshape(2, -1).T
     err = np.abs(got - analytic_bochner(ellipse))
     assert err[:, 0].max() <= 0.05
 
@@ -213,7 +214,7 @@ def test_ellipse_bochner_field_error(ellipse):
 def test_ellipse_lichnerowicz_field_error(ellipse):
     L = lichnerowicz("nonsymmetric", ellipse["ops"])
     got = apply_factored(L, ellipse["system"].U,
-                         ellipse["U"].vec).reshape(2, -1).T
+                         stacked(ellipse["U"])).reshape(2, -1).T
     err = np.abs(got - 2 * analytic_bochner(ellipse))
     assert err[:, 0].max() <= 0.1
 
@@ -221,7 +222,7 @@ def test_ellipse_lichnerowicz_field_error(ellipse):
 def test_one_dim_identities():
     # wide kernel regime where the discrete grad/div compositions agree
     e = ellipse_setup(N=800, s=4.5)
-    U, vec = e["system"].U, e["U"].vec
+    U, vec = e["system"].U, stacked(e["U"])
     BU = apply_factored(bochner("nonsymmetric", e["ops"]), U, vec)
     HU = apply_factored(hodge("nonsymmetric", e["ops"]), U, vec)
     LU = apply_factored(lichnerowicz("nonsymmetric", e["ops"]), U, vec)
@@ -435,7 +436,7 @@ def test_reduced_spectrum_matches_dense_solve(sphere_small, method, name):
     if method == "NRBF":
         F = laplace_beltrami_nonsymmetric(ops) if name == "lb" else \
             FORMS[name]("nonsymmetric", ops)
-        res = solve_nonsymmetric(F, F.shape[0], basis=U)
+        res = solve_nonsymmetric(F, basis=U)
         full = np.linalg.eigvals(dense)
     else:
         pair = laplace_beltrami_symmetric(ops, q) if name == "lb" else \
@@ -466,10 +467,11 @@ def test_reduced_spectrum_matches_dense_solve(sphere_small, method, name):
 
 def test_plane_covariant_constant_field():
     _, proj, system, ops, (t1, t2) = plane_setup()
-    Y = VectorField.from_samples(np.tile(t1 + 0.5 * t2, (ops.N, 1)))
-    U = VectorField.from_samples(np.tile(0.3 * t1, (ops.N, 1)))
+    Y = np.tile(t1 + 0.5 * t2, (ops.N, 1))
+    U = np.tile(0.3 * t1, (ops.N, 1))
     out = covariant_derivative(system, proj, U, Y)
-    assert np.abs(out.vec).max() <= 1e-6
+    assert out.shape == (ops.N, 3)
+    assert np.abs(out).max() <= 1e-6
 
 
 def test_covariant_derivative_matches_ambient_reference():
@@ -479,14 +481,13 @@ def test_covariant_derivative_matches_ambient_reference():
     proj = analytic_projection(cloud)
     system = build_system(cloud, KernelModel("inverse_quadratic", 1.0))
     x, y, z = cloud.points.T
-    U = VectorField.from_samples(np.column_stack([-y, x, 0.0 * z]))
-    Y = VectorField.from_samples(np.column_stack([z, x * y, 1.0 + x]))
+    U = np.column_stack([-y, x, 0.0 * z])
+    Y = np.column_stack([z, x * y, 1.0 + x])
     D = derivative_matrices(system, np.broadcast_to(np.eye(3), (200, 3, 3)))
-    coeffs = system.U.T @ Y.as_samples()
-    Us = U.as_samples()
-    W = sum(Us[:, k][:, None] * (D[k] @ coeffs) for k in range(3))
+    coeffs = system.U.T @ Y
+    W = sum(U[:, k][:, None] * (D[k] @ coeffs) for k in range(3))
     want = np.matmul(proj.mats, W[:, :, None])[:, :, 0]
-    got = covariant_derivative(system, proj, U, Y).as_samples()
+    got = covariant_derivative(system, proj, U, Y)
     # the two orders of summation differ by rounding amplified by Phi^+
     tol = 10 * np.finfo(float).eps * system.sigma[0] / system.sigma[-1]
     assert np.abs(got - want).max() <= tol * np.abs(want).max()
@@ -496,7 +497,7 @@ def test_ellipse_covariant_analytic_projection(ellipse):
     # nabla_U U has intrinsic coefficient u1 * u1_cov
     want = (ellipse["u1"] * ellipse["cov11"])[:, None] * ellipse["xp"]
     got = covariant_derivative(ellipse["system"], ellipse["proj"],
-                               ellipse["U"], ellipse["U"]).as_samples()
+                               ellipse["U"], ellipse["U"])
     assert np.abs(got - want)[:, 0].max() <= 1e-4
 
 
@@ -504,5 +505,5 @@ def test_ellipse_covariant_estimated_projection(ellipse):
     want = (ellipse["u1"] * ellipse["cov11"])[:, None] * ellipse["xp"]
     phat = second_order_svd(ellipse["cloud"], K=6, d=1)
     got = covariant_derivative(ellipse["system"], phat,
-                               ellipse["U"], ellipse["U"]).as_samples()
+                               ellipse["U"], ellipse["U"])
     assert np.abs(got - want)[:, 0].max() <= 1e-2
