@@ -17,7 +17,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 from scipy.sparse.csgraph import connected_components
@@ -118,7 +117,7 @@ def dm_spectrum(cloud, config, k):
     N = L.shape[0]
     if k >= N - 1:
         # beyond what a Lanczos basis of at most N vectors can resolve
-        lam, Z = scipy.linalg.eigh(L.toarray())
+        lam, Z = np.linalg.eigh(L.toarray())
         return lam[:k], scale[:, None] * Z[:, :k], float(lam[-1])
     # ARPACK's own start vector is not repeatable from call to call; a
     # seeded one keeps the spectrum, and the CSVs written from it,

@@ -119,12 +119,14 @@ def estimate_run_bytes(config, N):
     """Peak bytes of the working set of one run at cloud size N.
 
     Counted in float64 words and calibrated against the tracemalloc peak of
-    the operator build plus solve; used only for the refusal guard. RBF
-    operators are factored through the r = rank_L retained eigenvectors of
-    Phi; r is unknown before the factorization, so the estimate takes the
-    worst case r = N. The interpolation system and the derivative factors
-    (d frame directions, or the one field direction of the covariant
-    derivative) take up to d + 8 N x N matrices; SRBF vector pencils add four
+    the operator build plus solve, plus the input copy and work that each
+    numpy.linalg eigh, eig and qr holds outside tracemalloc (3 n^2 words
+    for an n x n eigh); used only for the refusal guard. RBF operators are
+    factored through the r = rank_L retained eigenvectors of Phi; r is
+    unknown before the factorization, so the estimate takes the worst case
+    r = N. The interpolation system and the derivative factors (d frame
+    directions, or the one field direction of the covariant derivative)
+    take up to d + 10 N x N matrices; SRBF vector pencils add four
     (nN)^2 ones (the nr x nr form, its update, the dN x nr factor and the
     solver's copies), NRBF vector operators hold seven (the nN x nr factor,
     its orthonormal basis and the complex eigenvectors of the reduced
@@ -140,9 +142,9 @@ def estimate_run_bytes(config, N):
         ncv = max(2 * _dm_mode_count(config, N) + 1, 20)
         words = N * (10 * K + 4 * ncv)
     elif config.operator in ("LB", "Covariant"):
-        words = (d + 8) * N * N
+        words = (d + 10) * N * N
     elif config.method == "SRBF":
-        words = 4 * (n * N) ** 2 + (d + 8) * N * N
+        words = 4 * (n * N) ** 2 + (d + 10) * N * N
     else:
         words = 7 * (n * N) ** 2
     return 8 * words

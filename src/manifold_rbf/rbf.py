@@ -8,12 +8,15 @@ eigenvectors; Phi lives only while build_system factors it.
 derivative_matrices differentiates the interpolant along given directions
 at the nodes, so every operator built on it factors through U^T and has
 rank at most rank_L per field component.
+
+Every dense factorisation of the package goes through numpy.linalg, whose
+OpenBLAS also does the matmuls: scipy.linalg bundles a second OpenBLAS,
+whose idle thread pool spins against the busy one and slows both down.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 from scipy.spatial.distance import cdist
 
 
@@ -99,7 +102,7 @@ def build_system(cloud, model):
     points = np.asarray(cloud.points, dtype=float)
     if points.shape[0] < 2:
         raise ValueError("need at least two points")
-    w, V = scipy.linalg.eigh(kernel_eval(model, cdist(points, points)))
+    w, V = np.linalg.eigh(kernel_eval(model, cdist(points, points)))
     sigma = np.abs(w)
     keep = sigma >= model.pinv_tol * sigma.max()
     order = np.argsort(sigma[keep])[::-1]

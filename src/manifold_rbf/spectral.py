@@ -17,6 +17,9 @@ like the near-zero modes produced by pseudo-inverse rank truncation.
 Eigenvector error metric: relative discrete L2 norm after ordinary
 least-squares alignment of the estimated modes onto the truth columns; this
 factors out the arbitrary rotation inside repeated-eigenvalue clusters.
+
+QR and dense eigensolves use numpy.linalg, the package's one dense-LAPACK
+provider, so one OpenBLAS thread pool serves them and the matmuls (see rbf).
 """
 
 import json
@@ -24,7 +27,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .rbf import blockwise
 
@@ -100,20 +102,14 @@ def solve_symmetric(pair, k, pinv_tol=1e-8):
     _check_count(k, len(b))
     scale = 1.0 / np.sqrt(b)
     A, R = pair.A, pair.factor
-    if R is not None and 3 * R.shape[1] > 2 * len(b):
-        # above 2/3 of the full size the smaller eigensolve saves less than
-        # the QR and the lift cost
-        A, R = R @ A @ R.T, None
     if R is None:
-        As = scale[:, None] * A * scale[None, :]
+        A = scale[:, None] * A * scale[None, :]
     else:
-        Y, Rx = scipy.linalg.qr(np.multiply(R, scale[:, None], order="F"),
-                                mode="economic", overwrite_a=True,
-                                check_finite=False)
-        As = Rx @ A @ Rx.T
+        Y, Rx = np.linalg.qr(scale[:, None] * R)
+        A = Rx @ A @ Rx.T
+    A = 0.5 * (A + A.T)
+    lam, Z = np.linalg.eigh(A)
     del A
-    As = 0.5 * (As + As.T)
-    lam, Z = scipy.linalg.eigh(As, overwrite_a=True, driver="evd")
     V = Z[:, :k] if R is None else Y @ Z[:, :k]
     V *= scale[:, None]
     if pair.range_basis is not None:
@@ -148,7 +144,7 @@ def solve_nonsymmetric(L, pinv_tol=1e-8, basis=None):
         basis = np.eye(L.shape[1])
     if L.shape[0] * basis.shape[1] != L.shape[1] * basis.shape[0]:
         raise ValueError("operator factor does not match the basis")
-    Y, Rf = scipy.linalg.qr(L, mode="economic", check_finite=False)
+    Y, Rf = np.linalg.qr(L)
     lam, V = np.linalg.eig(Rf @ blockwise(basis.T, Y))
     del Rf
     order = np.lexsort((lam.imag, lam.real, np.abs(lam)))

@@ -99,3 +99,88 @@ def test_every_public_dataclass_field_is_read():
             if not _used(word, bench, sources, path, lineno):
                 unread.append(f"{path.name}:{lineno} {label}")
     assert unread == []
+
+
+# scipy.linalg names the package may use, by module: zoo imports it for
+# eigh_tridiagonal, which runs no threaded BLAS
+SCIPY_LINALG_ALLOWED = {
+    "zoo.py": {"scipy.linalg", "scipy.linalg.eigh_tridiagonal"}}
+
+
+def scipy_linalg_uses(source):
+    """(line, dotted name) of every import of scipy.linalg (its lapack and
+    blas included) and every name read from it, import aliases resolved;
+    `import scipy.linalg` itself is recorded as the bare module."""
+    tree = ast.parse(source)
+    alias = {}
+    uses = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for item in node.names:
+                root = item.name.split(".")[0]
+                alias[item.asname or root] = item.name if item.asname else root
+                if item.name.startswith("scipy.linalg"):
+                    uses.append((node.lineno, item.name))
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            for item in node.names:
+                full = f"{node.module}.{item.name}"
+                alias[item.asname or item.name] = full
+                if full.startswith("scipy.linalg"):
+                    uses.append((node.lineno, full))
+    inner = set()
+    for node in ast.walk(tree):    # outer attribute chains come first
+        if not isinstance(node, ast.Attribute) or node in inner:
+            continue
+        parts = []
+        root = node
+        while isinstance(root, ast.Attribute):
+            inner.add(root)
+            parts.append(root.attr)
+            root = root.value
+        if isinstance(root, ast.Name) and root.id in alias:
+            full = ".".join([alias[root.id], *reversed(parts)])
+            if full.startswith("scipy.linalg."):
+                uses.append((node.lineno, full))
+    return uses
+
+
+def test_scipy_linalg_uses_are_caught():
+    caught = {name for _line, name in scipy_linalg_uses(
+        "import scipy\n"
+        "import scipy.linalg as sla\n"
+        "from scipy import linalg\n"
+        "from scipy.linalg.lapack import dsyevd\n"
+        "from scipy.linalg import blas as fblas\n"
+        "scipy.linalg.qr(a)\n"
+        "sla.eigh(a)\n"
+        "linalg.lapack.dgeev(a)\n"
+        "fblas.dgemm(1.0, a, a)\n"
+        "import scipy.sparse.linalg\n"
+        "scipy.sparse.linalg.eigsh(a)\n")}
+    assert caught == {
+        "scipy.linalg", "scipy.linalg.lapack.dsyevd", "scipy.linalg.blas",
+        "scipy.linalg.qr", "scipy.linalg.eigh", "scipy.linalg.lapack.dgeev",
+        "scipy.linalg.blas.dgemm"}
+
+
+def test_dense_lapack_goes_through_numpy_only():
+    """Every dense factorisation of the package goes through numpy.linalg.
+
+    numpy and scipy each bundle their own OpenBLAS, each with its own
+    thread pool, and the idle workers of a pool spin for a while after each
+    call. The matmuls run on numpy's pool; a LAPACK call from scipy.linalg
+    in between wakes the second pool, and the busy threads of both then
+    share the cores. On two cores with two BLAS threads, moving the dense
+    factorisations from scipy.linalg to numpy.linalg halved the wall time
+    of the sphere-hodge benchmark, and its pure-numpy layers sped up too.
+    So there must be one BLAS pool, and scipy.linalg (its lapack and blas
+    modules included) is off limits except for what SCIPY_LINALG_ALLOWED
+    lists.
+    """
+    offences = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        allowed = SCIPY_LINALG_ALLOWED.get(path.name, set())
+        for line, name in scipy_linalg_uses(path.read_text()):
+            if name not in allowed:
+                offences.append(f"{path.name}:{line} {name}")
+    assert offences == []
