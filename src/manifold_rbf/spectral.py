@@ -150,11 +150,11 @@ def solve_nonsymmetric(L, pinv_tol=1e-8, basis=None):
     order = np.lexsort((lam.imag, lam.real, np.abs(lam)))
     lam = lam[order]
     V = V[:, order]
-    # real and imaginary parts apart: no complex copy of Y
-    re, im = Y @ V.real, Y @ V.imag
-    del V, Y
-    V = re.astype(complex)
-    V.imag = im
+    # interleaved re/im: one real product into one buffer, no complex Y copy
+    parts = np.empty((len(V), 2 * V.shape[1]))
+    parts[:, 0::2], parts[:, 1::2] = V.real, V.imag
+    V = (Y @ parts).view(complex)
+    del Y
     zeros = L.shape[0] - len(lam)
     all_values = np.concatenate([np.zeros(zeros, dtype=lam.dtype), lam])
     return _result(lam, V, "by_magnitude_ascending", all_values,
