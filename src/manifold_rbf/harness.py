@@ -111,7 +111,22 @@ class ExperimentConfig:
 
 
 def memory_cap_bytes():
-    gib = float(os.environ.get(MEMORY_ENV_VAR, DEFAULT_MEMORY_GIB))
+    """The refusal cap in bytes: MANIFOLD_RBF_MEM_GIB GiB, or the default.
+
+    The value must be a positive number of GiB (inf turns the guard off);
+    anything else, NaN included, raises ValueError rather than letting
+    every comparison with the cap pass.
+    """
+    raw = os.environ.get(MEMORY_ENV_VAR)
+    if raw is None:
+        return DEFAULT_MEMORY_GIB * 2 ** 30
+    try:
+        gib = float(raw)
+    except ValueError:
+        gib = float("nan")
+    if not gib > 0:
+        raise ValueError(f"{MEMORY_ENV_VAR}={raw!r} is not a positive "
+                         f"number of GiB")
     return gib * 2 ** 30
 
 
@@ -119,9 +134,10 @@ def estimate_run_bytes(config, N):
     """Peak bytes of the working set of one run at cloud size N.
 
     Counted in float64 words and calibrated against the tracemalloc peak of
-    the operator build plus solve, plus the input copy and work that each
-    numpy.linalg eigh, eig and qr holds outside tracemalloc (3 n^2 words
-    for an n x n eigh); used only for the refusal guard. RBF operators are
+    the operator build plus solve (and, at N = 200, of the whole run with
+    its truth), plus the input copy and work that each numpy.linalg eigh,
+    eig and qr holds outside tracemalloc (3 n^2 words for an n x n eigh);
+    used only for the refusal guard. RBF operators are
     factored through the r = rank_L retained eigenvectors of Phi; r is
     unknown before the factorization, so the estimate takes the worst case
     r = N. The interpolation system and the derivative factors (d frame

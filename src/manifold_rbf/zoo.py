@@ -1,11 +1,14 @@
 """Analytic test manifolds embedded in R^n.
 
 Provides samplers (random in intrinsic coordinates, or lattice grids), exact
-orthonormal tangent frames from the embedding Jacobian, closed-form or
-semi-analytic Laplacian eigen-truth, and the sampling density of
-intrinsic-uniform draws with respect to the Riemannian volume measure. An
-EigenTruth holds the reference eigenvalues and hands its eigenfunctions to
-the scorer as one basis matrix over the sample points (EigenTruth.basis).
+orthonormal tangent frames from the embedding Jacobian, Laplacian
+eigen-truth, and the sampling density of intrinsic-uniform draws with
+respect to the Riemannian volume measure. The truth is closed-form on the
+sphere and the flat torus; on the tori it separates into one periodic
+Sturm-Liouville problem per Fourier mode, solved spectrally in theta to
+rounding accuracy (sturm_liouville_truth). An EigenTruth holds the
+reference eigenvalues and hands its eigenfunctions to the scorer as one
+basis matrix over the sample points (EigenTruth.basis).
 """
 
 import functools
@@ -14,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .tangent import ProjectionField
 from .vector_ops import stacked
@@ -565,93 +567,65 @@ def vector_eigen_truth(spec, which):
 
 # -- general torus: Sturm-Liouville reduction ---------------------------------
 
-# Bisection tolerance of twice the underflow threshold: LAPACK's ?stebz then
-# resolves each eigenvalue to full accuracy instead of eps * ||T||, which for
-# the smallest nonzero modes at N_theta = 2048 is a relative 1e-10.
-_BISECT_TOL = 2.0 * np.finfo(float).tiny
+# Highest theta harmonic K of the Galerkin basis {1, cos k th, sin k th}, and
+# the trapezoid nodes that integrate its matrix entries. A Fourier mode keeps
+# its K lowest values, whose eigenfunctions sit on harmonics up to about K/2.
+_SL_K = 24
+_SL_NODES = 128
 
 
-def _reflection_split_eigh(diag, off, k, upper=None):
-    """Lowest k eigenpairs of a symmetric periodic tridiagonal matrix whose
-    entries are even under the reflection j -> -j (mod N), N even; with
-    `upper`, only those with eigenvalue <= upper.
-
-    diag[j] is entry (j, j) and off[j] entry (j, j+1 mod N); evenness means
-    diag[j] == diag[N-j] and off[j] == off[N-1-j]. The reflection commutes
-    with the matrix, so it splits into an even block on j = 0..N/2, whose
-    two end couplings gain a factor sqrt(2), and an odd block on
-    j = 1..N/2-1. Each block is an ordinary tridiagonal problem.
-    Eigenvectors come back orthonormal on the full grid, ascending.
-    """
-    N = diag.shape[0]
-    half = N // 2
-    e_even = off[:half].copy()
-    e_even[[0, -1]] *= math.sqrt(2.0)
-    blocks = ((diag[:half + 1], e_even, 1.0),
-              (diag[1:half], off[1:half - 1], -1.0))
-    inner = np.arange(1, half)
-    lams, vecs = [], []
-    for d, e, parity in blocks:
-        if upper is None:
-            select = {"select": "i", "select_range": (0, min(k, len(d)) - 1)}
-        else:
-            select = {"select": "v", "select_range": (-np.inf, upper)}
-        lam, Y = scipy.linalg.eigh_tridiagonal(d, e, tol=_BISECT_TOL, **select)
-        X = np.zeros((N, lam.shape[0]))
-        interior = Y[1:half] if parity > 0 else Y
-        X[inner] = interior / math.sqrt(2.0)
-        X[N - inner] = parity * interior / math.sqrt(2.0)
-        if parity > 0:
-            X[[0, half]] = Y[[0, half]]
-        lams.append(lam)
-        vecs.append(X)
-    lam = np.concatenate(lams)
-    order = np.argsort(lam, kind="stable")[:k]
-    return lam[order], np.hstack(vecs)[:, order]
+def _theta_basis(th):
+    """Rows [1, cos k th, sin k th], k = 1.._SL_K, at the angles th."""
+    kt = np.multiply.outer(th, np.arange(1, _SL_K + 1))
+    return np.hstack([np.ones((kt.shape[0], 1)), np.cos(kt), np.sin(kt)])
 
 
-def _sl_modes(spec, N_theta, count):
-    """Grid and the `count` lowest (lambda, m, Theta) of the torus pencil,
-    sorted by (lambda, m); see sturm_liouville_truth."""
+def _sl_modes(spec, count):
+    """The `count` lowest (lambda, m, coefficients of Theta in _theta_basis)
+    of the torus pencil, sorted by (lambda, m); see sturm_liouville_truth."""
     if spec.kind not in ("torus", "general_torus"):
         raise ValueError("Sturm-Liouville truth applies to torus kinds")
-    if N_theta < 128:
-        raise ValueError("N_theta must be at least 128")
-    if N_theta % 2:
-        raise ValueError("N_theta must be even so the grid holds theta = pi, "
-                         "the mirror point of the reflection split")
+    if count < 1:
+        raise ValueError(f"count={count} must be at least 1")
     b, c = _torus_constants(spec)
-    h = TWO_PI / N_theta
-    th = h * np.arange(N_theta)
-    w = spec.a + np.cos(th)
-    w_half = spec.a + np.cos(th + 0.5 * h)     # w at j+1/2
-    per_mode = min(count + 2, N_theta - 1)
-    # fold the diagonal weight B = b w in: S A S with S = B^{-1/2}
-    scale = 1.0 / np.sqrt(b * w)
-    off = -w_half / h ** 2 * scale * np.roll(scale, -1)
-    stiff = (w_half + np.roll(w_half, 1)) / h ** 2
+    h = TWO_PI / _SL_NODES
+    th = h * np.arange(_SL_NODES)
+    w = (spec.a + np.cos(th))[:, None]
+    F = _theta_basis(th)
+    k = np.arange(1, _SL_K + 1)
+    cos_k, sin_k = F[:, 1:_SL_K + 1], F[:, _SL_K + 1:]
+    dF = np.hstack([np.zeros_like(F[:, :1]), -k * sin_k, k * cos_k])
+    # one Cholesky factor of the mass b int w F F^T serves every mode
+    inv_L = np.linalg.inv(np.linalg.cholesky(b * h * F.T @ (w * F)))
+    stiff = inv_L @ (h * dF.T @ (w * dF)) @ inv_L.T
+    potential = inv_L @ ((b / c) * h * F.T @ (F / w)) @ inv_L.T
 
-    entries = []   # (lambda, m, Theta-vector)
-    upper = None   # count-th lowest value collected so far
+    entries = []        # (lambda, m, coefficients)
+    upper = np.inf      # count-th lowest value collected so far
+    resolved = np.inf   # lowest _SL_K-th value of any mode
     for m in itertools.count():
-        diag = (stiff + (b / c) * m * m / w) * scale ** 2
-        lam, Z = _reflection_split_eigh(diag, off, per_mode, upper)
+        lam, Y = np.linalg.eigh(stiff + m * m * potential)
+        resolved = min(resolved, lam[_SL_K - 1])
+        keep = np.flatnonzero(lam[:_SL_K] <= upper)
         # the potential (b/c) m^2 / w grows with m, and every eigenvalue with
         # it: a mode with none below the count-th value ends the search
-        if lam.shape[0] == 0:
+        if keep.size == 0:
             break
-        for j in range(lam.shape[0]):
-            # the closed manifold has an exact kernel; snap the FD zero
+        for j in keep:
+            # the closed manifold has an exact kernel; snap the rounded zero
             snapped = 0.0 if abs(lam[j]) < 1e-9 else lam[j]
-            entries.append((snapped, m, scale * Z[:, j]))
+            entries.append((snapped, m, inv_L.T @ Y[:, j]))
         if len(entries) >= count:
             upper = sorted(e[0] for e in entries)[count - 1]
 
-    entries.sort(key=lambda e: (e[0], e[1]))
-    return th, entries[:count]
+    entries = sorted(entries, key=lambda e: (e[0], e[1]))[:count]
+    if entries[-1][0] >= resolved:
+        raise ValueError(f"count={count} reaches past the {_SL_K} resolved "
+                         f"values of a Fourier mode")
+    return entries
 
 
-def sturm_liouville_truth(spec, N_theta=2048, count=30):
+def sturm_liouville_truth(spec, count):
     """Semi-analytic Laplace-Beltrami spectrum of the general torus.
 
     Separation f = Theta(theta) e^{i m phi} reduces the eigenproblem to the
@@ -660,31 +634,33 @@ def sturm_liouville_truth(spec, N_theta=2048, count=30):
         -d/dth( w Theta' ) + (b/c) m^2 / w Theta = lambda b w Theta,
         w(th) = a + cos th,
 
-    discretized with second-order central differences in flux form on an
-    N_theta grid. Folding the diagonal weight in gives a symmetric periodic
-    tridiagonal matrix per Fourier mode. w is even in theta, so the
-    reflection theta -> -theta splits that matrix into an even and an odd
-    ordinary tridiagonal problem, solved by bisection and inverse
-    iteration. The split needs the mirror point theta = pi on the grid, so
-    N_theta must be even. Fourier modes m = 0, 1, ... are added until the
-    lowest eigenvalue of mode m lies above the count-th value collected so
-    far; no later mode can enter the list, because the potential
-    (b/c) m^2 / w, and with it every eigenvalue, grows with m. Once `count`
-    values are collected, a mode is solved only for eigenvalues at or below
-    the count-th one. Modes with m > 0 carry multiplicity 2 (cos/sin in phi).
-    Returns the `count` lowest (lambda, m) entries, ordered by (lambda, m).
+    solved per Fourier mode m by a Galerkin method on the trigonometric
+    basis {1, cos k th, sin k th}, k <= _SL_K. The stiffness int w phi_k'
+    phi_l', the potential (b/c) m^2 int phi_k phi_l / w and the mass
+    b int w phi_k phi_l are taken by the trapezoid rule on _SL_NODES points,
+    exact for the first and last, exponentially accurate for the potential.
+    One Cholesky factor of the mass reduces every mode to a small symmetric
+    eigh. Theta is analytic in a strip of half-width arccosh(a), so the
+    values converge like (a - sqrt(a^2 - 1))^(2 _SL_K): to rounding at
+    a = 2. Each Theta is normalised to b int w Theta_i Theta_j dth = delta_ij
+    within its mode.
+
+    Fourier modes m = 0, 1, ... are added until the lowest eigenvalue of
+    mode m lies above the count-th value collected so far; no later mode can
+    enter the list, because the potential (b/c) m^2 / w, and with it every
+    eigenvalue, grows with m. Modes with m > 0 carry multiplicity 2 (cos/sin
+    in phi). Returns the `count` lowest (lambda, m) entries, ordered by
+    (lambda, m); a count that needs more than the _SL_K lowest values of one
+    mode raises ValueError.
     """
-    th, entries = _sl_modes(spec, N_theta, count)
-    values = [(float(lam), 1 if m == 0 else 2) for lam, m, _v in entries]
-    grid = np.concatenate([th, [TWO_PI]])
+    entries = _sl_modes(spec, count)
+    values = [(float(lam), 1 if m == 0 else 2) for lam, m, _x in entries]
+    coefs = np.column_stack([x for _lam, _m, x in entries])
 
     def columns(points):
         th_x, ph_x = _torus_angles(spec, points)
-        th_x = np.mod(th_x, TWO_PI)
-        for _lam, m, theta_vec in entries:
-            # periodic linear interpolation of Theta on the grid
-            val = np.interp(th_x, grid,
-                            np.concatenate([theta_vec, [theta_vec[0]]]))
+        thetas = _theta_basis(th_x) @ coefs
+        for (_lam, m, _x), val in zip(entries, thetas.T):
             if m == 0:
                 yield val
             else:
@@ -715,5 +691,5 @@ def scalar_eigen_truth(spec, count):
     if spec.kind == "flat_torus":
         return _flat_torus_truth(spec, count)
     if spec.kind in ("torus", "general_torus"):
-        return sturm_liouville_truth(spec, count=count)
+        return sturm_liouville_truth(spec, count)
     raise ValueError(f"no scalar eigen-truth for manifold kind {spec.kind!r}")

@@ -101,12 +101,6 @@ def test_every_public_dataclass_field_is_read():
     assert unread == []
 
 
-# scipy.linalg names the package may use, by module: zoo imports it for
-# eigh_tridiagonal, which runs no threaded BLAS
-SCIPY_LINALG_ALLOWED = {
-    "zoo.py": {"scipy.linalg", "scipy.linalg.eigh_tridiagonal"}}
-
-
 def scipy_linalg_uses(source):
     """(line, dotted name) of every import of scipy.linalg (its lapack and
     blas included) and every name read from it, import aliases resolved;
@@ -173,14 +167,10 @@ def test_dense_lapack_goes_through_numpy_only():
     share the cores. On two cores with two BLAS threads, moving the dense
     factorisations from scipy.linalg to numpy.linalg halved the wall time
     of the sphere-hodge benchmark, and its pure-numpy layers sped up too.
-    So there must be one BLAS pool, and scipy.linalg (its lapack and blas
-    modules included) is off limits except for what SCIPY_LINALG_ALLOWED
-    lists.
+    So there must be one BLAS pool: no scipy.linalg name (its lapack and
+    blas modules included) may appear anywhere in the package.
     """
-    offences = []
-    for path in sorted(PACKAGE.glob("*.py")):
-        allowed = SCIPY_LINALG_ALLOWED.get(path.name, set())
-        for line, name in scipy_linalg_uses(path.read_text()):
-            if name not in allowed:
-                offences.append(f"{path.name}:{line} {name}")
+    offences = [f"{path.name}:{line} {name}"
+                for path in sorted(PACKAGE.rglob("*.py"))
+                for line, name in scipy_linalg_uses(path.read_text())]
     assert offences == []

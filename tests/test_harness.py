@@ -1,6 +1,8 @@
 """Experiment runner, error pairing, report emission, CLI round trips."""
 
 import json
+import math
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -15,7 +17,8 @@ from manifold_rbf.dm import DmConfig, dm_spectrum
 from manifold_rbf.harness import (MEMORY_ENV_VAR, ExperimentConfig,
                                   alignment_gate, check_memory,
                                   estimate_run_bytes, fit_convergence_slope,
-                                  paired_mode_errors, run_experiment)
+                                  memory_cap_bytes, paired_mode_errors,
+                                  run_experiment)
 from manifold_rbf.rbf import KernelModel
 from manifold_rbf.spectral import SpectralResult
 from manifold_rbf.zoo import (EigenTruth, Ellipse, GeneralTorus, Sphere,
@@ -121,6 +124,25 @@ def test_memory_guard(monkeypatch):
         check_memory(big, 4096)                # vector block matrix blows up
 
 
+@pytest.mark.parametrize("value", ["nan", "NaN", "0", "-1", "-inf", "",
+                                   "two", "2GiB"])
+def test_memory_cap_rejects_a_bad_environment_value(value, monkeypatch):
+    # NaN would compare false against every estimate and so switch the
+    # guard off without a word
+    monkeypatch.setenv(MEMORY_ENV_VAR, value)
+    big = make_config(manifold=Sphere(), operator="Hodge", N_list=[10 ** 6])
+    named = re.escape(f"{MEMORY_ENV_VAR}={value!r}")
+    with pytest.raises(ValueError, match=named):
+        check_memory(big, 10 ** 6)
+
+
+@pytest.mark.parametrize("value,gib", [("inf", math.inf), ("0.5", 0.5),
+                                       (" 3 ", 3.0)])
+def test_memory_cap_reads_positive_values(value, gib, monkeypatch):
+    monkeypatch.setenv(MEMORY_ENV_VAR, value)
+    assert memory_cap_bytes() == gib * 2 ** 30
+
+
 # Words numpy.linalg's LAPACK calls hold outside tracemalloc, by the shape
 # (m, n) of the input: the copy each gufunc takes plus its LAPACK work.
 # eigh: the copy, the eigenvalues, syevd's 1 + 6n + 2n^2 work words and its
@@ -138,15 +160,30 @@ UNTRACED_LAPACK_WORDS = {
 
 def track_untraced_lapack(monkeypatch):
     """Route numpy.linalg's eigh, eig and qr through a wrapper that records
-    the largest untraced buffer set of any one call; returns its holder."""
+    the largest untraced buffer set of any one call (a stacked call counts
+    one set per matrix); returns its holder."""
     largest = [0]
     for name, words in UNTRACED_LAPACK_WORDS.items():
         def wrapped(a, *args, _solve=getattr(np.linalg, name), _words=words,
                     **kwargs):
-            largest[0] = max(largest[0], 8 * _words(*np.shape(a)))
+            *stack, m, n = np.shape(a)
+            largest[0] = max(largest[0], 8 * _words(m, n) * math.prod(stack))
             return _solve(a, *args, **kwargs)
         monkeypatch.setattr(np.linalg, name, wrapped)
     return largest
+
+
+def traced_peak(stage, monkeypatch):
+    """Bytes stage() needs at its peak: the traced peak plus the largest set
+    of LAPACK buffers numpy.linalg holds outside tracemalloc in one call."""
+    untraced = track_untraced_lapack(monkeypatch)
+    tracemalloc.start()
+    try:
+        stage()
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak + untraced[0]
 
 
 @pytest.mark.parametrize("method,operator,spec", [
@@ -157,9 +194,7 @@ def track_untraced_lapack(monkeypatch):
 ], ids=lambda v: getattr(v, "kind", v))
 def test_memory_estimate_bounds_traced_peak(method, operator, spec,
                                            monkeypatch):
-    # the guard's estimate bounds the peak of operator build + solve: the
-    # traced peak plus the largest set of LAPACK buffers numpy.linalg holds
-    # outside tracemalloc in one call
+    # the guard's estimate bounds the peak of operator build + solve
     N = 300
     cfg = make_config(manifold=spec, N_list=[N], method=method,
                       operator=operator, sample_mode="random_intrinsic")
@@ -175,14 +210,21 @@ def test_memory_estimate_bounds_traced_peak(method, operator, spec,
     else:
         def stage():
             harness._solve_rbf(cfg, op_cloud, proj, q)
-    untraced = track_untraced_lapack(monkeypatch)
-    tracemalloc.start()
-    try:
-        stage()
-        _current, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak + untraced[0] <= estimate_run_bytes(cfg, N)
+    assert traced_peak(stage, monkeypatch) <= estimate_run_bytes(cfg, N)
+
+
+@pytest.mark.parametrize("method,spec", [
+    ("SRBF", Torus(2.0)), ("SRBF", GeneralTorus(2.0, 21)), ("DM", Torus(2.0)),
+], ids=lambda v: getattr(v, "kind", v))
+def test_memory_estimate_bounds_whole_run_peak(method, spec, monkeypatch):
+    # at small N the N-independent buffers (truth, KNN) weigh most; the
+    # whole run, its truth built afresh, still fits the estimate
+    N = 200
+    cfg = make_config(manifold=spec, N_list=[N], method=method,
+                      sample_mode="random_intrinsic")
+    zoo.scalar_eigen_truth.cache_clear()
+    peak = traced_peak(lambda: run_experiment(cfg), monkeypatch)
+    assert peak <= estimate_run_bytes(cfg, N)
 
 
 def test_memory_guard_admits_large_sparse_dm(monkeypatch):

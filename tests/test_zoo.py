@@ -210,7 +210,7 @@ def test_scalar_truth_rejects_ellipse():
 
 
 def test_sl_zero_mode():
-    truth = sturm_liouville_truth(GeneralTorus(2.0, 3), N_theta=256)
+    truth = sturm_liouville_truth(GeneralTorus(2.0, 3), 30)
     lam0, mult0 = truth.values[0]
     assert lam0 == 0.0 and mult0 == 1
 
@@ -225,68 +225,86 @@ def test_sl_first_nonzero_vs_2d_fd_oracle():
     shift-invert. Value 0.2493624948, resolution-verified at 256x256
     (0.2493555423).
     """
-    truth = sturm_liouville_truth(GeneralTorus(2.0, 3), N_theta=2048)
+    truth = sturm_liouville_truth(GeneralTorus(2.0, 3), 30)
     lam2 = truth.values[1][0]
     assert abs(lam2 - 0.2493624948) / 0.2493624948 <= 1e-3
 
 
-def test_sl_grid_refinement_consistency():
-    coarse = sturm_liouville_truth(GeneralTorus(2.0, 3), N_theta=256)
-    fine = sturm_liouville_truth(GeneralTorus(2.0, 3), N_theta=512)
-    a = coarse.expanded(20)
-    b = fine.expanded(20)
-    rel = np.abs(a - b) / np.maximum(b, 1.0)
-    assert np.max(rel) <= 1e-4
+@pytest.mark.parametrize("spec", [Torus(2.0), GeneralTorus(2.0, 21)],
+                         ids=lambda s: s.kind + str(s.n))
+def test_sl_self_converges_in_K(spec, monkeypatch):
+    # doubling the highest harmonic of the basis moves no value
+    coarse = [sturm_liouville_truth(spec, count) for count in (40, 200)]
+    monkeypatch.setattr(zoo, "_SL_K", 2 * zoo._SL_K)
+    fine = [sturm_liouville_truth(spec, count) for count in (40, 200)]
+    for got, want in zip(coarse, fine):
+        assert [mult for _lam, mult in got.values] \
+            == [mult for _lam, mult in want.values]
+        a = np.array([lam for lam, _mult in got.values])
+        b = np.array([lam for lam, _mult in want.values])
+        assert a[0] == b[0] == 0.0
+        assert np.max(np.abs(a[1:] / b[1:] - 1.0)) <= 1e-10
 
 
 def test_sl_sorted_nonnegative():
-    truth = sturm_liouville_truth(GeneralTorus(2.0, 3), N_theta=256)
+    truth = sturm_liouville_truth(GeneralTorus(2.0, 3), 30)
     vals = truth.expanded(30)
     assert np.all(vals >= 0.0)
     assert np.all(np.diff(vals) >= -1e-12)
 
 
-def dense_sl_reference(spec, N_theta, max_m, count):
-    """(lambda, m, Theta) from the full periodic matrix of every Fourier mode
-    m <= max_m by dense eigh, sorted by (lambda, m)."""
-    b, c = _torus_constants(spec)
-    h = 2.0 * np.pi / N_theta
-    th = h * np.arange(N_theta)
-    w = spec.a + np.cos(th)
-    w_half = spec.a + np.cos(th + 0.5 * h)
-    idx = np.arange(N_theta)
-    scale = 1.0 / np.sqrt(b * w)
-    entries = []
-    for m in range(max_m + 1):
-        A = np.diag((w_half + np.roll(w_half, 1)) / h ** 2
-                    + (b / c) * m * m / w)
-        A[idx, (idx + 1) % N_theta] = -w_half / h ** 2
-        A[(idx + 1) % N_theta, idx] = -w_half / h ** 2
-        As = scale[:, None] * A * scale[None, :]
-        lam, Z = scipy.linalg.eigh(0.5 * (As + As.T),
-                                   subset_by_index=[0, count + 1])
-        lam[np.abs(lam) < 1e-9] = 0.0
-        entries.extend((lam[j], m, scale * Z[:, j]) for j in range(count + 2))
-    entries.sort(key=lambda e: (e[0], e[1]))
-    return entries[:count]
+# The first 12 distinct (lambda, m) of the torus pencil, frozen from the
+# second-order flux-form finite-difference solve in theta that the Galerkin
+# solve replaced (reflection-split periodic tridiagonal matrices, bisection
+# to full accuracy), run at N_theta = 2048 and 8192 and Richardson-
+# extrapolated as (16 lambda_8192 - lambda_2048) / 15. Both grids gave the
+# same m order. The extrapolation from 4096 and 16384 agrees with these to
+# 1.3e-9 (Torus) and 5.4e-9 (n=21) relative, which bounds their own error.
+SL_RICHARDSON = {
+    "torus3": ([0, 1, 2, 0, 0, 1, 3, 1, 2, 4, 3, 2], [
+        0.0, 0.24936805684556024, 0.7945678016224217, 0.9767313134938982,
+        1.122288271251697, 1.2637169465951352, 1.5451508276450723,
+        1.6630145377532846, 2.0406181487482784, 2.51420019428042,
+        3.1532385560300713, 3.175251354216501]),
+    "general_torus21": ([0, 1, 2, 3, 4, 5, 0, 1, 6, 0, 2, 1], [
+        0.0, 0.02812054536237459, 0.10480508685238114, 0.2146685412109946,
+        0.34723350265073044, 0.4995883010109537, 0.630243677170074,
+        0.6596517191292758, 0.6721780533111692, 0.7241654659519555,
+        0.7462867893477474, 0.7770481397654901]),
+}
 
 
 @pytest.mark.parametrize("spec", [Torus(2.0), GeneralTorus(2.0, 21)],
                          ids=lambda s: s.kind + str(s.n))
-def test_sl_split_matches_dense_periodic_solve(spec):
-    # max_m=40 is far past the last Fourier mode among the first 40 entries
-    ref = dense_sl_reference(spec, 256, max_m=40, count=40)
-    _th, got = _sl_modes(spec, 256, 40)
-    assert max(m for _lam, m, _v in ref) < 40
-    assert [m for _lam, m, _v in got] == [m for _lam, m, _v in ref]
-    lam_ref = np.array([e[0] for e in ref])
-    lam_got = np.array([e[0] for e in got])
-    assert lam_got[0] == lam_ref[0] == 0.0
-    assert np.max(np.abs(lam_got[1:] / lam_ref[1:] - 1.0)) <= 1e-10
-    for (_l, _m, v_got), (_l2, _m2, v_ref) in zip(got, ref):
-        sign = np.sign(v_got @ v_ref)
-        assert np.max(np.abs(v_got - sign * v_ref)) \
-            <= 1e-9 * np.max(np.abs(v_ref))
+def test_sl_matches_frozen_richardson_oracle(spec):
+    m_ref, lam_ref = SL_RICHARDSON[spec.kind + str(spec.n)]
+    got = _sl_modes(spec, 12)
+    assert [m for _lam, m, _x in got] == m_ref
+    lam = np.array([lam for lam, _m, _x in got])
+    assert lam[0] == lam_ref[0] == 0.0
+    assert np.max(np.abs(lam[1:] / lam_ref[1:] - 1.0)) <= 1e-8
+
+
+def galerkin_sweep(spec, max_m, count, K=32, nodes=256):
+    """(lambda, m) of every Fourier mode m <= max_m, with no search cut-off,
+    from the generalized Galerkin pencil on {1, cos k th, sin k th},
+    k <= K; sorted by (lambda, m)."""
+    b, c = _torus_constants(spec)
+    th = 2.0 * np.pi * np.arange(nodes) / nodes
+    k = np.arange(1, K + 1)
+    C, S = np.cos(np.outer(th, k)), np.sin(np.outer(th, k))
+    F = np.hstack([np.ones((nodes, 1)), C, S])
+    dF = np.hstack([np.zeros((nodes, 1)), -k * S, k * C])
+    w = (spec.a + np.cos(th))[:, None]
+    stiff, potential, mass = dF.T @ (w * dF), F.T @ (F / w), b * F.T @ (w * F)
+    entries = []
+    for m in range(max_m + 1):
+        lam = scipy.linalg.eigh(stiff + (b / c) * m * m * potential, mass,
+                                eigvals_only=True)
+        lam[np.abs(lam) < 1e-9] = 0.0
+        entries.extend((lam[j], m) for j in range(count))
+    entries.sort()
+    return entries[:count]
 
 
 def test_sl_keeps_every_fourier_mode_below_the_cutoff():
@@ -294,31 +312,76 @@ def test_sl_keeps_every_fourier_mode_below_the_cutoff():
     so Fourier modes m >= 11 enter the first 40 entries; a fixed cap of
     m <= 10 would drop them and get the values wrong from the 24th on."""
     spec = GeneralTorus(2.0, 21)
-    ref = dense_sl_reference(spec, 256, max_m=40, count=40)
-    assert max(m for _lam, m, _v in ref) >= 11
-    truth = sturm_liouville_truth(spec, N_theta=256, count=40)
+    ref = galerkin_sweep(spec, max_m=40, count=40)
+    assert 11 <= max(m for _lam, m in ref) < 40
+    truth = sturm_liouville_truth(spec, 40)
     assert [mult for _lam, mult in truth.values] \
-        == [1 if m == 0 else 2 for _lam, m, _v in ref]
+        == [1 if m == 0 else 2 for _lam, m in ref]
     got = np.array([lam for lam, _mult in truth.values])
-    want = np.array([lam for lam, _m, _v in ref])
+    want = np.array([lam for lam, _m in ref])
     assert np.allclose(got, want, rtol=1e-10, atol=0.0)
 
 
 @pytest.mark.parametrize("spec", [Torus(2.0), GeneralTorus(2.0, 21)],
                          ids=lambda s: s.kind + str(s.n))
 def test_sl_theta_b_orthonormal_per_mode(spec):
+    # the eigenfunctions of one Fourier mode are orthonormal in the mass
+    # b int_0^{2 pi} w Theta_i Theta_j dth with w = a + cos th; the integral
+    # is taken by the trapezoid rule on 1001 nodes off the solver's own grid,
+    # exact for these trigonometric polynomials
     b, _c = _torus_constants(spec)
-    th, entries = _sl_modes(spec, 256, 40)
-    weight = b * (spec.a + np.cos(th))
-    for m in {m for _lam, m, _v in entries}:
-        V = np.column_stack([v for _lam, mm, v in entries if mm == m])
+    th = 2.0 * np.pi * (np.arange(1001) + 0.5) / 1001
+    weight = b * (spec.a + np.cos(th)) * 2.0 * np.pi / 1001
+    entries = _sl_modes(spec, 40)
+    for m in {m for _lam, m, _x in entries}:
+        V = zoo._theta_basis(th) @ np.column_stack(
+            [x for _lam, mm, x in entries if mm == m])
         gram = V.T @ (weight[:, None] * V)
-        assert np.max(np.abs(gram - np.eye(V.shape[1]))) <= 1e-10
+        assert np.max(np.abs(gram - np.eye(V.shape[1]))) <= 1e-12
 
 
-def test_sl_rejects_odd_grid():
-    with pytest.raises(ValueError, match="even"):
-        sturm_liouville_truth(Torus(2.0), N_theta=257)
+@pytest.mark.parametrize("spec", [Torus(2.0), GeneralTorus(2.0, 21)],
+                         ids=lambda s: s.kind + str(s.n))
+def test_sl_eigenfunctions_solve_the_ode(spec):
+    # -(w Theta')' + (b/c) m^2 Theta / w = lambda b w Theta at random theta,
+    # with Theta and its derivatives summed from the trigonometric
+    # coefficients; and the truth's columns are Theta(th) cos/sin(m ph)
+    b, c = _torus_constants(spec)
+    rng = np.random.default_rng(3)
+    th, ph = rng.uniform(0.0, 2.0 * np.pi, (2, 300))
+    K = zoo._SL_K
+    k = np.arange(1, K + 1)
+    C, S = np.cos(np.outer(th, k)), np.sin(np.outer(th, k))
+    w = spec.a + np.cos(th)
+    entries = _sl_modes(spec, 40)
+    expected = []
+    for lam, m, x in entries:
+        cos_k, sin_k = x[1:K + 1], x[K + 1:]
+        theta = x[0] + C @ cos_k + S @ sin_k
+        d_theta = C @ (k * sin_k) - S @ (k * cos_k)
+        dd_theta = -C @ (k * k * cos_k) - S @ (k * k * sin_k)
+        rhs = lam * b * w * theta
+        resid = np.sin(th) * d_theta - w * dd_theta \
+            + (b / c) * m * m * theta / w - rhs
+        if lam == 0.0:
+            assert np.max(np.abs(theta - x[0])) <= 1e-12
+        else:
+            assert np.max(np.abs(resid)) <= 1e-8 * np.max(np.abs(rhs))
+        expected += [theta] if m == 0 else [theta * np.cos(m * ph),
+                                            theta * np.sin(m * ph)]
+    truth = sturm_liouville_truth(spec, 40)
+    points = embed(spec, np.column_stack([th, ph]))
+    assert np.allclose(truth.basis(points, len(expected)),
+                       np.column_stack(expected), rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("count,match", [(0, "at least 1"),
+                                         (600, "resolved values")])
+def test_sl_rejects_count_out_of_range(count, match):
+    # the 600th value of the a=2 torus lies above the _SL_K-th value of
+    # Fourier mode 0, where the basis no longer resolves that mode
+    with pytest.raises(ValueError, match=match):
+        sturm_liouville_truth(Torus(2.0), count)
 
 
 # -- vector eigen truth ------------------------------------------------------
