@@ -136,27 +136,37 @@ def estimate_run_bytes(config, N):
     Counted in float64 words and calibrated against the tracemalloc peak of
     the operator build plus solve (and, at N = 200, of the whole run with
     its truth), plus the input copy and work that each numpy.linalg eigh,
-    eig and qr holds outside tracemalloc (3 n^2 words for an n x n eigh);
-    used only for the refusal guard. RBF operators are
+    eig, qr, cholesky and solve holds outside tracemalloc (3 n^2 words for
+    an n x n eigh); used only for the refusal guard. RBF operators are
     factored through the r = rank_L retained eigenvectors of Phi; r is
     unknown before the factorization, so the estimate takes the worst case
     r = N. The interpolation system and the derivative factors (d frame
     directions, or the one field direction of the covariant derivative)
-    take up to d + 10 N x N matrices; SRBF vector pencils add four
-    (nN)^2 ones (the nr x nr form, its update, the dN x nr factor and the
-    solver's copies), NRBF vector operators hold seven (the nN x nr factor,
-    its orthonormal basis and the complex eigenvectors of the reduced
-    matrix, before and after the lift). The diffusion-maps baseline is
-    sparse: the KNN search and the CSR graph hold about 10 N K words for K
-    neighbors, and the Lanczos solve four N x ncv blocks (basis, work and
-    the eigenvectors before and after the back-transform) for ARPACK's
-    default ncv = max(2k + 1, 20) at k computed modes.
+    take up to d + 10 N x N matrices; the scalar SRBF solve (the Gram
+    matrix, its Cholesky factor, the reduced form and its eigenvectors)
+    stays below that. The NRBF Laplace-Beltrami solve holds thirteen: the
+    N x r factor, U and its orthonormal basis; the complex eigenvectors of
+    the reduced matrix before and after the lift, with their interleaved
+    parts (six); and eig's four outside tracemalloc, with about 150 N
+    words of eig's work and eigenvalues. One more N x N covers the cloud,
+    frames and truth columns, which weigh most at small N. SRBF vector
+    pencils add four (nN)^2 ones (the nr x nr form, its update, the dN x
+    nr factor and the solver's copies), NRBF vector operators hold seven
+    (the nN x nr factor, its orthonormal basis and the complex eigenvectors
+    of the reduced matrix, before and after the lift). The diffusion-maps
+    baseline is sparse: the KNN search and the CSR graph hold about 10 N K
+    words for K neighbors, and the Lanczos solve four N x ncv blocks
+    (basis, work and the eigenvectors before and after the
+    back-transform) for ARPACK's default ncv = max(2k + 1, 20) at k
+    computed modes.
     """
     n, d = config.manifold.n, config.manifold.d
     if config.method == "DM":
         K = config.dm.neighbors(N)
         ncv = max(2 * _dm_mode_count(config, N) + 1, 20)
         words = N * (10 * K + 4 * ncv)
+    elif config.operator == "LB" and config.method == "NRBF":
+        words = 14 * N * N + 150 * N
     elif config.operator in ("LB", "Covariant"):
         words = (d + 10) * N * N
     elif config.method == "SRBF":
@@ -281,6 +291,11 @@ GATE_CAP = 0.5
 GATE_WINDOW = 120
 
 
+def _gate_window(count):
+    """The nontrivial modes alignment_gate reads when it scores count."""
+    return max(4 * count, GATE_WINDOW)
+
+
 def alignment_gate(result, F):
     """Select the nontrivial modes whose eigenvectors lie in the span of the
     truth basis F (EigenTruth.basis at the operator's points).
@@ -292,7 +307,7 @@ def alignment_gate(result, F):
     while the spurious ones sit near 1; the gap is wide, so the cap is not
     delicate. Returns (kept_indices, residuals_over_window).
     """
-    window = max(4 * F.shape[1], GATE_WINDOW)
+    window = _gate_window(F.shape[1])
     nontrivial_idx = np.flatnonzero(~result.trivial)[:window]
     gram_inv = np.linalg.pinv(F.T @ F)
     resid = np.empty(len(nontrivial_idx))
@@ -362,8 +377,9 @@ def _truth_for(config):
 def _solve_rbf(config, op_cloud, proj, q):
     """Build the configured RBF operator and solve for its full spectrum:
     rank truncation leaves a large trivial cluster at zero, and the usable
-    modes sit above it. Every builder is a module name looked up at call
-    time."""
+    modes sit above it. A symmetric solve lifts eigenvectors only for the
+    nontrivial modes the run reads (the alignment_gate window). Every
+    builder is a module name looked up at call time."""
     system = build_system(op_cloud, config.kernel)
     ops = build_grad_matrices(system, proj)
     rank_L, U = system.rank_L, ops.U
@@ -380,7 +396,8 @@ def _solve_rbf(config, op_cloud, proj, q):
     tol = config.kernel.pinv_tol
     if nonsymmetric:
         return solve_nonsymmetric(L, pinv_tol=tol, basis=U), rank_L
-    return solve_symmetric(L, len(L.B_diag), pinv_tol=tol), rank_L
+    k = min(len(L.B_diag), _gate_window(config.compare_count))
+    return solve_symmetric(L, k, pinv_tol=tol), rank_L
 
 
 def ellipse_test_field(cloud):

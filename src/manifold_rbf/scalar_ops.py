@@ -86,6 +86,12 @@ class GeneralizedPair:
     always diagonal (B_diag). Vector pencils live on frame coordinates (d
     values per point); range_basis, when present, is the sparse map W
     (nN x dN) that lifts a solution Z to the stacked ambient field V = W Z.
+
+    The range basis also tells spectral.solve_symmetric how to reduce the
+    pencil. Without one (scalar pencils) the factor must have orthonormal
+    columns, as U does, so that R^T B^{-1} R is well conditioned and one
+    Cholesky factor reduces the pencil. With one (vector pencils) the
+    factor may be close to rank-deficient, and a Householder QR reduces it.
     """
 
     A: np.ndarray

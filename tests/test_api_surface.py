@@ -101,40 +101,58 @@ def test_every_public_dataclass_field_is_read():
     assert unread == []
 
 
-def scipy_linalg_uses(source):
-    """(line, dotted name) of every import of scipy.linalg (its lapack and
-    blas included) and every name read from it, import aliases resolved;
-    `import scipy.linalg` itself is recorded as the bare module."""
-    tree = ast.parse(source)
+def _aliases(tree):
+    """Local name -> dotted module or object path of every import."""
     alias = {}
-    uses = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             for item in node.names:
                 root = item.name.split(".")[0]
                 alias[item.asname or root] = item.name if item.asname else root
-                if item.name.startswith("scipy.linalg"):
-                    uses.append((node.lineno, item.name))
         elif isinstance(node, ast.ImportFrom) and node.module:
             for item in node.names:
-                full = f"{node.module}.{item.name}"
-                alias[item.asname or item.name] = full
-                if full.startswith("scipy.linalg"):
-                    uses.append((node.lineno, full))
+                alias[item.asname or item.name] = f"{node.module}.{item.name}"
+    return alias
+
+
+def _dotted(node, alias, inner=None):
+    """The dotted path an attribute chain reads, import aliases resolved,
+    or None when its root is no imported name; records the chain's inner
+    attributes in inner."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        if inner is not None:
+            inner.add(node)
+        parts.append(node.attr)
+        node = node.value
+    if isinstance(node, ast.Name) and node.id in alias:
+        return ".".join([alias[node.id], *reversed(parts)])
+    return None
+
+
+def scipy_linalg_uses(source):
+    """(line, dotted name) of every import of scipy.linalg (its lapack and
+    blas included) and every name read from it, import aliases resolved;
+    `import scipy.linalg` itself is recorded as the bare module."""
+    tree = ast.parse(source)
+    alias = _aliases(tree)
+    uses = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [item.name for item in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            names = [f"{node.module}.{item.name}" for item in node.names]
+        else:
+            continue
+        uses += [(node.lineno, name) for name in names
+                 if name.startswith("scipy.linalg")]
     inner = set()
     for node in ast.walk(tree):    # outer attribute chains come first
         if not isinstance(node, ast.Attribute) or node in inner:
             continue
-        parts = []
-        root = node
-        while isinstance(root, ast.Attribute):
-            inner.add(root)
-            parts.append(root.attr)
-            root = root.value
-        if isinstance(root, ast.Name) and root.id in alias:
-            full = ".".join([alias[root.id], *reversed(parts)])
-            if full.startswith("scipy.linalg."):
-                uses.append((node.lineno, full))
+        full = _dotted(node, alias, inner)
+        if full is not None and full.startswith("scipy.linalg."):
+            uses.append((node.lineno, full))
     return uses
 
 
@@ -174,3 +192,66 @@ def test_dense_lapack_goes_through_numpy_only():
                 for path in sorted(PACKAGE.rglob("*.py"))
                 for line, name in scipy_linalg_uses(path.read_text())]
     assert offences == []
+
+
+def call_sites(source, target):
+    """(function, guards) of every call of the dotted name target, import
+    aliases resolved: the enclosing top-level function and the conditions
+    of the if branches around the call, an else branch as `not (test)`."""
+    tree = ast.parse(source)
+    alias = _aliases(tree)
+    sites = []
+
+    def visit(node, function, guards):
+        if isinstance(node, ast.Call) and \
+                _dotted(node.func, alias) == target:
+            sites.append((function, guards))
+        if isinstance(node, ast.If):
+            test = ast.unparse(node.test)
+            visit(node.test, function, guards)
+            for child in node.body:
+                visit(child, function, guards + (test,))
+            for child in node.orelse:
+                visit(child, function, guards + (f"not ({test})",))
+            return
+        for child in ast.iter_child_nodes(node):
+            visit(child, function, guards)
+
+    for node in tree.body:
+        name = node.name if isinstance(
+            node, (ast.FunctionDef, ast.ClassDef)) else None
+        visit(node, name, ())
+    return sites
+
+
+def test_call_sites_carry_their_branch():
+    sites = call_sites(
+        "import numpy\n"
+        "from numpy import linalg as la\n"
+        "def f(a, b):\n"
+        "    if a:\n"
+        "        numpy.linalg.qr(b)\n"
+        "    elif b:\n"
+        "        la.qr(a)\n"
+        "    numpy.linalg.qr\n", "numpy.linalg.qr")
+    assert sites == [("f", ("a",)), ("f", ("not (a)", "b"))]
+
+
+# The only Householder QRs of the package. Scalar SRBF pencils are reduced
+# by a Cholesky factor of U^T Q U (several times faster than numpy's QR on
+# tall matrices); only vector pencils, whose factor is close to
+# rank-deficient, the non-symmetric solve and the analytic frames take one.
+HOUSEHOLDER_QR_SITES = {
+    ("spectral.py", "solve_symmetric",
+     ("not (R is None)", "not (scalar)")),
+    ("spectral.py", "solve_nonsymmetric", ()),
+    ("zoo.py", "analytic_projection", ()),
+}
+
+
+def test_householder_qr_sites_are_pinned():
+    sites = [(path.name, function, guards)
+             for path in sorted(PACKAGE.rglob("*.py"))
+             for function, guards in call_sites(path.read_text(),
+                                                "numpy.linalg.qr")]
+    assert sorted(sites) == sorted(HOUSEHOLDER_QR_SITES)

@@ -150,16 +150,20 @@ def test_memory_cap_reads_positive_values(value, gib, monkeypatch):
 # buffers (n^2 and 2 n^2 words), four n-vectors of eigenvalues and geev's
 # work, at most 2n + 2 * 64n for a block size up to 64. qr: the reduced-Q
 # step copies the m x n input next to the m x k Q it builds (k = min(m, n)),
-# with tau and at most 64k work words.
+# with tau and at most 64k work words. cholesky: the copy it factors in
+# place. solve: the copies of the n x n matrix and of at most n right-hand
+# sides, with the pivots.
 UNTRACED_LAPACK_WORDS = {
     "eigh": lambda m, n: n * n + n + (1 + 6 * n + 2 * n * n) + (3 + 5 * n),
     "eig": lambda m, n: 4 * n * n + 4 * n + 130 * n,
     "qr": lambda m, n: m * n + m * min(m, n) + 65 * min(m, n),
+    "cholesky": lambda m, n: n * n,
+    "solve": lambda m, n: 2 * n * n + n,
 }
 
 
 def track_untraced_lapack(monkeypatch):
-    """Route numpy.linalg's eigh, eig and qr through a wrapper that records
+    """Route numpy.linalg's LAPACK calls above through a wrapper that records
     the largest untraced buffer set of any one call (a stacked call counts
     one set per matrix); returns its holder."""
     largest = [0]
@@ -214,7 +218,8 @@ def test_memory_estimate_bounds_traced_peak(method, operator, spec,
 
 
 @pytest.mark.parametrize("method,spec", [
-    ("SRBF", Torus(2.0)), ("SRBF", GeneralTorus(2.0, 21)), ("DM", Torus(2.0)),
+    ("SRBF", Torus(2.0)), ("NRBF", Torus(2.0)), ("SRBF", GeneralTorus(2.0, 21)),
+    ("DM", Torus(2.0)),
 ], ids=lambda v: getattr(v, "kind", v))
 def test_memory_estimate_bounds_whole_run_peak(method, spec, monkeypatch):
     # at small N the N-independent buffers (truth, KNN) weigh most; the

@@ -84,7 +84,18 @@ def test_rigid_motion_and_permutation_leave_lb_spectrum_unchanged(seed):
     other = solve_symmetric(laplace_beltrami_symmetric(
         build_grad_matrices(moved_system, moved_proj), q[perm]),
         N).all_values
-    assert_same_spectrum(base, other)
+    # Rounding the moved cloud perturbs Phi by about eps ||Phi||, which
+    # moves the modes tied to its smallest retained eigenvalue by about
+    # eps kappa(Phi) of themselves: over seeds 0-399 the top one or two
+    # modes of 86 draws miss 1e-10 of the largest value (by up to 7.8e-9),
+    # and every miss stays within 2.2 eps kappa(Phi) of its mode. The
+    # leading half, the modes a run compares, agree to 8.4e-15.
+    kappa = system.sigma.max() / system.sigma.min()
+    gap = np.abs(base - other)
+    scale = np.abs(base).max()
+    assert np.all(gap <= 1e-10 * scale +
+                  8 * np.finfo(float).eps * kappa * np.abs(base))
+    assert gap[:N // 2].max() <= 1e-12 * scale
 
 
 @given(SEEDS)

@@ -5,11 +5,14 @@ import warnings
 import numpy as np
 import pytest
 
-from manifold_rbf.scalar_ops import GeneralizedPair
-from manifold_rbf.spectral import (align_eigenvectors_ols, solve_nonsymmetric,
-                                   solve_symmetric, write_alignment_csv,
-                                   write_spectrum_csv)
-from manifold_rbf.zoo import Sphere, sample_manifold
+from manifold_rbf.rbf import KernelModel, build_system
+from manifold_rbf.scalar_ops import (GeneralizedPair, build_grad_matrices,
+                                     laplace_beltrami_symmetric)
+from manifold_rbf.spectral import (_back_substitute, align_eigenvectors_ols,
+                                   solve_nonsymmetric, solve_symmetric,
+                                   write_alignment_csv, write_spectrum_csv)
+from manifold_rbf.vector_ops import hodge
+from manifold_rbf.zoo import Sphere, analytic_projection, sample_manifold
 
 
 # -- symmetric pencil solver ---------------------------------------------------
@@ -157,6 +160,79 @@ def test_factored_nonsymmetric_rejects_mismatched_basis():
     _rng, U = random_factored(30, 10, 5)
     with pytest.raises(ValueError, match="basis"):
         solve_nonsymmetric(np.ones((60, 15)), basis=U)
+
+
+# -- reduction of the SRBF pencils ---------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def sphere_pencils():
+    """The SRBF Laplace-Beltrami and Hodge pencils of a 150-point sphere
+    cloud under a non-constant density q in [0.5, 2]."""
+    cloud = sample_manifold(Sphere(), 150, seed=3, mode="random_area")
+    system = build_system(cloud, KernelModel("inverse_quadratic", 0.5))
+    ops = build_grad_matrices(system, analytic_projection(cloud))
+    q = np.random.default_rng(3).uniform(0.5, 2.0, cloud.N)
+    return laplace_beltrami_symmetric(ops, q), hodge("symmetric", ops, q)
+
+
+def ref_householder(pair):
+    """Every eigenpair of a factored pencil on a Householder QR of
+    B^{-1/2} R, the reduction the scalar path replaced."""
+    scale = 1.0 / np.sqrt(pair.B_diag)
+    Y, Rx = np.linalg.qr(scale[:, None] * pair.factor)
+    lam, Z = np.linalg.eigh(Rx @ pair.A @ Rx.T)
+    return lam, scale[:, None] * (Y @ Z)
+
+
+def test_scalar_reduction_matches_householder_reference(sphere_pencils):
+    pair, _vector = sphere_pencils
+    res = solve_symmetric(pair, 40)
+    lam, V_ref = ref_householder(pair)
+    assert res.structural_zeros == len(pair.B_diag) - len(lam)
+    computed = res.all_values[res.structural_zeros:]
+    assert np.abs(computed - lam).max() <= 1e-12 * np.abs(lam).max()
+    V = res.vectors
+    m = V.shape[1]
+    gram = V.T @ (pair.B_diag[:, None] * V)
+    assert np.abs(gram - np.eye(m)).max() <= 1e-12
+    # the leading nontrivial modes are simple: equal up to sign
+    for j in np.flatnonzero(~res.trivial)[:3]:
+        v, w = V[:, j], V_ref[:, j]
+        assert np.linalg.norm(v - np.sign(v @ w) * w) <= 1e-10
+
+
+def test_back_substitution_matches_dense_solve():
+    # 300 rows span three diagonal blocks, the top one partial
+    rng = np.random.default_rng(6)
+    T = np.triu(rng.standard_normal((300, 300))) + 30.0 * np.eye(300)
+    Z = rng.standard_normal((300, 9))
+    want = np.linalg.solve(T, Z)
+    assert np.abs(_back_substitute(T, Z) - want).max() <= \
+        1e-13 * np.abs(want).max()
+
+
+def test_scalar_reduction_is_deterministic(sphere_pencils):
+    pair, _vector = sphere_pencils
+    first, again = solve_symmetric(pair, 40), solve_symmetric(pair, 40)
+    assert np.array_equal(first.all_values, again.all_values)
+    assert np.array_equal(first.vectors, again.vectors)
+
+
+def test_only_vector_pencils_take_a_householder_qr(sphere_pencils,
+                                                   monkeypatch):
+    scalar, vector = sphere_pencils
+    householder = np.linalg.qr
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg.qr called")
+
+    monkeypatch.setattr(np.linalg, "qr", refuse)
+    solve_symmetric(scalar, 10)
+    with pytest.raises(AssertionError, match="np.linalg.qr called"):
+        solve_symmetric(vector, 10)
+    monkeypatch.setattr(np.linalg, "qr", householder)
+    solve_symmetric(vector, 10)
 
 
 # -- OLS alignment -------------------------------------------------------------

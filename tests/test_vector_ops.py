@@ -271,13 +271,25 @@ def test_symmetric_spectra_real_nonnegative(ellipse_symmetric):
         assert res.values.min() >= -1e-8 * scale
 
 
+def lifted_prefix(res, k):
+    """Assert that res lifted its trivial prefix and the k nontrivial modes
+    after it; return the number of lifted modes."""
+    m = res.vectors.shape[1]
+    prefix = int(np.argmin(res.trivial))
+    assert prefix > 0 and not res.trivial[prefix:].any()
+    assert m == prefix + k == len(res.values) == len(res.trivial)
+    return m
+
+
 def test_symmetric_eigenvectors_tangential(ellipse_symmetric):
+    # k counts nontrivial modes; the trivial prefix is lifted with them
     _, pairs = ellipse_symmetric
     pair = pairs["bochner"]
     res = solve_symmetric(pair, k=30)
-    assert res.vectors.shape == (800, 30)
+    m = lifted_prefix(res, 30)
+    assert res.vectors.shape == (800, m)
     W = pair.range_basis
-    for j in range(30):
+    for j in range(m):
         if res.trivial[j]:
             continue
         v = res.vectors[:, j]
@@ -285,13 +297,15 @@ def test_symmetric_eigenvectors_tangential(ellipse_symmetric):
 
 
 def test_symmetric_b_orthogonality(ellipse_symmetric):
-    # the lifted eigenvectors are orthonormal in the ambient Qt^{-1} product
+    # the lifted eigenvectors, trivial prefix included, are orthonormal in
+    # the ambient Qt^{-1} product
     q, pairs = ellipse_symmetric
     pair = pairs["lichnerowicz"]
     res = solve_symmetric(pair, k=25)
+    m = lifted_prefix(res, 25)
     V = res.vectors
     gram = V.T @ (np.tile(1.0 / q, 2)[:, None] * V)
-    assert np.abs(gram - np.eye(25)).max() <= 1e-8
+    assert np.abs(gram - np.eye(m)).max() <= 1e-8
 
 
 def test_symmetric_half_factor(ellipse):
