@@ -11,6 +11,8 @@ import math
 
 import numpy as np
 
+from .rbf import row_blocks
+
 
 def silverman_bandwidth(cloud):
     """h = sigma_hat * (4 / ((n+2) N))^(1/(n+4)) with ambient dimension n.
@@ -30,7 +32,11 @@ def silverman_bandwidth(cloud):
 
 def kde_density(cloud, h=None):
     """Gaussian KDE q at the sample points themselves (self-pair included),
-    bandwidth h or silverman_bandwidth(cloud)."""
+    bandwidth h or silverman_bandwidth(cloud).
+
+    The squared distances are formed for one block of rows at a time
+    (rbf.row_blocks), so no N x N matrix is allocated.
+    """
     x = np.asarray(cloud.points, dtype=float)
     N, n = x.shape
     if h is None:
@@ -40,10 +46,8 @@ def kde_density(cloud, h=None):
     norm = 1.0 / (N * (h * math.sqrt(2.0 * math.pi)) ** n)
     sq = np.sum(x * x, axis=1)
     q = np.empty(N)
-    chunk = max(1, int(2e7) // max(N, 1))
-    for lo in range(0, N, chunk):
-        hi = min(N, lo + chunk)
-        d2 = sq[lo:hi, None] - 2.0 * x[lo:hi] @ x.T + sq[None, :]
+    for rows in row_blocks(N, N):
+        d2 = sq[rows, None] - 2.0 * x[rows] @ x.T + sq[None, :]
         np.maximum(d2, 0.0, out=d2)
-        q[lo:hi] = norm * np.sum(np.exp(-d2 / (2.0 * h * h)), axis=1)
+        q[rows] = norm * np.sum(np.exp(-d2 / (2.0 * h * h)), axis=1)
     return q

@@ -17,7 +17,7 @@ import numpy as np
 from . import zoo
 from .density import kde_density
 from .dm import DmConfig, dm_spectrum
-from .rbf import KernelModel, build_system
+from .rbf import KernelModel, build_system, row_blocks
 from .scalar_ops import (build_grad_matrices, laplace_beltrami_nonsymmetric,
                          laplace_beltrami_symmetric)
 from .spectral import (SpectralResult, align_eigenvectors_ols,
@@ -130,58 +130,109 @@ def memory_cap_bytes():
     return gib * 2 ** 30
 
 
-def estimate_run_bytes(config, N):
-    """Peak bytes of the working set of one run at cloud size N.
+def estimate_run_bytes(config, N, rank=None):
+    """Peak bytes of the working set of one run at cloud size N whose
+    interpolation system keeps r = rank eigenvectors of Phi.
+
+    rank=None takes the worst case r = N. rank=0 leaves what every rank
+    needs, Phi's build and eigh with the cloud: all that can be known
+    before Phi is factored. Used only for the refusal guard.
 
     Counted in float64 words and calibrated against the tracemalloc peak of
     the operator build plus solve (and, at N = 200, of the whole run with
-    its truth), plus the input copy and work that each numpy.linalg eigh,
-    eig, qr, cholesky and solve holds outside tracemalloc (3 n^2 words for
-    an n x n eigh); used only for the refusal guard. RBF operators are
-    factored through the r = rank_L retained eigenvectors of Phi; r is
-    unknown before the factorization, so the estimate takes the worst case
-    r = N. The interpolation system and the derivative factors (d frame
-    directions, or the one field direction of the covariant derivative)
-    take up to d + 10 N x N matrices; the scalar SRBF solve (the Gram
-    matrix, its Cholesky factor, the reduced form and its eigenvectors)
-    stays below that. The NRBF Laplace-Beltrami solve holds thirteen: the
-    N x r factor, U and its orthonormal basis; the complex eigenvectors of
-    the reduced matrix before and after the lift, with their interleaved
-    parts (six); and eig's four outside tracemalloc, with about 150 N
-    words of eig's work and eigenvalues. One more N x N covers the cloud,
-    frames and truth columns, which weigh most at small N. SRBF vector
-    pencils add four (nN)^2 ones (the nr x nr form, its update, the dN x
-    nr factor and the solver's copies), NRBF vector operators hold seven
-    (the nN x nr factor, its orthonormal basis and the complex eigenvectors
-    of the reduced matrix, before and after the lift). The diffusion-maps
-    baseline is sparse: the KNN search and the CSR graph hold about 10 N K
-    words for K neighbors, and the Lanczos solve four N x ncv blocks
-    (basis, work and the eigenvectors before and after the
-    back-transform) for ARPACK's default ncv = max(2k + 1, 20) at k
-    computed modes.
+    its truth), plus the largest set of buffers one numpy.linalg call holds
+    outside tracemalloc (the input copy and work of eigh, eig, qr, cholesky
+    or solve: 3 n^2 words for an n x n eigh). The estimate adds the same
+    three parts:
+    - Traced: the largest of Phi's build (4 N^2: the distances, their
+      scaled copy and two temporaries), the derivative stage (U, its scaled
+      copy and the k factors G_a, N x r each, with three row blocks of
+      rbf.ROW_BLOCK_BYTES: the kernel derivative and the brackets of two
+      directions; k = d, or 1 for the covariant derivative) and the
+      operator's stages below.
+    - Outside tracemalloc: the larger of eigh(Phi)'s 3 N^2 and the
+      operator solve's own call.
+    - One more N x N for the cloud, frames and truth columns, which weigh
+      most at small N.
+
+    The operator stages, with p = n r the trial dimension of a vector
+    operator and m = min(d N, p):
+    - Covariant derivative: none past its one factor.
+    - SRBF LB: the form, (d + 2) N r + 2 r^2 (U, the factors, one weighted
+      copy, the form and its update); the solve, 2 N r + 5 r^2 (U, the
+      scaled factor, the Cholesky factor, the reduced form and its
+      symmetrised copies, the eigenvectors); eigh's 3 r^2 outside.
+    - NRBF LB: the left factor, (d + 4) N r + r^2 (U, the factors, the
+      N x r left factor, one ambient gradient and its product); the solve,
+      5 N r + 4 r^2 (the left factor, U and its orthonormal basis, the
+      complex eigenvectors of the reduced matrix, their interleaved parts
+      and the lifted vectors); outside, the larger of eig's 4 r^2 + 150 r
+      and qr's 2 N r + 65 r.
+    - SRBF vector pencils: the form, (d + 2) N r + 2 (d + 1) N p + 2 p^2
+      (U, the factors, one weighted copy, the frame-coordinate parts, the
+      d N x p factor before and after stacking, the p x p form and its
+      update); the solve, N r + d N p + p^2 + d N m + m p
+      + max(2 d N p, 3 m^2) (U, the factor, the form, the QR factors, and
+      either the scaled factor with qr's factored copy of it or the reduced
+      m x m form with its symmetrised copies); outside, the larger of
+      eigh's 3 m^2 and qr's d N (p + m) + 65 m.
+    - NRBF vector operators: the factor, (d + n + 1) N r + 4 n N p (U, the
+      factors, the n ambient gradients, the n N x p factor and the three
+      blocks of one term); the solve, N r + 4 n N p + 4 p^2 (U, the factor,
+      its orthonormal basis, the complex eigenvectors, their interleaved
+      parts and the lifted vectors); outside, the larger of eig's
+      4 p^2 + 150 p and qr's 2 n N p + 65 p.
+    The diffusion-maps baseline is sparse and has no rank: the KNN search
+    and the CSR graph hold about 10 N K words for K neighbors, and the
+    Lanczos solve four N x ncv blocks (basis, work and the eigenvectors
+    before and after the back-transform) for ARPACK's default
+    ncv = max(2k + 1, 20) at k computed modes.
     """
-    n, d = config.manifold.n, config.manifold.d
     if config.method == "DM":
         K = config.dm.neighbors(N)
         ncv = max(2 * _dm_mode_count(config, N) + 1, 20)
-        words = N * (10 * K + 4 * ncv)
-    elif config.operator == "LB" and config.method == "NRBF":
-        words = 14 * N * N + 150 * N
-    elif config.operator in ("LB", "Covariant"):
-        words = (d + 10) * N * N
-    elif config.method == "SRBF":
-        words = 4 * (n * N) ** 2 + (d + 10) * N * N
-    else:
-        words = 7 * (n * N) ** 2
+        return 8 * N * (10 * K + 4 * ncv)
+    r = N if rank is None else rank
+    traced, untraced = _operator_words(config, N, r)
+    k = 1 if config.operator == "Covariant" else config.manifold.d
+    block = N * next(row_blocks(N, N)).stop
+    traced = max(traced, (k + 2) * N * r + 3 * block)
+    words = max(4 * N * N, traced) + max(3 * N * N, untraced) + N * N
     return 8 * words
+
+
+def _operator_words(config, N, r):
+    """(traced, untraced) words of the operator stages at rank r, as
+    estimate_run_bytes counts them."""
+    n, d = config.manifold.n, config.manifold.d
+    p = n * r
+    if config.operator == "Covariant":
+        return 0, 0
+    if config.operator == "LB" and config.method == "SRBF":
+        return (max((d + 2) * N * r + 2 * r * r, 2 * N * r + 5 * r * r),
+                3 * r * r)
+    if config.operator == "LB":
+        return (max((d + 4) * N * r + r * r, 5 * N * r + 4 * r * r),
+                max(4 * r * r + 150 * r, 2 * N * r + 65 * r))
+    if config.method == "SRBF":
+        m = min(d * N, p)
+        form = (d + 2) * N * r + 2 * (d + 1) * N * p + 2 * p * p
+        solve = (N * r + d * N * p + p * p + d * N * m + m * p
+                 + max(2 * d * N * p, 3 * m * m))
+        return (max(form, solve),
+                max(3 * m * m, d * N * (p + m) + 65 * m))
+    return (max((d + n + 1) * N * r + 4 * n * N * p,
+                N * r + 4 * n * N * p + 4 * p * p),
+            max(4 * p * p + 150 * p, 2 * n * N * p + 65 * p))
 
 
 def _dm_mode_count(config, N):
     return min(N, config.modes + 8)
 
 
-def check_memory(config, N):
-    need = estimate_run_bytes(config, N)
+def check_memory(config, N, rank=None):
+    """Refuse a run whose estimate_run_bytes at this rank exceeds the cap."""
+    need = estimate_run_bytes(config, N, rank)
     cap = memory_cap_bytes()
     if need > cap:
         raise RuntimeError(
@@ -378,9 +429,11 @@ def _solve_rbf(config, op_cloud, proj, q):
     """Build the configured RBF operator and solve for its full spectrum:
     rank truncation leaves a large trivial cluster at zero, and the usable
     modes sit above it. A symmetric solve lifts eigenvectors only for the
-    nontrivial modes the run reads (the alignment_gate window). Every
-    builder is a module name looked up at call time."""
+    nontrivial modes the run reads (the alignment_gate window). The memory
+    guard runs again at the real rank once Phi is factored. Every builder
+    is a module name looked up at call time."""
     system = build_system(op_cloud, config.kernel)
+    check_memory(config, system.N, system.rank_L)
     ops = build_grad_matrices(system, proj)
     rank_L, U = system.rank_L, ops.U
     nonsymmetric = config.method == "NRBF"
@@ -422,6 +475,7 @@ def ellipse_covariant_truth(cloud):
 
 def _run_covariant(config, op_cloud, proj):
     system = build_system(op_cloud, config.kernel)
+    check_memory(config, system.N, system.rank_L)
     U = ellipse_test_field(op_cloud)
     est = covariant_derivative(system, proj, U, U)
     truth = ellipse_covariant_truth(op_cloud)
@@ -438,7 +492,8 @@ def run_experiment(config):
     truth_vals = None if truth is None else truth.expanded(count)
     runs = []
     for N in config.N_list:
-        check_memory(config, N)
+        # Phi's build and eigh now; the rank-dependent rest once it is known
+        check_memory(config, N, rank=0)
         for seed in config.seeds:
             t0 = time.perf_counter()
             sample_N = config.N_p or N

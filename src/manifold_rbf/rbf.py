@@ -4,10 +4,12 @@ The interpolation matrix Phi of a positive-definite radial kernel on
 scattered manifold samples is routinely near-singular (flat kernels,
 near-duplicate points), so it is factored as a truncated spectral
 pseudo-inverse Phi^+ = U diag(1/w) U^T with U the N x rank_L retained
-eigenvectors; Phi lives only while build_system factors it.
-derivative_matrices differentiates the interpolant along given directions
-at the nodes, so every operator built on it factors through U^T and has
-rank at most rank_L per field component.
+eigenvectors; Phi lives only while build_system factors it, and it is the
+only N x N matrix ever formed. derivative_matrices differentiates the
+interpolant along given directions at the nodes, so every operator built on
+it factors through U^T and has rank at most rank_L per field component; it
+takes the kernel derivatives a block of rows at a time (row_blocks), as
+density.kde_density takes its kernel sums.
 
 Every dense factorisation of the package goes through numpy.linalg, whose
 OpenBLAS also does the matmuls: scipy.linalg bundles a second OpenBLAS,
@@ -18,6 +20,20 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.spatial.distance import cdist
+
+# Bytes of one row block of an N x N kernel stage that is streamed: a few
+# such blocks stay far below the eigendecomposition of Phi, and a block
+# still has over a hundred rows at N = 2000 for the matrix products.
+ROW_BLOCK_BYTES = 2 ** 21
+
+
+def row_blocks(N, width):
+    """Slices covering range(N) in order, each a block of rows whose float64
+    rows of the given width take at most ROW_BLOCK_BYTES (at least one
+    row)."""
+    step = max(1, ROW_BLOCK_BYTES // (8 * width))
+    for lo in range(0, N, step):
+        yield slice(lo, min(lo + step, N))
 
 
 @dataclass(frozen=True)
@@ -60,16 +76,21 @@ def kernel_deriv_over_r(model, r):
 
     All three families admit a closed form with no removable singularity:
     gaussian -2 s^2 e^{-(sr)^2}; inverse quadratic -2 s^2 / (1+(sr)^2)^2;
-    Matern(3/2) -s^2 e^{-sr}.
+    Matern(3/2) -s^2 e^{-sr}. Evaluated in place on one copy of r.
     """
-    r = np.asarray(r, dtype=float)
     s2 = model.s * model.s
-    sr = model.s * r
-    if model.family == "gaussian":
-        return -2.0 * s2 * np.exp(-sr * sr)
+    out = np.array(r, dtype=float)
+    out *= model.s
+    if model.family != "matern":
+        np.square(out, out=out)
     if model.family == "inverse_quadratic":
-        return -2.0 * s2 / (1.0 + sr * sr) ** 2
-    return -s2 * np.exp(-sr)
+        out += 1.0
+        np.square(out, out=out)
+        return np.divide(-2.0 * s2, out, out=out)
+    np.negative(out, out=out)
+    np.exp(out, out=out)
+    out *= -2.0 * s2 if model.family == "gaussian" else -s2
+    return out
 
 
 @dataclass
@@ -105,10 +126,10 @@ def build_system(cloud, model):
     w, V = np.linalg.eigh(kernel_eval(model, cdist(points, points)))
     sigma = np.abs(w)
     keep = sigma >= model.pinv_tol * sigma.max()
-    order = np.argsort(sigma[keep])[::-1]
-    return InterpolationSystem(points=points, model=model,
-                               U=V[:, keep][:, order], w=w[keep][order],
-                               rank_L=int(keep.sum()))
+    # one gather, so V is never copied twice
+    idx = np.flatnonzero(keep)[np.argsort(sigma[keep])[::-1]]
+    return InterpolationSystem(points=points, model=model, U=V[:, idx],
+                               w=w[idx], rank_L=len(idx))
 
 
 def derivative_matrices(system, directions):
@@ -118,16 +139,22 @@ def derivative_matrices(system, directions):
 
     D_a = (sum_m t_m(x_j) (X^m(x_j) - X^m(x_k)) phi'(r_jk)/r_jk) Phi^+ with
     t = directions[:, :, a]; the diagonal takes the analytic r -> 0 limit.
+    The bracket is formed for one block of rows j at a time and multiplied
+    into its rows of G_a, so no N x N matrix is allocated.
     """
     points = system.points
-    w = kernel_deriv_over_r(system.model, cdist(points, points))
     coef = system.U / system.w[None, :]
-    out = []
-    for a in range(directions.shape[2]):
-        t = directions[:, :, a]
-        along = np.einsum("jm,jm->j", t, points)[:, None] - t @ points.T
-        along *= w
-        out.append(along @ coef)
+    out = [np.empty(coef.shape) for _ in range(directions.shape[2])]
+    for rows in row_blocks(len(points), len(points)):
+        w = kernel_deriv_over_r(system.model, cdist(points[rows], points))
+        for a, G in enumerate(out):
+            t = directions[rows, :, a]
+            along = t @ points.T
+            np.subtract(np.einsum("jm,jm->j", t, points[rows])[:, None],
+                        along, out=along)
+            along *= w
+            np.matmul(along, coef, out=G[rows])
+        del w, along               # before the next block's temporaries
     return out
 
 

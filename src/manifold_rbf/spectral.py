@@ -156,6 +156,7 @@ def solve_symmetric(pair, k, pinv_tol=1e-8):
     elif scalar:
         S = scale[:, None] * R
         C = np.linalg.cholesky(S.T @ S)
+        del S                      # rebuilt for the lift, after the eigh
         A = C.T @ (A @ C)
     else:
         Y, Rx = np.linalg.qr(scale[:, None] * R)
@@ -167,7 +168,7 @@ def solve_symmetric(pair, k, pinv_tol=1e-8):
     if R is None:
         V = Z
     elif scalar:
-        V = S @ _back_substitute(C.T, Z)
+        V = (scale[:, None] * R) @ _back_substitute(C.T, Z)
     else:
         V = Y @ Z
     V *= scale[:, None]

@@ -1,6 +1,7 @@
 """Silverman bandwidth and ambient Gaussian KDE."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -108,3 +109,32 @@ def test_kde_tracks_torus_density():
     q = kde_density(cloud)
     rho = spearmanr(q, sampling_density(spec, cloud)).statistic
     assert rho >= 0.8
+
+
+def dense_kde(x, h):
+    """kde_density with the N x N squared distances formed whole."""
+    N, n = x.shape
+    sq = np.sum(x * x, axis=1)
+    d2 = np.maximum(sq[:, None] - 2.0 * x @ x.T + sq[None, :], 0.0)
+    return np.sum(np.exp(-d2 / (2.0 * h * h)), axis=1) / (
+        N * (h * math.sqrt(2.0 * math.pi)) ** n)
+
+
+def test_kde_matches_the_dense_formula():
+    cloud = sample_manifold(Torus(2.0), 1500, seed=2)
+    h = silverman_bandwidth(cloud)
+    want = dense_kde(cloud.points, h)
+    got = kde_density(cloud, h)
+    assert np.max(np.abs(got - want) / want) <= 1e-14
+
+
+def test_kde_allocates_no_n_by_n_matrix():
+    N = 3000
+    cloud = sample_manifold(Torus(2.0), N, seed=3)
+    tracemalloc.start()
+    try:
+        kde_density(cloud)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * N * N

@@ -12,14 +12,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from manifold_rbf import cli, harness, zoo
+from manifold_rbf import cli, harness, scalar_ops, zoo
 from manifold_rbf.dm import DmConfig, dm_spectrum
 from manifold_rbf.harness import (MEMORY_ENV_VAR, ExperimentConfig,
                                   alignment_gate, check_memory,
                                   estimate_run_bytes, fit_convergence_slope,
                                   memory_cap_bytes, paired_mode_errors,
                                   run_experiment)
-from manifold_rbf.rbf import KernelModel
+from manifold_rbf.rbf import KernelModel, build_system
 from manifold_rbf.spectral import SpectralResult
 from manifold_rbf.zoo import (EigenTruth, Ellipse, GeneralTorus, Sphere,
                               Torus, sample_manifold, vector_eigen_truth)
@@ -230,6 +230,105 @@ def test_memory_estimate_bounds_whole_run_peak(method, spec, monkeypatch):
     zoo.scalar_eigen_truth.cache_clear()
     peak = traced_peak(lambda: run_experiment(cfg), monkeypatch)
     assert peak <= estimate_run_bytes(cfg, N)
+
+
+@pytest.mark.parametrize("method,operator,spec", [
+    ("SRBF", "LB", Torus(2.0)), ("NRBF", "LB", Torus(2.0)),
+    ("SRBF", "LB", GeneralTorus(2.0, 21)), ("SRBF", "Hodge", Sphere()),
+    ("NRBF", "Hodge", Sphere()), ("SRBF", "Bochner", Ellipse(2.0)),
+    ("NRBF", "Covariant", Ellipse(2.0)),
+], ids=lambda v: getattr(v, "kind", v))
+def test_memory_estimate_at_the_real_rank_bounds_traced_peak(
+        method, operator, spec, monkeypatch):
+    # the second check of the guard uses rank_L; its estimate must still
+    # bound the peak, so a run it admits fits
+    N = 300
+    cfg = make_config(manifold=spec, N_list=[N], method=method,
+                      operator=operator, sample_mode="random_intrinsic")
+    cloud = sample_manifold(spec, N, seed=0, mode=cfg.sample_mode)
+    op_cloud, proj = harness.build_projection(cfg, cloud, N)
+    q = harness.build_density(cfg, op_cloud)
+    rank = build_system(op_cloud, cfg.kernel).rank_L
+    if operator == "Covariant":
+        def stage():
+            harness._run_covariant(cfg, op_cloud, proj)
+    else:
+        def stage():
+            harness._solve_rbf(cfg, op_cloud, proj, q)
+    assert traced_peak(stage, monkeypatch) <= estimate_run_bytes(cfg, N, rank)
+
+
+@pytest.mark.parametrize("method,operator,spec", [
+    ("SRBF", "Hodge", Sphere()), ("NRBF", "Hodge", Sphere()),
+    ("NRBF", "Bochner", Ellipse(2.0)),
+], ids=lambda v: getattr(v, "kind", v))
+def test_memory_estimate_bounds_a_full_rank_vector_run(method, operator, spec,
+                                                      monkeypatch):
+    # a sharp kernel keeps every eigenvector of Phi, r = N: the worst case
+    # the estimate assumes before Phi is factored
+    N = 150
+    cfg = make_config(manifold=spec, N_list=[N], method=method,
+                      operator=operator, sample_mode="random_intrinsic",
+                      kernel=KernelModel("inverse_quadratic", 8.0))
+    cloud = sample_manifold(spec, N, seed=0, mode=cfg.sample_mode)
+    op_cloud, proj = harness.build_projection(cfg, cloud, N)
+    q = harness.build_density(cfg, op_cloud)
+    assert build_system(op_cloud, cfg.kernel).rank_L >= 0.98 * N
+    peak = traced_peak(lambda: harness._solve_rbf(cfg, op_cloud, proj, q),
+                       monkeypatch)
+    assert peak <= estimate_run_bytes(cfg, N)
+
+
+def hodge_guard_case():
+    """An NRBF Hodge study on the sphere, whose rank_L is about N / 3, with
+    its rank; the cloud is the one run_experiment samples."""
+    N = 300
+    cfg = make_config(manifold=Sphere(), operator="Hodge", N_list=[N])
+    cloud = sample_manifold(cfg.manifold, N, seed=0, mode=cfg.sample_mode)
+    op_cloud, _proj = harness.build_projection(cfg, cloud, N)
+    return cfg, N, build_system(op_cloud, cfg.kernel).rank_L
+
+
+def set_cap_between(low, high, monkeypatch):
+    monkeypatch.setenv(MEMORY_ENV_VAR, repr(math.sqrt(low * high) / 2 ** 30))
+
+
+def test_memory_guard_admits_a_run_that_fits_at_its_real_rank(monkeypatch):
+    cfg, N, rank = hodge_guard_case()
+    assert rank < N / 2
+    fits = estimate_run_bytes(cfg, N, rank)
+    worst = estimate_run_bytes(cfg, N)
+    assert fits < worst / 2
+    set_cap_between(fits, worst, monkeypatch)
+    with pytest.raises(RuntimeError, match="refusing run"):
+        check_memory(cfg, N)                   # r = N does not fit the cap
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)   # NRBF pollution
+        report = run_experiment(cfg)
+    assert report.runs[0].rank_L == rank
+
+
+def test_memory_guard_refuses_at_the_real_rank_before_the_factors(
+        monkeypatch):
+    cfg, N, rank = hodge_guard_case()
+    floor = estimate_run_bytes(cfg, N, rank=0)
+    need = estimate_run_bytes(cfg, N, rank)
+    assert floor < need
+    set_cap_between(floor, need, monkeypatch)
+    built = []
+
+    def counting_build_system(*args):
+        built.append(True)
+        return build_system(*args)
+
+    def no_factors(*args):
+        raise AssertionError("derivative factors built past the guard")
+
+    monkeypatch.setattr(harness, "build_system", counting_build_system)
+    monkeypatch.setattr(scalar_ops, "derivative_matrices", no_factors)
+    with pytest.raises(RuntimeError, match=f"refusing run at N={N}"):
+        run_experiment(cfg)
+    assert built == [True]                     # Phi fit; the rank did not
 
 
 def test_memory_guard_admits_large_sparse_dm(monkeypatch):

@@ -1,12 +1,16 @@
 """Kernel evaluation, interpolation system assembly, pseudo-inverse solves."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
 
-from manifold_rbf.rbf import (KernelModel, build_system, kernel_deriv_over_r,
+from manifold_rbf import rbf
+from manifold_rbf.rbf import (InterpolationSystem, KernelModel, build_system,
+                              derivative_matrices, kernel_deriv_over_r,
                               kernel_eval)
-from manifold_rbf.zoo import Ellipse, PointCloud, sample_manifold
+from manifold_rbf.zoo import Ellipse, PointCloud, Sphere, sample_manifold
 
 FAMILIES = ["gaussian", "inverse_quadratic", "matern"]
 
@@ -251,3 +255,66 @@ def test_interpolate_constant_off_node():
     for th in rng.uniform(0, 2 * np.pi, size=50):
         q = np.array([np.cos(th), np.sin(th)])
         assert abs(kernel_matrix(system, q)[0] @ c - 1.0) <= 1e-3
+
+
+# -- derivative factors, streamed by row blocks --------------------------------
+
+
+def dense_derivative_matrices(system, directions):
+    """derivative_matrices with every N x N matrix formed whole."""
+    points = system.points
+    w = kernel_deriv_over_r(system.model, cdist(points, points))
+    coef = system.U / system.w[None, :]
+    out = []
+    for a in range(directions.shape[2]):
+        t = directions[:, :, a]
+        along = np.einsum("jm,jm->j", t, points)[:, None] - t @ points.T
+        out.append((along * w) @ coef)
+    return out
+
+
+def random_directions(N, n, d, seed):
+    t = np.random.default_rng(seed).standard_normal((N, n, d))
+    return t / np.linalg.norm(t, axis=1, keepdims=True)
+
+
+BLOCK_ROWS = 32
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("N", [BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1,
+                               3 * BLOCK_ROWS + 5, 10])
+def test_derivative_matrices_match_the_dense_formula(family, d, N,
+                                                     monkeypatch):
+    # a budget of BLOCK_ROWS rows at this N: one block short of, exactly,
+    # just over and several blocks with a remainder, and far below N
+    monkeypatch.setattr(rbf, "ROW_BLOCK_BYTES", 8 * N * BLOCK_ROWS)
+    cloud = sample_manifold(Sphere(), N, seed=N)
+    system = build_system(cloud, KernelModel(family, 1.5))
+    directions = random_directions(N, 3, d, seed=d)
+    got = derivative_matrices(system, directions)
+    want = dense_derivative_matrices(system, directions)
+    assert len(got) == d
+    for Ga, Ra in zip(got, want):
+        assert Ga.shape == (N, system.rank_L)
+        assert np.max(np.abs(Ga - Ra)) <= 1e-9 * np.max(np.abs(Ra))
+
+
+def test_derivative_matrices_allocate_no_n_by_n_matrix():
+    # the outputs, the scaled basis and the row blocks stay well under the
+    # N x N kernel-derivative matrix a whole-matrix build would allocate
+    N, r = 2000, 200
+    cloud = sample_manifold(Sphere(), N, seed=0)
+    U, _ = np.linalg.qr(np.random.default_rng(1).standard_normal((N, r)))
+    system = InterpolationSystem(points=cloud.points,
+                                 model=KernelModel("gaussian", 2.0), U=U,
+                                 w=np.linspace(2.0, 1.0, r), rank_L=r)
+    directions = random_directions(N, 3, 2, seed=2)
+    tracemalloc.start()
+    try:
+        derivative_matrices(system, directions)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * N * N
