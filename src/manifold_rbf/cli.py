@@ -130,6 +130,8 @@ def cmd_sample(args):
 
 
 def cmd_tangent(args):
+    if args.Np is not None and args.Np < args.N:
+        raise ValueError("N_p must be at least the operator cloud size")
     spec = _manifold_from_args(args)
     sample_N = args.Np or args.N
     cloud = zoo.sample_manifold(spec, sample_N, args.seed, mode=args.mode)

@@ -454,11 +454,10 @@ def _solve_rbf(config, op_cloud, proj, q):
 
 
 def ellipse_test_field(cloud):
-    """The 1D demo field u = sin(theta) d/dtheta in ambient components."""
-    th = cloud.intrinsic[:, 0]
-    a = cloud.spec.a
-    tau = np.column_stack([-np.sin(th), a * np.cos(th)])
-    return np.sin(th)[:, None] * tau
+    """The 1D demo field u = sin(theta) d/dtheta in ambient components;
+    d/dtheta is the one column of the embedding Jacobian."""
+    tau = zoo.embedding_jacobian(cloud.spec, cloud.intrinsic)[:, :, 0]
+    return np.sin(cloud.intrinsic[:, 0])[:, None] * tau
 
 
 def ellipse_covariant_truth(cloud):
@@ -469,7 +468,7 @@ def ellipse_covariant_truth(cloud):
     g = np.sin(th) ** 2 + a * a * np.cos(th) ** 2
     gamma = np.sin(2.0 * th) * (1.0 - a * a) / (2.0 * g)
     coef = np.sin(th) * np.cos(th) + gamma * np.sin(th) ** 2
-    tau = np.column_stack([-np.sin(th), a * np.cos(th)])
+    tau = zoo.embedding_jacobian(cloud.spec, cloud.intrinsic)[:, :, 0]
     return coef[:, None] * tau
 
 

@@ -209,10 +209,12 @@ def solve_nonsymmetric(L, pinv_tol=1e-8, basis=None):
     del Rf
     order = np.lexsort((lam.imag, lam.real, np.abs(lam)))
     lam = lam[order]
-    V = V[:, order]
-    # interleaved re/im: one real product into one buffer, no complex Y copy
+    # interleaved re/im in mode order, gathered straight from the unordered
+    # V: one real product into one buffer, no sorted or complex Y copy
     parts = np.empty((len(V), 2 * V.shape[1]))
-    parts[:, 0::2], parts[:, 1::2] = V.real, V.imag
+    np.take(V.real, order, axis=1, out=parts[:, 0::2], mode="clip")
+    np.take(V.imag, order, axis=1, out=parts[:, 1::2], mode="clip")
+    del V
     V = (Y @ parts).view(complex)
     del Y
     zeros = L.shape[0] - len(lam)

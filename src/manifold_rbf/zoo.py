@@ -9,6 +9,11 @@ Sturm-Liouville problem per Fourier mode, solved spectrally in theta to
 rounding accuracy (sturm_liouville_truth). An EigenTruth holds the
 reference eigenvalues and hands its eigenfunctions to the scorer as one
 basis matrix over the sample points (EigenTruth.basis).
+
+The embedding Jacobian and the gradients of the sphere harmonics are
+complex-step derivatives (_complex_step) of embed and of each harmonic psi,
+so both must stay analytic: an abs, a real cast, a conj or a branch on a
+value would silently corrupt the analytic frames and the vector truth.
 """
 
 import functools
@@ -132,8 +137,13 @@ def intrinsic_box(spec):
 
 
 def embed(spec, theta):
-    """Map intrinsic coordinates (N, d) to ambient points (N, n)."""
-    theta = np.atleast_2d(np.asarray(theta, dtype=float))
+    """Map intrinsic coordinates (N, d) to ambient points (N, n).
+
+    Complex theta stays complex, and every step must stay analytic:
+    embedding_jacobian is the complex-step derivative of this formula.
+    """
+    theta = np.atleast_2d(theta)
+    theta = theta.astype(np.result_type(theta, float), copy=False)
     N = theta.shape[0]
     if spec.kind == "ellipse":
         t = theta[:, 0]
@@ -141,7 +151,7 @@ def embed(spec, theta):
     if spec.kind in ("torus", "general_torus"):
         b, c = _torus_constants(spec)
         th, ph = theta[:, 0], theta[:, 1]
-        x = np.empty((N, spec.n))
+        x = np.empty((N, spec.n), dtype=theta.dtype)
         ring = spec.a + np.cos(th)
         for i in range(1, c + 1):
             x[:, 2 * i - 2] = ring * np.cos(i * ph) / i
@@ -150,7 +160,7 @@ def embed(spec, theta):
         return x
     if spec.kind == "flat_torus":
         scale = 1.0 / math.sqrt(sum(j * j for j in range(1, spec.m + 1)))
-        x = np.empty((N, spec.n))
+        x = np.empty((N, spec.n), dtype=theta.dtype)
         for i in range(spec.d):
             for j in range(1, spec.m + 1):
                 col = 2 * spec.m * i + 2 * (j - 1)
@@ -163,42 +173,20 @@ def embed(spec, theta):
                             np.cos(th)])
 
 
+def _complex_step(f, x):
+    """Derivative of f: (N, k) -> (N, ...) as (N, ..., k), column a being
+    Im f(x + i h e_a) / h with h = 1e-30: exact to rounding for analytic f,
+    since nothing is subtracted (Squire & Trapp, SIAM Rev. 40, 1998)."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    h = 1e-30
+    return np.stack([f(x + 1j * h * e).imag / h
+                     for e in np.eye(x.shape[1])], axis=-1)
+
+
 def embedding_jacobian(spec, theta):
-    """Jacobian of the embedding, shape (N, n, d)."""
-    theta = np.atleast_2d(np.asarray(theta, dtype=float))
-    N = theta.shape[0]
-    J = np.zeros((N, spec.n, spec.d))
-    if spec.kind == "ellipse":
-        t = theta[:, 0]
-        J[:, 0, 0] = -np.sin(t)
-        J[:, 1, 0] = spec.a * np.cos(t)
-        return J
-    if spec.kind in ("torus", "general_torus"):
-        b, c = _torus_constants(spec)
-        th, ph = theta[:, 0], theta[:, 1]
-        ring = spec.a + np.cos(th)
-        for i in range(1, c + 1):
-            J[:, 2 * i - 2, 0] = -np.sin(th) * np.cos(i * ph) / i
-            J[:, 2 * i - 1, 0] = -np.sin(th) * np.sin(i * ph) / i
-            J[:, 2 * i - 2, 1] = -ring * np.sin(i * ph)
-            J[:, 2 * i - 1, 1] = ring * np.cos(i * ph)
-        J[:, -1, 0] = math.sqrt(b) * np.cos(th)
-        return J
-    if spec.kind == "flat_torus":
-        scale = 1.0 / math.sqrt(sum(j * j for j in range(1, spec.m + 1)))
-        for i in range(spec.d):
-            for j in range(1, spec.m + 1):
-                col = 2 * spec.m * i + 2 * (j - 1)
-                J[:, col, i] = -scale * j * np.sin(j * theta[:, i])
-                J[:, col + 1, i] = scale * j * np.cos(j * theta[:, i])
-        return J
-    th, ph = theta[:, 0], theta[:, 1]
-    J[:, 0, 0] = np.cos(th) * np.cos(ph)
-    J[:, 1, 0] = np.cos(th) * np.sin(ph)
-    J[:, 2, 0] = -np.sin(th)
-    J[:, 0, 1] = -np.sin(th) * np.sin(ph)
-    J[:, 1, 1] = np.sin(th) * np.cos(ph)
-    return J
+    """Jacobian of the embedding, shape (N, n, d), by complex step of
+    embed."""
+    return _complex_step(functools.partial(embed, spec), theta)
 
 
 def metric_sqrt_det(spec, theta):
@@ -254,9 +242,7 @@ def _sqrt_det_sup(spec):
     if spec.kind in ("torus", "general_torus"):
         b, c = _torus_constants(spec)
         return np.sqrt(b * c) * (spec.a + 1.0)
-    if spec.kind == "flat_torus":
-        return 1.0
-    return 1.0  # sphere: sqrt(det g) = sin(theta) <= 1
+    return 1.0  # flat torus: 1; sphere: sin(theta) <= 1
 
 
 def sample_manifold(spec, N, seed=0, mode="random_intrinsic"):
@@ -272,21 +258,17 @@ def sample_manifold(spec, N, seed=0, mode="random_intrinsic"):
     """
     if N < 1:
         raise ValueError("N must be >= 1")
-    box = intrinsic_box(spec)
+    lo, hi = np.array(intrinsic_box(spec)).T
     if mode == "random_intrinsic":
         rng = counter_rng(seed)
-        u = rng.random((N, spec.d))
-        theta = np.column_stack([lo + (hi - lo) * u[:, i]
-                                 for i, (lo, hi) in enumerate(box)])
+        theta = lo + (hi - lo) * rng.random((N, spec.d))
     elif mode == "random_area":
         rng = counter_rng(seed)
         sup = _sqrt_det_sup(spec)
         kept = []
         have = 0
         while have < N:
-            u = rng.random((2 * N, spec.d))
-            cand = np.column_stack([lo + (hi - lo) * u[:, i]
-                                    for i, (lo, hi) in enumerate(box)])
+            cand = lo + (hi - lo) * rng.random((2 * N, spec.d))
             accept = rng.random(2 * N) * sup <= metric_sqrt_det(spec, cand)
             kept.append(cand[accept])
             have += int(np.sum(accept))
@@ -298,10 +280,10 @@ def sample_manifold(spec, N, seed=0, mode="random_intrinsic"):
                 f"grid mode needs N to be a perfect {spec.d}-th power; "
                 f"got N={N} (nearest lattice is {k ** spec.d})")
         axes = []
-        for i, (lo, hi) in enumerate(box):
-            step = (hi - lo) / k
+        for i in range(spec.d):
+            step = (hi[i] - lo[i]) / k
             offset = 0.5 * step if (spec.kind == "sphere" and i == 0) else 0.0
-            axes.append(lo + offset + step * np.arange(k))
+            axes.append(lo[i] + offset + step * np.arange(k))
         mesh = np.meshgrid(*axes, indexing="ij")
         theta = np.column_stack([mm.reshape(-1) for mm in mesh])
     else:
@@ -444,73 +426,36 @@ _SPHERE_L3_TRIPLES = [(0, 0, 1), (0, 0, 2), (0, 1, 1), (1, 1, 2),
                       (0, 2, 2), (1, 2, 2), (0, 1, 2)]
 
 
-def _sphere_poly_l2(p, q):
-    def psi(x):
-        x = np.atleast_2d(x)
-        r2 = np.sum(x * x, axis=1)
-        return 3.0 * x[:, p] * x[:, q] - (r2 if p == q else 0.0)
-
-    def grad(x):
-        x = np.atleast_2d(x)
-        g = np.zeros_like(x)
-        g[:, p] += 3.0 * x[:, q]
-        g[:, q] += 3.0 * x[:, p]
-        if p == q:
-            g -= 2.0 * x
-        return g
-
-    return psi, grad
+def _sphere_l1(x, p):
+    return np.atleast_2d(x)[:, p]
 
 
-def _sphere_poly_l3(p, q, r):
-    def psi(x):
-        x = np.atleast_2d(x)
-        r2 = np.sum(x * x, axis=1)
-        val = 15.0 * x[:, p] * x[:, q] * x[:, r]
-        if p == q:
-            val -= 3.0 * r2 * x[:, r]
-        if q == r:
-            val -= 3.0 * r2 * x[:, p]
-        if r == p:
-            val -= 3.0 * r2 * x[:, q]
-        return val
+def _sphere_l2(x, p, q):
+    x = np.atleast_2d(x)
+    r2 = np.sum(x * x, axis=1)
+    return 3.0 * x[:, p] * x[:, q] - (r2 if p == q else 0.0)
 
-    def grad(x):
-        x = np.atleast_2d(x)
-        r2 = np.sum(x * x, axis=1)
-        g = np.zeros_like(x)
-        g[:, p] += 15.0 * x[:, q] * x[:, r]
-        g[:, q] += 15.0 * x[:, p] * x[:, r]
-        g[:, r] += 15.0 * x[:, p] * x[:, q]
-        if p == q:
-            g -= 6.0 * x * x[:, [r]]
-            g[:, r] -= 3.0 * r2
-        if q == r:
-            g -= 6.0 * x * x[:, [p]]
-            g[:, p] -= 3.0 * r2
-        if r == p:
-            g -= 6.0 * x * x[:, [q]]
-            g[:, q] -= 3.0 * r2
-        return g
 
-    return psi, grad
+def _sphere_l3(x, p, q, r):
+    x = np.atleast_2d(x)
+    r2 = np.sum(x * x, axis=1)
+    val = 15.0 * x[:, p] * x[:, q] * x[:, r]
+    if p == q:
+        val -= 3.0 * r2 * x[:, r]
+    if q == r:
+        val -= 3.0 * r2 * x[:, p]
+    if r == p:
+        val -= 3.0 * r2 * x[:, q]
+    return val
 
 
 def _sphere_harmonic_families():
-    """families[l] = list of (psi, grad_psi) for l = 1, 2, 3."""
-    fam1 = []
-    for p in range(3):
-        def psi(x, p=p):
-            return np.atleast_2d(x)[:, p]
-        def grad(x, p=p):
-            x = np.atleast_2d(x)
-            g = np.zeros_like(x)
-            g[:, p] = 1.0
-            return g
-        fam1.append((psi, grad))
-    fam2 = [_sphere_poly_l2(p, q) for p, q in _SPHERE_L2_PAIRS]
-    fam3 = [_sphere_poly_l3(*t) for t in _SPHERE_L3_TRIPLES]
-    return {1: fam1, 2: fam2, 3: fam3}
+    """families[l] = the degree-l harmonics psi(x) on R^3, l = 1, 2, 3."""
+    return {1: [functools.partial(_sphere_l1, p=p) for p in range(3)],
+            2: [functools.partial(_sphere_l2, p=p, q=q)
+                for p, q in _SPHERE_L2_PAIRS],
+            3: [functools.partial(_sphere_l3, p=p, q=q, r=r)
+                for p, q, r in _SPHERE_L3_TRIPLES]}
 
 
 def _sphere_scalar_truth(count):
@@ -524,7 +469,7 @@ def _sphere_scalar_truth(count):
         x = np.atleast_2d(points)
         yield np.ones(x.shape[0])
         for l in range(1, count):
-            yield from (psi(x) for psi, _g in families[l])
+            yield from (psi(x) for psi in families[l])
 
     return EigenTruth(values=values, columns=columns, kind="scalar")
 
@@ -534,10 +479,11 @@ def vector_eigen_truth(spec, which):
 
     Eigenfields come in two families per degree l: the rotational form
     x × grad(psi) and the gradient form P grad(psi) = grad(psi) - (x·grad
-    psi) x, psi ranging over the degree-l harmonics. Bochner eigenvalue
-    l(l+1)-1 and Hodge eigenvalue l(l+1) share both families; the
-    Lichnerowicz operator splits them (rotational l=1 fields generate
-    isometries and sit in the nullspace).
+    psi) x, psi ranging over the degree-l harmonics. grad(psi) is the
+    complex-step derivative of psi itself, so the fields cannot drift from
+    the scalar truth. Bochner eigenvalue l(l+1)-1 and Hodge eigenvalue
+    l(l+1) share both families; the Lichnerowicz operator splits them
+    (rotational l=1 fields generate isometries and sit in the nullspace).
     """
     if spec.kind != "sphere":
         raise ValueError("vector eigen-truth is available for the sphere only")
@@ -557,8 +503,8 @@ def vector_eigen_truth(spec, which):
     def columns(points):
         x = np.atleast_2d(points)
         for rotational, l in blocks:
-            for _psi, grad in families[l]:
-                g = grad(x)
+            for psi in families[l]:
+                g = _complex_step(psi, x)
                 yield np.cross(x, g) if rotational else \
                     g - np.sum(x * g, axis=1, keepdims=True) * x
 

@@ -592,6 +592,17 @@ def test_cli_tangent(tmp_path):
     assert "mean_frob" in stdout
 
 
+def test_cli_tangent_rejects_a_sample_below_the_operator_cloud(tmp_path):
+    # spectrum refuses N_p < N; tangent must not write N_p rows instead
+    out = tmp_path / "proj.npz"
+    with pytest.raises(ValueError, match="N_p must be at least the operator "
+                       "cloud size"):
+        cli.main(["tangent", "--manifold", "torus", "--a", "2.0",
+                  "--N", "200", "--Np", "100", "--K", "30",
+                  "--out", str(out)])
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_cli_spectrum_and_config_file(tmp_path):
     cfg_file = tmp_path / "extra.json"
     cfg_file.write_text(json.dumps({"truth_count": 12}))

@@ -1,5 +1,6 @@
 """Eigensolvers, mode ordering, OLS alignment, error metrics, CSV export."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -154,6 +155,23 @@ def test_factored_nonsymmetric_null_modes_are_finite_unit_vectors():
     L = F @ np.kron(np.eye(2), U.T)
     resid = L @ res.vectors - res.vectors * res.values[None, :]
     assert np.linalg.norm(resid) <= 1e-12 * np.linalg.norm(L)
+
+
+def test_nonsymmetric_lift_holds_one_copy_of_the_eigenvectors():
+    # with 6p rows the traced peak is the lift: Y (6 p^2 words), the
+    # interleaved parts (2 p^2) and the product (12 p^2); a second p x p
+    # complex copy of the eigenvectors alive beside them adds 2 p^2
+    rng = np.random.default_rng(3)
+    N, p = 600, 100
+    U = np.linalg.qr(rng.standard_normal((N, p)))[0]
+    L = rng.standard_normal((N, p))
+    tracemalloc.start()
+    try:
+        solve_nonsymmetric(L, basis=U)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 21 * 8 * p * p
 
 
 def test_factored_nonsymmetric_rejects_mismatched_basis():

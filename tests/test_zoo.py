@@ -17,6 +17,9 @@ from manifold_rbf.zoo import _sl_modes, _torus_constants
 ALL_SPECS = [Ellipse(2.0), Torus(2.0), GeneralTorus(2.0, 3),
              GeneralTorus(2.0, 21), FlatTorus(2, 1), FlatTorus(3, 1),
              Sphere()]
+# the default instance of each kind, as a bare config entry builds it
+ZOO_DEFAULTS = {spec.kind: spec for spec in (
+    Ellipse(2.0), Torus(2.0), GeneralTorus(2.0), FlatTorus(2), Sphere())}
 
 
 # -- samplers ------------------------------------------------------------
@@ -124,6 +127,57 @@ def test_projection_needs_intrinsic():
     cloud = type(cloud)(points=cloud.points, intrinsic=None, spec=cloud.spec)
     with pytest.raises(ValueError):
         analytic_projection(cloud)
+
+
+# -- derivatives of the one formula ----------------------------------------
+# The Jacobian and the harmonic gradients are complex-step derivatives of
+# embed and psi. These tests hold them to central differences, so that a
+# non-analytic edit (abs, a real cast) fails here rather than in the spectra.
+
+def central_difference(f, x, h=1e-6):
+    """(N, ..., k) derivative of f: (N, k) -> (N, ...) by central
+    differences."""
+    return np.stack([(f(x + h * e) - f(x - h * e)) / (2.0 * h)
+                     for e in np.eye(x.shape[1])], axis=-1)
+
+
+@pytest.mark.parametrize("kind", zoo.KINDS)
+def test_jacobian_and_area_element_are_those_of_embed(kind):
+    spec = ZOO_DEFAULTS[kind]
+    theta = sample_manifold(spec, 200, seed=6).intrinsic
+    J = zoo.embedding_jacobian(spec, theta)
+    assert J.shape == (200, spec.n, spec.d)
+    fd = central_difference(lambda t: embed(spec, t), theta)
+    assert np.max(np.abs(J - fd)) <= 1e-8
+    sqrt_det = np.sqrt(np.linalg.det(J.transpose(0, 2, 1) @ J))
+    rel = np.abs(metric_sqrt_det(spec, theta) - sqrt_det) / sqrt_det
+    assert np.max(rel) <= 1e-13
+
+
+def test_sphere_vector_truth_fields_are_built_from_harmonic_gradients():
+    x = sample_manifold(Sphere(), 200, seed=6, mode="random_area").points
+    families = zoo._sphere_harmonic_families()
+    want = []      # per degree: the rotational family, then the gradient one
+    for l in (1, 2, 3):
+        grads = [central_difference(psi, x) for psi in families[l]]
+        want += [np.cross(x, g) for g in grads]
+        want += [g - np.sum(x * g, axis=1, keepdims=True) * x
+                 for g in grads]
+    got = list(vector_eigen_truth(Sphere(), "Hodge").columns(x))
+    assert len(got) == len(want) == 30
+    for field, ref in zip(got, want):
+        assert np.max(np.abs(field - ref)) <= 1e-8
+
+
+@pytest.mark.parametrize("kind", zoo.KINDS)
+def test_rejection_envelope_bounds_the_area_element_tightly(kind):
+    # random_area accepts with probability sqrt(det g) / sup: a sup below
+    # the maximum would bias the draws without any error
+    spec = ZOO_DEFAULTS[kind]
+    theta = sample_manifold(spec, 400 ** spec.d, mode="grid").intrinsic
+    peak = np.max(metric_sqrt_det(spec, theta))
+    sup = zoo._sqrt_det_sup(spec)
+    assert peak <= sup <= 1.001 * peak
 
 
 # -- sampling density -----------------------------------------------------
@@ -432,12 +486,10 @@ def test_zoo_defaults_cover_every_kind():
     # one constructor per kind, and a bare entry of each kind (as the CLI
     # and config files give it) builds that constructor's default instance
     kinds = ("ellipse", "torus", "general_torus", "flat_torus", "sphere")
-    specs = [Ellipse(2.0), Torus(2.0), GeneralTorus(2.0), FlatTorus(2),
-             Sphere()]
     assert zoo.KINDS == kinds
-    assert tuple(spec.kind for spec in specs) == kinds
+    assert tuple(ZOO_DEFAULTS) == kinds
     assert [ManifoldSpec.from_dict({"kind": kind, "a": 2.0, "d": 2})
-            for kind in kinds] == specs
+            for kind in kinds] == list(ZOO_DEFAULTS.values())
 
 
 def test_scalar_truth_is_memoised(monkeypatch):
