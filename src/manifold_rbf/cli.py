@@ -19,9 +19,9 @@ import numpy as np
 
 from . import harness, zoo
 from .harness import ExperimentConfig, run_experiment
-from .tangent import first_order_svd, projection_diagnostics, second_order_svd
+from .tangent import projection_diagnostics
 
-# the study defaults; sample and tangent draw a cloud without a study config
+# the study defaults; sample draws a cloud without a study config
 _DEFAULTS = ExperimentConfig(manifold=None, N_list=[])
 _DRAW_DEFAULTS = {"seed": _DEFAULTS.seeds[0], "mode": _DEFAULTS.sample_mode}
 
@@ -67,12 +67,13 @@ def _add_study_args(p):
     p.add_argument("--s", type=float, default=None, help="kernel shape")
     p.add_argument("--pinv-tol", type=float, default=None)
     p.add_argument("--density", default=None, choices=harness.DENSITIES)
-    p.add_argument("--modes", type=int, default=None)
     p.add_argument("--Np", type=int, default=None,
                    help="interpolation cloud size (defaults to N)")
     p.add_argument("--K", type=int, default=None,
                    help="neighbors for tangent estimation")
-    p.add_argument("--compare-count", type=int, default=None)
+    p.add_argument("--compare-count", type=int, default=None,
+                   help="modes compared with the truth, distinct values the "
+                        "truth holds, and half the modes DM computes")
     p.add_argument("--config", default=None,
                    help="JSON file with an experiment configuration; "
                         "command-line flags override its entries")
@@ -96,7 +97,6 @@ def _config_from_args(args, N_list):
         "operator": args.operator,
         "projection": args.projection,
         "density": args.density,
-        "modes": args.modes,
         "seeds": None if args.seed is None else [args.seed],
         "N_p": args.Np,
         "K": args.K,
@@ -130,16 +130,15 @@ def cmd_sample(args):
 
 
 def cmd_tangent(args):
-    if args.Np is not None and args.Np < args.N:
-        raise ValueError("N_p must be at least the operator cloud size")
-    spec = _manifold_from_args(args)
-    sample_N = args.Np or args.N
-    cloud = zoo.sample_manifold(spec, sample_N, args.seed, mode=args.mode)
-    query = np.arange(args.N) if sample_N > args.N else None
-    est = first_order_svd(cloud, args.K, query_idx=query) if args.order == 1 \
-        else second_order_svd(cloud, args.K, query_idx=query)
+    # the frame field of a study with this projection; it compares no modes
+    config = ExperimentConfig(
+        manifold=_manifold_from_args(args), N_list=[args.N],
+        projection=("FirstOrder", "SecondOrder")[args.order - 1],
+        N_p=args.Np, K=args.K, sample_mode=args.mode, compare_count=1)
+    config.validate()
+    op_cloud, est = harness.build_projection(config, args.N, args.seed)
     est.save(args.out)
-    truth = zoo.analytic_projection(harness.subset_cloud(cloud, args.N))
+    truth = zoo.analytic_projection(op_cloud)
     diag = projection_diagnostics(est, truth)
     for key, val in sorted(diag.items()):
         if np.ndim(val) == 0:
@@ -189,10 +188,10 @@ def cmd_compare_dm(args):
 
     os.makedirs(args.out_dir, exist_ok=True)
     out = os.path.join(args.out_dir, f"{args.prefix}_dm_table.csv")
-    if rec_s.truth_vals is not None and rec_d.truth_vals is not None:
-        count = min(len(rec_s.truth_vals), len(rec_d.truth_vals))
+    if rec_s.truth_vals is not None:      # the two runs share their truth
         rows = [(k, rec_s.truth_vals[k], rec_s.aligned_est_vals[k],
-                 rec_d.aligned_est_vals[k]) for k in range(count)]
+                 rec_d.aligned_est_vals[k])
+                for k in range(config.compare_count)]
     else:
         sv = np.abs(rec_s.result.nontrivial_values())
         dv = np.abs(rec_d.result.nontrivial_values())

@@ -81,6 +81,7 @@ def dm_laplacian(cloud, config):
     idx = knn_indices(points, min(config.neighbors(N), N - 1))
     diff = points[:, None, :] - points[idx]
     d2 = np.einsum("ikm,ikm->ik", diff, diff)
+    del diff                    # 3 N K words the graph build need not hold
     eps = config.epsilon
     if eps is None:
         eps = autotune_epsilon(d2)

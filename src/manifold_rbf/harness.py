@@ -10,7 +10,7 @@ import json
 import os
 import time
 import warnings
-from dataclasses import asdict, dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field, fields
 
 import numpy as np
 
@@ -47,15 +47,15 @@ class ExperimentConfig:
     projection: str = "Analytic"
     kernel: KernelModel = KernelModel("gaussian", 1.0)
     density: str = "Uniform"
-    modes: int = 16
     seeds: list = dc_field(default_factory=lambda: [0])
     N_p: int = None
     K: int = None                  # tangent-estimation neighbors
     dm_K: int = None               # DM graph neighbors, sqrt(N) by default
     dm_epsilon: float = None
     sample_mode: str = "random_intrinsic"
-    compare_count: int = 12        # modes entering the convergence error
-    truth_count: int = 40          # truth entries to compute where applicable
+    # leading modes compared with the truth, which holds as many distinct
+    # eigenvalues; the DM baseline computes twice as many
+    compare_count: int = 12
 
     def validate(self):
         if self.method not in METHODS:
@@ -78,7 +78,7 @@ class ExperimentConfig:
                              "1D demo is available (sphere or ellipse)")
         if self.N_p is not None and self.N_p < max(self.N_list):
             raise ValueError("N_p must be at least the operator cloud size")
-        for name in ("modes", "compare_count", "K"):
+        for name in ("compare_count", "K"):
             value = getattr(self, name)
             if value is not None and value < 1:
                 raise ValueError(f"{name} must be at least 1")
@@ -92,6 +92,10 @@ class ExperimentConfig:
             if K >= searched:
                 raise ValueError(f"K={K} must be smaller than the searched "
                                  f"cloud size N={searched}")
+        if self.compare_count >= min(self.N_list):
+            raise ValueError(f"compare_count={self.compare_count} must be "
+                             f"smaller than the cloud size "
+                             f"N={min(self.N_list)}")
 
     @property
     def dm(self):
@@ -103,6 +107,9 @@ class ExperimentConfig:
 
     @staticmethod
     def from_dict(cfg):
+        unknown = set(cfg) - {f.name for f in fields(ExperimentConfig)}
+        if unknown:
+            raise ValueError(f"unknown config keys {sorted(unknown)}")
         cfg = dict(cfg)
         cfg["manifold"] = zoo.ManifoldSpec.from_dict(cfg["manifold"])
         if "kernel" in cfg:
@@ -227,7 +234,7 @@ def _operator_words(config, N, r):
 
 
 def _dm_mode_count(config, N):
-    return min(N, config.modes + 8)
+    return min(N, 2 * config.compare_count)
 
 
 def check_memory(config, N, rank=None):
@@ -310,10 +317,14 @@ def subset_cloud(cloud, N):
                           spec=cloud.spec, mode=cloud.mode)
 
 
-def build_projection(config, cloud_full, N):
+def build_projection(config, N, seed):
+    """Draw the cloud of one run (N_p points, or N) and return its first N
+    points with their tangent projection; DM reads none."""
+    cloud_full = zoo.sample_manifold(config.manifold, config.N_p or N, seed,
+                                     mode=config.sample_mode)
     op_cloud = subset_cloud(cloud_full, N)
     if config.method == "DM":
-        return op_cloud, None       # the graph Laplacian reads no tangents
+        return op_cloud, None
     if config.projection == "Analytic":
         return op_cloud, zoo.analytic_projection(op_cloud)
     query = np.arange(N) if cloud_full.N > N else None
@@ -416,8 +427,8 @@ def _truth_for(config):
     spec = config.manifold
     if config.operator == "LB":
         if spec.kind in ("sphere", "flat_torus", "torus", "general_torus"):
-            count = 4 if spec.kind == "sphere" else config.truth_count
-            return zoo.scalar_eigen_truth(spec, count)
+            # each distinct value covers at least one of the compared modes
+            return zoo.scalar_eigen_truth(spec, config.compare_count)
         return None
     if config.operator in VECTOR_LAPLACIANS and spec.kind == "sphere":
         return zoo.vector_eigen_truth(spec,
@@ -495,10 +506,7 @@ def run_experiment(config):
         check_memory(config, N, rank=0)
         for seed in config.seeds:
             t0 = time.perf_counter()
-            sample_N = config.N_p or N
-            cloud_full = zoo.sample_manifold(config.manifold, sample_N, seed,
-                                             mode=config.sample_mode)
-            op_cloud, proj = build_projection(config, cloud_full, N)
+            op_cloud, proj = build_projection(config, N, seed)
             rec = RunRecord(N=N, seed=seed, result=None)
             if config.operator == "Covariant":
                 rec.field_error, rec.rank_L = _run_covariant(

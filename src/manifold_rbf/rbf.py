@@ -16,7 +16,7 @@ OpenBLAS also does the matmuls: scipy.linalg bundles a second OpenBLAS,
 whose idle thread pool spins against the busy one and slows both down.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -57,6 +57,9 @@ class KernelModel:
 
     @staticmethod
     def from_dict(cfg):
+        unknown = set(cfg) - {f.name for f in fields(KernelModel)}
+        if unknown:
+            raise ValueError(f"unknown kernel keys {sorted(unknown)}")
         return KernelModel(family=cfg["family"], s=float(cfg["s"]),
                            pinv_tol=float(cfg.get("pinv_tol", 1e-8)))
 

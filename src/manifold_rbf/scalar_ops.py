@@ -82,10 +82,10 @@ class GeneralizedPair:
     """Symmetric pencil (R A R^T) v = lambda diag(B_diag) v.
 
     A is the reduced symmetric matrix and R = factor (dim, p) maps it to the
-    pencil's dim coordinates; without a factor A is the pencil itself. B is
-    always diagonal (B_diag). Vector pencils live on frame coordinates (d
-    values per point); range_basis, when present, is the sparse map W
-    (nN x dN) that lifts a solution Z to the stacked ambient field V = W Z.
+    pencil's dim coordinates. B is always diagonal (B_diag). Vector pencils
+    live on frame coordinates (d values per point); range_basis, when
+    present, is the sparse map W (nN x dN) that lifts a solution Z to the
+    stacked ambient field V = W Z.
 
     The range basis also tells spectral.solve_symmetric how to reduce the
     pencil. Without one (scalar pencils) the factor must have orthonormal
@@ -96,7 +96,7 @@ class GeneralizedPair:
 
     A: np.ndarray
     B_diag: np.ndarray
-    factor: np.ndarray = None
+    factor: np.ndarray
     range_basis: object = None     # scipy.sparse (nN, dN) or None
 
     # no dense B is ever formed; code that sizes a pencil by its parts reads

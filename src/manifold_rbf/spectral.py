@@ -135,7 +135,7 @@ def solve_symmetric(pair, k, pinv_tol=1e-8):
     B-orthonormal vectors for its leading k nontrivial modes and the
     trivial ones before them.
 
-    With a factor R the pencil (R A R^T, B) is reduced on the range of
+    The pencil (R A R^T, B) with factor R is reduced on the range of
     S = B^{-1/2} R. A scalar pencil (no range basis) takes the Cholesky
     factor S^T S = C C^T, solves C^T A C z = lambda z and lifts z to
     B^{-1/2} S C^{-T} z. A vector pencil takes the thin QR S = Y Rx, solves
@@ -151,9 +151,7 @@ def solve_symmetric(pair, k, pinv_tol=1e-8):
     scale = 1.0 / np.sqrt(b)
     A, R = pair.A, pair.factor
     scalar = pair.range_basis is None
-    if R is None:
-        A = scale[:, None] * A * scale[None, :]
-    elif scalar:
+    if scalar:
         S = scale[:, None] * R
         C = np.linalg.cholesky(S.T @ S)
         del S                      # rebuilt for the lift, after the eigh
@@ -165,9 +163,7 @@ def solve_symmetric(pair, k, pinv_tol=1e-8):
     lam, Z = np.linalg.eigh(A)
     del A
     Z = Z[:, :_lift_count(lam, k, pinv_tol)]
-    if R is None:
-        V = Z
-    elif scalar:
+    if scalar:
         V = (scale[:, None] * R) @ _back_substitute(C.T, Z)
     else:
         V = Y @ Z

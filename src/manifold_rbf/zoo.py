@@ -459,9 +459,9 @@ def _sphere_harmonic_families():
 
 
 def _sphere_scalar_truth(count):
-    if count > 4:
-        raise ValueError("sphere eigenfunctions cover l <= 3 "
-                         "(four distinct eigenvalues)")
+    """The first count distinct values l(l+1), at most the four of the
+    harmonics (l <= 3); EigenTruth.expanded refuses modes past them."""
+    count = min(count, 4)
     families = _sphere_harmonic_families()
     values = [(float(l * (l + 1)), 2 * l + 1) for l in range(count)]
 

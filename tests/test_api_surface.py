@@ -16,8 +16,16 @@ common name is not caught.
 """
 
 import ast
+import importlib.util
 import re
+from dataclasses import fields
 from pathlib import Path
+from types import SimpleNamespace
+
+import pytest
+
+from manifold_rbf import cli
+from manifold_rbf.harness import ExperimentConfig
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "manifold_rbf"
@@ -99,6 +107,57 @@ def test_every_public_dataclass_field_is_read():
             if not _used(word, bench, sources, path, lineno):
                 unread.append(f"{path.name}:{lineno} {label}")
     assert unread == []
+
+
+def _workload_config_keys():
+    """Every config key a benchmark workload sets, from bench/studies.py."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_studies", ROOT / "bench" / "studies.py")
+    studies = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(studies)
+    return {key for workload in studies.WORKLOADS
+            for _label, cfg, _study in studies.study_configs(workload, 0)
+            for key in cfg}
+
+
+class _Captured(Exception):
+    pass
+
+
+def _cli_set_fields(monkeypatch):
+    """The ExperimentConfig fields that some CLI flag moves off its default:
+    spectrum and compare-dm run with every study flag given a non-default
+    value, and the configs they would run are captured."""
+    configs = []
+
+    def capture(config):
+        configs.append(config)
+        if len(configs) == 2:      # compare-dm's SRBF study, before its DM one
+            return SimpleNamespace(runs=[None])
+        raise _Captured
+
+    monkeypatch.setattr(cli, "run_experiment", capture)
+    common = ["--manifold", "sphere", "--N", "50", "--seed", "3",
+              "--mode", "grid", "--kernel", "matern", "--s", "2",
+              "--pinv-tol", "1e-6", "--density", "KDE", "--Np", "60",
+              "--K", "7", "--compare-count", "5"]
+    with pytest.raises(_Captured):
+        cli.main(["spectrum", *common, "--method", "SRBF",
+                  "--operator", "Hodge", "--projection", "FirstOrder"])
+    with pytest.raises(_Captured):
+        cli.main(["compare-dm", *common, "--dm-K", "9", "--epsilon", "0.3"])
+    default = cli._DEFAULTS
+    return {f.name for config in configs for f in fields(config)
+            if getattr(config, f.name) != getattr(default, f.name)}
+
+
+def test_every_config_field_is_set_by_a_flag_or_a_workload(monkeypatch):
+    # a study knob that neither the command line nor a benchmark workload
+    # sets is dead weight that can disagree with the knobs that are set
+    known = {f.name for f in fields(ExperimentConfig)}
+    set_somewhere = _cli_set_fields(monkeypatch) | _workload_config_keys()
+    assert set_somewhere <= known
+    assert sorted(known - set_somewhere) == []
 
 
 def _aliases(tree):
@@ -242,8 +301,7 @@ def test_call_sites_carry_their_branch():
 # tall matrices); only vector pencils, whose factor is close to
 # rank-deficient, the non-symmetric solve and the analytic frames take one.
 HOUSEHOLDER_QR_SITES = {
-    ("spectral.py", "solve_symmetric",
-     ("not (R is None)", "not (scalar)")),
+    ("spectral.py", "solve_symmetric", ("not (scalar)",)),
     ("spectral.py", "solve_nonsymmetric", ()),
     ("zoo.py", "analytic_projection", ()),
 }

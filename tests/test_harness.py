@@ -29,7 +29,7 @@ def make_config(**kw):
     base = dict(manifold=Torus(2.0), N_list=[144], method="NRBF",
                 operator="LB", projection="Analytic",
                 kernel=KernelModel("inverse_quadratic", 0.5),
-                modes=8, seeds=[0], compare_count=4,
+                seeds=[0], compare_count=4,
                 sample_mode="random_area")
     base.update(kw)
     return ExperimentConfig(**base)
@@ -84,8 +84,10 @@ def test_config_validation():
      "epsilon must be finite and positive"),
     (dict(method="DM", dm_K=145), r"K_neighbors must lie in \(1, N\]"),
     (dict(method="DM", dm_K=0), r"K_neighbors must lie in \(1, N\]"),
-    (dict(method="DM", modes=-20), "modes must be at least 1"),
-    (dict(modes=0), "modes must be at least 1"),
+    (dict(compare_count=144),
+     "compare_count=144 must be smaller than the cloud size N=144"),
+    (dict(method="DM", N_list=[144, 100], compare_count=120),
+     "compare_count=120 must be smaller than the cloud size N=100"),
     (dict(compare_count=0), "compare_count must be at least 1"),
     (dict(projection="SecondOrder", K=0), "K must be at least 1"),
     (dict(projection="SecondOrder", K=3), r"K must exceed d\(d\+1\)/2 = 3"),
@@ -110,6 +112,41 @@ def test_bad_study_inputs_fail_before_any_work(kw, match, monkeypatch):
     monkeypatch.setattr(zoo, "sample_manifold", no_sampling)
     with pytest.raises(ValueError, match=match):
         run_experiment(make_config(**kw))
+
+
+def test_config_files_refuse_unknown_keys():
+    # a misspelled kernel key used to run with the default pinv_tol, and a
+    # deleted study field raised a bare TypeError from __init__
+    good = make_config().to_dict()
+    kernel = dict(good["kernel"], pinv_tl=1e-4)
+    with pytest.raises(ValueError, match=r"unknown kernel keys \['pinv_tl'\]"):
+        KernelModel.from_dict(kernel)
+    with pytest.raises(ValueError, match=r"unknown kernel keys \['pinv_tl'\]"):
+        ExperimentConfig.from_dict(dict(good, kernel=kernel))
+    with pytest.raises(ValueError, match=r"unknown config keys "
+                       r"\['modes', 'truth_count'\]"):
+        ExperimentConfig.from_dict(dict(good, modes=16, truth_count=40))
+
+
+def test_cli_config_file_with_an_unknown_key_fails(tmp_path):
+    cfg_file = tmp_path / "study.json"
+    cfg_file.write_text(json.dumps({"kernel": {"family": "gaussian", "s": 1.0,
+                                               "pinv_tl": 1e-4}}))
+    with pytest.raises(ValueError, match="pinv_tl"):
+        cli.main(["spectrum", "--manifold", "ellipse", "--N", "50",
+                  "--config", str(cfg_file), "--out-dir",
+                  str(tmp_path / "out")])
+    assert not (tmp_path / "out").exists()
+
+
+def test_dm_computes_twice_the_compared_modes():
+    # the DM mode count follows compare_count: 30 compared modes on the
+    # torus need more than the 24 a fixed mode count used to give
+    cfg = make_config(method="DM", N_list=[400], compare_count=30)
+    rec = run_experiment(cfg).runs[0]
+    assert rec.result.solve_dim == 60
+    assert len(rec.mode_errors) == 30
+    assert np.mean(rec.mode_errors) < 0.5
 
 
 def test_memory_guard(monkeypatch):
@@ -202,8 +239,7 @@ def test_memory_estimate_bounds_traced_peak(method, operator, spec,
     N = 300
     cfg = make_config(manifold=spec, N_list=[N], method=method,
                       operator=operator, sample_mode="random_intrinsic")
-    cloud = sample_manifold(spec, N, seed=0, mode=cfg.sample_mode)
-    op_cloud, proj = harness.build_projection(cfg, cloud, N)
+    op_cloud, proj = harness.build_projection(cfg, N, 0)
     q = harness.build_density(cfg, op_cloud)
     if method == "DM":
         def stage():
@@ -245,8 +281,7 @@ def test_memory_estimate_at_the_real_rank_bounds_traced_peak(
     N = 300
     cfg = make_config(manifold=spec, N_list=[N], method=method,
                       operator=operator, sample_mode="random_intrinsic")
-    cloud = sample_manifold(spec, N, seed=0, mode=cfg.sample_mode)
-    op_cloud, proj = harness.build_projection(cfg, cloud, N)
+    op_cloud, proj = harness.build_projection(cfg, N, 0)
     q = harness.build_density(cfg, op_cloud)
     rank = build_system(op_cloud, cfg.kernel).rank_L
     if operator == "Covariant":
@@ -270,8 +305,7 @@ def test_memory_estimate_bounds_a_full_rank_vector_run(method, operator, spec,
     cfg = make_config(manifold=spec, N_list=[N], method=method,
                       operator=operator, sample_mode="random_intrinsic",
                       kernel=KernelModel("inverse_quadratic", 8.0))
-    cloud = sample_manifold(spec, N, seed=0, mode=cfg.sample_mode)
-    op_cloud, proj = harness.build_projection(cfg, cloud, N)
+    op_cloud, proj = harness.build_projection(cfg, N, 0)
     q = harness.build_density(cfg, op_cloud)
     assert build_system(op_cloud, cfg.kernel).rank_L >= 0.98 * N
     peak = traced_peak(lambda: harness._solve_rbf(cfg, op_cloud, proj, q),
@@ -284,8 +318,7 @@ def hodge_guard_case():
     its rank; the cloud is the one run_experiment samples."""
     N = 300
     cfg = make_config(manifold=Sphere(), operator="Hodge", N_list=[N])
-    cloud = sample_manifold(cfg.manifold, N, seed=0, mode=cfg.sample_mode)
-    op_cloud, _proj = harness.build_projection(cfg, cloud, N)
+    op_cloud, _proj = harness.build_projection(cfg, N, 0)
     return cfg, N, build_system(op_cloud, cfg.kernel).rank_L
 
 
@@ -348,7 +381,7 @@ def test_dm_run_builds_no_tangent_field(monkeypatch):
         cfg = make_config(method="DM", N_list=[300], projection=projection)
         rec = run_experiment(cfg).runs[0]
         assert rec.mode_errors is not None
-        assert rec.result.solve_dim == cfg.modes + 8
+        assert rec.result.solve_dim == 2 * cfg.compare_count
 
 
 # -- slope fitting -------------------------------------------------------------
@@ -522,7 +555,7 @@ def test_larger_interpolation_cloud_improves_modes():
         warnings.simplefilter("ignore", RuntimeWarning)
         for Np in (400, 1600):
             cfg = make_config(N_list=[400], projection="SecondOrder",
-                              N_p=Np, modes=8)
+                              N_p=Np)
             errs[Np] = run_experiment(cfg).runs[0].mode_errors
     assert np.all(errs[1600] < errs[400])
 
@@ -603,18 +636,31 @@ def test_cli_tangent_rejects_a_sample_below_the_operator_cloud(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_cli_tangent_checks_k_before_sampling(tmp_path, monkeypatch):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("tangent sampled a cloud before validation")
+
+    monkeypatch.setattr(zoo, "sample_manifold", no_sampling)
+    with pytest.raises(ValueError, match="K=60 must be smaller than the "
+                       "searched cloud size N=50"):
+        cli.main(["tangent", "--manifold", "sphere", "--N", "50",
+                  "--K", "60", "--order", "1",
+                  "--out", str(tmp_path / "proj.npz")])
+
+
 def test_cli_spectrum_and_config_file(tmp_path):
     cfg_file = tmp_path / "extra.json"
-    cfg_file.write_text(json.dumps({"truth_count": 12}))
+    cfg_file.write_text(json.dumps({"compare_count": 5}))
     stdout = run_cli("spectrum", "--manifold", "ellipse", "--a", "1.0",
                      "--N", 100, "--kernel", "inverse_quadratic",
-                     "--s", 1.5, "--modes", 5,
+                     "--s", 1.5, "--K", 9,
                      "--config", cfg_file, "--out-dir", tmp_path,
                      "--prefix", "demo")
     assert "leading eigenvalues:" in stdout
     assert (tmp_path / "demo_N100_seed0_spectrum.csv").exists()
     report = json.loads((tmp_path / "demo_report.json").read_text())
-    assert report["config"]["truth_count"] == 12
+    assert report["config"]["compare_count"] == 5
+    assert report["config"]["K"] == 9
     assert report["config"]["kernel"]["family"] == "inverse_quadratic"
 
 
@@ -622,7 +668,7 @@ def test_cli_config_file_entries_survive_flag_defaults(tmp_path):
     cfg_file = tmp_path / "study.json"
     cfg_file.write_text(json.dumps({
         "method": "SRBF", "kernel": {"family": "matern", "s": 2.0},
-        "modes": 6, "compare_count": 3, "seeds": [2],
+        "K": 9, "compare_count": 3, "seeds": [2],
         "sample_mode": "random_area"}))
     run_cli("spectrum", "--manifold", "ellipse", "--a", "1.0", "--N", 100,
             "--config", cfg_file, "--out-dir", tmp_path / "file")
@@ -630,7 +676,7 @@ def test_cli_config_file_entries_survive_flag_defaults(tmp_path):
         "config"]
     assert cfg["method"] == "SRBF"
     assert cfg["kernel"] == {"family": "matern", "s": 2.0, "pinv_tol": 1e-8}
-    assert (cfg["modes"], cfg["compare_count"]) == (6, 3)
+    assert (cfg["K"], cfg["compare_count"]) == (9, 3)
     assert cfg["seeds"] == [2] and cfg["sample_mode"] == "random_area"
     assert cfg["operator"] == "LB" and cfg["density"] == "Uniform"
     # a flag still wins, and a kernel flag overrides only its own entry
@@ -662,7 +708,7 @@ def test_cli_converge(tmp_path):
     stdout = run_cli("converge", "--manifold", "torus", "--a", "2.0",
                      "--N-list", "100,144,196", "--mode", "random_area",
                      "--kernel", "inverse_quadratic", "--s", 0.5,
-                     "--compare-count", 2, "--modes", 6,
+                     "--compare-count", 2,
                      "--out-dir", tmp_path)
     assert "fitted log-log slope" in stdout
     rows = np.loadtxt(tmp_path / "run_convergence.csv", delimiter=",")
@@ -691,7 +737,7 @@ def test_cli_spectrum_determinism(tmp_path):
         run_cli("spectrum", "--manifold", "torus", "--a", "2.0",
                 "--N", 100, "--mode", "random_area",
                 "--kernel", "inverse_quadratic", "--s", 0.5,
-                "--compare-count", 2, "--modes", 4,
+                "--compare-count", 2,
                 "--out-dir", tmp_path / tag)
     for name in ("run_N100_seed0_spectrum.csv",
                  "run_N100_seed0_alignment.csv"):

@@ -20,7 +20,8 @@ from manifold_rbf.zoo import Sphere, analytic_projection, sample_manifold
 
 
 def test_symmetric_diagonal_case():
-    pair = GeneralizedPair(A=np.diag([0.0, 1.0, 4.0]), B_diag=np.ones(3))
+    pair = GeneralizedPair(A=np.diag([0.0, 1.0, 4.0]), B_diag=np.ones(3),
+                           factor=np.eye(3))
     res = solve_symmetric(pair, k=3)
     assert np.allclose(res.values, [0.0, 1.0, 4.0], atol=1e-14)
     assert np.allclose(np.abs(res.vectors), np.eye(3), atol=1e-14)
@@ -30,7 +31,7 @@ def test_symmetric_diagonal_case():
 def test_symmetric_gram_psd():
     rng = np.random.default_rng(0)
     G = rng.standard_normal((40, 40))
-    pair = GeneralizedPair(A=G.T @ G, B_diag=np.ones(40))
+    pair = GeneralizedPair(A=G.T @ G, B_diag=np.ones(40), factor=np.eye(40))
     res = solve_symmetric(pair, k=40)
     assert res.values.min() >= -1e-10 * np.abs(res.values).max()
 
@@ -40,7 +41,8 @@ def test_symmetric_b_orthonormal_and_residual():
     G = rng.standard_normal((30, 30))
     A = G.T @ G
     b = rng.uniform(0.5, 2.0, size=30)
-    res = solve_symmetric(GeneralizedPair(A=A, B_diag=b), k=30)
+    res = solve_symmetric(GeneralizedPair(A=A, B_diag=b, factor=np.eye(30)),
+                          k=30)
     V = res.vectors
     assert np.abs(V.T @ (b[:, None] * V) - np.eye(30)).max() <= 1e-8
     resid = A @ V - b[:, None] * V * res.values[None, :]
@@ -52,12 +54,14 @@ def test_symmetric_rejects_indefinite():
     A = np.eye(3)
     for b in ([1.0, -1.0, 1.0], [1.0, 0.0, 1.0]):
         with pytest.raises(ValueError, match="positive definite"):
-            solve_symmetric(GeneralizedPair(A=A, B_diag=np.array(b)), k=2)
+            solve_symmetric(GeneralizedPair(A=A, B_diag=np.array(b),
+                                            factor=np.eye(3)), k=2)
 
 
 def test_symmetric_k_too_large():
     with pytest.raises(ValueError):
-        solve_symmetric(GeneralizedPair(A=np.eye(4), B_diag=np.ones(4)), k=5)
+        solve_symmetric(GeneralizedPair(A=np.eye(4), B_diag=np.ones(4),
+                                        factor=np.eye(4)), k=5)
 
 
 # -- non-symmetric solver ------------------------------------------------------
@@ -124,7 +128,8 @@ def test_factored_symmetric_matches_dense_pencil():
         A = G @ G.T
         b = rng.uniform(0.5, 2.0, 40)
         res = solve_symmetric(GeneralizedPair(A=A, B_diag=b, factor=R), 40)
-        dense = solve_symmetric(GeneralizedPair(A=R @ A @ R.T, B_diag=b), 40)
+        dense = solve_symmetric(GeneralizedPair(A=R @ A @ R.T, B_diag=b,
+                                                factor=np.eye(40)), 40)
         assert res.structural_zeros == 40 - p
         assert len(res.all_values) == 40
         assert np.abs(res.all_values - dense.all_values).max() <= \

@@ -433,12 +433,13 @@ def dense_form(ops, q, method, name):
     if name == "lb":
         D = [Ga @ ops.U.T for Ga in ops.G]
         return GeneralizedPair(A=sum(Da.T @ (Da / q[:, None]) for Da in D),
-                               B_diag=1.0 / q)
+                               B_diag=1.0 / q, factor=np.eye(ops.N))
     if method == "NRBF":
         return ref_nonsymmetric(ops, name)
     W = tangent_range_basis(ops.proj).toarray()
     return GeneralizedPair(A=W.T @ ambient_pencil(ops, q, name) @ W,
-                           B_diag=np.tile(1.0 / q, 2))
+                           B_diag=np.tile(1.0 / q, 2),
+                           factor=np.eye(2 * ops.N))
 
 
 @pytest.mark.parametrize("method", ["NRBF", "SRBF"])

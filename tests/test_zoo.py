@@ -246,6 +246,28 @@ def test_sphere_scalar_truth():
     assert truth.values[:4] == [(0.0, 1), (2.0, 3), (6.0, 5), (12.0, 7)]
 
 
+def test_sphere_scalar_truth_holds_the_values_it_has():
+    # a study asks for compare_count distinct values; the sphere gives its
+    # four and the expansion refuses modes past them
+    truth = scalar_eigen_truth(Sphere(), 12)
+    assert truth.values == scalar_eigen_truth(Sphere(), 4).values
+    assert len(truth.expanded(16)) == 16
+    with pytest.raises(ValueError, match="truth holds only 16 modes"):
+        truth.expanded(17)
+
+
+@pytest.mark.parametrize("spec", [Torus(2.0), GeneralTorus(2.0, 21),
+                                  FlatTorus(2, 1), FlatTorus(3, 1)],
+                         ids=lambda s: f"{s.kind}-{s.n}")
+def test_truth_leading_modes_do_not_depend_on_the_count(spec):
+    # a study's truth is asked for compare_count values; its leading modes
+    # must be the bits a larger request gives
+    small, large = scalar_eigen_truth(spec, 12), scalar_eigen_truth(spec, 40)
+    assert small.values == large.values[:12]
+    points = sample_manifold(spec, 50, seed=3).points
+    assert np.array_equal(small.basis(points, 12), large.basis(points, 12))
+
+
 def test_sphere_columns_are_harmonics():
     # spot-check: the expanded basis columns are L2-independent on a grid
     truth = scalar_eigen_truth(Sphere(), 4)
@@ -509,7 +531,7 @@ def test_scalar_truth_is_memoised(monkeypatch):
         assert len(calls) == 1
         # a run reads the shared truth but leaves it as it was
         cfg = ExperimentConfig(manifold=Torus(2.0), N_list=[200],
-                               method="DM", truth_count=6, compare_count=4,
+                               method="DM", compare_count=6,
                                sample_mode="random_area")
         run_experiment(cfg)
         assert len(calls) == 1
