@@ -146,11 +146,11 @@ def estimate_run_bytes(config, N, rank=None):
     before Phi is factored. Used only for the refusal guard.
 
     Counted in float64 words and calibrated against the tracemalloc peak of
-    the operator build plus solve (and, at N = 200, of the whole run with
-    its truth), plus the largest set of buffers one numpy.linalg call holds
-    outside tracemalloc (the input copy and work of eigh, eig, qr, cholesky
-    or solve: 3 n^2 words for an n x n eigh). The estimate adds the same
-    three parts:
+    the operator build plus solve (and, at N = 100 and 200, of the whole run
+    with its truth), plus the largest set of buffers one numpy.linalg call
+    holds outside tracemalloc (the input copy and work of eigh, eig, qr,
+    cholesky or solve: 3 n^2 words for an n x n eigh). The estimate adds the
+    same three parts:
     - Traced: the largest of Phi's build (4 N^2: the distances, their
       scaled copy and two temporaries), the derivative stage (U, its scaled
       copy and the k factors G_a, N x r each, with three row blocks of
@@ -194,18 +194,32 @@ def estimate_run_bytes(config, N, rank=None):
     Lanczos solve four N x ncv blocks (basis, work and the eigenvectors
     before and after the back-transform) for ARPACK's default
     ncv = max(2k + 1, 20) at k computed modes.
+
+    Every method adds its truth's build, which no N scales. Only the
+    Sturm-Liouville truth of a torus LB study (zoo._sl_modes) has a sizable
+    one: on nodes = _SL_NODES angles with b = 2 _SL_K + 1 basis functions
+    it peaks while forming the potential, holding the angles and weights
+    (2 nodes); the basis, its derivative, the scaled transpose, the quotient
+    by the weights and numpy's broadcast buffer for it (5 nodes b); the
+    inverse Cholesky factor and the stiffness (2 b^2). Each Fourier mode's
+    eigh holds 3 b^2 more outside tracemalloc.
     """
+    truth = 0
+    if config.operator == "LB" and \
+            config.manifold.kind in ("torus", "general_torus"):
+        nodes, b = zoo._SL_NODES, 2 * zoo._SL_K + 1
+        truth = 2 * nodes + 5 * nodes * b + 5 * b * b
     if config.method == "DM":
         K = config.dm.neighbors(N)
         ncv = max(2 * _dm_mode_count(config, N) + 1, 20)
-        return 8 * N * (10 * K + 4 * ncv)
+        return 8 * (N * (10 * K + 4 * ncv) + truth)
     r = N if rank is None else rank
     traced, untraced = _operator_words(config, N, r)
     k = 1 if config.operator == "Covariant" else config.manifold.d
     block = N * next(row_blocks(N, N)).stop
     traced = max(traced, (k + 2) * N * r + 3 * block)
     words = max(4 * N * N, traced) + max(3 * N * N, untraced) + N * N
-    return 8 * words
+    return 8 * (words + truth)
 
 
 def _operator_words(config, N, r):
@@ -337,11 +351,7 @@ def build_projection(config, N, seed):
 
 def build_density(config, op_cloud):
     if config.density == "Analytic":
-        if op_cloud.mode == "random_area":
-            # volume-uniform draws have constant density 1/vol(M)
-            return np.full(op_cloud.N,
-                           1.0 / zoo.volume(config.manifold))
-        return zoo.sampling_density(config.manifold, op_cloud)
+        return zoo.sampling_density(op_cloud)
     if config.density == "KDE":
         return kde_density(op_cloud)
     return np.ones(op_cloud.N)
@@ -530,7 +540,7 @@ def run_experiment(config):
                         RuntimeWarning)
             if truth is not None and rec.result is not None:
                 rec.truth_vals = truth_vals
-                F = truth.basis(op_cloud.points, count)
+                F = truth.basis(op_cloud, count)
                 candidates = None
                 if truth.kind == "vector":
                     candidates, _resid = alignment_gate(rec.result, F)

@@ -185,19 +185,17 @@ def symmetric_result(values, vectors, pinv_tol, structural_zeros=0,
                    all_values, pinv_tol, structural_zeros, radius)
 
 
-def solve_nonsymmetric(L, pinv_tol=1e-8, basis=None):
+def solve_nonsymmetric(L, basis, pinv_tol=1e-8):
     """Computed eigenvalues of a real operator by ascending magnitude.
 
     L is the left factor F (m N, m r) of the operator F (I_m kron U^T) with
-    U = basis (N, r); without a basis L is the square operator itself. For
+    U = basis (N, r); a square operator L comes with basis = I. For
     a thin QR F = Y Rf the range of Y is invariant, the operator acts on it
     as Rf (I_m kron U^T) Y, and an eigenvector y lifts to the unit vector
     Y y with the residual of the small eigenproblem, as in a dense solve.
     The full complex spectrum is retained on the result so spectral
     pollution can be inspected afterwards.
     """
-    if basis is None:
-        basis = np.eye(L.shape[1])
     if L.shape[0] * basis.shape[1] != L.shape[1] * basis.shape[0]:
         raise ValueError("operator factor does not match the basis")
     Y, Rf = np.linalg.qr(L)

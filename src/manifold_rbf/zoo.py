@@ -1,19 +1,24 @@
 """Analytic test manifolds embedded in R^n.
 
-Provides samplers (random in intrinsic coordinates, or lattice grids), exact
-orthonormal tangent frames from the embedding Jacobian, Laplacian
-eigen-truth, and the sampling density of intrinsic-uniform draws with
-respect to the Riemannian volume measure. The truth is closed-form on the
-sphere and the flat torus; on the tori it separates into one periodic
-Sturm-Liouville problem per Fourier mode, solved spectrally in theta to
-rounding accuracy (sturm_liouville_truth). An EigenTruth holds the
-reference eigenvalues and hands its eigenfunctions to the scorer as one
-basis matrix over the sample points (EigenTruth.basis).
+Provides samplers (random in intrinsic coordinates or in area, or lattice
+grids), exact tangent frames, Laplacian eigen-truth and the density of a
+cloud's own draw with respect to the Riemannian volume measure. The truth
+is closed-form on the sphere and the flat torus; on the tori it separates
+into one periodic Sturm-Liouville problem per Fourier mode, solved
+spectrally in theta to rounding accuracy (sturm_liouville_truth). An
+EigenTruth hands its eigenfunctions to the scorer as one basis matrix over
+a cloud (EigenTruth.basis), read at the cloud's own coordinates: its
+angles on the tori, its points on the sphere.
 
-The embedding Jacobian and the gradients of the sphere harmonics are
-complex-step derivatives (_complex_step) of embed and of each harmonic psi,
-so both must stay analytic: an abs, a real cast, a conj or a branch on a
-value would silently corrupt the analytic frames and the vector truth.
+embed is the one formula of each manifold. Derived from it:
+- the Jacobian J (embedding_jacobian), by complex step (_complex_step);
+- the analytic frames, the Q factor of J (analytic_projection);
+- the area element sqrt(det(J^T J)) (metric_sqrt_det), which random_area
+  draws and the density of intrinsic-uniform draws read.
+The sphere harmonics' gradients are complex-step derivatives of each psi.
+So embed and psi must stay analytic: an abs, a real cast, a conj or a
+branch on a value would silently corrupt the frames, the area element and
+the vector truth.
 """
 
 import functools
@@ -190,17 +195,10 @@ def embedding_jacobian(spec, theta):
 
 
 def metric_sqrt_det(spec, theta):
-    """sqrt(det g) at intrinsic coordinates, shape (N,)."""
-    theta = np.atleast_2d(np.asarray(theta, dtype=float))
-    if spec.kind == "ellipse":
-        t = theta[:, 0]
-        return np.sqrt(np.sin(t) ** 2 + spec.a ** 2 * np.cos(t) ** 2)
-    if spec.kind in ("torus", "general_torus"):
-        b, c = _torus_constants(spec)
-        return math.sqrt(b * c) * (spec.a + np.cos(theta[:, 0]))
-    if spec.kind == "flat_torus":
-        return np.ones(theta.shape[0])
-    return np.sin(theta[:, 0])
+    """sqrt(det g) at intrinsic coordinates, shape (N,): the root of the
+    d x d Gram determinant det(J^T J) of embedding_jacobian."""
+    J = embedding_jacobian(spec, theta)
+    return np.sqrt(np.linalg.det(J.transpose(0, 2, 1) @ J))
 
 
 def volume(spec):
@@ -236,13 +234,16 @@ class PointCloud:
 
 
 def _sqrt_det_sup(spec):
-    """Upper bound of sqrt(det g) over the intrinsic box (rejection envelope)."""
+    """Upper bound of sqrt(det g) over the intrinsic box (rejection
+    envelope): the closed-form maximum raised by 8 eps, since the Gram
+    determinant rounds up to 4.5 eps off the closed form."""
+    peak = 1.0  # flat torus: 1; sphere: sin(theta) <= 1
     if spec.kind == "ellipse":
-        return max(spec.a, 1.0)
+        peak = max(spec.a, 1.0)
     if spec.kind in ("torus", "general_torus"):
         b, c = _torus_constants(spec)
-        return np.sqrt(b * c) * (spec.a + 1.0)
-    return 1.0  # flat torus: 1; sphere: sin(theta) <= 1
+        peak = math.sqrt(b * c) * (spec.a + 1.0)
+    return peak * (1.0 + 8.0 * np.finfo(float).eps)
 
 
 def sample_manifold(spec, N, seed=0, mode="random_intrinsic"):
@@ -310,18 +311,19 @@ def analytic_projection(cloud):
     return ProjectionField(frames=T, source="analytic", K_used=0)
 
 
-def sampling_density(spec, cloud):
-    """True density of intrinsic-uniform draws w.r.t. the volume measure.
+def sampling_density(cloud):
+    """True density of the cloud's own draw w.r.t. the volume measure.
 
-    q(theta) = 1 / (|box| * sqrt(det g(theta))), which integrates to one
-    against dVol.
+    random_area draws are volume-uniform, q = 1 / vol(M). Intrinsic-uniform
+    draws (random_intrinsic, grid) have q(theta) = 1 / (|box| *
+    sqrt(det g(theta))), which integrates to one against dVol.
     """
+    spec = cloud.spec
+    if cloud.mode == "random_area":
+        return np.full(cloud.N, 1.0 / volume(spec))
     if cloud.intrinsic is None:
         raise ValueError("sampling density needs intrinsic coordinates")
-    box = intrinsic_box(spec)
-    box_vol = 1.0
-    for lo, hi in box:
-        box_vol *= (hi - lo)
+    box_vol = math.prod(hi - lo for lo, hi in intrinsic_box(spec))
     sq = metric_sqrt_det(spec, cloud.intrinsic)
     if np.any(sq <= 0):
         raise ValueError("metric degenerate at a sample point")
@@ -333,9 +335,9 @@ class EigenTruth:
     """Reference spectrum: ascending (eigenvalue, multiplicity) pairs plus
     the eigenfunctions in expanded mode order.
 
-    columns(points) takes ambient points (Q, n) and yields one eigenfunction
-    per mode: (Q,) values for scalar truth, (Q, n) ambient vectors for
-    vector truth.
+    columns(cloud) takes a sampled PointCloud of Q points and yields one
+    eigenfunction per mode at them: (Q,) values for scalar truth, (Q, n)
+    ambient vectors for vector truth.
     """
 
     values: list
@@ -351,11 +353,11 @@ class EigenTruth:
                     return np.array(out)
         raise ValueError(f"truth holds only {len(out)} modes, need {count}")
 
-    def basis(self, points, count):
-        """The first `count` eigenfunctions as columns: (Q, count) for
-        scalar truth, (nQ, count) for vector truth, each column in the
-        coordinate-stacked layout of vector_ops.stacked."""
-        cols = list(itertools.islice(self.columns(points), count))
+    def basis(self, cloud, count):
+        """The first `count` eigenfunctions at the cloud as columns:
+        (Q, count) for scalar truth, (nQ, count) for vector truth, each
+        column in the coordinate-stacked layout of vector_ops.stacked."""
+        cols = list(itertools.islice(self.columns(cloud), count))
         if len(cols) < count:
             raise ValueError(f"truth holds only {len(cols)} eigenfunctions, "
                              f"need {count}")
@@ -398,13 +400,8 @@ def _flat_torus_lattice(d, count):
 def _flat_torus_truth(spec, count):
     values, reps = _flat_torus_lattice(spec.d, count)
 
-    def columns(points):
-        # invert the embedding through the first harmonic pair of every block
-        x = np.atleast_2d(points)
-        t = np.empty((x.shape[0], spec.d))
-        for i in range(spec.d):
-            col = 2 * spec.m * i
-            t[:, i] = np.arctan2(x[:, col + 1], x[:, col])
+    def columns(cloud):
+        t = cloud.intrinsic
         for lam, _mult in values:
             if lam == 0.0:
                 yield np.ones(t.shape[0])
@@ -465,8 +462,8 @@ def _sphere_scalar_truth(count):
     families = _sphere_harmonic_families()
     values = [(float(l * (l + 1)), 2 * l + 1) for l in range(count)]
 
-    def columns(points):
-        x = np.atleast_2d(points)
+    def columns(cloud):
+        x = cloud.points
         yield np.ones(x.shape[0])
         for l in range(1, count):
             yield from (psi(x) for psi in families[l])
@@ -500,8 +497,8 @@ def vector_eigen_truth(spec, which):
     else:
         raise ValueError(f"unknown vector Laplacian {which!r}")
 
-    def columns(points):
-        x = np.atleast_2d(points)
+    def columns(cloud):
+        x = cloud.points
         for rotational, l in blocks:
             for psi in families[l]:
                 g = _complex_step(psi, x)
@@ -603,8 +600,8 @@ def sturm_liouville_truth(spec, count):
     values = [(float(lam), 1 if m == 0 else 2) for lam, m, _x in entries]
     coefs = np.column_stack([x for _lam, _m, x in entries])
 
-    def columns(points):
-        th_x, ph_x = _torus_angles(spec, points)
+    def columns(cloud):
+        th_x, ph_x = cloud.intrinsic.T
         thetas = _theta_basis(th_x) @ coefs
         for (_lam, m, _x), val in zip(entries, thetas.T):
             if m == 0:
@@ -616,22 +613,8 @@ def sturm_liouville_truth(spec, count):
     return EigenTruth(values=values, columns=columns, kind="scalar")
 
 
-def _torus_angles(spec, points):
-    b, _c = _torus_constants(spec)
-    points = np.atleast_2d(points)
-    ring = np.hypot(points[:, 0], points[:, 1])   # a + cos th
-    th = np.arctan2(points[:, -1] / math.sqrt(b), ring - spec.a)
-    ph = np.arctan2(points[:, 1], points[:, 0])
-    return th, ph
-
-
-@functools.lru_cache(maxsize=8)
 def scalar_eigen_truth(spec, count):
-    """Leading scalar Laplace-Beltrami spectrum with multiplicities.
-
-    Memoised per (spec, count), since the studies of one run share their
-    truth: callers get the same object and must not mutate it.
-    """
+    """Leading scalar Laplace-Beltrami spectrum with multiplicities."""
     if spec.kind == "sphere":
         return _sphere_scalar_truth(count)
     if spec.kind == "flat_torus":

@@ -253,17 +253,20 @@ def test_memory_estimate_bounds_traced_peak(method, operator, spec,
     assert traced_peak(stage, monkeypatch) <= estimate_run_bytes(cfg, N)
 
 
-@pytest.mark.parametrize("method,spec", [
-    ("SRBF", Torus(2.0)), ("NRBF", Torus(2.0)), ("SRBF", GeneralTorus(2.0, 21)),
-    ("DM", Torus(2.0)),
-], ids=lambda v: getattr(v, "kind", v))
-def test_memory_estimate_bounds_whole_run_peak(method, spec, monkeypatch):
+@pytest.mark.parametrize("method,spec,N", [
+    pytest.param("SRBF", Torus(2.0), 200, id="SRBF-torus"),
+    pytest.param("NRBF", Torus(2.0), 200, id="NRBF-torus"),
+    pytest.param("SRBF", GeneralTorus(2.0, 21), 200,
+                 id="SRBF-general_torus"),
+    pytest.param("DM", Torus(2.0), 200, id="DM-torus"),
+    # the truth's build outweighs the whole DM graph here
+    pytest.param("DM", Torus(2.0), 100, id="DM-torus-100"),
+])
+def test_memory_estimate_bounds_whole_run_peak(method, spec, N, monkeypatch):
     # at small N the N-independent buffers (truth, KNN) weigh most; the
     # whole run, its truth built afresh, still fits the estimate
-    N = 200
     cfg = make_config(manifold=spec, N_list=[N], method=method,
                       sample_mode="random_intrinsic")
-    zoo.scalar_eigen_truth.cache_clear()
     peak = traced_peak(lambda: run_experiment(cfg), monkeypatch)
     assert peak <= estimate_run_bytes(cfg, N)
 
@@ -449,23 +452,23 @@ def test_pairing_insufficient_modes():
 # -- truth basis and mode gating -----------------------------------------------
 
 
-def z_then_x(points):
-    yield points[:, 2]
-    yield points[:, 0]
+def z_then_x(cloud):
+    yield cloud.points[:, 2]
+    yield cloud.points[:, 0]
 
 
 def test_truth_basis_shapes():
     cloud = sample_manifold(Sphere(), 200, seed=0, mode="random_area")
     scalar = EigenTruth(values=[(2.0, 2)], columns=z_then_x, kind="scalar")
-    F = scalar.basis(cloud.points, 2)
+    F = scalar.basis(cloud, 2)
     assert F.shape == (200, 2)
     assert np.allclose(F[:, 0], cloud.points[:, 2])
     vec = vector_eigen_truth(Sphere(), "Bochner")
-    B = vec.basis(cloud.points, 3)
+    B = vec.basis(cloud, 3)
     assert B.shape == (600, 3)
     assert np.all(np.linalg.norm(B, axis=0) > 0)
     # coordinate-stacked rows: column k is (U^1; U^2; U^3) of field k
-    fields = list(vec.columns(cloud.points))[:3]
+    fields = list(vec.columns(cloud))[:3]
     assert np.array_equal(B, np.stack([f.T.reshape(-1) for f in fields],
                                       axis=1))
 
@@ -474,7 +477,7 @@ def test_alignment_gate_keeps_span_members():
     rng = np.random.default_rng(0)
     cloud = sample_manifold(Sphere(), 200, seed=0, mode="random_area")
     truth = EigenTruth(values=[(2.0, 2)], columns=z_then_x, kind="scalar")
-    F = truth.basis(cloud.points, 2)
+    F = truth.basis(cloud, 2)
     vectors = np.column_stack([F[:, 0], rng.standard_normal(200),
                                0.5 * F[:, 0] + F[:, 1]])
     res = fake_result([2.01, 5.0, 2.02], vectors=vectors)
@@ -492,9 +495,9 @@ def test_vector_run_evaluates_the_truth_once(monkeypatch):
     def counting(spec, which):
         truth = real(spec, which)
 
-        def columns(points):
-            calls.append(len(points))
-            return truth.columns(points)
+        def columns(cloud):
+            calls.append(cloud.N)
+            return truth.columns(cloud)
 
         return EigenTruth(truth.values, columns, truth.kind)
 

@@ -24,7 +24,7 @@ def circle_ops():
     proj = analytic_projection(cloud)
     system = build_system(cloud, KernelModel("inverse_quadratic", 1.5))
     ops = build_grad_matrices(system, proj)
-    q = sampling_density(circle, cloud)
+    q = sampling_density(cloud)
     return cloud, ops, q
 
 
@@ -198,7 +198,7 @@ def test_formulation_consistency_grid_circle():
     L = laplace_beltrami_nonsymmetric(ops)
     nrbf = np.abs(solve_nonsymmetric(L, basis=ops.U)
                   .nontrivial_values()[:5])
-    pair = laplace_beltrami_symmetric(ops, sampling_density(circle, cloud))
+    pair = laplace_beltrami_symmetric(ops, sampling_density(cloud))
     srbf = solve_symmetric(pair, k=400).nontrivial_values()[:5]
     assert np.abs(nrbf - srbf).max() / srbf.max() <= 5e-2
 
@@ -209,7 +209,7 @@ def test_sphere_grid_symmetric_spectrum():
     proj = analytic_projection(cloud)
     system = build_system(cloud, KernelModel("inverse_quadratic", 0.5))
     ops = build_grad_matrices(system, proj)
-    pair = laplace_beltrami_symmetric(ops, sampling_density(sphere, cloud))
+    pair = laplace_beltrami_symmetric(ops, sampling_density(cloud))
     res = solve_symmetric(pair, k=1024)
     assert res.trivial[0] and abs(res.values[0]) <= 1e-8
     vals = res.nontrivial_values()[:8]

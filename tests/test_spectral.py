@@ -69,14 +69,14 @@ def test_symmetric_k_too_large():
 
 def test_nonsymmetric_rotation_matrix():
     L = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    res = solve_nonsymmetric(L)
+    res = solve_nonsymmetric(L, basis=np.eye(len(L)))
     assert np.allclose(np.abs(res.values), 1.0, atol=1e-14)
     assert np.allclose(sorted(res.values.imag), [-1.0, 1.0], atol=1e-14)
 
 
 def test_nonsymmetric_requires_square():
     with pytest.raises(ValueError):
-        solve_nonsymmetric(np.ones((3, 2)))
+        solve_nonsymmetric(np.ones((3, 2)), basis=np.eye(2))
 
 
 def test_ordering_tie_break_deterministic():
@@ -84,8 +84,8 @@ def test_ordering_tie_break_deterministic():
     L = np.zeros((4, 4))
     L[0, 1], L[1, 0] = 1.0, -1.0          # +-i
     L[2, 2], L[3, 3] = 1.0, -1.0          # +-1
-    first = solve_nonsymmetric(L)
-    again = solve_nonsymmetric(L)
+    first = solve_nonsymmetric(L, basis=np.eye(len(L)))
+    again = solve_nonsymmetric(L, basis=np.eye(len(L)))
     want = np.array([-1.0 + 0j, 0 - 1j, 0 + 1j, 1.0 + 0j])
     assert np.allclose(first.values, want, atol=1e-14)
     assert np.array_equal(first.values, again.values)
@@ -95,7 +95,7 @@ def test_ordering_tie_break_deterministic():
 def test_nonsymmetric_residual():
     rng = np.random.default_rng(2)
     L = rng.standard_normal((50, 50))
-    res = solve_nonsymmetric(L)
+    res = solve_nonsymmetric(L, basis=np.eye(len(L)))
     V, lam = res.vectors[:, :20], res.values[:20]
     resid = L @ V - V * lam[None, :]
     assert np.linalg.norm(resid) / np.linalg.norm(L) <= 1e-6
@@ -103,7 +103,7 @@ def test_nonsymmetric_residual():
 
 def test_trivial_flagging():
     L = np.diag([1e-12, 1e-12, 1.0, 2.0])
-    res = solve_nonsymmetric(L)
+    res = solve_nonsymmetric(L, basis=np.eye(len(L)))
     assert list(res.trivial) == [True, True, False, False]
     assert np.allclose(res.nontrivial_values().real, [1.0, 2.0])
     assert res.rank_L == 2
@@ -326,7 +326,7 @@ def test_align_rejects_bad_input():
 
 def test_spectrum_csv(tmp_path):
     L = np.diag([1e-13, 1.0, 2.0])
-    res = solve_nonsymmetric(L)
+    res = solve_nonsymmetric(L, basis=np.eye(len(L)))
     path = tmp_path / "spec.csv"
     write_spectrum_csv(path, res, config_echo={"N": 3})
     text = path.read_text()

@@ -242,7 +242,7 @@ def test_rejects_unknown_kind(ellipse):
 
 @pytest.fixture(scope="module")
 def ellipse_symmetric(ellipse):
-    q = sampling_density(Ellipse(2.0), ellipse["cloud"])
+    q = sampling_density(ellipse["cloud"])
     pairs = {"bochner": bochner("symmetric", ellipse["ops"], q),
              "hodge": hodge("symmetric", ellipse["ops"], q),
              "lichnerowicz": lichnerowicz("symmetric", ellipse["ops"], q)}
@@ -312,7 +312,7 @@ def test_symmetric_half_factor(ellipse):
     # the quadratic forms carry the printed 1/2 on the (H -+ S) terms; the
     # frame-basis pencil is the ambient one restricted to the range basis
     ops = ellipse["ops"]
-    q = sampling_density(Ellipse(2.0), ellipse["cloud"])
+    q = sampling_density(ellipse["cloud"])
     qt = np.tile(1.0 / q, 2)
     G = dense_gradients(ops)
     Pot = ref_potimes(ops)
@@ -366,7 +366,7 @@ def test_frame_pencil_matches_ambient_reference(name):
 
 @pytest.mark.parametrize("op", [bochner, hodge, lichnerowicz])
 def test_symmetric_vector_forms_reject_bad_density(ellipse, op):
-    q = sampling_density(Ellipse(2.0), ellipse["cloud"])
+    q = sampling_density(ellipse["cloud"])
     nan = q.copy()
     nan[3] = np.nan
     zero = q.copy()

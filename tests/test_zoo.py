@@ -5,13 +5,12 @@ import pytest
 import scipy.linalg
 
 from manifold_rbf import zoo
-from manifold_rbf.harness import ExperimentConfig, run_experiment
 from manifold_rbf.zoo import (Ellipse, FlatTorus, GeneralTorus, ManifoldSpec,
-                              Sphere, Torus, analytic_projection, embed,
-                              intrinsic_box, metric_sqrt_det, sample_manifold,
-                              sampling_density, scalar_eigen_truth,
-                              sturm_liouville_truth, vector_eigen_truth,
-                              volume)
+                              PointCloud, Sphere, Torus, analytic_projection,
+                              embed, intrinsic_box, metric_sqrt_det,
+                              sample_manifold, sampling_density,
+                              scalar_eigen_truth, sturm_liouville_truth,
+                              vector_eigen_truth, volume)
 from manifold_rbf.zoo import _sl_modes, _torus_constants
 
 ALL_SPECS = [Ellipse(2.0), Torus(2.0), GeneralTorus(2.0, 3),
@@ -141,6 +140,24 @@ def central_difference(f, x, h=1e-6):
                      for e in np.eye(x.shape[1])], axis=-1)
 
 
+def torus_area_element(spec, theta):
+    b, c = _torus_constants(spec)
+    return np.sqrt(b * c) * (spec.a + np.cos(theta[:, 0]))
+
+
+# sqrt(det g) of each kind by hand: the metric is diag(b, c (a + cos th)^2)
+# on the tori, diag(1, sin^2 th) on the sphere, sin^2 t + a^2 cos^2 t on
+# the ellipse and the identity on the flat torus
+AREA_ELEMENTS = {
+    "ellipse": lambda spec, t: np.sqrt(np.sin(t[:, 0]) ** 2
+                                       + spec.a ** 2 * np.cos(t[:, 0]) ** 2),
+    "torus": torus_area_element,
+    "general_torus": torus_area_element,
+    "flat_torus": lambda spec, t: np.ones(len(t)),
+    "sphere": lambda spec, t: np.sin(t[:, 0]),
+}
+
+
 @pytest.mark.parametrize("kind", zoo.KINDS)
 def test_jacobian_and_area_element_are_those_of_embed(kind):
     spec = ZOO_DEFAULTS[kind]
@@ -149,13 +166,14 @@ def test_jacobian_and_area_element_are_those_of_embed(kind):
     assert J.shape == (200, spec.n, spec.d)
     fd = central_difference(lambda t: embed(spec, t), theta)
     assert np.max(np.abs(J - fd)) <= 1e-8
-    sqrt_det = np.sqrt(np.linalg.det(J.transpose(0, 2, 1) @ J))
-    rel = np.abs(metric_sqrt_det(spec, theta) - sqrt_det) / sqrt_det
+    want = AREA_ELEMENTS[kind](spec, theta)
+    rel = np.abs(metric_sqrt_det(spec, theta) - want) / want
     assert np.max(rel) <= 1e-13
 
 
 def test_sphere_vector_truth_fields_are_built_from_harmonic_gradients():
-    x = sample_manifold(Sphere(), 200, seed=6, mode="random_area").points
+    cloud = sample_manifold(Sphere(), 200, seed=6, mode="random_area")
+    x = cloud.points
     families = zoo._sphere_harmonic_families()
     want = []      # per degree: the rotational family, then the gradient one
     for l in (1, 2, 3):
@@ -163,7 +181,7 @@ def test_sphere_vector_truth_fields_are_built_from_harmonic_gradients():
         want += [np.cross(x, g) for g in grads]
         want += [g - np.sum(x * g, axis=1, keepdims=True) * x
                  for g in grads]
-    got = list(vector_eigen_truth(Sphere(), "Hodge").columns(x))
+    got = list(vector_eigen_truth(Sphere(), "Hodge").columns(cloud))
     assert len(got) == len(want) == 30
     for field, ref in zip(got, want):
         assert np.max(np.abs(field - ref)) <= 1e-8
@@ -186,7 +204,7 @@ def test_rejection_envelope_bounds_the_area_element_tightly(kind):
 def test_density_flat_torus_constant():
     spec = FlatTorus(2, 1)
     cloud = sample_manifold(spec, 50, seed=1)
-    q = sampling_density(spec, cloud)
+    q = sampling_density(cloud)
     assert np.allclose(q, 1.0 / volume(spec), rtol=1e-12)
 
 
@@ -197,7 +215,7 @@ def test_density_torus_ratio():
     cloud.intrinsic[0] = (np.pi, 0.0)
     cloud.intrinsic[1] = (0.0, 0.0)
     cloud.points[:] = embed(spec, cloud.intrinsic)
-    q = sampling_density(spec, cloud)
+    q = sampling_density(cloud)
     assert abs(q[0] / q[1] - 3.0) <= 1e-12
 
 
@@ -207,9 +225,19 @@ def test_density_sphere_polar_blowup():
     cloud.intrinsic[0] = (np.pi / 2, 0.0)
     cloud.intrinsic[1] = (np.pi / 6, 0.0)
     cloud.points[:] = embed(spec, cloud.intrinsic)
-    q = sampling_density(spec, cloud)
+    q = sampling_density(cloud)
     # q ~ 1/sin(theta); sin(pi/2)/sin(pi/6) = 2
     assert abs(q[1] / q[0] - 2.0) <= 1e-12
+
+
+@pytest.mark.parametrize("kind", zoo.KINDS)
+def test_density_of_area_uniform_draws_is_one_over_the_volume(kind):
+    # the density is the cloud's own draw's: a random_area cloud is
+    # volume-uniform whatever its intrinsic coordinates
+    spec = ZOO_DEFAULTS[kind]
+    cloud = sample_manifold(spec, 50, seed=1, mode="random_area")
+    assert np.array_equal(sampling_density(cloud),
+                          np.full(50, 1.0 / volume(spec)))
 
 
 def test_density_integrates_to_one():
@@ -219,7 +247,7 @@ def test_density_integrates_to_one():
         box = intrinsic_box(spec)
         box_vol = np.prod([hi - lo for lo, hi in box])
         sq = metric_sqrt_det(spec, cloud.intrinsic)
-        q = sampling_density(spec, cloud)
+        q = sampling_density(cloud)
         integral = np.mean(q * sq) * box_vol    # int q sqrt(g) dtheta
         assert abs(integral - 1.0) < 5e-3
 
@@ -264,15 +292,15 @@ def test_truth_leading_modes_do_not_depend_on_the_count(spec):
     # must be the bits a larger request gives
     small, large = scalar_eigen_truth(spec, 12), scalar_eigen_truth(spec, 40)
     assert small.values == large.values[:12]
-    points = sample_manifold(spec, 50, seed=3).points
-    assert np.array_equal(small.basis(points, 12), large.basis(points, 12))
+    cloud = sample_manifold(spec, 50, seed=3)
+    assert np.array_equal(small.basis(cloud, 12), large.basis(cloud, 12))
 
 
 def test_sphere_columns_are_harmonics():
     # spot-check: the expanded basis columns are L2-independent on a grid
     truth = scalar_eigen_truth(Sphere(), 4)
     cloud = sample_manifold(Sphere(), 400, seed=9, mode="random_area")
-    F = truth.basis(cloud.points, 16)
+    F = truth.basis(cloud, 16)
     gram = F.T @ F / cloud.N
     assert np.linalg.matrix_rank(gram, tol=1e-6) == 16
 
@@ -446,8 +474,9 @@ def test_sl_eigenfunctions_solve_the_ode(spec):
         expected += [theta] if m == 0 else [theta * np.cos(m * ph),
                                             theta * np.sin(m * ph)]
     truth = sturm_liouville_truth(spec, 40)
-    points = embed(spec, np.column_stack([th, ph]))
-    assert np.allclose(truth.basis(points, len(expected)),
+    theta = np.column_stack([th, ph])
+    cloud = PointCloud(points=embed(spec, theta), intrinsic=theta, spec=spec)
+    assert np.allclose(truth.basis(cloud, len(expected)),
                        np.column_stack(expected), rtol=0.0, atol=1e-12)
 
 
@@ -477,7 +506,8 @@ def test_vector_truth_rotation_field_vanishes_at_pole():
     # harmonic, third in the x,y,z ordering; it vanishes at the pole
     truth = vector_eigen_truth(Sphere(), "Bochner")
     points = np.array([[0.6, 0.48, 0.64], [0.0, 0.0, 1.0]])
-    rot_z = list(truth.columns(points))[2]
+    cloud = PointCloud(points=points, intrinsic=None, spec=Sphere())
+    rot_z = list(truth.columns(cloud))[2]
     assert np.allclose(rot_z[0], [0.48, -0.6, 0.0], atol=1e-15)
     assert np.allclose(rot_z[1], 0.0, atol=1e-15)
 
@@ -485,7 +515,7 @@ def test_vector_truth_rotation_field_vanishes_at_pole():
 def test_vector_truth_fields_tangential():
     truth = vector_eigen_truth(Sphere(), "Hodge")
     cloud = sample_manifold(Sphere(), 200, seed=4, mode="random_area")
-    for U in list(truth.columns(cloud.points))[:16]:
+    for U in list(truth.columns(cloud))[:16]:
         dot = np.sum(U * cloud.points, axis=1)
         assert np.max(np.abs(dot)) <= 1e-12
 
@@ -494,9 +524,9 @@ def test_truth_basis_stops_at_the_last_column():
     # Lichnerowicz holds 3 + 3 + 5 + 12 = 23 eigenfields
     truth = vector_eigen_truth(Sphere(), "Lichnerowicz")
     cloud = sample_manifold(Sphere(), 50, seed=4, mode="random_area")
-    assert truth.basis(cloud.points, 23).shape == (150, 23)
+    assert truth.basis(cloud, 23).shape == (150, 23)
     with pytest.raises(ValueError, match="only 23 eigenfunctions"):
-        truth.basis(cloud.points, 24)
+        truth.basis(cloud, 24)
 
 
 def test_vector_truth_rejects_torus():
@@ -513,30 +543,3 @@ def test_zoo_defaults_cover_every_kind():
     assert [ManifoldSpec.from_dict({"kind": kind, "a": 2.0, "d": 2})
             for kind in kinds] == list(ZOO_DEFAULTS.values())
 
-
-def test_scalar_truth_is_memoised(monkeypatch):
-    calls = []
-    solve = zoo.sturm_liouville_truth
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return solve(*args, **kwargs)
-
-    monkeypatch.setattr(zoo, "sturm_liouville_truth", counting)
-    zoo.scalar_eigen_truth.cache_clear()
-    try:
-        first = zoo.scalar_eigen_truth(Torus(2.0), 6)
-        values = list(first.values)
-        assert zoo.scalar_eigen_truth(Torus(2.0), 6) is first
-        assert len(calls) == 1
-        # a run reads the shared truth but leaves it as it was
-        cfg = ExperimentConfig(manifold=Torus(2.0), N_list=[200],
-                               method="DM", compare_count=6,
-                               sample_mode="random_area")
-        run_experiment(cfg)
-        assert len(calls) == 1
-        assert first.values == values
-        assert zoo.scalar_eigen_truth(Torus(2.0), 8) is not first
-        assert len(calls) == 2
-    finally:
-        zoo.scalar_eigen_truth.cache_clear()
