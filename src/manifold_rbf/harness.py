@@ -166,9 +166,11 @@ def estimate_run_bytes(config, N, rank=None):
     operator and m = min(d N, p):
     - Covariant derivative: none past its one factor.
     - SRBF LB: the form, (d + 2) N r + 2 r^2 (U, the factors, one weighted
-      copy, the form and its update); the solve, 2 N r + 5 r^2 (U, the
-      scaled factor, the Cholesky factor, the reduced form and its
-      symmetrised copies, the eigenvectors); eigh's 3 r^2 outside.
+      copy, the form and its update); the solve, 2 N r + 4 r^2 (U, the
+      scaled factor, the unreduced form, the Cholesky factor, A C and the
+      reduced form). The solver frees the unreduced form once it is
+      reduced, so it no longer sits beside the eigensolve; a form its caller
+      holds adds r^2 there, within the term as r <= N. eigh's 3 r^2 outside.
     - NRBF LB: the left factor, (d + 4) N r + r^2 (U, the factors, the
       N x r left factor, one ambient gradient and its product); the solve,
       5 N r + 4 r^2 (the left factor, U and its orthonormal basis, the
@@ -181,7 +183,9 @@ def estimate_run_bytes(config, N, rank=None):
       update); the solve, N r + d N p + p^2 + d N m + m p
       + max(2 d N p, 3 m^2) (U, the factor, the form, the QR factors, and
       either the scaled factor with qr's factored copy of it or the reduced
-      m x m form with its symmetrised copies); outside, the larger of
+      m x m form with its symmetrising temporary and the eigenvectors; the
+      form is counted throughout, though the solver frees it once the
+      pencil is reduced); outside, the larger of
       eigh's 3 m^2 and qr's d N (p + m) + 65 m.
     - NRBF vector operators: the factor, (d + n + 1) N r + 4 n N p (U, the
       factors, the n ambient gradients, the n N x p factor and the three
@@ -230,7 +234,7 @@ def _operator_words(config, N, r):
     if config.operator == "Covariant":
         return 0, 0
     if config.operator == "LB" and config.method == "SRBF":
-        return (max((d + 2) * N * r + 2 * r * r, 2 * N * r + 5 * r * r),
+        return (max((d + 2) * N * r + 2 * r * r, 2 * N * r + 4 * r * r),
                 3 * r * r)
     if config.operator == "LB":
         return (max((d + 4) * N * r + r * r, 5 * N * r + 4 * r * r),
@@ -377,18 +381,24 @@ def alignment_gate(result, F):
     genuine ones), so magnitude ordering alone cannot identify the leading
     modes. The genuine modes fit the truth basis with near-zero OLS residual
     while the spurious ones sit near 1; the gap is wide, so the cap is not
-    delicate. Returns (kept_indices, residuals_over_window).
+    delicate. A mode's residual is the root of the summed squared norms of
+    its columns: the real and imaginary parts of a complex mode are scored
+    together. Returns (kept_indices, residuals_over_window).
     """
     window = _gate_window(F.shape[1])
     nontrivial_idx = np.flatnonzero(~result.trivial)[:window]
-    gram_inv = np.linalg.pinv(F.T @ F)
-    resid = np.empty(len(nontrivial_idx))
-    for j, i in enumerate(nontrivial_idx):
-        vec = result.vectors[:, i]
-        parts = np.column_stack([vec.real, vec.imag]) \
-            if np.iscomplexobj(vec) else vec[:, None]
-        beta = gram_inv @ (F.T @ parts)
-        resid[j] = np.linalg.norm(F @ beta - parts) / np.linalg.norm(parts)
+    V = np.take(result.vectors, nontrivial_idx, axis=1)
+    complex_modes = np.iscomplexobj(V)
+    # take gathers in C order, so a complex block views as interleaved
+    # real and imaginary columns
+    parts = V.view(float) if complex_modes else V
+    miss = F @ (np.linalg.pinv(F.T @ F) @ (F.T @ parts)) - parts
+
+    def per_mode(X):
+        sq = np.sum(X * X, axis=0)
+        return sq[0::2] + sq[1::2] if complex_modes else sq
+
+    resid = np.sqrt(per_mode(miss) / per_mode(parts))
     kept = nontrivial_idx[resid <= GATE_CAP]
     return kept, resid
 
@@ -446,32 +456,43 @@ def _truth_for(config):
     return None
 
 
+def _form(config, ops, q):
+    """The configured operator built from ops: the left factor of an NRBF
+    operator, the pencil of an SRBF one. Every builder is a module name
+    looked up at call time."""
+    nonsymmetric = config.method == "NRBF"
+    if config.operator == "LB":
+        return laplace_beltrami_nonsymmetric(ops) if nonsymmetric \
+            else laplace_beltrami_symmetric(ops, q)
+    form = {"Bochner": bochner, "Hodge": hodge,
+            "Lich": lichnerowicz}[config.operator]
+    return form("nonsymmetric", ops) if nonsymmetric \
+        else form("symmetric", ops, q)
+
+
 def _solve_rbf(config, op_cloud, proj, q):
     """Build the configured RBF operator and solve for its full spectrum:
     rank truncation leaves a large trivial cluster at zero, and the usable
     modes sit above it. A symmetric solve lifts eigenvectors only for the
     nontrivial modes the run reads (the alignment_gate window). The memory
-    guard runs again at the real rank once Phi is factored. Every builder
-    is a module name looked up at call time."""
+    guard runs again at the real rank once Phi is factored.
+
+    The factors and the operator are built inside the solver's call and
+    bound to no name here, so the solver frees the unreduced form once it
+    has reduced it (the hand-over in spectral; CPython >= 3.11)."""
     system = build_system(op_cloud, config.kernel)
     check_memory(config, system.N, system.rank_L)
-    ops = build_grad_matrices(system, proj)
-    rank_L, U = system.rank_L, ops.U
-    nonsymmetric = config.method == "NRBF"
-    if config.operator == "LB":
-        L = laplace_beltrami_nonsymmetric(ops) if nonsymmetric \
-            else laplace_beltrami_symmetric(ops, q)
-    else:
-        form = {"Bochner": bochner, "Hodge": hodge,
-                "Lich": lichnerowicz}[config.operator]
-        L = form("nonsymmetric", ops) if nonsymmetric \
-            else form("symmetric", ops, q)
-    del ops
     tol = config.kernel.pinv_tol
-    if nonsymmetric:
-        return solve_nonsymmetric(L, pinv_tol=tol, basis=U), rank_L
-    k = min(len(L.B_diag), _gate_window(config.compare_count))
-    return solve_symmetric(L, k, pinv_tol=tol), rank_L
+    if config.method == "NRBF":
+        return solve_nonsymmetric(
+            _form(config, build_grad_matrices(system, proj), q),
+            pinv_tol=tol, basis=system.U), system.rank_L
+    # the pencil has one value per point, d per point for a vector field
+    dim = system.N * (1 if config.operator == "LB" else config.manifold.d)
+    k = min(dim, _gate_window(config.compare_count))
+    return solve_symmetric(
+        _form(config, build_grad_matrices(system, proj), q), k,
+        pinv_tol=tol), system.rank_L
 
 
 def ellipse_test_field(cloud):

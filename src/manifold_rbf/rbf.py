@@ -65,13 +65,23 @@ class KernelModel:
 
 
 def kernel_eval(model, r):
-    r = np.asarray(r, dtype=float)
-    sr = model.s * r
+    """phi_s(r): gaussian e^{-(sr)^2}, inverse quadratic 1 / (1 + (sr)^2),
+    Matern(3/2) (1 + sr) e^{-sr}. Evaluated in place on one copy of r (the
+    Matern factor e^{-sr} takes a second buffer)."""
+    out = np.array(r, dtype=float)
+    out *= model.s
+    if model.family == "matern":
+        decay = np.negative(out, out=np.empty_like(out))
+        np.exp(decay, out=decay)
+        out += 1.0
+        out *= decay
+        return out
+    np.square(out, out=out)
     if model.family == "gaussian":
-        return np.exp(-sr * sr)
-    if model.family == "inverse_quadratic":
-        return 1.0 / (1.0 + sr * sr)
-    return (1.0 + sr) * np.exp(-sr)
+        np.negative(out, out=out)
+        return np.exp(out, out=out)
+    out += 1.0
+    return np.divide(1.0, out, out=out)
 
 
 def kernel_deriv_over_r(model, r):

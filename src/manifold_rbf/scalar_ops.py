@@ -113,8 +113,9 @@ def laplace_beltrami_symmetric(ops, q):
     """
     qinv = inverse_density(q, ops.N)
     root = np.sqrt(qinv)[:, None]
+    X = np.empty(ops.G[0].shape)      # one weighted copy for every direction
     A = 0.0
     for Ga in ops.G:
-        X = root * Ga
+        np.multiply(root, Ga, out=X)
         A += X.T @ X        # numpy forms X^T X exactly symmetric
     return GeneralizedPair(A=A, B_diag=qinv, factor=ops.U)

@@ -33,6 +33,16 @@ A symmetric solve lifts eigenvectors only for the modes a caller reads: its
 leading k nontrivial modes and the trivial ones before them. all_values
 still holds every mode.
 
+Each solver takes over the operator it is handed. solve_symmetric unpacks
+the pencil and drops its reference to it, so the unreduced form is freed
+once its reduction exists, before the dense eigensolve; solve_nonsymmetric
+drops the left factor once its QR exists. Neither writes to its arguments:
+an operator its caller still holds stays intact, and alive. The saving
+needs the caller to pass the operator as a temporary (see
+harness._solve_rbf), and CPython >= 3.11, which moves call arguments into
+the callee's frame; older versions keep them on the caller's stack until
+the call returns, and the peak with them.
+
 Eigenvector error metric: relative discrete L2 norm after ordinary
 least-squares alignment of the estimated modes onto the truth columns; this
 factors out the arbitrary rotation inside repeated-eigenvalue clusters.
@@ -143,14 +153,14 @@ def solve_symmetric(pair, k, pinv_tol=1e-8):
     range basis W, to ambient components, V = W Z (see the module notes for
     why the two differ). k may not exceed the pencil's dimension.
     """
-    b = pair.B_diag
+    b, A, R, W = pair.B_diag, pair.A, pair.factor, pair.range_basis
+    del pair                       # see the module notes on the hand-over
     if np.any(b <= 0):
         raise ValueError("B must be positive definite (diagonal has "
                          "non-positive entries)")
     _check_count(k, len(b))
     scale = 1.0 / np.sqrt(b)
-    A, R = pair.A, pair.factor
-    scalar = pair.range_basis is None
+    scalar = W is None
     if scalar:
         S = scale[:, None] * R
         C = np.linalg.cholesky(S.T @ S)
@@ -159,7 +169,9 @@ def solve_symmetric(pair, k, pinv_tol=1e-8):
     else:
         Y, Rx = np.linalg.qr(scale[:, None] * R)
         A = Rx @ A @ Rx.T
-    A = 0.5 * (A + A.T)
+    # the reduced form is this solve's own: symmetrise it in place
+    A += A.T
+    A *= 0.5
     lam, Z = np.linalg.eigh(A)
     del A
     Z = Z[:, :_lift_count(lam, k, pinv_tol)]
@@ -169,7 +181,7 @@ def solve_symmetric(pair, k, pinv_tol=1e-8):
         V = Y @ Z
     V *= scale[:, None]
     if not scalar:
-        V = pair.range_basis @ V
+        V = W @ V
     return symmetric_result(lam, V, pinv_tol, len(b) - len(lam))
 
 
@@ -198,7 +210,9 @@ def solve_nonsymmetric(L, basis, pinv_tol=1e-8):
     """
     if L.shape[0] * basis.shape[1] != L.shape[1] * basis.shape[0]:
         raise ValueError("operator factor does not match the basis")
+    zeros = L.shape[0] - min(L.shape)
     Y, Rf = np.linalg.qr(L)
+    del L                          # see the module notes on the hand-over
     lam, V = np.linalg.eig(Rf @ blockwise(basis.T, Y))
     del Rf
     order = np.lexsort((lam.imag, lam.real, np.abs(lam)))
@@ -211,7 +225,6 @@ def solve_nonsymmetric(L, basis, pinv_tol=1e-8):
     del V
     V = (Y @ parts).view(complex)
     del Y
-    zeros = L.shape[0] - len(lam)
     all_values = np.concatenate([np.zeros(zeros, dtype=lam.dtype), lam])
     return _result(lam, V, "by_magnitude_ascending", all_values,
                    pinv_tol, zeros)

@@ -293,13 +293,19 @@ def sample_manifold(spec, N, seed=0, mode="random_intrinsic"):
                       mode=mode)
 
 
+def _intrinsic(cloud, use):
+    """The cloud's intrinsic coordinates, which `use` reads; a raw external
+    cloud has none."""
+    if cloud.intrinsic is None:
+        raise ValueError(f"{use} needs intrinsic coordinates")
+    return cloud.intrinsic
+
+
 def analytic_projection(cloud):
     """Exact orthonormal tangent frames: the Q factor of the embedding
     Jacobian J = Q R at every point."""
-    if cloud.intrinsic is None:
-        raise ValueError("analytic projection needs intrinsic coordinates")
     spec = cloud.spec
-    J = embedding_jacobian(spec, cloud.intrinsic)
+    J = embedding_jacobian(spec, _intrinsic(cloud, "analytic projection"))
     T, R = np.linalg.qr(J)
     # det(J^T J) = prod(diag R)^2
     det = np.prod(np.diagonal(R, axis1=1, axis2=2) ** 2, axis=1)
@@ -321,10 +327,9 @@ def sampling_density(cloud):
     spec = cloud.spec
     if cloud.mode == "random_area":
         return np.full(cloud.N, 1.0 / volume(spec))
-    if cloud.intrinsic is None:
-        raise ValueError("sampling density needs intrinsic coordinates")
+    theta = _intrinsic(cloud, "sampling density")
     box_vol = math.prod(hi - lo for lo, hi in intrinsic_box(spec))
-    sq = metric_sqrt_det(spec, cloud.intrinsic)
+    sq = metric_sqrt_det(spec, theta)
     if np.any(sq <= 0):
         raise ValueError("metric degenerate at a sample point")
     return 1.0 / (box_vol * sq)
@@ -401,7 +406,7 @@ def _flat_torus_truth(spec, count):
     values, reps = _flat_torus_lattice(spec.d, count)
 
     def columns(cloud):
-        t = cloud.intrinsic
+        t = _intrinsic(cloud, "the flat-torus truth")
         for lam, _mult in values:
             if lam == 0.0:
                 yield np.ones(t.shape[0])
@@ -601,7 +606,7 @@ def sturm_liouville_truth(spec, count):
     coefs = np.column_stack([x for _lam, _m, x in entries])
 
     def columns(cloud):
-        th_x, ph_x = cloud.intrinsic.T
+        th_x, ph_x = _intrinsic(cloud, "the torus truth").T
         thetas = _theta_basis(th_x) @ coefs
         for (_lam, m, _x), val in zip(entries, thetas.T):
             if m == 0:

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -485,6 +486,70 @@ def test_alignment_gate_keeps_span_members():
     assert list(kept) == [0, 2]
     assert resid[0] <= 1e-10 and resid[2] <= 1e-10
     assert resid[1] > 0.9
+
+
+def per_mode_gate(result, F):
+    """alignment_gate's window and residuals, one mode at a time."""
+    window = np.flatnonzero(~result.trivial)[:harness._gate_window(F.shape[1])]
+    gram_inv = np.linalg.pinv(F.T @ F)
+    resid = []
+    for i in window:
+        vec = result.vectors[:, i]
+        parts = np.column_stack([vec.real, vec.imag]) \
+            if np.iscomplexobj(vec) else vec[:, None]
+        beta = gram_inv @ (F.T @ parts)
+        resid.append(np.linalg.norm(F @ beta - parts) / np.linalg.norm(parts))
+    return window, np.array(resid)
+
+
+@pytest.mark.parametrize("method", ["SRBF", "NRBF"])
+def test_alignment_gate_scores_the_window_as_each_mode_alone(method):
+    # one product over the window gives every mode the residual of its own
+    # columns, the real and imaginary parts of an NRBF mode together
+    N = 300
+    cfg = make_config(manifold=Sphere(), operator="Hodge", method=method,
+                      N_list=[N], compare_count=6)
+    op_cloud, proj = harness.build_projection(cfg, N, 0)
+    q = harness.build_density(cfg, op_cloud)
+    result, _rank = harness._solve_rbf(cfg, op_cloud, proj, q)
+    assert np.iscomplexobj(result.vectors) == (method == "NRBF")
+    F = harness._truth_for(cfg).basis(op_cloud, cfg.compare_count)
+    kept, resid = alignment_gate(result, F)
+    window, want = per_mode_gate(result, F)
+    assert 0 < len(kept) < len(window)
+    assert np.abs(resid - want).max() <= 1e-12
+    assert np.array_equal(kept, window[want <= harness.GATE_CAP])
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11),
+                    reason="CPython < 3.11 keeps call arguments alive on "
+                           "the caller's stack")
+def test_srbf_solve_frees_the_unreduced_form_before_its_eigensolve(
+        monkeypatch):
+    # _solve_rbf hands the pencil over: by the eigensolve of the reduced
+    # form, nothing holds the form laplace_beltrami_symmetric returned
+    N = 200
+    cfg = make_config(method="SRBF", N_list=[N])
+    op_cloud, proj = harness.build_projection(cfg, N, 0)
+    q = harness.build_density(cfg, op_cloud)
+    build, eigh = harness.laplace_beltrami_symmetric, np.linalg.eigh
+    forms, alive = [], []
+
+    def tracked_form(ops, q):
+        pair = build(ops, q)
+        forms.append(weakref.ref(pair.A))
+        return pair
+
+    def checked_eigh(a, *args, **kwargs):
+        if forms:                   # Phi's eigh comes before any form
+            alive.append(forms[0]() is not None)
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "laplace_beltrami_symmetric", tracked_form)
+    monkeypatch.setattr(np.linalg, "eigh", checked_eigh)
+    result, rank = harness._solve_rbf(cfg, op_cloud, proj, q)
+    assert alive == [False]
+    assert result.solve_dim == rank
 
 
 def test_vector_run_evaluates_the_truth_once(monkeypatch):

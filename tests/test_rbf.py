@@ -48,6 +48,21 @@ def test_iq_half():
     assert kernel_eval(KernelModel("inverse_quadratic", 1.0), 1.0) == 0.5
 
 
+@pytest.mark.parametrize("family", FAMILIES)
+def test_kernel_eval_is_the_textbook_formula(family):
+    # evaluated in place, in the textbook's order of operations: the same
+    # bits, and the distances passed in are left as they were
+    s = 0.7
+    x = np.random.default_rng(2).standard_normal((40, 3))
+    r = cdist(x, x)
+    before = r.copy()
+    textbook = {"gaussian": np.exp(-(s * r) ** 2),
+                "inverse_quadratic": 1.0 / (1.0 + (s * r) ** 2),
+                "matern": (1.0 + s * r) * np.exp(-s * r)}[family]
+    assert np.array_equal(kernel_eval(KernelModel(family, s), r), textbook)
+    assert np.array_equal(r, before)
+
+
 def test_gaussian_deriv_formula():
     m = KernelModel("gaussian", 1.5)
     r = np.linspace(0.0, 2.0, 9)

@@ -132,6 +132,22 @@ def test_symmetric_A_exactly_symmetric(circle_ops):
     assert pair.B_diag is not None and np.all(pair.B_diag > 0)
 
 
+def test_symmetric_form_sums_the_weighted_grams():
+    # one weighted buffer serves every direction, with the same bits as a
+    # fresh copy per direction
+    cloud = sample_manifold(Sphere(), 120, seed=1, mode="random_area")
+    system = build_system(cloud, KernelModel("inverse_quadratic", 0.5))
+    ops = build_grad_matrices(system, analytic_projection(cloud))
+    q = np.random.default_rng(1).uniform(0.5, 2.0, cloud.N)
+    root = np.sqrt(1.0 / q)[:, None]
+    want = 0.0
+    for Ga in ops.G:
+        X = root * Ga
+        want += X.T @ X
+    assert len(ops.G) == 2
+    assert np.array_equal(laplace_beltrami_symmetric(ops, q).A, want)
+
+
 def test_symmetric_psd(circle_ops):
     _, ops, q = circle_ops
     pair = laplace_beltrami_symmetric(ops, q)

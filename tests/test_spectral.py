@@ -242,6 +242,26 @@ def test_scalar_reduction_is_deterministic(sphere_pencils):
     assert np.array_equal(first.vectors, again.vectors)
 
 
+@pytest.mark.parametrize("kind", ["scalar", "vector"])
+def test_symmetric_solve_leaves_a_held_pencil_intact(sphere_pencils, kind):
+    # the solver symmetrises and reduces copies of its own: a pencil its
+    # caller still holds keeps every bit
+    pair = sphere_pencils[kind == "vector"]
+    parts = {name: getattr(pair, name).tobytes()
+             for name in ("A", "factor", "B_diag")}
+    solve_symmetric(pair, 10)
+    for name, before in parts.items():
+        assert getattr(pair, name).tobytes() == before, name
+
+
+def test_nonsymmetric_solve_leaves_a_held_factor_intact():
+    rng, U = random_factored(30, 10, 5)
+    L = rng.standard_normal((60, 20))
+    before = L.tobytes()
+    solve_nonsymmetric(L, basis=U)
+    assert L.tobytes() == before
+
+
 def test_only_vector_pencils_take_a_householder_qr(sphere_pencils,
                                                    monkeypatch):
     scalar, vector = sphere_pencils

@@ -529,6 +529,17 @@ def test_truth_basis_stops_at_the_last_column():
         truth.basis(cloud, 24)
 
 
+@pytest.mark.parametrize("spec", [Torus(2.0), FlatTorus(2)],
+                         ids=lambda spec: spec.kind)
+def test_truth_basis_names_missing_intrinsic_coordinates(spec):
+    # the torus and flat-torus truths read the angles, which a raw cloud of
+    # ambient points does not carry
+    cloud = sample_manifold(spec, 20, seed=0)
+    raw = PointCloud(points=cloud.points, intrinsic=None, spec=spec)
+    with pytest.raises(ValueError, match="needs intrinsic coordinates"):
+        scalar_eigen_truth(spec, 4).basis(raw, 4)
+
+
 def test_vector_truth_rejects_torus():
     with pytest.raises(ValueError):
         vector_eigen_truth(Torus(2.0), "Bochner")
