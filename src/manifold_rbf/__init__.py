@@ -11,7 +11,7 @@ validation.
 """
 
 from .density import kde_density, silverman_bandwidth
-from .dm import DmConfig, autotune_epsilon, dm_laplacian, dm_spectrum
+from .dm import autotune_epsilon, dm_laplacian, dm_spectrum
 from .harness import (ExperimentConfig, Report, RunRecord, alignment_gate,
                       fit_convergence_slope, paired_mode_errors,
                       run_experiment)

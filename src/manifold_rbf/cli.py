@@ -34,14 +34,12 @@ def _manifold_from_args(args):
 
 def _add_manifold_args(p):
     p.add_argument("--manifold", required=True,
-                   choices=[kind.replace("_", "-") for kind in zoo.KINDS])
-    p.add_argument("--a", type=float, default=2.0,
-                   help="radius ratio for ellipse/torus families")
-    p.add_argument("--ambient-n", type=int, default=None,
-                   help="ambient dimension for the general torus (odd, "
-                        "21 by default)")
-    p.add_argument("--flat-d", type=int, default=2)
-    p.add_argument("--flat-m", type=int, default=1)
+                   choices=[kind.replace("_", "-") for kind in zoo.KINDS],
+                   help="zoo kind; unset manifold flags take its defaults")
+    p.add_argument("--a", type=float, help="ellipse semi-axis, torus ratio")
+    p.add_argument("--ambient-n", type=int, help="general torus n (odd)")
+    p.add_argument("--flat-d", type=int, help="flat torus dimension d")
+    p.add_argument("--flat-m", type=int, help="flat torus harmonics m")
 
 
 def _add_sampling_args(p):
@@ -85,7 +83,7 @@ def _given(pairs):
     return {k: v for k, v in pairs.items() if v is not None}
 
 
-def _config_from_args(args, N_list):
+def _config_from_args(args, N_list, **study):
     base = {}
     if args.config:
         with open(args.config) as fh:
@@ -105,9 +103,9 @@ def _config_from_args(args, N_list):
     })
     kernel_flags = _given({"family": args.kernel, "s": args.s,
                            "pinv_tol": args.pinv_tol})
-    # flags override file entries; file supplies anything not given, and
-    # the defaults whatever neither gives
-    merged = {**base, **flags}
+    # flags override file entries, which override `study`; the defaults
+    # fill whatever none gives
+    merged = {**study, **base, **flags}
     merged["kernel"] = {**_DEFAULTS.kernel.to_dict(),
                         **base.get("kernel", {}), **kernel_flags}
     return ExperimentConfig.from_dict(merged)
@@ -178,9 +176,10 @@ def cmd_converge(args):
 
 
 def cmd_compare_dm(args):
-    config = _config_from_args(args, [args.N])
-    config.operator = "LB"
-    config.method = "SRBF"
+    config = _config_from_args(args, [args.N], method="SRBF", operator="LB")
+    if (config.method, config.operator) != ("SRBF", "LB"):
+        raise ValueError(f"compare-dm compares SRBF LB with DM, not "
+                         f"method={config.method} operator={config.operator}")
     rec_s = run_experiment(config).runs[0]
     cfg_dm = replace(config, method="DM",
                      **_given({"dm_K": args.dm_K, "dm_epsilon": args.epsilon}))
@@ -212,11 +211,10 @@ def cmd_compare_dm(args):
 
 def cmd_truth(args):
     spec = _manifold_from_args(args)
-    if args.operator == "LB":
-        truth = zoo.scalar_eigen_truth(spec, args.count)
-    else:
-        truth = zoo.vector_eigen_truth(
-            spec, harness.VECTOR_LAPLACIANS[args.operator])
+    truth = zoo.study_truth(spec, args.operator, args.count)
+    if truth is None:
+        raise ValueError(f"the zoo holds no {args.operator} truth for the "
+                         f"{spec.kind}")
     if len(truth.values) < args.count:
         raise ValueError(f"the {args.operator} truth holds only "
                          f"{len(truth.values)} eigenvalues, --count asks "
@@ -282,7 +280,7 @@ def build_parser():
     p = sub.add_parser("truth", help="analytic eigenvalue tables")
     _add_manifold_args(p)
     p.add_argument("--operator", default="LB",
-                   choices=["LB", *harness.VECTOR_LAPLACIANS])
+                   choices=["LB", *zoo.VECTOR_LAPLACIANS])
     p.add_argument("--count", type=int, default=20)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_truth)

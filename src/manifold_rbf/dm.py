@@ -11,10 +11,12 @@ through the symmetric conjugation of the Markov matrix: ARPACK's Lanczos
 iteration (Lehoucq, Sorensen & Yang, ARPACK Users' Guide, 1998) finds the k
 smallest modes and the largest eigenvalue, which sets the trivial-mode
 cutoff.
+
+The graph takes K neighbours and the bandwidth epsilon as plain numbers,
+None for their defaults (graph_neighbors, autotune_epsilon).
 """
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse
@@ -24,23 +26,18 @@ from scipy.sparse.csgraph import connected_components
 from .tangent import knn_indices
 
 
-@dataclass
-class DmConfig:
-    K_neighbors: int = None     # None means ceil(sqrt(N))
-    epsilon: float = None       # None means auto-tune
+def graph_neighbors(N, K=None):
+    """Neighbours of the graph on N points: K, or ceil(sqrt(N)) for None."""
+    return int(np.ceil(np.sqrt(N))) if K is None else K
 
-    def neighbors(self, N):
-        """Neighbour count of the graph on N points."""
-        if self.K_neighbors is None:
-            return int(np.ceil(np.sqrt(N)))
-        return self.K_neighbors
 
-    def validate(self, N):
-        if not 1 < self.neighbors(N) <= N:
-            raise ValueError("K_neighbors must lie in (1, N]")
-        if self.epsilon is not None and not 0 < self.epsilon < np.inf:
-            raise ValueError("epsilon must be finite and positive, or None "
-                             "to auto-tune it")
+def validate_graph(N, K=None, epsilon=None):
+    """Refuse a K or an epsilon that no graph on N points can take."""
+    if not 1 < graph_neighbors(N, K) <= N:
+        raise ValueError("K_neighbors must lie in (1, N]")
+    if epsilon is not None and not 0 < epsilon < np.inf:
+        raise ValueError("epsilon must be finite and positive, or None to "
+                         "auto-tune it")
 
 
 def autotune_epsilon(d2):
@@ -68,8 +65,9 @@ def _scale_edges(M, s):
     M.data *= s[rows] * s[M.indices]
 
 
-def dm_laplacian(cloud, config):
-    """Symmetrized graph Laplacian and the similarity back-transform.
+def dm_laplacian(cloud, K=None, epsilon=None):
+    """Symmetrized graph Laplacian of K neighbours and bandwidth epsilon
+    (None for their defaults) and the similarity back-transform.
 
     Returns (L, vec_scale): L is the sparse (CSR) symmetric Laplacian
     (I - S) / eps, and eigenvectors of the underlying Markov generator are
@@ -77,14 +75,12 @@ def dm_laplacian(cloud, config):
     """
     points = np.asarray(cloud.points, dtype=float)
     N = points.shape[0]
-    config.validate(N)
-    idx = knn_indices(points, min(config.neighbors(N), N - 1))
+    validate_graph(N, K, epsilon)
+    idx = knn_indices(points, min(graph_neighbors(N, K), N - 1))
     diff = points[:, None, :] - points[idx]
     d2 = np.einsum("ikm,ikm->ik", diff, diff)
     del diff                    # 3 N K words the graph build need not hold
-    eps = config.epsilon
-    if eps is None:
-        eps = autotune_epsilon(d2)
+    eps = autotune_epsilon(d2) if epsilon is None else epsilon
 
     # no self-loops: at bandwidths near the neighbor spacing a unit
     # self-weight swamps the off-diagonal mass and biases all eigenvalues
@@ -111,10 +107,10 @@ def dm_laplacian(cloud, config):
     return L, scale
 
 
-def dm_spectrum(cloud, config, k):
-    """The k smallest eigenvalues of the diffusion Laplacian, ascending,
-    their Markov eigenvectors (N, k), and the largest eigenvalue."""
-    L, scale = dm_laplacian(cloud, config)
+def dm_spectrum(cloud, k, K=None, epsilon=None):
+    """The k smallest eigenvalues of dm_laplacian, ascending, their Markov
+    eigenvectors (N, k), and the largest eigenvalue."""
+    L, scale = dm_laplacian(cloud, K, epsilon)
     N = L.shape[0]
     if k >= N - 1:
         # beyond what a Lanczos basis of at most N vectors can resolve

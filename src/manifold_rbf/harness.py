@@ -10,14 +10,14 @@ import json
 import os
 import time
 import warnings
-from dataclasses import asdict, dataclass, field as dc_field, fields
+from dataclasses import asdict, dataclass, field as dc_field
 
 import numpy as np
 
 from . import zoo
 from .density import kde_density
-from .dm import DmConfig, dm_spectrum
-from .rbf import KernelModel, build_system, row_blocks
+from .dm import dm_spectrum, graph_neighbors, validate_graph
+from .rbf import KernelModel, build_system, check_config_keys, row_blocks
 from .scalar_ops import (build_grad_matrices, laplace_beltrami_nonsymmetric,
                          laplace_beltrami_symmetric)
 from .spectral import (SpectralResult, align_eigenvectors_ols,
@@ -30,10 +30,7 @@ MEMORY_ENV_VAR = "MANIFOLD_RBF_MEM_GIB"
 DEFAULT_MEMORY_GIB = 2.0
 
 METHODS = ("NRBF", "SRBF", "DM")
-# vector operator -> its Laplacian's name in the truth tables
-VECTOR_LAPLACIANS = {"Bochner": "Bochner", "Hodge": "Hodge",
-                     "Lich": "Lichnerowicz"}
-OPERATORS = ("LB", *VECTOR_LAPLACIANS, "Covariant")
+OPERATORS = ("LB", *zoo.VECTOR_LAPLACIANS, "Covariant")
 PROJECTIONS = ("Analytic", "FirstOrder", "SecondOrder")
 DENSITIES = ("Analytic", "KDE", "Uniform")
 
@@ -58,21 +55,21 @@ class ExperimentConfig:
     compare_count: int = 12
 
     def validate(self):
-        if self.method not in METHODS:
-            raise ValueError(f"method must be one of {METHODS}")
-        if self.operator not in OPERATORS:
-            raise ValueError(f"operator must be one of {OPERATORS}")
-        if self.projection not in PROJECTIONS:
-            raise ValueError(f"projection must be one of {PROJECTIONS}")
-        if self.density not in DENSITIES:
-            raise ValueError(f"density must be one of {DENSITIES}")
+        for name in ("N_list", "seeds"):
+            if not getattr(self, name):
+                raise ValueError(f"{name} must not be empty")
+        for name, allowed in (("method", METHODS), ("operator", OPERATORS),
+                              ("projection", PROJECTIONS),
+                              ("density", DENSITIES)):
+            if getattr(self, name) not in allowed:
+                raise ValueError(f"{name} must be one of {allowed}")
         if self.method == "DM" and self.operator != "LB":
             raise ValueError("the diffusion-maps baseline only estimates the "
                              "scalar Laplacian (operator=LB)")
         if self.operator == "Covariant" and self.manifold.kind != "ellipse":
             raise ValueError("the covariant-derivative check runs on the "
                              "ellipse demo manifold")
-        if self.operator in VECTOR_LAPLACIANS and \
+        if self.operator in zoo.VECTOR_LAPLACIANS and \
                 self.manifold.kind not in ("sphere", "ellipse"):
             raise ValueError("vector operators run where vector truth or the "
                              "1D demo is available (sphere or ellipse)")
@@ -84,7 +81,7 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be at least 1")
         if self.method == "DM":
             for N in self.N_list:
-                self.dm.validate(N)
+                validate_graph(N, self.dm_K, self.dm_epsilon)
         elif self.projection != "Analytic":
             K = neighbor_count(self.K, self.manifold.d,
                                second_order=self.projection == "SecondOrder")
@@ -97,19 +94,12 @@ class ExperimentConfig:
                              f"smaller than the cloud size "
                              f"N={min(self.N_list)}")
 
-    @property
-    def dm(self):
-        """The diffusion-maps settings; DmConfig resolves the default K."""
-        return DmConfig(self.dm_K, self.dm_epsilon)
-
     def to_dict(self):
         return {**asdict(self), "manifold": self.manifold.to_dict()}
 
     @staticmethod
     def from_dict(cfg):
-        unknown = set(cfg) - {f.name for f in fields(ExperimentConfig)}
-        if unknown:
-            raise ValueError(f"unknown config keys {sorted(unknown)}")
+        check_config_keys(ExperimentConfig, cfg, "config")
         cfg = dict(cfg)
         cfg["manifold"] = zoo.ManifoldSpec.from_dict(cfg["manifold"])
         if "kernel" in cfg:
@@ -199,22 +189,11 @@ def estimate_run_bytes(config, N, rank=None):
     before and after the back-transform) for ARPACK's default
     ncv = max(2k + 1, 20) at k computed modes.
 
-    Every method adds its truth's build, which no N scales. Only the
-    Sturm-Liouville truth of a torus LB study (zoo._sl_modes) has a sizable
-    one: on nodes = _SL_NODES angles with b = 2 _SL_K + 1 basis functions
-    it peaks while forming the potential, holding the angles and weights
-    (2 nodes); the basis, its derivative, the scaled transpose, the quotient
-    by the weights and numpy's broadcast buffer for it (5 nodes b); the
-    inverse Cholesky factor and the stiffness (2 b^2). Each Fourier mode's
-    eigh holds 3 b^2 more outside tracemalloc.
+    Every method adds its truth's build (zoo.truth_build_words).
     """
-    truth = 0
-    if config.operator == "LB" and \
-            config.manifold.kind in ("torus", "general_torus"):
-        nodes, b = zoo._SL_NODES, 2 * zoo._SL_K + 1
-        truth = 2 * nodes + 5 * nodes * b + 5 * b * b
+    truth = zoo.truth_build_words(config.manifold, config.operator)
     if config.method == "DM":
-        K = config.dm.neighbors(N)
+        K = graph_neighbors(N, config.dm_K)
         ncv = max(2 * _dm_mode_count(config, N) + 1, 20)
         return 8 * (N * (10 * K + 4 * ncv) + truth)
     r = N if rank is None else rank
@@ -443,19 +422,6 @@ def paired_mode_errors(result, truth_vals, candidates=None):
     return errors, indices
 
 
-def _truth_for(config):
-    spec = config.manifold
-    if config.operator == "LB":
-        if spec.kind in ("sphere", "flat_torus", "torus", "general_torus"):
-            # each distinct value covers at least one of the compared modes
-            return zoo.scalar_eigen_truth(spec, config.compare_count)
-        return None
-    if config.operator in VECTOR_LAPLACIANS and spec.kind == "sphere":
-        return zoo.vector_eigen_truth(spec,
-                                      VECTOR_LAPLACIANS[config.operator])
-    return None
-
-
 def _form(config, ops, q):
     """The configured operator built from ops: the left factor of an NRBF
     operator, the pencil of an SRBF one. Every builder is a module name
@@ -495,31 +461,11 @@ def _solve_rbf(config, op_cloud, proj, q):
         pinv_tol=tol), system.rank_L
 
 
-def ellipse_test_field(cloud):
-    """The 1D demo field u = sin(theta) d/dtheta in ambient components;
-    d/dtheta is the one column of the embedding Jacobian."""
-    tau = zoo.embedding_jacobian(cloud.spec, cloud.intrinsic)[:, :, 0]
-    return np.sin(cloud.intrinsic[:, 0])[:, None] * tau
-
-
-def ellipse_covariant_truth(cloud):
-    """Ambient samples of the covariant derivative of the demo field
-    along itself: (u u' + Gamma u^2) d/dtheta with u = sin(theta)."""
-    th = cloud.intrinsic[:, 0]
-    a = cloud.spec.a
-    g = np.sin(th) ** 2 + a * a * np.cos(th) ** 2
-    gamma = np.sin(2.0 * th) * (1.0 - a * a) / (2.0 * g)
-    coef = np.sin(th) * np.cos(th) + gamma * np.sin(th) ** 2
-    tau = zoo.embedding_jacobian(cloud.spec, cloud.intrinsic)[:, :, 0]
-    return coef[:, None] * tau
-
-
 def _run_covariant(config, op_cloud, proj):
     system = build_system(op_cloud, config.kernel)
     check_memory(config, system.N, system.rank_L)
-    U = ellipse_test_field(op_cloud)
+    U, truth = zoo.ellipse_covariant_truth(op_cloud)
     est = covariant_derivative(system, proj, U, U)
-    truth = ellipse_covariant_truth(op_cloud)
     err = float(np.max(np.abs(est[:, 0] - truth[:, 0])))
     return err, system.rank_L
 
@@ -527,8 +473,8 @@ def _run_covariant(config, op_cloud, proj):
 def run_experiment(config):
     """Execute the configured study over every (N, seed) pair."""
     config.validate()
-    truth = _truth_for(config)
     count = config.compare_count
+    truth = zoo.study_truth(config.manifold, config.operator, count)
     # a compare_count the truth cannot fill fails before any sampling
     truth_vals = None if truth is None else truth.expanded(count)
     runs = []
@@ -543,8 +489,9 @@ def run_experiment(config):
                 rec.field_error, rec.rank_L = _run_covariant(
                     config, op_cloud, proj)
             elif config.method == "DM":
-                lam, vec, lam_max = dm_spectrum(op_cloud, config.dm,
-                                                _dm_mode_count(config, N))
+                lam, vec, lam_max = dm_spectrum(
+                    op_cloud, _dm_mode_count(config, N), config.dm_K,
+                    config.dm_epsilon)
                 rec.result = symmetric_result(lam, vec,
                                               config.kernel.pinv_tol,
                                               radius=lam_max)

@@ -16,7 +16,7 @@ OpenBLAS also does the matmuls: scipy.linalg bundles a second OpenBLAS,
 whose idle thread pool spins against the busy one and slows both down.
 """
 
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -57,11 +57,20 @@ class KernelModel:
 
     @staticmethod
     def from_dict(cfg):
-        unknown = set(cfg) - {f.name for f in fields(KernelModel)}
-        if unknown:
-            raise ValueError(f"unknown kernel keys {sorted(unknown)}")
-        return KernelModel(family=cfg["family"], s=float(cfg["s"]),
-                           pinv_tol=float(cfg.get("pinv_tol", 1e-8)))
+        check_config_keys(KernelModel, cfg, "kernel")
+        return KernelModel(**{key: value if key == "family" else float(value)
+                              for key, value in cfg.items()})
+
+
+def check_config_keys(cls, cfg, block):
+    """Refuse a block cfg of the dataclass cls with unknown or missing keys."""
+    unknown = set(cfg) - {f.name for f in fields(cls)}
+    if unknown:
+        raise ValueError(f"unknown {block} keys {sorted(unknown)}")
+    missing = {f.name for f in fields(cls) if f.default is MISSING
+               and f.default_factory is MISSING} - set(cfg)
+    if missing:
+        raise ValueError(f"missing {block} keys {sorted(missing)}")
 
 
 def kernel_eval(model, r):

@@ -1,5 +1,9 @@
 """Analytic test manifolds embedded in R^n.
 
+Each kind's constructor (Ellipse, ..., Sphere) owns its manifold block:
+its parameters are the keys, its defaults the zoo instance. study_truth
+alone picks the truth that scores a study, beside the ellipse's demo.
+
 Provides samplers (random in intrinsic coordinates or in area, or lattice
 grids), exact tangent frames, Laplacian eigen-truth and the density of a
 cloud's own draw with respect to the Riemannian volume measure. The truth
@@ -22,6 +26,7 @@ the vector truth.
 """
 
 import functools
+import inspect
 import itertools
 import math
 from dataclasses import dataclass
@@ -33,6 +38,9 @@ from .vector_ops import stacked
 
 TWO_PI = 2.0 * math.pi
 KINDS = ("ellipse", "torus", "general_torus", "flat_torus", "sphere")
+# vector operator -> its Laplacian's name in vector_eigen_truth
+VECTOR_LAPLACIANS = {"Bochner": "Bochner", "Hodge": "Hodge",
+                     "Lich": "Lichnerowicz"}
 
 
 def counter_rng(seed):
@@ -43,11 +51,11 @@ def counter_rng(seed):
 
 @dataclass(frozen=True)
 class ManifoldSpec:
-    """One manifold from the built-in zoo.
+    """One manifold from the built-in zoo, made by its kind's constructor.
 
-    kind is one of KINDS; d and n are the intrinsic and ambient dimensions. `a` is the
-    ellipse semi-axis or the torus radius ratio, `m` the number of harmonics
-    per intrinsic dimension of the flat torus.
+    kind is one of KINDS; d and n are the intrinsic and ambient dimensions.
+    `a` is the ellipse semi-axis or the torus radius ratio, `m` the number
+    of harmonics per intrinsic dimension of the flat torus.
     """
 
     kind: str
@@ -59,65 +67,65 @@ class ManifoldSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown manifold kind {self.kind!r}")
-        if self.d > self.n:
-            raise ValueError("intrinsic dimension exceeds ambient dimension")
         if self.kind == "ellipse":
-            if (self.d, self.n) != (1, 2) or self.a <= 0:
+            if (self.d, self.n) != (1, 2) or not 0 < self.a < math.inf:
                 raise ValueError("ellipse requires d=1, n=2, a > 0")
         if self.kind in ("torus", "general_torus"):
-            if self.a <= 1:
+            if not 1 < self.a < math.inf:
                 raise ValueError("torus embeddings require a > 1")
             if self.d != 2 or self.n < 3 or self.n % 2 == 0:
                 raise ValueError("torus requires d=2 and odd ambient n >= 3")
         if self.kind == "flat_torus":
-            if self.m < 1 or self.n != 2 * self.m * self.d:
-                raise ValueError("flat torus requires n = 2*m*d with m >= 1")
+            if min(self.d, self.m) < 1 or self.n != 2 * self.m * self.d:
+                raise ValueError("flat torus requires n = 2*m*d, d, m >= 1")
         if self.kind == "sphere" and (self.d, self.n) != (2, 3):
             raise ValueError("sphere is the unit 2-sphere in R^3")
 
     def to_dict(self):
-        out = {"kind": self.kind, "d": self.d, "n": self.n}
-        if self.kind in ("ellipse", "torus", "general_torus"):
-            out["a"] = self.a
-        if self.kind == "flat_torus":
-            out["m"] = self.m
-        return out
+        """kind, d, n and the keys of the kind's constructor."""
+        params = inspect.signature(_CONSTRUCTORS[self.kind]).parameters
+        return {key: getattr(self, key) for key in ("kind", "d", "n", *params)}
 
     @staticmethod
     def from_dict(cfg):
-        kind = cfg["kind"]
-        if kind == "ellipse":
-            return Ellipse(cfg["a"])
-        if kind == "torus":
-            return Torus(cfg["a"])
-        if kind == "general_torus":
-            return GeneralTorus(cfg["a"], cfg.get("n", 21))
-        if kind == "flat_torus":
-            return FlatTorus(cfg["d"], cfg.get("m", 1))
-        if kind == "sphere":
-            return Sphere()
-        raise ValueError(f"unknown manifold kind {kind!r}")
+        """The kind's constructor given the block's keys; a key the built
+        spec does not hold as given raises ValueError."""
+        kind = cfg.get("kind")
+        if kind not in KINDS:
+            raise ValueError(f"unknown manifold kind {kind!r}")
+        make = _CONSTRUCTORS[kind]
+        params = inspect.signature(make).parameters
+        spec = make(**{k: v for k, v in cfg.items() if k in params})
+        held = spec.to_dict()
+        bad = {k: v for k, v in cfg.items() if k not in held or held[k] != v}
+        if bad:
+            raise ValueError(f"manifold keys {bad} do not fit {held}")
+        return spec
 
 
-def Ellipse(a):
+def Ellipse(a=2.0):
     return ManifoldSpec("ellipse", d=1, n=2, a=float(a))
 
 
-def Torus(a):
+def Torus(a=2.0):
     return ManifoldSpec("torus", d=2, n=3, a=float(a))
 
 
-def GeneralTorus(a, n_ambient=21):
-    return ManifoldSpec("general_torus", d=2, n=int(n_ambient), a=float(a))
+def GeneralTorus(a=2.0, n=21):
+    return ManifoldSpec("general_torus", d=2, n=int(n), a=float(a))
 
 
-def FlatTorus(d, m=1):
+def FlatTorus(d=2, m=1):
     return ManifoldSpec("flat_torus", d=int(d), n=2 * int(m) * int(d),
                         m=int(m))
 
 
 def Sphere():
     return ManifoldSpec("sphere", d=2, n=3)
+
+
+_CONSTRUCTORS = dict(zip(KINDS, (Ellipse, Torus, GeneralTorus, FlatTorus,
+                                 Sphere)))
 
 
 # -- torus helpers -----------------------------------------------------------
@@ -131,14 +139,12 @@ def _torus_constants(spec):
 
 
 def intrinsic_box(spec):
-    """Per-dimension (lo, hi) of the intrinsic parameter box."""
-    if spec.kind == "ellipse":
-        return [(0.0, TWO_PI)]
-    if spec.kind in ("torus", "general_torus"):
-        return [(0.0, TWO_PI), (0.0, TWO_PI)]
-    if spec.kind == "flat_torus":
-        return [(0.0, TWO_PI)] * spec.d
-    return [(0.0, math.pi), (0.0, TWO_PI)]
+    """Per-dimension (lo, hi) of the intrinsic parameter box: a full turn
+    per angle, but half a turn for the sphere's polar angle."""
+    box = [(0.0, TWO_PI)] * spec.d
+    if spec.kind == "sphere":
+        box[0] = (0.0, math.pi)
+    return box
 
 
 def embed(spec, theta):
@@ -627,3 +633,45 @@ def scalar_eigen_truth(spec, count):
     if spec.kind in ("torus", "general_torus"):
         return sturm_liouville_truth(spec, count)
     raise ValueError(f"no scalar eigen-truth for manifold kind {spec.kind!r}")
+
+
+# -- the truth of a study -----------------------------------------------------
+
+def study_truth(spec, operator, count):
+    """The truth that scores a study of `operator` on spec, or None: for LB
+    off the ellipse the scalar truth of count distinct values (one or more
+    per compared mode), for a vector Laplacian the sphere's vector truth."""
+    if operator == "LB" and spec.kind != "ellipse":
+        return scalar_eigen_truth(spec, count)
+    if operator in VECTOR_LAPLACIANS and spec.kind == "sphere":
+        return vector_eigen_truth(spec, VECTOR_LAPLACIANS[operator])
+    return None
+
+
+def truth_build_words(spec, operator):
+    """Peak float64 words of building study_truth(spec, operator, ...).
+
+    Only the tori's Sturm-Liouville truth (_sl_modes) has a sizable one,
+    which no cloud size scales: on nodes = _SL_NODES angles with b = 2 _SL_K
+    + 1 basis functions it peaks while forming the potential, holding the
+    angles and weights (2 nodes); the basis, its derivative, the scaled
+    transpose, the quotient by the weights and numpy's broadcast buffer for
+    it (5 nodes b); the inverse Cholesky factor and the stiffness (2 b^2).
+    Each Fourier mode's eigh holds 3 b^2 more outside tracemalloc."""
+    if operator != "LB" or spec.kind not in ("torus", "general_torus"):
+        return 0
+    nodes, b = _SL_NODES, 2 * _SL_K + 1
+    return 2 * nodes + 5 * nodes * b + 5 * b * b
+
+
+def ellipse_covariant_truth(cloud):
+    """The ellipse's covariant-derivative demo: the field u = sin(theta)
+    d/dtheta and its derivative along itself, (u u' + Gamma u^2) d/dtheta,
+    in ambient components; d/dtheta is the one column of the Jacobian."""
+    tau = embedding_jacobian(cloud.spec, cloud.intrinsic)[:, :, 0]
+    th, a = cloud.intrinsic[:, 0], cloud.spec.a
+    u = np.sin(th)
+    g = u ** 2 + a * a * np.cos(th) ** 2
+    gamma = np.sin(2.0 * th) * (1.0 - a * a) / (2.0 * g)
+    coef = u * np.cos(th) + gamma * u ** 2
+    return u[:, None] * tau, coef[:, None] * tau

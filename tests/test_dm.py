@@ -9,8 +9,8 @@ import scipy.linalg
 import scipy.sparse.linalg
 
 from manifold_rbf import dm
-from manifold_rbf.dm import (DmConfig, autotune_epsilon, dm_laplacian,
-                             dm_spectrum)
+from manifold_rbf.dm import (autotune_epsilon, dm_laplacian, dm_spectrum,
+                             graph_neighbors, validate_graph)
 from manifold_rbf.spectral import symmetric_result
 from manifold_rbf.tangent import knn_indices
 from manifold_rbf.zoo import (Sphere, Torus, sample_manifold,
@@ -27,15 +27,15 @@ def knn_sq_distances(points, K):
 
 
 def test_config_validation():
-    DmConfig(K_neighbors=10).validate(10)
-    DmConfig(K_neighbors=10, epsilon=0.5).validate(10)
+    validate_graph(10, K=10)
+    validate_graph(10, K=10, epsilon=0.5)
     with pytest.raises(ValueError):
-        DmConfig(K_neighbors=1).validate(10)
+        validate_graph(10, K=1)
     with pytest.raises(ValueError):
-        DmConfig(K_neighbors=11).validate(10)
+        validate_graph(10, K=11)
     for eps in (-0.1, 0.0, np.nan, np.inf):
         with pytest.raises(ValueError, match="epsilon must be finite"):
-            DmConfig(K_neighbors=10, epsilon=eps).validate(10)
+            validate_graph(10, K=10, epsilon=eps)
 
 
 def test_one_knn_query_serves_bandwidth_and_graph(monkeypatch):
@@ -47,15 +47,15 @@ def test_one_knn_query_serves_bandwidth_and_graph(monkeypatch):
 
     monkeypatch.setattr(dm, "knn_indices", counting)
     cloud = sample_manifold(Torus(2.0), 300, seed=0, mode="random_area")
-    dm_laplacian(cloud, DmConfig(K_neighbors=18))
+    dm_laplacian(cloud, K=18)
     assert calls == [18]
 
 
 def test_neighbor_count_defaults():
-    assert DmConfig().neighbors(1024) == 32
-    assert DmConfig().neighbors(1000) == 32
-    assert DmConfig().neighbors(4) == 2
-    assert DmConfig(K_neighbors=7).neighbors(1024) == 7
+    assert graph_neighbors(1024) == 32
+    assert graph_neighbors(1000) == 32
+    assert graph_neighbors(4) == 2
+    assert graph_neighbors(1024, K=7) == 7
 
 
 def test_autotune_equal_distances():
@@ -79,7 +79,7 @@ def test_disconnected_clusters_zero_multiplicity(K=5):
     pts = np.vstack([blob, blob + np.array([100.0, 0.0, 0.0])])
     cloud = SimpleNamespace(points=pts)
     with pytest.warns(RuntimeWarning, match="connected components"):
-        vals, _, lam_max = dm_spectrum(cloud, DmConfig(K_neighbors=K), k=3)
+        vals, _, lam_max = dm_spectrum(cloud, k=3, K=K)
     tiny = 1e-8 * lam_max
     assert np.abs(vals[0]) <= tiny
     assert np.abs(vals[1]) <= tiny
@@ -94,7 +94,7 @@ def test_underflowed_weights_are_no_edges():
 
 def test_sphere_leading_eigenvalue():
     cloud = sample_manifold(Sphere(), 1024, seed=0, mode="random_area")
-    vals, vecs, lam_max = dm_spectrum(cloud, DmConfig(K_neighbors=60), k=2)
+    vals, vecs, lam_max = dm_spectrum(cloud, k=2, K=60)
     assert abs(vals[1] - 2.0) / 2.0 <= 0.10
     assert vals[1] == pytest.approx(1.9696656, abs=1e-4)
     # real symmetric solve path: no negative modes beyond roundoff; the
@@ -110,8 +110,8 @@ def test_constant_image_and_sparsity():
     rel = []
     for N in (256, 1024):
         cloud = sample_manifold(Sphere(), N, seed=0, mode="random_area")
-        K = DmConfig().neighbors(N)
-        L, _scale = dm_laplacian(cloud, DmConfig(K_neighbors=K))
+        K = graph_neighbors(N)
+        L, _scale = dm_laplacian(cloud, K=K)
         one = np.ones(N)
         rel.append(np.linalg.norm(L @ one)
                    / (scipy.sparse.linalg.norm(L) * np.linalg.norm(one)))
@@ -129,8 +129,7 @@ def test_bandwidth_plateau_torus():
     assert 0.015 <= eps <= 0.07
     errs = []
     for f in (0.25, 0.5, 1.0, 2.0):
-        vals, _, _ = dm_spectrum(
-            cloud, DmConfig(K_neighbors=100, epsilon=eps * f), k=2)
+        vals, _, _ = dm_spectrum(cloud, k=2, K=100, epsilon=eps * f)
         errs.append(abs(vals[1] - truth) / truth)
     assert errs[2] <= 0.05                 # tuned point itself
     assert max(errs) <= 0.15               # flat across the decade
@@ -146,9 +145,9 @@ def _clusters(values, gap):
 def test_sparse_spectrum_matches_dense_reference(N, k):
     # k = N is past what ARPACK solves and takes the dense branch
     cloud = sample_manifold(Torus(2.0), N, seed=1, mode="random_area")
-    cfg = DmConfig()        # ceil(sqrt(N)) neighbours
-    vals, vecs, lam_max = dm_spectrum(cloud, cfg, k)
-    L, scale = dm_laplacian(cloud, cfg)
+    # ceil(sqrt(N)) neighbours
+    vals, vecs, lam_max = dm_spectrum(cloud, k)
+    L, scale = dm_laplacian(cloud)
     ref, Z = scipy.linalg.eigh(L.toarray())
     assert np.max(np.abs(vals - ref[:k])) <= 1e-10 * ref[-1]
     assert abs(lam_max - ref[-1]) <= 1e-10 * ref[-1]
@@ -173,8 +172,7 @@ def test_sparse_spectrum_matches_dense_reference(N, k):
 
 def test_sparse_spectrum_is_bit_repeatable():
     cloud = sample_manifold(Sphere(), 400, seed=2, mode="random_area")
-    cfg = DmConfig(K_neighbors=20)
-    first = dm_spectrum(cloud, cfg, 24)
-    second = dm_spectrum(cloud, cfg, 24)
+    first = dm_spectrum(cloud, 24, K=20)
+    second = dm_spectrum(cloud, 24, K=20)
     for a, b in zip(first, second):
         assert np.array_equal(a, b)

@@ -13,8 +13,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from manifold_rbf import cli, harness, scalar_ops, zoo
-from manifold_rbf.dm import DmConfig, dm_spectrum
+from manifold_rbf import cli, dm, harness, scalar_ops, zoo
+from manifold_rbf.dm import dm_spectrum
 from manifold_rbf.harness import (MEMORY_ENV_VAR, ExperimentConfig,
                                   alignment_gate, check_memory,
                                   estimate_run_bytes, fit_convergence_slope,
@@ -105,6 +105,9 @@ def test_config_validation():
      "truth holds only 16 modes, need 17"),
     (dict(manifold=Sphere(), operator="Hodge", compare_count=31),
      "truth holds only 30 modes, need 31"),
+    # an empty list used to run no study, or die on min() or runs[0]
+    (dict(N_list=[]), "N_list must not be empty"),
+    (dict(seeds=[]), "seeds must not be empty"),
 ])
 def test_bad_study_inputs_fail_before_any_work(kw, match, monkeypatch):
     def no_sampling(*args, **kwargs):
@@ -127,6 +130,14 @@ def test_config_files_refuse_unknown_keys():
     with pytest.raises(ValueError, match=r"unknown config keys "
                        r"\['modes', 'truth_count'\]"):
         ExperimentConfig.from_dict(dict(good, modes=16, truth_count=40))
+    # a key left out is named too, not a bare KeyError or TypeError
+    with pytest.raises(ValueError, match=r"missing kernel keys \['family'\]"):
+        KernelModel.from_dict({"s": 0.5})
+    for key in ("manifold", "N_list"):
+        cfg = {k: v for k, v in good.items() if k != key}
+        with pytest.raises(ValueError,
+                           match=rf"missing config keys \['{key}'\]"):
+            ExperimentConfig.from_dict(cfg)
 
 
 def test_cli_config_file_with_an_unknown_key_fails(tmp_path):
@@ -244,7 +255,7 @@ def test_memory_estimate_bounds_traced_peak(method, operator, spec,
     q = harness.build_density(cfg, op_cloud)
     if method == "DM":
         def stage():
-            dm_spectrum(op_cloud, DmConfig(K_neighbors=18), 24)
+            dm_spectrum(op_cloud, 24, K=18)
     elif operator == "Covariant":
         def stage():
             harness._run_covariant(cfg, op_cloud, proj)
@@ -388,6 +399,19 @@ def test_dm_run_builds_no_tangent_field(monkeypatch):
         assert rec.result.solve_dim == 2 * cfg.compare_count
 
 
+def test_dm_study_builds_its_graph_with_dm_k_neighbours(monkeypatch):
+    calls = []
+    real = dm.knn_indices
+
+    def counting(points, K, **kwargs):
+        calls.append(K)
+        return real(points, K, **kwargs)
+
+    monkeypatch.setattr(dm, "knn_indices", counting)
+    run_experiment(make_config(method="DM", N_list=[300], dm_K=18))
+    assert calls == [18]
+
+
 # -- slope fitting -------------------------------------------------------------
 
 
@@ -513,7 +537,8 @@ def test_alignment_gate_scores_the_window_as_each_mode_alone(method):
     q = harness.build_density(cfg, op_cloud)
     result, _rank = harness._solve_rbf(cfg, op_cloud, proj, q)
     assert np.iscomplexobj(result.vectors) == (method == "NRBF")
-    F = harness._truth_for(cfg).basis(op_cloud, cfg.compare_count)
+    F = zoo.study_truth(cfg.manifold, cfg.operator,
+                        cfg.compare_count).basis(op_cloud, cfg.compare_count)
     kept, resid = alignment_gate(result, F)
     window, want = per_mode_gate(result, F)
     assert 0 < len(kept) < len(window)
@@ -770,6 +795,48 @@ def test_cli_general_torus_defaults_to_the_zoo_torus(capsys):
             f"{lam:.17g},{mult}" for lam, mult in want]
         assert want[1][0] == pytest.approx(
             0.02812 if spec.n == 21 else 0.2494, abs=1e-4)
+
+
+@pytest.mark.parametrize("argv,bad", [
+    (["truth", "--manifold", "torus", "--ambient-n", "21"], "'n': 21"),
+    (["spectrum", "--manifold", "sphere", "--flat-d", "3", "--N", "50"],
+     "'d': 3"),
+    (["spectrum", "--manifold", "sphere", "--a", "3", "--N", "50"],
+     "'a': 3.0"),
+])
+def test_cli_refuses_manifold_flags_the_kind_does_not_hold(argv, bad,
+                                                           tmp_path):
+    # these flags used to be dropped: the first printed the n = 3 torus
+    out = ["--out", str(tmp_path / "truth.csv")] if argv[0] == "truth" \
+        else ["--out-dir", str(tmp_path / "out")]
+    with pytest.raises(ValueError, match=f"manifold keys {{{bad}}} do not"):
+        cli.main([*argv, *out])
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_compare_dm_runs_srbf_lb_or_refuses(tmp_path, monkeypatch):
+    # compare-dm used to overwrite a given method or operator unannounced
+    configs = []
+
+    def capture(config):
+        configs.append(config)
+        raise AssertionError("stop")
+
+    monkeypatch.setattr(cli, "run_experiment", capture)
+    argv = ["compare-dm", "--manifold", "torus", "--N", "200",
+            "--out-dir", str(tmp_path / "out")]
+    with pytest.raises(AssertionError, match="stop"):
+        cli.main(argv)
+    assert (configs[0].method, configs[0].operator) == ("SRBF", "LB")
+    cfg_file = tmp_path / "study.json"
+    cfg_file.write_text(json.dumps({"method": "NRBF"}))
+    for extra, name in ((["--method", "NRBF"], "method=NRBF"),
+                        (["--operator", "Hodge"], "operator=Hodge"),
+                        (["--config", str(cfg_file)], "method=NRBF")):
+        with pytest.raises(ValueError, match=name):
+            cli.main([*argv, *extra])
+    assert len(configs) == 1
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_converge(tmp_path):

@@ -551,6 +551,54 @@ def test_zoo_defaults_cover_every_kind():
     kinds = ("ellipse", "torus", "general_torus", "flat_torus", "sphere")
     assert zoo.KINDS == kinds
     assert tuple(ZOO_DEFAULTS) == kinds
-    assert [ManifoldSpec.from_dict({"kind": kind, "a": 2.0, "d": 2})
-            for kind in kinds] == list(ZOO_DEFAULTS.values())
+    assert [ManifoldSpec.from_dict({"kind": kind}) for kind in kinds] == \
+        list(ZOO_DEFAULTS.values())
+
+
+@pytest.mark.parametrize("make,kw,match", [
+    (Ellipse, dict(a=0.0), "a > 0"),
+    (Torus, dict(a=1.0), "a > 1"),
+    (GeneralTorus, dict(a=np.inf), "a > 1"),
+    (GeneralTorus, dict(n=4), "odd ambient n"),
+    (FlatTorus, dict(d=0), "d, m >= 1"),
+    (FlatTorus, dict(m=0), "d, m >= 1"),
+])
+def test_zoo_constructors_refuse_bad_parameters(make, kw, match):
+    # FlatTorus(d=0) and an infinite a used to build a spec
+    with pytest.raises(ValueError, match=match):
+        make(**kw)
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.kind + str(s.n))
+def test_manifold_block_round_trips(spec):
+    assert ManifoldSpec.from_dict(spec.to_dict()) == spec
+
+
+def test_manifold_block_lists_the_constructor_keys():
+    # the keys, and so the config echo's bytes, of every kind
+    assert [spec.to_dict() for spec in ZOO_DEFAULTS.values()] == [
+        {"kind": "ellipse", "d": 1, "n": 2, "a": 2.0},
+        {"kind": "torus", "d": 2, "n": 3, "a": 2.0},
+        {"kind": "general_torus", "d": 2, "n": 21, "a": 2.0},
+        {"kind": "flat_torus", "d": 2, "n": 4, "m": 1},
+        {"kind": "sphere", "d": 2, "n": 3}]
+
+
+@pytest.mark.parametrize("kind,foreign,fixed", [
+    ("ellipse", "m", ("d", 2)),
+    ("torus", "m", ("n", 21)),
+    ("general_torus", "m", ("d", 3)),
+    ("flat_torus", "a", ("n", 5)),
+    ("sphere", "a", ("d", 3)),
+])
+def test_manifold_block_refuses_what_the_kind_does_not_hold(kind, foreign,
+                                                            fixed):
+    # such keys used to be dropped: {"kind": "torus", "n": 21} built the
+    # n = 3 torus
+    key, value = fixed
+    for block, bad in (({"kind": kind, foreign: 2}, f"'{foreign}': 2"),
+                       ({"kind": kind, key: value}, f"'{key}': {value}")):
+        with pytest.raises(ValueError, match=f"manifold keys {{{bad}}} do "
+                           f"not fit {{'kind': '{kind}'"):
+            ManifoldSpec.from_dict(block)
 
