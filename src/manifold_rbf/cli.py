@@ -17,7 +17,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from . import harness, zoo
+from . import harness, rbf, vector_ops, zoo
 from .harness import ExperimentConfig, run_experiment
 from .tangent import projection_diagnostics
 
@@ -49,8 +49,7 @@ def _add_sampling_args(p):
 
 def _add_draw_args(p):
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--mode", default=None,
-                   choices=["random_intrinsic", "random_area", "grid"])
+    p.add_argument("--mode", default=None, choices=zoo.SAMPLE_MODES)
 
 
 def _add_study_args(p):
@@ -60,8 +59,7 @@ def _add_study_args(p):
     p.add_argument("--operator", default=None, choices=harness.OPERATORS)
     p.add_argument("--projection", default=None,
                    choices=harness.PROJECTIONS)
-    p.add_argument("--kernel", default=None,
-                   choices=["gaussian", "inverse_quadratic", "matern"])
+    p.add_argument("--kernel", default=None, choices=rbf.KERNELS)
     p.add_argument("--s", type=float, default=None, help="kernel shape")
     p.add_argument("--pinv-tol", type=float, default=None)
     p.add_argument("--density", default=None, choices=harness.DENSITIES)
@@ -280,7 +278,7 @@ def build_parser():
     p = sub.add_parser("truth", help="analytic eigenvalue tables")
     _add_manifold_args(p)
     p.add_argument("--operator", default="LB",
-                   choices=["LB", *zoo.VECTOR_LAPLACIANS])
+                   choices=["LB", *vector_ops.LAPLACIANS])
     p.add_argument("--count", type=int, default=20)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_truth)

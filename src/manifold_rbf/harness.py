@@ -7,6 +7,7 @@ which is excluded from the determinism guarantee).
 """
 
 import json
+import numbers
 import os
 import time
 import warnings
@@ -14,7 +15,7 @@ from dataclasses import asdict, dataclass, field as dc_field
 
 import numpy as np
 
-from . import zoo
+from . import vector_ops, zoo
 from .density import kde_density
 from .dm import dm_spectrum, graph_neighbors, validate_graph
 from .rbf import KernelModel, build_system, check_config_keys, row_blocks
@@ -30,7 +31,7 @@ MEMORY_ENV_VAR = "MANIFOLD_RBF_MEM_GIB"
 DEFAULT_MEMORY_GIB = 2.0
 
 METHODS = ("NRBF", "SRBF", "DM")
-OPERATORS = ("LB", *zoo.VECTOR_LAPLACIANS, "Covariant")
+OPERATORS = ("LB", *vector_ops.LAPLACIANS, "Covariant")
 PROJECTIONS = ("Analytic", "FirstOrder", "SecondOrder")
 DENSITIES = ("Analytic", "KDE", "Uniform")
 
@@ -55,12 +56,25 @@ class ExperimentConfig:
     compare_count: int = 12
 
     def validate(self):
+        def typed(value, kinds):    # a bool is no count and no scale
+            return isinstance(value, kinds) and not isinstance(value, bool)
         for name in ("N_list", "seeds"):
-            if not getattr(self, name):
+            values = getattr(self, name)
+            if not isinstance(values, list) or \
+                    not all(typed(v, numbers.Integral) for v in values):
+                raise ValueError(f"{name} must be a list of integers")
+            if not values:
                 raise ValueError(f"{name} must not be empty")
+        for name in ("compare_count", "N_p", "K", "dm_K"):
+            optional = () if name == "compare_count" else (type(None),)
+            if not typed(getattr(self, name), (numbers.Integral, *optional)):
+                raise ValueError(f"{name} must be an integer")
+        if not typed(self.dm_epsilon, (numbers.Real, type(None))):
+            raise ValueError("dm_epsilon must be a number")
         for name, allowed in (("method", METHODS), ("operator", OPERATORS),
                               ("projection", PROJECTIONS),
-                              ("density", DENSITIES)):
+                              ("density", DENSITIES),
+                              ("sample_mode", zoo.SAMPLE_MODES)):
             if getattr(self, name) not in allowed:
                 raise ValueError(f"{name} must be one of {allowed}")
         if self.method == "DM" and self.operator != "LB":
@@ -69,7 +83,7 @@ class ExperimentConfig:
         if self.operator == "Covariant" and self.manifold.kind != "ellipse":
             raise ValueError("the covariant-derivative check runs on the "
                              "ellipse demo manifold")
-        if self.operator in zoo.VECTOR_LAPLACIANS and \
+        if self.operator in vector_ops.LAPLACIANS and \
                 self.manifold.kind not in ("sphere", "ellipse"):
             raise ValueError("vector operators run where vector truth or the "
                              "1D demo is available (sphere or ellipse)")
@@ -426,14 +440,12 @@ def _form(config, ops, q):
     """The configured operator built from ops: the left factor of an NRBF
     operator, the pencil of an SRBF one. Every builder is a module name
     looked up at call time."""
-    nonsymmetric = config.method == "NRBF"
     if config.operator == "LB":
-        return laplace_beltrami_nonsymmetric(ops) if nonsymmetric \
+        return laplace_beltrami_nonsymmetric(ops) if config.method == "NRBF" \
             else laplace_beltrami_symmetric(ops, q)
     form = {"Bochner": bochner, "Hodge": hodge,
             "Lich": lichnerowicz}[config.operator]
-    return form("nonsymmetric", ops) if nonsymmetric \
-        else form("symmetric", ops, q)
+    return form(config.method, ops, q)
 
 
 def _solve_rbf(config, op_cloud, proj, q):

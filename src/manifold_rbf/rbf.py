@@ -25,6 +25,7 @@ from scipy.spatial.distance import cdist
 # such blocks stay far below the eigendecomposition of Phi, and a block
 # still has over a hundred rows at N = 2000 for the matrix products.
 ROW_BLOCK_BYTES = 2 ** 21
+KERNELS = ("gaussian", "inverse_quadratic", "matern")
 
 
 def row_blocks(N, width):
@@ -40,12 +41,12 @@ def row_blocks(N, width):
 class KernelModel:
     """Radial kernel family with shape parameter and pseudo-inverse cutoff."""
 
-    family: str        # gaussian | inverse_quadratic | matern (nu = 3/2)
+    family: str        # one of KERNELS (matern: nu = 3/2)
     s: float
     pinv_tol: float = 1e-8
 
     def __post_init__(self):
-        if self.family not in ("gaussian", "inverse_quadratic", "matern"):
+        if self.family not in KERNELS:
             raise ValueError(f"unknown kernel family {self.family!r}")
         if not self.s > 0:
             raise ValueError("shape parameter s must be positive")

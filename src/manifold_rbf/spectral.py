@@ -155,9 +155,9 @@ def solve_symmetric(pair, k, pinv_tol=1e-8):
     """
     b, A, R, W = pair.B_diag, pair.A, pair.factor, pair.range_basis
     del pair                       # see the module notes on the hand-over
-    if np.any(b <= 0):
+    if not np.all((b > 0) & (b < np.inf)):
         raise ValueError("B must be positive definite (diagonal has "
-                         "non-positive entries)")
+                         "non-positive or non-finite entries)")
     _check_count(k, len(b))
     scale = 1.0 / np.sqrt(b)
     scalar = W is None

@@ -5,12 +5,12 @@ vectors; the operators act on its concatenation (U^1; ...; U^n) of ambient
 coordinate samples, stacked(samples). The covariant gradient
 X = nabla U is the ambient derivative of the interpolated field, projected
 onto the tangent space in both indices; the three Laplacians combine it with
-its transpose and, for Hodge, the divergence, as listed in LAPLACIANS:
+its transpose and, for Hodge, the divergence, as keyed in LAPLACIANS:
 
-                  symmetric form            non-symmetric form
+                  symmetric form (SRBF)     non-symmetric form (NRBF)
     Bochner       |X|^2                     -sum_i H_i H_i
     Hodge         |X - X^T|^2/2 + |div U|^2 -sum_i H_i (H_i - S_i) - [G_j G_k]
-    Lichnerowicz  |X + X^T|^2/2             -sum_i H_i (H_i + S_i)
+    Lich          |X + X^T|^2/2             -sum_i H_i (H_i + S_i)
 
 Every Laplacian takes the ScalarOperatorSet (G, proj, U) of the cloud, whose
 derivatives follow the frames. Every derivative ends in
@@ -39,9 +39,9 @@ from .scalar_ops import GeneralizedPair, ambient_gradient, inverse_density
 # X + swap X^T, its symmetric form weighs |X + swap X^T|^2 by coefficient,
 # and Hodge adds the squared divergence.
 LAPLACIANS = {
-    "bochner": (0, 1.0, False),
-    "hodge": (-1, 0.5, True),
-    "lichnerowicz": (1, 0.5, False),
+    "Bochner": (0, 1.0, False),
+    "Hodge": (-1, 0.5, True),
+    "Lich": (1, 0.5, False),
 }
 
 
@@ -167,28 +167,28 @@ def _symmetric_pair(ops, q, swap, coeff, div):
                            range_basis=tangent_range_basis(ops.proj))
 
 
-def _laplacian(name, kind, ops, q):
+def _laplacian(name, method, ops, q):
     swap, coeff, div = LAPLACIANS[name]
-    if kind == "symmetric":
+    if method == "SRBF":
         return _symmetric_pair(ops, q, swap, coeff, div)
-    if kind != "nonsymmetric":
-        raise ValueError(f"unknown estimator kind {kind!r}")
+    if method != "NRBF":
+        raise ValueError(f"unknown method {method!r} for a vector Laplacian")
     return _nonsymmetric_factor(ops, swap, div)
 
 
-def bochner(kind, ops, q=None):
+def bochner(method, ops, q=None):
     """Vector (connection) Laplacian estimator."""
-    return _laplacian("bochner", kind, ops, q)
+    return _laplacian("Bochner", method, ops, q)
 
 
-def hodge(kind, ops, q=None):
+def hodge(method, ops, q=None):
     """1-form Laplacian carried to vector fields."""
-    return _laplacian("hodge", kind, ops, q)
+    return _laplacian("Hodge", method, ops, q)
 
 
-def lichnerowicz(kind, ops, q=None):
-    """Laplacian of the symmetrized covariant gradient."""
-    return _laplacian("lichnerowicz", kind, ops, q)
+def lichnerowicz(method, ops, q=None):
+    """Lichnerowicz (Lich) Laplacian, of the symmetrized covariant gradient."""
+    return _laplacian("Lich", method, ops, q)
 
 
 def covariant_derivative(system, proj, U, Y):

@@ -4,15 +4,15 @@ Each kind's constructor (Ellipse, ..., Sphere) owns its manifold block:
 its parameters are the keys, its defaults the zoo instance. study_truth
 alone picks the truth that scores a study, beside the ellipse's demo.
 
-Provides samplers (random in intrinsic coordinates or in area, or lattice
-grids), exact tangent frames, Laplacian eigen-truth and the density of a
-cloud's own draw with respect to the Riemannian volume measure. The truth
-is closed-form on the sphere and the flat torus; on the tori it separates
-into one periodic Sturm-Liouville problem per Fourier mode, solved
-spectrally in theta to rounding accuracy (sturm_liouville_truth). An
-EigenTruth hands its eigenfunctions to the scorer as one basis matrix over
-a cloud (EigenTruth.basis), read at the cloud's own coordinates: its
-angles on the tori, its points on the sphere.
+Provides samplers (SAMPLE_MODES: random in intrinsic coordinates or in
+area, or lattice grids), exact tangent frames, Laplacian eigen-truth and
+the density of a cloud's own draw with respect to the Riemannian volume
+measure. The truth is closed-form on the sphere and the flat torus; on the
+tori it separates into one periodic Sturm-Liouville problem per Fourier
+mode, solved spectrally in theta to rounding accuracy
+(sturm_liouville_truth). An EigenTruth hands its eigenfunctions to the
+scorer as one basis matrix over a cloud (EigenTruth.basis), read at the
+cloud's own coordinates: its angles on the tori, its points on the sphere.
 
 embed is the one formula of each manifold. Derived from it:
 - the Jacobian J (embedding_jacobian), by complex step (_complex_step);
@@ -34,13 +34,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .tangent import ProjectionField
-from .vector_ops import stacked
+from .vector_ops import LAPLACIANS, stacked
 
 TWO_PI = 2.0 * math.pi
 KINDS = ("ellipse", "torus", "general_torus", "flat_torus", "sphere")
-# vector operator -> its Laplacian's name in vector_eigen_truth
-VECTOR_LAPLACIANS = {"Bochner": "Bochner", "Hodge": "Hodge",
-                     "Lich": "Lichnerowicz"}
+SAMPLE_MODES = ("random_intrinsic", "random_area", "grid")
 
 
 def counter_rng(seed):
@@ -234,10 +232,6 @@ class PointCloud:
     def N(self):
         return self.points.shape[0]
 
-    @property
-    def n(self):
-        return self.points.shape[1]
-
 
 def _sqrt_det_sup(spec):
     """Upper bound of sqrt(det g) over the intrinsic box (rejection
@@ -253,7 +247,7 @@ def _sqrt_det_sup(spec):
 
 
 def sample_manifold(spec, N, seed=0, mode="random_intrinsic"):
-    """Draw N points on the manifold.
+    """Draw N points on the manifold in one of the SAMPLE_MODES.
 
     random_intrinsic: uniform draws on the intrinsic parameter box.
     random_area: uniform with respect to the Riemannian volume (rejection
@@ -265,6 +259,8 @@ def sample_manifold(spec, N, seed=0, mode="random_intrinsic"):
     """
     if N < 1:
         raise ValueError("N must be >= 1")
+    if mode not in SAMPLE_MODES:
+        raise ValueError(f"sampling mode {mode!r} not in {SAMPLE_MODES}")
     lo, hi = np.array(intrinsic_box(spec)).T
     if mode == "random_intrinsic":
         rng = counter_rng(seed)
@@ -280,7 +276,7 @@ def sample_manifold(spec, N, seed=0, mode="random_intrinsic"):
             kept.append(cand[accept])
             have += int(np.sum(accept))
         theta = np.vstack(kept)[:N]
-    elif mode == "grid":
+    else:   # grid
         k = round(N ** (1.0 / spec.d))
         if k ** spec.d != N:
             raise ValueError(
@@ -293,8 +289,6 @@ def sample_manifold(spec, N, seed=0, mode="random_intrinsic"):
             axes.append(lo[i] + offset + step * np.arange(k))
         mesh = np.meshgrid(*axes, indexing="ij")
         theta = np.column_stack([mm.reshape(-1) for mm in mesh])
-    else:
-        raise ValueError(f"unknown sampling mode {mode!r}")
     return PointCloud(points=embed(spec, theta), intrinsic=theta, spec=spec,
                       mode=mode)
 
@@ -433,6 +427,15 @@ _SPHERE_L2_PAIRS = [(0, 1), (0, 2), (1, 2), (0, 0), (1, 1)]
 _SPHERE_L3_TRIPLES = [(0, 0, 1), (0, 0, 2), (0, 1, 1), (1, 1, 2),
                       (0, 2, 2), (1, 2, 2), (0, 1, 2)]
 
+# the vector spectra by vector_ops.LAPLACIANS name: (eigenvalue, multiplicity)
+# pairs and the eigenfields' (rotational?, degree) blocks, in expanded order
+_BOTH = [(rotational, l) for l in (1, 2, 3) for rotational in (True, False)]
+_SPHERE_VECTOR_SPECTRA = {
+    "Bochner": ([(1.0, 6), (5.0, 10), (11.0, 14)], _BOTH),
+    "Hodge": ([(2.0, 6), (6.0, 10), (12.0, 14)], _BOTH),
+    "Lich": ([(0.0, 3), (2.0, 3), (4.0, 5), (10.0, 12)], _BOTH[:5]),
+}
+
 
 def _sphere_l1(x, p):
     return np.atleast_2d(x)[:, p]
@@ -482,7 +485,7 @@ def _sphere_scalar_truth(count):
     return EigenTruth(values=values, columns=columns, kind="scalar")
 
 
-def vector_eigen_truth(spec, which):
+def vector_eigen_truth(spec, operator):
     """Sphere vector-Laplacian truth with tangential eigenfields.
 
     Eigenfields come in two families per degree l: the rotational form
@@ -495,18 +498,10 @@ def vector_eigen_truth(spec, which):
     """
     if spec.kind != "sphere":
         raise ValueError("vector eigen-truth is available for the sphere only")
+    if operator not in _SPHERE_VECTOR_SPECTRA:
+        raise ValueError(f"unknown vector Laplacian {operator!r}")
+    values, blocks = _SPHERE_VECTOR_SPECTRA[operator]
     families = _sphere_harmonic_families()
-    # (rotational?, degree) per block of eigenfields, in expanded order
-    both = [(True, 1), (False, 1), (True, 2), (False, 2), (True, 3),
-            (False, 3)]
-    if which == "Bochner":
-        values, blocks = [(1.0, 6), (5.0, 10), (11.0, 14)], both
-    elif which == "Hodge":
-        values, blocks = [(2.0, 6), (6.0, 10), (12.0, 14)], both
-    elif which == "Lichnerowicz":
-        values, blocks = [(0.0, 3), (2.0, 3), (4.0, 5), (10.0, 12)], both[:5]
-    else:
-        raise ValueError(f"unknown vector Laplacian {which!r}")
 
     def columns(cloud):
         x = cloud.points
@@ -516,7 +511,7 @@ def vector_eigen_truth(spec, which):
                 yield np.cross(x, g) if rotational else \
                     g - np.sum(x * g, axis=1, keepdims=True) * x
 
-    return EigenTruth(values=values, columns=columns, kind="vector")
+    return EigenTruth(values=list(values), columns=columns, kind="vector")
 
 
 # -- general torus: Sturm-Liouville reduction ---------------------------------
@@ -643,8 +638,8 @@ def study_truth(spec, operator, count):
     per compared mode), for a vector Laplacian the sphere's vector truth."""
     if operator == "LB" and spec.kind != "ellipse":
         return scalar_eigen_truth(spec, count)
-    if operator in VECTOR_LAPLACIANS and spec.kind == "sphere":
-        return vector_eigen_truth(spec, VECTOR_LAPLACIANS[operator])
+    if operator in LAPLACIANS and spec.kind == "sphere":
+        return vector_eigen_truth(spec, operator)
     return None
 
 

@@ -109,6 +109,32 @@ def test_every_public_dataclass_field_is_read():
     assert unread == []
 
 
+def literal_string_choices(source):
+    """Line of every `choices=` keyword given a literal list or tuple of
+    strings."""
+    return [node.value.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.keyword) and node.arg == "choices"
+            and isinstance(node.value, (ast.List, ast.Tuple))
+            and all(isinstance(e, ast.Constant) and isinstance(e.value, str)
+                    for e in node.value.elts)]
+
+
+def test_literal_string_choices_are_caught():
+    assert literal_string_choices(
+        "f(choices=['a', 'b'])\n"
+        "f(choices=('a',))\n"
+        "f(choices=[1, 2])\n"
+        "f(choices=['LB', *names])\n"
+        "f(choices=names)\n") == [1, 2]
+
+
+def test_cli_choices_come_from_the_modules_that_implement_them():
+    # each study choice is listed once, by its module (harness.METHODS,
+    # rbf.KERNELS, zoo.SAMPLE_MODES, vector_ops.LAPLACIANS, ...); a copy in
+    # the CLI can drift from the list the config is validated against
+    assert literal_string_choices((PACKAGE / "cli.py").read_text()) == []
+
+
 def _workload_config_keys():
     """Every config key a benchmark workload sets, from bench/studies.py."""
     spec = importlib.util.spec_from_file_location(

@@ -108,6 +108,18 @@ def test_config_validation():
     # an empty list used to run no study, or die on min() or runs[0]
     (dict(N_list=[]), "N_list must not be empty"),
     (dict(seeds=[]), "seeds must not be empty"),
+    # a value of the wrong type is named, not a bare TypeError from inside
+    # the run (some of them used to fail only after the truth was built)
+    (dict(N_list=100), "N_list must be a list of integers"),
+    (dict(seeds=3), "seeds must be a list of integers"),
+    (dict(N_list=[100.5]), "N_list must be a list of integers"),
+    (dict(N_list=[True, 100]), "N_list must be a list of integers"),
+    (dict(compare_count=2.5), "compare_count must be an integer"),
+    (dict(compare_count=None), "compare_count must be an integer"),
+    (dict(N_p=150.0), "N_p must be an integer"),
+    (dict(method="DM", dm_K=10.5), "dm_K must be an integer"),
+    (dict(projection="FirstOrder", K="40"), "K must be an integer"),
+    (dict(method="DM", dm_epsilon="0.1"), "dm_epsilon must be a number"),
 ])
 def test_bad_study_inputs_fail_before_any_work(kw, match, monkeypatch):
     def no_sampling(*args, **kwargs):
@@ -116,6 +128,18 @@ def test_bad_study_inputs_fail_before_any_work(kw, match, monkeypatch):
     monkeypatch.setattr(zoo, "sample_manifold", no_sampling)
     with pytest.raises(ValueError, match=match):
         run_experiment(make_config(**kw))
+
+
+def test_unknown_sample_mode_fails_before_the_truth(monkeypatch):
+    def no_truth(*args, **kwargs):
+        raise AssertionError("the study built its truth before validation")
+
+    monkeypatch.setattr(zoo, "scalar_eigen_truth", no_truth)
+    cfg = ExperimentConfig.from_dict({"manifold": {"kind": "torus"},
+                                      "N_list": [100],
+                                      "sample_mode": "random"})
+    with pytest.raises(ValueError, match="sample_mode must be one of"):
+        run_experiment(cfg)
 
 
 def test_config_files_refuse_unknown_keys():
@@ -582,8 +606,8 @@ def test_vector_run_evaluates_the_truth_once(monkeypatch):
     calls = []
     real = zoo.vector_eigen_truth
 
-    def counting(spec, which):
-        truth = real(spec, which)
+    def counting(spec, operator):
+        truth = real(spec, operator)
 
         def columns(cloud):
             calls.append(cloud.N)
@@ -651,6 +675,30 @@ def test_larger_interpolation_cloud_improves_modes():
                               N_p=Np)
             errs[Np] = run_experiment(cfg).runs[0].mode_errors
     assert np.all(errs[1600] < errs[400])
+
+
+def test_covariant_demo_converges_faster_on_second_order_frames():
+    # the paper's claim for the local SVD: second-order frames make the
+    # covariant derivative converge faster than first-order ones. Seed 0
+    # gives errors 0.53/0.31/0.14 (slope -0.98) with first-order frames and
+    # 0.076/0.025/0.0074 (slope -1.67) with second-order ones; seeds 1 and
+    # 2+3 gave slopes -0.84/-1.98 and -0.76/-1.65.
+    reports = {}
+    for projection in ("FirstOrder", "SecondOrder"):
+        cfg = make_config(manifold=Ellipse(2.0), N_list=[100, 200, 400],
+                          operator="Covariant", projection=projection,
+                          kernel=KernelModel("gaussian", 1.5), K=10,
+                          sample_mode="random_intrinsic")
+        reports[projection] = run_experiment(cfg)
+    first, second = reports["FirstOrder"], reports["SecondOrder"]
+    for report in (first, second):
+        assert [N for N, _err in report.convergence] == [100, 200, 400]
+        assert all(rec.field_error is not None and rec.result is None
+                   for rec in report.runs)
+        assert report.slope is not None
+    assert all(err2 < err1 for (_n, err1), (_m, err2)
+               in zip(first.convergence, second.convergence))
+    assert second.slope < -1.4 < first.slope
 
 
 # -- command line --------------------------------------------------------------

@@ -40,7 +40,7 @@ def srbf_spectra(system, proj, q):
     Lichnerowicz pencils."""
     ops = build_grad_matrices(system, proj)
     pairs = [laplace_beltrami_symmetric(ops, q)]
-    pairs += [form("symmetric", ops, q) for form in VECTOR_FORMS]
+    pairs += [form("SRBF", ops, q) for form in VECTOR_FORMS]
     return [solve_symmetric(pair, len(pair.B_diag)).all_values
             for pair in pairs]
 
@@ -118,7 +118,7 @@ def test_vector_pencils_psd_with_orthonormal_lifted_vectors(seed):
     ops = build_grad_matrices(system, proj)
     qt = np.tile(1.0 / q, 3)
     for form in VECTOR_FORMS:
-        pair = form("symmetric", ops, q)
+        pair = form("SRBF", ops, q)
         assert np.array_equal(pair.A, pair.A.T)
         res = solve_symmetric(pair, 2 * N)
         assert res.all_values.min() >= -1e-10 * res.all_values.max()

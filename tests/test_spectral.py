@@ -50,9 +50,11 @@ def test_symmetric_b_orthonormal_and_residual():
 
 
 def test_symmetric_rejects_indefinite():
-    # B is always diagonal; a zero or negative entry is not definite
+    # B is always diagonal; a zero, negative, NaN or infinite entry is not
+    # definite (a NaN used to reach the eigensolver, which did not converge)
     A = np.eye(3)
-    for b in ([1.0, -1.0, 1.0], [1.0, 0.0, 1.0]):
+    for b in ([1.0, -1.0, 1.0], [1.0, 0.0, 1.0], [1.0, np.nan, 1.0],
+              [1.0, np.inf, 1.0]):
         with pytest.raises(ValueError, match="positive definite"):
             solve_symmetric(GeneralizedPair(A=A, B_diag=np.array(b),
                                             factor=np.eye(3)), k=2)
@@ -196,7 +198,7 @@ def sphere_pencils():
     system = build_system(cloud, KernelModel("inverse_quadratic", 0.5))
     ops = build_grad_matrices(system, analytic_projection(cloud))
     q = np.random.default_rng(3).uniform(0.5, 2.0, cloud.N)
-    return laplace_beltrami_symmetric(ops, q), hodge("symmetric", ops, q)
+    return laplace_beltrami_symmetric(ops, q), hodge("SRBF", ops, q)
 
 
 def ref_householder(pair):

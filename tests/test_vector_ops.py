@@ -23,6 +23,14 @@ from manifold_rbf.vector_ops import (LAPLACIANS, bochner,
 from manifold_rbf.zoo import (Ellipse, Sphere, Torus, analytic_projection,
                               sample_manifold, sampling_density)
 
+# the builders by their LAPLACIANS name
+FORMS = {"Bochner": bochner, "Hodge": hodge, "Lich": lichnerowicz}
+
+
+def form_id(name):
+    """A parametrized name's test id: its builder's name, or the name."""
+    return FORMS[name].__name__ if name in FORMS else name
+
 
 def ellipse_setup(N=400, a=2.0, seed=0, s=1.5):
     cloud = sample_manifold(Ellipse(a), N, seed=seed)
@@ -204,7 +212,7 @@ def analytic_bochner(e):
 
 
 def test_ellipse_bochner_field_error(ellipse):
-    B = bochner("nonsymmetric", ellipse["ops"])
+    B = bochner("NRBF", ellipse["ops"])
     got = apply_factored(B, ellipse["system"].U,
                          stacked(ellipse["U"])).reshape(2, -1).T
     err = np.abs(got - analytic_bochner(ellipse))
@@ -212,7 +220,7 @@ def test_ellipse_bochner_field_error(ellipse):
 
 
 def test_ellipse_lichnerowicz_field_error(ellipse):
-    L = lichnerowicz("nonsymmetric", ellipse["ops"])
+    L = lichnerowicz("NRBF", ellipse["ops"])
     got = apply_factored(L, ellipse["system"].U,
                          stacked(ellipse["U"])).reshape(2, -1).T
     err = np.abs(got - 2 * analytic_bochner(ellipse))
@@ -223,18 +231,20 @@ def test_one_dim_identities():
     # wide kernel regime where the discrete grad/div compositions agree
     e = ellipse_setup(N=800, s=4.5)
     U, vec = e["system"].U, stacked(e["U"])
-    BU = apply_factored(bochner("nonsymmetric", e["ops"]), U, vec)
-    HU = apply_factored(hodge("nonsymmetric", e["ops"]), U, vec)
-    LU = apply_factored(lichnerowicz("nonsymmetric", e["ops"]), U, vec)
+    BU = apply_factored(bochner("NRBF", e["ops"]), U, vec)
+    HU = apply_factored(hodge("NRBF", e["ops"]), U, vec)
+    LU = apply_factored(lichnerowicz("NRBF", e["ops"]), U, vec)
     scale = np.linalg.norm(BU)
     assert np.linalg.norm(HU - BU) <= 1e-6 * scale
     assert np.linalg.norm(LU - 2 * BU) <= 1e-4 * scale
 
 
 def test_rejects_unknown_kind(ellipse):
+    # the builders take a study's method; the old form names are gone too
     for op in (bochner, hodge, lichnerowicz):
-        with pytest.raises(ValueError):
-            op("weak", ellipse["ops"])
+        for method in ("weak", "DM", "symmetric", "nonsymmetric"):
+            with pytest.raises(ValueError, match="unknown method"):
+                op(method, ellipse["ops"])
 
 
 # -- symmetric variants ---------------------------------------------------------
@@ -243,9 +253,8 @@ def test_rejects_unknown_kind(ellipse):
 @pytest.fixture(scope="module")
 def ellipse_symmetric(ellipse):
     q = sampling_density(ellipse["cloud"])
-    pairs = {"bochner": bochner("symmetric", ellipse["ops"], q),
-             "hodge": hodge("symmetric", ellipse["ops"], q),
-             "lichnerowicz": lichnerowicz("symmetric", ellipse["ops"], q)}
+    pairs = {name: form("SRBF", ellipse["ops"], q)
+             for name, form in FORMS.items()}
     return q, pairs
 
 
@@ -284,7 +293,7 @@ def lifted_prefix(res, k):
 def test_symmetric_eigenvectors_tangential(ellipse_symmetric):
     # k counts nontrivial modes; the trivial prefix is lifted with them
     _, pairs = ellipse_symmetric
-    pair = pairs["bochner"]
+    pair = pairs["Bochner"]
     res = solve_symmetric(pair, k=30)
     m = lifted_prefix(res, 30)
     assert res.vectors.shape == (800, m)
@@ -300,7 +309,7 @@ def test_symmetric_b_orthogonality(ellipse_symmetric):
     # the lifted eigenvectors, trivial prefix included, are orthonormal in
     # the ambient Qt^{-1} product
     q, pairs = ellipse_symmetric
-    pair = pairs["lichnerowicz"]
+    pair = pairs["Lich"]
     res = solve_symmetric(pair, k=25)
     m = lifted_prefix(res, 25)
     V = res.vectors
@@ -322,7 +331,7 @@ def test_symmetric_half_factor(ellipse):
         manual += 0.5 * (M.T @ (qt[:, None] * M))
     W = tangent_range_basis(ops.proj).toarray()
     manual = W.T @ manual @ W
-    pair = lichnerowicz("symmetric", ops, q)
+    pair = lichnerowicz("SRBF", ops, q)
     got = pair.factor @ pair.A @ pair.factor.T
     assert np.abs(got - manual).max() <= 1e-12 * np.abs(manual).max()
 
@@ -347,7 +356,7 @@ def ambient_pencil(ops, q, name):
     return A
 
 
-@pytest.mark.parametrize("name", sorted(LAPLACIANS))
+@pytest.mark.parametrize("name", sorted(LAPLACIANS), ids=form_id)
 def test_frame_pencil_matches_ambient_reference(name):
     # the dN frame-basis pencil R A R^T is W^T A W of the nN ambient form
     cloud = sample_manifold(Sphere(), 150, seed=1, mode="random_area")
@@ -357,8 +366,7 @@ def test_frame_pencil_matches_ambient_reference(name):
     q = np.random.default_rng(0).uniform(0.5, 2.0, cloud.N)
     W = tangent_range_basis(proj).toarray()
     want = W.T @ ambient_pencil(ops, q, name) @ W
-    pair = {"bochner": bochner, "hodge": hodge,
-            "lichnerowicz": lichnerowicz}[name]("symmetric", ops, q)
+    pair = FORMS[name]("SRBF", ops, q)
     got = pair.factor @ pair.A @ pair.factor.T
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
     assert np.array_equal(pair.B_diag, np.tile(1.0 / q, 2))
@@ -373,13 +381,10 @@ def test_symmetric_vector_forms_reject_bad_density(ellipse, op):
     zero[3] = 0.0
     for bad in (None, q[:-1], nan, zero):
         with pytest.raises(ValueError, match="density"):
-            op("symmetric", ellipse["ops"], bad)
+            op("SRBF", ellipse["ops"], bad)
 
 
 # -- factored operators against the dense references ---------------------------
-
-FORMS = {"bochner": bochner, "hodge": hodge, "lichnerowicz": lichnerowicz}
-
 
 @pytest.fixture(scope="module")
 def sphere_small():
@@ -402,11 +407,11 @@ def test_dense_blocks_match_references(sphere_small):
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
-@pytest.mark.parametrize("name", sorted(LAPLACIANS))
+@pytest.mark.parametrize("name", sorted(LAPLACIANS), ids=form_id)
 def test_nonsymmetric_factor_matches_dense_reference(sphere_small, name):
     # F (I_n kron U^T) is the paper's nN x nN ambient operator
     ops, _q = sphere_small
-    F = FORMS[name]("nonsymmetric", ops)
+    F = FORMS[name]("NRBF", ops)
     r = ops.U.shape[1]
     assert F.shape == (3 * ops.N, 3 * r)
     got = blockwise(ops.U, F.T).T
@@ -443,19 +448,19 @@ def dense_form(ops, q, method, name):
 
 
 @pytest.mark.parametrize("method", ["NRBF", "SRBF"])
-@pytest.mark.parametrize("name", ["lb"] + sorted(LAPLACIANS))
+@pytest.mark.parametrize("name", ["lb"] + sorted(LAPLACIANS), ids=form_id)
 def test_reduced_spectrum_matches_dense_solve(sphere_small, method, name):
     ops, q = sphere_small
     U = ops.U
     dense = dense_form(ops, q, method, name)
     if method == "NRBF":
         F = laplace_beltrami_nonsymmetric(ops) if name == "lb" else \
-            FORMS[name]("nonsymmetric", ops)
+            FORMS[name]("NRBF", ops)
         res = solve_nonsymmetric(F, basis=U)
         full = np.linalg.eigvals(dense)
     else:
         pair = laplace_beltrami_symmetric(ops, q) if name == "lb" else \
-            FORMS[name]("symmetric", ops, q)
+            FORMS[name]("SRBF", ops, q)
         res = solve_symmetric(pair, len(pair.B_diag))
         full = solve_symmetric(dense, len(dense.B_diag)).all_values
     m = 1 if name == "lb" else 3

@@ -1,10 +1,13 @@
 """Manifold zoo: samplers, projections, densities, reference spectra."""
 
+import re
+
 import numpy as np
 import pytest
 import scipy.linalg
 
 from manifold_rbf import zoo
+from manifold_rbf.vector_ops import LAPLACIANS
 from manifold_rbf.zoo import (Ellipse, FlatTorus, GeneralTorus, ManifoldSpec,
                               PointCloud, Sphere, Torus, analytic_projection,
                               embed, intrinsic_box, metric_sqrt_det,
@@ -81,6 +84,11 @@ def test_random_area_matches_volume_density():
 def test_sampler_rejects_nonpositive_N():
     with pytest.raises(ValueError):
         sample_manifold(Sphere(), 0)
+
+
+def test_sampler_names_its_modes_when_refusing_one():
+    with pytest.raises(ValueError, match=re.escape(str(zoo.SAMPLE_MODES))):
+        sample_manifold(Sphere(), 10, mode="random")
 
 
 # -- analytic projection -------------------------------------------------
@@ -495,7 +503,7 @@ def test_sl_rejects_count_out_of_range(count, match):
 def test_vector_truth_leading_blocks():
     boch = vector_eigen_truth(Sphere(), "Bochner")
     hodge = vector_eigen_truth(Sphere(), "Hodge")
-    lich = vector_eigen_truth(Sphere(), "Lichnerowicz")
+    lich = vector_eigen_truth(Sphere(), "Lich")
     assert boch.values[0] == (1.0, 6)
     assert hodge.values[0] == (2.0, 6)
     assert lich.values[:4] == [(0.0, 3), (2.0, 3), (4.0, 5), (10.0, 12)]
@@ -522,7 +530,7 @@ def test_vector_truth_fields_tangential():
 
 def test_truth_basis_stops_at_the_last_column():
     # Lichnerowicz holds 3 + 3 + 5 + 12 = 23 eigenfields
-    truth = vector_eigen_truth(Sphere(), "Lichnerowicz")
+    truth = vector_eigen_truth(Sphere(), "Lich")
     cloud = sample_manifold(Sphere(), 50, seed=4, mode="random_area")
     assert truth.basis(cloud, 23).shape == (150, 23)
     with pytest.raises(ValueError, match="only 23 eigenfunctions"):
@@ -538,6 +546,17 @@ def test_truth_basis_names_missing_intrinsic_coordinates(spec):
     raw = PointCloud(points=cloud.points, intrinsic=None, spec=spec)
     with pytest.raises(ValueError, match="needs intrinsic coordinates"):
         scalar_eigen_truth(spec, 4).basis(raw, 4)
+
+
+def test_every_vector_laplacian_has_a_sphere_truth():
+    # the sphere's vector spectra are keyed by the operator names of the
+    # builders, which a study config uses too
+    for name in LAPLACIANS:
+        truth = zoo.study_truth(Sphere(), name, 6)
+        assert truth.kind == "vector"
+        assert truth.values == vector_eigen_truth(Sphere(), name).values
+    with pytest.raises(ValueError, match="unknown vector Laplacian"):
+        vector_eigen_truth(Sphere(), "Lichnerowicz")
 
 
 def test_vector_truth_rejects_torus():
