@@ -7,6 +7,9 @@ Subcommands:
   converge    run a study over several N and fit the error slope
   compare-dm  symmetric RBF Laplacian vs the diffusion-maps baseline
   truth       tabulate analytic eigenvalues and multiplicities
+
+A study's values merge key by key, in the manifold and kernel blocks too:
+flags over the --config file, the file over the command's study defaults.
 """
 
 import argparse
@@ -26,10 +29,9 @@ _DEFAULTS = ExperimentConfig(manifold=None, N_list=[])
 _DRAW_DEFAULTS = {"seed": _DEFAULTS.seeds[0], "mode": _DEFAULTS.sample_mode}
 
 
-def _manifold_from_args(args):
-    return zoo.ManifoldSpec.from_dict(_given({
-        "kind": args.manifold.replace("-", "_"), "a": args.a,
-        "n": args.ambient_n, "d": args.flat_d, "m": args.flat_m}))
+def _manifold_block(args):
+    return _given({"kind": args.manifold.replace("-", "_"), "a": args.a,
+                   "n": args.ambient_n, "d": args.flat_d, "m": args.flat_m})
 
 
 def _add_manifold_args(p):
@@ -71,8 +73,9 @@ def _add_study_args(p):
                    help="modes compared with the truth, distinct values the "
                         "truth holds, and half the modes DM computes")
     p.add_argument("--config", default=None,
-                   help="JSON file with an experiment configuration; "
-                        "command-line flags override its entries")
+                   help="JSON file with an experiment configuration over "
+                        "the study defaults; flags override its entries, "
+                        "key by key in the manifold and kernel blocks too")
     p.add_argument("--out-dir", default="out")
     p.add_argument("--prefix", default="run")
 
@@ -82,12 +85,14 @@ def _given(pairs):
 
 
 def _config_from_args(args, N_list, **study):
-    base = {}
+    file = {}
     if args.config:
         with open(args.config) as fh:
-            base = json.load(fh)
+            file = json.load(fh)
     flags = _given({
-        "manifold": _manifold_from_args(args).to_dict(),
+        "manifold": _manifold_block(args),
+        "kernel": _given({"family": args.kernel, "s": args.s,
+                          "pinv_tol": args.pinv_tol}),
         "N_list": N_list,
         "method": args.method,
         "operator": args.operator,
@@ -98,19 +103,22 @@ def _config_from_args(args, N_list, **study):
         "K": args.K,
         "sample_mode": args.mode,
         "compare_count": args.compare_count,
+        "dm_K": getattr(args, "dm_K", None),        # compare-dm's own flags
+        "dm_epsilon": getattr(args, "epsilon", None),
     })
-    kernel_flags = _given({"family": args.kernel, "s": args.s,
-                           "pinv_tol": args.pinv_tol})
-    # flags override file entries, which override `study`; the defaults
-    # fill whatever none gives
-    merged = {**study, **base, **flags}
-    merged["kernel"] = {**_DEFAULTS.kernel.to_dict(),
-                        **base.get("kernel", {}), **kernel_flags}
+    kind = file.get("manifold", {}).get("kind", flags["manifold"]["kind"])
+    if kind != flags["manifold"]["kind"]:
+        raise ValueError(f"the config file's manifold kind {kind!r} is not "
+                         f"--manifold {args.manifold}")
+    merged = {**study, **file, **flags}
+    blocks = {"manifold": {}, "kernel": _DEFAULTS.kernel.to_dict()}
+    for key, default in blocks.items():    # the same rule inside a block
+        merged[key] = {**default, **file.get(key, {}), **flags[key]}
     return ExperimentConfig.from_dict(merged)
 
 
 def cmd_sample(args):
-    spec = _manifold_from_args(args)
+    spec = zoo.ManifoldSpec.from_dict(_manifold_block(args))
     cloud = zoo.sample_manifold(spec, args.N, args.seed, mode=args.mode)
     cols = [cloud.points]
     names = [f"x{i + 1}" for i in range(spec.n)]
@@ -128,7 +136,8 @@ def cmd_sample(args):
 def cmd_tangent(args):
     # the frame field of a study with this projection; it compares no modes
     config = ExperimentConfig(
-        manifold=_manifold_from_args(args), N_list=[args.N],
+        manifold=zoo.ManifoldSpec.from_dict(_manifold_block(args)),
+        N_list=[args.N],
         projection=("FirstOrder", "SecondOrder")[args.order - 1],
         N_p=args.Np, K=args.K, sample_mode=args.mode, compare_count=1)
     config.validate()
@@ -179,9 +188,7 @@ def cmd_compare_dm(args):
         raise ValueError(f"compare-dm compares SRBF LB with DM, not "
                          f"method={config.method} operator={config.operator}")
     rec_s = run_experiment(config).runs[0]
-    cfg_dm = replace(config, method="DM",
-                     **_given({"dm_K": args.dm_K, "dm_epsilon": args.epsilon}))
-    rec_d = run_experiment(cfg_dm).runs[0]
+    rec_d = run_experiment(replace(config, method="DM")).runs[0]
 
     os.makedirs(args.out_dir, exist_ok=True)
     out = os.path.join(args.out_dir, f"{args.prefix}_dm_table.csv")
@@ -208,7 +215,7 @@ def cmd_compare_dm(args):
 
 
 def cmd_truth(args):
-    spec = _manifold_from_args(args)
+    spec = zoo.ManifoldSpec.from_dict(_manifold_block(args))
     truth = zoo.study_truth(spec, args.operator, args.count)
     if truth is None:
         raise ValueError(f"the zoo holds no {args.operator} truth for the "

@@ -46,7 +46,7 @@ def kde_density(cloud, h=None):
     norm = 1.0 / (N * (h * math.sqrt(2.0 * math.pi)) ** n)
     sq = np.sum(x * x, axis=1)
     q = np.empty(N)
-    for rows in row_blocks(N, N):
+    for rows in row_blocks(N):
         d2 = sq[rows, None] - 2.0 * x[rows] @ x.T + sq[None, :]
         np.maximum(d2, 0.0, out=d2)
         q[rows] = norm * np.sum(np.exp(-d2 / (2.0 * h * h)), axis=1)

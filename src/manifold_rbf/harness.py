@@ -7,7 +7,6 @@ which is excluded from the determinism guarantee).
 """
 
 import json
-import numbers
 import os
 import time
 import warnings
@@ -18,7 +17,8 @@ import numpy as np
 from . import vector_ops, zoo
 from .density import kde_density
 from .dm import dm_spectrum, graph_neighbors, validate_graph
-from .rbf import KernelModel, build_system, check_config_keys, row_blocks
+from .rbf import (KernelModel, build_system, check_config_keys,
+                  config_number, row_blocks)
 from .scalar_ops import (build_grad_matrices, laplace_beltrami_nonsymmetric,
                          laplace_beltrami_symmetric)
 from .spectral import (SpectralResult, align_eigenvectors_ols,
@@ -56,21 +56,24 @@ class ExperimentConfig:
     compare_count: int = 12
 
     def validate(self):
-        def typed(value, kinds):    # a bool is no count and no scale
-            return isinstance(value, kinds) and not isinstance(value, bool)
         for name in ("N_list", "seeds"):
             values = getattr(self, name)
-            if not isinstance(values, list) or \
-                    not all(typed(v, numbers.Integral) for v in values):
+            try:
+                for value in values:
+                    config_number(name, value, integral=True)
+            except (TypeError, ValueError):
+                values = None
+            if not isinstance(values, list):
                 raise ValueError(f"{name} must be a list of integers")
             if not values:
                 raise ValueError(f"{name} must not be empty")
-        for name in ("compare_count", "N_p", "K", "dm_K"):
-            optional = () if name == "compare_count" else (type(None),)
-            if not typed(getattr(self, name), (numbers.Integral, *optional)):
-                raise ValueError(f"{name} must be an integer")
-        if not typed(self.dm_epsilon, (numbers.Real, type(None))):
-            raise ValueError("dm_epsilon must be a number")
+        for name in ("compare_count", "N_p", "K", "dm_K", "dm_epsilon"):
+            value = getattr(self, name)
+            if value is not None or name == "compare_count":
+                config_number(name, value, integral=name != "dm_epsilon")
+            if name in ("compare_count", "K") and value is not None and \
+                    value < 1:
+                raise ValueError(f"{name} must be at least 1")
         for name, allowed in (("method", METHODS), ("operator", OPERATORS),
                               ("projection", PROJECTIONS),
                               ("density", DENSITIES),
@@ -89,10 +92,6 @@ class ExperimentConfig:
                              "1D demo is available (sphere or ellipse)")
         if self.N_p is not None and self.N_p < max(self.N_list):
             raise ValueError("N_p must be at least the operator cloud size")
-        for name in ("compare_count", "K"):
-            value = getattr(self, name)
-            if value is not None and value < 1:
-                raise ValueError(f"{name} must be at least 1")
         if self.method == "DM":
             for N in self.N_list:
                 validate_graph(N, self.dm_K, self.dm_epsilon)
@@ -157,9 +156,9 @@ def estimate_run_bytes(config, N, rank=None):
     same three parts:
     - Traced: the largest of Phi's build (4 N^2: the distances, their
       scaled copy and two temporaries), the derivative stage (U, its scaled
-      copy and the k factors G_a, N x r each, with three row blocks of
+      copy and the d factors G_a, N x r each, with three row blocks of
       rbf.ROW_BLOCK_BYTES: the kernel derivative and the brackets of two
-      directions; k = d, or 1 for the covariant derivative) and the
+      directions; the covariant derivative runs on the ellipse, d = 1) and the
       operator's stages below.
     - Outside tracemalloc: the larger of eigh(Phi)'s 3 N^2 and the
       operator solve's own call.
@@ -212,9 +211,8 @@ def estimate_run_bytes(config, N, rank=None):
         return 8 * (N * (10 * K + 4 * ncv) + truth)
     r = N if rank is None else rank
     traced, untraced = _operator_words(config, N, r)
-    k = 1 if config.operator == "Covariant" else config.manifold.d
-    block = N * next(row_blocks(N, N)).stop
-    traced = max(traced, (k + 2) * N * r + 3 * block)
+    block = N * next(row_blocks(N)).stop
+    traced = max(traced, (config.manifold.d + 2) * N * r + 3 * block)
     words = max(4 * N * N, traced) + max(3 * N * N, untraced) + N * N
     return 8 * (words + truth)
 
@@ -509,7 +507,8 @@ def run_experiment(config):
                                               radius=lam_max)
                 rec.rank_L = rec.result.rank_L
             else:
-                q = build_density(config, op_cloud)
+                q = build_density(config, op_cloud) \
+                    if config.method == "SRBF" else None
                 rec.result, rec.rank_L = _solve_rbf(config, op_cloud, proj,
                                                     q)
                 if config.method == "NRBF" and np.any(

@@ -16,6 +16,7 @@ OpenBLAS also does the matmuls: scipy.linalg bundles a second OpenBLAS,
 whose idle thread pool spins against the busy one and slows both down.
 """
 
+import numbers
 from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
@@ -28,11 +29,10 @@ ROW_BLOCK_BYTES = 2 ** 21
 KERNELS = ("gaussian", "inverse_quadratic", "matern")
 
 
-def row_blocks(N, width):
-    """Slices covering range(N) in order, each a block of rows whose float64
-    rows of the given width take at most ROW_BLOCK_BYTES (at least one
-    row)."""
-    step = max(1, ROW_BLOCK_BYTES // (8 * width))
+def row_blocks(N):
+    """Slices covering range(N) in order, each a block of rows of an N x N
+    float64 stage that takes at most ROW_BLOCK_BYTES (at least one row)."""
+    step = max(1, ROW_BLOCK_BYTES // (8 * N))
     for lo in range(0, N, step):
         yield slice(lo, min(lo + step, N))
 
@@ -48,6 +48,9 @@ class KernelModel:
     def __post_init__(self):
         if self.family not in KERNELS:
             raise ValueError(f"unknown kernel family {self.family!r}")
+        for key in ("s", "pinv_tol"):    # an API value reads as a file's
+            object.__setattr__(self, key, config_number(f"kernel {key}",
+                                                        getattr(self, key)))
         if not self.s > 0:
             raise ValueError("shape parameter s must be positive")
         if not 1e-12 <= self.pinv_tol <= 1e-2:
@@ -59,8 +62,7 @@ class KernelModel:
     @staticmethod
     def from_dict(cfg):
         check_config_keys(KernelModel, cfg, "kernel")
-        return KernelModel(**{key: value if key == "family" else float(value)
-                              for key, value in cfg.items()})
+        return KernelModel(**cfg)
 
 
 def check_config_keys(cls, cfg, block):
@@ -72,6 +74,16 @@ def check_config_keys(cls, cfg, block):
                and f.default_factory is MISSING} - set(cfg)
     if missing:
         raise ValueError(f"missing {block} keys {sorted(missing)}")
+
+
+def config_number(name, value, integral=False):
+    """The value of config key name, an int where integral, else a float.
+    A bool is not a number, nor is a string or a float for an integer."""
+    kind, noun = ((numbers.Integral, "an integer") if integral
+                  else (numbers.Real, "a number"))
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ValueError(f"{name} must be {noun}")
+    return int(value) if integral else float(value)
 
 
 def kernel_eval(model, r):
@@ -168,7 +180,7 @@ def derivative_matrices(system, directions):
     points = system.points
     coef = system.U / system.w[None, :]
     out = [np.empty(coef.shape) for _ in range(directions.shape[2])]
-    for rows in row_blocks(len(points), len(points)):
+    for rows in row_blocks(len(points)):
         w = kernel_deriv_over_r(system.model, cdist(points[rows], points))
         for a, G in enumerate(out):
             t = directions[rows, :, a]

@@ -117,14 +117,14 @@ def _lift_count(values, k, pinv_tol):
     return nontrivial[k] if k < len(nontrivial) else len(values)
 
 
-def _back_substitute(T, Z, block=128):
-    """T^{-1} Z for an upper-triangular T, one diagonal block at a time from
-    the bottom. np.linalg.solve would run an LU of the whole of T, O(n^3),
-    where this costs O(n^2 k) for k columns: 8 ms against 33 ms at
-    n = 1128, k = 121 on two cores."""
+def _back_substitute(T, Z):
+    """T^{-1} Z for an upper-triangular T, one diagonal block of 128 rows at
+    a time from the bottom. np.linalg.solve would run an LU of the whole of
+    T, O(n^3), where this costs O(n^2 k) for k columns: 8 ms against 33 ms
+    at n = 1128, k = 121 on two cores."""
     Y = np.empty(Z.shape)
-    for lo in range((len(T) - 1) // block * block, -1, -block):
-        hi = lo + block
+    for lo in range((len(T) - 1) // 128 * 128, -1, -128):
+        hi = lo + 128
         Y[lo:hi] = np.linalg.solve(T[lo:hi, lo:hi],
                                    Z[lo:hi] - T[lo:hi, hi:] @ Y[hi:])
     return Y

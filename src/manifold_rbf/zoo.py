@@ -33,6 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .rbf import config_number
 from .tangent import ProjectionField
 from .vector_ops import LAPLACIANS, stacked
 
@@ -102,20 +103,22 @@ class ManifoldSpec:
 
 
 def Ellipse(a=2.0):
-    return ManifoldSpec("ellipse", d=1, n=2, a=float(a))
+    return ManifoldSpec("ellipse", d=1, n=2, a=config_number("a", a))
 
 
 def Torus(a=2.0):
-    return ManifoldSpec("torus", d=2, n=3, a=float(a))
+    return ManifoldSpec("torus", d=2, n=3, a=config_number("a", a))
 
 
 def GeneralTorus(a=2.0, n=21):
-    return ManifoldSpec("general_torus", d=2, n=int(n), a=float(a))
+    return ManifoldSpec("general_torus", d=2, a=config_number("a", a),
+                        n=config_number("n", n, integral=True))
 
 
 def FlatTorus(d=2, m=1):
-    return ManifoldSpec("flat_torus", d=int(d), n=2 * int(m) * int(d),
-                        m=int(m))
+    d = config_number("d", d, integral=True)
+    m = config_number("m", m, integral=True)
+    return ManifoldSpec("flat_torus", d=d, n=2 * m * d, m=m)
 
 
 def Sphere():

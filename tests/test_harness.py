@@ -130,6 +130,34 @@ def test_bad_study_inputs_fail_before_any_work(kw, match, monkeypatch):
         run_experiment(make_config(**kw))
 
 
+@pytest.mark.parametrize("block,match", [
+    ({"kernel": {"family": "gaussian", "s": True}},
+     "kernel s must be a number"),
+    ({"kernel": {"family": "gaussian", "s": "0.5"}},
+     "kernel s must be a number"),
+    ({"kernel": {"family": "gaussian", "s": 1.0, "pinv_tol": "1e-8"}},
+     "kernel pinv_tol must be a number"),
+    ({"manifold": {"kind": "ellipse", "a": True}}, "a must be a number"),
+    ({"manifold": {"kind": "flat_torus", "d": True}},
+     "d must be an integer"),
+    ({"manifold": {"kind": "flat_torus", "m": True}},
+     "m must be an integer"),
+    ({"manifold": {"kind": "general_torus", "n": 21.0}},
+     "n must be an integer"),
+])
+def test_config_blocks_refuse_values_that_are_no_numbers(block, match,
+                                                         monkeypatch):
+    # each of these used to be cast: "s": true ran s = 1, an ellipse
+    # "a": true the unit circle
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("the study sampled a cloud before validation")
+
+    monkeypatch.setattr(zoo, "sample_manifold", no_sampling)
+    cfg = {"manifold": {"kind": "sphere"}, "N_list": [50], **block}
+    with pytest.raises(ValueError, match=match):
+        run_experiment(ExperimentConfig.from_dict(cfg))
+
+
 def test_unknown_sample_mode_fails_before_the_truth(monkeypatch):
     def no_truth(*args, **kwargs):
         raise AssertionError("the study built its truth before validation")
@@ -421,6 +449,23 @@ def test_dm_run_builds_no_tangent_field(monkeypatch):
         rec = run_experiment(cfg).runs[0]
         assert rec.mode_errors is not None
         assert rec.result.solve_dim == 2 * cfg.compare_count
+
+
+def test_nrbf_run_builds_no_density(monkeypatch):
+    # the non-symmetric forms never read q: a KDE or analytic density was
+    # built for nothing
+    want = run_experiment(make_config(N_list=[100])).runs[0]
+
+    def forbidden(*_args, **_kwargs):
+        raise AssertionError("the NRBF study built a density")
+
+    monkeypatch.setattr(harness, "kde_density", forbidden)
+    monkeypatch.setattr(harness.zoo, "sampling_density", forbidden)
+    for density in ("KDE", "Analytic"):
+        rec = run_experiment(make_config(N_list=[100],
+                                         density=density)).runs[0]
+        assert np.array_equal(rec.result.values, want.result.values)
+        assert np.array_equal(rec.mode_errors, want.mode_errors)
 
 
 def test_dm_study_builds_its_graph_with_dm_k_neighbours(monkeypatch):
@@ -808,26 +853,56 @@ def test_cli_spectrum_and_config_file(tmp_path):
 def test_cli_config_file_entries_survive_flag_defaults(tmp_path):
     cfg_file = tmp_path / "study.json"
     cfg_file.write_text(json.dumps({
+        "manifold": {"kind": "ellipse", "a": 3.0},
         "method": "SRBF", "kernel": {"family": "matern", "s": 2.0},
         "K": 9, "compare_count": 3, "seeds": [2],
         "sample_mode": "random_area"}))
-    run_cli("spectrum", "--manifold", "ellipse", "--a", "1.0", "--N", 100,
+    run_cli("spectrum", "--manifold", "ellipse", "--N", 100,
             "--config", cfg_file, "--out-dir", tmp_path / "file")
     cfg = json.loads((tmp_path / "file" / "run_report.json").read_text())[
         "config"]
+    # the file's a used to give way to the --manifold flag's default 2.0
+    assert cfg["manifold"] == {"kind": "ellipse", "d": 1, "n": 2, "a": 3.0}
     assert cfg["method"] == "SRBF"
     assert cfg["kernel"] == {"family": "matern", "s": 2.0, "pinv_tol": 1e-8}
     assert (cfg["K"], cfg["compare_count"]) == (9, 3)
     assert cfg["seeds"] == [2] and cfg["sample_mode"] == "random_area"
     assert cfg["operator"] == "LB" and cfg["density"] == "Uniform"
     # a flag still wins, and a kernel flag overrides only its own entry
-    run_cli("spectrum", "--manifold", "ellipse", "--a", "1.0", "--N", 100,
+    run_cli("spectrum", "--manifold", "ellipse", "--a", "2.5", "--N", 100,
             "--config", cfg_file, "--method", "NRBF", "--s", 0.5,
             "--seed", 0, "--out-dir", tmp_path / "flags")
     cfg = json.loads((tmp_path / "flags" / "run_report.json").read_text())[
         "config"]
     assert cfg["method"] == "NRBF" and cfg["seeds"] == [0]
     assert cfg["kernel"] == {"family": "matern", "s": 0.5, "pinv_tol": 1e-8}
+    assert cfg["manifold"]["a"] == 2.5
+
+
+def test_cli_config_file_manifold_block_merges_with_the_flags(tmp_path,
+                                                              monkeypatch):
+    configs = []
+
+    def capture(config):
+        configs.append(config)
+        raise AssertionError("stop")
+
+    monkeypatch.setattr(cli, "run_experiment", capture)
+    cfg_file = tmp_path / "study.json"
+    argv = ["spectrum", "--manifold", "torus", "--N", "50",
+            "--config", str(cfg_file), "--out-dir", str(tmp_path / "out")]
+    cfg_file.write_text(json.dumps({"manifold": {"kind": "torus", "a": 3}}))
+    for extra, spec in (([], Torus(3.0)), (["--a", "2.5"], Torus(2.5))):
+        with pytest.raises(AssertionError, match="stop"):
+            cli.main([*argv, *extra])
+        assert configs.pop().manifold == spec
+    # a file of another kind is refused, not overridden by --manifold
+    cfg_file.write_text(json.dumps({"manifold": {"kind": "ellipse"}}))
+    with pytest.raises(ValueError, match="manifold kind 'ellipse' is not "
+                       "--manifold torus"):
+        cli.main(argv)
+    assert configs == []
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_general_torus_defaults_to_the_zoo_torus(capsys):
@@ -905,14 +980,59 @@ def test_cli_compare_dm(tmp_path):
             "--N", 400, "--mode", "random_area",
             "--kernel", "inverse_quadratic", "--s", 0.1,
             "--density", "Analytic", "--compare-count", 4,
-            "--out-dir", tmp_path)
+            "--dm-K", 9, "--epsilon", 0.3, "--out-dir", tmp_path)
     table = tmp_path / "run_dm_table.csv"
     text = table.read_text()
     assert "schema=dm-compare-v1" in text
+    # the DM flags used to run but echo as null
+    config = json.loads(text.splitlines()[1].removeprefix("# config="))
+    assert (config["dm_K"], config["dm_epsilon"]) == (9, 0.3)
     assert text.splitlines()[2] == "mode,truth_value,srbf_value,dm_value"
     data = np.loadtxt(table, delimiter=",", skiprows=3)
     assert data.shape[1] == 4
     assert np.all(data[1:, 1] > 0)     # nonzero truth rows present
+
+
+def test_cli_compare_dm_without_a_truth_tables_both_spectra(tmp_path,
+                                                            monkeypatch):
+    # the ellipse has no LB truth: the table's truth column is NaN and the
+    # SRBF and DM columns hold each run's leading nontrivial |values|
+    runs = []
+
+    def recording(config):
+        report = run_experiment(config)
+        runs.append(report.runs[0])
+        return report
+
+    monkeypatch.setattr(cli, "run_experiment", recording)
+    cli.main(["compare-dm", "--manifold", "ellipse", "--N", "100",
+              "--compare-count", "3", "--out-dir", str(tmp_path)])
+    data = np.loadtxt(tmp_path / "run_dm_table.csv", delimiter=",",
+                      skiprows=3)
+    assert [rec.result is not None for rec in runs] == [True, True]
+    assert np.array_equal(data[:, 0], [0, 1, 2])
+    assert np.all(np.isnan(data[:, 1]))
+    for col, rec in zip((2, 3), runs):
+        assert np.array_equal(
+            data[:, col], np.abs(rec.result.nontrivial_values())[:3])
+
+
+def test_cli_spectrum_prints_the_covariant_field_error(tmp_path, capsys):
+    cli.main(["spectrum", "--manifold", "ellipse", "--N", "100",
+              "--operator", "Covariant", "--out-dir", str(tmp_path)])
+    out = capsys.readouterr().out
+    report = json.loads((tmp_path / "run_report.json").read_text())
+    [(_N, err)] = report["convergence"]
+    assert f"covariant-derivative max component error: {err:.3e}" in out
+    assert "leading eigenvalues" not in out
+
+
+def test_cli_truth_refuses_a_manifold_without_one(tmp_path):
+    with pytest.raises(ValueError,
+                       match="the zoo holds no LB truth for the ellipse"):
+        cli.main(["truth", "--manifold", "ellipse",
+                  "--out", str(tmp_path / "truth.csv")])
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cli_spectrum_determinism(tmp_path):

@@ -112,6 +112,15 @@ def test_kernel_model_validation():
         KernelModel("gaussian", 1.0, pinv_tol=1e-1)
     with pytest.raises(ValueError):
         KernelModel("gaussian", 1.0, pinv_tol=1e-13)
+    # True used to run as s = 1; a config number is never a bool or a string
+    for kw, key in ((dict(s=True), "s"), (dict(s="0.5"), "s"),
+                    (dict(s=1.0, pinv_tol="1e-8"), "pinv_tol")):
+        with pytest.raises(ValueError, match=f"kernel {key} must be a number"):
+            KernelModel("gaussian", **kw)
+    # an integer reads as a float, from an API call as from a config file
+    model = KernelModel("gaussian", 2)
+    assert model == KernelModel.from_dict({"family": "gaussian", "s": 2})
+    assert isinstance(model.s, float) and model.to_dict()["s"] == 2.0
 
 
 # -- system assembly ---------------------------------------------------------

@@ -581,11 +581,43 @@ def test_zoo_defaults_cover_every_kind():
     (GeneralTorus, dict(n=4), "odd ambient n"),
     (FlatTorus, dict(d=0), "d, m >= 1"),
     (FlatTorus, dict(m=0), "d, m >= 1"),
+    # a config number is never a bool or a string, nor a float where an
+    # integer is due: Ellipse(a=True) used to be the unit circle
+    (Ellipse, dict(a=True), "a must be a number"),
+    (Torus, dict(a="3"), "a must be a number"),
+    (GeneralTorus, dict(n=21.0), "n must be an integer"),
+    (FlatTorus, dict(d=True), "d must be an integer"),
+    (FlatTorus, dict(m=True), "m must be an integer"),
 ])
 def test_zoo_constructors_refuse_bad_parameters(make, kw, match):
-    # FlatTorus(d=0) and an infinite a used to build a spec
+    # FlatTorus(d=0) and an infinite a used to build a spec; a config
+    # file's manifold block is refused alike
     with pytest.raises(ValueError, match=match):
         make(**kw)
+    with pytest.raises(ValueError, match=match):
+        ManifoldSpec.from_dict({"kind": make().kind, **kw})
+
+
+def _sphere_cloud_through_a_pole():
+    theta = np.array([[0.0, 0.4], [1.0, 2.0]])
+    return PointCloud(points=embed(Sphere(), theta), intrinsic=theta,
+                      spec=Sphere(), mode="random_intrinsic")
+
+
+@pytest.mark.parametrize("build,match", [
+    (lambda: ManifoldSpec("cube", d=2, n=3), "unknown manifold kind 'cube'"),
+    (lambda: ManifoldSpec.from_dict({"kind": "cube"}),
+     "unknown manifold kind 'cube'"),
+    (lambda: ManifoldSpec("sphere", d=2, n=4), "unit 2-sphere"),
+    (lambda: sturm_liouville_truth(Sphere(), 3),
+     "Sturm-Liouville truth applies to torus kinds"),
+    # an intrinsic-uniform density is infinite where sqrt(det g) vanishes
+    (lambda: sampling_density(_sphere_cloud_through_a_pole()),
+     "metric degenerate at a sample point"),
+], ids=["kind", "kind-block", "sphere-n", "sturm-liouville", "pole"])
+def test_zoo_refuses_what_it_cannot_build(build, match):
+    with pytest.raises(ValueError, match=match):
+        build()
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.kind + str(s.n))
