@@ -1,12 +1,20 @@
 """Command-line front end.
 
-Subcommands:
-  sample      draw a point cloud and write it as CSV
-  tangent     estimate tangent projections, write them, print diagnostics
-  spectrum    run one operator study at a single N
-  converge    run a study over several N and fit the error slope
-  compare-dm  symmetric RBF Laplacian vs the diffusion-maps baseline
-  truth       tabulate analytic eigenvalues and multiplicities
+Subcommands, with the files they write [and the schema of each table]:
+  sample      draw a point cloud: --out [points-v1]
+  tangent     estimate tangent frames: --out [projection-v2: the index, then
+              the row-major projector entries]; diagnostics on stdout
+  spectrum    one operator study at a single N, into --out-dir:
+              <prefix>_N<N>_seed<seed>_spectrum.csv [spectrum-v1] and, with
+              a truth, _alignment.csv [alignment-v1]; <prefix>_convergence.csv
+              [convergence-v1], <prefix>_runlog.jsonl, <prefix>_report.json
+  converge    the same over several N, with the fitted error slope
+  compare-dm  SRBF LB vs the diffusion-maps baseline: <prefix>_dm_table.csv
+              in --out-dir and on stdout [dm-compare-v2]
+  truth       analytic eigenvalues and multiplicities: --out or stdout
+              [truth-v2]
+Every table comes from spectral.write_table and reads back with
+np.loadtxt(path, delimiter=",").
 
 A study's values merge key by key, in the manifold and kernel blocks too:
 flags over the --config file, the file over the command's study defaults.
@@ -22,6 +30,7 @@ import numpy as np
 
 from . import harness, rbf, vector_ops, zoo
 from .harness import ExperimentConfig, run_experiment
+from .spectral import write_table
 from .tangent import projection_diagnostics
 
 # the study defaults; sample draws a cloud without a study config
@@ -89,6 +98,13 @@ def _config_from_args(args, N_list, **study):
     if args.config:
         with open(args.config) as fh:
             file = json.load(fh)
+        if not isinstance(file, dict):
+            raise ValueError(f"the config file {args.config} does not hold "
+                             f"a JSON object")
+        for key in ("manifold", "kernel"):
+            if not isinstance(file.get(key, {}), dict):
+                raise ValueError(f"the config file's {key!r} entry is not a "
+                                 f"JSON object")
     flags = _given({
         "manifold": _manifold_block(args),
         "kernel": _given({"family": args.kernel, "s": args.s,
@@ -125,11 +141,9 @@ def cmd_sample(args):
     if cloud.intrinsic is not None:
         cols.append(cloud.intrinsic)
         names += [f"theta{i + 1}" for i in range(cloud.intrinsic.shape[1])]
-    data = np.hstack(cols)
-    header = ("schema=points-v1\n"
-              "manifold=" + json.dumps(spec.to_dict(), sort_keys=True) + "\n"
-              + f"seed={args.seed}\n" + ",".join(names))
-    np.savetxt(args.out, data, fmt="%.17g", delimiter=",", header=header)
+    write_table(args.out, "points-v1",
+                [{"manifold": spec.to_dict()}, {"seed": args.seed}], names,
+                np.hstack(cols))
     print(f"wrote {cloud.N} points in R^{spec.n} to {args.out}")
 
 
@@ -142,7 +156,12 @@ def cmd_tangent(args):
         N_p=args.Np, K=args.K, sample_mode=args.mode, compare_count=1)
     config.validate()
     op_cloud, est = harness.build_projection(config, args.N, args.seed)
-    est.save(args.out)
+    write_table(args.out, "projection-v2",
+                [{"source": est.source, "K_used": est.K_used},
+                 {"manifold": config.manifold.to_dict()}, {"seed": args.seed}],
+                ["index", *(f"p{i + 1}_{j + 1}"
+                            for i, j in np.ndindex(est.n, est.n))],
+                np.c_[np.arange(est.N), est.mats.reshape(est.N, -1)])
     truth = zoo.analytic_projection(op_cloud)
     diag = projection_diagnostics(est, truth)
     for key, val in sorted(diag.items()):
@@ -187,8 +206,10 @@ def cmd_compare_dm(args):
     if (config.method, config.operator) != ("SRBF", "LB"):
         raise ValueError(f"compare-dm compares SRBF LB with DM, not "
                          f"method={config.method} operator={config.operator}")
+    dm = replace(config, method="DM")
+    dm.validate()                  # refuse a bad graph before the SRBF run
     rec_s = run_experiment(config).runs[0]
-    rec_d = run_experiment(replace(config, method="DM")).runs[0]
+    rec_d = run_experiment(dm).runs[0]
 
     os.makedirs(args.out_dir, exist_ok=True)
     out = os.path.join(args.out_dir, f"{args.prefix}_dm_table.csv")
@@ -201,16 +222,9 @@ def cmd_compare_dm(args):
         dv = np.abs(rec_d.result.nontrivial_values())
         count = min(config.compare_count, len(sv), len(dv))
         rows = [(k, float("nan"), sv[k], dv[k]) for k in range(count)]
-    with open(out, "w") as fh:
-        fh.write("# schema=dm-compare-v1\n")
-        fh.write("# config=" + json.dumps(config.to_dict(), sort_keys=True)
-                 + "\n")
-        fh.write("mode,truth_value,srbf_value,dm_value\n")
-        for row in rows:
-            fh.write(f"{row[0]},{row[1]:.17g},{row[2]:.17g},{row[3]:.17g}\n")
-    print(f"{'mode':>4} {'truth':>12} {'SRBF':>12} {'DM':>12}")
-    for row in rows:
-        print(f"{row[0]:>4} {row[1]:>12.6g} {row[2]:>12.6g} {row[3]:>12.6g}")
+    for target in (out, sys.stdout):
+        write_table(target, "dm-compare-v2", [{"config": config.to_dict()}],
+                    ["mode", "truth_value", "srbf_value", "dm_value"], rows)
     print(f"table written to {out}")
 
 
@@ -224,18 +238,11 @@ def cmd_truth(args):
         raise ValueError(f"the {args.operator} truth holds only "
                          f"{len(truth.values)} eigenvalues, --count asks "
                          f"for {args.count}")
-    lines = ["eigenvalue,multiplicity"]
-    for lam, mult in truth.values[:args.count]:
-        lines.append(f"{lam:.17g},{mult}")
-    text = "\n".join(lines)
+    write_table(args.out or sys.stdout, "truth-v2",
+                [{"manifold": spec.to_dict()}, {"operator": args.operator}],
+                ["eigenvalue", "multiplicity"], truth.values[:args.count])
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write("# schema=truth-v1\n# manifold="
-                     + json.dumps(spec.to_dict(), sort_keys=True) + "\n"
-                     + text + "\n")
         print(f"wrote {args.out}")
-    else:
-        print(text)
 
 
 def build_parser():

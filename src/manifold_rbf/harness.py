@@ -1,9 +1,9 @@
 """Experiment runner: sampling, projection, operators, spectra, reports.
 
-A run is fully determined by its configuration and seeds; all CSV outputs
-use fixed float formatting so identical configurations reproduce identical
-bytes. Wall-clock times never enter the CSVs (they live in the JSON run log,
-which is excluded from the determinism guarantee).
+A run is fully determined by its configuration and seeds. Every CSV comes
+from spectral.write_table, the one table writer, whose fixed float format
+makes identical configurations reproduce identical bytes. Wall-clock times
+never enter the CSVs (they live in the JSON run log, outside that guarantee).
 """
 
 import json
@@ -23,7 +23,7 @@ from .scalar_ops import (build_grad_matrices, laplace_beltrami_nonsymmetric,
                          laplace_beltrami_symmetric)
 from .spectral import (SpectralResult, align_eigenvectors_ols,
                        solve_nonsymmetric, solve_symmetric, symmetric_result,
-                       write_alignment_csv, write_spectrum_csv)
+                       write_alignment_csv, write_spectrum_csv, write_table)
 from .tangent import first_order_svd, neighbor_count, second_order_svd
 from .vector_ops import bochner, covariant_derivative, hodge, lichnerowicz
 
@@ -293,15 +293,11 @@ class Report:
                     rec.truth_vals, rec.aligned_est_vals, rec.vec_errors,
                     config_echo=echo)
         if self.convergence:
-            rows = np.array(self.convergence, dtype=float)
-            header = ("schema=convergence-v1\n"
-                      "config=" + json.dumps(echo, sort_keys=True) + "\n"
-                      + (f"fitted_slope={self.slope:.17g}\n"
-                         if self.slope is not None else "")
-                      + "N,mean_error")
-            np.savetxt(os.path.join(out_dir, f"{prefix}_convergence.csv"),
-                       rows, fmt=["%d", "%.17g"], delimiter=",",
-                       header=header)
+            slope = [] if self.slope is None else \
+                [{"fitted_slope": f"{self.slope:.17g}"}]
+            write_table(os.path.join(out_dir, f"{prefix}_convergence.csv"),
+                        "convergence-v1", [{"config": echo}, *slope],
+                        ["N", "mean_error"], self.convergence)
         log = os.path.join(out_dir, f"{prefix}_runlog.jsonl")
         with open(log, "w") as fh:
             for rec in self.runs:

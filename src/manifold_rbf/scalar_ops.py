@@ -109,7 +109,10 @@ def laplace_beltrami_symmetric(ops, q):
     M = sum_a G_a^T Q^{-1} G_a, B = Q^{-1}, Q = diag(q).
 
     Uniform sampling passes constant q (the constant cancels in the
-    generalized spectrum).
+    generalized spectrum). Its eigenvectors lie in the range of Q U, not of
+    U, so on trial coordinates spectral.solve_symmetric solves
+    (M, (U^T Q U)^{-1}), whose nonzero eigenvalues are those of M U^T Q U;
+    the Galerkin mass U^T Q^{-1} U gives the same values only for constant q.
     """
     qinv = inverse_density(q, ops.N)
     root = np.sqrt(qinv)[:, None]

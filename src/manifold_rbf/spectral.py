@@ -60,10 +60,6 @@ import numpy as np
 
 from .rbf import blockwise
 
-SPECTRUM_SCHEMA = "spectrum-v1"
-ALIGNMENT_SCHEMA = "alignment-v1"
-VECTOR_ERROR_METRIC = "relative discrete L2 after OLS alignment"
-
 
 @dataclass
 class SpectralResult:
@@ -251,6 +247,23 @@ def align_eigenvectors_ols(F, U):
     return num / den
 
 
+def write_table(target, schema, lines, columns, rows):
+    """Write a table to a path or an open text file: `# schema=<schema>`,
+    one `# ` line per dict of lines with its key=value pairs (a dict or list
+    value as sorted JSON), the `# `-prefixed column names, then the rows,
+    comma-separated, every value as %.17g (exact for a float64, an integral
+    value as an integer). np.loadtxt(path, delimiter=",") reads it back."""
+    header = [f"schema={schema}"]
+    for line in lines:
+        header.append(" ".join(
+            f"{key}=" + (json.dumps(value, sort_keys=True)
+                         if isinstance(value, (dict, list)) else str(value))
+            for key, value in line.items()))
+    header.append(",".join(columns))
+    np.savetxt(target, np.reshape(rows, (-1, len(columns))), fmt="%.17g",
+               delimiter=",", header="\n".join(header))
+
+
 def write_spectrum_csv(path, result, config_echo):
     """Spectrum as CSV: mode, re, im, magnitude, trivial flag.
 
@@ -258,35 +271,24 @@ def write_spectrum_csv(path, result, config_echo):
     operator, the k computed leading modes of the diffusion-maps baseline.
     """
     lam = np.asarray(result.all_values)
-    rows = np.column_stack([
-        np.arange(len(lam), dtype=float),
-        lam.real,
-        lam.imag if np.iscomplexobj(lam) else np.zeros(len(lam)),
-        np.abs(lam),
-        (np.abs(lam) < result.trivial_cutoff).astype(float),
-    ])
-    header = [f"schema={SPECTRUM_SCHEMA}",
-              f"ordering={result.ordering} rank_L={result.rank_L} "
-              f"structural_zeros={result.structural_zeros} "
-              f"solve_dim={result.solve_dim}",
-              "config=" + json.dumps(config_echo, sort_keys=True),
-              "mode,re,im,magnitude,trivial"]
-    np.savetxt(path, rows, fmt=["%d", "%.17g", "%.17g", "%.17g", "%d"],
-               delimiter=",", header="\n".join(header))
+    rows = np.column_stack([np.arange(len(lam)), lam.real, np.imag(lam),
+                            np.abs(lam), np.abs(lam) < result.trivial_cutoff])
+    write_table(path, "spectrum-v1",
+                [{"ordering": result.ordering, "rank_L": result.rank_L,
+                  "structural_zeros": result.structural_zeros,
+                  "solve_dim": result.solve_dim},
+                 {"config": config_echo}],
+                ["mode", "re", "im", "magnitude", "trivial"], rows)
 
 
 def write_alignment_csv(path, truth_values, est_values, vec_errors,
                         config_echo):
-    """Aligned-mode table: mode, truth eigenvalue, estimate, vector error."""
-    truth_values = np.asarray(truth_values, dtype=float)
-    est_values = np.abs(np.asarray(est_values))
-    vec_errors = np.asarray(vec_errors, dtype=float)
+    """Aligned-mode table: mode, truth eigenvalue, |estimate|, vector
+    error, one row per truth value."""
     m = len(truth_values)
-    rows = np.column_stack([np.arange(m, dtype=float), truth_values,
-                            est_values[:m], vec_errors[:m]])
-    header = [f"schema={ALIGNMENT_SCHEMA}",
-              f"metric={VECTOR_ERROR_METRIC}",
-              "config=" + json.dumps(config_echo, sort_keys=True),
-              "mode,truth_value,est_value,vec_error"]
-    np.savetxt(path, rows, fmt=["%d", "%.17g", "%.17g", "%.17g"],
-               delimiter=",", header="\n".join(header))
+    rows = np.column_stack([np.arange(m), truth_values,
+                            np.abs(est_values)[:m], vec_errors[:m]])
+    write_table(path, "alignment-v1",
+                [{"metric": "relative discrete L2 after OLS alignment"},
+                 {"config": config_echo}],
+                ["mode", "truth_value", "est_value", "vec_error"], rows)

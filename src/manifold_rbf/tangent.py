@@ -14,8 +14,6 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import cKDTree
 
-_SCHEMA = "projection-v1"
-
 
 @dataclass
 class ProjectionField:
@@ -54,17 +52,6 @@ class ProjectionField:
     def mats(self):
         """The tangential projectors P = T T^T, shape (N, n, n)."""
         return self.frames @ self.frames.transpose(0, 2, 1)
-
-    def save(self, path):
-        """Write the projector table (schema projection-v1)."""
-        n = self.n
-        flat = self.mats.reshape(self.N, n * n)
-        rows = np.column_stack([np.arange(self.N), flat])
-        header = (f"schema={_SCHEMA} n={n} source={self.source} "
-                  f"K_used={self.K_used}\n"
-                  "index then row-major projector entries")
-        fmt = ["%d"] + ["%.17g"] * (n * n)
-        np.savetxt(path, rows, fmt=fmt, header=header)
 
 
 def default_neighbor_count(d):

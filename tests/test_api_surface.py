@@ -339,3 +339,49 @@ def test_householder_qr_sites_are_pinned():
              for function, guards in call_sites(path.read_text(),
                                                 "numpy.linalg.qr")]
     assert sorted(sites) == sorted(HOUSEHOLDER_QR_SITES)
+
+
+def files_opened_for_writing(source):
+    """Enclosing top-level function or class of every open() call given a
+    literal writing mode."""
+    out = []
+    for top in ast.parse(source).body:
+        for node in ast.walk(top):
+            if not (isinstance(node, ast.Call)
+                    and getattr(node.func, "id", None) == "open"):
+                continue
+            mode = node.args[1] if len(node.args) > 1 else next(
+                (kw.value for kw in node.keywords if kw.arg == "mode"), None)
+            if isinstance(mode, ast.Constant) and \
+                    set(mode.value) & set("wax+"):
+                out.append(getattr(top, "name", None))
+    return out
+
+
+# Every table of the package is written by spectral.write_table, the one
+# np.savetxt call; the only other files written are the JSON run log and
+# report of Report.write. A table written by hand elsewhere would need a
+# second np.savetxt or a file opened for writing.
+TABLE_WRITER_SITES = {("spectral.py", "write_table", ())}
+WRITTEN_FILE_SITES = [("harness.py", "Report"), ("harness.py", "Report")]
+
+
+def test_tables_are_written_by_write_table_only():
+    assert files_opened_for_writing(
+        "def f(p):\n"
+        "    open(p, 'w')\n"
+        "    open(p)\n"
+        "    open(p, mode='a')\n"
+        "class C:\n"
+        "    def g(self, p):\n"
+        "        open(p, 'r+')\n") == ["f", "f", "C"]
+    sources = {path.name: path.read_text()
+               for path in sorted(PACKAGE.rglob("*.py"))}
+    savetxt = {(name, function, guards)
+               for name, source in sources.items()
+               for function, guards in call_sites(source, "numpy.savetxt")}
+    assert savetxt == TABLE_WRITER_SITES
+    assert sum(source.count("savetxt") for source in sources.values()) == 1
+    written = [(name, function) for name, source in sources.items()
+               for function in files_opened_for_writing(source)]
+    assert sorted(written) == WRITTEN_FILE_SITES

@@ -774,8 +774,9 @@ def test_cli_truth(tmp_path):
     run_cli("truth", "--manifold", "torus", "--a", "2.0", "--count", 5,
             "--out", out)
     text = out.read_text()
-    assert "schema=truth-v1" in text
-    data = np.loadtxt(out, delimiter=",", skiprows=3)
+    assert text.startswith("# schema=truth-v2\n")
+    assert "# operator=LB\n# eigenvalue,multiplicity\n" in text
+    data = np.loadtxt(out, delimiter=",")
     assert data.shape == (5, 2)
     assert data[0, 0] == 0.0 and data[0, 1] >= 1
 
@@ -905,6 +906,23 @@ def test_cli_config_file_manifold_block_merges_with_the_flags(tmp_path,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("text,bad", [
+    ("[1]", "does not hold a JSON object"),
+    ('{"manifold": "torus"}', "'manifold' entry is not a JSON object"),
+    ('{"kernel": null}', "'kernel' entry is not a JSON object"),
+])
+def test_cli_refuses_a_config_file_that_is_not_nested_objects(text, bad,
+                                                              tmp_path):
+    # these used to fail with an AttributeError or a TypeError
+    cfg_file = tmp_path / "study.json"
+    cfg_file.write_text(text)
+    with pytest.raises(ValueError, match=bad):
+        cli.main(["spectrum", "--manifold", "torus", "--N", "50",
+                  "--config", str(cfg_file),
+                  "--out-dir", str(tmp_path / "out")])
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_general_torus_defaults_to_the_zoo_torus(capsys):
     # --manifold general-torus is the zoo's GeneralTorus(2.0), n = 21, whose
     # second eigenvalue 0.02812 is not the n = 3 torus's 0.2494; --ambient-n
@@ -914,7 +932,7 @@ def test_cli_general_torus_defaults_to_the_zoo_torus(capsys):
         cli.main(["truth", "--manifold", "general-torus", "--count", "4",
                   *extra])
         want = zoo.scalar_eigen_truth(spec, 4).values[:4]
-        assert capsys.readouterr().out.splitlines()[1:] == [
+        assert capsys.readouterr().out.splitlines()[4:] == [
             f"{lam:.17g},{mult}" for lam, mult in want]
         assert want[1][0] == pytest.approx(
             0.02812 if spec.n == 21 else 0.2494, abs=1e-4)
@@ -953,9 +971,11 @@ def test_cli_compare_dm_runs_srbf_lb_or_refuses(tmp_path, monkeypatch):
     assert (configs[0].method, configs[0].operator) == ("SRBF", "LB")
     cfg_file = tmp_path / "study.json"
     cfg_file.write_text(json.dumps({"method": "NRBF"}))
+    # a DM graph the DM study would refuse is refused before the SRBF study
     for extra, name in ((["--method", "NRBF"], "method=NRBF"),
                         (["--operator", "Hodge"], "operator=Hodge"),
-                        (["--config", str(cfg_file)], "method=NRBF")):
+                        (["--config", str(cfg_file)], "method=NRBF"),
+                        (["--dm-K", "400"], r"K_neighbors must lie in")):
         with pytest.raises(ValueError, match=name):
             cli.main([*argv, *extra])
     assert len(configs) == 1
@@ -976,19 +996,20 @@ def test_cli_converge(tmp_path):
 
 
 def test_cli_compare_dm(tmp_path):
-    run_cli("compare-dm", "--manifold", "torus", "--a", "2.0",
-            "--N", 400, "--mode", "random_area",
-            "--kernel", "inverse_quadratic", "--s", 0.1,
-            "--density", "Analytic", "--compare-count", 4,
-            "--dm-K", 9, "--epsilon", 0.3, "--out-dir", tmp_path)
+    stdout = run_cli("compare-dm", "--manifold", "torus", "--a", "2.0",
+                     "--N", 400, "--mode", "random_area",
+                     "--kernel", "inverse_quadratic", "--s", 0.1,
+                     "--density", "Analytic", "--compare-count", 4,
+                     "--dm-K", 9, "--epsilon", 0.3, "--out-dir", tmp_path)
     table = tmp_path / "run_dm_table.csv"
     text = table.read_text()
-    assert "schema=dm-compare-v1" in text
+    assert "schema=dm-compare-v2" in text
     # the DM flags used to run but echo as null
     config = json.loads(text.splitlines()[1].removeprefix("# config="))
     assert (config["dm_K"], config["dm_epsilon"]) == (9, 0.3)
-    assert text.splitlines()[2] == "mode,truth_value,srbf_value,dm_value"
-    data = np.loadtxt(table, delimiter=",", skiprows=3)
+    assert text.splitlines()[2] == "# mode,truth_value,srbf_value,dm_value"
+    assert text in stdout              # the same table on the terminal
+    data = np.loadtxt(table, delimiter=",")
     assert data.shape[1] == 4
     assert np.all(data[1:, 1] > 0)     # nonzero truth rows present
 
@@ -1007,14 +1028,38 @@ def test_cli_compare_dm_without_a_truth_tables_both_spectra(tmp_path,
     monkeypatch.setattr(cli, "run_experiment", recording)
     cli.main(["compare-dm", "--manifold", "ellipse", "--N", "100",
               "--compare-count", "3", "--out-dir", str(tmp_path)])
-    data = np.loadtxt(tmp_path / "run_dm_table.csv", delimiter=",",
-                      skiprows=3)
+    data = np.loadtxt(tmp_path / "run_dm_table.csv", delimiter=",")
     assert [rec.result is not None for rec in runs] == [True, True]
     assert np.array_equal(data[:, 0], [0, 1, 2])
     assert np.all(np.isnan(data[:, 1]))
     for col, rec in zip((2, 3), runs):
         assert np.array_equal(
             data[:, col], np.abs(rec.result.nontrivial_values())[:3])
+
+
+def test_cli_tables_share_one_format(tmp_path):
+    # every table opens with its schema, names its columns on the last
+    # comment line and reads back with no skiprows
+    study = ["--method", "SRBF", "--compare-count", "3", "--seed", "1",
+             "--out-dir", str(tmp_path)]
+    for argv in (["sample", "--N", "30", "--out", tmp_path / "points.csv"],
+                 ["tangent", "--N", "60", "--out", tmp_path / "proj.csv"],
+                 ["converge", "--N-list", "50,60", *study],
+                 ["compare-dm", "--N", "60", *study],
+                 ["truth", "--count", "4", "--out", tmp_path / "truth.csv"]):
+        cli.main([str(a) for a in argv] + ["--manifold", "sphere"])
+    schemas = set()
+    for path in sorted(tmp_path.glob("*.csv")):
+        lines = path.read_text().splitlines()
+        header = [line for line in lines if line.startswith("# ")]
+        assert lines[0] == header[0] and \
+            header[0].startswith("# schema="), path.name
+        schemas.add(header[0].removeprefix("# schema="))
+        data = np.loadtxt(path, delimiter=",", ndmin=2)
+        assert data.shape[1] == len(header[-1][2:].split(",")), path.name
+    assert schemas == {"points-v1", "projection-v2", "spectrum-v1",
+                       "alignment-v1", "convergence-v1", "dm-compare-v2",
+                       "truth-v2"}
 
 
 def test_cli_spectrum_prints_the_covariant_field_error(tmp_path, capsys):

@@ -227,6 +227,26 @@ def test_scalar_reduction_matches_householder_reference(sphere_pencils):
         assert np.linalg.norm(v - np.sign(v @ w) * w) <= 1e-10
 
 
+def test_scalar_solve_is_the_pencil_not_its_galerkin_form(sphere_pencils):
+    # (U A U^T) v = lambda Q^{-1} v puts v in the range of Q U, so on trial
+    # coordinates the solve is (A, (U^T Q U)^{-1}), with the eigenvalues of
+    # A U^T Q U; the Galerkin mass U^T Q^{-1} U gives them only for constant
+    # q (measured: 4.6e-2 apart under q in [0.5, 2], 3.7e-15 at q = 1.3)
+    pair, _vector = sphere_pencils
+    U, q = pair.factor, 1.0 / pair.B_diag
+    for scale in (q, np.full(len(q), 1.3)):
+        res = solve_symmetric(GeneralizedPair(A=pair.A, B_diag=1.0 / scale,
+                                              factor=U), 10)
+        computed = res.all_values[res.structural_zeros:]
+        top = np.abs(computed).max()
+        trial = np.linalg.eigvals(pair.A @ (U.T @ (scale[:, None] * U)))
+        assert np.abs(computed - np.sort(trial.real)).max() <= 1e-12 * top
+        galerkin = np.linalg.eigvals(
+            np.linalg.solve(U.T @ (U / scale[:, None]), pair.A))
+        gap = np.abs(computed - np.sort(galerkin.real)).max() / top
+        assert gap > 1e-2 if scale is q else gap <= 1e-12
+
+
 def test_back_substitution_matches_dense_solve():
     # 300 rows span three diagonal blocks, the top one partial
     rng = np.random.default_rng(6)

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from manifold_rbf import cli
+from manifold_rbf.harness import ExperimentConfig, build_projection
 from manifold_rbf.tangent import (ProjectionField, default_neighbor_count,
                                   first_order_svd, knn_indices,
                                   projection_diagnostics, second_order_svd)
@@ -270,15 +272,18 @@ def test_sphere_below_torus_at_matched_N():
 
 
 def test_projection_roundtrip(tmp_path):
-    # the saved projection-v1 table holds the projectors P = T T^T
-    cloud = sample_manifold(Torus(2.0), 60, seed=4)
-    est = second_order_svd(cloud, K=40)
+    # the tangent command's projection-v2 table holds the projectors
+    # P = T T^T of the study's frames, row-major after the point index
     path = tmp_path / "proj.csv"
-    est.save(path)
+    cli.main(["tangent", "--manifold", "torus", "--N", "60", "--K", "40",
+              "--seed", "4", "--out", str(path)])
+    config = ExperimentConfig(manifold=Torus(2.0), N_list=[60],
+                              projection="SecondOrder", K=40, compare_count=1)
+    _cloud, est = build_projection(config, 60, 4)
     with open(path) as fh:
-        assert fh.readline().startswith(
-            "# schema=projection-v1 n=3 source=second_order K_used=40")
-    data = np.loadtxt(path, ndmin=2)
+        assert [fh.readline() for _ in range(3)] == [
+            "# schema=projection-v2\n", "# source=second_order K_used=40\n",
+            '# manifold={"a": 2.0, "d": 2, "kind": "torus", "n": 3}\n']
+    data = np.loadtxt(path, delimiter=",")
     assert np.array_equal(data[:, 0], np.arange(60))
-    back = data[:, 1:].reshape(-1, 3, 3)
-    assert np.max(np.abs(back - est.mats)) <= 1e-15
+    assert np.array_equal(data[:, 1:].reshape(-1, 3, 3), est.mats)
