@@ -46,6 +46,7 @@ class ExperimentConfig:
     kernel: KernelModel = KernelModel("gaussian", 1.0)
     density: str = "Uniform"
     seeds: list = dc_field(default_factory=lambda: [0])
+    # sample the tangent frames are estimated from; operators use its first N
     N_p: int = None
     K: int = None                  # tangent-estimation neighbors
     dm_K: int = None               # DM graph neighbors, sqrt(N) by default
@@ -92,6 +93,9 @@ class ExperimentConfig:
                              "1D demo is available (sphere or ellipse)")
         if self.N_p is not None and self.N_p < max(self.N_list):
             raise ValueError("N_p must be at least the operator cloud size")
+        if self.sample_mode == "grid" and (self.N_p or 0) > min(self.N_list):
+            raise ValueError(f"grid mode refuses N_p={self.N_p} > N: the "
+                             f"first N points of a larger lattice are a band")
         if self.method == "DM":
             for N in self.N_list:
                 validate_graph(N, self.dm_K, self.dm_epsilon)
@@ -480,8 +484,8 @@ def run_experiment(config):
     """Execute the configured study over every (N, seed) pair."""
     config.validate()
     count = config.compare_count
+    # a compare_count the truth cannot resolve fails before any sampling
     truth = zoo.study_truth(config.manifold, config.operator, count)
-    # a compare_count the truth cannot fill fails before any sampling
     truth_vals = None if truth is None else truth.expanded(count)
     runs = []
     for N in config.N_list:

@@ -7,22 +7,24 @@ alone picks the truth that scores a study, beside the ellipse's demo.
 Provides samplers (SAMPLE_MODES: random in intrinsic coordinates or in
 area, or lattice grids), exact tangent frames, Laplacian eigen-truth and
 the density of a cloud's own draw with respect to the Riemannian volume
-measure. The truth is closed-form on the sphere and the flat torus; on the
-tori it separates into one periodic Sturm-Liouville problem per Fourier
-mode, solved spectrally in theta to rounding accuracy
-(sturm_liouville_truth). An EigenTruth hands its eigenfunctions to the
-scorer as one basis matrix over a cloud (EigenTruth.basis), read at the
-cloud's own coordinates: its angles on the tori, its points on the sphere.
+measure. The truth is closed-form on the sphere and the flat torus: every
+degree of sphere harmonic comes from one recurrence (_sphere_harmonics),
+the vector spectra from one rule over the scalar ones. On the tori it
+separates into one periodic Sturm-Liouville problem per Fourier mode,
+solved spectrally in theta to rounding accuracy (sturm_liouville_truth).
+An EigenTruth hands its eigenfunctions to the scorer as one basis matrix
+over a cloud (EigenTruth.basis), read at the cloud's own coordinates: its
+angles on the tori, its points on the sphere.
 
 embed is the one formula of each manifold. Derived from it:
 - the Jacobian J (embedding_jacobian), by complex step (_complex_step);
 - the analytic frames, the Q factor of J (analytic_projection);
 - the area element sqrt(det(J^T J)) (metric_sqrt_det), which random_area
   draws and the density of intrinsic-uniform draws read.
-The sphere harmonics' gradients are complex-step derivatives of each psi.
-So embed and psi must stay analytic: an abs, a real cast, a conj or a
-branch on a value would silently corrupt the frames, the area element and
-the vector truth.
+The sphere's vector fields are complex-step gradients of its harmonics.
+So embed and the harmonics must stay analytic: an abs, a real cast, a conj
+or a branch on a value would silently corrupt the frames, the area element
+and the vector truth.
 """
 
 import functools
@@ -353,13 +355,12 @@ class EigenTruth:
     kind: str = "scalar"
 
     def expanded(self, count):
-        out = []
-        for lam, mult in self.values:
-            for _ in range(mult):
-                out.append(lam)
-                if len(out) == count:
-                    return np.array(out)
-        raise ValueError(f"truth holds only {len(out)} modes, need {count}")
+        out = np.repeat([lam for lam, _m in self.values],
+                        [mult for _lam, mult in self.values])[:count]
+        if len(out) < count:
+            raise ValueError(f"truth holds only {len(out)} modes, "
+                             f"need {count}")
+        return out
 
     def basis(self, cloud, count):
         """The first `count` eigenfunctions at the cloud as columns:
@@ -424,97 +425,92 @@ def _flat_torus_truth(spec, count):
 
 # -- sphere spectrum ----------------------------------------------------------
 
-# independent symmetric index sets for the degree-2 and degree-3 Cartesian
-# harmonics on S^2 (5 and 7 of them)
-_SPHERE_L2_PAIRS = [(0, 1), (0, 2), (1, 2), (0, 0), (1, 1)]
-_SPHERE_L3_TRIPLES = [(0, 0, 1), (0, 0, 2), (0, 1, 1), (1, 1, 2),
-                      (0, 2, 2), (1, 2, 2), (0, 1, 2)]
+def _sphere_harmonics(x, l):
+    """The 2l + 1 degree-l harmonic polynomials at the points x (N, 3), as
+    (N, 2l + 1) columns: Re and Im of (x + iy)^m times Q_l^m(z, r^2) for
+    m = 1..l, then Q_l^0, so degree 1 is x, y, z. Q_l^m, the associated
+    Legendre function made homogeneous of degree l - m, grows from
+    Q_m^m = (2m - 1)!! by the recurrence for k = m + 1..l
 
-# the vector spectra by vector_ops.LAPLACIANS name: (eigenvalue, multiplicity)
-# pairs and the eigenfields' (rotational?, degree) blocks, in expanded order
-_BOTH = [(rotational, l) for l in (1, 2, 3) for rotational in (True, False)]
-_SPHERE_VECTOR_SPECTRA = {
-    "Bochner": ([(1.0, 6), (5.0, 10), (11.0, 14)], _BOTH),
-    "Hodge": ([(2.0, 6), (6.0, 10), (12.0, 14)], _BOTH),
-    "Lich": ([(0.0, 3), (2.0, 3), (4.0, 5), (10.0, 12)], _BOTH[:5]),
-}
+        (k - m) Q_k^m = (2k - 1) z Q_{k-1}^m - (k + m - 1) r^2 Q_{k-2}^m,
 
-
-def _sphere_l1(x, p):
-    return np.atleast_2d(x)[:, p]
-
-
-def _sphere_l2(x, p, q):
-    x = np.atleast_2d(x)
-    r2 = np.sum(x * x, axis=1)
-    return 3.0 * x[:, p] * x[:, q] - (r2 if p == q else 0.0)
-
-
-def _sphere_l3(x, p, q, r):
-    x = np.atleast_2d(x)
-    r2 = np.sum(x * x, axis=1)
-    val = 15.0 * x[:, p] * x[:, q] * x[:, r]
-    if p == q:
-        val -= 3.0 * r2 * x[:, r]
-    if q == r:
-        val -= 3.0 * r2 * x[:, p]
-    if r == p:
-        val -= 3.0 * r2 * x[:, q]
-    return val
-
-
-def _sphere_harmonic_families():
-    """families[l] = the degree-l harmonics psi(x) on R^3, l = 1, 2, 3."""
-    return {1: [functools.partial(_sphere_l1, p=p) for p in range(3)],
-            2: [functools.partial(_sphere_l2, p=p, q=q)
-                for p, q in _SPHERE_L2_PAIRS],
-            3: [functools.partial(_sphere_l3, p=p, q=q, r=r)
-                for p, q, r in _SPHERE_L3_TRIPLES]}
+    scaled by sqrt((2 - [m = 0]) (l - m)! / (l + m)!): Schmidt
+    semi-normalised, |psi| <= 1 on the sphere and the columns orthogonal
+    with equal norms. Only sums and products, so complex steps go through.
+    """
+    X, Y, Z = np.atleast_2d(x).T
+    r2 = X * X + Y * Y + Z * Z
+    cols, re, im = [], 1.0, 0.0         # Re, Im of (x + iy)^m
+    for m in range(l + 1):
+        scale = math.sqrt(math.prod(range(1, 2 * m, 2)) ** 2 * (2 - (m == 0))
+                          * math.factorial(l - m) / math.factorial(l + m))
+        lower, q = 0.0, scale * np.ones_like(Z)
+        for k in range(m + 1, l + 1):
+            lower, q = q, ((2 * k - 1) * Z * q
+                           - (k + m - 1) * r2 * lower) / (k - m)
+        cols += [q * re, q * im] if m else [q]
+        re, im = re * X - im * Y, re * Y + im * X
+    return np.stack(cols[1:] + cols[:1], axis=1)
 
 
 def _sphere_scalar_truth(count):
-    """The first count distinct values l(l+1), at most the four of the
-    harmonics (l <= 3); EigenTruth.expanded refuses modes past them."""
-    count = min(count, 4)
-    families = _sphere_harmonic_families()
+    """The first count distinct values l(l+1), each with the 2l + 1
+    degree-l harmonics as its columns."""
     values = [(float(l * (l + 1)), 2 * l + 1) for l in range(count)]
 
     def columns(cloud):
-        x = cloud.points
-        yield np.ones(x.shape[0])
-        for l in range(1, count):
-            yield from (psi(x) for psi in families[l])
+        for l in range(count):
+            yield from _sphere_harmonics(cloud.points, l).T
 
     return EigenTruth(values=values, columns=columns, kind="scalar")
 
 
-def vector_eigen_truth(spec, operator):
-    """Sphere vector-Laplacian truth with tangential eigenfields.
+# (rotational, gradient) field values of a harmonic of scalar value lam
+_SPHERE_VECTOR_RULE = {"Bochner": lambda lam: (lam - 1.0, lam - 1.0),
+                       "Hodge": lambda lam: (lam, lam),
+                       "Lich": lambda lam: (lam - 2.0, 2.0 * lam - 2.0)}
 
-    Eigenfields come in two families per degree l: the rotational form
-    x × grad(psi) and the gradient form P grad(psi) = grad(psi) - (x·grad
-    psi) x, psi ranging over the degree-l harmonics. grad(psi) is the
-    complex-step derivative of psi itself, so the fields cannot drift from
-    the scalar truth. Bochner eigenvalue l(l+1)-1 and Hodge eigenvalue
-    l(l+1) share both families; the Lichnerowicz operator splits them
-    (rotational l=1 fields generate isometries and sit in the nullspace).
+
+def vector_eigen_truth(spec, operator, count):
+    """Sphere vector-Laplacian truth: the first count distinct eigenvalues
+    with their tangential eigenfields.
+
+    A degree-l harmonic psi, of scalar value lam = l(l+1), gives the
+    rotational field x × grad psi (J grad psi) and the gradient field
+    P grad psi = grad psi - (x·grad psi) x. The Hodge Laplacian commutes
+    with d and the Hodge star: lam on both. Weitzenböck gives Bochner =
+    Hodge - K: lam - K on both. The Lichnerowicz form ½|∇u + ∇uᵀ|² is the
+    Bochner form + ‖div u‖² - ∫K|u|²: lam - 2K on the divergence-free
+    rotational fields, and 2 lam - 2K on the gradient ones, whose div u =
+    -lam psi has ‖div u‖² = lam ‖u‖². Here K = 1 (_SPHERE_VECTOR_RULE); the
+    l = 1 rotations span Lich's kernel.
+
+    Blocks run by (value, l, rotational first). Each family's value grows
+    with l, so degrees 1..count hold count distinct values of each, and no
+    later degree undercuts them. grad psi is the complex-step derivative of
+    _sphere_harmonics, so the fields cannot drift from the scalar truth.
     """
     if spec.kind != "sphere":
         raise ValueError("vector eigen-truth is available for the sphere only")
-    if operator not in _SPHERE_VECTOR_SPECTRA:
+    if operator not in _SPHERE_VECTOR_RULE:
         raise ValueError(f"unknown vector Laplacian {operator!r}")
-    values, blocks = _SPHERE_VECTOR_SPECTRA[operator]
-    families = _sphere_harmonic_families()
+    # (value, l, gradient?): enumerate gives the rotational family 0
+    blocks = sorted((value, l, gradient) for l in range(1, count + 1)
+                    for gradient, value in enumerate(
+                        _SPHERE_VECTOR_RULE[operator](l * (l + 1.0))))
+    values = [(v, sum(2 * l + 1 for w, l, _g in blocks if w == v))
+              for v in sorted({b[0] for b in blocks})[:count]]
+    blocks = [b for b in blocks if b[0] in dict(values)]
 
     def columns(cloud):
         x = cloud.points
-        for rotational, l in blocks:
-            for psi in families[l]:
-                g = _complex_step(psi, x)
-                yield np.cross(x, g) if rotational else \
-                    g - np.sum(x * g, axis=1, keepdims=True) * x
+        for _value, l, gradient in blocks:
+            G = _complex_step(functools.partial(_sphere_harmonics, l=l), x)
+            for g in G.transpose(1, 0, 2):
+                yield g - np.sum(x * g, axis=1, keepdims=True) * x \
+                    if gradient else np.cross(x, g)
 
-    return EigenTruth(values=list(values), columns=columns, kind="vector")
+    return EigenTruth(values=values, columns=columns, kind="vector")
 
 
 # -- general torus: Sturm-Liouville reduction ---------------------------------
@@ -636,13 +632,13 @@ def scalar_eigen_truth(spec, count):
 # -- the truth of a study -----------------------------------------------------
 
 def study_truth(spec, operator, count):
-    """The truth that scores a study of `operator` on spec, or None: for LB
-    off the ellipse the scalar truth of count distinct values (one or more
-    per compared mode), for a vector Laplacian the sphere's vector truth."""
+    """The truth that scores a study of `operator` on spec, or None: count
+    distinct values (one or more per compared mode), of the scalar truth for
+    LB off the ellipse, of the sphere's vector truth for a vector Laplacian."""
     if operator == "LB" and spec.kind != "ellipse":
         return scalar_eigen_truth(spec, count)
     if operator in LAPLACIANS and spec.kind == "sphere":
-        return vector_eigen_truth(spec, operator)
+        return vector_eigen_truth(spec, operator, count)
     return None
 
 

@@ -164,7 +164,7 @@ def _cli_set_fields(monkeypatch):
 
     monkeypatch.setattr(cli, "run_experiment", capture)
     common = ["--manifold", "sphere", "--N", "50", "--seed", "3",
-              "--mode", "grid", "--kernel", "matern", "--s", "2",
+              "--mode", "random_area", "--kernel", "matern", "--s", "2",
               "--pinv-tol", "1e-6", "--density", "KDE", "--Np", "60",
               "--K", "7", "--compare-count", "5"]
     with pytest.raises(_Captured):

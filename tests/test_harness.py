@@ -22,6 +22,7 @@ from manifold_rbf.harness import (MEMORY_ENV_VAR, ExperimentConfig,
                                   run_experiment)
 from manifold_rbf.rbf import KernelModel, build_system
 from manifold_rbf.spectral import SpectralResult
+from manifold_rbf.vector_ops import LAPLACIANS
 from manifold_rbf.zoo import (EigenTruth, Ellipse, GeneralTorus, Sphere,
                               Torus, sample_manifold, vector_eigen_truth)
 
@@ -99,12 +100,13 @@ def test_config_validation():
      "K=120 must be smaller than the searched cloud size N=100"),
     (dict(projection="FirstOrder", N_p=400, K=400),
      "K=400 must be smaller than the searched cloud size N=400"),
-    # the sphere truth holds 16 scalar and 30 Hodge modes: scoring more is
-    # an error, not a silently shorter comparison
-    (dict(manifold=Sphere(), compare_count=17),
-     "truth holds only 16 modes, need 17"),
-    (dict(manifold=Sphere(), operator="Hodge", compare_count=31),
-     "truth holds only 30 modes, need 31"),
+    # the torus truth resolves 24 values per Fourier mode: scoring more is
+    # an error, not a silently wrong comparison
+    (dict(N_list=[1000], compare_count=600),
+     "count=600 reaches past the 24 resolved values"),
+    # the first N points of a larger lattice are a band of the manifold
+    (dict(sample_mode="grid", N_list=[400], N_p=1600,
+          projection="SecondOrder"), "grid mode refuses N_p=1600 > N"),
     # an empty list used to run no study, or die on min() or runs[0]
     (dict(N_list=[]), "N_list must not be empty"),
     (dict(seeds=[]), "seeds must not be empty"),
@@ -557,7 +559,7 @@ def test_truth_basis_shapes():
     F = scalar.basis(cloud, 2)
     assert F.shape == (200, 2)
     assert np.allclose(F[:, 0], cloud.points[:, 2])
-    vec = vector_eigen_truth(Sphere(), "Bochner")
+    vec = vector_eigen_truth(Sphere(), "Bochner", 1)
     B = vec.basis(cloud, 3)
     assert B.shape == (600, 3)
     assert np.all(np.linalg.norm(B, axis=0) > 0)
@@ -651,8 +653,8 @@ def test_vector_run_evaluates_the_truth_once(monkeypatch):
     calls = []
     real = zoo.vector_eigen_truth
 
-    def counting(spec, operator):
-        truth = real(spec, operator)
+    def counting(spec, operator, count):
+        truth = real(spec, operator, count)
 
         def columns(cloud):
             calls.append(cloud.N)
@@ -782,12 +784,9 @@ def test_cli_truth(tmp_path):
 
 
 def test_cli_rejects_counts_it_cannot_honour(tmp_path):
-    # the sphere Hodge truth holds 3 eigenvalues; a tangent K of 0 is no
-    # request for the default, 3 cannot fit the sphere's second-order frame,
-    # and 60 neighbours cannot be found among 50 points
-    with pytest.raises(ValueError, match="holds only 3 eigenvalues"):
-        cli.main(["truth", "--manifold", "sphere", "--operator", "Hodge",
-                  "--count", "500"])
+    # a tangent K of 0 is no request for the default, 3 cannot fit the
+    # sphere's second-order frame, and 60 neighbours cannot be found among
+    # 50 points
     with pytest.raises(ValueError, match="K must be at least 1"):
         cli.main(["spectrum", "--manifold", "sphere", "--N", "50",
                   "--projection", "SecondOrder", "--K", "0",
@@ -802,6 +801,17 @@ def test_cli_rejects_counts_it_cannot_honour(tmp_path):
                   "--projection", "FirstOrder", "--K", "60",
                   "--out-dir", str(tmp_path)])
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("operator", ["LB", *LAPLACIANS])
+def test_cli_sphere_truth_prints_its_default_count(operator, capsys):
+    # the sphere truth used to stop at l = 3: 4 LB values, 3 Hodge ones
+    cli.main(["truth", "--manifold", "sphere", "--operator", operator])
+    rows = [line for line in capsys.readouterr().out.splitlines()
+            if not line.startswith("#")]
+    assert len(rows) == 20
+    want = zoo.study_truth(Sphere(), operator, 20).values
+    assert rows == [f"{lam:.17g},{mult}" for lam, mult in want]
 
 
 def test_cli_tangent(tmp_path):

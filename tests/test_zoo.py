@@ -7,7 +7,7 @@ import pytest
 import scipy.linalg
 
 from manifold_rbf import zoo
-from manifold_rbf.vector_ops import LAPLACIANS
+from manifold_rbf.vector_ops import LAPLACIANS, stacked
 from manifold_rbf.zoo import (Ellipse, FlatTorus, GeneralTorus, ManifoldSpec,
                               PointCloud, Sphere, Torus, analytic_projection,
                               embed, intrinsic_box, metric_sqrt_det,
@@ -182,14 +182,14 @@ def test_jacobian_and_area_element_are_those_of_embed(kind):
 def test_sphere_vector_truth_fields_are_built_from_harmonic_gradients():
     cloud = sample_manifold(Sphere(), 200, seed=6, mode="random_area")
     x = cloud.points
-    families = zoo._sphere_harmonic_families()
     want = []      # per degree: the rotational family, then the gradient one
     for l in (1, 2, 3):
-        grads = [central_difference(psi, x) for psi in families[l]]
+        grads = central_difference(lambda y: zoo._sphere_harmonics(y, l), x)
+        grads = list(grads.transpose(1, 0, 2))
         want += [np.cross(x, g) for g in grads]
         want += [g - np.sum(x * g, axis=1, keepdims=True) * x
                  for g in grads]
-    got = list(vector_eigen_truth(Sphere(), "Hodge").columns(cloud))
+    got = list(vector_eigen_truth(Sphere(), "Hodge", 3).columns(cloud))
     assert len(got) == len(want) == 30
     for field, ref in zip(got, want):
         assert np.max(np.abs(field - ref)) <= 1e-8
@@ -282,18 +282,18 @@ def test_sphere_scalar_truth():
     assert truth.values[:4] == [(0.0, 1), (2.0, 3), (6.0, 5), (12.0, 7)]
 
 
-def test_sphere_scalar_truth_holds_the_values_it_has():
-    # a study asks for compare_count distinct values; the sphere gives its
-    # four and the expansion refuses modes past them
-    truth = scalar_eigen_truth(Sphere(), 12)
-    assert truth.values == scalar_eigen_truth(Sphere(), 4).values
-    assert len(truth.expanded(16)) == 16
-    with pytest.raises(ValueError, match="truth holds only 16 modes"):
-        truth.expanded(17)
+def test_sphere_truths_serve_any_count():
+    # a study asks for compare_count distinct values; every degree of
+    # harmonic is there, so the sphere no longer stops at l = 3
+    truth = scalar_eigen_truth(Sphere(), 20)
+    assert truth.values[-1] == (380.0, 39) and len(truth.values) == 20
+    assert len(truth.expanded(400)) == 400
+    for name in LAPLACIANS:
+        assert len(vector_eigen_truth(Sphere(), name, 20).values) == 20
 
 
 @pytest.mark.parametrize("spec", [Torus(2.0), GeneralTorus(2.0, 21),
-                                  FlatTorus(2, 1), FlatTorus(3, 1)],
+                                  FlatTorus(2, 1), FlatTorus(3, 1), Sphere()],
                          ids=lambda s: f"{s.kind}-{s.n}")
 def test_truth_leading_modes_do_not_depend_on_the_count(spec):
     # a study's truth is asked for compare_count values; its leading modes
@@ -311,6 +311,132 @@ def test_sphere_columns_are_harmonics():
     F = truth.basis(cloud, 16)
     gram = F.T @ F / cloud.N
     assert np.linalg.matrix_rank(gram, tol=1e-6) == 16
+
+
+def sphere_quadrature(n=16):
+    """Gauss-Legendre in z times the trapezoid rule in phi on 2n angles:
+    exact for the product of two harmonics of degree below n."""
+    z, wz = np.polynomial.legendre.leggauss(n)
+    phi = np.pi * np.arange(2 * n) / n
+    Z, P = np.meshgrid(z, phi, indexing="ij")
+    rho = np.sqrt(1.0 - Z * Z)
+    x = np.column_stack([(rho * np.cos(P)).ravel(), (rho * np.sin(P)).ravel(),
+                         Z.ravel()])
+    return x, np.repeat(wz * np.pi / n, 2 * n)
+
+
+@pytest.mark.parametrize("l", range(13))
+def test_sphere_harmonics_are_harmonic_homogeneous_and_bounded(l):
+    cloud = sample_manifold(Sphere(), 300, seed=5, mode="random_area")
+    x = cloud.points
+    psi = zoo._sphere_harmonics(x, l)
+    assert psi.shape == (300, 2 * l + 1)
+    # Laplacian in R^3: central differences of the complex-step gradient
+    hessian = central_difference(
+        lambda y: zoo._complex_step(lambda v: zoo._sphere_harmonics(v, l), y),
+        x)
+    assert np.max(np.abs(np.trace(hessian, axis1=-2, axis2=-1))) <= 1e-6
+    for t in (0.7, 1.3):
+        assert np.allclose(zoo._sphere_harmonics(t * x, l), t ** l * psi,
+                           rtol=0, atol=1e-13)
+    # Schmidt semi-normalised: the squares of one degree sum to one
+    assert np.max(np.abs(psi)) <= 1.0 + 1e-13
+    assert np.allclose(np.sum(psi ** 2, axis=1), 1.0, rtol=0, atol=1e-13)
+
+
+def test_sphere_harmonics_are_orthogonal_with_equal_norms_per_degree():
+    x, w = sphere_quadrature()
+    F = np.hstack([zoo._sphere_harmonics(x, l) for l in range(13)])
+    norms = np.concatenate([np.full(2 * l + 1, 4.0 * np.pi / (2 * l + 1))
+                            for l in range(13)])
+    assert np.abs(F.T @ (w[:, None] * F) - np.diag(norms)).max() <= 1e-13
+
+
+def cartesian_harmonic(x, *idx):
+    """The Cartesian harmonics the sphere truth listed up to l = 3:
+    x_p, 3 x_p x_q - d_pq r^2, and 15 x_p x_q x_r - 3 r^2 (d_pq x_r +
+    d_qr x_p + d_rp x_q)."""
+    r2 = np.sum(x * x, axis=1)
+    if len(idx) == 1:
+        return x[:, idx[0]]
+    if len(idx) == 2:
+        p, q = idx
+        return 3.0 * x[:, p] * x[:, q] - (r2 if p == q else 0.0)
+    p, q, r = idx
+    return 15.0 * x[:, p] * x[:, q] * x[:, r] - 3.0 * r2 * (
+        (p == q) * x[:, r] + (q == r) * x[:, p] + (r == p) * x[:, q])
+
+
+CARTESIAN_FAMILIES = {
+    1: [(0,), (1,), (2,)],
+    2: [(0, 1), (0, 2), (1, 2), (0, 0), (1, 1)],
+    3: [(0, 0, 1), (0, 0, 2), (0, 1, 1), (1, 1, 2), (0, 2, 2), (1, 2, 2),
+        (0, 1, 2)],
+}
+# the vector spectra the sphere truth held as a table up to l = 3, with
+# their fields' (rotational?, l) blocks in expanded order
+BOTH = [(rotational, l) for l in (1, 2, 3) for rotational in (True, False)]
+VECTOR_TABLE = {
+    "Bochner": ([(1.0, 6), (5.0, 10), (11.0, 14)], BOTH),
+    "Hodge": ([(2.0, 6), (6.0, 10), (12.0, 14)], BOTH),
+    "Lich": ([(0.0, 3), (2.0, 3), (4.0, 5), (10.0, 12)], BOTH[:5]),
+}
+
+
+def span_residual(A, B):
+    """Largest relative residual of B's columns off the span of A's."""
+    Q, _ = np.linalg.qr(A)
+    return np.max(np.linalg.norm(B - Q @ (Q.T @ B), axis=0)
+                  / np.linalg.norm(B, axis=0))
+
+
+def test_sphere_truths_span_the_cartesian_families_up_to_degree_3():
+    cloud = sample_manifold(Sphere(), 200, seed=7, mode="random_area")
+    x = cloud.points
+    old = {l: np.column_stack([cartesian_harmonic(x, *idx) for idx in fam])
+           for l, fam in CARTESIAN_FAMILIES.items()}
+    for l in (1, 2, 3):
+        new = zoo._sphere_harmonics(x, l)
+        assert span_residual(old[l], new) <= 1e-13
+        assert span_residual(new, old[l]) <= 1e-13
+    assert np.array_equal(zoo._sphere_harmonics(x, 1), x)
+    for name, (table, blocks) in VECTOR_TABLE.items():
+        truth = vector_eigen_truth(Sphere(), name, len(table))
+        assert truth.values == table
+        old = []
+        for rotational, l in blocks:
+            for idx in CARTESIAN_FAMILIES[l]:
+                g = zoo._complex_step(lambda y: cartesian_harmonic(y, *idx), x)
+                old.append(stacked(np.cross(x, g) if rotational else
+                                   g - np.sum(x * g, axis=1, keepdims=True)
+                                   * x))
+        old, new = np.column_stack(old), truth.basis(cloud, len(old))
+        start = 0
+        for _value, mult in table:
+            block = slice(start, start + mult)
+            start += mult
+            assert span_residual(old[:, block], new[:, block]) <= 1e-13
+            assert span_residual(new[:, block], old[:, block]) <= 1e-13
+
+
+def test_sphere_degree_one_fields_are_exact():
+    cloud = sample_manifold(Sphere(), 100, seed=2, mode="random_area")
+    x = cloud.points
+    fields = list(vector_eigen_truth(Sphere(), "Hodge", 1).columns(cloud))
+    for p, e in enumerate(np.eye(3)):
+        assert np.array_equal(fields[p], np.cross(x, e))
+        assert np.array_equal(fields[3 + p], e - x[:, p:p + 1] * x)
+
+
+def test_lich_kernel_is_the_rotations_and_hodge_has_none():
+    cloud = sample_manifold(Sphere(), 100, seed=2, mode="random_area")
+    lich = vector_eigen_truth(Sphere(), "Lich", 20)
+    assert lich.values[0] == (0.0, 3) and lich.values[1][0] > 0.0
+    killing = list(lich.columns(cloud))[:3]
+    for U, e in zip(killing, np.eye(3)):
+        assert np.array_equal(U, np.cross(cloud.points, e))
+    assert min(v for v, _m in vector_eigen_truth(Sphere(), "Hodge",
+                                                 20).values) > 0.0
 
 
 def test_scalar_truth_rejects_ellipse():
@@ -501,9 +627,9 @@ def test_sl_rejects_count_out_of_range(count, match):
 
 
 def test_vector_truth_leading_blocks():
-    boch = vector_eigen_truth(Sphere(), "Bochner")
-    hodge = vector_eigen_truth(Sphere(), "Hodge")
-    lich = vector_eigen_truth(Sphere(), "Lich")
+    boch = vector_eigen_truth(Sphere(), "Bochner", 4)
+    hodge = vector_eigen_truth(Sphere(), "Hodge", 4)
+    lich = vector_eigen_truth(Sphere(), "Lich", 4)
     assert boch.values[0] == (1.0, 6)
     assert hodge.values[0] == (2.0, 6)
     assert lich.values[:4] == [(0.0, 3), (2.0, 3), (4.0, 5), (10.0, 12)]
@@ -512,7 +638,7 @@ def test_vector_truth_leading_blocks():
 def test_vector_truth_rotation_field_vanishes_at_pole():
     # the z-axis rotation field (y, -x, 0) is the curl field of the z
     # harmonic, third in the x,y,z ordering; it vanishes at the pole
-    truth = vector_eigen_truth(Sphere(), "Bochner")
+    truth = vector_eigen_truth(Sphere(), "Bochner", 1)
     points = np.array([[0.6, 0.48, 0.64], [0.0, 0.0, 1.0]])
     cloud = PointCloud(points=points, intrinsic=None, spec=Sphere())
     rot_z = list(truth.columns(cloud))[2]
@@ -521,7 +647,7 @@ def test_vector_truth_rotation_field_vanishes_at_pole():
 
 
 def test_vector_truth_fields_tangential():
-    truth = vector_eigen_truth(Sphere(), "Hodge")
+    truth = vector_eigen_truth(Sphere(), "Hodge", 2)
     cloud = sample_manifold(Sphere(), 200, seed=4, mode="random_area")
     for U in list(truth.columns(cloud))[:16]:
         dot = np.sum(U * cloud.points, axis=1)
@@ -529,8 +655,8 @@ def test_vector_truth_fields_tangential():
 
 
 def test_truth_basis_stops_at_the_last_column():
-    # Lichnerowicz holds 3 + 3 + 5 + 12 = 23 eigenfields
-    truth = vector_eigen_truth(Sphere(), "Lich")
+    # four Lichnerowicz values hold 3 + 3 + 5 + 12 = 23 eigenfields
+    truth = vector_eigen_truth(Sphere(), "Lich", 4)
     cloud = sample_manifold(Sphere(), 50, seed=4, mode="random_area")
     assert truth.basis(cloud, 23).shape == (150, 23)
     with pytest.raises(ValueError, match="only 23 eigenfunctions"):
@@ -554,14 +680,14 @@ def test_every_vector_laplacian_has_a_sphere_truth():
     for name in LAPLACIANS:
         truth = zoo.study_truth(Sphere(), name, 6)
         assert truth.kind == "vector"
-        assert truth.values == vector_eigen_truth(Sphere(), name).values
+        assert truth.values == vector_eigen_truth(Sphere(), name, 6).values
     with pytest.raises(ValueError, match="unknown vector Laplacian"):
-        vector_eigen_truth(Sphere(), "Lichnerowicz")
+        vector_eigen_truth(Sphere(), "Lichnerowicz", 6)
 
 
 def test_vector_truth_rejects_torus():
     with pytest.raises(ValueError):
-        vector_eigen_truth(Torus(2.0), "Bochner")
+        vector_eigen_truth(Torus(2.0), "Bochner", 4)
 
 
 def test_zoo_defaults_cover_every_kind():
