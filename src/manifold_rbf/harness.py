@@ -182,24 +182,31 @@ def estimate_run_bytes(config, N, rank=None):
       N x r left factor, one ambient gradient and its product); the solve,
       5 N r + 4 r^2 (the left factor, U and its orthonormal basis, the
       complex eigenvectors of the reduced matrix, their interleaved parts
-      and the lifted vectors); outside, the larger of eig's 4 r^2 + 150 r
-      and qr's 2 N r + 65 r.
+      and the lifted vectors; the basis is built first from the reflectors,
+      R, M, the identity and M^{-1} V^T, 4 N r + 4 r^2 with the left
+      factor and U); outside, the larger of eig's 4 r^2 + 150 r and the
+      raw QR's N r + 65 r.
     - SRBF vector pencils: the form, (d + 2) N r + 2 (d + 1) N p + 2 p^2
       (U, the factors, one weighted copy, the frame-coordinate parts, the
       d N x p factor before and after stacking, the p x p form and its
-      update); the solve, N r + d N p + p^2 + d N m + m p
-      + max(2 d N p, 3 m^2) (U, the factor, the form, the QR factors, and
-      either the scaled factor with qr's factored copy of it or the reduced
-      m x m form with its symmetrising temporary and the eigenvectors; the
-      form is counted throughout, though the solver frees it once the
-      pencil is reduced); outside, the larger of
-      eigh's 3 m^2 and qr's d N (p + m) + 65 m.
+      update); the solve, N r + p^2 + d N p + max(2 d N p, 2 m p + 2 m^2)
+      (U, the form and either the factor, its scaled copy and the QR's
+      factored copy of that, or the reflectors in the factored copy with
+      R, R A, M and the reduced m x m form; M, the form, its symmetrising
+      temporary and the eigenvectors fit within the latter; the form is
+      counted throughout, though the solver frees it once the pencil is
+      reduced, and the factor frees once its reflectors exist); outside,
+      the larger of eigh's 3 m^2 and the raw QR's d N p + 65 m.
     - NRBF vector operators: the factor, (d + n + 1) N r + 4 n N p (U, the
       factors, the n ambient gradients, the n N x p factor and the three
       blocks of one term); the solve, N r + 4 n N p + 4 p^2 (U, the factor,
       its orthonormal basis, the complex eigenvectors, their interleaved
-      parts and the lifted vectors); outside, the larger of eig's
-      4 p^2 + 150 p and qr's 2 n N p + 65 p.
+      parts and the lifted vectors; the basis is built first, within
+      N r + 3 n N p + 4 p^2, as for LB); outside, the larger of eig's
+      4 p^2 + 150 p and the raw QR's n N p + 65 p.
+    No QR forms its Q: the raw QR (spectral._householder) holds LAPACK's
+    copy of its input and its work outside tracemalloc, and the factored
+    copy inside.
     The diffusion-maps baseline is sparse and has no rank: the KNN search
     and the CSR graph hold about 10 N K words for K neighbors, and the
     Lanczos solve four N x ncv blocks (basis, work and the eigenvectors
@@ -233,17 +240,16 @@ def _operator_words(config, N, r):
                 3 * r * r)
     if config.operator == "LB":
         return (max((d + 4) * N * r + r * r, 5 * N * r + 4 * r * r),
-                max(4 * r * r + 150 * r, 2 * N * r + 65 * r))
+                max(4 * r * r + 150 * r, N * r + 65 * r))
     if config.method == "SRBF":
         m = min(d * N, p)
         form = (d + 2) * N * r + 2 * (d + 1) * N * p + 2 * p * p
-        solve = (N * r + d * N * p + p * p + d * N * m + m * p
-                 + max(2 * d * N * p, 3 * m * m))
-        return (max(form, solve),
-                max(3 * m * m, d * N * (p + m) + 65 * m))
+        solve = (N * r + p * p + d * N * p
+                 + max(2 * d * N * p, 2 * m * p + 2 * m * m))
+        return max(form, solve), max(3 * m * m, d * N * p + 65 * m)
     return (max((d + n + 1) * N * r + 4 * n * N * p,
                 N * r + 4 * n * N * p + 4 * p * p),
-            max(4 * p * p + 150 * p, 2 * n * N * p + 65 * p))
+            max(4 * p * p + 150 * p, n * N * p + 65 * p))
 
 
 def _dm_mode_count(config, N):

@@ -91,7 +91,9 @@ class GeneralizedPair:
     pencil. Without one (scalar pencils) the factor must have orthonormal
     columns, as U does, so that R^T B^{-1} R is well conditioned and one
     Cholesky factor reduces the pencil. With one (vector pencils) the
-    factor may be close to rank-deficient, and a Householder QR reduces it.
+    factor may be close to rank-deficient, and a Householder QR reduces it;
+    the solver keeps its Q as reflectors, lifts only the modes it returns
+    through them, and frees the factor once the reflectors exist.
     """
 
     A: np.ndarray

@@ -635,6 +635,8 @@ def study_truth(spec, operator, count):
     """The truth that scores a study of `operator` on spec, or None: count
     distinct values (one or more per compared mode), of the scalar truth for
     LB off the ellipse, of the sphere's vector truth for a vector Laplacian."""
+    if count < 1:
+        raise ValueError(f"count={count} must be at least 1")
     if operator == "LB" and spec.kind != "ellipse":
         return scalar_eigen_truth(spec, count)
     if operator in LAPLACIANS and spec.kind == "sphere":

@@ -325,10 +325,10 @@ def test_call_sites_carry_their_branch():
 # The only Householder QRs of the package. Scalar SRBF pencils are reduced
 # by a Cholesky factor of U^T Q U (several times faster than numpy's QR on
 # tall matrices); only vector pencils, whose factor is close to
-# rank-deficient, the non-symmetric solve and the analytic frames take one.
+# rank-deficient, and the non-symmetric solve take one, both through
+# spectral._householder, and so do the analytic frames.
 HOUSEHOLDER_QR_SITES = {
-    ("spectral.py", "solve_symmetric", ("not (scalar)",)),
-    ("spectral.py", "solve_nonsymmetric", ()),
+    ("spectral.py", "_householder", ()),
     ("zoo.py", "analytic_projection", ()),
 }
 

@@ -9,9 +9,10 @@ import pytest
 from manifold_rbf.rbf import KernelModel, build_system
 from manifold_rbf.scalar_ops import (GeneralizedPair, build_grad_matrices,
                                      laplace_beltrami_symmetric)
-from manifold_rbf.spectral import (_back_substitute, align_eigenvectors_ols,
-                                   solve_nonsymmetric, solve_symmetric,
-                                   write_alignment_csv, write_spectrum_csv)
+from manifold_rbf.spectral import (_apply_q, _back_substitute, _householder,
+                                   align_eigenvectors_ols, solve_nonsymmetric,
+                                   solve_symmetric, write_alignment_csv,
+                                   write_spectrum_csv)
 from manifold_rbf.vector_ops import hodge
 from manifold_rbf.zoo import Sphere, analytic_projection, sample_manifold
 
@@ -181,6 +182,20 @@ def test_nonsymmetric_lift_holds_one_copy_of_the_eigenvectors():
     assert peak < 21 * 8 * p * p
 
 
+def test_nonsymmetric_hodge_modes_have_rounding_residuals(sphere_ops):
+    # the factor's condition number is about 2e18, 55 of its 270 singular
+    # values below 1e-8 of the largest: a slip in applying the reflectors
+    # shows here (measured: 4.4e-13 with numpy's thin Q, 3.6e-13 with the
+    # reflectors)
+    ops, q = sphere_ops
+    F = hodge("NRBF", ops, q)
+    res = solve_nonsymmetric(F, basis=ops.U)
+    L = F @ np.kron(np.eye(3), ops.U.T)
+    V = res.vectors
+    resid = np.linalg.norm(L @ V - V * res.values[None, :], axis=0)
+    assert resid.max() <= 1e-12 * np.linalg.norm(L, 2)
+
+
 def test_factored_nonsymmetric_rejects_mismatched_basis():
     _rng, U = random_factored(30, 10, 5)
     with pytest.raises(ValueError, match="basis"):
@@ -191,13 +206,19 @@ def test_factored_nonsymmetric_rejects_mismatched_basis():
 
 
 @pytest.fixture(scope="module")
-def sphere_pencils():
-    """The SRBF Laplace-Beltrami and Hodge pencils of a 150-point sphere
-    cloud under a non-constant density q in [0.5, 2]."""
+def sphere_ops():
+    """The derivative matrices of a 150-point sphere cloud and a
+    non-constant density q in [0.5, 2] on it."""
     cloud = sample_manifold(Sphere(), 150, seed=3, mode="random_area")
     system = build_system(cloud, KernelModel("inverse_quadratic", 0.5))
     ops = build_grad_matrices(system, analytic_projection(cloud))
-    q = np.random.default_rng(3).uniform(0.5, 2.0, cloud.N)
+    return ops, np.random.default_rng(3).uniform(0.5, 2.0, cloud.N)
+
+
+@pytest.fixture(scope="module")
+def sphere_pencils(sphere_ops):
+    """The SRBF Laplace-Beltrami and Hodge pencils of sphere_ops."""
+    ops, q = sphere_ops
     return laplace_beltrami_symmetric(ops, q), hodge("SRBF", ops, q)
 
 
@@ -255,6 +276,36 @@ def test_back_substitution_matches_dense_solve():
     want = np.linalg.solve(T, Z)
     assert np.abs(_back_substitute(T, Z) - want).max() <= \
         1e-13 * np.abs(want).max()
+
+
+def householder_input(kind):
+    rng = np.random.default_rng(9)
+    if kind == "tall":
+        return rng.standard_normal((60, 25))
+    if kind == "rank-deficient":
+        # singular values from 1 down to 1e-18: condition number above 1e16
+        U = np.linalg.qr(rng.standard_normal((60, 25)))[0]
+        W = np.linalg.qr(rng.standard_normal((25, 25)))[0]
+        sigma = np.concatenate([np.logspace(0, -7, 15), np.full(10, 1e-18)])
+        return (U * sigma) @ W.T
+    if kind == "wide":
+        return rng.standard_normal((20, 35))
+    return np.triu(rng.standard_normal((30, 30)))      # every tau is zero
+
+
+@pytest.mark.parametrize("kind", ["tall", "rank-deficient", "wide",
+                                  "triangular"])
+def test_householder_reflectors_apply_numpys_q(kind):
+    X = householder_input(kind)
+    V, M, R = _householder(X)
+    k = min(X.shape)
+    assert np.array_equal(R, np.linalg.qr(X, mode="r"))
+    B = np.random.default_rng(10).standard_normal((k, 4))
+    want = np.linalg.qr(X)[0] @ B
+    assert np.abs(_apply_q(V, M, B) - want).max() <= \
+        1e-14 * np.linalg.norm(B, 2)
+    Q = _apply_q(V, M, np.eye(k))
+    assert np.abs(Q.T @ Q - np.eye(k)).max() <= 1e-13
 
 
 def test_scalar_reduction_is_deterministic(sphere_pencils):
