@@ -35,7 +35,8 @@ def kde_density(cloud, h=None):
     bandwidth h or silverman_bandwidth(cloud).
 
     The squared distances are formed for one block of rows at a time
-    (rbf.row_blocks), so no N x N matrix is allocated.
+    (rbf.row_blocks) and turned into kernel values in place, so no N x N
+    matrix is allocated and a block holds one temporary.
     """
     x = np.asarray(cloud.points, dtype=float)
     N, n = x.shape
@@ -47,7 +48,12 @@ def kde_density(cloud, h=None):
     sq = np.sum(x * x, axis=1)
     q = np.empty(N)
     for rows in row_blocks(N):
-        d2 = sq[rows, None] - 2.0 * x[rows] @ x.T + sq[None, :]
+        d2 = 2.0 * x[rows] @ x.T
+        np.subtract(sq[rows, None], d2, out=d2)
+        d2 += sq
         np.maximum(d2, 0.0, out=d2)
-        q[rows] = norm * np.sum(np.exp(-d2 / (2.0 * h * h)), axis=1)
+        np.negative(d2, out=d2)
+        d2 /= 2.0 * h * h
+        q[rows] = norm * np.sum(np.exp(d2, out=d2), axis=1)
+        del d2                     # before the next block's product
     return q

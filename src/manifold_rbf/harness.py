@@ -197,13 +197,16 @@ def estimate_run_bytes(config, N, rank=None):
       counted throughout, though the solver frees it once the pencil is
       reduced, and the factor frees once its reflectors exist); outside,
       the larger of eigh's 3 m^2 and the raw QR's d N p + 65 m.
-    - NRBF vector operators: the factor, (d + n + 1) N r + 4 n N p (U, the
-      factors, the n ambient gradients, the n N x p factor and the three
-      blocks of one term); the solve, N r + 4 n N p + 4 p^2 (U, the factor,
-      its orthonormal basis, the complex eigenvectors, their interleaved
-      parts and the lifted vectors; the basis is built first, within
-      N r + 3 n N p + 4 p^2, as for LB); outside, the larger of eig's
-      4 p^2 + 150 p and the raw QR's n N p + 65 p.
+    - NRBF vector operators, on frame coordinates: the factor,
+      (d + 1) N r + (d + 3) N p + p^2 (U, the d factors, the n ambient
+      gradients side by side, the d N x p factor, the two N x p row
+      temporaries of one term and its n middle blocks; no n N-row block is
+      formed); the solve, N r + d N p + 2 d N m + m p + 4 m^2 (U, the
+      factor, the reflectors and the basis formed from them, both on d N
+      rows, R, M, the identity and M^{-1} V^T; the restriction, N rows at
+      a time, the eigenvectors and the lift of at most m modes fit within
+      it); outside, the larger of eig's 4 m^2 + 150 m and the raw QR's
+      d N p + 65 m.
     No QR forms its Q: the raw QR (spectral._householder) holds LAPACK's
     copy of its input and its work outside tracemalloc, and the factored
     copy inside.
@@ -241,15 +244,15 @@ def _operator_words(config, N, r):
     if config.operator == "LB":
         return (max((d + 4) * N * r + r * r, 5 * N * r + 4 * r * r),
                 max(4 * r * r + 150 * r, N * r + 65 * r))
+    m = min(d * N, p)
     if config.method == "SRBF":
-        m = min(d * N, p)
         form = (d + 2) * N * r + 2 * (d + 1) * N * p + 2 * p * p
         solve = (N * r + p * p + d * N * p
                  + max(2 * d * N * p, 2 * m * p + 2 * m * m))
         return max(form, solve), max(3 * m * m, d * N * p + 65 * m)
-    return (max((d + n + 1) * N * r + 4 * n * N * p,
-                N * r + 4 * n * N * p + 4 * p * p),
-            max(4 * p * p + 150 * p, n * N * p + 65 * p))
+    return (max((d + 1) * N * r + (d + 3) * N * p + p * p,
+                N * r + d * N * p + 2 * d * N * m + m * p + 4 * m * m),
+            max(4 * m * m + 150 * m, d * N * p + 65 * m))
 
 
 def _dm_mode_count(config, N):
@@ -369,9 +372,10 @@ def _gate_window(count):
     return max(4 * count, GATE_WINDOW)
 
 
-def alignment_gate(result, F):
+def alignment_gate(result, F, normal_gram=None):
     """Select the nontrivial modes whose eigenvectors lie in the span of the
-    truth basis F (EigenTruth.basis at the operator's points).
+    truth basis F (EigenTruth.basis at the operator's points, on the
+    result's coordinates; see frame_truth for a vector field).
 
     Rank truncation scatters spurious modes through the vector spectra
     (degraded copies of unresolved high-degree blocks land between the
@@ -380,7 +384,10 @@ def alignment_gate(result, F):
     while the spurious ones sit near 1; the gap is wide, so the cap is not
     delicate. A mode's residual is the root of the summed squared norms of
     its columns: the real and imaginary parts of a complex mode are scored
-    together. Returns (kept_indices, residuals_over_window).
+    together. normal_gram, the Gram matrix of the truth columns' parts
+    that the result's coordinates cannot hold, adds their share to the
+    residuals: they are those of the columns lifted with those parts.
+    Returns (kept_indices, residuals_over_window).
     """
     window = _gate_window(F.shape[1])
     nontrivial_idx = np.flatnonzero(~result.trivial)[:window]
@@ -389,15 +396,33 @@ def alignment_gate(result, F):
     # take gathers in C order, so a complex block views as interleaved
     # real and imaginary columns
     parts = V.view(float) if complex_modes else V
-    miss = F @ (np.linalg.pinv(F.T @ F) @ (F.T @ parts)) - parts
+    if normal_gram is None:
+        normal_gram = np.zeros((F.shape[1],) * 2)
+    coef = np.linalg.pinv(F.T @ F + normal_gram) @ (F.T @ parts)
+    miss = F @ coef - parts
+    miss_sq = np.sum(miss * miss, axis=0) \
+        + np.sum(coef * (normal_gram @ coef), axis=0)
 
-    def per_mode(X):
-        sq = np.sum(X * X, axis=0)
+    def per_mode(sq):
         return sq[0::2] + sq[1::2] if complex_modes else sq
 
-    resid = np.sqrt(per_mode(miss) / per_mode(parts))
+    resid = np.sqrt(per_mode(miss_sq) / per_mode(np.sum(parts * parts, 0)))
     kept = nontrivial_idx[resid <= GATE_CAP]
     return kept, resid
+
+
+def frame_truth(F, proj):
+    """Split ambient truth columns F into their frame coordinates
+    G = W^T F (W = tangent_range_basis(proj)), on which a vector field's
+    eigenvectors are scored, and the Gram matrix of their normal parts
+    F - W G. Since W^T (F - W G) = 0, a column's squared residual against W v
+    is that of G against v plus its normal part's, so the scores are those
+    of the ambient columns. The normal part is rounding under analytic
+    frames, not under estimated ones."""
+    W = vector_ops.tangent_range_basis(proj)
+    G = W.T @ F
+    normal = F - W @ G
+    return G, normal.T @ normal
 
 
 def paired_mode_errors(result, truth_vals, candidates=None):
@@ -455,9 +480,10 @@ def _form(config, ops, q):
 def _solve_rbf(config, op_cloud, proj, q):
     """Build the configured RBF operator and solve for its full spectrum:
     rank truncation leaves a large trivial cluster at zero, and the usable
-    modes sit above it. A symmetric solve lifts eigenvectors only for the
-    nontrivial modes the run reads (the alignment_gate window). The memory
-    guard runs again at the real rank once Phi is factored.
+    modes sit above it. Either solve lifts eigenvectors only for the
+    nontrivial modes the run reads (the alignment_gate window), those of a
+    vector field on frame coordinates. The memory guard runs again at the
+    real rank once Phi is factored.
 
     The factors and the operator are built inside the solver's call and
     bound to no name here, so the solver frees the unreduced form once it
@@ -465,13 +491,16 @@ def _solve_rbf(config, op_cloud, proj, q):
     system = build_system(op_cloud, config.kernel)
     check_memory(config, system.N, system.rank_L)
     tol = config.kernel.pinv_tol
+    vector = config.operator != "LB"
+    # one value per point, d frame coordinates per point for a vector field
+    dim = system.N * (config.manifold.d if vector else 1)
+    k = min(dim, _gate_window(config.compare_count))
     if config.method == "NRBF":
         return solve_nonsymmetric(
             _form(config, build_grad_matrices(system, proj), q),
-            pinv_tol=tol, basis=system.U), system.rank_L
-    # the pencil has one value per point, d per point for a vector field
-    dim = system.N * (1 if config.operator == "LB" else config.manifold.d)
-    k = min(dim, _gate_window(config.compare_count))
+            basis=system.U, pinv_tol=tol, k=k,
+            range_basis=vector_ops.tangent_range_basis(proj) if vector
+            else None), system.rank_L
     return solve_symmetric(
         _form(config, build_grad_matrices(system, proj), q), k,
         pinv_tol=tol), system.rank_L
@@ -518,17 +547,20 @@ def run_experiment(config):
                 rec.result, rec.rank_L = _solve_rbf(config, op_cloud, proj,
                                                     q)
                 if config.method == "NRBF" and np.any(
-                        rec.result.values.real < -rec.result.trivial_cutoff):
+                        rec.result.all_values.real
+                        < -rec.result.trivial_cutoff):
                     warnings.warn(
-                        "non-symmetric spectrum has leading modes in the "
-                        "left half plane; treat them as pollution",
+                        "non-symmetric spectrum has modes in the left half "
+                        "plane; treat them as pollution",
                         RuntimeWarning)
             if truth is not None and rec.result is not None:
                 rec.truth_vals = truth_vals
                 F = truth.basis(op_cloud, count)
-                candidates = None
+                candidates = normal = None
                 if truth.kind == "vector":
-                    candidates, _resid = alignment_gate(rec.result, F)
+                    F, normal = frame_truth(F, proj)
+                    candidates, _resid = alignment_gate(rec.result, F,
+                                                        normal)
                 rec.mode_errors, idx = paired_mode_errors(
                     rec.result, rec.truth_vals, candidates=candidates)
                 rec.aligned_est_vals = np.where(
@@ -536,7 +568,8 @@ def run_experiment(config):
                 valid = idx >= 0
                 rec.vec_errors = np.full(count, np.nan)
                 rec.vec_errors[valid] = align_eigenvectors_ols(
-                    F[:, valid], rec.result.vectors[:, idx[valid]])
+                    F[:, valid], rec.result.vectors[:, idx[valid]],
+                    None if normal is None else np.diag(normal)[valid])
             rec.wall_time = time.perf_counter() - t0
             runs.append(rec)
 

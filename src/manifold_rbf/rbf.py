@@ -29,10 +29,11 @@ ROW_BLOCK_BYTES = 2 ** 21
 KERNELS = ("gaussian", "inverse_quadratic", "matern")
 
 
-def row_blocks(N):
-    """Slices covering range(N) in order, each a block of rows of an N x N
-    float64 stage that takes at most ROW_BLOCK_BYTES (at least one row)."""
-    step = max(1, ROW_BLOCK_BYTES // (8 * N))
+def row_blocks(N, width=None, block_bytes=ROW_BLOCK_BYTES):
+    """Slices covering range(N) in order, each a block of rows of an N x
+    width float64 stage (width N by default) that takes at most block_bytes
+    (at least one row)."""
+    step = max(1, block_bytes // (8 * (N if width is None else width)))
     for lo in range(0, N, step):
         yield slice(lo, min(lo + step, N))
 

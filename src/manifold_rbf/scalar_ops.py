@@ -83,9 +83,10 @@ class GeneralizedPair:
 
     A is the reduced symmetric matrix and R = factor (dim, p) maps it to the
     pencil's dim coordinates. B is always diagonal (B_diag). Vector pencils
-    live on frame coordinates (d values per point); range_basis, when
-    present, is the sparse map W (nN x dN) that lifts a solution Z to the
-    stacked ambient field V = W Z.
+    live on frame coordinates (d values per point), and so do the
+    eigenvectors spectral.solve_symmetric returns for them; range_basis,
+    when present, is the sparse map W (nN x dN) with which a caller lifts a
+    solution Z to the stacked ambient field V = W Z.
 
     The range basis also tells spectral.solve_symmetric how to reduce the
     pencil. Without one (scalar pencils) the factor must have orthonormal

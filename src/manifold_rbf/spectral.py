@@ -3,16 +3,20 @@
 Every operator ends in the truncated pseudo-inverse Phi^+ = U diag(1/w) U^T
 (U is N x r), so it arrives factored and is solved at its reduced size: AB
 and BA share their nonzero spectrum (Horn & Johnson, Matrix Analysis,
-Thm 1.3.22). A non-symmetric operator F (I_m kron U^T) gets a dense complex
-eigendecomposition of the matrix it induces on an orthonormal basis of the
-range of F (a Householder QR), modes ordered by ascending magnitude (ties
-broken by real then imaginary part). A symmetric pencil (R A R^T, B) with
-diagonal B is solved with the dense symmetric solver on the range of
-S = B^{-1/2} R, so the lifted vectors are B-orthonormal; a pencil on frame
-coordinates then has them lifted by its range basis. The full dimension
-minus the reduced one gives exact structural zeros: never computed and
-without eigenvectors, they appear in all_values as 0.0, flagged trivial,
-like the near-zero modes produced by pseudo-inverse rank truncation.
+Thm 1.3.22). A non-symmetric operator F (I_m kron U^T) W gets a dense
+complex eigendecomposition of the matrix it induces on an orthonormal basis
+of the range of F (a Householder QR), modes ordered by ascending magnitude
+(ties broken by real then imaginary part). A symmetric pencil (R A R^T, B)
+with diagonal B is solved with the dense symmetric solver on the range of
+S = B^{-1/2} R, so the lifted vectors are B-orthonormal. The eigenvectors
+of a vector operator, of either form, stay on its frame coordinates (d
+values per point): the caller lifts them with the range basis W,
+tangent_range_basis(proj) @ V, only if it needs ambient components
+(harness.frame_truth scores them where they are). The full dimension (N,
+or n N for a vector field) minus the reduced one gives exact structural
+zeros: never computed and without eigenvectors, they appear in all_values
+as 0.0, flagged trivial, like the near-zero modes produced by
+pseudo-inverse rank truncation.
 
 How the range of S is reduced depends on the kind of pencil:
 - Scalar pencils (no range basis) have R = U with orthonormal columns, so
@@ -39,7 +43,19 @@ copies numpy takes around it cut the solves of the sphere's Hodge operators
 (N = 800 and 600, two cores) from 0.084 to 0.052 s (symmetric) and from
 0.137 to 0.100 s (non-symmetric).
 
-A symmetric solve lifts eigenvectors only for the modes a caller reads: its
+A vector operator's factor is close to rank-deficient, so the rows of its
+reduced matrix Rf (I_n kron U^T) W Y follow the grading of Rf, and the
+balancing LAPACK's geev always applies rescales them by up to 2^21; its
+null-cluster eigenvectors came back with residuals of 1-2e-12 |L| (the
+Hodge operator on 150 sphere points). The non-symmetric solve therefore
+reduces a vector operator on the basis Q X, with the reflector
+X = I - 2 u u^T, u = (1, ..., 1) / sqrt(c) for the c columns of Q, which
+mixes every row and column: balancing then scales by at most 4 and every
+residual sits near 2e-15 |L|. A scalar operator's residuals are at that
+level without it (3e-15 to 1.2e-14 on the sphere and the torus), and its
+spectrum keeps its exact ties.
+
+Both solves lift eigenvectors only for the modes a caller reads: the
 leading k nontrivial modes and the trivial ones before them. all_values
 still holds every mode.
 
@@ -79,16 +95,19 @@ class SpectralResult:
 
     all_values is the full spectrum of an RBF operator, structural zeros
     included. values and vectors hold the leading modes that were lifted:
-    every computed mode of a non-symmetric solve; for a symmetric solve
     with k requested, the leading k nontrivial modes and the trivial ones
-    before them. A sparse solve that computes only the k leading modes (the
-    diffusion-maps baseline) holds just those k in all_values; rank_L and
-    solve_dim then count computed modes, and the trivial cutoff comes from
-    the largest eigenvalue, solved for separately.
+    before them; every computed mode of a non-symmetric solve without k. A
+    sparse solve that computes only the k leading modes (the diffusion-maps
+    baseline) holds just those k in all_values; rank_L and solve_dim then
+    count computed modes, and the trivial cutoff comes from the largest
+    eigenvalue, solved for separately.
     """
 
     values: np.ndarray          # leading computed eigenvalues, m of them
-    vectors: np.ndarray         # (dim, m)
+    # (dim, m): N values for a scalar field, d N frame coordinates for a
+    # vector field, lifted to ambient components by
+    # tangent_range_basis(proj) @ vectors
+    vectors: np.ndarray
     ordering: str
     rank_L: int                 # modes of all_values above the trivial cutoff
     all_values: np.ndarray      # computed modes and structural zeros, ordered
@@ -191,10 +210,10 @@ def solve_symmetric(pair, k, pinv_tol=1e-8):
     S = B^{-1/2} R. A scalar pencil (no range basis) takes the Cholesky
     factor S^T S = C C^T, solves C^T A C z = lambda z and lifts z to
     B^{-1/2} S C^{-T} z. A vector pencil takes the Householder QR
-    S = Q Rx, solves Rx A Rx^T z = lambda z, lifts z to B^{-1/2} Q [z; 0]
-    with Q applied from its reflectors and then, through its range basis W,
-    to ambient components, V = W Z (see the module notes for why the two
-    differ). k may not exceed the pencil's dimension.
+    S = Q Rx, solves Rx A Rx^T z = lambda z and lifts z to B^{-1/2} Q [z; 0]
+    with Q applied from its reflectors, on the pencil's frame coordinates
+    (see the module notes for why the two differ). k may not exceed the
+    pencil's dimension.
     """
     b, A, R, W = pair.B_diag, pair.A, pair.factor, pair.range_basis
     del pair                       # see the module notes on the hand-over
@@ -224,10 +243,7 @@ def solve_symmetric(pair, k, pinv_tol=1e-8):
         V = (scale[:, None] * R) @ _back_substitute(C.T, Z)
     else:
         V = _apply_q(H, M, Z)
-        del H, M                   # freed before the ambient lift
     V *= scale[:, None]
-    if not scalar:
-        V = W @ V
     return symmetric_result(lam, V, pinv_tol, len(b) - len(lam))
 
 
@@ -243,46 +259,79 @@ def symmetric_result(values, vectors, pinv_tol, structural_zeros=0,
                    all_values, pinv_tol, structural_zeros, radius)
 
 
-def solve_nonsymmetric(L, basis, pinv_tol=1e-8):
-    """Computed eigenvalues of a real operator by ascending magnitude.
+def _restricted(basis, W, Y):
+    """(I_m kron U^T) W Y for U = basis (N, r), W Y formed one block of N
+    rows at a time and never whole; W = None stands for the identity."""
+    if W is None:
+        return blockwise(basis.T, Y)
+    N = len(basis)
+    return np.vstack([basis.T @ (W[lo:lo + N] @ Y)
+                      for lo in range(0, W.shape[0], N)])
 
-    L is the left factor F (m N, m r) of the operator F (I_m kron U^T) with
-    U = basis (N, r); a square operator L comes with basis = I. For
-    a thin QR F = Y Rf (Y formed from the reflectors of F) the range of Y
-    is invariant, the operator acts on it
-    as Rf (I_m kron U^T) Y, and an eigenvector y lifts to the unit vector
-    Y y with the residual of the small eigenproblem, as in a dense solve.
-    The full complex spectrum is retained on the result so spectral
-    pollution can be inspected afterwards.
+
+def solve_nonsymmetric(L, basis, pinv_tol=1e-8, range_basis=None, k=None):
+    """Computed eigenvalues of a real operator by ascending magnitude, with
+    unit eigenvectors for its leading k nontrivial modes and the trivial
+    ones before them (for every computed mode when k is None).
+
+    L is the left factor F (D, m r) of the operator F (I_m kron U^T) W on D
+    coordinates, with U = basis (N, r) and W = range_basis (m N x D, with
+    orthonormal columns), or W = I and D = m N when range_basis is None; a
+    square operator L comes with basis = I. A vector operator on frame
+    coordinates takes the tangent range basis W, and its eigenvectors are
+    frame coordinates, lifted to ambient components by W. For a thin QR
+    F = Y Rf (Y formed from the reflectors of F) the range of Y is
+    invariant, the operator acts on it as Rf (I_m kron U^T) W Y, and an
+    eigenvector y lifts to the unit vector Y y with the residual of the
+    small eigenproblem, as in a dense solve. The full complex spectrum of
+    the m N x m N operator W F (I_m kron U^T) is retained on the result, so
+    spectral pollution can be inspected afterwards.
     """
-    if L.shape[0] * basis.shape[1] != L.shape[1] * basis.shape[0]:
+    W = range_basis
+    rows = L.shape[0] if W is None else W.shape[0]
+    if rows * basis.shape[1] != L.shape[1] * basis.shape[0] or \
+            (W is not None and W.shape[1] != L.shape[0]):
         raise ValueError("operator factor does not match the basis")
-    zeros = L.shape[0] - min(L.shape)
+    if k is not None:
+        _check_count(k, L.shape[0])
+    zeros = rows - min(L.shape)
     H, M, Rf = _householder(L)
     del L                          # see the module notes on the hand-over
-    Y = _apply_q(H, M, np.eye(len(M)))
+    mix = 0.0
+    if W is not None:
+        # F = (Q X) (X Rf) with X = I - 2 u u^T, u = (1, ..., 1) / sqrt(c)
+        # for c = len(M): X Rf is Rf less 2 / c of its column sums (see the
+        # module notes)
+        mix = 2.0 / len(M)
+        Rf -= mix * Rf.sum(axis=0)
+    Y = _apply_q(H, M, np.eye(len(M)) - mix)
     del H, M
-    lam, V = np.linalg.eig(Rf @ blockwise(basis.T, Y))
+    lam, V = np.linalg.eig(Rf @ _restricted(basis, W, Y))
     del Rf
     order = np.lexsort((lam.imag, lam.real, np.abs(lam)))
     lam = lam[order]
+    if k is not None:
+        order = order[:_lift_count(lam, k, pinv_tol)]
     # interleaved re/im in mode order, gathered straight from the unordered
     # V: one real product into one buffer, no sorted or complex Y copy
-    parts = np.empty((len(V), 2 * V.shape[1]))
+    parts = np.empty((len(V), 2 * len(order)))
     np.take(V.real, order, axis=1, out=parts[:, 0::2], mode="clip")
     np.take(V.imag, order, axis=1, out=parts[:, 1::2], mode="clip")
     del V
     V = (Y @ parts).view(complex)
     del Y
     all_values = np.concatenate([np.zeros(zeros, dtype=lam.dtype), lam])
-    return _result(lam, V, "by_magnitude_ascending", all_values,
-                   pinv_tol, zeros)
+    return _result(lam[:len(order)], V, "by_magnitude_ascending",
+                   all_values, pinv_tol, zeros)
 
 
-def align_eigenvectors_ols(F, U):
+def align_eigenvectors_ols(F, U, normal_sq=None):
     """Per-mode errors ||F_j - V_j|| / ||F_j|| of the truth columns F
     regressed onto the estimated columns U, V = U (U^+ F), in the discrete
     L2 norm (uniform weights cancel in the ratio); V lies in span(U).
+    normal_sq holds the squared norms of the truth columns' parts that the
+    coordinates of U cannot hold (harness.frame_truth): they add to both the
+    squared error and the squared norm.
     """
     F = np.asarray(F)
     U = np.asarray(U)
@@ -295,6 +344,8 @@ def align_eigenvectors_ols(F, U):
             f"{U.shape[1]}); pseudo-inverse alignment used", RuntimeWarning)
     num = np.linalg.norm(F - U @ beta, axis=0)
     den = np.linalg.norm(F, axis=0)
+    if normal_sq is not None:
+        num, den = np.sqrt(num ** 2 + normal_sq), np.sqrt(den ** 2 + normal_sq)
     if np.any(den == 0):
         raise ValueError("truth column with zero norm")
     return num / den

@@ -14,6 +14,15 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import cKDTree
 
+from .rbf import row_blocks
+
+# Bytes of neighbour differences in one block of frame fits. The
+# second-order fit holds about ten arrays of that size, so a block's
+# temporaries stay near a megabyte at any N: freed, they leave no hole in
+# the heap that outlasts the fit and adds to the resident peak of the
+# kernel stages after it.
+FRAME_BLOCK_BYTES = 2 ** 17
+
 
 @dataclass
 class ProjectionField:
@@ -92,8 +101,10 @@ def knn_indices(points, K, query_idx=None):
     # a query point crowded out by duplicates: drop the farthest instead
     keep[keep.all(axis=1), -1] = False
     idx = idx[keep].reshape(len(query_idx), K)
-    diff = points[idx] - points[query_idx][:, None, :]
+    diff = points[idx]
+    diff -= points[query_idx][:, None, :]
     d2 = np.einsum("qkm,qkm->qk", diff, diff)
+    del diff
     order = np.lexsort((idx, d2), axis=1)
     return np.take_along_axis(idx, order, axis=1)
 
@@ -104,52 +115,16 @@ def _difference_blocks(points, neighbors, query_idx):
     return (points[neighbors] - base[:, None, :]).transpose(0, 2, 1)
 
 
-def _first_order(cloud, K, d, query_idx):
-    """The first-order step: neighbour differences D (Q, n, K), the leading
-    d left singular vectors of each block, and the degenerate flags."""
-    points = np.asarray(cloud.points, dtype=float)
-    neighbors = knn_indices(points, K, query_idx)
-    full_idx = np.arange(points.shape[0]) if query_idx is None else query_idx
-    D = _difference_blocks(points, neighbors, full_idx)
+def _fit_block(points, neighbors, query, K, d, second_order):
+    """Frames, degenerate flags and fallback flags of one block of query
+    points; every temporary of the block dies on return."""
+    D = _difference_blocks(points, neighbors, query)
     U, s, _ = np.linalg.svd(D, full_matrices=False)
+    T = U[:, :, :d]
     degenerate = s[:, d - 1] <= K * np.finfo(float).eps * s[:, 0]
-    if np.any(degenerate):
-        warnings.warn(
-            f"{int(degenerate.sum())} neighborhoods span fewer than d={d} "
-            "directions; their frames are flagged degenerate",
-            RuntimeWarning)
-    return D, U[:, :, :d], degenerate
-
-
-def first_order_svd(cloud, K=None, d=None, query_idx=None):
-    """First-order local-SVD tangent frame at every point.
-
-    Per point: the n x K matrix of neighbor differences is decomposed and
-    the leading d left singular vectors are the frame estimate. K goes
-    through neighbor_count (None means default_neighbor_count(d)), d
-    defaults to the manifold's dimension.
-    """
-    d = cloud.spec.d if d is None else d
-    K = neighbor_count(K, d, second_order=False)
-    _D, T, degenerate = _first_order(cloud, K, d, query_idx)
-    return ProjectionField(frames=T.copy(), source="first_order",
-                           K_used=K, degenerate=degenerate)
-
-
-def second_order_svd(cloud, K=None, d=None, query_idx=None):
-    """Curvature-corrected tangent frame estimate.
-
-    Steps per point: first-order tangent basis; neighbor differences
-    projected onto it (rho); least-squares fit of the quadratic form A y = D
-    with A holding squares and doubled cross-products of rho; SVD of the
-    corrected differences 2D - (A Y)^T. K and d default as in
-    first_order_svd.
-    """
-    d = cloud.spec.d if d is None else d
-    K = neighbor_count(K, d, second_order=True)
-    D, T, degenerate = _first_order(cloud, K, d, query_idx)
+    if not second_order:
+        return T, degenerate, False
     rho = np.einsum("qnk,qnd->qkd", D, T)
-
     cols = [rho[:, :, i] * rho[:, :, i] for i in range(d)]
     cols += [2.0 * rho[:, :, i] * rho[:, :, j]
              for i in range(d) for j in range(i + 1, d)]
@@ -164,14 +139,66 @@ def second_order_svd(cloud, K=None, d=None, query_idx=None):
     corrected = 2.0 * D - np.einsum("qkp,qpn->qnk", A, Y)
 
     U2, _s2, _ = np.linalg.svd(corrected, full_matrices=False)
-    T2 = U2[:, :, :d].copy()
-    if np.any(bad):
+    # first-order frames kept where the fit is rank-deficient
+    return np.where(bad[:, None, None], T, U2[:, :, :d]), degenerate, bad
+
+
+def _local_svd(cloud, K, d, query_idx, second_order):
+    """Frames (Q, n, d), degenerate flags and fallback flags at the query
+    points. The neighbour search runs once; the fits run on blocks of
+    points of at most FRAME_BLOCK_BYTES of differences, so their
+    temporaries stay small at any N."""
+    points = np.asarray(cloud.points, dtype=float)
+    neighbors = knn_indices(points, K, query_idx)
+    query = np.arange(points.shape[0]) if query_idx is None else query_idx
+    Q, n = len(query), points.shape[1]
+    frames = np.empty((Q, n, d))
+    degenerate = np.empty(Q, dtype=bool)
+    fallback = np.zeros(Q, dtype=bool)
+    for rows in row_blocks(Q, n * K, FRAME_BLOCK_BYTES):
+        frames[rows], degenerate[rows], fallback[rows] = _fit_block(
+            points, neighbors[rows], query[rows], K, d, second_order)
+    if np.any(degenerate):
         warnings.warn(
-            f"quadratic fit rank-deficient at {int(bad.sum())} points; "
+            f"{int(degenerate.sum())} neighborhoods span fewer than d={d} "
+            "directions; their frames are flagged degenerate",
+            RuntimeWarning)
+    if np.any(fallback):
+        warnings.warn(
+            f"quadratic fit rank-deficient at {int(fallback.sum())} points; "
             "first-order frames kept there", RuntimeWarning)
-        T2[bad] = T[bad]
-    return ProjectionField(frames=T2, source="second_order", K_used=K,
-                           degenerate=degenerate, fallback=bad)
+    return frames, degenerate, fallback
+
+
+def first_order_svd(cloud, K=None, d=None, query_idx=None):
+    """First-order local-SVD tangent frame at every point.
+
+    Per point: the n x K matrix of neighbor differences is decomposed and
+    the leading d left singular vectors are the frame estimate. K goes
+    through neighbor_count (None means default_neighbor_count(d)), d
+    defaults to the manifold's dimension.
+    """
+    d = cloud.spec.d if d is None else d
+    K = neighbor_count(K, d, second_order=False)
+    frames, degenerate, _ = _local_svd(cloud, K, d, query_idx, False)
+    return ProjectionField(frames=frames, source="first_order",
+                           K_used=K, degenerate=degenerate)
+
+
+def second_order_svd(cloud, K=None, d=None, query_idx=None):
+    """Curvature-corrected tangent frame estimate.
+
+    Steps per point: first-order tangent basis; neighbor differences
+    projected onto it (rho); least-squares fit of the quadratic form A y = D
+    with A holding squares and doubled cross-products of rho; SVD of the
+    corrected differences 2D - (A Y)^T. K and d default as in
+    first_order_svd.
+    """
+    d = cloud.spec.d if d is None else d
+    K = neighbor_count(K, d, second_order=True)
+    frames, degenerate, fallback = _local_svd(cloud, K, d, query_idx, True)
+    return ProjectionField(frames=frames, source="second_order", K_used=K,
+                           degenerate=degenerate, fallback=fallback)
 
 
 def projection_diagnostics(est, truth):

@@ -15,18 +15,21 @@ its transpose and, for Hodge, the divergence, as keyed in LAPLACIANS:
 Every Laplacian takes the ScalarOperatorSet (G, proj, U) of the cloud, whose
 derivatives follow the frames. Every derivative ends in
 Phi^+ = U diag(1/w) U^T (U is N x r, r = rank_L), so every block acts
-through I_n kron U^T and is built as its nN x nr factor.
-The non-symmetric (NRBF) operators keep the paper's ambient form, stored as
-F with L = F (I_n kron U^T): H_i applies the pointwise projector P = T T^T to
-the i-th tangential derivative of every component, and S_i is its
-index-swapped companion. The symmetric (SRBF) quadratic forms only ever see
-tangent fields, so they are assembled on frame coordinates (d values per
-point) from the frame covariant derivative as a pencil R A R^T with diagonal
-B, R = W^T (I_n kron U) of size dN x nr; the solution is lifted back to
-ambient components by the frame. h_matrix, s_matrix and potimes_matrix give
-the dense nN x nN blocks for reference; no operator forms them. The
-covariant derivative nabla_U Y differentiates the interpolant of Y along U
-itself, one derivative factor, and projects the result.
+through I_n kron U^T. Both forms output tangent fields only, and both keep
+them on frame coordinates (d values per point), the coordinates of the
+sparse range basis W = tangent_range_basis(proj) (nN x dN, orthonormal
+columns): a solution Z lifts to the stacked ambient field W Z.
+The non-symmetric (NRBF) operators are the paper's ambient form
+L = W F (I_n kron U^T), built as the dN x nr factor F = W^T (ambient factor),
+whose nonzero spectrum is that of W^T L W = F (I_n kron U^T) W; H_i applies
+the pointwise projector P = T T^T to the i-th tangential derivative of every
+component, S_i is its index-swapped companion, and neither is formed. The
+symmetric (SRBF) quadratic forms are assembled from the frame covariant
+derivative as a pencil R A R^T with diagonal B, R = W^T (I_n kron U) of size
+dN x nr. h_matrix, s_matrix and potimes_matrix give the dense nN x nN blocks
+for reference; no operator forms them. The covariant derivative nabla_U Y
+differentiates the interpolant of Y along U itself, one derivative factor,
+and projects the result.
 """
 
 import numpy as np
@@ -70,6 +73,16 @@ def _s_factor(P, G, i):
     return np.vstack([_rowwise_kron(P[:, :, i], Gj) for Gj in G])
 
 
+def _term_rows(P, G, i, j, swap):
+    # row block j of the factor of H_i + swap S_i
+    X = _rowwise_kron(P[:, j], G[i])
+    if swap:
+        S = _rowwise_kron(P[:, :, i], G[j])
+        S *= swap
+        X += S
+    return X
+
+
 def potimes_matrix(ops):
     """Dense block projection: block (i, j) is diag of the (i, j) entries."""
     P = ops.proj.mats
@@ -95,24 +108,30 @@ def s_matrix(ops, i):
 
 
 def _nonsymmetric_factor(ops, swap, div):
-    """F (nN, nr) of the paper's ambient form
-    L = -sum_i H_i (H_i + swap S_i) - div [G_j U^T G_k U^T] = F (I_n kron U^T):
-    with H_i and S_i factored, each product keeps a small nr x nr middle."""
-    U, P, G = ops.U, ops.proj.mats, _gradients(ops)
-    F = np.zeros((ops.n * ops.N, ops.n * U.shape[1]))
-    for i in range(ops.n):
-        Hi = _h_factor(P, G, i)
-        Fi = Hi
-        if swap:
-            Fi = _s_factor(P, G, i)
-            Fi *= swap
-            Fi += Hi
-        middle = blockwise(U.T, Fi)
-        del Fi
-        F -= Hi @ middle
+    """F (dN, nr) of the paper's ambient form on frame coordinates.
+
+    L = -sum_i H_i (H_i + swap S_i) - div [G_j U^T G_k U^T] has tangent
+    output, L = W W^T L, so its nonzero spectrum is that of
+    W^T L W = F (I_n kron U^T) W. As T^T P = T^T, row block a of F is
+    -sum_l diag(T[:, l, a]) sum_i G_i M_i[l] - div G_a [U^T G_1 ... U^T G_n]
+    with G_a the frame factor and M_i[l] = U^T (row block l of the factor
+    of H_i + swap S_i), so every temporary has N rows.
+    """
+    U, T, P = ops.U, ops.proj.frames, ops.proj.mats
+    Gs = np.hstack(_gradients(ops))
+    G = np.hsplit(Gs, ops.n)
+    F = np.zeros((len(ops.G), ops.N, Gs.shape[1]))
+    for l in range(ops.n):
+        X = Gs @ np.vstack([U.T @ _term_rows(P, G, i, l, swap)
+                            for i in range(ops.n)])
+        for a, Fa in enumerate(F):
+            Fa -= T[:, l, a][:, None] * X
+        del X                      # freed before the next term's rows
     if div:
-        F -= np.vstack(G) @ np.hstack([U.T @ Gk for Gk in G])
-    return F
+        X = np.hstack([U.T @ Gk for Gk in G])
+        for Ga, Fa in zip(ops.G, F):
+            Fa -= Ga @ X
+    return F.reshape(-1, Gs.shape[1])
 
 
 def tangent_range_basis(proj):

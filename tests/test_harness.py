@@ -21,8 +21,9 @@ from manifold_rbf.harness import (MEMORY_ENV_VAR, ExperimentConfig,
                                   memory_cap_bytes, paired_mode_errors,
                                   run_experiment)
 from manifold_rbf.rbf import KernelModel, build_system
-from manifold_rbf.spectral import SpectralResult
-from manifold_rbf.vector_ops import LAPLACIANS
+from manifold_rbf.spectral import SpectralResult, align_eigenvectors_ols
+from manifold_rbf.vector_ops import (LAPLACIANS, stacked,
+                                     tangent_range_basis)
 from manifold_rbf.zoo import (EigenTruth, Ellipse, GeneralTorus, Sphere,
                               Torus, sample_manifold, vector_eigen_truth)
 
@@ -587,13 +588,14 @@ def test_alignment_gate_keeps_span_members():
     assert resid[1] > 0.9
 
 
-def per_mode_gate(result, F):
-    """alignment_gate's window and residuals, one mode at a time."""
+def per_mode_gate(result, F, W):
+    """alignment_gate's window and residuals, one mode at a time, of the
+    modes lifted by W against the ambient truth columns F."""
     window = np.flatnonzero(~result.trivial)[:harness._gate_window(F.shape[1])]
     gram_inv = np.linalg.pinv(F.T @ F)
     resid = []
     for i in window:
-        vec = result.vectors[:, i]
+        vec = W @ result.vectors[:, i]
         parts = np.column_stack([vec.real, vec.imag]) \
             if np.iscomplexobj(vec) else vec[:, None]
         beta = gram_inv @ (F.T @ parts)
@@ -603,8 +605,9 @@ def per_mode_gate(result, F):
 
 @pytest.mark.parametrize("method", ["SRBF", "NRBF"])
 def test_alignment_gate_scores_the_window_as_each_mode_alone(method):
-    # one product over the window gives every mode the residual of its own
-    # columns, the real and imaginary parts of an NRBF mode together
+    # one product over the window, on frame coordinates, gives every mode
+    # the residual of its own ambient columns, the real and imaginary parts
+    # of an NRBF mode together
     N = 300
     cfg = make_config(manifold=Sphere(), operator="Hodge", method=method,
                       N_list=[N], compare_count=6)
@@ -614,8 +617,8 @@ def test_alignment_gate_scores_the_window_as_each_mode_alone(method):
     assert np.iscomplexobj(result.vectors) == (method == "NRBF")
     F = zoo.study_truth(cfg.manifold, cfg.operator,
                         cfg.compare_count).basis(op_cloud, cfg.compare_count)
-    kept, resid = alignment_gate(result, F)
-    window, want = per_mode_gate(result, F)
+    kept, resid = alignment_gate(result, *harness.frame_truth(F, proj))
+    window, want = per_mode_gate(result, F, tangent_range_basis(proj))
     assert 0 < len(kept) < len(window)
     assert np.abs(resid - want).max() <= 1e-12
     assert np.array_equal(kept, window[want <= harness.GATE_CAP])
@@ -650,6 +653,66 @@ def test_srbf_solve_frees_the_unreduced_form_before_its_eigensolve(
     result, rank = harness._solve_rbf(cfg, op_cloud, proj, q)
     assert alive == [False]
     assert result.solve_dim == rank
+
+
+@pytest.mark.parametrize("method", ["SRBF", "NRBF"])
+def test_frame_scores_equal_the_ambient_scores_under_estimated_frames(method):
+    # second-order frames leave 1% of the truth columns normal to them: the
+    # frame-coordinate scores carry that part and equal the ambient formulas
+    # on the lifted modes (measured: 2.0e-15 for the gate, 1.4e-16 for the
+    # vector errors; without the normal part they move by 2.6e-4 or more)
+    N = 400
+    cfg = make_config(manifold=Sphere(), operator="Hodge", method=method,
+                      N_list=[N], projection="SecondOrder", compare_count=6)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)   # NRBF pollution
+        rec = run_experiment(cfg).runs[0]
+    op_cloud, proj = harness.build_projection(cfg, N, 0)
+    F = zoo.study_truth(cfg.manifold, cfg.operator,
+                        cfg.compare_count).basis(op_cloud, cfg.compare_count)
+    W = tangent_range_basis(proj)
+    G, normal = harness.frame_truth(F, proj)
+    assert np.linalg.norm(F - W @ G) > 1e-3 * np.linalg.norm(F)
+    result = rec.result
+    window, want = per_mode_gate(result, F, W)
+    kept, resid = alignment_gate(result, G, normal)
+    assert np.abs(resid - want).max() <= 2e-14
+    assert np.abs(alignment_gate(result, G)[1] - want).max() > 1e-5
+    assert np.array_equal(kept, window[want <= harness.GATE_CAP])
+    _errors, idx = paired_mode_errors(result, rec.truth_vals,
+                                      candidates=kept)
+    assert np.all(idx >= 0)
+    ambient = align_eigenvectors_ols(F, W @ result.vectors[:, idx])
+    assert np.abs(rec.vec_errors - ambient).max() <= 2e-14
+    assert np.abs(align_eigenvectors_ols(G, result.vectors[:, idx])
+                  - ambient).max() > 1e-5
+
+
+@pytest.mark.parametrize("kind", ["sphere", "ellipse"])
+def test_truth_bases_lie_in_the_analytic_frames(kind):
+    # under analytic frames the normal part of a tangent truth is rounding
+    # (measured: 3.4e-16 and 3.1e-16 of the basis)
+    if kind == "sphere":
+        cloud = sample_manifold(Sphere(), 300, seed=0, mode="random_area")
+        F = zoo.study_truth(Sphere(), "Hodge", 12).basis(cloud, 12)
+    else:
+        cloud = sample_manifold(Ellipse(2.0), 300, seed=0)
+        F = np.column_stack([stacked(field) for field in
+                             zoo.ellipse_covariant_truth(cloud)])
+    W = tangent_range_basis(zoo.analytic_projection(cloud))
+    assert np.linalg.norm(F - W @ (W.T @ F)) <= 1e-13 * np.linalg.norm(F)
+
+
+def test_nrbf_pollution_warning_reads_the_whole_spectrum():
+    # seed 1 of the torus with second-order frames at N = 400 has one mode
+    # in the left half plane, past the window of lifted modes
+    cfg = make_config(N_list=[400], seeds=[1], projection="SecondOrder",
+                      compare_count=12)
+    with pytest.warns(RuntimeWarning, match="left half"):
+        result = run_experiment(cfg).runs[0].result
+    left = np.flatnonzero(result.all_values.real < -result.trivial_cutoff)
+    assert len(left) == 1
+    assert left[0] >= result.structural_zeros + len(result.values)
 
 
 def test_vector_run_evaluates_the_truth_once(monkeypatch):

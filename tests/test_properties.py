@@ -123,9 +123,10 @@ def test_vector_pencils_psd_with_orthonormal_lifted_vectors(seed):
         res = solve_symmetric(pair, 2 * N)
         assert res.all_values.min() >= -1e-10 * res.all_values.max()
         assert len(res.all_values) == 2 * N
-        V = res.vectors
-        # every computed mode carries a vector; structural zeros do not
-        assert V.shape == (3 * N, res.solve_dim)
+        # every computed mode carries a vector on the 2 N frame
+        # coordinates; structural zeros do not
+        assert res.vectors.shape == (2 * N, res.solve_dim)
+        V = pair.range_basis @ res.vectors
         gram = V.T @ (qt[:, None] * V)
         assert np.abs(gram - np.eye(res.solve_dim)).max() <= 1e-8
 

@@ -13,7 +13,7 @@ from manifold_rbf.spectral import (_apply_q, _back_substitute, _householder,
                                    align_eigenvectors_ols, solve_nonsymmetric,
                                    solve_symmetric, write_alignment_csv,
                                    write_spectrum_csv)
-from manifold_rbf.vector_ops import hodge
+from manifold_rbf.vector_ops import hodge, tangent_range_basis
 from manifold_rbf.zoo import Sphere, analytic_projection, sample_manifold
 
 
@@ -189,9 +189,10 @@ def test_nonsymmetric_hodge_modes_have_rounding_residuals(sphere_ops):
     # reflectors)
     ops, q = sphere_ops
     F = hodge("NRBF", ops, q)
-    res = solve_nonsymmetric(F, basis=ops.U)
-    L = F @ np.kron(np.eye(3), ops.U.T)
-    V = res.vectors
+    W = tangent_range_basis(ops.proj)
+    res = solve_nonsymmetric(F, basis=ops.U, range_basis=W)
+    L = W @ (F @ np.kron(np.eye(3), ops.U.T))
+    V = W @ res.vectors
     resid = np.linalg.norm(L @ V - V * res.values[None, :], axis=0)
     assert resid.max() <= 1e-12 * np.linalg.norm(L, 2)
 
