@@ -144,13 +144,13 @@ def memory_cap_bytes():
     return gib * 2 ** 30
 
 
-def estimate_run_bytes(config, N, rank=None):
+def estimate_run_bytes(config, N, rank):
     """Peak bytes of the working set of one run at cloud size N whose
     interpolation system keeps r = rank eigenvectors of Phi.
 
-    rank=None takes the worst case r = N. rank=0 leaves what every rank
-    needs, Phi's build and eigh with the cloud: all that can be known
-    before Phi is factored. Used only for the refusal guard.
+    rank = N is the worst case. rank = 0 leaves what every rank needs,
+    Phi's build and eigh with the cloud: all that can be known before Phi
+    is factored. Used only for the refusal guard.
 
     Counted in float64 words and calibrated against the tracemalloc peak of
     the operator build plus solve (and, at N = 100 and 200, of the whole run
@@ -198,15 +198,18 @@ def estimate_run_bytes(config, N, rank=None):
       reduced, and the factor frees once its reflectors exist); outside,
       the larger of eigh's 3 m^2 and the raw QR's d N p + 65 m.
     - NRBF vector operators, on frame coordinates: the factor,
-      (d + 1) N r + (d + 3) N p + p^2 (U, the d factors, the n ambient
-      gradients side by side, the d N x p factor, the two N x p row
-      temporaries of one term and its n middle blocks; no n N-row block is
-      formed); the solve, N r + d N p + 2 d N m + m p + 4 m^2 (U, the
-      factor, the reflectors and the basis formed from them, both on d N
-      rows, R, M, the identity and M^{-1} V^T; the restriction, N rows at
-      a time, the eigenvectors and the lift of at most m modes fit within
-      it); outside, the larger of eig's 4 m^2 + 150 m and the raw QR's
-      d N p + 65 m.
+      (d + 1) N r + (d + 3) N p + r p + n^2 N (U, the d factors, the n
+      ambient gradients, the d N x p factor, its N x p accumulator, one
+      term's N x p rows and their r x p product by U^T, or that product
+      and its N x p product by G_i, and the projectors P; no n N-row or
+      p x p block is formed); the solve,
+      N r + 2 d N p + m p + d N m + 4 m^2 (U, the factor and the factored
+      copy whose d N x p storage holds the reflectors until the basis is
+      formed, R, the d N x m basis, M, the identity and M^{-1} V^T; the
+      restriction, N rows at a time, with its n r x m blocks and their
+      stack, the eigenvectors and the lift fit within it once the factor
+      and the copy are freed); outside, the larger of eig's
+      4 m^2 + 150 m and the raw QR's d N p + 65 m.
     No QR forms its Q: the raw QR (spectral._householder) holds LAPACK's
     copy of its input and its work outside tracemalloc, and the factored
     copy inside.
@@ -223,10 +226,9 @@ def estimate_run_bytes(config, N, rank=None):
         K = graph_neighbors(N, config.dm_K)
         ncv = max(2 * _dm_mode_count(config, N) + 1, 20)
         return 8 * (N * (10 * K + 4 * ncv) + truth)
-    r = N if rank is None else rank
-    traced, untraced = _operator_words(config, N, r)
+    traced, untraced = _operator_words(config, N, rank)
     block = N * next(row_blocks(N)).stop
-    traced = max(traced, (config.manifold.d + 2) * N * r + 3 * block)
+    traced = max(traced, (config.manifold.d + 2) * N * rank + 3 * block)
     words = max(4 * N * N, traced) + max(3 * N * N, untraced) + N * N
     return 8 * (words + truth)
 
@@ -250,8 +252,8 @@ def _operator_words(config, N, r):
         solve = (N * r + p * p + d * N * p
                  + max(2 * d * N * p, 2 * m * p + 2 * m * m))
         return max(form, solve), max(3 * m * m, d * N * p + 65 * m)
-    return (max((d + 1) * N * r + (d + 3) * N * p + p * p,
-                N * r + d * N * p + 2 * d * N * m + m * p + 4 * m * m),
+    return (max((d + 1) * N * r + (d + 3) * N * p + r * p + n * n * N,
+                N * r + 2 * d * N * p + m * p + d * N * m + 4 * m * m),
             max(4 * m * m + 150 * m, d * N * p + 65 * m))
 
 
@@ -259,7 +261,7 @@ def _dm_mode_count(config, N):
     return min(N, 2 * config.compare_count)
 
 
-def check_memory(config, N, rank=None):
+def check_memory(config, N, rank):
     """Refuse a run whose estimate_run_bytes at this rank exceeds the cap."""
     need = estimate_run_bytes(config, N, rank)
     cap = memory_cap_bytes()
@@ -372,7 +374,7 @@ def _gate_window(count):
     return max(4 * count, GATE_WINDOW)
 
 
-def alignment_gate(result, F, normal_gram=None):
+def alignment_gate(result, F, normal_gram):
     """Select the nontrivial modes whose eigenvectors lie in the span of the
     truth basis F (EigenTruth.basis at the operator's points, on the
     result's coordinates; see frame_truth for a vector field).
@@ -385,8 +387,9 @@ def alignment_gate(result, F, normal_gram=None):
     delicate. A mode's residual is the root of the summed squared norms of
     its columns: the real and imaginary parts of a complex mode are scored
     together. normal_gram, the Gram matrix of the truth columns' parts
-    that the result's coordinates cannot hold, adds their share to the
-    residuals: they are those of the columns lifted with those parts.
+    that the result's coordinates cannot hold (frame_truth), adds their
+    share to the residuals: they are those of the columns lifted with
+    those parts.
     Returns (kept_indices, residuals_over_window).
     """
     window = _gate_window(F.shape[1])
@@ -396,8 +399,6 @@ def alignment_gate(result, F, normal_gram=None):
     # take gathers in C order, so a complex block views as interleaved
     # real and imaginary columns
     parts = V.view(float) if complex_modes else V
-    if normal_gram is None:
-        normal_gram = np.zeros((F.shape[1],) * 2)
     coef = np.linalg.pinv(F.T @ F + normal_gram) @ (F.T @ parts)
     miss = F @ coef - parts
     miss_sq = np.sum(miss * miss, axis=0) \

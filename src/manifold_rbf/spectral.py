@@ -3,7 +3,8 @@
 Every operator ends in the truncated pseudo-inverse Phi^+ = U diag(1/w) U^T
 (U is N x r), so it arrives factored and is solved at its reduced size: AB
 and BA share their nonzero spectrum (Horn & Johnson, Matrix Analysis,
-Thm 1.3.22). A non-symmetric operator F (I_m kron U^T) W gets a dense
+Thm 1.3.22). A non-symmetric operator, F U^T on a scalar field or
+F (I_n kron U^T) W on the frame coordinates of a vector field, gets a dense
 complex eigendecomposition of the matrix it induces on an orthonormal basis
 of the range of F (a Householder QR), modes ordered by ascending magnitude
 (ties broken by real then imaginary part). A symmetric pencil (R A R^T, B)
@@ -86,8 +87,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rbf import blockwise
-
 
 @dataclass
 class SpectralResult:
@@ -95,12 +94,11 @@ class SpectralResult:
 
     all_values is the full spectrum of an RBF operator, structural zeros
     included. values and vectors hold the leading modes that were lifted:
-    with k requested, the leading k nontrivial modes and the trivial ones
-    before them; every computed mode of a non-symmetric solve without k. A
-    sparse solve that computes only the k leading modes (the diffusion-maps
-    baseline) holds just those k in all_values; rank_L and solve_dim then
-    count computed modes, and the trivial cutoff comes from the largest
-    eigenvalue, solved for separately.
+    the leading k nontrivial modes a solve was asked for and the trivial
+    ones before them. A sparse solve that computes only the k leading
+    modes (the diffusion-maps baseline) holds just those k in all_values;
+    rank_L and solve_dim then count computed modes, and the trivial cutoff
+    comes from the largest eigenvalue, solved for separately.
     """
 
     values: np.ndarray          # leading computed eigenvalues, m of them
@@ -259,41 +257,31 @@ def symmetric_result(values, vectors, pinv_tol, structural_zeros=0,
                    all_values, pinv_tol, structural_zeros, radius)
 
 
-def _restricted(basis, W, Y):
-    """(I_m kron U^T) W Y for U = basis (N, r), W Y formed one block of N
-    rows at a time and never whole; W = None stands for the identity."""
-    if W is None:
-        return blockwise(basis.T, Y)
-    N = len(basis)
-    return np.vstack([basis.T @ (W[lo:lo + N] @ Y)
-                      for lo in range(0, W.shape[0], N)])
-
-
-def solve_nonsymmetric(L, basis, pinv_tol=1e-8, range_basis=None, k=None):
+def solve_nonsymmetric(L, basis, k, pinv_tol=1e-8, range_basis=None):
     """Computed eigenvalues of a real operator by ascending magnitude, with
     unit eigenvectors for its leading k nontrivial modes and the trivial
-    ones before them (for every computed mode when k is None).
+    ones before them.
 
-    L is the left factor F (D, m r) of the operator F (I_m kron U^T) W on D
-    coordinates, with U = basis (N, r) and W = range_basis (m N x D, with
-    orthonormal columns), or W = I and D = m N when range_basis is None; a
-    square operator L comes with basis = I. A vector operator on frame
-    coordinates takes the tangent range basis W, and its eigenvectors are
+    L is the left factor of one of two operators, with U = basis (N, r):
+    a scalar operator L U^T, L of shape (N, r) (a square operator L comes
+    with basis = I); or a vector operator on frame coordinates
+    L (I_n kron U^T) W, L of shape (D, n r), with the range basis
+    W = range_basis (n N x D, orthonormal columns), whose eigenvectors are
     frame coordinates, lifted to ambient components by W. For a thin QR
-    F = Y Rf (Y formed from the reflectors of F) the range of Y is
-    invariant, the operator acts on it as Rf (I_m kron U^T) W Y, and an
-    eigenvector y lifts to the unit vector Y y with the residual of the
-    small eigenproblem, as in a dense solve. The full complex spectrum of
-    the m N x m N operator W F (I_m kron U^T) is retained on the result, so
-    spectral pollution can be inspected afterwards.
+    L = Y Rf (Y formed from the reflectors of L) the range of Y is
+    invariant, the operator acts on it as Rf U^T Y or Rf (I_n kron U^T) W Y,
+    and an eigenvector y lifts to the unit vector Y y with the residual of
+    the small eigenproblem, as in a dense solve. The full complex spectrum,
+    structural zeros included, is retained on the result, so spectral
+    pollution can be inspected afterwards. k may not exceed D (N for a
+    scalar operator).
     """
-    W = range_basis
-    rows = L.shape[0] if W is None else W.shape[0]
-    if rows * basis.shape[1] != L.shape[1] * basis.shape[0] or \
-            (W is not None and W.shape[1] != L.shape[0]):
+    W, N = range_basis, len(basis)
+    rows = len(L) if W is None else W.shape[0]
+    if L.shape[1] * N != rows * basis.shape[1] or \
+            len(L) != (N if W is None else W.shape[1]):
         raise ValueError("operator factor does not match the basis")
-    if k is not None:
-        _check_count(k, L.shape[0])
+    _check_count(k, len(L))
     zeros = rows - min(L.shape)
     H, M, Rf = _householder(L)
     del L                          # see the module notes on the hand-over
@@ -306,12 +294,16 @@ def solve_nonsymmetric(L, basis, pinv_tol=1e-8, range_basis=None, k=None):
         Rf -= mix * Rf.sum(axis=0)
     Y = _apply_q(H, M, np.eye(len(M)) - mix)
     del H, M
-    lam, V = np.linalg.eig(Rf @ _restricted(basis, W, Y))
-    del Rf
+    if W is None:
+        A = Rf @ (basis.T @ Y)
+    else:       # Rf (I_n kron U^T) W Y, W Y formed N rows at a time
+        A = Rf @ np.vstack([basis.T @ (W[lo:lo + N] @ Y)
+                            for lo in range(0, rows, N)])
+    lam, V = np.linalg.eig(A)
+    del Rf, A
     order = np.lexsort((lam.imag, lam.real, np.abs(lam)))
     lam = lam[order]
-    if k is not None:
-        order = order[:_lift_count(lam, k, pinv_tol)]
+    order = order[:_lift_count(lam, k, pinv_tol)]
     # interleaved re/im in mode order, gathered straight from the unordered
     # V: one real product into one buffer, no sorted or complex Y copy
     parts = np.empty((len(V), 2 * len(order)))

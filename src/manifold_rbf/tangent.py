@@ -16,11 +16,11 @@ from scipy.spatial import cKDTree
 
 from .rbf import row_blocks
 
-# Bytes of neighbour differences in one block of frame fits. The
-# second-order fit holds about ten arrays of that size, so a block's
-# temporaries stay near a megabyte at any N: freed, they leave no hole in
-# the heap that outlasts the fit and adds to the resident peak of the
-# kernel stages after it.
+# Bytes of neighbour differences in one block of the neighbour search or
+# of the frame fits. The second-order fit holds about ten arrays of that
+# size, so a block's temporaries stay near a megabyte at any N: freed, they
+# leave no hole in the heap that outlasts the fit and adds to the resident
+# peak of the kernel stages after it.
 FRAME_BLOCK_BYTES = 2 ** 17
 
 
@@ -86,27 +86,33 @@ def knn_indices(points, K, query_idx=None):
 
     Returns (Q, K) indices into `points`, ordered by distance then index.
     query_idx selects a subset of rows to query (neighbors still searched in
-    the full set). One KD-tree query of K + 1 neighbors; the query point is
-    dropped by its index, since exact duplicates sit at distance 0 too and
-    may come before it.
+    the full set). One KD-tree query of K + 1 neighbors per point, on blocks
+    of points of at most FRAME_BLOCK_BYTES of differences; the query point
+    is dropped by its index, since exact duplicates sit at distance 0 too
+    and may come before it.
     """
     points = np.asarray(points, dtype=float)
-    N = points.shape[0]
+    N, n = points.shape
     if K >= N:
         raise ValueError(f"K={K} must be smaller than the cloud size N={N}")
     if query_idx is None:
         query_idx = np.arange(N)
-    _dist, idx = cKDTree(points).query(points[query_idx], k=K + 1)
-    keep = idx != query_idx[:, None]
-    # a query point crowded out by duplicates: drop the farthest instead
-    keep[keep.all(axis=1), -1] = False
-    idx = idx[keep].reshape(len(query_idx), K)
-    diff = points[idx]
-    diff -= points[query_idx][:, None, :]
-    d2 = np.einsum("qkm,qkm->qk", diff, diff)
-    del diff
-    order = np.lexsort((idx, d2), axis=1)
-    return np.take_along_axis(idx, order, axis=1)
+    tree = cKDTree(points)
+    out = np.empty((len(query_idx), K), dtype=np.intp)
+    for rows in row_blocks(len(query_idx), n * K, FRAME_BLOCK_BYTES):
+        query = query_idx[rows]
+        _dist, idx = tree.query(points[query], k=K + 1)
+        keep = idx != query[:, None]
+        # a query point crowded out by duplicates: drop the farthest instead
+        keep[keep.all(axis=1), -1] = False
+        idx = idx[keep].reshape(len(query), K)
+        diff = points[idx]
+        diff -= points[query][:, None, :]
+        d2 = np.einsum("qkm,qkm->qk", diff, diff)
+        del diff
+        order = np.lexsort((idx, d2), axis=1)
+        out[rows] = np.take_along_axis(idx, order, axis=1)
+    return out
 
 
 def _difference_blocks(points, neighbors, query_idx):

@@ -1,8 +1,9 @@
 """Discrete vector-field operators.
 
 A vector field sampled at N points is an (N, n) array of ambient
-vectors; the operators act on its concatenation (U^1; ...; U^n) of ambient
-coordinate samples, stacked(samples). The covariant gradient
+vectors. Its concatenation (U^1; ...; U^n) of ambient coordinate samples,
+stacked(samples), is the layout of the vector truths and of the dense
+references; the operators act on frame coordinates. The covariant gradient
 X = nabla U is the ambient derivative of the interpolated field, projected
 onto the tangent space in both indices; the three Laplacians combine it with
 its transpose and, for Hodge, the divergence, as keyed in LAPLACIANS:
@@ -23,7 +24,9 @@ The non-symmetric (NRBF) operators are the paper's ambient form
 L = W F (I_n kron U^T), built as the dN x nr factor F = W^T (ambient factor),
 whose nonzero spectrum is that of W^T L W = F (I_n kron U^T) W; H_i applies
 the pointwise projector P = T T^T to the i-th tangential derivative of every
-component, S_i is its index-swapped companion, and neither is formed. The
+component, S_i is its index-swapped companion, and neither is formed: each
+N-row block of the ambient factor is accumulated term by term on N rows and
+taken to frame rows, so no nN-row block and no nr x nr block exists. The
 symmetric (SRBF) quadratic forms are assembled from the frame covariant
 derivative as a pencil R A R^T with diagonal B, R = W^T (I_n kron U) of size
 dN x nr. h_matrix, s_matrix and potimes_matrix give the dense nN x nN blocks
@@ -50,7 +53,8 @@ LAPLACIANS = {
 
 def stacked(samples):
     """The (nN,) coordinate-stacked vector (U^1; ...; U^n) of (N, n)
-    per-point ambient samples: the layout every operator here acts on."""
+    per-point ambient samples: the layout of the vector truths and of
+    h_matrix, s_matrix and potimes_matrix."""
     return np.asarray(samples).T.reshape(-1)
 
 
@@ -63,23 +67,15 @@ def _gradients(ops):
     return [ambient_gradient(ops, i) for i in range(ops.n)]
 
 
-def _h_factor(P, G, i):
-    # H_i = this (I_n kron U^T); row block j holds diag(p_jk) G_i, all k
-    return np.vstack([_rowwise_kron(P[:, j], G[i]) for j in range(len(G))])
-
-
-def _s_factor(P, G, i):
-    # S_i = this (I_n kron U^T); row block j holds diag(p_ki) G_j, all k
-    return np.vstack([_rowwise_kron(P[:, :, i], Gj) for Gj in G])
-
-
 def _term_rows(P, G, i, j, swap):
-    # row block j of the factor of H_i + swap S_i
+    # row block j of the factor of H_i + swap S_i, which times I_n kron U^T
+    # is the operator: diag(p_jk) G_i + swap diag(p_ki) G_j in column block
+    # k; the swap part goes in one N x r block at a time, so the term holds
+    # one N x nr array
     X = _rowwise_kron(P[:, j], G[i])
     if swap:
-        S = _rowwise_kron(P[:, :, i], G[j])
-        S *= swap
-        X += S
+        for k, Xk in enumerate(np.hsplit(X, len(G))):
+            Xk += swap * (P[:, k, i][:, None] * G[j])
     return X
 
 
@@ -97,13 +93,15 @@ def potimes_matrix(ops):
 
 def h_matrix(ops, i):
     """Dense H_i: block (j, k) = diag(p_jk) G_i U^T."""
-    F = _h_factor(ops.proj.mats, _gradients(ops), i)
+    P, G = ops.proj.mats, _gradients(ops)
+    F = np.vstack([_term_rows(P, G, i, j, 0) for j in range(ops.n)])
     return blockwise(ops.U, F.T).T
 
 
 def s_matrix(ops, i):
     """Dense S_i: block (j, k) = diag(p_ki) G_j U^T."""
-    F = _s_factor(ops.proj.mats, _gradients(ops), i)
+    P = ops.proj.mats
+    F = np.vstack([_rowwise_kron(P[:, :, i], Gj) for Gj in _gradients(ops)])
     return blockwise(ops.U, F.T).T
 
 
@@ -113,25 +111,25 @@ def _nonsymmetric_factor(ops, swap, div):
     L = -sum_i H_i (H_i + swap S_i) - div [G_j U^T G_k U^T] has tangent
     output, L = W W^T L, so its nonzero spectrum is that of
     W^T L W = F (I_n kron U^T) W. As T^T P = T^T, row block a of F is
-    -sum_l diag(T[:, l, a]) sum_i G_i M_i[l] - div G_a [U^T G_1 ... U^T G_n]
-    with G_a the frame factor and M_i[l] = U^T (row block l of the factor
-    of H_i + swap S_i), so every temporary has N rows.
+    -sum_l diag(T[:, l, a]) X_l - div G_a [U^T G_1 ... U^T G_n] with G_a
+    the frame factor and X_l = sum_i G_i U^T (row block l of the factor of
+    H_i + swap S_i), accumulated one term at a time on N rows.
     """
     U, T, P = ops.U, ops.proj.frames, ops.proj.mats
-    Gs = np.hstack(_gradients(ops))
-    G = np.hsplit(Gs, ops.n)
-    F = np.zeros((len(ops.G), ops.N, Gs.shape[1]))
+    G = _gradients(ops)
+    F = np.zeros((len(ops.G), ops.N, ops.n * U.shape[1]))
+    X = np.empty(F.shape[1:])
     for l in range(ops.n):
-        X = Gs @ np.vstack([U.T @ _term_rows(P, G, i, l, swap)
-                            for i in range(ops.n)])
+        X[:] = 0.0
+        for i, Gi in enumerate(G):
+            X += Gi @ (U.T @ _term_rows(P, G, i, l, swap))
         for a, Fa in enumerate(F):
             Fa -= T[:, l, a][:, None] * X
-        del X                      # freed before the next term's rows
     if div:
         X = np.hstack([U.T @ Gk for Gk in G])
         for Ga, Fa in zip(ops.G, F):
             Fa -= Ga @ X
-    return F.reshape(-1, Gs.shape[1])
+    return F.reshape(-1, F.shape[2])
 
 
 def tangent_range_basis(proj):

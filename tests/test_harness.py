@@ -218,14 +218,14 @@ def test_dm_computes_twice_the_compared_modes():
 
 def test_memory_guard(monkeypatch):
     cfg = make_config(N_list=[512], manifold=Sphere())
-    check_memory(cfg, 512)                     # desk scale fits the default
+    check_memory(cfg, 512, 512)                # desk scale fits the default
     monkeypatch.setenv(MEMORY_ENV_VAR, "0.001")
     with pytest.raises(RuntimeError, match="refusing run"):
         run_experiment(cfg)
     monkeypatch.delenv(MEMORY_ENV_VAR)
     big = make_config(manifold=Sphere(), operator="Bochner", N_list=[4096])
     with pytest.raises(RuntimeError, match="GiB"):
-        check_memory(big, 4096)                # vector block matrix blows up
+        check_memory(big, 4096, 4096)          # vector block matrix blows up
 
 
 @pytest.mark.parametrize("value", ["nan", "NaN", "0", "-1", "-inf", "",
@@ -237,7 +237,7 @@ def test_memory_cap_rejects_a_bad_environment_value(value, monkeypatch):
     big = make_config(manifold=Sphere(), operator="Hodge", N_list=[10 ** 6])
     named = re.escape(f"{MEMORY_ENV_VAR}={value!r}")
     with pytest.raises(ValueError, match=named):
-        check_memory(big, 10 ** 6)
+        check_memory(big, 10 ** 6, 10 ** 6)
 
 
 @pytest.mark.parametrize("value,gib", [("inf", math.inf), ("0.5", 0.5),
@@ -321,7 +321,7 @@ def test_memory_estimate_bounds_traced_peak(method, operator, spec,
     else:
         def stage():
             harness._solve_rbf(cfg, op_cloud, proj, q)
-    assert traced_peak(stage, monkeypatch) <= estimate_run_bytes(cfg, N)
+    assert traced_peak(stage, monkeypatch) <= estimate_run_bytes(cfg, N, N)
 
 
 @pytest.mark.parametrize("method,spec,N", [
@@ -339,7 +339,7 @@ def test_memory_estimate_bounds_whole_run_peak(method, spec, N, monkeypatch):
     cfg = make_config(manifold=spec, N_list=[N], method=method,
                       sample_mode="random_intrinsic")
     peak = traced_peak(lambda: run_experiment(cfg), monkeypatch)
-    assert peak <= estimate_run_bytes(cfg, N)
+    assert peak <= estimate_run_bytes(cfg, N, N)
 
 
 @pytest.mark.parametrize("method,operator,spec", [
@@ -352,7 +352,24 @@ def test_memory_estimate_at_the_real_rank_bounds_traced_peak(
         method, operator, spec, monkeypatch):
     # the second check of the guard uses rank_L; its estimate must still
     # bound the peak, so a run it admits fits
-    N = 300
+    peak, estimate = real_rank_peak(method, operator, spec, 300, monkeypatch)
+    assert peak <= estimate
+
+
+def test_memory_estimate_at_the_real_rank_bounds_a_general_torus_vector_run(
+        monkeypatch):
+    # n = 21 makes the trial dimension p = 21 r larger than the d N frame
+    # rows: the run traced 72.7 MiB against an estimate of 45.3 MiB while
+    # the NRBF factor stacked p x p blocks; it now traces 10.2 MiB, plus
+    # 3.3 MiB in LAPACK, against 14.6 MiB (measured)
+    peak, estimate = real_rank_peak("NRBF", "Hodge", GeneralTorus(2.0, 21),
+                                    100, monkeypatch)
+    assert peak <= estimate
+
+
+def real_rank_peak(method, operator, spec, N, monkeypatch):
+    """(traced_peak, estimate_run_bytes at rank_L) of the operator build and
+    solve of one run at cloud size N."""
     cfg = make_config(manifold=spec, N_list=[N], method=method,
                       operator=operator, sample_mode="random_intrinsic")
     op_cloud, proj = harness.build_projection(cfg, N, 0)
@@ -364,7 +381,7 @@ def test_memory_estimate_at_the_real_rank_bounds_traced_peak(
     else:
         def stage():
             harness._solve_rbf(cfg, op_cloud, proj, q)
-    assert traced_peak(stage, monkeypatch) <= estimate_run_bytes(cfg, N, rank)
+    return traced_peak(stage, monkeypatch), estimate_run_bytes(cfg, N, rank)
 
 
 @pytest.mark.parametrize("method,operator,spec", [
@@ -384,7 +401,7 @@ def test_memory_estimate_bounds_a_full_rank_vector_run(method, operator, spec,
     assert build_system(op_cloud, cfg.kernel).rank_L >= 0.98 * N
     peak = traced_peak(lambda: harness._solve_rbf(cfg, op_cloud, proj, q),
                        monkeypatch)
-    assert peak <= estimate_run_bytes(cfg, N)
+    assert peak <= estimate_run_bytes(cfg, N, N)
 
 
 def hodge_guard_case():
@@ -404,11 +421,11 @@ def test_memory_guard_admits_a_run_that_fits_at_its_real_rank(monkeypatch):
     cfg, N, rank = hodge_guard_case()
     assert rank < N / 2
     fits = estimate_run_bytes(cfg, N, rank)
-    worst = estimate_run_bytes(cfg, N)
+    worst = estimate_run_bytes(cfg, N, N)
     assert fits < worst / 2
     set_cap_between(fits, worst, monkeypatch)
     with pytest.raises(RuntimeError, match="refusing run"):
-        check_memory(cfg, N)                   # r = N does not fit the cap
+        check_memory(cfg, N, N)                # r = N does not fit the cap
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)   # NRBF pollution
         report = run_experiment(cfg)
@@ -441,7 +458,7 @@ def test_memory_guard_refuses_at_the_real_rank_before_the_factors(
 def test_memory_guard_admits_large_sparse_dm(monkeypatch):
     monkeypatch.delenv(MEMORY_ENV_VAR, raising=False)
     N = 20000
-    check_memory(make_config(method="DM", N_list=[N]), N)
+    check_memory(make_config(method="DM", N_list=[N]), N, 0)
 
 
 def test_dm_run_builds_no_tangent_field(monkeypatch):
@@ -582,7 +599,7 @@ def test_alignment_gate_keeps_span_members():
     vectors = np.column_stack([F[:, 0], rng.standard_normal(200),
                                0.5 * F[:, 0] + F[:, 1]])
     res = fake_result([2.01, 5.0, 2.02], vectors=vectors)
-    kept, resid = alignment_gate(res, F)
+    kept, resid = alignment_gate(res, F, np.zeros((2, 2)))
     assert list(kept) == [0, 2]
     assert resid[0] <= 1e-10 and resid[2] <= 1e-10
     assert resid[1] > 0.9
@@ -677,7 +694,7 @@ def test_frame_scores_equal_the_ambient_scores_under_estimated_frames(method):
     window, want = per_mode_gate(result, F, W)
     kept, resid = alignment_gate(result, G, normal)
     assert np.abs(resid - want).max() <= 2e-14
-    assert np.abs(alignment_gate(result, G)[1] - want).max() > 1e-5
+    assert np.abs(alignment_gate(result, G, 0 * normal)[1] - want).max() > 1e-5
     assert np.array_equal(kept, window[want <= harness.GATE_CAP])
     _errors, idx = paired_mode_errors(result, rec.truth_vals,
                                       candidates=kept)

@@ -116,7 +116,7 @@ def test_circle_spectrum_squares(circle_ops):
     # unit circle Laplacian spectrum is k^2 with multiplicity 2
     _, ops, _ = circle_ops
     L = laplace_beltrami_nonsymmetric(ops)
-    res = solve_nonsymmetric(L, basis=ops.U)
+    res = solve_nonsymmetric(L, basis=ops.U, k=ops.N)
     vals = res.nontrivial_values()[:6]
     assert np.abs(vals.imag).max() <= 1e-3
     assert np.abs(vals.real - np.array([1, 1, 4, 4, 9, 9])).max() <= 1e-2
@@ -212,7 +212,7 @@ def test_formulation_consistency_grid_circle():
     system = build_system(cloud, KernelModel("inverse_quadratic", 0.5))
     ops = build_grad_matrices(system, proj)
     L = laplace_beltrami_nonsymmetric(ops)
-    nrbf = np.abs(solve_nonsymmetric(L, basis=ops.U)
+    nrbf = np.abs(solve_nonsymmetric(L, basis=ops.U, k=400)
                   .nontrivial_values()[:5])
     pair = laplace_beltrami_symmetric(ops, sampling_density(cloud))
     srbf = solve_symmetric(pair, k=400).nontrivial_values()[:5]
@@ -255,7 +255,7 @@ def test_duplicated_points_give_structural_zeros():
         srbf = solve_symmetric(laplace_beltrami_symmetric(ops, np.ones(180)),
                                180)
         nrbf = solve_nonsymmetric(laplace_beltrami_nonsymmetric(ops),
-                                  basis=ops.U)
+                                  basis=ops.U, k=180)
     for res in (srbf, nrbf):
         assert len(res.all_values) == 180
         assert np.all(np.isfinite(res.all_values))

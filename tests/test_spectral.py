@@ -72,14 +72,14 @@ def test_symmetric_k_too_large():
 
 def test_nonsymmetric_rotation_matrix():
     L = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    res = solve_nonsymmetric(L, basis=np.eye(len(L)))
+    res = solve_nonsymmetric(L, basis=np.eye(len(L)), k=2)
     assert np.allclose(np.abs(res.values), 1.0, atol=1e-14)
     assert np.allclose(sorted(res.values.imag), [-1.0, 1.0], atol=1e-14)
 
 
 def test_nonsymmetric_requires_square():
     with pytest.raises(ValueError):
-        solve_nonsymmetric(np.ones((3, 2)), basis=np.eye(2))
+        solve_nonsymmetric(np.ones((3, 2)), basis=np.eye(2), k=2)
 
 
 def test_ordering_tie_break_deterministic():
@@ -87,8 +87,8 @@ def test_ordering_tie_break_deterministic():
     L = np.zeros((4, 4))
     L[0, 1], L[1, 0] = 1.0, -1.0          # +-i
     L[2, 2], L[3, 3] = 1.0, -1.0          # +-1
-    first = solve_nonsymmetric(L, basis=np.eye(len(L)))
-    again = solve_nonsymmetric(L, basis=np.eye(len(L)))
+    first = solve_nonsymmetric(L, basis=np.eye(len(L)), k=4)
+    again = solve_nonsymmetric(L, basis=np.eye(len(L)), k=4)
     want = np.array([-1.0 + 0j, 0 - 1j, 0 + 1j, 1.0 + 0j])
     assert np.allclose(first.values, want, atol=1e-14)
     assert np.array_equal(first.values, again.values)
@@ -98,7 +98,7 @@ def test_ordering_tie_break_deterministic():
 def test_nonsymmetric_residual():
     rng = np.random.default_rng(2)
     L = rng.standard_normal((50, 50))
-    res = solve_nonsymmetric(L, basis=np.eye(len(L)))
+    res = solve_nonsymmetric(L, basis=np.eye(len(L)), k=50)
     V, lam = res.vectors[:, :20], res.values[:20]
     resid = L @ V - V * lam[None, :]
     assert np.linalg.norm(resid) / np.linalg.norm(L) <= 1e-6
@@ -106,7 +106,7 @@ def test_nonsymmetric_residual():
 
 def test_trivial_flagging():
     L = np.diag([1e-12, 1e-12, 1.0, 2.0])
-    res = solve_nonsymmetric(L, basis=np.eye(len(L)))
+    res = solve_nonsymmetric(L, basis=np.eye(len(L)), k=4)
     assert list(res.trivial) == [True, True, False, False]
     assert np.allclose(res.nontrivial_values().real, [1.0, 2.0])
     assert res.rank_L == 2
@@ -149,18 +149,18 @@ def test_factored_nonsymmetric_null_modes_are_finite_unit_vectors():
     # F has zero columns, so the reduced matrix has exact null vectors y
     # with F y = 0; their lifts must still be finite unit vectors
     rng, U = random_factored(30, 10, 4)
-    F = rng.standard_normal((60, 20))
-    F[:, [0, 13]] = 0.0
+    F = rng.standard_normal((30, 10))
+    F[:, [0, 7]] = 0.0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        res = solve_nonsymmetric(F, basis=U)
-    assert res.structural_zeros == 40 and res.solve_dim == 20
-    assert np.all(res.all_values[:40] == 0.0)
-    assert res.vectors.shape == (60, 20)
+        res = solve_nonsymmetric(F, basis=U, k=30)
+    assert res.structural_zeros == 20 and res.solve_dim == 10
+    assert np.all(res.all_values[:20] == 0.0)
+    assert res.vectors.shape == (30, 10)
     assert np.all(np.isfinite(res.vectors))
     assert np.allclose(np.linalg.norm(res.vectors, axis=0), 1.0, atol=1e-12)
     assert np.sum(res.trivial) >= 2
-    L = F @ np.kron(np.eye(2), U.T)
+    L = F @ U.T
     resid = L @ res.vectors - res.vectors * res.values[None, :]
     assert np.linalg.norm(resid) <= 1e-12 * np.linalg.norm(L)
 
@@ -175,7 +175,7 @@ def test_nonsymmetric_lift_holds_one_copy_of_the_eigenvectors():
     L = rng.standard_normal((N, p))
     tracemalloc.start()
     try:
-        solve_nonsymmetric(L, basis=U)
+        solve_nonsymmetric(L, basis=U, k=N)
         _current, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -190,7 +190,7 @@ def test_nonsymmetric_hodge_modes_have_rounding_residuals(sphere_ops):
     ops, q = sphere_ops
     F = hodge("NRBF", ops, q)
     W = tangent_range_basis(ops.proj)
-    res = solve_nonsymmetric(F, basis=ops.U, range_basis=W)
+    res = solve_nonsymmetric(F, basis=ops.U, k=len(F), range_basis=W)
     L = W @ (F @ np.kron(np.eye(3), ops.U.T))
     V = W @ res.vectors
     resid = np.linalg.norm(L @ V - V * res.values[None, :], axis=0)
@@ -198,9 +198,12 @@ def test_nonsymmetric_hodge_modes_have_rounding_residuals(sphere_ops):
 
 
 def test_factored_nonsymmetric_rejects_mismatched_basis():
+    # a factor of n N rows without its range basis is refused too: the
+    # stacked ambient operator is not a form the package builds
     _rng, U = random_factored(30, 10, 5)
-    with pytest.raises(ValueError, match="basis"):
-        solve_nonsymmetric(np.ones((60, 15)), basis=U)
+    for L in (np.ones((30, 15)), np.ones((60, 20))):
+        with pytest.raises(ValueError, match="basis"):
+            solve_nonsymmetric(L, basis=U, k=1)
 
 
 # -- reduction of the SRBF pencils ---------------------------------------------
@@ -330,9 +333,9 @@ def test_symmetric_solve_leaves_a_held_pencil_intact(sphere_pencils, kind):
 
 def test_nonsymmetric_solve_leaves_a_held_factor_intact():
     rng, U = random_factored(30, 10, 5)
-    L = rng.standard_normal((60, 20))
+    L = rng.standard_normal((30, 10))
     before = L.tobytes()
-    solve_nonsymmetric(L, basis=U)
+    solve_nonsymmetric(L, basis=U, k=30)
     assert L.tobytes() == before
 
 
@@ -420,7 +423,7 @@ def test_align_rejects_bad_input():
 
 def test_spectrum_csv(tmp_path):
     L = np.diag([1e-13, 1.0, 2.0])
-    res = solve_nonsymmetric(L, basis=np.eye(len(L)))
+    res = solve_nonsymmetric(L, basis=np.eye(len(L)), k=3)
     path = tmp_path / "spec.csv"
     write_spectrum_csv(path, res, config_echo={"N": 3})
     text = path.read_text()
@@ -436,7 +439,7 @@ def test_spectrum_csv_reports_structural_zeros(tmp_path):
     # the header explains the trivial cluster: exact zeros never computed
     _rng, U = random_factored(20, 4, 6)
     F = np.random.default_rng(7).standard_normal((20, 4))
-    res = solve_nonsymmetric(F, basis=U)
+    res = solve_nonsymmetric(F, basis=U, k=20)
     path = tmp_path / "spec.csv"
     write_spectrum_csv(path, res, config_echo={"N": 20})
     assert "rank_L=4 structural_zeros=16 solve_dim=4" in path.read_text()

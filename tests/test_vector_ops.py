@@ -24,8 +24,9 @@ from manifold_rbf.vector_ops import (LAPLACIANS, bochner,
                                      covariant_derivative, h_matrix, hodge,
                                      lichnerowicz, potimes_matrix, s_matrix,
                                      stacked, tangent_range_basis)
-from manifold_rbf.zoo import (Ellipse, Sphere, Torus, analytic_projection,
-                              sample_manifold, sampling_density)
+from manifold_rbf.zoo import (Ellipse, GeneralTorus, Sphere, Torus,
+                              analytic_projection, sample_manifold,
+                              sampling_density)
 
 # the builders by their LAPLACIANS name
 FORMS = {"Bochner": bochner, "Hodge": hodge, "Lich": lichnerowicz}
@@ -451,6 +452,26 @@ def test_nonsymmetric_hodge_holds_no_ambient_block():
     assert peak < 2.5 * block
 
 
+def test_nonsymmetric_factor_holds_no_trial_block():
+    # on GeneralTorus(2, 21) the trial dimension p = n r is 21 r: the Hodge
+    # factor at N = 80 (r = 80) traced 46.4 MiB when it stacked p x p
+    # blocks (one is 21.5 MiB); accumulating every term on N rows it holds
+    # 6.27 N p words (measured), the d N x p factor among them
+    cloud = sample_manifold(GeneralTorus(2.0, 21), 80, seed=0,
+                            mode="random_intrinsic")
+    system = build_system(cloud, KernelModel("inverse_quadratic", 0.5))
+    ops = build_grad_matrices(system, analytic_projection(cloud))
+    p = ops.n * ops.U.shape[1]
+    tracemalloc.start()
+    try:
+        hodge("NRBF", ops)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * p * p
+    assert peak < 6.5 * 8 * ops.N * p
+
+
 def nontrivial(values, cutoff):
     return values[np.abs(values) >= cutoff]
 
@@ -489,7 +510,7 @@ def test_reduced_spectrum_matches_dense_solve(sphere_small, method, name):
     if method == "NRBF":
         F = laplace_beltrami_nonsymmetric(ops) if name == "lb" else \
             FORMS[name]("NRBF", ops)
-        res = solve_nonsymmetric(F, basis=U, range_basis=W)
+        res = solve_nonsymmetric(F, basis=U, k=len(F), range_basis=W)
         full = np.linalg.eigvals(dense)
     else:
         pair = laplace_beltrami_symmetric(ops, q) if name == "lb" else \
