@@ -60,7 +60,7 @@ def stacked(samples):
 
 def _rowwise_kron(t, g):
     """(N, a b) matrix whose row x is kron(t[x], g[x])."""
-    return (t[:, :, None] * g[:, None, :]).reshape(len(t), -1)
+    return np.einsum("xa,xb->xab", t, g).reshape(len(t), -1)
 
 
 def _gradients(ops):
