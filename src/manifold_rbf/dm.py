@@ -14,14 +14,15 @@ cutoff.
 
 The graph takes K neighbours and the bandwidth epsilon as plain numbers,
 None for their defaults (graph_neighbors, autotune_epsilon).
+
+scipy.sparse, its csgraph and its ARPACK wrapper load inside dm_laplacian
+and dm_spectrum, the only functions that use them, so importing the package
+(and any RBF study) loads no scipy module.
 """
 
 import warnings
 
 import numpy as np
-import scipy.sparse
-import scipy.sparse.linalg
-from scipy.sparse.csgraph import connected_components
 
 from .tangent import knn_indices
 
@@ -73,6 +74,9 @@ def dm_laplacian(cloud, K=None, epsilon=None):
     (I - S) / eps, and eigenvectors of the underlying Markov generator are
     vec_scale * (eigenvectors of L).
     """
+    import scipy.sparse
+    from scipy.sparse.csgraph import connected_components
+
     points = np.asarray(cloud.points, dtype=float)
     N = points.shape[0]
     validate_graph(N, K, epsilon)
@@ -110,6 +114,8 @@ def dm_laplacian(cloud, K=None, epsilon=None):
 def dm_spectrum(cloud, k, K=None, epsilon=None):
     """The k smallest eigenvalues of dm_laplacian, ascending, their Markov
     eigenvectors (N, k), and the largest eigenvalue."""
+    import scipy.sparse.linalg
+
     L, scale = dm_laplacian(cloud, K, epsilon)
     N = L.shape[0]
     if k >= N - 1:

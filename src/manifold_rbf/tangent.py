@@ -12,15 +12,14 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import cKDTree
 
-from .rbf import row_blocks
+from .rbf import row_blocks, squared_distances
 
-# Bytes of neighbour differences in one block of the neighbour search or
-# of the frame fits. The second-order fit holds about ten arrays of that
-# size, so a block's temporaries stay near a megabyte at any N: freed, they
-# leave no hole in the heap that outlasts the fit and adds to the resident
-# peak of the kernel stages after it.
+# Bytes of one block of the neighbour search (its rows of squared distances)
+# or of the frame fits (their neighbour differences). The second-order fit
+# holds about ten arrays of that size, so a block's temporaries stay near a
+# megabyte at any N: freed, they leave no hole in the heap that outlasts
+# the fit and adds to the resident peak of the kernel stages after it.
 FRAME_BLOCK_BYTES = 2 ** 17
 
 
@@ -86,31 +85,43 @@ def knn_indices(points, K, query_idx=None):
 
     Returns (Q, K) indices into `points`, ordered by distance then index.
     query_idx selects a subset of rows to query (neighbors still searched in
-    the full set). One KD-tree query of K + 1 neighbors per point, on blocks
-    of points of at most FRAME_BLOCK_BYTES of differences; the query point
+    the full set). A brute-force search on blocks of query points whose rows
+    of rbf.squared_distances take at most FRAME_BLOCK_BYTES: argpartition
+    keeps K + 3 candidates per point (room for the query point and for two
+    places lost to the rounding of the Gram form), which are re-ranked by
+    the squared norm of their differences, then by index. The query point
     is dropped by its index, since exact duplicates sit at distance 0 too
     and may come before it.
+
+    The search takes O(N^2) time where a KD-tree takes O(N log N): on two
+    cores it took 33 ms against scipy's cKDTree's 15 ms at N = 1600,
+    K = 40, and 5.5 s against 0.74 s at N = 20,000, K = 142. The studies'
+    clouds hold a few thousand points, and the tree would load scipy into
+    every run.
     """
     points = np.asarray(points, dtype=float)
-    N, n = points.shape
+    N = points.shape[0]
     if K >= N:
         raise ValueError(f"K={K} must be smaller than the cloud size N={N}")
     if query_idx is None:
         query_idx = np.arange(N)
-    tree = cKDTree(points)
+    m = min(K + 3, N)
     out = np.empty((len(query_idx), K), dtype=np.intp)
-    for rows in row_blocks(len(query_idx), n * K, FRAME_BLOCK_BYTES):
+    for rows in row_blocks(len(query_idx), N, FRAME_BLOCK_BYTES):
         query = query_idx[rows]
-        _dist, idx = tree.query(points[query], k=K + 1)
+        # column m - 1 holds the farthest candidate; the N-wide partition
+        # dies with this block
+        idx = np.argpartition(squared_distances(points[query], points),
+                              m - 1, axis=1)[:, :m]
         keep = idx != query[:, None]
         # a query point crowded out by duplicates: drop the farthest instead
         keep[keep.all(axis=1), -1] = False
-        idx = idx[keep].reshape(len(query), K)
+        idx = idx[keep].reshape(len(query), m - 1)
         diff = points[idx]
         diff -= points[query][:, None, :]
         d2 = np.einsum("qkm,qkm->qk", diff, diff)
         del diff
-        order = np.lexsort((idx, d2), axis=1)
+        order = np.lexsort((idx, d2), axis=1)[:, :K]
         out[rows] = np.take_along_axis(idx, order, axis=1)
     return out
 

@@ -36,7 +36,6 @@ and projects the result.
 """
 
 import numpy as np
-import scipy.sparse
 
 from .rbf import blockwise, derivative_matrices
 from .scalar_ops import GeneralizedPair, ambient_gradient, inverse_density
@@ -138,6 +137,8 @@ def tangent_range_basis(proj):
     Entry ((i, k), (a, k)) is T(x_k)[i, a]; frames at different points have
     disjoint support, so W has orthonormal columns.
     """
+    import scipy.sparse        # loaded by the vector studies alone
+
     T = proj.frames
     N, n, d = T.shape
     i, a, k = np.meshgrid(np.arange(n), np.arange(d), np.arange(N),

@@ -113,8 +113,10 @@ def test_kde_tracks_torus_density():
 
 
 def dense_kde(x, h):
-    """kde_density with the N x N squared distances formed whole."""
+    """kde_density with the N x N squared distances formed whole, in the
+    Gram form on coordinates centred at the mean of the cloud."""
     N, n = x.shape
+    x = x - x.mean(axis=0)
     sq = np.sum(x * x, axis=1)
     d2 = np.maximum(sq[:, None] - 2.0 * x @ x.T + sq[None, :], 0.0)
     return np.sum(np.exp(-d2 / (2.0 * h * h)), axis=1) / (

@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from manifold_rbf import cli, tangent
 from manifold_rbf.harness import ExperimentConfig, build_projection
@@ -86,6 +87,26 @@ def test_knn_matches_brute_force(seed):
                           brute_force_knn(points, 12, subset))
 
 
+def kd_tree_knn(points, K, query_idx):
+    """Reference: a KD-tree query of K + 1 neighbours, the query point
+    dropped; a cloud without ties orders them by distance alone."""
+    _dist, idx = cKDTree(points).query(points[query_idx], k=K + 1)
+    return idx[idx != query_idx[:, None]].reshape(len(query_idx), K)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_knn_matches_a_kd_tree_on_the_torus(seed):
+    # the cloud of the torus-compare benchmark, at its K (40) and one more
+    points = sample_manifold(Torus(2.0), 1600, seed=seed,
+                             mode="random_area").points
+    subset = np.random.default_rng(seed).choice(1600, size=100,
+                                                replace=False)
+    for K in (40, 41):
+        for query in (np.arange(1600), subset):
+            assert np.array_equal(knn_indices(points, K, query),
+                                  kd_tree_knn(points, K, query))
+
+
 def test_knn_with_exact_duplicates():
     rng = np.random.default_rng(5)
     base = rng.normal(size=(60, 3))
@@ -135,9 +156,9 @@ def test_blocked_knn_matches_one_block(monkeypatch):
 
 
 def test_knn_search_holds_one_block_of_temporaries():
-    # past its (N, K) result the search holds the tree and one block's
-    # distances, indices and differences: measured 0.40 MiB at N = 1600,
-    # K = 40, 2.53 MiB when the whole cloud was one query
+    # past its (N, K) result the search holds one block's rows of squared
+    # distances, their partition and the candidates' differences: measured
+    # 0.27 MiB at N = 1600, K = 40
     N, K = 1600, 40
     points = sample_manifold(Torus(2.0), N, seed=4,
                              mode="random_area").points
