@@ -12,8 +12,8 @@ from manifold_rbf.harness import ExperimentConfig, build_projection
 from manifold_rbf.tangent import (ProjectionField, default_neighbor_count,
                                   first_order_svd, knn_indices,
                                   projection_diagnostics, second_order_svd)
-from manifold_rbf.zoo import (PointCloud, Sphere, Torus, analytic_projection,
-                              sample_manifold)
+from manifold_rbf.zoo import (FlatTorus, PointCloud, Sphere, Torus,
+                              analytic_projection, sample_manifold)
 
 
 def plane_cloud(N=120, seed=0):
@@ -85,6 +85,19 @@ def test_knn_matches_brute_force(seed):
     subset = rng.choice(300, size=40, replace=False)
     assert np.array_equal(knn_indices(points, 12, query_idx=subset),
                           brute_force_knn(points, 12, subset))
+
+
+@pytest.mark.parametrize("spec", [FlatTorus(), Torus(2.0)],
+                         ids=lambda spec: spec.kind)
+def test_knn_matches_brute_force_on_a_grid(spec):
+    # a grid holds many ties whose distances differ only by rounding, at
+    # the K-th place too: the KD-tree got 285 of the 400 flat-torus rows
+    # wrong at K = 40, the Gram candidates alone 184
+    points = sample_manifold(spec, 400, seed=0, mode="grid").points
+    everyone = np.arange(400)
+    for K in (12, 40):
+        assert np.array_equal(knn_indices(points, K),
+                              brute_force_knn(points, K, everyone))
 
 
 def kd_tree_knn(points, K, query_idx):
