@@ -96,8 +96,8 @@ def knn_indices(points, K, query_idx=None):
     on a grid) is ranked over every point instead.
 
     The search takes O(N^2) time where a KD-tree takes O(N log N): on two
-    cores it took 33 ms against scipy's cKDTree's 15 ms at N = 1600,
-    K = 40, and 5.5 s against 0.74 s at N = 20,000, K = 142. The studies'
+    cores it took 29 ms against scipy's cKDTree's 14 ms at N = 1600,
+    K = 40, and 4.5 s against 0.74 s at N = 20,000, K = 142. The studies'
     clouds hold a few thousand points, and the tree would load scipy into
     every run.
     """
@@ -133,6 +133,8 @@ def knn_indices(points, K, query_idx=None):
         del diff
         order = np.lexsort((idx, d2), axis=1)[:, :K]
         out[rows] = np.take_along_axis(idx, order, axis=1)
+        # a K-th distance within rounding of a point left out: rank the
+        # row over every point
         kth = np.take_along_axis(d2, order[:, -1:], axis=1)[:, 0]
         for j in np.flatnonzero(kth + slack >= left_out):
             diff = points - points[query[j]]

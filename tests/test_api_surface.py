@@ -307,9 +307,10 @@ def test_the_package_loads_scipy_only_for_the_dm_graph():
     """No scipy on the import path: the RBF stages run on numpy alone.
 
     scipy.spatial (for cdist and the KD-tree) and scipy.sparse made the
-    bare import take 0.50-0.57 s and 70 MiB RSS, against 0.16 s and 29 MiB
-    without them. Only the DM graph and the sparse range basis of a vector
-    study load scipy.sparse, inside the functions that use it.
+    bare import take 0.40-0.46 s and 70 MiB RSS on two cores, against
+    0.08-0.14 s and 29 MiB without them. Only the DM graph and the sparse
+    range basis of a vector study load scipy.sparse, inside the functions
+    that use it.
     """
     assert scipy_modules_loaded(
         "import manifold_rbf\nimport manifold_rbf.cli") == []

@@ -90,9 +90,9 @@ def test_knn_matches_brute_force(seed):
 @pytest.mark.parametrize("spec", [FlatTorus(), Torus(2.0)],
                          ids=lambda spec: spec.kind)
 def test_knn_matches_brute_force_on_a_grid(spec):
-    # a grid holds many ties whose distances differ only by rounding, at
-    # the K-th place too: the KD-tree got 285 of the 400 flat-torus rows
-    # wrong at K = 40, the Gram candidates alone 184
+    # a grid holds many distances that tie up to rounding, at the K-th
+    # place too, where a search by candidates must still rank by
+    # (distance, index)
     points = sample_manifold(spec, 400, seed=0, mode="grid").points
     everyone = np.arange(400)
     for K in (12, 40):
@@ -171,7 +171,7 @@ def test_blocked_knn_matches_one_block(monkeypatch):
 def test_knn_search_holds_one_block_of_temporaries():
     # past its (N, K) result the search holds one block's rows of squared
     # distances, their partition and the candidates' differences: measured
-    # 0.27 MiB at N = 1600, K = 40
+    # 0.31 MiB at N = 1600, K = 40
     N, K = 1600, 40
     points = sample_manifold(Torus(2.0), N, seed=4,
                              mode="random_area").points
