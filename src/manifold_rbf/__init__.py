@@ -20,7 +20,7 @@ from .rbf import (InterpolationSystem, KernelModel, build_system,
 from .scalar_ops import (GeneralizedPair, ScalarOperatorSet,
                          build_grad_matrices, laplace_beltrami_nonsymmetric,
                          laplace_beltrami_symmetric)
-from .spectral import (SpectralResult, align_eigenvectors_ols,
+from .spectral import (SpectralResult, align_eigenvectors_ols, lift,
                        solve_nonsymmetric, solve_symmetric,
                        write_alignment_csv, write_spectrum_csv)
 from .tangent import (ProjectionField, default_neighbor_count,

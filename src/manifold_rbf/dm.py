@@ -16,8 +16,10 @@ The graph takes K neighbours and the bandwidth epsilon as plain numbers,
 None for their defaults (graph_neighbors, autotune_epsilon).
 
 scipy.sparse, its csgraph and its ARPACK wrapper load inside dm_laplacian
-and dm_spectrum, the only functions that use them, so importing the package
-(and any RBF study) loads no scipy module.
+and dm_spectrum, the only functions of a study that use them, so importing
+the package and any RBF study, scalar or vector, loads no scipy module: a
+vector study moves fields between frame and ambient coordinates with
+spectral.lift, not a sparse range basis.
 """
 
 import warnings

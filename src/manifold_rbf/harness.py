@@ -21,7 +21,7 @@ from .rbf import (KernelModel, build_system, check_config_keys,
                   config_number, row_blocks)
 from .scalar_ops import (build_grad_matrices, laplace_beltrami_nonsymmetric,
                          laplace_beltrami_symmetric)
-from .spectral import (SpectralResult, align_eigenvectors_ols,
+from .spectral import (SpectralResult, align_eigenvectors_ols, lift,
                        solve_nonsymmetric, solve_symmetric, symmetric_result,
                        write_alignment_csv, write_spectrum_csv, write_table)
 from .tangent import first_order_svd, neighbor_count, second_order_svd
@@ -414,15 +414,16 @@ def alignment_gate(result, F, normal_gram):
 
 def frame_truth(F, proj):
     """Split ambient truth columns F into their frame coordinates
-    G = W^T F (W = tangent_range_basis(proj)), on which a vector field's
-    eigenvectors are scored, and the Gram matrix of their normal parts
-    F - W G. Since W^T (F - W G) = 0, a column's squared residual against W v
-    is that of G against v plus its normal part's, so the scores are those
-    of the ambient columns. The normal part is rounding under analytic
-    frames, not under estimated ones."""
-    W = vector_ops.tangent_range_basis(proj)
-    G = W.T @ F
-    normal = F - W @ G
+    G = W^T F, on which a vector field's eigenvectors are scored, and the
+    Gram matrix of their normal parts F - W G, W being the range basis of
+    proj.frames (G and W G are lifts over the frames, spectral.lift). Since
+    W^T (F - W G) = 0, a column's squared residual against W v is that of G
+    against v plus its normal part's, so the scores are those of the
+    ambient columns. The normal part is rounding under analytic frames, not
+    under estimated ones."""
+    T = proj.frames
+    G = lift(T.transpose(0, 2, 1), F)
+    normal = F - lift(T, G)
     return G, normal.T @ normal
 
 
@@ -500,8 +501,7 @@ def _solve_rbf(config, op_cloud, proj, q):
         return solve_nonsymmetric(
             _form(config, build_grad_matrices(system, proj), q),
             basis=system.U, pinv_tol=tol, k=k,
-            range_basis=vector_ops.tangent_range_basis(proj) if vector
-            else None), system.rank_L
+            range_basis=proj.frames if vector else None), system.rank_L
     return solve_symmetric(
         _form(config, build_grad_matrices(system, proj), q), k,
         pinv_tol=tol), system.rank_L

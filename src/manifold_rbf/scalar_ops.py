@@ -85,8 +85,8 @@ class GeneralizedPair:
     pencil's dim coordinates. B is always diagonal (B_diag). Vector pencils
     live on frame coordinates (d values per point), and so do the
     eigenvectors spectral.solve_symmetric returns for them; range_basis,
-    when present, is the sparse map W (nN x dN) with which a caller lifts a
-    solution Z to the stacked ambient field V = W Z.
+    when present, holds the frames T (N, n, d), with which a caller lifts a
+    solution Z to the stacked ambient field spectral.lift(T, Z).
 
     The range basis also tells spectral.solve_symmetric how to reduce the
     pencil. Without one (scalar pencils) the factor must have orthonormal
@@ -100,7 +100,7 @@ class GeneralizedPair:
     A: np.ndarray
     B_diag: np.ndarray
     factor: np.ndarray
-    range_basis: object = None     # scipy.sparse (nN, dN) or None
+    range_basis: object = None     # the frames (N, n, d), or None
 
     # no dense B is ever formed; code that sizes a pencil by its parts reads
     # this as an empty part

@@ -11,13 +11,19 @@ of the range of F (a Householder QR), modes ordered by ascending magnitude
 with diagonal B is solved with the dense symmetric solver on the range of
 S = B^{-1/2} R, so the lifted vectors are B-orthonormal. The eigenvectors
 of a vector operator, of either form, stay on its frame coordinates (d
-values per point): the caller lifts them with the range basis W,
-tangent_range_basis(proj) @ V, only if it needs ambient components
-(harness.frame_truth scores them where they are). The full dimension (N,
-or n N for a vector field) minus the reduced one gives exact structural
-zeros: never computed and without eigenvectors, they appear in all_values
-as 0.0, flagged trivial, like the near-zero modes produced by
-pseudo-inverse rank truncation.
+values per point): the caller lifts them with lift(proj.frames, V) only if
+it needs ambient components (harness.frame_truth scores them where they
+are). The full dimension (N, or n N for a vector field) minus the reduced
+one gives exact structural zeros: never computed and without eigenvectors,
+they appear in all_values as 0.0, flagged trivial, like the near-zero
+modes produced by pseudo-inverse rank truncation.
+
+W, the n N x d N range basis of the frames T (N, n, d), maps frame
+coordinates to stacked ambient components; its entry ((i, k), (a, k)) is
+T(x_k)[i, a]. No solve or study forms it: lift(T, Z) is W Z,
+lift(T.transpose(0, 2, 1), F) is W^T F and lift(T[:, i:i + 1], Z) is row
+block i of W Z, each one einsum that sums a row's terms in the order a
+sparse product with W does; the tests hold all three to it bit for bit.
 
 How the range of S is reduced depends on the kind of pencil:
 - Scalar pencils (no range basis) have R = U with orthonormal columns, so
@@ -104,7 +110,7 @@ class SpectralResult:
     values: np.ndarray          # leading computed eigenvalues, m of them
     # (dim, m): N values for a scalar field, d N frame coordinates for a
     # vector field, lifted to ambient components by
-    # tangent_range_basis(proj) @ vectors
+    # lift(proj.frames, vectors)
     vectors: np.ndarray
     ordering: str
     rank_L: int                 # modes of all_values above the trivial cutoff
@@ -127,6 +133,14 @@ def _trivial_cutoff(all_values, pinv_tol, radius=None):
         radius = float(np.max(np.abs(all_values))) if len(all_values) \
             else 0.0
     return 10.0 * pinv_tol * radius
+
+
+def lift(frames, Z):
+    """W Z: frame coordinates Z (d N rows) lifted over the frames (N, n, d)
+    to stacked ambient components (see the module notes)."""
+    N, n, d = frames.shape
+    return np.einsum("kia,akc->ikc", frames, Z.reshape(d, N, -1)).reshape(
+        (n * N,) + Z.shape[1:])
 
 
 def _check_count(k, dim):
@@ -213,14 +227,14 @@ def solve_symmetric(pair, k, pinv_tol=1e-8):
     (see the module notes for why the two differ). k may not exceed the
     pencil's dimension.
     """
-    b, A, R, W = pair.B_diag, pair.A, pair.factor, pair.range_basis
+    b, A, R = pair.B_diag, pair.A, pair.factor
+    scalar = pair.range_basis is None
     del pair                       # see the module notes on the hand-over
     if not np.all((b > 0) & (b < np.inf)):
         raise ValueError("B must be positive definite (diagonal has "
                          "non-positive or non-finite entries)")
     _check_count(k, len(b))
     scale = 1.0 / np.sqrt(b)
-    scalar = W is None
     if scalar:
         S = scale[:, None] * R
         C = np.linalg.cholesky(S.T @ S)
@@ -265,28 +279,27 @@ def solve_nonsymmetric(L, basis, k, pinv_tol=1e-8, range_basis=None):
     L is the left factor of one of two operators, with U = basis (N, r):
     a scalar operator L U^T, L of shape (N, r) (a square operator L comes
     with basis = I); or a vector operator on frame coordinates
-    L (I_n kron U^T) W, L of shape (D, n r), with the range basis
-    W = range_basis (n N x D, orthonormal columns), whose eigenvectors are
-    frame coordinates, lifted to ambient components by W. For a thin QR
-    L = Y Rf (Y formed from the reflectors of L) the range of Y is
-    invariant, the operator acts on it as Rf U^T Y or Rf (I_n kron U^T) W Y,
-    and an eigenvector y lifts to the unit vector Y y with the residual of
-    the small eigenproblem, as in a dense solve. The full complex spectrum,
-    structural zeros included, is retained on the result, so spectral
-    pollution can be inspected afterwards. k may not exceed D (N for a
-    scalar operator).
+    L (I_n kron U^T) W, L of shape (d N, n r), with W the range basis of
+    the frames range_basis (N, n, d) (see the module notes), whose
+    eigenvectors are frame coordinates, lifted to ambient components by
+    lift(range_basis, V). For a thin QR L = Y Rf (Y formed from the
+    reflectors of L) the range of Y is invariant, the operator acts on it
+    as Rf U^T Y or Rf (I_n kron U^T) W Y, and an eigenvector y lifts to the
+    unit vector Y y with the residual of the small eigenproblem, as in a
+    dense solve. The full complex spectrum, structural zeros included, is
+    retained on the result, so spectral pollution can be inspected
+    afterwards. k may not exceed d N (N for a scalar operator).
     """
-    W, N = range_basis, len(basis)
-    rows = len(L) if W is None else W.shape[0]
-    if L.shape[1] * N != rows * basis.shape[1] or \
-            len(L) != (N if W is None else W.shape[1]):
+    T, (N, r) = range_basis, basis.shape
+    n, d = (1, 1) if T is None else T.shape[1:]
+    if L.shape != (d * N, n * r) or (T is not None and len(T) != N):
         raise ValueError("operator factor does not match the basis")
     _check_count(k, len(L))
-    zeros = rows - min(L.shape)
+    zeros = n * N - min(L.shape)
     H, M, Rf = _householder(L)
     del L                          # see the module notes on the hand-over
     mix = 0.0
-    if W is not None:
+    if T is not None:
         # F = (Q X) (X Rf) with X = I - 2 u u^T, u = (1, ..., 1) / sqrt(c)
         # for c = len(M): X Rf is Rf less 2 / c of its column sums (see the
         # module notes)
@@ -294,11 +307,11 @@ def solve_nonsymmetric(L, basis, k, pinv_tol=1e-8, range_basis=None):
         Rf -= mix * Rf.sum(axis=0)
     Y = _apply_q(H, M, np.eye(len(M)) - mix)
     del H, M
-    if W is None:
+    if T is None:
         A = Rf @ (basis.T @ Y)
-    else:       # Rf (I_n kron U^T) W Y, W Y formed N rows at a time
-        A = Rf @ np.vstack([basis.T @ (W[lo:lo + N] @ Y)
-                            for lo in range(0, rows, N)])
+    else:       # Rf (I_n kron U^T) W Y, W Y formed one component at a time
+        A = Rf @ np.vstack([basis.T @ lift(T[:, i:i + 1], Y)
+                            for i in range(n)])
     lam, V = np.linalg.eig(A)
     del Rf, A
     order = np.lexsort((lam.imag, lam.real, np.abs(lam)))

@@ -17,9 +17,10 @@ Every Laplacian takes the ScalarOperatorSet (G, proj, U) of the cloud, whose
 derivatives follow the frames. Every derivative ends in
 Phi^+ = U diag(1/w) U^T (U is N x r, r = rank_L), so every block acts
 through I_n kron U^T. Both forms output tangent fields only, and both keep
-them on frame coordinates (d values per point), the coordinates of the
-sparse range basis W = tangent_range_basis(proj) (nN x dN, orthonormal
-columns): a solution Z lifts to the stacked ambient field W Z.
+them on frame coordinates (d values per point). W, the nN x dN range basis
+of the frames (orthonormal columns; see spectral), maps them to ambient
+components: spectral.lift(proj.frames, Z) lifts a solution Z to the
+stacked ambient field W Z, and no operator or solve forms W.
 The non-symmetric (NRBF) operators are the paper's ambient form
 L = W F (I_n kron U^T), built as the dN x nr factor F = W^T (ambient factor),
 whose nonzero spectrum is that of W^T L W = F (I_n kron U^T) W; H_i applies
@@ -135,9 +136,11 @@ def tangent_range_basis(proj):
     """Sparse W (nN x dN) mapping frame coordinates to ambient components.
 
     Entry ((i, k), (a, k)) is T(x_k)[i, a]; frames at different points have
-    disjoint support, so W has orthonormal columns.
+    disjoint support, so W has orthonormal columns. No study calls it (they
+    use spectral.lift): it is the tests' reference for lift, kept while the
+    benchmark's span tracer wraps it by name.
     """
-    import scipy.sparse        # loaded by the vector studies alone
+    import scipy.sparse        # loaded by this reference alone
 
     T = proj.frames
     N, n, d = T.shape
@@ -182,7 +185,7 @@ def _symmetric_pair(ops, q, swap, coeff, div):
     R = np.vstack([_rowwise_kron(T[:, :, a], ops.U) for a in range(d)])
     # every term is some X^T X, which numpy forms exactly symmetric
     return GeneralizedPair(A=A, B_diag=np.tile(qinv, d), factor=R,
-                           range_basis=tangent_range_basis(ops.proj))
+                           range_basis=T)
 
 
 def _laplacian(name, method, ops, q):

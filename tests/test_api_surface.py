@@ -295,12 +295,20 @@ def scipy_modules_loaded(code):
     return json.loads(out.splitlines()[-1])
 
 
-def study(method):
-    return ("from manifold_rbf import Torus, run_experiment\n"
+TORUS_LB = ("Torus(2.0), N_list=[150], projection='SecondOrder', "
+            "density='KDE', compare_count=4")
+# the SRBF Hodge spectrum resolves the sphere's l = 1 cluster from N = 400
+SPHERE_HODGE = ("Sphere(), N_list=[400], operator='Hodge', "
+                "sample_mode='random_area', compare_count=6, "
+                "kernel=KernelModel('inverse_quadratic', 0.5)")
+
+
+def study(method, setup=TORUS_LB):
+    return ("from manifold_rbf import KernelModel, Sphere, Torus, "
+            "run_experiment\n"
             "from manifold_rbf.harness import ExperimentConfig\n"
             "run_experiment(ExperimentConfig(\n"
-            f"    manifold=Torus(2.0), N_list=[150], method={method!r},\n"
-            "    projection='SecondOrder', density='KDE', compare_count=4))")
+            f"    manifold={setup}, method={method!r}))")
 
 
 def test_the_package_loads_scipy_only_for_the_dm_graph():
@@ -308,13 +316,16 @@ def test_the_package_loads_scipy_only_for_the_dm_graph():
 
     scipy.spatial (for cdist and the KD-tree) and scipy.sparse made the
     bare import take 0.40-0.46 s and 70 MiB RSS on two cores, against
-    0.08-0.14 s and 29 MiB without them. Only the DM graph and the sparse
-    range basis of a vector study load scipy.sparse, inside the functions
-    that use it.
+    0.08-0.14 s and 29 MiB without them. Only the DM graph loads
+    scipy.sparse, inside the functions that use it: a vector study, of
+    either form, moves its fields between frame and ambient coordinates
+    with spectral.lift, not a sparse range basis.
     """
     assert scipy_modules_loaded(
         "import manifold_rbf\nimport manifold_rbf.cli") == []
     assert scipy_modules_loaded(study("SRBF")) == []
+    for method in ("SRBF", "NRBF"):
+        assert scipy_modules_loaded(study(method, SPHERE_HODGE)) == []
     assert "scipy.sparse" in scipy_modules_loaded(study("DM"))
 
 

@@ -10,11 +10,39 @@ from manifold_rbf.rbf import KernelModel, build_system
 from manifold_rbf.scalar_ops import (GeneralizedPair, build_grad_matrices,
                                      laplace_beltrami_symmetric)
 from manifold_rbf.spectral import (_apply_q, _back_substitute, _householder,
-                                   align_eigenvectors_ols, solve_nonsymmetric,
-                                   solve_symmetric, write_alignment_csv,
-                                   write_spectrum_csv)
+                                   align_eigenvectors_ols, lift,
+                                   solve_nonsymmetric, solve_symmetric,
+                                   write_alignment_csv, write_spectrum_csv)
 from manifold_rbf.vector_ops import hodge, tangent_range_basis
-from manifold_rbf.zoo import Sphere, analytic_projection, sample_manifold
+from manifold_rbf.zoo import (Ellipse, GeneralTorus, Sphere, Torus,
+                              analytic_projection, sample_manifold)
+
+
+# -- the range basis of the frames --------------------------------------------
+
+
+@pytest.mark.parametrize("spec, N", [(Sphere(), 800), (Torus(2.0), 500),
+                                     (GeneralTorus(2.0, 21), 300),
+                                     (Ellipse(2.0), 200)],
+                         ids=["sphere", "torus", "gtorus21", "ellipse"])
+@pytest.mark.parametrize("mode", ["random_area", "random_intrinsic"])
+def test_lift_reproduces_the_sparse_range_basis_bit_for_bit(spec, N, mode):
+    # W Z, W^T F and every row block of W Z, over the frames alone: each
+    # sums a row's terms in the sparse product's order
+    proj = analytic_projection(sample_manifold(spec, N, seed=3, mode=mode))
+    T = proj.frames
+    _N, n, d = T.shape
+    W = tangent_range_basis(proj)
+    rng = np.random.default_rng(5)
+    for c in (1, 7, 121):
+        Z = rng.standard_normal((d * N, c))
+        F = rng.standard_normal((n * N, c))
+        WZ = lift(T, Z)
+        assert np.array_equal(WZ, W @ Z)
+        assert np.array_equal(lift(T.transpose(0, 2, 1), F), W.T @ F)
+        for i in range(n):
+            assert np.array_equal(lift(T[:, i:i + 1], Z),
+                                  WZ[i * N:(i + 1) * N])
 
 
 # -- symmetric pencil solver ---------------------------------------------------
@@ -189,21 +217,25 @@ def test_nonsymmetric_hodge_modes_have_rounding_residuals(sphere_ops):
     # reflectors)
     ops, q = sphere_ops
     F = hodge("NRBF", ops, q)
-    W = tangent_range_basis(ops.proj)
-    res = solve_nonsymmetric(F, basis=ops.U, k=len(F), range_basis=W)
-    L = W @ (F @ np.kron(np.eye(3), ops.U.T))
-    V = W @ res.vectors
+    T = ops.proj.frames
+    res = solve_nonsymmetric(F, basis=ops.U, k=len(F), range_basis=T)
+    L = lift(T, F @ np.kron(np.eye(3), ops.U.T))
+    V = lift(T, res.vectors)
     resid = np.linalg.norm(L @ V - V * res.values[None, :], axis=0)
     assert resid.max() <= 1e-12 * np.linalg.norm(L, 2)
 
 
 def test_factored_nonsymmetric_rejects_mismatched_basis():
-    # a factor of n N rows without its range basis is refused too: the
-    # stacked ambient operator is not a form the package builds
+    # a factor of n N rows without its frames is refused too: the stacked
+    # ambient operator is not a form the package builds; so are frames of a
+    # cloud of another size, with a factor that fits n, d and r
     _rng, U = random_factored(30, 10, 5)
     for L in (np.ones((30, 15)), np.ones((60, 20))):
         with pytest.raises(ValueError, match="basis"):
             solve_nonsymmetric(L, basis=U, k=1)
+    with pytest.raises(ValueError, match="basis"):
+        solve_nonsymmetric(np.ones((60, 30)), basis=U, k=1,
+                           range_basis=np.ones((40, 3, 2)))
 
 
 # -- reduction of the SRBF pencils ---------------------------------------------

@@ -4,7 +4,8 @@ for U = sin(theta) d_theta on x(theta) = (cos t, a sin t) the covariant
 gradient coefficient is u1_cov = cos t + sin t g'/(2g) with
 g = sin^2 t + a^2 cos^2 t. The factored operators are checked against dense
 nN x nN references built here block by block; their eigenvectors are frame
-coordinates, lifted to ambient components by the tangent range basis W."""
+coordinates, lifted to ambient components by spectral.lift over the frames;
+tangent_range_basis, the sparse range basis W, is the reference for it."""
 
 import sys
 import tracemalloc
@@ -18,7 +19,7 @@ from manifold_rbf.scalar_ops import (GeneralizedPair, ambient_gradient,
                                      build_grad_matrices,
                                      laplace_beltrami_nonsymmetric,
                                      laplace_beltrami_symmetric)
-from manifold_rbf.spectral import solve_nonsymmetric, solve_symmetric
+from manifold_rbf.spectral import lift, solve_nonsymmetric, solve_symmetric
 from manifold_rbf.tangent import ProjectionField, second_order_svd
 from manifold_rbf.vector_ops import (LAPLACIANS, bochner,
                                      covariant_derivative, h_matrix, hodge,
@@ -275,7 +276,7 @@ def test_symmetric_pairs_structure(ellipse, ellipse_symmetric):
         assert pair.factor.shape == (400, 2 * r)
         assert np.array_equal(pair.A, pair.A.T)
         assert pair.B is None and np.array_equal(pair.B_diag, 1.0 / q)
-        assert pair.range_basis.shape == (800, 400)
+        assert pair.range_basis is ellipse["proj"].frames
 
 
 def test_symmetric_spectra_real_nonnegative(ellipse_symmetric):
@@ -299,28 +300,30 @@ def lifted_prefix(res, k):
 
 def test_symmetric_eigenvectors_tangential(ellipse_symmetric):
     # k counts nontrivial modes; the trivial prefix is lifted with them, on
-    # the N frame coordinates, and W lifts them to tangent ambient fields
+    # the N frame coordinates, and the frames lift them to tangent ambient
+    # fields
     _, pairs = ellipse_symmetric
     pair = pairs["Bochner"]
     res = solve_symmetric(pair, k=30)
     m = lifted_prefix(res, 30)
     assert res.vectors.shape == (400, m)
-    W = pair.range_basis
+    T = pair.range_basis
     for j in range(m):
         if res.trivial[j]:
             continue
-        v = W @ res.vectors[:, j]
-        assert np.linalg.norm(v - W @ (W.T @ v)) <= 1e-6 * np.linalg.norm(v)
+        v = lift(T, res.vectors[:, j])
+        back = lift(T, lift(T.transpose(0, 2, 1), v))
+        assert np.linalg.norm(v - back) <= 1e-6 * np.linalg.norm(v)
 
 
 def test_symmetric_b_orthogonality(ellipse_symmetric):
     # the lifted eigenvectors, trivial prefix included, are orthonormal in
-    # the ambient Qt^{-1} product once W lifts them
+    # the ambient Qt^{-1} product once the frames lift them
     q, pairs = ellipse_symmetric
     pair = pairs["Lich"]
     res = solve_symmetric(pair, k=25)
     m = lifted_prefix(res, 25)
-    V = pair.range_basis @ res.vectors
+    V = lift(pair.range_basis, res.vectors)
     gram = V.T @ (np.tile(1.0 / q, 2)[:, None] * V)
     assert np.abs(gram - np.eye(m)).max() <= 1e-8
 
@@ -440,12 +443,11 @@ def test_nonsymmetric_hodge_holds_no_ambient_block():
     proj = analytic_projection(cloud)
     system = build_system(cloud, KernelModel("inverse_quadratic", 0.5))
     ops = build_grad_matrices(system, proj)
-    W = tangent_range_basis(proj)
     block = 8 * ops.n * ops.N * ops.n * ops.U.shape[1]
     tracemalloc.start()
     try:
-        solve_nonsymmetric(hodge("NRBF", ops), basis=ops.U, range_basis=W,
-                           k=120)
+        solve_nonsymmetric(hodge("NRBF", ops), basis=ops.U,
+                           range_basis=proj.frames, k=120)
         _current, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -506,11 +508,11 @@ def test_reduced_spectrum_matches_dense_solve(sphere_small, method, name):
     ops, q = sphere_small
     U = ops.U
     dense = dense_form(ops, q, method, name)
-    W = None if name == "lb" else tangent_range_basis(ops.proj)
+    T = None if name == "lb" else ops.proj.frames
     if method == "NRBF":
         F = laplace_beltrami_nonsymmetric(ops) if name == "lb" else \
             FORMS[name]("NRBF", ops)
-        res = solve_nonsymmetric(F, basis=U, k=len(F), range_basis=W)
+        res = solve_nonsymmetric(F, basis=U, k=len(F), range_basis=T)
         full = np.linalg.eigvals(dense)
     else:
         pair = laplace_beltrami_symmetric(ops, q) if name == "lb" else \
@@ -525,13 +527,13 @@ def test_reduced_spectrum_matches_dense_solve(sphere_small, method, name):
     assert_same_values(nontrivial(res.all_values, res.trivial_cutoff),
                        nontrivial(full, res.trivial_cutoff), scale)
     if method == "NRBF":
-        # lifted vectors (through W for a vector field) are unit
+        # lifted vectors (through the frames for a vector field) are unit
         # eigenvectors of the dense operator; near the trivial cutoff the
         # residual sits at eps |L|, as it does for a dense eig, so the
         # relative bound carries that floor
         V = res.vectors[:, ~res.trivial]
-        if W is not None:
-            V = W @ V
+        if T is not None:
+            V = lift(T, V)
         lam = res.nontrivial_values()
         assert np.allclose(np.linalg.norm(V, axis=0), 1.0, atol=1e-12)
         resid = np.linalg.norm(dense @ V - V * lam[None, :], axis=0)
