@@ -68,6 +68,8 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be a list of integers")
             if not values:
                 raise ValueError(f"{name} must not be empty")
+        if min(self.seeds) < 0:
+            raise ValueError("seeds must be non-negative integers")
         for name in ("compare_count", "N_p", "K", "dm_K", "dm_epsilon"):
             value = getattr(self, name)
             if value is not None or name == "compare_count":
@@ -204,15 +206,13 @@ def estimate_run_bytes(config, N, rank):
       and its N x p product by G_i, and the projectors P; no n N-row or
       p x p block is formed); the solve,
       N r + 2 d N p + m p + d N m + 4 m^2 (U, the factor and the factored
-      copy whose d N x p storage holds the reflectors until the basis is
-      formed, R, the d N x m basis, M, the identity and M^{-1} V^T; the
-      restriction, N rows at a time, with its n r x m blocks and their
-      stack, the eigenvectors and the lift fit within it once the factor
-      and the copy are freed); outside, the larger of eig's
-      4 m^2 + 150 m and the raw QR's d N p + 65 m.
-    No QR forms its Q: the raw QR (spectral._householder) holds LAPACK's
-    copy of its input and its work outside tracemalloc, and the factored
-    copy inside.
+      copy, R, the d N x m basis, M, the identity and M^{-1} V^T; the
+      restriction into one n r x m block, the eigenvectors and the lift fit
+      within it; one d N x p block to spare, as the factor is freed before
+      the reflectors exist); outside, the larger of eig's 4 m^2 + 150 m and
+      the raw QR's d N p + 65 m.
+    No QR forms its Q: the raw QR holds LAPACK's copy of its input and its
+    work outside tracemalloc, and the factored copy inside.
     The diffusion-maps baseline is sparse and has no rank: the KNN search
     and the CSR graph hold about 10 N K words for K neighbors, and the
     Lanczos solve four N x ncv blocks (basis, work and the eigenvectors

@@ -11,14 +11,17 @@ it factors through U^T and has rank at most rank_L per field component; it
 takes the kernel derivatives a block of rows at a time (row_blocks), as
 density.kde_density takes its kernel sums.
 
-Every distance of the package comes from squared_distances: the Gram form
-|x|^2 + |y|^2 - 2 x.y, one matrix product on coordinates centred at the
-mean of the cloud, on numpy alone. Its rounding error is a few eps times
-the squared radius of the cloud about that mean, not eps times |x - y|^2,
-so a distance near zero is known only to about sqrt(eps) times that
-radius. The kernels are flat there: on the benchmark studies the spectra
-agree with those of a coordinate-wise distance (scipy's cdist) to 5e-10 of
-the largest eigenvalue.
+Every distance of the package comes from one formula, squared_distances:
+the Gram form |x|^2 + |y|^2 - 2 x.y, one matrix product on coordinates
+centred at the mean of the cloud, on numpy alone. Its rounding error is a
+few eps times the squared radius of the cloud about that mean, not eps
+times |x - y|^2, so a distance near zero is known only to about sqrt(eps)
+times that radius. The kernels are flat there: on the benchmark studies the
+spectra agree with those of a coordinate-wise distance (scipy's cdist) to
+5e-10 of the largest eigenvalue. derivative_matrices forms its distances
+and its brackets t.(x_j - x_k) on the points centred at their mean, so a
+sphere cloud moved by 1e6 keeps its leading spectra to 2e-12 of the
+largest value (3e-8 with brackets on raw coordinates).
 
 Every dense factorisation of the package goes through numpy.linalg, whose
 OpenBLAS also does the matmuls: scipy.linalg bundles a second OpenBLAS,
@@ -60,8 +63,8 @@ class KernelModel:
         for key in ("s", "pinv_tol"):    # an API value reads as a file's
             object.__setattr__(self, key, config_number(f"kernel {key}",
                                                         getattr(self, key)))
-        if not self.s > 0:
-            raise ValueError("shape parameter s must be positive")
+        if not 0 < self.s < np.inf:
+            raise ValueError("shape parameter s must be positive and finite")
         if not 1e-12 <= self.pinv_tol <= 1e-2:
             raise ValueError("pinv_tol must lie in [1e-12, 1e-2]")
 
@@ -95,35 +98,25 @@ def config_number(name, value, integral=False):
     return int(value) if integral else float(value)
 
 
-def squared_distances(X, Y=None):
-    """|x - y|^2 for every row x of X and row y of Y (X itself for None),
-    shape (len(X), len(Y)).
+def squared_distances(X, Y):
+    """|x - y|^2 for every row x of X and row y of Y, shape (len(X), len(Y)).
 
     Formed as |x|^2 + |y|^2 - 2 x.y on coordinates centred at the mean of
     Y, so a cloud far from the origin loses no digits to its offset, and
-    clipped at 0. For Y = None the product is X^T X of one array, which
-    numpy forms exactly symmetric (syrk), and |x|^2 is read off its
-    diagonal: the result is exactly symmetric with a zero diagonal. The
-    coordinates are held as n rows of points, since numpy's reductions and
-    broadcasts are slow across a short axis of n = 3 columns, and a search
-    that calls this on many small blocks of X pays them every time.
+    clipped at 0. The coordinates are held as n rows of points, since
+    numpy's reductions and broadcasts are slow across a short axis of n = 3
+    columns, and a search that calls this on many small blocks of X pays
+    them every time.
     """
     Xt = np.array(np.asarray(X, dtype=float).T, order="C")
-    Yt = Xt if Y is None else np.array(np.asarray(Y, dtype=float).T,
-                                       order="C")
+    Yt = np.array(np.asarray(Y, dtype=float).T, order="C")
     mean = Yt.mean(axis=1, keepdims=True)
     Yt -= mean
-    if Y is None:
-        d2 = Xt.T @ Xt
-        sq = d2.diagonal().copy()
-        d2 *= -2.0
-        d2 += np.add.outer(sq, sq)     # sq_j + sq_k: one sum for both orders
-    else:
-        Xt -= mean
-        d2 = Xt.T @ Yt
-        d2 *= -2.0
-        d2 += np.einsum("mj,mj->j", Xt, Xt)[:, None]
-        d2 += np.einsum("mk,mk->k", Yt, Yt)
+    Xt -= mean
+    d2 = Xt.T @ Yt
+    d2 *= -2.0
+    d2 += np.einsum("mj,mj->j", Xt, Xt)[:, None]
+    d2 += np.einsum("mk,mk->k", Yt, Yt)
     return np.maximum(d2, 0.0, out=d2)
 
 
@@ -200,7 +193,7 @@ def build_system(cloud, model):
     if points.shape[0] < 2:
         raise ValueError("need at least two points")
     w, V = np.linalg.eigh(
-        kernel_eval(model, np.sqrt(squared_distances(points))))
+        kernel_eval(model, np.sqrt(squared_distances(points, points))))
     sigma = np.abs(w)
     keep = sigma >= model.pinv_tol * sigma.max()
     # one gather, so V is never copied twice
@@ -215,11 +208,12 @@ def derivative_matrices(system, directions):
     directions has shape (N, n, k).
 
     D_a = (sum_m t_m(x_j) (X^m(x_j) - X^m(x_k)) phi'(r_jk)/r_jk) Phi^+ with
-    t = directions[:, :, a]; the diagonal takes the analytic r -> 0 limit.
-    The bracket is formed for one block of rows j at a time and multiplied
-    into its rows of G_a, so no N x N matrix is allocated.
+    t = directions[:, :, a]; the diagonal takes the analytic r -> 0 limit,
+    and the points are centred at their mean (see the module notes). The
+    bracket is formed for one block of rows j at a time and multiplied into
+    its rows of G_a, so no N x N matrix is allocated.
     """
-    points = system.points
+    points = system.points - system.points.mean(axis=0)
     coef = system.U / system.w[None, :]
     out = [np.empty(coef.shape) for _ in range(directions.shape[2])]
     for rows in row_blocks(len(points)):

@@ -13,10 +13,10 @@ S = B^{-1/2} R, so the lifted vectors are B-orthonormal. The eigenvectors
 of a vector operator, of either form, stay on its frame coordinates (d
 values per point): the caller lifts them with lift(proj.frames, V) only if
 it needs ambient components (harness.frame_truth scores them where they
-are). The full dimension (N, or n N for a vector field) minus the reduced
-one gives exact structural zeros: never computed and without eigenvectors,
-they appear in all_values as 0.0, flagged trivial, like the near-zero
-modes produced by pseudo-inverse rank truncation.
+are). The full dimension (N; n N for an NRBF vector operator, d N for an
+SRBF vector pencil) minus the reduced one gives exact structural zeros:
+never computed and without eigenvectors, they appear in all_values as 0.0,
+flagged trivial, like the near-zero modes of pseudo-inverse truncation.
 
 W, the n N x d N range basis of the frames T (N, n, d), maps frame
 coordinates to stacked ambient components; its entry ((i, k), (a, k)) is
@@ -40,8 +40,8 @@ How the range of S is reduced depends on the kind of pencil:
   / sigma_max of S about 6e-10 on the sphere), and squaring that condition
   number in S^T S would lose orthogonality.
 
-No QR forms its Q. _householder keeps it as its reflectors V, in LAPACK's
-factored copy of the input, and M = T^{-1} of the compact-WY form
+No QR forms its Q. _householder keeps it as its reflectors V, taken from
+LAPACK's factored copy of the input, and M = T^{-1} of the compact-WY form
 Q = I - V T V^T; _apply_q applies Q with two products and one triangular
 solve. A vector pencil applies it to the lifted columns only. The
 non-symmetric solve needs the whole thin Q for its reduced matrix and its
@@ -66,14 +66,12 @@ Both solves lift eigenvectors only for the modes a caller reads: the
 leading k nontrivial modes and the trivial ones before them. all_values
 still holds every mode.
 
-Each solver takes over the operator it is handed. solve_symmetric unpacks
-the pencil and drops its reference to it, so a vector pencil's factor is
-freed once its reflectors exist and the unreduced form once its reduction
-exists, before the dense eigensolve; solve_nonsymmetric drops the left
-factor once its reflectors exist, and them once its thin Q is formed,
-before the eigensolve. Neither writes to its arguments:
-an operator its caller still holds stays intact, and alive. The saving
-needs the caller to pass the operator as a temporary (see
+Each solver takes over the operator it is handed, and frees each part
+before the eigensolve: a factor once its raw QR exists, before the
+reflectors are built, the unreduced symmetric form once it is reduced, the
+non-symmetric reflectors once the thin Q is formed. Neither writes to its
+arguments: an operator its caller still holds stays intact, and alive. The
+saving needs the caller to pass the operator as a temporary (see
 harness._solve_rbf), and CPython >= 3.11, which moves call arguments into
 the callee's frame; older versions keep them on the caller's stack until
 the call returns, and the peak with them.
@@ -169,20 +167,20 @@ def _back_substitute(T, Z):
     return Y
 
 
-def _householder(X):
+def _householder(h, tau):
     """Householder QR X = Q R of X (m x p), k = min(m, p), without forming
-    Q: the reflectors V (m x k, unit lower-trapezoidal, in LAPACK's factored
-    copy of X), M = triu(V^T V, 1) + diag(1/tau) and R (k x p, bit for bit
-    numpy's). Q = I - V M^{-1} V^T, M being the inverse of the compact-WY T
-    (Schreiber & Van Loan, SIAM J. Sci. Stat. Comput. 10, 1989; Joffrain et
-    al., ACM TOMS 32, 2006). A reflector with tau = 0 is the identity: its
-    column of V is zero, its diagonal entry of M one."""
-    h, tau = np.linalg.qr(X, mode="raw")
-    del X                          # freed here if it was a temporary
+    Q, from its raw QR (h, tau) = np.linalg.qr(X, mode="raw"): the
+    reflectors V (m x k, unit lower-trapezoidal), M = triu(V^T V, 1) +
+    diag(1/tau) and R (k x p, bit for bit numpy's). Q = I - V M^{-1} V^T, M
+    being the inverse of the compact-WY T (Schreiber & Van Loan, SIAM J.
+    Sci. Stat. Comput. 10, 1989; Joffrain et al., ACM TOMS 32, 2006). A
+    reflector with tau = 0 is the identity: its column of V is zero, its
+    diagonal entry of M one. V is a view of h where it fills it (k = p), a
+    copy of its k columns otherwise, so h goes once the caller drops it."""
     H = h.T                        # R on and above the diagonal, V below
     k = len(tau)
     R = np.triu(H[:k])
-    V = H[:, :k]
+    V = H[:, :k] if k == H.shape[1] else H[:, :k].copy()
     upper = ~np.tri(k, k, -1, dtype=bool)
     V[:k][upper] = 0.0
     np.fill_diagonal(V, 1.0)
@@ -241,8 +239,10 @@ def solve_symmetric(pair, k, pinv_tol=1e-8):
         del S                      # rebuilt for the lift, after the eigh
         A = C.T @ (A @ C)
     else:
-        H, M, Rx = _householder(scale[:, None] * R)
+        h, tau = np.linalg.qr(scale[:, None] * R, mode="raw")
         del R                      # the lift goes through the reflectors
+        H, M, Rx = _householder(h, tau)
+        del h
         A = Rx @ A @ Rx.T
         del Rx
     # the reduced form is this solve's own: symmetrise it in place
@@ -296,8 +296,10 @@ def solve_nonsymmetric(L, basis, k, pinv_tol=1e-8, range_basis=None):
         raise ValueError("operator factor does not match the basis")
     _check_count(k, len(L))
     zeros = n * N - min(L.shape)
-    H, M, Rf = _householder(L)
+    h, tau = np.linalg.qr(L, mode="raw")
     del L                          # see the module notes on the hand-over
+    H, M, Rf = _householder(h, tau)
+    del h
     mix = 0.0
     if T is not None:
         # F = (Q X) (X Rf) with X = I - 2 u u^T, u = (1, ..., 1) / sqrt(c)
@@ -307,13 +309,15 @@ def solve_nonsymmetric(L, basis, k, pinv_tol=1e-8, range_basis=None):
         Rf -= mix * Rf.sum(axis=0)
     Y = _apply_q(H, M, np.eye(len(M)) - mix)
     del H, M
-    if T is None:
-        A = Rf @ (basis.T @ Y)
-    else:       # Rf (I_n kron U^T) W Y, W Y formed one component at a time
-        A = Rf @ np.vstack([basis.T @ lift(T[:, i:i + 1], Y)
-                            for i in range(n)])
+    # U^T Y, or (I_n kron U^T) W Y with W Y formed one component at a time
+    UWY = np.empty((n * r, Y.shape[1]))
+    for i in range(n):
+        UWY[i * r:(i + 1) * r] = basis.T @ (
+            Y if T is None else lift(T[:, i:i + 1], Y))
+    A = Rf @ UWY
+    del Rf, UWY
     lam, V = np.linalg.eig(A)
-    del Rf, A
+    del A
     order = np.lexsort((lam.imag, lam.real, np.abs(lam)))
     lam = lam[order]
     order = order[:_lift_count(lam, k, pinv_tol)]

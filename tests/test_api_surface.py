@@ -375,10 +375,11 @@ def test_call_sites_carry_their_branch():
 # The only Householder QRs of the package. Scalar SRBF pencils are reduced
 # by a Cholesky factor of U^T Q U (several times faster than numpy's QR on
 # tall matrices); only vector pencils, whose factor is close to
-# rank-deficient, and the non-symmetric solve take one, both through
-# spectral._householder, and so do the analytic frames.
+# rank-deficient, and the non-symmetric solve take one, a raw QR whose
+# reflectors spectral._householder keeps, and so do the analytic frames.
 HOUSEHOLDER_QR_SITES = {
-    ("spectral.py", "_householder", ()),
+    ("spectral.py", "solve_symmetric", ("not (scalar)",)),
+    ("spectral.py", "solve_nonsymmetric", ()),
     ("zoo.py", "analytic_projection", ()),
 }
 

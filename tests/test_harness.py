@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -123,6 +124,8 @@ def test_config_validation():
     (dict(method="DM", dm_K=10.5), "dm_K must be an integer"),
     (dict(projection="FirstOrder", K="40"), "K must be an integer"),
     (dict(method="DM", dm_epsilon="0.1"), "dm_epsilon must be a number"),
+    # a negative seed used to fail inside np.random.Philox, after the truth
+    (dict(seeds=[0, -1]), "seeds must be non-negative integers"),
 ])
 def test_bad_study_inputs_fail_before_any_work(kw, match, monkeypatch):
     def no_sampling(*args, **kwargs):
@@ -835,10 +838,13 @@ def test_covariant_demo_converges_faster_on_second_order_frames():
 # -- command line --------------------------------------------------------------
 
 
-def run_cli(*args):
+def run_cli(*args, env=None):
+    """stdout of the command line run with args in a child process, whose
+    environment adds env."""
     proc = subprocess.run([sys.executable, "-m", "manifold_rbf.cli",
                            *[str(a) for a in args]],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True,
+                          env=None if env is None else {**os.environ, **env})
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
 
@@ -1195,3 +1201,26 @@ def test_cli_spectrum_determinism(tmp_path):
                  "run_N100_seed0_alignment.csv"):
         assert (tmp_path / "a" / name).read_bytes() \
             == (tmp_path / "b" / name).read_bytes()
+
+
+@pytest.mark.parametrize("study", [
+    ("--manifold", "torus", "--a", "2.0", "--method", "SRBF",
+     "--projection", "SecondOrder", "--density", "KDE"),
+    ("--manifold", "sphere", "--method", "NRBF", "--operator", "Hodge"),
+], ids=["torus-srbf-lb", "sphere-nrbf-hodge"])
+def test_spectra_agree_across_blas_thread_counts(study, tmp_path):
+    # OpenBLAS splits its products by thread count, so a study's CSV bytes
+    # differ between 1 and 2 threads; its values agree to rounding
+    # (measured: 1.9e-10 and 1.7e-10 of the largest |value|)
+    spectra = []
+    for threads in ("1", "2"):
+        run_cli("spectrum", *study, "--N", 400, "--seed", 4,
+                "--mode", "random_area", "--kernel", "inverse_quadratic",
+                "--s", 0.5, "--compare-count", 4,
+                "--out-dir", tmp_path / threads,
+                env={"OPENBLAS_NUM_THREADS": threads})
+        table = np.loadtxt(tmp_path / threads / "run_N400_seed4_spectrum.csv",
+                           delimiter=",")
+        spectra.append(table[:, 1] + 1j * table[:, 2])
+    one, two = spectra
+    assert np.abs(one - two).max() <= 1e-8 * np.abs(one).max()

@@ -1,8 +1,9 @@
 """Properties that hold for any cloud: frame-gauge, rigid-motion and
 permutation invariance of the SRBF spectra, frame-gauge and permutation
-invariance of the NRBF vector spectra, symmetry and semi-definiteness of
-the pencils, constants in the Laplace-Beltrami kernel, orthonormality of
-the lifted eigenvectors, and the degenerate-Jacobian check."""
+invariance of the NRBF vector spectra, invariance of the operators under a
+far translation, symmetry and semi-definiteness of the pencils, constants
+in the Laplace-Beltrami kernel, orthonormality of the lifted
+eigenvectors, and the degenerate-Jacobian check."""
 
 import math
 
@@ -16,8 +17,10 @@ from manifold_rbf.scalar_ops import (build_grad_matrices,
                                      laplace_beltrami_symmetric)
 from manifold_rbf.spectral import lift, solve_nonsymmetric, solve_symmetric
 from manifold_rbf.tangent import ProjectionField
-from manifold_rbf.vector_ops import bochner, hodge, lichnerowicz
-from manifold_rbf.zoo import (PointCloud, Sphere, analytic_projection,
+from manifold_rbf.vector_ops import (bochner, covariant_derivative, hodge,
+                                     lichnerowicz)
+from manifold_rbf.zoo import (Ellipse, PointCloud, Sphere,
+                              analytic_projection, ellipse_covariant_truth,
                               embed, sample_manifold)
 
 N = 60
@@ -81,13 +84,14 @@ def test_frame_gauge_leaves_srbf_spectra_unchanged(seed):
         assert_same_spectrum(a, b)
 
 
-def assert_same_values(a, b, rel):
+def assert_same_values(a, b, rel, scale=None):
     # complex spectra, whose order near-ties may swap: every value of each
-    # lies within rel of the largest |value| from one of the other
+    # lies within rel of scale (the largest |value| of a by default) from
+    # one of the other
     assert a.shape == b.shape
     gap = np.abs(a[:, None] - b[None, :])
     assert max(gap.min(axis=0).max(), gap.min(axis=1).max()) <= \
-        rel * np.abs(a).max()
+        rel * (np.abs(a).max() if scale is None else scale)
 
 
 @given(SEEDS)
@@ -148,6 +152,44 @@ def test_rigid_motion_and_permutation_leave_lb_spectrum_unchanged(seed):
     assert np.all(gap <= 1e-10 * scale +
                   8 * np.finfo(float).eps * kappa * np.abs(base))
     assert gap[:N // 2].max() <= 1e-12 * scale
+
+
+def test_a_far_translation_leaves_the_operators_unchanged():
+    # the operators depend on differences x_j - x_k alone; a cloud moved by
+    # 1e6 keeps only its rounding, about 2e-10 of the sphere's radius. The
+    # leading 15 nontrivial values moved by 5.8e-13 (SRBF LB) and 1.8e-12
+    # (NRBF Hodge) of the largest, the covariant derivative on the ellipse
+    # by 3.6e-10 of its largest entry; 4.8e-9, 3.1e-8 and 6.4e-9 while the
+    # brackets were formed on raw coordinates (measured)
+    cloud = sample_manifold(Sphere(), 400, seed=4, mode="random_area")
+    proj = analytic_projection(cloud)
+    model = KernelModel("inverse_quadratic", 0.5)
+
+    def leading(points):
+        system = build_system(PointCloud(points=points, intrinsic=None,
+                                         spec=None), model)
+        ops = build_grad_matrices(system, proj)
+        out = []
+        for res in (solve_symmetric(laplace_beltrami_symmetric(
+                        ops, np.ones(len(points))), 1),
+                    solve_nonsymmetric(hodge("NRBF", ops), ops.U, 1,
+                                       range_basis=proj.frames)):
+            lam = res.all_values
+            out.append((lam[np.abs(lam) >= res.trivial_cutoff][:15],
+                        np.abs(lam).max()))
+        return out
+
+    for (a, scale), (b, _) in zip(leading(cloud.points),
+                                  leading(cloud.points + 1e6)):
+        assert_same_values(a, b, 1e-9, scale)
+    ellipse = sample_manifold(Ellipse(2.0), 200, seed=4, mode="random_area")
+    U, _truth = ellipse_covariant_truth(ellipse)
+    moved = PointCloud(points=ellipse.points + 1e6, intrinsic=None,
+                       spec=None)
+    a, b = (covariant_derivative(build_system(c, model),
+                                 analytic_projection(ellipse), U, U)
+            for c in (ellipse, moved))
+    assert np.abs(a - b).max() <= 2e-9 * np.abs(a).max()
 
 
 @given(SEEDS)
