@@ -161,11 +161,13 @@ def estimate_run_bytes(config, N, rank):
     cholesky or solve: 3 n^2 words for an n x n eigh). The estimate adds the
     same three parts:
     - Traced: the largest of Phi's build (4 N^2: the distances, their
-      scaled copy and two temporaries), the derivative stage (U, its scaled
-      copy and the d factors G_a, N x r each, with three row blocks of
-      rbf.ROW_BLOCK_BYTES: the kernel derivative and the brackets of two
-      directions; the covariant derivative runs on the ellipse, d = 1) and the
-      operator's stages below.
+      scaled copy and two temporaries) and the operator's stages below.
+      Every operator but SRBF LB first builds the whole factors G_a, a
+      derivative stage of (d + 2) N r words (U, its scaled copy and the d
+      factors, N x r each; the covariant derivative runs on the ellipse,
+      d = 1) plus the blocks of rbf.derivative_blocks: three N-wide row
+      blocks of rbf.ROW_BLOCK_BYTES (the kernel derivative and the
+      brackets of two directions).
     - Outside tracemalloc: the larger of eigh(Phi)'s 3 N^2 and the
       operator solve's own call.
     - One more N x N for the cloud, frames and truth columns, which weigh
@@ -174,12 +176,17 @@ def estimate_run_bytes(config, N, rank):
     The operator stages, with p = n r the trial dimension of a vector
     operator and m = min(d N, p):
     - Covariant derivative: none past its one factor.
-    - SRBF LB: the form, (d + 2) N r + 2 r^2 (U, the factors, one weighted
-      copy, the form and its update); the solve, 2 N r + 4 r^2 (U, the
-      scaled factor, the unreduced form, the Cholesky factor, A C and the
-      reduced form). The solver frees the unreduced form once it is
-      reduced, so it no longer sits beside the eigensolve; a form its caller
-      holds adds r^2 there, within the term as r <= N. eigh's 3 r^2 outside.
+    - SRBF LB: the form, 2 N r + 2 r^2 plus the three row blocks and the
+      d x rows x r block of derivatives it sums (U, its scaled copy, the
+      form and one X^T X product; it holds no factor G_a and no weighted
+      copy); the solve, the larger of 2 N r + 3 r^2 (U, the scaled
+      factor, the unreduced form, the reduced form's buffer and S^T S) and
+      N r + 4 r^2 (U, the two forms, the Cholesky factor and S^T S or
+      A C). The solver frees the unreduced form once it is reduced and
+      keeps the Cholesky factor in the reduced form's unread triangle, so
+      the eigensolve has U, the reduced form and its eigenvectors beside
+      it; a form its caller holds adds r^2, within the terms as r <= N.
+      eigh's 3 r^2 outside.
     - NRBF LB: the left factor, (d + 4) N r + r^2 (U, the factors, the
       N x r left factor, one ambient gradient and its product); the solve,
       5 N r + 4 r^2 (the left factor, U and its orthonormal basis, the
@@ -227,8 +234,6 @@ def estimate_run_bytes(config, N, rank):
         ncv = max(2 * _dm_mode_count(config, N) + 1, 20)
         return 8 * (N * (10 * K + 4 * ncv) + truth)
     traced, untraced = _operator_words(config, N, rank)
-    block = N * next(row_blocks(N)).stop
-    traced = max(traced, (config.manifold.d + 2) * N * rank + 3 * block)
     words = max(4 * N * N, traced) + max(3 * N * N, untraced) + N * N
     return 8 * (words + truth)
 
@@ -238,21 +243,25 @@ def _operator_words(config, N, r):
     estimate_run_bytes counts them."""
     n, d = config.manifold.n, config.manifold.d
     p = n * r
-    if config.operator == "Covariant":
-        return 0, 0
+    rows = next(row_blocks(N)).stop
+    blocks = 3 * N * rows
     if config.operator == "LB" and config.method == "SRBF":
-        return (max((d + 2) * N * r + 2 * r * r, 2 * N * r + 4 * r * r),
-                3 * r * r)
+        form = 2 * N * r + 2 * r * r + blocks + d * rows * r
+        return max(form, 2 * N * r + 3 * r * r, N * r + 4 * r * r), 3 * r * r
+    grads = (d + 2) * N * r + blocks
+    if config.operator == "Covariant":
+        return grads, 0
     if config.operator == "LB":
-        return (max((d + 4) * N * r + r * r, 5 * N * r + 4 * r * r),
+        return (max(grads, (d + 4) * N * r + r * r, 5 * N * r + 4 * r * r),
                 max(4 * r * r + 150 * r, N * r + 65 * r))
     m = min(d * N, p)
     if config.method == "SRBF":
         form = (d + 2) * N * r + 2 * (d + 1) * N * p + 2 * p * p
         solve = (N * r + p * p + d * N * p
                  + max(2 * d * N * p, 2 * m * p + 2 * m * m))
-        return max(form, solve), max(3 * m * m, d * N * p + 65 * m)
-    return (max((d + 1) * N * r + (d + 3) * N * p + r * p + n * n * N,
+        return (max(grads, form, solve),
+                max(3 * m * m, d * N * p + 65 * m))
+    return (max(grads, (d + 1) * N * r + (d + 3) * N * p + r * p + n * n * N,
                 N * r + 2 * d * N * p + m * p + d * N * m + 4 * m * m),
             max(4 * m * m + 150 * m, d * N * p + 65 * m))
 
@@ -468,12 +477,11 @@ def paired_mode_errors(result, truth_vals, candidates=None):
 
 
 def _form(config, ops, q):
-    """The configured operator built from ops: the left factor of an NRBF
-    operator, the pencil of an SRBF one. Every builder is a module name
-    looked up at call time."""
+    """The configured operator built from the derivative factors ops: the
+    left factor of an NRBF operator, the pencil of an SRBF vector one.
+    Every builder is a module name looked up at call time."""
     if config.operator == "LB":
-        return laplace_beltrami_nonsymmetric(ops) if config.method == "NRBF" \
-            else laplace_beltrami_symmetric(ops, q)
+        return laplace_beltrami_nonsymmetric(ops)
     form = {"Bochner": bochner, "Hodge": hodge,
             "Lich": lichnerowicz}[config.operator]
     return form(config.method, ops, q)
@@ -487,9 +495,13 @@ def _solve_rbf(config, op_cloud, proj, q):
     vector field on frame coordinates. The memory guard runs again at the
     real rank once Phi is factored.
 
-    The factors and the operator are built inside the solver's call and
-    bound to no name here, so the solver frees the unreduced form once it
-    has reduced it (the hand-over in spectral; CPython >= 3.11)."""
+    The SRBF Laplace-Beltrami pencil is summed over the row blocks of the
+    derivatives (scalar_ops.laplace_beltrami_symmetric), so it never holds
+    the whole factors G_a; every other operator is built from them
+    (build_grad_matrices, then _form). The factors and the operator are
+    built inside the solver's call and bound to no name here, so the
+    solver frees the unreduced form once it has reduced it (the hand-over
+    in spectral; CPython >= 3.11)."""
     system = build_system(op_cloud, config.kernel)
     check_memory(config, system.N, system.rank_L)
     tol = config.kernel.pinv_tol
@@ -502,6 +514,9 @@ def _solve_rbf(config, op_cloud, proj, q):
             _form(config, build_grad_matrices(system, proj), q),
             basis=system.U, pinv_tol=tol, k=k,
             range_basis=proj.frames if vector else None), system.rank_L
+    if not vector:
+        return solve_symmetric(laplace_beltrami_symmetric(system, proj, q),
+                               k, pinv_tol=tol), system.rank_L
     return solve_symmetric(
         _form(config, build_grad_matrices(system, proj), q), k,
         pinv_tol=tol), system.rank_L

@@ -5,11 +5,14 @@ scattered manifold samples is routinely near-singular (flat kernels,
 near-duplicate points), so it is factored as a truncated spectral
 pseudo-inverse Phi^+ = U diag(1/w) U^T with U the N x rank_L retained
 eigenvectors; Phi lives only while build_system factors it, and it is the
-only N x N matrix ever formed. derivative_matrices differentiates the
+only N x N matrix ever formed. derivative_blocks differentiates the
 interpolant along given directions at the nodes, so every operator built on
 it factors through U^T and has rank at most rank_L per field component; it
 takes the kernel derivatives a block of rows at a time (row_blocks), as
-density.kde_density takes its kernel sums.
+density.kde_density takes its kernel sums. It serves both consumers of the
+derivatives: derivative_matrices gathers its blocks into whole N x rank_L
+factors, and scalar_ops.laplace_beltrami_symmetric sums its weak form over
+them without ever holding a whole factor.
 
 Every distance of the package comes from one formula, squared_distances:
 the Gram form |x|^2 + |y|^2 - 2 x.y, one matrix product on coordinates
@@ -18,7 +21,7 @@ few eps times the squared radius of the cloud about that mean, not eps
 times |x - y|^2, so a distance near zero is known only to about sqrt(eps)
 times that radius. The kernels are flat there: on the benchmark studies the
 spectra agree with those of a coordinate-wise distance (scipy's cdist) to
-5e-10 of the largest eigenvalue. derivative_matrices forms its distances
+5e-10 of the largest eigenvalue. derivative_blocks forms its distances
 and its brackets t.(x_j - x_k) on the points centred at their mean, so a
 sphere cloud moved by 1e6 keeps its leading spectra to 2e-12 of the
 largest value (3e-8 with brackets on raw coordinates).
@@ -40,10 +43,12 @@ ROW_BLOCK_BYTES = 2 ** 21
 KERNELS = ("gaussian", "inverse_quadratic", "matern")
 
 
-def row_blocks(N, width=None, block_bytes=ROW_BLOCK_BYTES):
+def row_blocks(N, width=None, block_bytes=None):
     """Slices covering range(N) in order, each a block of rows of an N x
     width float64 stage (width N by default) that takes at most block_bytes
-    (at least one row)."""
+    (ROW_BLOCK_BYTES, read at the call, by default; at least one row)."""
+    if block_bytes is None:
+        block_bytes = ROW_BLOCK_BYTES
     step = max(1, block_bytes // (8 * (N if width is None else width)))
     for lo in range(0, N, step):
         yield slice(lo, min(lo + step, N))
@@ -202,32 +207,51 @@ def build_system(cloud, model):
                                w=w[idx], rank_L=len(idx))
 
 
-def derivative_matrices(system, directions):
-    """Factors G_a of the matrices D_a = G_a U^T, where (D_a f)_j is the
-    derivative of the interpolant of f at x_j along directions[j, :, a];
-    directions has shape (N, n, k).
+def derivative_blocks(system, directions, out=None):
+    """Row blocks of the factors G_a of the matrices D_a = G_a U^T, where
+    (D_a f)_j is the derivative of the interpolant of f at x_j along
+    directions[j, :, a]; directions has shape (N, n, k).
 
     D_a = (sum_m t_m(x_j) (X^m(x_j) - X^m(x_k)) phi'(r_jk)/r_jk) Phi^+ with
     t = directions[:, :, a]; the diagonal takes the analytic r -> 0 limit,
-    and the points are centred at their mean (see the module notes). The
-    bracket is formed for one block of rows j at a time and multiplied into
-    its rows of G_a, so no N x N matrix is allocated.
+    and the points are centred at their mean (see the module notes). Yields
+    (rows, block) for one slice of rows j at a time, in order, block[a]
+    holding G_a[rows]. With out, a (k, N, rank_L) array, block is out[:, rows];
+    without, it is a C-contiguous (k, rows, rank_L) buffer that the next
+    block overwrites. No N x N matrix is allocated.
     """
     points = system.points - system.points.mean(axis=0)
     coef = system.U / system.w[None, :]
-    out = [np.empty(coef.shape) for _ in range(directions.shape[2])]
+    k, r = directions.shape[2], coef.shape[1]
+    buf = None
     for rows in row_blocks(len(points)):
+        if out is not None:
+            block = out[:, rows]
+        else:
+            size = k * (rows.stop - rows.start) * r
+            if buf is None:
+                buf = np.empty(size)
+            block = buf[:size].reshape(k, -1, r)
         w = kernel_deriv_over_r(system.model, np.sqrt(
             squared_distances(points[rows], points)))
-        for a, G in enumerate(out):
+        for a in range(k):
             t = directions[rows, :, a]
             along = t @ points.T
             np.subtract(np.einsum("jm,jm->j", t, points[rows])[:, None],
                         along, out=along)
             along *= w
-            np.matmul(along, coef, out=G[rows])
-        del w, along               # before the next block's temporaries
-    return out
+            np.matmul(along, coef, out=block[a])
+        del w, along               # before the caller's work on the block
+        yield rows, block
+
+
+def derivative_matrices(system, directions):
+    """The factors G_a (N, rank_L) of derivative_blocks, whole: k views of
+    one (k, N, rank_L) array."""
+    G = np.empty((directions.shape[2],) + system.U.shape)
+    for _rows, _block in derivative_blocks(system, directions, G):
+        pass
+    return list(G)
 
 
 def blockwise(M, X):

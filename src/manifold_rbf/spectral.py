@@ -67,14 +67,26 @@ leading k nontrivial modes and the trivial ones before them. all_values
 still holds every mode.
 
 Each solver takes over the operator it is handed, and frees each part
-before the eigensolve: a factor once its raw QR exists, before the
-reflectors are built, the unreduced symmetric form once it is reduced, the
-non-symmetric reflectors once the thin Q is formed. Neither writes to its
-arguments: an operator its caller still holds stays intact, and alive. The
-saving needs the caller to pass the operator as a temporary (see
-harness._solve_rbf), and CPython >= 3.11, which moves call arguments into
-the callee's frame; older versions keep them on the caller's stack until
-the call returns, and the peak with them.
+before the eigensolve:
+- a factor once its raw QR exists, before the reflectors are built;
+- the unreduced symmetric form once it is reduced;
+- a scalar pencil's Cholesky factor C: numpy.linalg.eigh reads only the
+  lower triangle of its input (UPLO="L"), so C^T is kept in the strict
+  upper triangle of the reduced form and its diagonal in a vector, and the
+  lift unpacks C^T there, in place;
+- the non-symmetric reflectors once the thin Q is formed.
+The scalar reduction also orders its buffers: the reduced form's is taken
+first, and S = B^{-1/2} R goes before the Cholesky factor is formed, so
+glibc's heap holds U, the reduced form and then one free run, into which
+eigh's copy and work fit. On the n = 21 general torus (N = 1200,
+r = 1042; two cores, two BLAS threads) this left the process peak at that
+of Phi's eigh, 120.5 MiB, where freeing the same arrays in the order they
+fall due read 127.6 MiB.
+Neither solver writes to its arguments: an operator its caller still
+holds stays intact, and alive. The saving needs the caller to pass the
+operator as a temporary (see harness._solve_rbf), and CPython >= 3.11,
+which moves call arguments into the callee's frame; older versions keep
+them on the caller's stack until the call returns, and the peak with them.
 
 Eigenvector error metric: relative discrete L2 norm after ordinary
 least-squares alignment of the estimated modes onto the truth columns; this
@@ -234,10 +246,15 @@ def solve_symmetric(pair, k, pinv_tol=1e-8):
     _check_count(k, len(b))
     scale = 1.0 / np.sqrt(b)
     if scalar:
+        # the reduced form's buffer is taken before the reduction's
+        # temporaries (see the module notes on the hand-over)
+        reduced = np.empty(A.shape)
         S = scale[:, None] * R
-        C = np.linalg.cholesky(S.T @ S)
+        gram = S.T @ S
         del S                      # rebuilt for the lift, after the eigh
-        A = C.T @ (A @ C)
+        C = np.linalg.cholesky(gram)
+        del gram
+        A = np.matmul(C.T, A @ C, out=reduced)
     else:
         h, tau = np.linalg.qr(scale[:, None] * R, mode="raw")
         del R                      # the lift goes through the reflectors
@@ -248,12 +265,20 @@ def solve_symmetric(pair, k, pinv_tol=1e-8):
     # the reduced form is this solve's own: symmetrise it in place
     A += A.T
     A *= 0.5
-    lam, Z = np.linalg.eigh(A)
-    del A
+    if scalar:
+        # C^T waits in the strict upper triangle, which eigh does not read,
+        # and its diagonal in a vector (see the module notes)
+        np.copyto(A, C.T, where=~np.tri(len(A), dtype=bool))
+        diag = C.diagonal().copy()
+        del C
+    lam, Z = np.linalg.eigh(A, UPLO="L")
     Z = Z[:, :_lift_count(lam, k, pinv_tol)]
     if scalar:
-        V = (scale[:, None] * R) @ _back_substitute(C.T, Z)
+        A[np.tri(len(A), dtype=bool)] = 0.0
+        np.fill_diagonal(A, diag)              # A is C^T again
+        V = (scale[:, None] * R) @ _back_substitute(A, Z)
     else:
+        del A
         V = _apply_q(H, M, Z)
     V *= scale[:, None]
     return symmetric_result(lam, V, pinv_tol, len(b) - len(lam))

@@ -264,6 +264,8 @@ def sample_manifold(spec, N, seed=0, mode="random_intrinsic"):
     """
     if N < 1:
         raise ValueError("N must be >= 1")
+    if config_number("seed", seed, integral=True) < 0:
+        raise ValueError("seed must be a non-negative integer")
     if mode not in SAMPLE_MODES:
         raise ValueError(f"sampling mode {mode!r} not in {SAMPLE_MODES}")
     lo, hi = np.array(intrinsic_box(spec)).T

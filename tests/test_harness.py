@@ -650,28 +650,42 @@ def test_alignment_gate_scores_the_window_as_each_mode_alone(method):
 def test_srbf_solve_frees_the_unreduced_form_before_its_eigensolve(
         monkeypatch):
     # _solve_rbf hands the pencil over: by the eigensolve of the reduced
-    # form, nothing holds the form laplace_beltrami_symmetric returned
+    # form, nothing holds the form laplace_beltrami_symmetric returned, nor
+    # the Cholesky factor that reduced it; the form is summed over row
+    # blocks, so no whole derivative factor is built
     N = 200
     cfg = make_config(method="SRBF", N_list=[N])
     op_cloud, proj = harness.build_projection(cfg, N, 0)
     q = harness.build_density(cfg, op_cloud)
     build, eigh = harness.laplace_beltrami_symmetric, np.linalg.eigh
-    forms, alive = [], []
+    cholesky = np.linalg.cholesky
+    forms, factors, alive = [], [], []
 
-    def tracked_form(ops, q):
-        pair = build(ops, q)
+    def tracked_form(system, proj, q):
+        pair = build(system, proj, q)
         forms.append(weakref.ref(pair.A))
         return pair
 
+    def tracked_cholesky(a, *args, **kwargs):
+        C = cholesky(a, *args, **kwargs)
+        factors.append(weakref.ref(C))
+        return C
+
     def checked_eigh(a, *args, **kwargs):
         if forms:                   # Phi's eigh comes before any form
-            alive.append(forms[0]() is not None)
+            alive.append([ref() is not None for ref in forms + factors])
         return eigh(a, *args, **kwargs)
 
+    def no_factors(*args, **kwargs):
+        raise AssertionError("SRBF LB built the whole derivative factors")
+
     monkeypatch.setattr(harness, "laplace_beltrami_symmetric", tracked_form)
+    monkeypatch.setattr(harness, "build_grad_matrices", no_factors)
+    monkeypatch.setattr(np.linalg, "cholesky", tracked_cholesky)
     monkeypatch.setattr(np.linalg, "eigh", checked_eigh)
     result, rank = harness._solve_rbf(cfg, op_cloud, proj, q)
-    assert alive == [False]
+    assert len(factors) == 1
+    assert alive == [[False, False]]
     assert result.solve_dim == rank
 
 
@@ -943,6 +957,17 @@ def test_cli_tangent_checks_k_before_sampling(tmp_path, monkeypatch):
         cli.main(["tangent", "--manifold", "sphere", "--N", "50",
                   "--K", "60", "--order", "1",
                   "--out", str(tmp_path / "proj.npz")])
+
+
+@pytest.mark.parametrize("command", ["sample", "tangent"])
+def test_cli_refuses_a_negative_seed(command, tmp_path):
+    # a negative seed used to end in np.random.Philox's own error
+    out = tmp_path / "out.csv"
+    with pytest.raises(ValueError, match="seed must be a non-negative "
+                                         "integer"):
+        cli.main([command, "--manifold", "sphere", "--N", "60",
+                  "--seed", "-1", "--out", str(out)])
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cli_spectrum_and_config_file(tmp_path):

@@ -1,10 +1,12 @@
 """Tangential derivative matrices and the two discrete Laplacians."""
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from manifold_rbf import rbf
 from manifold_rbf.rbf import KernelModel, build_system, derivative_matrices
 from manifold_rbf.scalar_ops import (ScalarOperatorSet, ambient_gradient,
                                      build_grad_matrices,
@@ -25,7 +27,7 @@ def circle_ops():
     system = build_system(cloud, KernelModel("inverse_quadratic", 1.5))
     ops = build_grad_matrices(system, proj)
     q = sampling_density(cloud)
-    return cloud, ops, q
+    return cloud, system, ops, q
 
 
 def plane_system(N=150, seed=3, s=0.02):
@@ -49,14 +51,14 @@ def plane_system(N=150, seed=3, s=0.02):
 
 
 def test_gradient_of_constant_near_zero(circle_ops):
-    _, ops, _ = circle_ops
+    _, _, ops, _ = circle_ops
     one = ops.U.T @ np.ones(ops.N)      # D_a = G_a U^T
     for Gi in ops.G:
         assert np.abs(Gi @ one).max() <= 1e-3
 
 
 def test_circle_sine_gradient(circle_ops):
-    cloud, ops, _ = circle_ops
+    cloud, _, ops, _ = circle_ops
     theta = np.arctan2(cloud.points[:, 1], cloud.points[:, 0])
     f = ops.U.T @ np.sin(theta)
     got = np.column_stack([ambient_gradient(ops, i) @ f for i in range(2)])
@@ -77,12 +79,13 @@ def test_plane_linear_gradient():
 
 
 def test_grad_requires_matching_cloud(circle_ops):
-    cloud, ops, _ = circle_ops
+    _, system, ops, q = circle_ops
     short = ProjectionField(frames=ops.proj.frames[:100], source="analytic",
                             K_used=0)
-    system = build_system(cloud, KernelModel("inverse_quadratic", 1.5))
     with pytest.raises(ValueError):
         build_grad_matrices(system, short)
+    with pytest.raises(ValueError):
+        laplace_beltrami_symmetric(system, short, q)
 
 
 def test_frame_gradient_matches_projected_ambient():
@@ -107,14 +110,14 @@ def test_frame_gradient_matches_projected_ambient():
 
 
 def test_nonsymmetric_constant_near_harmonic(circle_ops):
-    _, ops, _ = circle_ops
+    _, _, ops, _ = circle_ops
     L = laplace_beltrami_nonsymmetric(ops)      # L U^T is the operator
     assert np.abs(L @ (ops.U.T @ np.ones(ops.N))).max() <= 1e-2
 
 
 def test_circle_spectrum_squares(circle_ops):
     # unit circle Laplacian spectrum is k^2 with multiplicity 2
-    _, ops, _ = circle_ops
+    _, _, ops, _ = circle_ops
     L = laplace_beltrami_nonsymmetric(ops)
     res = solve_nonsymmetric(L, basis=ops.U, k=ops.N)
     vals = res.nontrivial_values()[:6]
@@ -126,64 +129,79 @@ def test_circle_spectrum_squares(circle_ops):
 
 
 def test_symmetric_A_exactly_symmetric(circle_ops):
-    _, ops, q = circle_ops
-    pair = laplace_beltrami_symmetric(ops, q)
+    _, system, ops, q = circle_ops
+    pair = laplace_beltrami_symmetric(system, ops.proj, q)
     assert np.array_equal(pair.A, pair.A.T)
     assert pair.B_diag is not None and np.all(pair.B_diag > 0)
 
 
-def test_symmetric_form_sums_the_weighted_grams():
-    # one weighted buffer serves every direction, with the same bits as a
-    # fresh copy per direction
-    cloud = sample_manifold(Sphere(), 120, seed=1, mode="random_area")
-    system = build_system(cloud, KernelModel("inverse_quadratic", 0.5))
-    ops = build_grad_matrices(system, analytic_projection(cloud))
-    q = np.random.default_rng(1).uniform(0.5, 2.0, cloud.N)
+@pytest.mark.parametrize("family,s", [("inverse_quadratic", 0.5),
+                                      ("gaussian", 2.0)])
+def test_streamed_form_equals_the_weighted_grams(family, s, monkeypatch):
+    # the form is summed over the row blocks of the derivatives: at the
+    # default blocks and at one row per block it equals the whole-factor
+    # Grams of the same blocks to rounding (measured: at most 8e-16
+    # relative Frobenius) and is exactly symmetric. The block size itself
+    # moves the factors G_a by rounding amplified by Phi^+, as any
+    # reordering of their products does (measured: 6e-4 eps kappa(Phi))
+    N = 120
+    cloud = sample_manifold(Sphere(), N, seed=1, mode="random_area")
+    proj = analytic_projection(cloud)
+    system = build_system(cloud, KernelModel(family, s))
+    q = np.random.default_rng(1).uniform(0.5, 2.0, N)
     root = np.sqrt(1.0 / q)[:, None]
-    want = 0.0
-    for Ga in ops.G:
-        X = root * Ga
-        want += X.T @ X
-    assert len(ops.G) == 2
-    assert np.array_equal(laplace_beltrami_symmetric(ops, q).A, want)
+    forms = []
+    for block_bytes in (rbf.ROW_BLOCK_BYTES, 8 * N):
+        monkeypatch.setattr(rbf, "ROW_BLOCK_BYTES", block_bytes)
+        want = sum((root * Ga).T @ (root * Ga)
+                   for Ga in build_grad_matrices(system, proj).G)
+        A = laplace_beltrami_symmetric(system, proj, q).A
+        assert np.array_equal(A, A.T)
+        assert np.linalg.norm(A - want) <= 1e-13 * np.linalg.norm(want)
+        forms.append(A)
+    assert len(list(rbf.row_blocks(N))) == N
+    kappa = system.sigma[0] / system.sigma[-1]
+    assert np.linalg.norm(forms[0] - forms[1]) <= \
+        np.finfo(float).eps * kappa * np.linalg.norm(forms[0])
 
 
 def test_symmetric_psd(circle_ops):
-    _, ops, q = circle_ops
-    pair = laplace_beltrami_symmetric(ops, q)
+    _, system, ops, q = circle_ops
+    pair = laplace_beltrami_symmetric(system, ops.proj, q)
     lam = np.linalg.eigvalsh(pair.A)
     assert lam.min() >= -1e-8 * np.abs(lam).max()
 
 
 def test_symmetric_rejects_bad_density(circle_ops):
-    _, ops, q = circle_ops
+    _, system, ops, q = circle_ops
     bad = q.copy()
     bad[7] = 0.0
     with pytest.raises(ValueError):
-        laplace_beltrami_symmetric(ops, bad)
+        laplace_beltrami_symmetric(system, ops.proj, bad)
     with pytest.raises(ValueError):
-        laplace_beltrami_symmetric(ops, q[:-1])
+        laplace_beltrami_symmetric(system, ops.proj, q[:-1])
     bad[7] = np.nan
     with pytest.raises(ValueError):
-        laplace_beltrami_symmetric(ops, bad)
+        laplace_beltrami_symmetric(system, ops.proj, bad)
     with pytest.raises(ValueError):
-        laplace_beltrami_symmetric(ops, None)
+        laplace_beltrami_symmetric(system, ops.proj, None)
 
 
 def test_constant_density_cancels(circle_ops):
     # q = c: generalized eigenvalues equal plain eigenvalues of sum G_i^T G_i
-    _, ops, _ = circle_ops
+    _, system, ops, _ = circle_ops
     plain = np.linalg.eigvalsh(sum(Da.T @ Da for Da in ops.G))
     for c in (1.0, 0.25):
-        pair = laplace_beltrami_symmetric(ops, np.full(ops.N, c))
+        pair = laplace_beltrami_symmetric(system, ops.proj,
+                                          np.full(ops.N, c))
         res = solve_symmetric(pair, k=ops.N)
         assert np.allclose(np.sort(res.values), np.sort(plain),
                            atol=1e-8 * max(1.0, plain.max()))
 
 
 def test_b_orthogonal_eigenvectors(circle_ops):
-    _, ops, q = circle_ops
-    pair = laplace_beltrami_symmetric(ops, q)
+    _, system, ops, q = circle_ops
+    pair = laplace_beltrami_symmetric(system, ops.proj, q)
     res = solve_symmetric(pair, k=40)
     V = res.vectors[:, :40]
     gram = V.T @ (pair.B_diag[:, None] * V)
@@ -191,16 +209,20 @@ def test_b_orthogonal_eigenvectors(circle_ops):
 
 
 def test_scaling_covariance(circle_ops):
-    # G_i -> c G_i multiplies both spectra by c^2
-    _, ops, q = circle_ops
+    # G_i -> c G_i (w -> w / c in Phi^+) multiplies both spectra by c^2
+    _, system, ops, q = circle_ops
     c = 3.0
     scaled = ScalarOperatorSet(G=[c * Gi for Gi in ops.G], proj=ops.proj,
                                U=ops.U)
     L = laplace_beltrami_nonsymmetric(ops)
     Ls = laplace_beltrami_nonsymmetric(scaled)
     assert np.allclose(Ls, c ** 2 * L, atol=1e-10)
-    lam = solve_symmetric(laplace_beltrami_symmetric(ops, q), k=10).values
-    lam_s = solve_symmetric(laplace_beltrami_symmetric(scaled, q), k=10).values
+    scaled_system = replace(system, w=system.w / c)
+    lam = solve_symmetric(laplace_beltrami_symmetric(system, ops.proj, q),
+                          k=10).values
+    lam_s = solve_symmetric(laplace_beltrami_symmetric(scaled_system,
+                                                       ops.proj, q),
+                            k=10).values
     assert np.allclose(lam_s, c ** 2 * lam, atol=1e-7 * max(1.0, lam_s.max()))
 
 
@@ -214,7 +236,7 @@ def test_formulation_consistency_grid_circle():
     L = laplace_beltrami_nonsymmetric(ops)
     nrbf = np.abs(solve_nonsymmetric(L, basis=ops.U, k=400)
                   .nontrivial_values()[:5])
-    pair = laplace_beltrami_symmetric(ops, sampling_density(cloud))
+    pair = laplace_beltrami_symmetric(system, proj, sampling_density(cloud))
     srbf = solve_symmetric(pair, k=400).nontrivial_values()[:5]
     assert np.abs(nrbf - srbf).max() / srbf.max() <= 5e-2
 
@@ -225,7 +247,7 @@ def test_sphere_grid_symmetric_spectrum():
     proj = analytic_projection(cloud)
     system = build_system(cloud, KernelModel("inverse_quadratic", 0.5))
     ops = build_grad_matrices(system, proj)
-    pair = laplace_beltrami_symmetric(ops, sampling_density(cloud))
+    pair = laplace_beltrami_symmetric(system, proj, sampling_density(cloud))
     res = solve_symmetric(pair, k=1024)
     assert res.trivial[0] and abs(res.values[0]) <= 1e-8
     vals = res.nontrivial_values()[:8]
@@ -252,8 +274,8 @@ def test_duplicated_points_give_structural_zeros():
     ops = build_grad_matrices(system, proj)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        srbf = solve_symmetric(laplace_beltrami_symmetric(ops, np.ones(180)),
-                               180)
+        srbf = solve_symmetric(laplace_beltrami_symmetric(system, proj,
+                                                          np.ones(180)), 180)
         nrbf = solve_nonsymmetric(laplace_beltrami_nonsymmetric(ops),
                                   basis=ops.U, k=180)
     for res in (srbf, nrbf):

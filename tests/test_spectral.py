@@ -236,7 +236,7 @@ def test_nonsymmetric_hodge_modes_have_rounding_residuals(sphere_ops):
     # values below 1e-8 of the largest: a slip in applying the reflectors
     # shows here (measured: 4.4e-13 with numpy's thin Q, 3.6e-13 with the
     # reflectors)
-    ops, q = sphere_ops
+    _system, ops, q = sphere_ops
     F = hodge("NRBF", ops, q)
     T = ops.proj.frames
     res = solve_nonsymmetric(F, basis=ops.U, k=len(F), range_basis=T)
@@ -264,19 +264,20 @@ def test_factored_nonsymmetric_rejects_mismatched_basis():
 
 @pytest.fixture(scope="module")
 def sphere_ops():
-    """The derivative matrices of a 150-point sphere cloud and a
-    non-constant density q in [0.5, 2] on it."""
+    """The interpolation system and derivative matrices of a 150-point
+    sphere cloud and a non-constant density q in [0.5, 2] on it."""
     cloud = sample_manifold(Sphere(), 150, seed=3, mode="random_area")
     system = build_system(cloud, KernelModel("inverse_quadratic", 0.5))
     ops = build_grad_matrices(system, analytic_projection(cloud))
-    return ops, np.random.default_rng(3).uniform(0.5, 2.0, cloud.N)
+    return system, ops, np.random.default_rng(3).uniform(0.5, 2.0, cloud.N)
 
 
 @pytest.fixture(scope="module")
 def sphere_pencils(sphere_ops):
     """The SRBF Laplace-Beltrami and Hodge pencils of sphere_ops."""
-    ops, q = sphere_ops
-    return laplace_beltrami_symmetric(ops, q), hodge("SRBF", ops, q)
+    system, ops, q = sphere_ops
+    return (laplace_beltrami_symmetric(system, ops.proj, q),
+            hodge("SRBF", ops, q))
 
 
 def ref_householder(pair):

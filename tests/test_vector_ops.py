@@ -405,11 +405,11 @@ def sphere_small():
     system = build_system(cloud, KernelModel("inverse_quadratic", 0.4))
     ops = build_grad_matrices(system, proj)
     q = np.random.default_rng(5).uniform(0.5, 2.0, cloud.N)
-    return ops, q
+    return ops, q, system
 
 
 def test_dense_blocks_match_references(sphere_small):
-    ops, _q = sphere_small
+    ops, _q, _system = sphere_small
     G = dense_gradients(ops)
     assert np.array_equal(potimes_matrix(ops), ref_potimes(ops))
     for i in range(ops.n):
@@ -505,7 +505,7 @@ def dense_form(ops, q, method, name):
 @pytest.mark.parametrize("method", ["NRBF", "SRBF"])
 @pytest.mark.parametrize("name", ["lb"] + sorted(LAPLACIANS), ids=form_id)
 def test_reduced_spectrum_matches_dense_solve(sphere_small, method, name):
-    ops, q = sphere_small
+    ops, q, system = sphere_small
     U = ops.U
     dense = dense_form(ops, q, method, name)
     T = None if name == "lb" else ops.proj.frames
@@ -515,8 +515,8 @@ def test_reduced_spectrum_matches_dense_solve(sphere_small, method, name):
         res = solve_nonsymmetric(F, basis=U, k=len(F), range_basis=T)
         full = np.linalg.eigvals(dense)
     else:
-        pair = laplace_beltrami_symmetric(ops, q) if name == "lb" else \
-            FORMS[name]("SRBF", ops, q)
+        pair = laplace_beltrami_symmetric(system, ops.proj, q) \
+            if name == "lb" else FORMS[name]("SRBF", ops, q)
         res = solve_symmetric(pair, len(pair.B_diag))
         full = solve_symmetric(dense, len(dense.B_diag)).all_values
     m = 1 if name == "lb" else 3

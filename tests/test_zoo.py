@@ -86,6 +86,17 @@ def test_sampler_rejects_nonpositive_N():
         sample_manifold(Sphere(), 0)
 
 
+@pytest.mark.parametrize("seed,message", [
+    (-1, "seed must be a non-negative integer"),
+    (1.5, "seed must be an integer"), (True, "seed must be an integer"),
+])
+def test_sampler_refuses_a_seed_philox_cannot_take(seed, message):
+    # grid mode draws nothing, and refuses it all the same
+    for mode in zoo.SAMPLE_MODES:
+        with pytest.raises(ValueError, match=message):
+            sample_manifold(Sphere(), 16, seed=seed, mode=mode)
+
+
 def test_sampler_names_its_modes_when_refusing_one():
     with pytest.raises(ValueError, match=re.escape(str(zoo.SAMPLE_MODES))):
         sample_manifold(Sphere(), 10, mode="random")
