@@ -12,9 +12,9 @@ validation.
 
 from .density import kde_density, silverman_bandwidth
 from .dm import autotune_epsilon, dm_laplacian, dm_spectrum
-from .harness import (ExperimentConfig, Report, RunRecord, alignment_gate,
-                      fit_convergence_slope, paired_mode_errors,
-                      run_experiment)
+from .harness import (ExperimentConfig, MemoryRefusal, Report, RunRecord,
+                      alignment_gate, fit_convergence_slope,
+                      paired_mode_errors, run_experiment)
 from .rbf import (InterpolationSystem, KernelModel, build_system,
                   derivative_matrices, kernel_eval)
 from .scalar_ops import (GeneralizedPair, ScalarOperatorSet,

@@ -14,7 +14,8 @@ Subcommands, with the files they write [and the schema of each table]:
   truth       analytic eigenvalues and multiplicities: --out or stdout
               [truth-v2]
 Every table comes from spectral.write_table and reads back with
-np.loadtxt(path, delimiter=",").
+np.loadtxt(path, delimiter=","). A refused input or run prints
+`manifold-rbf: error: <message>` on stderr and exits with status 2.
 
 A study's values merge key by key, in the manifold and kernel blocks too:
 flags over the --config file, the file over the command's study defaults.
@@ -299,7 +300,11 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, harness.MemoryRefusal) as exc:
+        print(f"manifold-rbf: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -162,12 +162,12 @@ def estimate_run_bytes(config, N, rank):
     same three parts:
     - Traced: the largest of Phi's build (4 N^2: the distances, their
       scaled copy and two temporaries) and the operator's stages below.
-      Every operator but SRBF LB first builds the whole factors G_a, a
-      derivative stage of (d + 2) N r words (U, its scaled copy and the d
-      factors, N x r each; the covariant derivative runs on the ellipse,
-      d = 1) plus the blocks of rbf.derivative_blocks: three N-wide row
-      blocks of rbf.ROW_BLOCK_BYTES (the kernel derivative and the
-      brackets of two directions).
+      The derivatives stream through three N-wide row blocks of
+      rbf.ROW_BLOCK_BYTES (the kernel derivative and the brackets of two
+      directions) beside U and its scaled copy; an SRBF form holds one
+      block's d x rows x r derivatives, and the NRBF operators and the
+      covariant derivative (on the ellipse, d = 1) gather the d whole
+      factors G_a, (d + 2) N r words with U and its copy.
     - Outside tracemalloc: the larger of eigh(Phi)'s 3 N^2 and the
       operator solve's own call.
     - One more N x N for the cloud, frames and truth columns, which weigh
@@ -176,17 +176,15 @@ def estimate_run_bytes(config, N, rank):
     The operator stages, with p = n r the trial dimension of a vector
     operator and m = min(d N, p):
     - Covariant derivative: none past its one factor.
-    - SRBF LB: the form, 2 N r + 2 r^2 plus the three row blocks and the
-      d x rows x r block of derivatives it sums (U, its scaled copy, the
-      form and one X^T X product; it holds no factor G_a and no weighted
-      copy); the solve, the larger of 2 N r + 3 r^2 (U, the scaled
-      factor, the unreduced form, the reduced form's buffer and S^T S) and
-      N r + 4 r^2 (U, the two forms, the Cholesky factor and S^T S or
-      A C). The solver frees the unreduced form once it is reduced and
-      keeps the Cholesky factor in the reduced form's unread triangle, so
-      the eigensolve has U, the reduced form and its eigenvectors beside
-      it; a form its caller holds adds r^2, within the terms as r <= N.
-      eigh's 3 r^2 outside.
+    - SRBF LB: the form, 2 r^2 beside the streamed derivatives (the form
+      and one X^T X product); the solve, the larger of 2 N r + 3 r^2 (U,
+      the scaled factor, the unreduced form, the reduced form's buffer and
+      S^T S) and N r + 4 r^2 (U, the two forms, the Cholesky factor and
+      S^T S or A C). The solver frees the unreduced form once it is
+      reduced and keeps the Cholesky factor in the reduced form's unread
+      triangle, so the eigensolve has U, the reduced form and its
+      eigenvectors beside it; a form its caller holds adds r^2, within the
+      terms as r <= N. eigh's 3 r^2 outside.
     - NRBF LB: the left factor, (d + 4) N r + r^2 (U, the factors, the
       N x r left factor, one ambient gradient and its product); the solve,
       5 N r + 4 r^2 (the left factor, U and its orthonormal basis, the
@@ -195,10 +193,10 @@ def estimate_run_bytes(config, N, rank):
       R, M, the identity and M^{-1} V^T, 4 N r + 4 r^2 with the left
       factor and U); outside, the larger of eig's 4 r^2 + 150 r and the
       raw QR's N r + 65 r.
-    - SRBF vector pencils: the form, (d + 2) N r + 2 (d + 1) N p + 2 p^2
-      (U, the factors, one weighted copy, the frame-coordinate parts, the
-      d N x p factor before and after stacking, the p x p form and its
-      update); the solve, N r + p^2 + d N p + max(2 d N p, 2 m p + 2 m^2)
+    - SRBF vector pencils: the form, 4 rows p + 2 p^2 beside the streamed
+      derivatives (the part summed, the next, its swapped companion and
+      that times its sign, rows x p each; the form and one X^T X); the
+      solve, N r + p^2 + d N p + max(2 d N p, 2 m p + 2 m^2)
       (U, the form and either the factor, its scaled copy and the QR's
       factored copy of that, or the reflectors in the factored copy with
       R, R A, M and the reduced m x m form; M, the form, its symmetrising
@@ -243,24 +241,24 @@ def _operator_words(config, N, r):
     estimate_run_bytes counts them."""
     n, d = config.manifold.n, config.manifold.d
     p = n * r
+    m = min(d * N, p)
     rows = next(row_blocks(N)).stop
     blocks = 3 * N * rows
-    if config.operator == "LB" and config.method == "SRBF":
-        form = 2 * N * r + 2 * r * r + blocks + d * rows * r
-        return max(form, 2 * N * r + 3 * r * r, N * r + 4 * r * r), 3 * r * r
     grads = (d + 2) * N * r + blocks
     if config.operator == "Covariant":
         return grads, 0
+    if config.method == "SRBF":
+        stream = 2 * N * r + blocks + d * rows * r
+        if config.operator == "LB":
+            return (max(stream + 2 * r * r, 2 * N * r + 3 * r * r,
+                        N * r + 4 * r * r), 3 * r * r)
+        solve = (N * r + p * p + d * N * p
+                 + max(2 * d * N * p, 2 * m * p + 2 * m * m))
+        return (max(stream + 4 * rows * p + 2 * p * p, solve),
+                max(3 * m * m, d * N * p + 65 * m))
     if config.operator == "LB":
         return (max(grads, (d + 4) * N * r + r * r, 5 * N * r + 4 * r * r),
                 max(4 * r * r + 150 * r, N * r + 65 * r))
-    m = min(d * N, p)
-    if config.method == "SRBF":
-        form = (d + 2) * N * r + 2 * (d + 1) * N * p + 2 * p * p
-        solve = (N * r + p * p + d * N * p
-                 + max(2 * d * N * p, 2 * m * p + 2 * m * m))
-        return (max(grads, form, solve),
-                max(3 * m * m, d * N * p + 65 * m))
     return (max(grads, (d + 1) * N * r + (d + 3) * N * p + r * p + n * n * N,
                 N * r + 2 * d * N * p + m * p + d * N * m + 4 * m * m),
             max(4 * m * m + 150 * m, d * N * p + 65 * m))
@@ -270,12 +268,16 @@ def _dm_mode_count(config, N):
     return min(N, 2 * config.compare_count)
 
 
+class MemoryRefusal(RuntimeError):
+    """The memory guard's refusal of a run too large for the cap."""
+
+
 def check_memory(config, N, rank):
     """Refuse a run whose estimate_run_bytes at this rank exceeds the cap."""
     need = estimate_run_bytes(config, N, rank)
     cap = memory_cap_bytes()
     if need > cap:
-        raise RuntimeError(
+        raise MemoryRefusal(
             f"refusing run at N={N}: estimated {need / 2**30:.2f} GiB "
             f"working set exceeds the {cap / 2**30:.2f} GiB cap "
             f"(raise {MEMORY_ENV_VAR} to override)")
@@ -476,17 +478,6 @@ def paired_mode_errors(result, truth_vals, candidates=None):
     return errors, indices
 
 
-def _form(config, ops, q):
-    """The configured operator built from the derivative factors ops: the
-    left factor of an NRBF operator, the pencil of an SRBF vector one.
-    Every builder is a module name looked up at call time."""
-    if config.operator == "LB":
-        return laplace_beltrami_nonsymmetric(ops)
-    form = {"Bochner": bochner, "Hodge": hodge,
-            "Lich": lichnerowicz}[config.operator]
-    return form(config.method, ops, q)
-
-
 def _solve_rbf(config, op_cloud, proj, q):
     """Build the configured RBF operator and solve for its full spectrum:
     rank truncation leaves a large trivial cluster at zero, and the usable
@@ -495,13 +486,11 @@ def _solve_rbf(config, op_cloud, proj, q):
     vector field on frame coordinates. The memory guard runs again at the
     real rank once Phi is factored.
 
-    The SRBF Laplace-Beltrami pencil is summed over the row blocks of the
-    derivatives (scalar_ops.laplace_beltrami_symmetric), so it never holds
-    the whole factors G_a; every other operator is built from them
-    (build_grad_matrices, then _form). The factors and the operator are
-    built inside the solver's call and bound to no name here, so the
-    solver frees the unreduced form once it has reduced it (the hand-over
-    in spectral; CPython >= 3.11)."""
+    Every SRBF form is summed over the derivative row blocks; only an NRBF
+    operator holds the whole factors G_a. Each builder is a module name
+    looked up at call time, and the operator is built inside the solver's
+    call and bound to no name here, so the solver frees the unreduced form
+    once it has reduced it (the hand-over in spectral; CPython >= 3.11)."""
     system = build_system(op_cloud, config.kernel)
     check_memory(config, system.N, system.rank_L)
     tol = config.kernel.pinv_tol
@@ -509,17 +498,18 @@ def _solve_rbf(config, op_cloud, proj, q):
     # one value per point, d frame coordinates per point for a vector field
     dim = system.N * (config.manifold.d if vector else 1)
     k = min(dim, _gate_window(config.compare_count))
+    laplacian = {"Bochner": bochner, "Hodge": hodge,
+                 "Lich": lichnerowicz}.get(config.operator)
     if config.method == "NRBF":
         return solve_nonsymmetric(
-            _form(config, build_grad_matrices(system, proj), q),
+            laplacian("NRBF", system, proj) if vector else
+            laplace_beltrami_nonsymmetric(build_grad_matrices(system, proj)),
             basis=system.U, pinv_tol=tol, k=k,
             range_basis=proj.frames if vector else None), system.rank_L
-    if not vector:
-        return solve_symmetric(laplace_beltrami_symmetric(system, proj, q),
-                               k, pinv_tol=tol), system.rank_L
     return solve_symmetric(
-        _form(config, build_grad_matrices(system, proj), q), k,
-        pinv_tol=tol), system.rank_L
+        laplacian("SRBF", system, proj, q) if vector else
+        laplace_beltrami_symmetric(system, proj, q),
+        k, pinv_tol=tol), system.rank_L
 
 
 def _run_covariant(config, op_cloud, proj):

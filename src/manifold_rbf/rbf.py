@@ -11,8 +11,8 @@ it factors through U^T and has rank at most rank_L per field component; it
 takes the kernel derivatives a block of rows at a time (row_blocks), as
 density.kde_density takes its kernel sums. It serves both consumers of the
 derivatives: derivative_matrices gathers its blocks into whole N x rank_L
-factors, and scalar_ops.laplace_beltrami_symmetric sums its weak form over
-them without ever holding a whole factor.
+factors for the NRBF operators and the covariant derivative, and every
+SRBF form is summed over them without ever holding a whole factor.
 
 Every distance of the package comes from one formula, squared_distances:
 the Gram form |x|^2 + |y|^2 - 2 x.y, one matrix product on coordinates

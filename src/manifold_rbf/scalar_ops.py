@@ -12,11 +12,11 @@ symmetric pencil sum_a D_a^T Q^{-1} D_a f = lambda Q^{-1} f, that is
 U (sum_a G_a^T Q^{-1} G_a) U^T. Both use the positive semi-definite sign
 convention (-div grad).
 
-The non-symmetric estimator and the vector forms read whole factors G_a
-(build_grad_matrices). The symmetric pencil is a sum over points: it is
-summed over the row blocks of rbf.derivative_blocks, never holding a
-whole factor, and agrees with the whole-factor Grams to rounding (at most
-8e-16 relative Frobenius in the tests), not bit for bit.
+Whole factors G_a (build_grad_matrices) serve the NRBF operators alone.
+Every SRBF form, scalar or vector, is a sum over points: _weak_form sums it
+over the row blocks of rbf.derivative_blocks, never holding a whole factor,
+and it agrees with the whole-factor Grams to rounding (at most 1.1e-15
+relative Frobenius in the tests), not bit for bit.
 """
 
 from dataclasses import dataclass
@@ -31,8 +31,7 @@ class ScalarOperatorSet:
     """The d frame-direction derivative factors with the frames they follow.
 
     D_a = G[a] @ U.T with U the N x rank_L retained eigenvectors of Phi.
-    Every operator but the symmetric Laplace-Beltrami pencil, which is
-    summed over row blocks, is assembled from this one container.
+    Every NRBF operator, and no SRBF form, is assembled from it.
     """
 
     G: list                       # d factors G_a, each (N, rank_L)
@@ -65,15 +64,6 @@ def ambient_gradient(ops, i):
     ambient component of the tangential gradient of the interpolant at x_j."""
     T = ops.proj.frames
     return sum(T[:, i, a][:, None] * Ga for a, Ga in enumerate(ops.G))
-
-
-def inverse_density(q, N):
-    """1 / q after checking that q holds N finite, strictly positive values."""
-    q = np.asarray(q, dtype=float)
-    if q.shape != (N,) or not np.all(np.isfinite(q)) or np.any(q <= 0):
-        raise ValueError("density must be finite and strictly positive, "
-                         "one value per point")
-    return 1.0 / q
 
 
 def laplace_beltrami_nonsymmetric(ops):
@@ -118,14 +108,31 @@ class GeneralizedPair:
     B = None
 
 
+def _weak_form(system, proj, q, size, terms):
+    """(A, 1/q) of an SRBF form with density q (N finite, positive values):
+    A (size x size) sums X^T X, exactly symmetric as numpy forms it, over
+    the terms X that terms(rows, block) yields for each row block of
+    rbf.derivative_blocks along the frames, weighted by sqrt(1/q) in place.
+    """
+    frames = _frames(system, proj)
+    q = np.asarray(q, dtype=float)
+    if q.shape != (system.N,) or not np.all((q > 0) & (q < np.inf)):
+        raise ValueError("density must be finite and strictly positive, "
+                         "one value per point")
+    qinv = 1.0 / q
+    root = np.sqrt(qinv)
+    A = np.zeros((size, size))
+    for rows, block in derivative_blocks(system, frames):
+        block *= root[rows, None]
+        for X in terms(rows, block):
+            A += X.T @ X
+    return A, qinv
+
+
 def laplace_beltrami_symmetric(system, proj, q):
     """Weak-form pencil: sum_a D_a^T Q^{-1} D_a = U M U^T with
-    M = sum_a G_a^T Q^{-1} G_a, B = Q^{-1}, Q = diag(q).
-
-    M is a sum over points, so it is summed over the row blocks of
-    rbf.derivative_blocks: each block stacks the d directions' rows, weighted
-    by sqrt(1/q), into X and adds X^T X, which numpy forms exactly symmetric.
-    No N x r factor G_a and no weighted copy of one is held.
+    B = Q^{-1}, Q = diag(q), and M = sum_a G_a^T Q^{-1} G_a summed by
+    _weak_form, one term per row block: the d directions' rows stacked.
 
     Uniform sampling passes constant q (the constant cancels in the
     generalized spectrum). Its eigenvectors lie in the range of Q U, not of
@@ -133,12 +140,8 @@ def laplace_beltrami_symmetric(system, proj, q):
     (M, (U^T Q U)^{-1}), whose nonzero eigenvalues are those of M U^T Q U;
     the Galerkin mass U^T Q^{-1} U gives the same values only for constant q.
     """
-    frames = _frames(system, proj)
-    qinv = inverse_density(q, system.N)
-    root = np.sqrt(qinv)
-    A = np.zeros((system.rank_L, system.rank_L))
-    for rows, block in derivative_blocks(system, frames):
-        block *= root[rows, None]
-        X = block.reshape(-1, block.shape[2])
-        A += X.T @ X
+    def terms(rows, block):
+        return [block.reshape(-1, block.shape[2])]
+
+    A, qinv = _weak_form(system, proj, q, system.rank_L, terms)
     return GeneralizedPair(A=A, B_diag=qinv, factor=system.U)

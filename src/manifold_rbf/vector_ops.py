@@ -13,8 +13,8 @@ its transpose and, for Hodge, the divergence, as keyed in LAPLACIANS:
     Hodge         |X - X^T|^2/2 + |div U|^2 -sum_i H_i (H_i - S_i) - [G_j G_k]
     Lich          |X + X^T|^2/2             -sum_i H_i (H_i + S_i)
 
-Every Laplacian takes the ScalarOperatorSet (G, proj, U) of the cloud, whose
-derivatives follow the frames. Every derivative ends in
+Every Laplacian takes the interpolation system and the frames of the cloud,
+and its derivatives follow the frames. Every derivative ends in
 Phi^+ = U diag(1/w) U^T (U is N x r, r = rank_L), so every block acts
 through I_n kron U^T. Both forms output tangent fields only, and both keep
 them on frame coordinates (d values per point). W, the nN x dN range basis
@@ -22,16 +22,18 @@ of the frames (orthonormal columns; see spectral), maps them to ambient
 components: spectral.lift(proj.frames, Z) lifts a solution Z to the
 stacked ambient field W Z, and no operator or solve forms W.
 The non-symmetric (NRBF) operators are the paper's ambient form
-L = W F (I_n kron U^T), built as the dN x nr factor F = W^T (ambient factor),
-whose nonzero spectrum is that of W^T L W = F (I_n kron U^T) W; H_i applies
-the pointwise projector P = T T^T to the i-th tangential derivative of every
-component, S_i is its index-swapped companion, and neither is formed: each
-N-row block of the ambient factor is accumulated term by term on N rows and
-taken to frame rows, so no nN-row block and no nr x nr block exists. The
-symmetric (SRBF) quadratic forms are assembled from the frame covariant
-derivative as a pencil R A R^T with diagonal B, R = W^T (I_n kron U) of size
-dN x nr. h_matrix, s_matrix and potimes_matrix give the dense nN x nN blocks
-for reference; no operator forms them. The covariant derivative nabla_U Y
+L = W F (I_n kron U^T), built from the whole derivative factors as the
+dN x nr factor F = W^T (ambient factor), whose nonzero spectrum is that of
+W^T L W = F (I_n kron U^T) W; H_i applies the pointwise projector P = T T^T
+to the i-th tangential derivative of every component, S_i is its
+index-swapped companion, and neither is formed: each N-row block of the
+ambient factor is accumulated term by term on N rows and taken to frame
+rows, so no nN-row block and no nr x nr block exists. The symmetric (SRBF)
+quadratic forms are pencils R A R^T with diagonal B, R = W^T (I_n kron U)
+of size dN x nr, whose A is summed over the derivative row blocks like the
+scalar pencil's (scalar_ops._weak_form). h_matrix, s_matrix and
+potimes_matrix give the dense nN x nN blocks for reference; no operator
+forms them. The covariant derivative nabla_U Y
 differentiates the interpolant of Y along U itself, one derivative factor,
 and projects the result.
 """
@@ -39,7 +41,8 @@ and projects the result.
 import numpy as np
 
 from .rbf import blockwise, derivative_matrices
-from .scalar_ops import GeneralizedPair, ambient_gradient, inverse_density
+from .scalar_ops import (GeneralizedPair, _weak_form, ambient_gradient,
+                         build_grad_matrices)
 
 # (swap sign, coefficient, divergence term): the operator is built from
 # X + swap X^T, its symmetric form weighs |X + swap X^T|^2 by coefficient,
@@ -151,7 +154,7 @@ def tangent_range_basis(proj):
         shape=(n * N, d * N))
 
 
-def _symmetric_pair(ops, q, swap, coeff, div):
+def _symmetric_pair(system, proj, q, swap, coeff, div):
     """Frame-coordinate pencil (R A R^T) v = lambda Qt^{-1} v with
     Qt = diag(q tiled d times) and R = W^T (I_n kron U): row (a, k) of R is
     kron(T(x_k)[:, a], U[k]).
@@ -160,56 +163,54 @@ def _symmetric_pair(ops, q, swap, coeff, div):
     D_c[x, k] (T(x)[:, b] . T(x_k)[:, a]), has row block b equal to
     C(b, c) R^T with C(b, c) = rows kron(T(x)[:, b], G_c[x]). So
     X_cb + swap X_bc is F_cb R^T with F_cb = C(b, c) + swap C(c, b), the
-    divergence is (sum_c C(c, c)) R^T, and
-    A = coeff sum_{b,c} F_cb^T Q^{-1} F_cb (+ Delta^T Q^{-1} Delta).
+    divergence is Delta R^T with Delta = sum_c C(c, c), and
+    A = coeff sum_{b,c} F_cb^T Q^{-1} F_cb (+ Delta^T Q^{-1} Delta), summed
+    over row blocks with sqrt(coeff) on the frames of the F_cb.
     """
-    qinv = inverse_density(q, ops.N)
-    T, G = ops.proj.frames, ops.G
-    d = len(G)
-    root = np.sqrt(qinv)[:, None]
+    T = proj.frames
+    n, d = T.shape[1:]
+    scaled = np.sqrt(coeff) * T
 
-    def part(b, c):
-        return _rowwise_kron(T[:, :, b], root * G[c])
+    def terms(rows, block):
+        for c in range(d):
+            for b in range(d):
+                F = _rowwise_kron(scaled[rows, :, b], block[c])
+                if swap:
+                    F += swap * _rowwise_kron(scaled[rows, :, c], block[b])
+                yield F
+        if div:
+            yield np.einsum("xic,cxk->xik", T[rows], block).reshape(
+                block.shape[1], -1)
 
-    A = 0.0
-    for c in range(d):
-        for b in range(d):
-            F = part(b, c)
-            if swap:
-                F += swap * part(c, b)
-            A += F.T @ F
-    A *= coeff
-    if div:
-        Delta = sum(part(c, c) for c in range(d))
-        A += Delta.T @ Delta
-    R = np.vstack([_rowwise_kron(T[:, :, a], ops.U) for a in range(d)])
-    # every term is some X^T X, which numpy forms exactly symmetric
+    A, qinv = _weak_form(system, proj, q, n * system.rank_L, terms)
+    R = np.vstack([_rowwise_kron(T[:, :, a], system.U) for a in range(d)])
     return GeneralizedPair(A=A, B_diag=np.tile(qinv, d), factor=R,
                            range_basis=T)
 
 
-def _laplacian(name, method, ops, q):
+def _laplacian(name, method, system, proj, q):
     swap, coeff, div = LAPLACIANS[name]
-    if method == "SRBF":
-        return _symmetric_pair(ops, q, swap, coeff, div)
-    if method != "NRBF":
+    if method == "NRBF":
+        return _nonsymmetric_factor(build_grad_matrices(system, proj), swap,
+                                    div)
+    if method != "SRBF":
         raise ValueError(f"unknown method {method!r} for a vector Laplacian")
-    return _nonsymmetric_factor(ops, swap, div)
+    return _symmetric_pair(system, proj, q, swap, coeff, div)
 
 
-def bochner(method, ops, q=None):
+def bochner(method, system, proj, q=None):
     """Vector (connection) Laplacian estimator."""
-    return _laplacian("Bochner", method, ops, q)
+    return _laplacian("Bochner", method, system, proj, q)
 
 
-def hodge(method, ops, q=None):
+def hodge(method, system, proj, q=None):
     """1-form Laplacian carried to vector fields."""
-    return _laplacian("Hodge", method, ops, q)
+    return _laplacian("Hodge", method, system, proj, q)
 
 
-def lichnerowicz(method, ops, q=None):
+def lichnerowicz(method, system, proj, q=None):
     """Lichnerowicz (Lich) Laplacian, of the symmetrized covariant gradient."""
-    return _laplacian("Lich", method, ops, q)
+    return _laplacian("Lich", method, system, proj, q)
 
 
 def covariant_derivative(system, proj, U, Y):

@@ -392,6 +392,31 @@ def test_householder_qr_sites_are_pinned():
     assert sorted(sites) == sorted(HOUSEHOLDER_QR_SITES)
 
 
+# The only callers of the whole derivative factors G_a. Every SRBF form is
+# summed over the row blocks of rbf.derivative_blocks; the whole factors
+# serve the NRBF operators (on an NRBF branch) and the covariant
+# derivative, and rbf.derivative_matrices is reached through
+# build_grad_matrices or by the covariant derivative alone. A form that
+# drifted back to whole factors would add a site here.
+WHOLE_FACTOR_SITES = {
+    ("scalar_ops.build_grad_matrices", "harness.py", "_solve_rbf",
+     ("config.method == 'NRBF'",)),
+    ("scalar_ops.build_grad_matrices", "vector_ops.py", "_laplacian",
+     ("method == 'NRBF'",)),
+    ("rbf.derivative_matrices", "scalar_ops.py", "build_grad_matrices", ()),
+    ("rbf.derivative_matrices", "vector_ops.py", "covariant_derivative", ()),
+}
+
+
+def test_whole_factor_sites_are_pinned():
+    sites = [(target, path.name, function, guards)
+             for target in ("scalar_ops.build_grad_matrices",
+                            "rbf.derivative_matrices")
+             for path in sorted(PACKAGE.rglob("*.py"))
+             for function, guards in call_sites(path.read_text(), target)]
+    assert sorted(sites) == sorted(WHOLE_FACTOR_SITES)
+
+
 def files_opened_for_writing(source):
     """Enclosing top-level function or class of every open() call given a
     literal writing mode."""

@@ -198,14 +198,13 @@ def test_config_files_refuse_unknown_keys():
             ExperimentConfig.from_dict(cfg)
 
 
-def test_cli_config_file_with_an_unknown_key_fails(tmp_path):
+def test_cli_config_file_with_an_unknown_key_fails(tmp_path, capsys):
     cfg_file = tmp_path / "study.json"
     cfg_file.write_text(json.dumps({"kernel": {"family": "gaussian", "s": 1.0,
                                                "pinv_tl": 1e-4}}))
-    with pytest.raises(ValueError, match="pinv_tl"):
-        cli.main(["spectrum", "--manifold", "ellipse", "--N", "50",
-                  "--config", str(cfg_file), "--out-dir",
-                  str(tmp_path / "out")])
+    refused(["spectrum", "--manifold", "ellipse", "--N", "50",
+             "--config", cfg_file, "--out-dir", tmp_path / "out"],
+            "pinv_tl", capsys)
     assert not (tmp_path / "out").exists()
 
 
@@ -852,6 +851,17 @@ def test_covariant_demo_converges_faster_on_second_order_frames():
 # -- command line --------------------------------------------------------------
 
 
+def refused(argv, match, capsys):
+    """Run the command line on argv, which it must refuse: exit code 2 and
+    one stderr line, `manifold-rbf: error: ` and a message that match
+    finds, with no traceback. Returns what went to stdout."""
+    assert cli.main([str(a) for a in argv]) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith("manifold-rbf: error: ") and err.count("\n") == 1
+    assert re.search(match, err) and "Traceback" not in err
+    return out
+
+
 def run_cli(*args, env=None):
     """stdout of the command line run with args in a child process, whose
     environment adds env."""
@@ -887,23 +897,18 @@ def test_cli_truth(tmp_path):
     assert data[0, 0] == 0.0 and data[0, 1] >= 1
 
 
-def test_cli_rejects_counts_it_cannot_honour(tmp_path):
+def test_cli_rejects_counts_it_cannot_honour(tmp_path, capsys):
     # a tangent K of 0 is no request for the default, 3 cannot fit the
     # sphere's second-order frame, and 60 neighbours cannot be found among
     # 50 points
-    with pytest.raises(ValueError, match="K must be at least 1"):
-        cli.main(["spectrum", "--manifold", "sphere", "--N", "50",
-                  "--projection", "SecondOrder", "--K", "0",
-                  "--out-dir", str(tmp_path)])
-    with pytest.raises(ValueError, match=r"K must exceed d\(d\+1\)/2 = 3"):
-        cli.main(["spectrum", "--manifold", "sphere", "--N", "50",
-                  "--projection", "SecondOrder", "--K", "3",
-                  "--out-dir", str(tmp_path)])
-    with pytest.raises(ValueError, match="K=60 must be smaller than the "
-                       "searched cloud size N=50"):
-        cli.main(["spectrum", "--manifold", "sphere", "--N", "50",
-                  "--projection", "FirstOrder", "--K", "60",
-                  "--out-dir", str(tmp_path)])
+    argv = ["spectrum", "--manifold", "sphere", "--N", "50",
+            "--out-dir", tmp_path]
+    refused([*argv, "--projection", "SecondOrder", "--K", "0"],
+            "K must be at least 1", capsys)
+    refused([*argv, "--projection", "SecondOrder", "--K", "3"],
+            r"K must exceed d\(d\+1\)/2 = 3", capsys)
+    refused([*argv, "--projection", "FirstOrder", "--K", "60"],
+            "K=60 must be smaller than the searched cloud size N=50", capsys)
     assert list(tmp_path.iterdir()) == []
 
 
@@ -922,10 +927,8 @@ def test_cli_sphere_truth_prints_its_default_count(operator, capsys):
 def test_cli_truth_refuses_a_count_below_one(kind, capsys):
     # the sphere and the flat torus used to print an empty table
     for count in ("0", "-2"):
-        with pytest.raises(ValueError, match=f"count={count} must be at "
-                                             f"least 1"):
-            cli.main(["truth", "--manifold", kind, "--count", count])
-    assert capsys.readouterr().out == ""
+        assert refused(["truth", "--manifold", kind, "--count", count],
+                       f"count={count} must be at least 1", capsys) == ""
 
 
 def test_cli_tangent(tmp_path):
@@ -936,38 +939,75 @@ def test_cli_tangent(tmp_path):
     assert "mean_frob" in stdout
 
 
-def test_cli_tangent_rejects_a_sample_below_the_operator_cloud(tmp_path):
+def test_cli_tangent_rejects_a_sample_below_the_operator_cloud(tmp_path,
+                                                              capsys):
     # spectrum refuses N_p < N; tangent must not write N_p rows instead
-    out = tmp_path / "proj.npz"
-    with pytest.raises(ValueError, match="N_p must be at least the operator "
-                       "cloud size"):
-        cli.main(["tangent", "--manifold", "torus", "--a", "2.0",
-                  "--N", "200", "--Np", "100", "--K", "30",
-                  "--out", str(out)])
+    refused(["tangent", "--manifold", "torus", "--a", "2.0", "--N", "200",
+             "--Np", "100", "--K", "30", "--out", tmp_path / "proj.npz"],
+            "N_p must be at least the operator cloud size", capsys)
     assert list(tmp_path.iterdir()) == []
 
 
-def test_cli_tangent_checks_k_before_sampling(tmp_path, monkeypatch):
+def test_cli_tangent_checks_k_before_sampling(tmp_path, monkeypatch,
+                                              capsys):
     def no_sampling(*args, **kwargs):
         raise AssertionError("tangent sampled a cloud before validation")
 
     monkeypatch.setattr(zoo, "sample_manifold", no_sampling)
-    with pytest.raises(ValueError, match="K=60 must be smaller than the "
-                       "searched cloud size N=50"):
-        cli.main(["tangent", "--manifold", "sphere", "--N", "50",
-                  "--K", "60", "--order", "1",
-                  "--out", str(tmp_path / "proj.npz")])
+    refused(["tangent", "--manifold", "sphere", "--N", "50", "--K", "60",
+             "--order", "1", "--out", tmp_path / "proj.npz"],
+            "K=60 must be smaller than the searched cloud size N=50", capsys)
 
 
 @pytest.mark.parametrize("command", ["sample", "tangent"])
-def test_cli_refuses_a_negative_seed(command, tmp_path):
+def test_cli_refuses_a_negative_seed(command, tmp_path, capsys):
     # a negative seed used to end in np.random.Philox's own error
-    out = tmp_path / "out.csv"
-    with pytest.raises(ValueError, match="seed must be a non-negative "
-                                         "integer"):
-        cli.main([command, "--manifold", "sphere", "--N", "60",
-                  "--seed", "-1", "--out", str(out)])
+    refused([command, "--manifold", "sphere", "--N", "60", "--seed", "-1",
+             "--out", tmp_path / "out.csv"],
+            "seed must be a non-negative integer", capsys)
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv,match", [
+    pytest.param(["sample", "--N", "0", "--out", "p.csv"],
+                 "N must be >= 1", id="sample"),
+    pytest.param(["tangent", "--N", "50", "--K", "0", "--out", "p.csv"],
+                 "K must be at least 1", id="tangent"),
+    pytest.param(["spectrum", "--N", "50", "--manifold", "torus",
+                  "--operator", "Hodge", "--out-dir", "out"],
+                 "vector operators run where vector truth", id="spectrum"),
+    pytest.param(["converge", "--N-list", "50,60", "--compare-count", "60",
+                  "--out-dir", "out"], "compare_count=60 must be smaller",
+                 id="converge"),
+    pytest.param(["compare-dm", "--N", "200", "--method", "NRBF",
+                  "--out-dir", "out"], "compare-dm compares SRBF LB with DM",
+                 id="compare-dm"),
+    pytest.param(["truth", "--count", "0"], "count=0 must be at least 1",
+                 id="truth"),
+])
+def test_every_subcommand_refuses_in_one_line(argv, match, tmp_path,
+                                              monkeypatch, capsys):
+    # a refused input used to end in a traceback and exit status 1
+    monkeypatch.chdir(tmp_path)
+    if "--manifold" not in argv:
+        argv = [*argv, "--manifold", "sphere"]
+    assert refused(argv, match, capsys) == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_refused_run_exits_with_status_two(tmp_path):
+    # the memory guard's refusal, through the installed entry point's
+    # path: one stderr line and status 2; the library raises MemoryRefusal
+    proc = subprocess.run(
+        [sys.executable, "-m", "manifold_rbf.cli", "spectrum",
+         "--manifold", "sphere", "--N", "400", "--out-dir", str(tmp_path)],
+        capture_output=True, text=True,
+        env={**os.environ, MEMORY_ENV_VAR: "0.001"})
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("manifold-rbf: error: refusing run at "
+                                  "N=400")
+    assert proc.stderr.count("\n") == 1
+    assert issubclass(harness.MemoryRefusal, RuntimeError)
 
 
 def test_cli_spectrum_and_config_file(tmp_path):
@@ -1016,7 +1056,8 @@ def test_cli_config_file_entries_survive_flag_defaults(tmp_path):
 
 
 def test_cli_config_file_manifold_block_merges_with_the_flags(tmp_path,
-                                                              monkeypatch):
+                                                              monkeypatch,
+                                                              capsys):
     configs = []
 
     def capture(config):
@@ -1034,9 +1075,7 @@ def test_cli_config_file_manifold_block_merges_with_the_flags(tmp_path,
         assert configs.pop().manifold == spec
     # a file of another kind is refused, not overridden by --manifold
     cfg_file.write_text(json.dumps({"manifold": {"kind": "ellipse"}}))
-    with pytest.raises(ValueError, match="manifold kind 'ellipse' is not "
-                       "--manifold torus"):
-        cli.main(argv)
+    refused(argv, "manifold kind 'ellipse' is not --manifold torus", capsys)
     assert configs == []
     assert not (tmp_path / "out").exists()
 
@@ -1047,14 +1086,14 @@ def test_cli_config_file_manifold_block_merges_with_the_flags(tmp_path,
     ('{"kernel": null}', "'kernel' entry is not a JSON object"),
 ])
 def test_cli_refuses_a_config_file_that_is_not_nested_objects(text, bad,
-                                                              tmp_path):
+                                                              tmp_path,
+                                                              capsys):
     # these used to fail with an AttributeError or a TypeError
     cfg_file = tmp_path / "study.json"
     cfg_file.write_text(text)
-    with pytest.raises(ValueError, match=bad):
-        cli.main(["spectrum", "--manifold", "torus", "--N", "50",
-                  "--config", str(cfg_file),
-                  "--out-dir", str(tmp_path / "out")])
+    refused(["spectrum", "--manifold", "torus", "--N", "50",
+             "--config", cfg_file, "--out-dir", tmp_path / "out"],
+            bad, capsys)
     assert not (tmp_path / "out").exists()
 
 
@@ -1081,16 +1120,16 @@ def test_cli_general_torus_defaults_to_the_zoo_torus(capsys):
      "'a': 3.0"),
 ])
 def test_cli_refuses_manifold_flags_the_kind_does_not_hold(argv, bad,
-                                                           tmp_path):
+                                                           tmp_path, capsys):
     # these flags used to be dropped: the first printed the n = 3 torus
-    out = ["--out", str(tmp_path / "truth.csv")] if argv[0] == "truth" \
-        else ["--out-dir", str(tmp_path / "out")]
-    with pytest.raises(ValueError, match=f"manifold keys {{{bad}}} do not"):
-        cli.main([*argv, *out])
+    out = ["--out", tmp_path / "truth.csv"] if argv[0] == "truth" \
+        else ["--out-dir", tmp_path / "out"]
+    refused([*argv, *out], f"manifold keys {{{bad}}} do not", capsys)
     assert list(tmp_path.iterdir()) == []
 
 
-def test_cli_compare_dm_runs_srbf_lb_or_refuses(tmp_path, monkeypatch):
+def test_cli_compare_dm_runs_srbf_lb_or_refuses(tmp_path, monkeypatch,
+                                                capsys):
     # compare-dm used to overwrite a given method or operator unannounced
     configs = []
 
@@ -1111,8 +1150,7 @@ def test_cli_compare_dm_runs_srbf_lb_or_refuses(tmp_path, monkeypatch):
                         (["--operator", "Hodge"], "operator=Hodge"),
                         (["--config", str(cfg_file)], "method=NRBF"),
                         (["--dm-K", "400"], r"K_neighbors must lie in")):
-        with pytest.raises(ValueError, match=name):
-            cli.main([*argv, *extra])
+        refused([*argv, *extra], name, capsys)
     assert len(configs) == 1
     assert not (tmp_path / "out").exists()
 
@@ -1207,11 +1245,10 @@ def test_cli_spectrum_prints_the_covariant_field_error(tmp_path, capsys):
     assert "leading eigenvalues" not in out
 
 
-def test_cli_truth_refuses_a_manifold_without_one(tmp_path):
-    with pytest.raises(ValueError,
-                       match="the zoo holds no LB truth for the ellipse"):
-        cli.main(["truth", "--manifold", "ellipse",
-                  "--out", str(tmp_path / "truth.csv")])
+def test_cli_truth_refuses_a_manifold_without_one(tmp_path, capsys):
+    refused(["truth", "--manifold", "ellipse",
+             "--out", tmp_path / "truth.csv"],
+            "the zoo holds no LB truth for the ellipse", capsys)
     assert list(tmp_path.iterdir()) == []
 
 

@@ -14,8 +14,7 @@ from hypothesis import strategies as st
 
 from manifold_rbf import rbf
 from manifold_rbf.rbf import KernelModel, build_system
-from manifold_rbf.scalar_ops import (build_grad_matrices,
-                                     laplace_beltrami_symmetric)
+from manifold_rbf.scalar_ops import laplace_beltrami_symmetric
 from manifold_rbf.spectral import lift, solve_nonsymmetric, solve_symmetric
 from manifold_rbf.tangent import ProjectionField, second_order_svd
 from manifold_rbf.vector_ops import (bochner, covariant_derivative, hodge,
@@ -43,9 +42,8 @@ def sphere_setup(seed, s):
 def srbf_spectra(system, proj, q):
     """Full spectra of the SRBF Laplace-Beltrami, Bochner, Hodge and
     Lichnerowicz pencils."""
-    ops = build_grad_matrices(system, proj)
     pairs = [laplace_beltrami_symmetric(system, proj, q)]
-    pairs += [form("SRBF", ops, q) for form in VECTOR_FORMS]
+    pairs += [form("SRBF", system, proj, q) for form in VECTOR_FORMS]
     return [solve_symmetric(pair, len(pair.B_diag)).all_values
             for pair in pairs]
 
@@ -53,11 +51,11 @@ def srbf_spectra(system, proj, q):
 def nrbf_spectra(system, proj):
     """Nonzero spectra of the NRBF Bochner, Hodge and Lichnerowicz
     operators."""
-    ops = build_grad_matrices(system, proj)
     spectra = []
     for form in VECTOR_FORMS:
-        F = form("NRBF", ops)
-        res = solve_nonsymmetric(F, ops.U, len(F), range_basis=proj.frames)
+        F = form("NRBF", system, proj)
+        res = solve_nonsymmetric(F, system.U, len(F),
+                                 range_basis=proj.frames)
         spectra.append(res.all_values[np.abs(res.all_values)
                                       >= res.trivial_cutoff])
     return spectra
@@ -160,14 +158,16 @@ def test_rigid_motion_and_permutation_leave_lb_spectrum_unchanged(seed):
 def test_permutation_leaves_the_srbf_lb_spectrum_unchanged(spec, size,
                                                            frames,
                                                            monkeypatch):
-    # the pencil is summed over row blocks (here of 64 rows) in point
-    # order, so a permutation moves its block boundaries and every sum's
-    # order. As under a rigid motion, the modes tied to Phi's smallest
-    # retained eigenvalue move by eps kappa(Phi) of themselves: over cloud
-    # seeds 0-19 the top few miss 1e-10 of the largest value (by up to
-    # 1.3e-8, as much at the parent and with whole-cloud blocks), every
-    # miss within 0.71 eps kappa(Phi) of its mode, while the leading half
-    # of the nontrivial modes agree to 4e-11
+    # the LB, Hodge and Lich pencils are summed over row blocks (here of
+    # 64 rows) in point order, so a permutation moves their block
+    # boundaries and every sum's order. As under a rigid motion, the modes
+    # tied to Phi's smallest retained eigenvalue move by eps kappa(Phi) of
+    # themselves: over cloud seeds 0-19 the top few LB values miss 1e-10 of
+    # the largest value (by up to 1.3e-8, as much with whole-cloud blocks),
+    # every miss within 0.71 eps kappa(Phi) of its mode, while the leading
+    # half of the nontrivial modes agree to 4e-11; over seeds 0-9 the
+    # Hodge and Lich misses stay within 0.34 eps kappa(Phi) and their
+    # leading halves agree to 3.6e-11
     monkeypatch.setattr(rbf, "ROW_BLOCK_BYTES", 8 * 64 * size)
     cloud = sample_manifold(spec, size, seed=4, mode="random_area")
     perm = np.random.default_rng(4).permutation(size)
@@ -181,16 +181,19 @@ def test_permutation_leaves_the_srbf_lb_spectrum_unchanged(spec, size,
         proj = analytic_projection(c) if frames == "Analytic" else \
             second_order_svd(c, None)
         system = build_system(c, model)
-        spectra.append(solve_symmetric(
-            laplace_beltrami_symmetric(system, proj, qc), 1).all_values)
-    base, other = spectra
+        pairs = [laplace_beltrami_symmetric(system, proj, qc)]
+        pairs += [form("SRBF", system, proj, qc)
+                  for form in (hodge, lichnerowicz)]
+        spectra.append([solve_symmetric(pair, 1).all_values
+                        for pair in pairs])
     kappa = system.sigma.max() / system.sigma.min()
-    gap = np.abs(base - other)
-    scale = np.abs(base).max()
-    assert np.all(gap <= 1e-10 * scale +
-                  8 * np.finfo(float).eps * kappa * np.abs(base))
-    nontrivial = np.flatnonzero(np.abs(base) >= 1e-6 * scale)
-    assert gap[nontrivial[:len(nontrivial) // 2]].max() <= 1e-10 * scale
+    for base, other in zip(*spectra):
+        gap = np.abs(base - other)
+        scale = np.abs(base).max()
+        assert np.all(gap <= 1e-10 * scale +
+                      8 * np.finfo(float).eps * kappa * np.abs(base))
+        nontrivial = np.flatnonzero(np.abs(base) >= 1e-6 * scale)
+        assert gap[nontrivial[:len(nontrivial) // 2]].max() <= 1e-10 * scale
 
 
 def test_a_far_translation_leaves_the_operators_unchanged():
@@ -207,12 +210,11 @@ def test_a_far_translation_leaves_the_operators_unchanged():
     def leading(points):
         system = build_system(PointCloud(points=points, intrinsic=None,
                                          spec=None), model)
-        ops = build_grad_matrices(system, proj)
         out = []
         for res in (solve_symmetric(laplace_beltrami_symmetric(
                         system, proj, np.ones(len(points))), 1),
-                    solve_nonsymmetric(hodge("NRBF", ops), ops.U, 1,
-                                       range_basis=proj.frames)):
+                    solve_nonsymmetric(hodge("NRBF", system, proj), system.U,
+                                       1, range_basis=proj.frames)):
             lam = res.all_values
             out.append((lam[np.abs(lam) >= res.trivial_cutoff][:15],
                         np.abs(lam).max()))
@@ -248,10 +250,9 @@ def test_lb_pencil_symmetric_psd_with_constants_in_kernel(seed):
 @given(SEEDS)
 def test_vector_pencils_psd_with_orthonormal_lifted_vectors(seed):
     _cloud, proj, system, q = sphere_setup(seed, 0.5)
-    ops = build_grad_matrices(system, proj)
     qt = np.tile(1.0 / q, 3)
     for form in VECTOR_FORMS:
-        pair = form("SRBF", ops, q)
+        pair = form("SRBF", system, proj, q)
         assert np.array_equal(pair.A, pair.A.T)
         res = solve_symmetric(pair, 2 * N)
         assert res.all_values.min() >= -1e-10 * res.all_values.max()

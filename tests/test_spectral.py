@@ -236,8 +236,8 @@ def test_nonsymmetric_hodge_modes_have_rounding_residuals(sphere_ops):
     # values below 1e-8 of the largest: a slip in applying the reflectors
     # shows here (measured: 4.4e-13 with numpy's thin Q, 3.6e-13 with the
     # reflectors)
-    _system, ops, q = sphere_ops
-    F = hodge("NRBF", ops, q)
+    system, ops, q = sphere_ops
+    F = hodge("NRBF", system, ops.proj)
     T = ops.proj.frames
     res = solve_nonsymmetric(F, basis=ops.U, k=len(F), range_basis=T)
     L = lift(T, F @ np.kron(np.eye(3), ops.U.T))
@@ -277,7 +277,7 @@ def sphere_pencils(sphere_ops):
     """The SRBF Laplace-Beltrami and Hodge pencils of sphere_ops."""
     system, ops, q = sphere_ops
     return (laplace_beltrami_symmetric(system, ops.proj, q),
-            hodge("SRBF", ops, q))
+            hodge("SRBF", system, ops.proj, q))
 
 
 def ref_householder(pair):

@@ -13,6 +13,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from manifold_rbf import rbf
 from manifold_rbf.rbf import (KernelModel, blockwise, build_system,
                               derivative_matrices)
 from manifold_rbf.scalar_ops import (GeneralizedPair, ambient_gradient,
@@ -220,7 +221,7 @@ def analytic_bochner(e):
 
 
 def test_ellipse_bochner_field_error(ellipse):
-    B = bochner("NRBF", ellipse["ops"])
+    B = bochner("NRBF", ellipse["system"], ellipse["proj"])
     got = apply_factored(B, ellipse["ops"],
                          stacked(ellipse["U"])).reshape(2, -1).T
     err = np.abs(got - analytic_bochner(ellipse))
@@ -228,7 +229,7 @@ def test_ellipse_bochner_field_error(ellipse):
 
 
 def test_ellipse_lichnerowicz_field_error(ellipse):
-    L = lichnerowicz("NRBF", ellipse["ops"])
+    L = lichnerowicz("NRBF", ellipse["system"], ellipse["proj"])
     got = apply_factored(L, ellipse["ops"],
                          stacked(ellipse["U"])).reshape(2, -1).T
     err = np.abs(got - 2 * analytic_bochner(ellipse))
@@ -239,9 +240,9 @@ def test_one_dim_identities():
     # wide kernel regime where the discrete grad/div compositions agree
     e = ellipse_setup(N=800, s=4.5)
     ops, vec = e["ops"], stacked(e["U"])
-    BU = apply_factored(bochner("NRBF", ops), ops, vec)
-    HU = apply_factored(hodge("NRBF", ops), ops, vec)
-    LU = apply_factored(lichnerowicz("NRBF", ops), ops, vec)
+    BU, HU, LU = (apply_factored(form("NRBF", e["system"], e["proj"]), ops,
+                                 vec)
+                  for form in (bochner, hodge, lichnerowicz))
     scale = np.linalg.norm(BU)
     assert np.linalg.norm(HU - BU) <= 1e-6 * scale
     assert np.linalg.norm(LU - 2 * BU) <= 1e-4 * scale
@@ -252,7 +253,7 @@ def test_rejects_unknown_kind(ellipse):
     for op in (bochner, hodge, lichnerowicz):
         for method in ("weak", "DM", "symmetric", "nonsymmetric"):
             with pytest.raises(ValueError, match="unknown method"):
-                op(method, ellipse["ops"])
+                op(method, ellipse["system"], ellipse["proj"])
 
 
 # -- symmetric variants ---------------------------------------------------------
@@ -261,7 +262,7 @@ def test_rejects_unknown_kind(ellipse):
 @pytest.fixture(scope="module")
 def ellipse_symmetric(ellipse):
     q = sampling_density(ellipse["cloud"])
-    pairs = {name: form("SRBF", ellipse["ops"], q)
+    pairs = {name: form("SRBF", ellipse["system"], ellipse["proj"], q)
              for name, form in FORMS.items()}
     return q, pairs
 
@@ -342,7 +343,7 @@ def test_symmetric_half_factor(ellipse):
         manual += 0.5 * (M.T @ (qt[:, None] * M))
     W = tangent_range_basis(ops.proj).toarray()
     manual = W.T @ manual @ W
-    pair = lichnerowicz("SRBF", ops, q)
+    pair = lichnerowicz("SRBF", ellipse["system"], ops.proj, q)
     got = pair.factor @ pair.A @ pair.factor.T
     assert np.abs(got - manual).max() <= 1e-12 * np.abs(manual).max()
 
@@ -377,10 +378,61 @@ def test_frame_pencil_matches_ambient_reference(name):
     q = np.random.default_rng(0).uniform(0.5, 2.0, cloud.N)
     W = tangent_range_basis(proj).toarray()
     want = W.T @ ambient_pencil(ops, q, name) @ W
-    pair = FORMS[name]("SRBF", ops, q)
+    pair = FORMS[name]("SRBF", system, proj, q)
     got = pair.factor @ pair.A @ pair.factor.T
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
     assert np.array_equal(pair.B_diag, np.tile(1.0 / q, 2))
+
+
+def whole_factor_form(system, proj, q, name):
+    """A of an SRBF vector pencil from the whole factors G_a: the parts
+    C(b, c) = rows kron(T[:, :, b], G_c / sqrt(q)) over the whole cloud,
+    coeff sum_{b,c} |C(b, c) + swap C(c, b)|^2 plus |sum_c C(c, c)|^2 for
+    Hodge, the formula before the forms were summed over row blocks."""
+    swap, coeff, div = LAPLACIANS[name]
+    T, G = proj.frames, build_grad_matrices(system, proj).G
+    d = len(G)
+    root = np.sqrt(1.0 / q)[:, None]
+
+    def part(b, c):
+        return np.einsum("xi,xk->xik", T[:, :, b],
+                         root * G[c]).reshape(system.N, -1)
+
+    A = 0.0
+    for c in range(d):
+        for b in range(d):
+            F = part(b, c)
+            if swap:
+                F += swap * part(c, b)
+            A += F.T @ F
+    A *= coeff
+    if div:
+        Delta = sum(part(c, c) for c in range(d))
+        A += Delta.T @ Delta
+    return A
+
+
+@pytest.mark.parametrize("name", sorted(LAPLACIANS), ids=form_id)
+@pytest.mark.parametrize("cloud", ["ellipse", "sphere"])
+def test_streamed_vector_form_equals_the_whole_factor_form(
+        name, cloud, ellipse, sphere_small, monkeypatch):
+    # the vector forms are summed over the row blocks of the derivatives:
+    # at the default blocks and at one row per block A equals the
+    # whole-factor formula of the same blocks to rounding (measured: at
+    # most 1.1e-15 relative Frobenius) and is exactly symmetric
+    if cloud == "ellipse":
+        system, proj = ellipse["system"], ellipse["proj"]
+        q = sampling_density(ellipse["cloud"])
+    else:
+        ops, q, system = sphere_small
+        proj = ops.proj
+    for block_bytes in (rbf.ROW_BLOCK_BYTES, 8 * system.N):
+        monkeypatch.setattr(rbf, "ROW_BLOCK_BYTES", block_bytes)
+        want = whole_factor_form(system, proj, q, name)
+        A = FORMS[name]("SRBF", system, proj, q).A
+        assert np.array_equal(A, A.T)
+        assert np.linalg.norm(A - want) <= 1e-13 * np.linalg.norm(want)
+    assert len(list(rbf.row_blocks(system.N))) == system.N
 
 
 @pytest.mark.parametrize("op", [bochner, hodge, lichnerowicz])
@@ -392,7 +444,7 @@ def test_symmetric_vector_forms_reject_bad_density(ellipse, op):
     zero[3] = 0.0
     for bad in (None, q[:-1], nan, zero):
         with pytest.raises(ValueError, match="density"):
-            op("SRBF", ellipse["ops"], bad)
+            op("SRBF", ellipse["system"], ellipse["proj"], bad)
 
 
 # -- factored operators against the dense references ---------------------------
@@ -423,8 +475,9 @@ def test_nonsymmetric_factor_matches_dense_reference(sphere_small, ellipse,
                                                      name):
     # F (I_n kron U^T) is W^T times the paper's nN x nN ambient operator:
     # its rows are the frame coordinates of the operator's tangent output
-    for ops in (sphere_small[0], ellipse["ops"]):
-        F = FORMS[name]("NRBF", ops)
+    for system, ops in ((sphere_small[2], sphere_small[0]),
+                        (ellipse["system"], ellipse["ops"])):
+        F = FORMS[name]("NRBF", system, ops.proj)
         r = ops.U.shape[1]
         assert F.shape == (len(ops.G) * ops.N, ops.n * r)
         got = blockwise(ops.U, F.T).T
@@ -437,16 +490,16 @@ def test_nonsymmetric_factor_matches_dense_reference(sphere_small, ellipse,
                            "the caller's stack")
 def test_nonsymmetric_hodge_holds_no_ambient_block():
     # the NRBF form and its solve work on the d N = 2 N frame rows: their
-    # traced peak, 2.02 n N x n r words (measured; 4.51 when the factor and
-    # H_i, S_i had n N rows), leaves no room for one n N x n r array
+    # traced peak, 2.04 n N x n r words with the derivative factors built
+    # inside the form (measured; 4.51 when the factor and H_i, S_i had n N
+    # rows), leaves no room for one n N x n r array
     cloud = sample_manifold(Sphere(), 600, seed=0, mode="random_area")
     proj = analytic_projection(cloud)
     system = build_system(cloud, KernelModel("inverse_quadratic", 0.5))
-    ops = build_grad_matrices(system, proj)
-    block = 8 * ops.n * ops.N * ops.n * ops.U.shape[1]
+    block = 8 * proj.n * system.N * proj.n * system.rank_L
     tracemalloc.start()
     try:
-        solve_nonsymmetric(hodge("NRBF", ops), basis=ops.U,
+        solve_nonsymmetric(hodge("NRBF", system, proj), basis=system.U,
                            range_basis=proj.frames, k=120)
         _current, peak = tracemalloc.get_traced_memory()
     finally:
@@ -458,20 +511,21 @@ def test_nonsymmetric_factor_holds_no_trial_block():
     # on GeneralTorus(2, 21) the trial dimension p = n r is 21 r: the Hodge
     # factor at N = 80 (r = 80) traced 46.4 MiB when it stacked p x p
     # blocks (one is 21.5 MiB); accumulating every term on N rows it holds
-    # 6.27 N p words (measured), the d N x p factor among them
+    # 6.37 N p words (measured), the d N x p factor and the derivative
+    # factors it builds among them
     cloud = sample_manifold(GeneralTorus(2.0, 21), 80, seed=0,
                             mode="random_intrinsic")
     system = build_system(cloud, KernelModel("inverse_quadratic", 0.5))
-    ops = build_grad_matrices(system, analytic_projection(cloud))
-    p = ops.n * ops.U.shape[1]
+    proj = analytic_projection(cloud)
+    p = proj.n * system.rank_L
     tracemalloc.start()
     try:
-        hodge("NRBF", ops)
+        hodge("NRBF", system, proj)
         _current, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 8 * p * p
-    assert peak < 6.5 * 8 * ops.N * p
+    assert peak < 6.5 * 8 * system.N * p
 
 
 def nontrivial(values, cutoff):
@@ -511,12 +565,12 @@ def test_reduced_spectrum_matches_dense_solve(sphere_small, method, name):
     T = None if name == "lb" else ops.proj.frames
     if method == "NRBF":
         F = laplace_beltrami_nonsymmetric(ops) if name == "lb" else \
-            FORMS[name]("NRBF", ops)
+            FORMS[name]("NRBF", system, ops.proj)
         res = solve_nonsymmetric(F, basis=U, k=len(F), range_basis=T)
         full = np.linalg.eigvals(dense)
     else:
         pair = laplace_beltrami_symmetric(system, ops.proj, q) \
-            if name == "lb" else FORMS[name]("SRBF", ops, q)
+            if name == "lb" else FORMS[name]("SRBF", system, ops.proj, q)
         res = solve_symmetric(pair, len(pair.B_diag))
         full = solve_symmetric(dense, len(dense.B_diag)).all_values
     m = 1 if name == "lb" else 3
