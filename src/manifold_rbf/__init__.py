@@ -15,8 +15,7 @@ from .dm import autotune_epsilon, dm_laplacian, dm_spectrum
 from .harness import (ExperimentConfig, MemoryRefusal, Report, RunRecord,
                       alignment_gate, fit_convergence_slope,
                       paired_mode_errors, run_experiment)
-from .rbf import (InterpolationSystem, KernelModel, build_system,
-                  derivative_matrices, kernel_eval)
+from .rbf import InterpolationSystem, KernelModel, build_system, kernel_eval
 from .scalar_ops import (GeneralizedPair, ScalarOperatorSet,
                          build_grad_matrices, laplace_beltrami_nonsymmetric,
                          laplace_beltrami_symmetric)

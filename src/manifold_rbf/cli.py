@@ -192,7 +192,11 @@ def cmd_spectrum(args):
 
 
 def cmd_converge(args):
-    N_list = [int(v) for v in args.N_list.split(",")]
+    try:
+        N_list = [int(v) for v in args.N_list.split(",")]
+    except ValueError:
+        raise ValueError(f"--N-list must be comma-separated integers, not "
+                         f"{args.N_list!r}") from None
     config = _config_from_args(args, N_list)
     report = run_experiment(config)
     report.write(args.out_dir, prefix=args.prefix)
@@ -302,7 +306,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, harness.MemoryRefusal) as exc:
+    except (ValueError, OSError, harness.MemoryRefusal) as exc:
         print(f"manifold-rbf: error: {exc}", file=sys.stderr)
         return 2
 

@@ -164,10 +164,10 @@ def estimate_run_bytes(config, N, rank):
       scaled copy and two temporaries) and the operator's stages below.
       The derivatives stream through three N-wide row blocks of
       rbf.ROW_BLOCK_BYTES (the kernel derivative and the brackets of two
-      directions) beside U and its scaled copy; an SRBF form holds one
-      block's d x rows x r derivatives, and the NRBF operators and the
-      covariant derivative (on the ellipse, d = 1) gather the d whole
-      factors G_a, (d + 2) N r words with U and its copy.
+      directions) beside U and its scaled copy; an SRBF form and the
+      covariant derivative hold one block's d x rows x r derivatives, and
+      the NRBF operators gather the d whole factors G_a, (d + 2) N r words
+      with U and its copy.
     - Outside tracemalloc: the larger of eigh(Phi)'s 3 N^2 and the
       operator solve's own call.
     - One more N x N for the cloud, frames and truth columns, which weigh
@@ -175,7 +175,7 @@ def estimate_run_bytes(config, N, rank):
 
     The operator stages, with p = n r the trial dimension of a vector
     operator and m = min(d N, p):
-    - Covariant derivative: none past its one factor.
+    - Covariant derivative: none past its streamed derivatives.
     - SRBF LB: the form, 2 r^2 beside the streamed derivatives (the form
       and one X^T X product); the solve, the larger of 2 N r + 3 r^2 (U,
       the scaled factor, the unreduced form, the reduced form's buffer and
@@ -244,11 +244,10 @@ def _operator_words(config, N, r):
     m = min(d * N, p)
     rows = next(row_blocks(N)).stop
     blocks = 3 * N * rows
-    grads = (d + 2) * N * r + blocks
+    stream = 2 * N * r + blocks + d * rows * r
     if config.operator == "Covariant":
-        return grads, 0
+        return stream, 0
     if config.method == "SRBF":
-        stream = 2 * N * r + blocks + d * rows * r
         if config.operator == "LB":
             return (max(stream + 2 * r * r, 2 * N * r + 3 * r * r,
                         N * r + 4 * r * r), 3 * r * r)
@@ -256,6 +255,7 @@ def _operator_words(config, N, r):
                  + max(2 * d * N * p, 2 * m * p + 2 * m * m))
         return (max(stream + 4 * rows * p + 2 * p * p, solve),
                 max(3 * m * m, d * N * p + 65 * m))
+    grads = (d + 2) * N * r + blocks
     if config.operator == "LB":
         return (max(grads, (d + 4) * N * r + r * r, 5 * N * r + 4 * r * r),
                 max(4 * r * r + 150 * r, N * r + 65 * r))

@@ -9,10 +9,10 @@ only N x N matrix ever formed. derivative_blocks differentiates the
 interpolant along given directions at the nodes, so every operator built on
 it factors through U^T and has rank at most rank_L per field component; it
 takes the kernel derivatives a block of rows at a time (row_blocks), as
-density.kde_density takes its kernel sums. It serves both consumers of the
-derivatives: derivative_matrices gathers its blocks into whole N x rank_L
-factors for the NRBF operators and the covariant derivative, and every
-SRBF form is summed over them without ever holding a whole factor.
+density.kde_density takes its kernel sums. It is the one producer of the
+derivatives: scalar_ops.build_grad_matrices gathers its blocks into whole
+N x rank_L factors for the NRBF operators alone, and every SRBF form and
+the covariant derivative consume them block by block.
 
 Every distance of the package comes from one formula, squared_distances:
 the Gram form |x|^2 + |y|^2 - 2 x.y, one matrix product on coordinates
@@ -243,15 +243,6 @@ def derivative_blocks(system, directions, out=None):
             np.matmul(along, coef, out=block[a])
         del w, along               # before the caller's work on the block
         yield rows, block
-
-
-def derivative_matrices(system, directions):
-    """The factors G_a (N, rank_L) of derivative_blocks, whole: k views of
-    one (k, N, rank_L) array."""
-    G = np.empty((directions.shape[2],) + system.U.shape)
-    for _rows, _block in derivative_blocks(system, directions, G):
-        pass
-    return list(G)
 
 
 def blockwise(M, X):

@@ -2,7 +2,7 @@
 
 From an interpolation system and a tangent frame field T (N, n, d) this
 module takes the d frame-direction derivative factors G_a of
-rbf.derivative_matrices: (D_a f)_j = (G_a U^T f)_j is the derivative of the
+rbf.derivative_blocks: (D_a f)_j = (G_a U^T f)_j is the derivative of the
 interpolant of f at x_j along the frame vector T(x_j)[:, a]. The ambient
 components of the tangential gradient are G_i U^T with
 G_i = sum_a diag(T[:, i, a]) G_a. Two discrete Laplacians are built from
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rbf import derivative_blocks, derivative_matrices
+from .rbf import derivative_blocks
 
 
 @dataclass
@@ -54,9 +54,12 @@ def _frames(system, proj):
 
 
 def build_grad_matrices(system, proj):
-    """The d frame-direction derivative factors G_a of the interpolant."""
-    G = derivative_matrices(system, _frames(system, proj))
-    return ScalarOperatorSet(G=G, proj=proj, U=system.U)
+    """The d frame-direction derivative factors G_a, gathered whole."""
+    frames = _frames(system, proj)
+    G = np.empty((frames.shape[2],) + system.U.shape)
+    for _rows, _block in derivative_blocks(system, frames, out=G):
+        pass
+    return ScalarOperatorSet(G=list(G), proj=proj, U=system.U)
 
 
 def ambient_gradient(ops, i):

@@ -31,26 +31,25 @@ ambient factor is accumulated term by term on N rows and taken to frame
 rows, so no nN-row block and no nr x nr block exists. The symmetric (SRBF)
 quadratic forms are pencils R A R^T with diagonal B, R = W^T (I_n kron U)
 of size dN x nr, whose A is summed over the derivative row blocks like the
-scalar pencil's (scalar_ops._weak_form). h_matrix, s_matrix and
-potimes_matrix give the dense nN x nN blocks for reference; no operator
-forms them. The covariant derivative nabla_U Y
-differentiates the interpolant of Y along U itself, one derivative factor,
+scalar pencil's (scalar_ops._weak_form), each distinct part of X + swap X^T
+once. h_matrix, s_matrix and potimes_matrix give the dense nN x nN blocks
+for reference; no operator forms them. The covariant derivative nabla_U Y
+differentiates the interpolant of Y along U itself, a row block at a time,
 and projects the result.
 """
 
 import numpy as np
 
-from .rbf import blockwise, derivative_matrices
+from .rbf import blockwise, derivative_blocks
 from .scalar_ops import (GeneralizedPair, _weak_form, ambient_gradient,
                          build_grad_matrices)
 
-# (swap sign, coefficient, divergence term): the operator is built from
-# X + swap X^T, its symmetric form weighs |X + swap X^T|^2 by coefficient,
+# (swap sign, divergence term): the operator is built from X + swap X^T,
 # and Hodge adds the squared divergence.
 LAPLACIANS = {
-    "Bochner": (0, 1.0, False),
-    "Hodge": (-1, 0.5, True),
-    "Lich": (1, 0.5, False),
+    "Bochner": (0, False),
+    "Hodge": (-1, True),
+    "Lich": (1, False),
 }
 
 
@@ -154,7 +153,7 @@ def tangent_range_basis(proj):
         shape=(n * N, d * N))
 
 
-def _symmetric_pair(system, proj, q, swap, coeff, div):
+def _symmetric_pair(system, proj, q, swap, div):
     """Frame-coordinate pencil (R A R^T) v = lambda Qt^{-1} v with
     Qt = diag(q tiled d times) and R = W^T (I_n kron U): row (a, k) of R is
     kron(T(x_k)[:, a], U[k]).
@@ -163,21 +162,23 @@ def _symmetric_pair(system, proj, q, swap, coeff, div):
     D_c[x, k] (T(x)[:, b] . T(x_k)[:, a]), has row block b equal to
     C(b, c) R^T with C(b, c) = rows kron(T(x)[:, b], G_c[x]). So
     X_cb + swap X_bc is F_cb R^T with F_cb = C(b, c) + swap C(c, b), the
-    divergence is Delta R^T with Delta = sum_c C(c, c), and
-    A = coeff sum_{b,c} F_cb^T Q^{-1} F_cb (+ Delta^T Q^{-1} Delta), summed
-    over row blocks with sqrt(coeff) on the frames of the F_cb.
+    divergence is Delta R^T with Delta = sum_c C(c, c), and A, the printed
+    sum_{b,c} F_cb^T Q^{-1} F_cb (halved for Hodge and Lich; + Delta^T
+    Q^{-1} Delta for Hodge), is summed over row blocks, each distinct part
+    once as F_bc = swap F_cb: Hodge's for b < c (F_bb = 0), Lich's for
+    b <= c with sqrt(1/2) on the frames of F_bb = 2 C(b, b), Bochner's all.
     """
     T = proj.frames
     n, d = T.shape[1:]
-    scaled = np.sqrt(coeff) * T
+    parts = [(b, c, np.sqrt(0.5) if swap and b == c else 1.0) for c in range(d)
+             for b in range(d) if not swap or b < c or (swap > 0 and b == c)]
 
     def terms(rows, block):
-        for c in range(d):
-            for b in range(d):
-                F = _rowwise_kron(scaled[rows, :, b], block[c])
-                if swap:
-                    F += swap * _rowwise_kron(scaled[rows, :, c], block[b])
-                yield F
+        for b, c, w in parts:
+            F = _rowwise_kron(w * T[rows, :, b], block[c])
+            if swap:
+                F += swap * _rowwise_kron(w * T[rows, :, c], block[b])
+            yield F
         if div:
             yield np.einsum("xic,cxk->xik", T[rows], block).reshape(
                 block.shape[1], -1)
@@ -189,13 +190,13 @@ def _symmetric_pair(system, proj, q, swap, coeff, div):
 
 
 def _laplacian(name, method, system, proj, q):
-    swap, coeff, div = LAPLACIANS[name]
+    swap, div = LAPLACIANS[name]
     if method == "NRBF":
         return _nonsymmetric_factor(build_grad_matrices(system, proj), swap,
                                     div)
     if method != "SRBF":
         raise ValueError(f"unknown method {method!r} for a vector Laplacian")
-    return _symmetric_pair(system, proj, q, swap, coeff, div)
+    return _symmetric_pair(system, proj, q, swap, div)
 
 
 def bochner(method, system, proj, q=None):
@@ -218,8 +219,10 @@ def covariant_derivative(system, proj, U, Y):
     Y along U; U, Y and the result are (N, n) ambient samples.
 
     Each component Y^r is interpolated and differentiated along U at the
-    nodes; the result is projected onto the tangent spaces of proj.
+    nodes a row block at a time, then projected onto the tangent spaces.
     """
-    (G,) = derivative_matrices(system, U[:, :, None])
-    W = G @ (system.U.T @ Y)
+    coeffs = system.U.T @ Y
+    W = np.empty((system.N, coeffs.shape[1]))
+    for rows, block in derivative_blocks(system, U[:, :, None]):
+        W[rows] = block[0] @ coeffs
     return np.einsum("jik,jk->ji", proj.mats, W)

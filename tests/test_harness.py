@@ -451,7 +451,7 @@ def test_memory_guard_refuses_at_the_real_rank_before_the_factors(
         raise AssertionError("derivative factors built past the guard")
 
     monkeypatch.setattr(harness, "build_system", counting_build_system)
-    monkeypatch.setattr(scalar_ops, "derivative_matrices", no_factors)
+    monkeypatch.setattr(scalar_ops, "derivative_blocks", no_factors)
     with pytest.raises(RuntimeError, match=f"refusing run at N={N}"):
         run_experiment(cfg)
     assert built == [True]                     # Phi fit; the rank did not
@@ -748,6 +748,29 @@ def test_nrbf_pollution_warning_reads_the_whole_spectrum():
     assert left[0] >= result.structural_zeros + len(result.values)
 
 
+def test_nrbf_spectra_are_polluted_and_srbf_spectra_real():
+    # the paper's claim for the two forms: on the torus with second-order
+    # frames at N = 400, NRBF LB put 5 / 1 / 3 / 3 modes in the left half
+    # plane at seeds 0-3, and 0.61-1.68 was the largest |Im lambda| among
+    # its first 16 nontrivial modes; the SRBF pencil of the same cloud has
+    # real, non-negative values
+    for seed in range(4):
+        for method in ("NRBF", "SRBF"):
+            cfg = make_config(method=method, N_list=[400], seeds=[seed],
+                              projection="SecondOrder", density="KDE")
+            cloud, proj = harness.build_projection(cfg, 400, seed)
+            q = harness.build_density(cfg, cloud) if method == "SRBF" \
+                else None
+            result, _rank = harness._solve_rbf(cfg, cloud, proj, q)
+            values, cutoff = result.all_values, result.trivial_cutoff
+            left = np.sum(values.real < -cutoff)
+            imag = np.abs(values[np.abs(values) >= cutoff][:16].imag).max()
+            if method == "NRBF":
+                assert left >= 1 and imag >= 0.3
+            else:
+                assert left == 0 and imag == 0.0
+
+
 def test_vector_run_evaluates_the_truth_once(monkeypatch):
     # the gate and the OLS alignment score from one evaluated basis
     calls = []
@@ -984,6 +1007,13 @@ def test_cli_refuses_a_negative_seed(command, tmp_path, capsys):
                  id="compare-dm"),
     pytest.param(["truth", "--count", "0"], "count=0 must be at least 1",
                  id="truth"),
+    pytest.param(["spectrum", "--N", "50", "--config", "missing.json",
+                  "--out-dir", "out"], "No such file or directory",
+                 id="spectrum-config-file"),
+    pytest.param(["sample", "--N", "50", "--out", "missing/x.csv"],
+                 "No such file or directory", id="sample-out-file"),
+    pytest.param(["converge", "--N-list", "40,,80", "--out-dir", "out"],
+                 "--N-list", id="converge-N-list"),
 ])
 def test_every_subcommand_refuses_in_one_line(argv, match, tmp_path,
                                               monkeypatch, capsys):

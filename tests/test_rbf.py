@@ -8,8 +8,7 @@ from scipy.spatial.distance import cdist
 
 from manifold_rbf import rbf
 from manifold_rbf.rbf import (InterpolationSystem, KernelModel, build_system,
-                              derivative_matrices, kernel_deriv_over_r,
-                              kernel_eval)
+                              kernel_deriv_over_r, kernel_eval)
 from manifold_rbf.zoo import Ellipse, PointCloud, Sphere, sample_manifold
 
 FAMILIES = ["gaussian", "inverse_quadratic", "matern"]
@@ -324,8 +323,17 @@ def test_interpolate_constant_off_node():
 # -- derivative factors, streamed by row blocks --------------------------------
 
 
+def gathered_derivatives(system, directions):
+    """The factors G_a of rbf.derivative_blocks, whole, shape
+    (k, N, rank_L): each block copied out before the next overwrites it."""
+    G = np.empty((directions.shape[2],) + system.U.shape)
+    for rows, block in rbf.derivative_blocks(system, directions):
+        G[:, rows] = block
+    return G
+
+
 def dense_derivative_matrices(system, directions):
-    """derivative_matrices with every N x N matrix formed whole."""
+    """The factors G_a with every N x N matrix formed whole."""
     points = system.points
     w = kernel_deriv_over_r(system.model, cdist(points, points))
     coef = system.U / system.w[None, :]
@@ -357,12 +365,17 @@ def test_derivative_matrices_match_the_dense_formula(family, d, N,
     cloud = sample_manifold(Sphere(), N, seed=N)
     system = build_system(cloud, KernelModel(family, 1.5))
     directions = random_directions(N, 3, d, seed=d)
-    got = derivative_matrices(system, directions)
+    got = gathered_derivatives(system, directions)
     want = dense_derivative_matrices(system, directions)
     assert len(got) == d
     for Ga, Ra in zip(got, want):
         assert Ga.shape == (N, system.rank_L)
         assert np.max(np.abs(Ga - Ra)) <= 1e-9 * np.max(np.abs(Ra))
+    # with out, every block is a view of it, and the same numbers land there
+    out = np.empty_like(got)
+    for _rows, block in rbf.derivative_blocks(system, directions, out=out):
+        assert np.shares_memory(block, out)
+    assert np.array_equal(out, got)
 
 
 def test_derivative_matrices_allocate_no_n_by_n_matrix():
@@ -377,7 +390,7 @@ def test_derivative_matrices_allocate_no_n_by_n_matrix():
     directions = random_directions(N, 3, 2, seed=2)
     tracemalloc.start()
     try:
-        derivative_matrices(system, directions)
+        gathered_derivatives(system, directions)
         _current, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -13,9 +13,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from manifold_rbf import rbf
-from manifold_rbf.rbf import (KernelModel, blockwise, build_system,
-                              derivative_matrices)
+from manifold_rbf import rbf, vector_ops
+from manifold_rbf.rbf import KernelModel, blockwise, build_system
 from manifold_rbf.scalar_ops import (GeneralizedPair, ambient_gradient,
                                      build_grad_matrices,
                                      laplace_beltrami_nonsymmetric,
@@ -32,6 +31,8 @@ from manifold_rbf.zoo import (Ellipse, GeneralTorus, Sphere, Torus,
 
 # the builders by their LAPLACIANS name
 FORMS = {"Bochner": bochner, "Hodge": hodge, "Lich": lichnerowicz}
+# the paper's weight on |X + swap X^T|^2 in each symmetric form
+FORM_WEIGHTS = {"Bochner": 1.0, "Hodge": 0.5, "Lich": 0.5}
 
 
 def form_id(name):
@@ -115,7 +116,7 @@ def ref_s(ops, i, G):
 
 def ref_nonsymmetric(ops, name):
     # -sum_i H_i (H_i + swap S_i) - div [G_j G_k]
-    swap, _coeff, div = LAPLACIANS[name]
+    swap, div = LAPLACIANS[name]
     G = dense_gradients(ops)
     L = np.zeros((ops.n * ops.N,) * 2)
     for i in range(ops.n):
@@ -351,7 +352,8 @@ def test_symmetric_half_factor(ellipse):
 def ambient_pencil(ops, q, name):
     # the nN ambient form: sum_i coeff |(H_i + swap S_i) Pot|^2 weighted by
     # Qt^{-1}, plus Pot [G_j^T Q^{-1} G_k] Pot for Hodge
-    swap, coeff, div = LAPLACIANS[name]
+    swap, div = LAPLACIANS[name]
+    coeff = FORM_WEIGHTS[name]
     n, N = ops.n, ops.N
     qinv = 1.0 / q
     qt = np.tile(qinv, n)
@@ -389,7 +391,8 @@ def whole_factor_form(system, proj, q, name):
     C(b, c) = rows kron(T[:, :, b], G_c / sqrt(q)) over the whole cloud,
     coeff sum_{b,c} |C(b, c) + swap C(c, b)|^2 plus |sum_c C(c, c)|^2 for
     Hodge, the formula before the forms were summed over row blocks."""
-    swap, coeff, div = LAPLACIANS[name]
+    swap, div = LAPLACIANS[name]
+    coeff = FORM_WEIGHTS[name]
     T, G = proj.frames, build_grad_matrices(system, proj).G
     d = len(G)
     root = np.sqrt(1.0 / q)[:, None]
@@ -433,6 +436,30 @@ def test_streamed_vector_form_equals_the_whole_factor_form(
         assert np.array_equal(A, A.T)
         assert np.linalg.norm(A - want) <= 1e-13 * np.linalg.norm(want)
     assert len(list(rbf.row_blocks(system.N))) == system.N
+
+
+@pytest.mark.parametrize("name,count", [("Bochner", 4), ("Hodge", 2),
+                                        ("Lich", 3)], ids=form_id)
+def test_vector_forms_sum_each_distinct_part_once(name, count, sphere_small,
+                                                  monkeypatch):
+    # per row block on a surface (d = 2): Bochner's 4 parts X_cb, Hodge's
+    # one X_12 - X_21 and its divergence, Lich's X_11, X_12 + X_21 and X_22;
+    # the copies X_bc + swap X_cb = swap (X_cb + swap X_bc) and Hodge's
+    # zero X_bb - X_bb are not summed again
+    ops, q, system = sphere_small
+    counts = []
+
+    def counting(system, proj, q, size, terms):
+        def counted(rows, block):
+            parts = list(terms(rows, block))
+            counts.append(len(parts))
+            return parts
+        return weak_form(system, proj, q, size, counted)
+
+    weak_form = vector_ops._weak_form
+    monkeypatch.setattr(vector_ops, "_weak_form", counting)
+    FORMS[name]("SRBF", system, ops.proj, q)
+    assert counts and set(counts) == {count}
 
 
 @pytest.mark.parametrize("op", [bochner, hodge, lichnerowicz])
@@ -607,23 +634,30 @@ def test_plane_covariant_constant_field():
     assert np.abs(out).max() <= 1e-6
 
 
-def test_covariant_derivative_matches_ambient_reference():
+def test_covariant_derivative_matches_ambient_reference(monkeypatch):
     # P sum_k U^k D_k Y: the ambient derivative along each coordinate axis,
-    # contracted with U, equals the one derivative along U
+    # contracted with U, equals the one derivative along U, streamed at the
+    # default row blocks and at one row per block
     cloud = sample_manifold(Sphere(), 200, seed=2, mode="random_area")
     proj = analytic_projection(cloud)
     system = build_system(cloud, KernelModel("inverse_quadratic", 1.0))
     x, y, z = cloud.points.T
     U = np.column_stack([-y, x, 0.0 * z])
     Y = np.column_stack([z, x * y, 1.0 + x])
-    D = derivative_matrices(system, np.broadcast_to(np.eye(3), (200, 3, 3)))
+    D = np.empty((3,) + system.U.shape)
+    for rows, block in rbf.derivative_blocks(
+            system, np.broadcast_to(np.eye(3), (200, 3, 3))):
+        D[:, rows] = block
     coeffs = system.U.T @ Y
     W = sum(U[:, k][:, None] * (D[k] @ coeffs) for k in range(3))
     want = np.matmul(proj.mats, W[:, :, None])[:, :, 0]
-    got = covariant_derivative(system, proj, U, Y)
     # the two orders of summation differ by rounding amplified by Phi^+
     tol = 10 * np.finfo(float).eps * system.sigma[0] / system.sigma[-1]
-    assert np.abs(got - want).max() <= tol * np.abs(want).max()
+    for block_bytes in (rbf.ROW_BLOCK_BYTES, 8 * system.N):
+        monkeypatch.setattr(rbf, "ROW_BLOCK_BYTES", block_bytes)
+        got = covariant_derivative(system, proj, U, Y)
+        assert np.abs(got - want).max() <= tol * np.abs(want).max()
+    assert len(list(rbf.row_blocks(system.N))) == system.N
 
 
 def test_ellipse_covariant_analytic_projection(ellipse):
