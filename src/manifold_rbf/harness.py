@@ -160,8 +160,11 @@ def estimate_run_bytes(config, N, rank):
     holds outside tracemalloc (the input copy and work of eigh, eig, qr,
     cholesky or solve: 3 n^2 words for an n x n eigh). The estimate adds the
     same three parts:
-    - Traced: the largest of Phi's build (4 N^2: the distances, their
-      scaled copy and two temporaries) and the operator's stages below.
+    - Traced: the largest of Phi's build and factorisation and the
+      operator's stages below. Phi is built in the buffer of its squared
+      distances, and eigh writes its eigenvectors over it, from which U is
+      gathered: N^2 + N r (the Matern kernel's factor e^{-sr} takes one more
+      N^2 while the kernel is evaluated).
       The derivatives stream through three N-wide row blocks of
       rbf.ROW_BLOCK_BYTES (the kernel derivative and the brackets of two
       directions) beside U and its scaled copy; an SRBF form and the
@@ -196,14 +199,14 @@ def estimate_run_bytes(config, N, rank):
     - SRBF vector pencils: the form, 4 rows p + 2 p^2 beside the streamed
       derivatives (the part summed, the next, its swapped companion and
       that times its sign, rows x p each; the form and one X^T X); the
-      solve, N r + p^2 + d N p + max(2 d N p, 2 m p + 2 m^2)
-      (U, the form and either the factor, its scaled copy and the QR's
-      factored copy of that, or the reflectors in the factored copy with
-      R, R A, M and the reduced m x m form; M, the form, its symmetrising
-      temporary and the eigenvectors fit within the latter; the form is
-      counted throughout, though the solver frees it once the pencil is
-      reduced, and the factor frees once its reflectors exist); outside,
-      the larger of eigh's 3 m^2 and the raw QR's d N p + 65 m.
+      solve, N r + p^2 + d N p + max(d N p, 2 m p + 2 m^2)
+      (U, the form and either the factor and its scaled copy, which the QR
+      factors in place, or the reflectors in that copy with R, R A, M and
+      the reduced m x m form; M, the form, its symmetrising temporary and
+      the eigenvectors fit within the latter; the form is counted
+      throughout, though the solver frees it once the pencil is reduced,
+      and the factor frees once its QR exists); outside, the larger of
+      eigh's 3 m^2 and the raw QR's d N p + 65 m.
     - NRBF vector operators, on frame coordinates: the factor,
       (d + 1) N r + (d + 3) N p + r p + n^2 N (U, the d factors, the n
       ambient gradients, the d N x p factor, its N x p accumulator, one
@@ -232,7 +235,9 @@ def estimate_run_bytes(config, N, rank):
         ncv = max(2 * _dm_mode_count(config, N) + 1, 20)
         return 8 * (N * (10 * K + 4 * ncv) + truth)
     traced, untraced = _operator_words(config, N, rank)
-    words = max(4 * N * N, traced) + max(3 * N * N, untraced) + N * N
+    phi = N * N + max(N * rank,
+                      N * N if config.kernel.family == "matern" else 0)
+    words = max(phi, traced) + max(3 * N * N, untraced) + N * N
     return 8 * (words + truth)
 
 
@@ -252,7 +257,7 @@ def _operator_words(config, N, r):
             return (max(stream + 2 * r * r, 2 * N * r + 3 * r * r,
                         N * r + 4 * r * r), 3 * r * r)
         solve = (N * r + p * p + d * N * p
-                 + max(2 * d * N * p, 2 * m * p + 2 * m * m))
+                 + max(d * N * p, 2 * m * p + 2 * m * m))
         return (max(stream + 4 * rows * p + 2 * p * p, solve),
                 max(3 * m * m, d * N * p + 65 * m))
     grads = (d + 2) * N * r + blocks

@@ -14,7 +14,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from manifold_rbf import cli, dm, harness, scalar_ops, zoo
+from manifold_rbf import cli, dm, harness, scalar_ops, spectral, zoo
 from manifold_rbf.dm import dm_spectrum
 from manifold_rbf.harness import (MEMORY_ENV_VAR, ExperimentConfig,
                                   alignment_gate, check_memory,
@@ -272,24 +272,42 @@ UNTRACED_LAPACK_WORDS = {
 }
 
 
+# The package's own calls of the same gufuncs, which write over their input
+# (spectral._eigh_in_place for Phi, spectral._raw_qr_in_place for a vector
+# pencil), hold the same buffers outside tracemalloc.
+IN_PLACE_LAPACK = {"_eigh_in_place": "eigh", "_raw_qr_in_place": "qr"}
+
+
 def track_untraced_lapack(monkeypatch):
-    """Route numpy.linalg's LAPACK calls above through a wrapper that records
-    the largest untraced buffer set of any one call (a stacked call counts
-    one set per matrix); returns its holder."""
+    """Route numpy.linalg's LAPACK calls above, and the package's in-place
+    calls of them, through a wrapper that records the largest untraced
+    buffer set of any one call (a stacked call counts one set per matrix);
+    returns its holder."""
     largest = [0]
-    for name, words in UNTRACED_LAPACK_WORDS.items():
-        def wrapped(a, *args, _solve=getattr(np.linalg, name), _words=words,
-                    **kwargs):
+
+    def tracked(solve, words):
+        def wrapped(a, *args, **kwargs):
             *stack, m, n = np.shape(a)
-            largest[0] = max(largest[0], 8 * _words(m, n) * math.prod(stack))
-            return _solve(a, *args, **kwargs)
-        monkeypatch.setattr(np.linalg, name, wrapped)
+            largest[0] = max(largest[0], 8 * words(m, n) * math.prod(stack))
+            return solve(a, *args, **kwargs)
+        return wrapped
+
+    for name, words in UNTRACED_LAPACK_WORDS.items():
+        monkeypatch.setattr(np.linalg, name,
+                            tracked(getattr(np.linalg, name), words))
+    for name, kind in IN_PLACE_LAPACK.items():
+        monkeypatch.setattr(spectral, name, tracked(
+            getattr(spectral, name), UNTRACED_LAPACK_WORDS[kind]))
     return largest
 
 
 def traced_peak(stage, monkeypatch):
     """Bytes stage() needs at its peak: the traced peak plus the largest set
-    of LAPACK buffers numpy.linalg holds outside tracemalloc in one call."""
+    of LAPACK buffers numpy.linalg holds outside tracemalloc in one call.
+    The DM graph's scipy modules are loaded first, so that a stage that is
+    the first in the process to use them does not count their import."""
+    import scipy.sparse.csgraph    # noqa: F401
+    import scipy.sparse.linalg     # noqa: F401
     untraced = track_untraced_lapack(monkeypatch)
     tracemalloc.start()
     try:
@@ -298,6 +316,25 @@ def traced_peak(stage, monkeypatch):
     finally:
         tracemalloc.stop()
     return peak + untraced[0]
+
+
+def test_untraced_tracking_sees_the_in_place_lapack_calls(monkeypatch):
+    # Phi's eigh and a vector pencil's raw QR go through the package's
+    # in-place helpers, which the package looks up at the call: the
+    # calibration above counts their buffers outside tracemalloc
+    untraced = track_untraced_lapack(monkeypatch)
+    N = 120
+    build_system(sample_manifold(Sphere(), N, seed=0), KernelModel(
+        "inverse_quadratic", 0.5))
+    assert untraced[0] == 8 * UNTRACED_LAPACK_WORDS["eigh"](N, N)
+    untraced[0] = 0
+    rng = np.random.default_rng(0)
+    frames = np.zeros((1000, 3, 2))
+    frames[:, 0, 0] = frames[:, 1, 1] = 1.0
+    spectral.solve_symmetric(scalar_ops.GeneralizedPair(
+        A=np.eye(20), B_diag=np.ones(2000),
+        factor=rng.standard_normal((2000, 20)), range_basis=frames), 5)
+    assert untraced[0] == 8 * UNTRACED_LAPACK_WORDS["qr"](2000, 20)
 
 
 @pytest.mark.parametrize("method,operator,spec", [

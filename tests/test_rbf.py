@@ -64,6 +64,17 @@ def test_kernel_eval_is_the_textbook_formula(family):
     assert np.array_equal(r, before)
 
 
+@pytest.mark.parametrize("family", FAMILIES)
+def test_kernels_evaluate_in_place_on_out(family):
+    # out=r overwrites the distances with the same bits a new array gets
+    model = KernelModel(family, 0.7)
+    r = np.abs(np.random.default_rng(3).standard_normal((30, 30)))
+    for kernel in (kernel_eval, kernel_deriv_over_r):
+        want, buf = kernel(model, r), r.copy()
+        assert kernel(model, buf, out=buf) is buf
+        assert np.array_equal(buf, want)
+
+
 def test_gaussian_deriv_formula():
     m = KernelModel("gaussian", 1.5)
     r = np.linspace(0.0, 2.0, 9)
@@ -203,6 +214,23 @@ def test_phi_is_factored_from_its_lower_triangle():
     assert system.rank_L == keep.sum()
     assert np.array_equal(system.w, w[keep][order])
     assert np.array_equal(system.U, V[:, keep][:, order])
+
+
+def test_phi_is_built_and_factored_in_one_buffer():
+    # the distances, Phi and its eigenvectors share one N x N buffer, from
+    # which U is gathered: no second N x N array is traced (measured at
+    # N = 400: 13 kB above the bound's matrices, against two N x N arrays,
+    # 2.57 MB, when the kernel and eigh took copies)
+    cloud = sample_manifold(Sphere(), 400, seed=1, mode="random_area")
+    tracemalloc.start()
+    try:
+        system = build_system(cloud, KernelModel("inverse_quadratic", 0.5))
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    N, r = system.N, system.rank_L
+    assert r < N / 2
+    assert peak <= 8 * (N * N + N * r) + 2 ** 16
 
 
 def test_system_keeps_no_n_by_n_matrix():
