@@ -199,14 +199,14 @@ def estimate_run_bytes(config, N, rank):
     - SRBF vector pencils: the form, 4 rows p + 2 p^2 beside the streamed
       derivatives (the part summed, the next, its swapped companion and
       that times its sign, rows x p each; the form and one X^T X); the
-      solve, N r + p^2 + d N p + max(d N p, 2 m p + 2 m^2)
-      (U, the form and either the factor and its scaled copy, which the QR
-      factors in place, or the reflectors in that copy with R, R A, M and
-      the reduced m x m form; M, the form, its symmetrising temporary and
-      the eigenvectors fit within the latter; the form is counted
-      throughout, though the solver frees it once the pencil is reduced,
-      and the factor frees once its QR exists); outside, the larger of
-      eigh's 3 m^2 and the raw QR's d N p + 65 m.
+      solve, N r + p^2 + d N p + max(2 d N p, 2 m p + 2 m^2)
+      (U, the form and either the factor, its scaled copy and the QR's
+      factored copy of that, or the reflectors in the factored copy with
+      R, R A, M and the reduced m x m form; M, the form, its symmetrising
+      temporary and the eigenvectors fit within the latter; the form is
+      counted throughout, though the solver frees it once the pencil is
+      reduced, and the factor frees once its reflectors exist); outside,
+      the larger of eigh's 3 m^2 and the raw QR's d N p + 65 m.
     - NRBF vector operators, on frame coordinates: the factor,
       (d + 1) N r + (d + 3) N p + r p + n^2 N (U, the d factors, the n
       ambient gradients, the d N x p factor, its N x p accumulator, one
@@ -257,7 +257,7 @@ def _operator_words(config, N, r):
             return (max(stream + 2 * r * r, 2 * N * r + 3 * r * r,
                         N * r + 4 * r * r), 3 * r * r)
         solve = (N * r + p * p + d * N * p
-                 + max(d * N * p, 2 * m * p + 2 * m * m))
+                 + max(2 * d * N * p, 2 * m * p + 2 * m * m))
         return (max(stream + 4 * rows * p + 2 * p * p, solve),
                 max(3 * m * m, d * N * p + 65 * m))
     grads = (d + 2) * N * r + blocks

@@ -7,17 +7,15 @@ pseudo-inverse Phi^+ = U diag(1/w) U^T with U the N x rank_L retained
 eigenvectors; Phi lives only while build_system factors it, and its buffer
 is the only N x N one ever formed: the squared distances are rooted, turned
 into the kernel and replaced by Phi's eigenvectors in place, and U is
-gathered from them. On the 1600-point torus of the benchmark this cut the
-traced peak of build_system from 39.1 to 25.5 MiB (three N x N arrays to
-one, plus U) and the process peak from 162 to 144 MiB, as eigh's output no
-longer sits beside its input. derivative_blocks differentiates the
-interpolant along given directions at the nodes, so every operator built on
-it factors through U^T and has rank at most rank_L per field component; it
-takes the kernel derivatives a block of rows at a time (row_blocks), as
-density.kde_density takes its kernel sums. It is the one producer of the
-derivatives: scalar_ops.build_grad_matrices gathers its blocks into whole
-N x rank_L factors for the NRBF operators alone, and every SRBF form and
-the covariant derivative consume them block by block.
+gathered from them, so eigh's output never sits beside its input.
+derivative_blocks differentiates the interpolant along given directions at
+the nodes, so every operator built on it factors through U^T and has rank
+at most rank_L per field component; it takes the kernel derivatives a
+block of rows at a time (row_blocks), as density.kde_density takes its
+kernel sums. It is the one producer of the derivatives:
+scalar_ops.build_grad_matrices gathers its blocks into whole N x rank_L
+factors for the NRBF operators alone, and every SRBF form and the
+covariant derivative consume them block by block.
 
 Every distance of the package comes from one formula, squared_distances:
 the Gram form |x|^2 + |y|^2 - 2 x.y, one matrix product on coordinates

@@ -41,7 +41,7 @@ How the range of S is reduced depends on the kind of pencil:
   number in S^T S would lose orthogonality.
 
 No QR forms its Q. _householder keeps it as its reflectors V, taken from
-the factored input, and M = T^{-1} of the compact-WY form
+LAPACK's factored copy of the input, and M = T^{-1} of the compact-WY form
 Q = I - V T V^T; _apply_q applies Q with two products and one triangular
 solve. A vector pencil applies it to the lifted columns only. The
 non-symmetric solve needs the whole thin Q for its reduced matrix and its
@@ -94,16 +94,13 @@ factors out the arbitrary rotation inside repeated-eigenvalue clusters.
 
 QR, Cholesky and dense eigensolves use numpy.linalg, the package's one
 dense-LAPACK provider, so one OpenBLAS thread pool serves them and the
-matmuls (see rbf). Two calls write over an input that is their caller's
-own, through numpy's LAPACK gufuncs, as numpy.linalg would call them:
-- _eigh_in_place, for Phi in rbf.build_system: numpy.linalg.eigh writes
-  its eigenvectors into a new n x n array beside its input;
-- _raw_qr_in_place, for a vector pencil's scaled factor: numpy.linalg.qr
-  factors a copy of its input (the non-symmetric solve keeps it, as it
-  leaves its argument intact).
-Each holds LAPACK's copy and work outside tracemalloc, as numpy.linalg's
-call does. numpy.linalg._umath_linalg is private: the tests hold both to
-numpy.linalg bit for bit, and to writing in place.
+matmuls (see rbf). One call writes over its input: _eigh_in_place, for
+Phi in rbf.build_system, where numpy.linalg.eigh would write the
+eigenvectors into a new n x n array beside its input. It calls the LAPACK
+gufunc numpy.linalg.eigh calls, with the same error state, and holds
+LAPACK's copy and work outside tracemalloc as that call does.
+numpy.linalg._umath_linalg is private: the tests hold the helper to
+numpy.linalg.eigh bit for bit, and to writing in place.
 """
 
 import json
@@ -175,34 +172,18 @@ def _lift_count(values, k, pinv_tol):
     return nontrivial[k] if k < len(nontrivial) else len(values)
 
 
-def _lapack_errstate(message):
-    """The errstate numpy.linalg wraps around its LAPACK gufuncs: a failed
-    call raises LinAlgError(message)."""
-    def fail(_err, _flag):
-        raise np.linalg.LinAlgError(message)
-    return np.errstate(call=fail, invalid="call", over="ignore",
-                       divide="ignore", under="ignore")
-
-
 def _eigh_in_place(A):
     """(w, A): np.linalg.eigh(A) of a symmetric float64 A (its lower
     triangle), bit for bit, with the eigenvectors written over A. The same
-    gufunc and LAPACK syevd as np.linalg.eigh, whose output buffer would be
-    a second n x n array beside A (see the module notes)."""
+    gufunc, LAPACK syevd and error state as np.linalg.eigh, whose output
+    buffer would be a second n x n array beside A (see the module notes)."""
+    def fail(_err, _flag):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
     w = np.empty(len(A))
-    with _lapack_errstate("Eigenvalues did not converge"):
+    with np.errstate(call=fail, invalid="call", over="ignore",
+                     divide="ignore", under="ignore"):
         np.linalg._umath_linalg.eigh_lo(A, out=(w, A), signature="d->dd")
     return w, A
-
-
-def _raw_qr_in_place(X):
-    """(h, tau): np.linalg.qr(X, mode="raw") of a float64 X, bit for bit,
-    factored in X's own buffer (h = X.T). np.linalg.qr factors a copy of
-    its input."""
-    with _lapack_errstate("Incorrect argument found while performing "
-                          "QR factorization"):
-        tau = np.linalg._umath_linalg.qr_r_raw(X, signature="d->d")
-    return X.T, tau
 
 
 def _back_substitute(T, Z):
@@ -295,7 +276,7 @@ def solve_symmetric(pair, k, pinv_tol=1e-8):
         del gram
         A = np.matmul(C.T, A @ C, out=reduced)
     else:
-        h, tau = _raw_qr_in_place(scale[:, None] * R)
+        h, tau = np.linalg.qr(scale[:, None] * R, mode="raw")
         del R                      # the lift goes through the reflectors
         H, M, Rx = _householder(h, tau)
         del h

@@ -331,16 +331,15 @@ def test_the_package_loads_scipy_only_for_the_dm_graph():
 
 def call_sites(source, target):
     """(function, guards) of every call of the dotted name target, import
-    aliases resolved, or of the bare name target (a function of the module
-    itself): the enclosing top-level function and the conditions
+    aliases resolved: the enclosing top-level function and the conditions
     of the if branches around the call, an else branch as `not (test)`."""
     tree = ast.parse(source)
     alias = _aliases(tree)
     sites = []
 
     def visit(node, function, guards):
-        if isinstance(node, ast.Call) and target in (
-                _dotted(node.func, alias), getattr(node.func, "id", None)):
+        if isinstance(node, ast.Call) and \
+                _dotted(node.func, alias) == target:
             sites.append((function, guards))
         if isinstance(node, ast.If):
             test = ast.unparse(node.test)
@@ -378,25 +377,18 @@ def test_call_sites_carry_their_branch():
 # tall matrices); only vector pencils, whose factor is close to
 # rank-deficient, and the non-symmetric solve take one, a raw QR whose
 # reflectors spectral._householder keeps, and so do the analytic frames.
-# The vector pencil factors its own scaled factor in place, through the one
-# call of numpy's QR gufunc; the non-symmetric solve leaves its argument
-# intact, so it takes numpy.linalg.qr's copy.
-QR_CALLS = ("numpy.linalg.qr", "_raw_qr_in_place",
-            "numpy.linalg._umath_linalg.qr_r_raw")
 HOUSEHOLDER_QR_SITES = {
-    ("spectral.py", "solve_symmetric", ("not (scalar)",), "_raw_qr_in_place"),
-    ("spectral.py", "_raw_qr_in_place", (),
-     "numpy.linalg._umath_linalg.qr_r_raw"),
-    ("spectral.py", "solve_nonsymmetric", (), "numpy.linalg.qr"),
-    ("zoo.py", "analytic_projection", (), "numpy.linalg.qr"),
+    ("spectral.py", "solve_symmetric", ("not (scalar)",)),
+    ("spectral.py", "solve_nonsymmetric", ()),
+    ("zoo.py", "analytic_projection", ()),
 }
 
 
 def test_householder_qr_sites_are_pinned():
-    sites = [(path.name, function, guards, target)
+    sites = [(path.name, function, guards)
              for path in sorted(PACKAGE.rglob("*.py"))
-             for target in QR_CALLS
-             for function, guards in call_sites(path.read_text(), target)]
+             for function, guards in call_sites(path.read_text(),
+                                                "numpy.linalg.qr")]
     assert sorted(sites) == sorted(HOUSEHOLDER_QR_SITES)
 
 
